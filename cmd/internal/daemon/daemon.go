@@ -1,0 +1,127 @@
+// Package daemon is what the serving daemons share: cmd/passerve and
+// cmd/pasproxy bind the serving flags here, once, straight onto the one
+// pas.ServingConfig, and all three servers (cmd/pasllm included) take
+// their observability flags and registry / tracer / debug-listener
+// wiring from Obs.
+package daemon
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"log"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	pas "repro"
+	"repro/internal/httpmw"
+	"repro/internal/obs"
+)
+
+// Flags is the parsed form of the flags both serving daemons accept.
+type Flags struct {
+	// Serving is handed to System.EnableServing as is; pasproxy
+	// -replicas reads its breaker and degrade settings for the ring.
+	Serving pas.ServingConfig
+	*Obs
+}
+
+// Bind declares the serving and observability flags on fs; the returned
+// Flags is filled in by fs.Parse.
+func Bind(fs *flag.FlagSet) *Flags {
+	f := &Flags{Obs: BindObs(fs)}
+	c := &f.Serving
+	fs.IntVar(&c.CacheSize, "cache-size", 4096, "complement result cache entries (negative disables)")
+	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result cache TTL (0 = no expiry; sound for a fixed model)")
+	fs.IntVar(&c.MaxInFlight, "max-inflight", 64, "max concurrent complement computations: the ceiling of the AIMD concurrency limit, which backs off on deadline misses and breaker trips and regrows on healthy completions")
+	fs.IntVar(&c.LimitFloor, "limit-floor", 1, "lower clamp of the concurrency limit (equal to -max-inflight = a static cap)")
+	fs.DurationVar(&c.LimitTarget, "limit-target", 25*time.Millisecond, "computation latency under which a completion argues for raising the concurrency limit")
+	fs.Func("tenant-weights", "fair-share weights as tenant=w,tenant=w (unlisted tenants get -default-tenant-weight)", tenantMap(&c.TenantWeights))
+	fs.IntVar(&c.DefaultTenantWeight, "default-tenant-weight", 1, "fair-share weight of unlisted tenants")
+	fs.Func("tenant-quotas", "per-tenant concurrent-computation caps as tenant=n,tenant=n", tenantMap(&c.TenantQuotas))
+	fs.IntVar(&c.TenantQueueDepth, "tenant-queue-depth", 0, "per-tenant share of the waiting room (0 = weighted split of -queue-depth)")
+	fs.IntVar(&c.MaxTenants, "max-tenants", 0, "bound on tracked tenants; ids beyond it pool into an overflow tenant (0 = 64)")
+	fs.DurationVar(&c.ComputeDelay, "compute-delay", 0, "pad every complement computation (overload-drill knob; leave 0 in production)")
+	fs.IntVar(&c.QueueDepth, "queue-depth", 256, "max requests waiting for a computation slot (0 = shed instantly)")
+	fs.DurationVar(&c.QueueWait, "queue-wait", 100*time.Millisecond, "max wait for a slot before shedding")
+	fs.IntVar(&c.Retries, "retries", 1, "re-attempts for a shed complement computation (0 disables)")
+	fs.DurationVar(&c.RetryBudget, "retry-budget", 500*time.Millisecond, "total time budget for the retry loop, sleeps included")
+	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 8, "consecutive shed computations before the augment breaker opens (per replica with pasproxy -replicas; 0 disables)")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 2*time.Second, "breaker open->half-open window")
+	fs.BoolVar(&c.Degrade, "degrade", true, "fail open: answer with the un-augmented prompt, flagged X-PAS-Degraded, instead of 503 when augmentation sheds")
+	return f
+}
+
+// tenantMap is the flag.Func parser for "tenant=n,tenant=n" values.
+func tenantMap(dst *map[string]int) func(string) error {
+	return func(s string) error {
+		out := make(map[string]int)
+		for _, pair := range strings.Split(s, ",") {
+			pair = strings.TrimSpace(pair)
+			if pair == "" {
+				continue
+			}
+			name, val, ok := strings.Cut(pair, "=")
+			if !ok {
+				return fmt.Errorf("%q is not tenant=value", pair)
+			}
+			n, err := strconv.Atoi(strings.TrimSpace(val))
+			if err != nil || n <= 0 {
+				return fmt.Errorf("%q: value must be a positive integer", pair)
+			}
+			out[strings.TrimSpace(name)] = n
+		}
+		*dst = out
+		return nil
+	}
+}
+
+// Obs is a server's observability: its two flags and, once Start has
+// run, the metrics registry, tracer, and HTTP metrics behind /metricsz
+// and the debug listener.
+type Obs struct {
+	DebugAddr   string
+	TraceSample int
+
+	Reg     *obs.Registry
+	Tracer  *obs.Tracer
+	Metrics *httpmw.Metrics
+}
+
+// BindObs declares -debug-addr and -trace-sample on fs; a server
+// without a serving core (cmd/pasllm) calls it instead of Bind.
+func BindObs(fs *flag.FlagSet) *Obs {
+	o := &Obs{}
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "separate listener for pprof, /debug/traces and /metricsz (empty disables)")
+	fs.IntVar(&o.TraceSample, "trace-sample", 1, "head-sample 1 in N traces; errored and slow traces are always kept (negative keeps only those)")
+	return o
+}
+
+// Start builds the registry, tracer, and HTTP metrics of the named
+// service and, when -debug-addr is set, serves the debug endpoints
+// there until ctx ends.
+func (o *Obs) Start(ctx context.Context, service string) {
+	o.Reg = obs.NewRegistry()
+	o.Tracer = obs.NewTracer(obs.TraceConfig{SampleEvery: o.TraceSample})
+	o.Metrics = httpmw.NewMetrics()
+	o.Metrics.Register(o.Reg)
+	obs.RegisterBuildInfo(o.Reg, service)
+	obs.RegisterRuntimeMetrics(o.Reg)
+	if o.DebugAddr == "" {
+		return
+	}
+	log.Printf("debug endpoints (pprof, /debug/traces, /metricsz) on %s", o.DebugAddr)
+	go func() {
+		if err := obs.ServeDebug(ctx, o.DebugAddr, obs.DebugMux(o.Reg, o.Tracer, o.Metrics.Handler())); err != nil {
+			log.Printf("debug listener: %v", err)
+		}
+	}()
+}
+
+// MetricsHandler serves /metricsz: the unified exposition (Prometheus
+// text; ?format=json for the per-path JSON shape).
+func (o *Obs) MetricsHandler() http.Handler {
+	return o.Reg.HandlerWithJSON(o.Metrics.Handler())
+}

@@ -18,10 +18,10 @@ import (
 	"os"
 	"time"
 
+	"repro/cmd/internal/daemon"
 	"repro/internal/chatapi"
 	"repro/internal/corpus"
 	"repro/internal/httpmw"
-	"repro/internal/obs"
 	"repro/internal/tokenizer"
 )
 
@@ -34,9 +34,7 @@ func main() {
 		rate  = flag.Int("rate", 600, "requests per minute per API key (0 = unlimited)")
 		vocab = flag.Int("vocab", 2048, "BPE vocabulary size for usage metering")
 		cache = flag.Int("cache", 0, "LRU response-cache entries (0 = disabled)")
-
-		debugAddr   = flag.String("debug-addr", "", "separate listener for pprof, /debug/traces and /metricsz (empty disables)")
-		traceSample = flag.Int("trace-sample", 1, "head-sample 1 in N traces; errored and slow traces are always kept (negative keeps only those)")
+		o     = daemon.BindObs(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -60,34 +58,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: *traceSample})
-	metrics := httpmw.NewMetrics()
-	metrics.Register(reg)
-	server.RegisterMetrics(reg)
-	obs.RegisterBuildInfo(reg, "pasllm")
-	obs.RegisterRuntimeMetrics(reg)
+	o.Start(context.Background(), "pasllm")
+	server.RegisterMetrics(o.Reg)
 
 	logger := log.New(os.Stderr, "pasllm: ", 0)
 	mux := http.NewServeMux()
 	mux.Handle("/", httpmw.Chain(server.Handler(),
 		httpmw.Recover(logger),
 		httpmw.RequestID(),
-		httpmw.Trace(tracer, "pasllm"),
+		httpmw.Trace(o.Tracer, "pasllm"),
 		httpmw.Logging(logger),
 		httpmw.ConcurrencyLimit(128),
-		metrics.Middleware(),
+		o.Metrics.Middleware(),
 	))
-	mux.Handle("/metricsz", reg.HandlerWithJSON(metrics.Handler()))
+	mux.Handle("/metricsz", o.MetricsHandler())
 
-	if *debugAddr != "" {
-		log.Printf("debug endpoints (pprof, /debug/traces, /metricsz) on %s", *debugAddr)
-		go func() {
-			if err := obs.ServeDebug(context.Background(), *debugAddr, obs.DebugMux(reg, tracer, metrics.Handler())); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
 	log.Printf("serving the model roster on %s", *addr)
 	srv := &http.Server{
 		Addr:              *addr,

@@ -15,10 +15,12 @@
 // Pair it with cmd/pasllm as the upstream for a fully local demo.
 //
 // In single-node mode augmentation runs through the same serving core as
-// cmd/passerve — result cache (-cache-size, -cache-ttl), single-flight
-// dedup, bounded admission queue (-max-inflight, -queue-depth,
-// -queue-wait) — plus shed-retry (-retries, -retry-budget) behind a
-// circuit breaker (-breaker-threshold, -breaker-cooldown).
+// cmd/passerve, configured by the same flags (cmd/internal/daemon) —
+// result cache (-cache-size, -cache-ttl), single-flight dedup, bounded
+// tenant-fair admission under an AIMD limit (-max-inflight,
+// -queue-depth, -queue-wait), the trim → raw degradation ladder, and
+// shed-retry (-retries, -retry-budget) behind a circuit breaker
+// (-breaker-threshold, -breaker-cooldown).
 //
 // With -replicas the proxy instead routes each augmentation to the
 // replica owning its cache key on a consistent-hash ring (-vnodes
@@ -43,163 +45,127 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	pas "repro"
+	"repro/cmd/internal/daemon"
 	"repro/internal/httpmw"
-	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/ring"
 )
 
+// options is pasproxy's command line: the shared serving flags (which
+// size the in-process core in single-node mode; -replicas uses only the
+// breaker and -degrade settings) plus its own.
+type options struct {
+	*daemon.Flags
+	model, upstream, addr string
+
+	// Cluster mode.
+	replicas, adminToken        string
+	vnodes, downAfter           int
+	hedge                       bool
+	hedgeMin, hedgeMax          time.Duration
+	probeInterval, probeTimeout time.Duration
+	ringTimeout                 time.Duration
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{Flags: daemon.Bind(fs)}
+	fs.StringVar(&o.model, "model", "pas-model.json", "trained PAS model (from pastrain); unused with -replicas")
+	fs.StringVar(&o.upstream, "upstream", "http://localhost:8423", "chat-completions endpoint to front (bare http(s)://host[:port])")
+	fs.StringVar(&o.addr, "addr", ":8424", "listen address")
+
+	fs.StringVar(&o.replicas, "replicas", "", "comma-separated passerve base URLs; set to route augmentations across a fleet by consistent hash")
+	fs.IntVar(&o.vnodes, "vnodes", ring.DefaultVNodes, "virtual nodes per replica on the routing ring")
+	fs.BoolVar(&o.hedge, "hedge", false, "hedge slow owner replicas against their ring successor")
+	fs.DurationVar(&o.hedgeMin, "hedge-min", 20*time.Millisecond, "lower clamp on the adaptive hedge delay")
+	fs.DurationVar(&o.hedgeMax, "hedge-max", 2*time.Second, "upper clamp on the adaptive hedge delay")
+	fs.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "target spacing between health probes of each replica")
+	fs.DurationVar(&o.probeTimeout, "probe-timeout", time.Second, "timeout for one health probe")
+	fs.IntVar(&o.downAfter, "down-after", 3, "consecutive failures that evict a replica from the ring")
+	fs.DurationVar(&o.ringTimeout, "ring-timeout", 5*time.Second, "timeout for one augmentation attempt against one replica")
+	fs.StringVar(&o.adminToken, "admin-token", "", "token for the /v1/cluster/replicas membership API (empty keeps it disabled)")
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pasproxy: ")
-
-	var (
-		model       = flag.String("model", "pas-model.json", "trained PAS model (from pastrain); unused with -replicas")
-		upstream    = flag.String("upstream", "http://localhost:8423", "chat-completions endpoint to front (bare http(s)://host[:port])")
-		addr        = flag.String("addr", ":8424", "listen address")
-		cacheSize   = flag.Int("cache-size", 4096, "complement result cache entries (negative disables)")
-		cacheTTL    = flag.Duration("cache-ttl", 0, "result cache TTL (0 = no expiry; sound for a fixed model)")
-		maxInflight = flag.Int("max-inflight", 64, "max concurrent complement computations (the adaptive limiter's ceiling with -adaptive-limit)")
-		adaptive    = flag.Bool("adaptive-limit", false, "replace the static in-flight cap with an AIMD limiter (-max-inflight becomes the ceiling); single-node mode only")
-		limitFloor  = flag.Int("limit-floor", 1, "adaptive limiter's lower clamp")
-		limitTarget = flag.Duration("limit-target", 0, "computation latency below which the adaptive limit grows (0 = any success grows it)")
-		brownout    = flag.Bool("brownout", false, "arm the degradation ladder (cheap complement, then raw passthrough, before shedding); single-node mode only")
-		tenantW     = flag.String("tenant-weights", "", "fair-share weights as tenant=w,tenant=w; single-node mode only")
-		tenantDefW  = flag.Int("default-tenant-weight", 1, "fair-share weight of unlisted tenants")
-		tenantQuota = flag.String("tenant-quotas", "", "per-tenant concurrent-computation caps as tenant=n,tenant=n; single-node mode only")
-		maxTenants  = flag.Int("max-tenants", 0, "bound on tracked tenants; ids beyond it pool into an overflow tenant (0 = default)")
-		queueDepth  = flag.Int("queue-depth", 256, "max requests waiting for a computation slot (0 = shed instantly)")
-		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "max wait for a slot before shedding with 503")
-		retries     = flag.Int("retries", 1, "re-attempts for a shed complement computation (0 disables)")
-		retryBudget = flag.Duration("retry-budget", 500*time.Millisecond, "total time budget for the retry loop, sleeps included")
-		breaker     = flag.Int("breaker-threshold", 8, "consecutive failures before a breaker opens (serving core, or per-replica with -replicas; 0 disables)")
-		cooldown    = flag.Duration("breaker-cooldown", 2*time.Second, "breaker open->half-open window")
-		degrade     = flag.Bool("degrade", true, "fail open: forward the un-augmented prompt instead of answering 503 when augmentation sheds (flagged X-PAS-Degraded)")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for pprof, /debug/traces and /metricsz (empty disables)")
-		traceSample = flag.Int("trace-sample", 1, "head-sample 1 in N traces; errored and slow traces are always kept (negative keeps only those)")
-
-		// Cluster mode.
-		replicas      = flag.String("replicas", "", "comma-separated passerve base URLs; set to route augmentations across a fleet by consistent hash")
-		vnodes        = flag.Int("vnodes", ring.DefaultVNodes, "virtual nodes per replica on the routing ring")
-		hedge         = flag.Bool("hedge", false, "hedge slow owner replicas against their ring successor")
-		hedgeMin      = flag.Duration("hedge-min", 20*time.Millisecond, "lower clamp on the adaptive hedge delay")
-		hedgeMax      = flag.Duration("hedge-max", 2*time.Second, "upper clamp on the adaptive hedge delay")
-		probeInterval = flag.Duration("probe-interval", 2*time.Second, "target spacing between health probes of each replica")
-		probeTimeout  = flag.Duration("probe-timeout", time.Second, "timeout for one health probe")
-		downAfter     = flag.Int("down-after", 3, "consecutive failures that evict a replica from the ring")
-		ringTimeout   = flag.Duration("ring-timeout", 5*time.Second, "timeout for one augmentation attempt against one replica")
-		adminToken    = flag.String("admin-token", "", "token for the /v1/cluster/replicas membership API (empty keeps it disabled)")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Fail configuration errors at startup with a clear message, not as
 	// the first request's 502: the upstream must be a bare absolute
 	// http(s) URL (the proxy only rewrites scheme/host, so a path here
 	// would be silently dropped), and every replica likewise.
-	if _, err := ring.NormalizeReplicas([]string{*upstream}); err != nil {
-		log.Fatalf("-upstream %q: must be a bare absolute http(s)://host[:port] URL", *upstream)
+	if _, err := ring.NormalizeReplicas([]string{o.upstream}); err != nil {
+		log.Fatalf("-upstream %q: must be a bare absolute http(s)://host[:port] URL", o.upstream)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: *traceSample})
-	metrics := httpmw.NewMetrics()
-	metrics.Register(reg)
-	resilience.RegisterMetrics(reg)
-	obs.RegisterBuildInfo(reg, "pasproxy")
-	obs.RegisterRuntimeMetrics(reg)
+	o.Start(ctx, "pasproxy")
+	resilience.RegisterMetrics(o.Reg)
 
 	mux := http.NewServeMux()
 	var proxy *pas.Proxy
 
-	if *replicas != "" {
+	if o.replicas != "" {
 		var urls []string
-		for _, r := range strings.Split(*replicas, ",") {
+		for _, r := range strings.Split(o.replicas, ",") {
 			if r = strings.TrimSpace(r); r != "" {
 				urls = append(urls, r)
 			}
 		}
 		client, err := ring.NewClient(ring.Config{
 			Replicas:         urls,
-			VNodes:           *vnodes,
-			RequestTimeout:   *ringTimeout,
-			BreakerThreshold: *breaker,
-			BreakerCooldown:  *cooldown,
-			Hedge:            *hedge,
-			HedgeMin:         *hedgeMin,
-			HedgeMax:         *hedgeMax,
-			Degrade:          *degrade,
+			VNodes:           o.vnodes,
+			RequestTimeout:   o.ringTimeout,
+			BreakerThreshold: o.Serving.BreakerThreshold,
+			BreakerCooldown:  o.Serving.BreakerCooldown,
+			Hedge:            o.hedge,
+			HedgeMin:         o.hedgeMin,
+			HedgeMax:         o.hedgeMax,
+			Degrade:          o.Serving.Degrade,
 			Health: ring.HealthConfig{
-				ProbeInterval: *probeInterval,
-				ProbeTimeout:  *probeTimeout,
-				DownAfter:     *downAfter,
+				ProbeInterval: o.probeInterval,
+				ProbeTimeout:  o.probeTimeout,
+				DownAfter:     o.downAfter,
 			},
 		})
 		if err != nil {
 			log.Fatalf("-replicas: %v", err)
 		}
 		client.Start(ctx)
-		client.RegisterMetrics(reg)
-		if proxy, err = pas.NewProxyWith(client, *upstream); err != nil {
+		client.RegisterMetrics(o.Reg)
+		if proxy, err = pas.NewProxyWith(client, o.upstream); err != nil {
 			log.Fatal(err)
 		}
 		mux.Handle("/v1/stats", client.StatsHandler())
-		mux.Handle("/metricsz/cluster", client.MetricsRollup(reg, 0))
-		mux.Handle("/v1/cluster/replicas", client.AdminHandler(*adminToken))
-		if *adminToken != "" {
+		mux.Handle("/metricsz/cluster", client.MetricsRollup(o.Reg, 0))
+		mux.Handle("/v1/cluster/replicas", client.AdminHandler(o.adminToken))
+		if o.adminToken != "" {
 			log.Printf("membership admin API enabled at /v1/cluster/replicas")
 		}
-		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v", len(urls), *vnodes, *hedge)
+		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v", len(urls), o.vnodes, o.hedge)
 	} else {
-		sys, err := pas.LoadSystem(*model)
+		sys, err := pas.LoadSystem(o.model)
 		if err != nil {
 			log.Fatalf("%v (train one with pastrain)", err)
 		}
-		weights, err := parseTenantMap(*tenantW)
-		if err != nil {
-			log.Fatalf("-tenant-weights: %v", err)
-		}
-		quotas, err := parseTenantMap(*tenantQuota)
-		if err != nil {
-			log.Fatalf("-tenant-quotas: %v", err)
-		}
-		if err := sys.EnableServing(pas.ServingConfig{
-			CacheSize:           *cacheSize,
-			CacheTTL:            *cacheTTL,
-			MaxInFlight:         *maxInflight,
-			QueueDepth:          *queueDepth,
-			QueueWait:           *queueWait,
-			Retries:             *retries,
-			RetryBudget:         *retryBudget,
-			BreakerThreshold:    *breaker,
-			BreakerCooldown:     *cooldown,
-			Degrade:             *degrade,
-			AdaptiveLimit:       *adaptive,
-			LimitFloor:          *limitFloor,
-			LimitTarget:         *limitTarget,
-			Brownout:            *brownout,
-			TenantWeights:       weights,
-			DefaultTenantWeight: *tenantDefW,
-			TenantQuotas:        quotas,
-			MaxTenants:          *maxTenants,
-		}); err != nil {
+		if err := sys.EnableServing(o.Serving); err != nil {
 			log.Fatal(err)
 		}
-		sys.RegisterMetrics(reg)
-		if proxy, err = pas.NewProxy(sys, *upstream); err != nil {
+		sys.RegisterMetrics(o.Reg)
+		if proxy, err = pas.NewProxy(sys, o.upstream); err != nil {
 			log.Fatal(err)
 		}
 		mux.Handle("/v1/stats", sys.StatsHandler())
@@ -210,30 +176,21 @@ func main() {
 	mux.Handle("/", httpmw.Chain(proxy,
 		httpmw.Recover(logger),
 		httpmw.RequestID(),
-		httpmw.Trace(tracer, "pasproxy"),
+		httpmw.Trace(o.Tracer, "pasproxy"),
 		httpmw.Logging(logger),
 		// Tags the request context with the caller's tenant so the
 		// single-node serving core admits it through the fair-share
 		// queue (and access logs carry the label in both modes).
 		httpmw.Tenant(),
-		metrics.Middleware(),
+		o.Metrics.Middleware(),
 	))
 	// Served locally, not proxied: the unified metrics (Prometheus text;
 	// ?format=json for the old shape). /v1/stats is mounted per mode.
-	mux.Handle("/metricsz", reg.HandlerWithJSON(metrics.Handler()))
+	mux.Handle("/metricsz", o.MetricsHandler())
 
-	if *debugAddr != "" {
-		log.Printf("debug endpoints (pprof, /debug/traces, /metricsz) on %s", *debugAddr)
-		go func() {
-			if err := obs.ServeDebug(ctx, *debugAddr, obs.DebugMux(reg, tracer, metrics.Handler())); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
-	log.Printf("augmenting traffic to %s on %s", *upstream, *addr)
+	log.Printf("augmenting traffic to %s on %s", o.upstream, o.addr)
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -251,28 +208,4 @@ func main() {
 		}
 		log.Printf("shut down cleanly")
 	}
-}
-
-// parseTenantMap parses "tenant=n,tenant=n" flag values.
-func parseTenantMap(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, pair := range strings.Split(s, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("%q is not tenant=value", pair)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q: value must be a positive integer", pair)
-		}
-		out[strings.TrimSpace(name)] = n
-	}
-	return out, nil
 }

@@ -23,17 +23,17 @@
 // prompt — flagged X-PAS-Degraded and counted in /v1/stats — instead
 // of a 503.
 //
-// Overload robustness is opt-in per knob. -adaptive-limit turns the
-// static in-flight cap into an AIMD limiter that backs off when the
-// queue sheds and regrows on healthy completions, with -max-inflight
-// as its hard ceiling. -brownout arms the degradation ladder: under
-// sustained queue pressure the replica first serves a cheap complement
-// (X-PAS-Degraded: trim), then the raw prompt (X-PAS-Degraded: 1),
-// before hard-shedding — and /v1/status advertises the pressure rung
-// so routing tiers deprioritize the replica. Requests carrying an
-// X-PAS-Tenant header (or an API key, fingerprinted) are admitted by a
-// weighted fair-share queue (-tenant-weights, -tenant-quotas,
-// -max-tenants), so one flooding tenant cannot starve the rest.
+// The in-flight cap is an AIMD limit that backs off when the queue
+// sheds and regrows on healthy completions, between -limit-floor and
+// -max-inflight. Under sustained queue pressure the replica first
+// serves a cheap complement (X-PAS-Degraded: trim), then the raw prompt
+// (X-PAS-Degraded: 1), before hard-shedding — and /v1/status advertises
+// the pressure rung so routing tiers deprioritize the replica. Requests
+// carrying an X-PAS-Tenant header (or an API key, fingerprinted) are
+// admitted by a weighted fair-share queue (-tenant-weights,
+// -tenant-quotas, -max-tenants), so one flooding tenant cannot starve
+// the rest. The serving flags are cmd/internal/daemon's, shared with
+// cmd/pasproxy.
 //
 // Shutdown is graceful and router-aware. POST /v1/drain (guarded by
 // -admin-token when set) or SIGINT/SIGTERM first flips /v1/status to
@@ -47,61 +47,49 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	pas "repro"
+	"repro/cmd/internal/daemon"
 	"repro/internal/httpmw"
-	"repro/internal/obs"
 	"repro/internal/resilience"
 )
+
+// options is passerve's command line: the shared serving flags plus its
+// own.
+type options struct {
+	*daemon.Flags
+	model, addr, adminToken string
+	build                   bool
+	concurrency             int
+	drainLinger, drainWait  time.Duration
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{Flags: daemon.Bind(fs)}
+	fs.StringVar(&o.model, "model", "pas-model.json", "trained model path (from pastrain)")
+	fs.StringVar(&o.addr, "addr", ":8422", "listen address")
+	fs.BoolVar(&o.build, "build", false, "ignore -model and build a small PAS in-process")
+	fs.IntVar(&o.concurrency, "concurrency", 256, "hard cap on in-flight HTTP requests (outer backstop)")
+	fs.StringVar(&o.adminToken, "admin-token", "", "token required by POST /v1/drain (empty = unauthenticated)")
+	fs.DurationVar(&o.drainLinger, "drain-linger", time.Second, "time to advertise draining before closing the listener, so routers stop sending traffic")
+	fs.DurationVar(&o.drainWait, "drain-deadline", 10*time.Second, "max total wait for in-flight and queued work to finish before exiting anyway")
+	return o
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("passerve: ")
-
-	var (
-		model       = flag.String("model", "pas-model.json", "trained model path (from pastrain)")
-		addr        = flag.String("addr", ":8422", "listen address")
-		build       = flag.Bool("build", false, "ignore -model and build a small PAS in-process")
-		concurrency = flag.Int("concurrency", 256, "hard cap on in-flight HTTP requests (outer backstop)")
-		cacheSize   = flag.Int("cache-size", 4096, "complement result cache entries (negative disables)")
-		cacheTTL    = flag.Duration("cache-ttl", 0, "result cache TTL (0 = no expiry; sound for a fixed model)")
-		maxInflight = flag.Int("max-inflight", 64, "max concurrent complement computations (the adaptive limiter's ceiling with -adaptive-limit)")
-		adaptive    = flag.Bool("adaptive-limit", false, "replace the static in-flight cap with an AIMD limiter that backs off on shed/deadline signals (-max-inflight becomes the ceiling)")
-		limitFloor  = flag.Int("limit-floor", 1, "adaptive limiter's lower clamp")
-		limitTarget = flag.Duration("limit-target", 0, "computation latency below which the adaptive limit grows (0 = any success grows it)")
-		brownout    = flag.Bool("brownout", false, "arm the degradation ladder: serve cheap-complement then raw-passthrough under pressure before hard shedding")
-		tenantW     = flag.String("tenant-weights", "", "fair-share weights as tenant=w,tenant=w (unlisted tenants get -default-tenant-weight)")
-		tenantDefW  = flag.Int("default-tenant-weight", 1, "fair-share weight of unlisted tenants")
-		tenantQuota = flag.String("tenant-quotas", "", "per-tenant concurrent-computation caps as tenant=n,tenant=n")
-		tenantDepth = flag.Int("tenant-queue-depth", 0, "per-tenant share of the waiting room (0 = weighted split of -queue-depth)")
-		maxTenants  = flag.Int("max-tenants", 0, "bound on tracked tenants; ids beyond it pool into an overflow tenant (0 = default)")
-		computeHold = flag.Duration("compute-delay", 0, "pad every complement computation (overload-drill knob; leave 0 in production)")
-		queueDepth  = flag.Int("queue-depth", 256, "max requests waiting for a computation slot (0 = shed instantly)")
-		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "max wait for a slot before shedding with 503")
-		retries     = flag.Int("retries", 1, "re-attempts for a shed complement computation (0 disables)")
-		retryBudget = flag.Duration("retry-budget", 500*time.Millisecond, "total time budget for the retry loop, sleeps included")
-		breaker     = flag.Int("breaker-threshold", 8, "consecutive shed computations before the augment breaker opens (0 disables)")
-		cooldown    = flag.Duration("breaker-cooldown", 2*time.Second, "breaker open->half-open window")
-		degrade     = flag.Bool("degrade", true, "fail open: answer with the un-augmented prompt instead of 503 when augmentation sheds")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for pprof, /debug/traces and /metricsz (empty disables)")
-		traceSample = flag.Int("trace-sample", 1, "head-sample 1 in N traces; errored and slow traces are always kept (negative keeps only those)")
-		adminToken  = flag.String("admin-token", "", "token required by POST /v1/drain (empty = unauthenticated)")
-		drainLinger = flag.Duration("drain-linger", time.Second, "time to advertise draining before closing the listener, so routers stop sending traffic")
-		drainWait   = flag.Duration("drain-deadline", 10*time.Second, "max total wait for in-flight and queued work to finish before exiting anyway")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
 	var sys *pas.System
-	if *build {
+	if o.build {
 		log.Printf("building a fresh PAS (this takes a few seconds)...")
 		cfg := pas.DefaultConfig()
 		cfg.CorpusSize = 4000
@@ -115,89 +103,46 @@ func main() {
 		sys = res.System
 	} else {
 		var err error
-		sys, err = pas.LoadSystem(*model)
+		sys, err = pas.LoadSystem(o.model)
 		if err != nil {
 			log.Fatalf("%v (train one with pastrain, or pass -build)", err)
 		}
 	}
 
-	weights, err := parseTenantMap(*tenantW)
-	if err != nil {
-		log.Fatalf("-tenant-weights: %v", err)
-	}
-	quotas, err := parseTenantMap(*tenantQuota)
-	if err != nil {
-		log.Fatalf("-tenant-quotas: %v", err)
-	}
-	if err := sys.EnableServing(pas.ServingConfig{
-		CacheSize:           *cacheSize,
-		CacheTTL:            *cacheTTL,
-		MaxInFlight:         *maxInflight,
-		QueueDepth:          *queueDepth,
-		QueueWait:           *queueWait,
-		Retries:             *retries,
-		RetryBudget:         *retryBudget,
-		BreakerThreshold:    *breaker,
-		BreakerCooldown:     *cooldown,
-		Degrade:             *degrade,
-		AdaptiveLimit:       *adaptive,
-		LimitFloor:          *limitFloor,
-		LimitTarget:         *limitTarget,
-		Brownout:            *brownout,
-		TenantWeights:       weights,
-		DefaultTenantWeight: *tenantDefW,
-		TenantQuotas:        quotas,
-		TenantQueueDepth:    *tenantDepth,
-		MaxTenants:          *maxTenants,
-		ComputeDelay:        *computeHold,
-	}); err != nil {
+	if err := sys.EnableServing(o.Serving); err != nil {
 		log.Fatal(err)
 	}
-	sys.SetAdminToken(*adminToken)
+	sys.SetAdminToken(o.adminToken)
 	// An HTTP drain that asks for exit funnels into the same graceful
 	// path as a signal.
 	drainCh := make(chan struct{})
 	sys.OnDrain(func() { close(drainCh) })
 
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: *traceSample})
-	metrics := httpmw.NewMetrics()
-	metrics.Register(reg)
-	sys.RegisterMetrics(reg)
-	resilience.RegisterMetrics(reg)
-	obs.RegisterBuildInfo(reg, "passerve")
-	obs.RegisterRuntimeMetrics(reg)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	o.Start(ctx, "passerve")
+	sys.RegisterMetrics(o.Reg)
+	resilience.RegisterMetrics(o.Reg)
 
 	logger := log.New(os.Stderr, "passerve: ", 0)
 	mux := http.NewServeMux()
 	mux.Handle("/", httpmw.Chain(sys.Handler(),
 		httpmw.Recover(logger),
 		httpmw.RequestID(),
-		httpmw.Trace(tracer, "passerve"),
+		httpmw.Trace(o.Tracer, "passerve"),
 		httpmw.Logging(logger),
 		// The outer backstop prices its Retry-After from the core's
 		// queue-drain estimate, like the core's own sheds.
-		httpmw.ConcurrencyLimitHint(*concurrency, sys.RetryAfterHint),
+		httpmw.ConcurrencyLimitHint(o.concurrency, sys.RetryAfterHint),
 		httpmw.Tenant(),
-		metrics.Middleware(),
+		o.Metrics.Middleware(),
 	))
-	mux.Handle("/metricsz", reg.HandlerWithJSON(metrics.Handler()))
+	mux.Handle("/metricsz", o.MetricsHandler())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *debugAddr != "" {
-		log.Printf("debug endpoints (pprof, /debug/traces, /metricsz) on %s", *debugAddr)
-		go func() {
-			if err := obs.ServeDebug(ctx, *debugAddr, obs.DebugMux(reg, tracer, metrics.Handler())); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
-	log.Printf("serving PAS (base %s) on %s", sys.BaseModel(), *addr)
+	log.Printf("serving PAS (base %s) on %s", sys.BaseModel(), o.addr)
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -218,10 +163,10 @@ func main() {
 	// announce the departure while the socket still answers, or routing
 	// tiers only learn about it from connection errors.
 	sys.Drain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 	defer cancel()
-	log.Printf("advertising draining for %s before closing the listener", *drainLinger)
-	_ = resilience.SleepContext(shutdownCtx, *drainLinger)
+	log.Printf("advertising draining for %s before closing the listener", o.drainLinger)
+	_ = resilience.SleepContext(shutdownCtx, o.drainLinger)
 	if err := sys.Quiesce(shutdownCtx); err != nil {
 		log.Printf("drain deadline passed with work still in flight: %v", err)
 	}
@@ -229,28 +174,4 @@ func main() {
 		log.Fatalf("shutdown: %v", err)
 	}
 	log.Printf("shut down cleanly")
-}
-
-// parseTenantMap parses "tenant=n,tenant=n" flag values.
-func parseTenantMap(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, pair := range strings.Split(s, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("%q is not tenant=value", pair)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q: value must be a positive integer", pair)
-		}
-		out[strings.TrimSpace(name)] = n
-	}
-	return out, nil
 }

@@ -11,11 +11,12 @@ import (
 	"time"
 )
 
-// drainFixture is one replica-shaped System behind a real listener.
+// drainFixture is one replica-shaped System behind a real listener,
+// fail-open like the daemons: a drain must shed all the same.
 func drainFixture(t *testing.T) (*System, *httptest.Server) {
 	t.Helper()
 	sys := NewSystem(testSystem(t).System.model)
-	if err := sys.EnableServing(ServingConfig{CacheSize: 64}); err != nil {
+	if err := sys.EnableServing(ServingConfig{CacheSize: 64, Degrade: true}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(sys.Handler())

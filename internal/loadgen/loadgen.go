@@ -469,8 +469,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				Shed:         agg.shed,
 				DegradedTrim: agg.trim,
 				DegradedRaw:  agg.raw,
-				LatencyP50Ms: quantileOrZero(agg.latencies, 0.50),
-				LatencyP99Ms: quantileOrZero(agg.latencies, 0.99),
+				LatencyP50Ms: metrics.QuantileOrZero(agg.latencies, 0.50),
+				LatencyP99Ms: metrics.QuantileOrZero(agg.latencies, 0.99),
 			})
 		}
 	}
@@ -478,9 +478,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		r.AchievedQPS = float64(requests) / elapsed.Seconds()
 	}
 	if len(latencies) > 0 {
-		r.LatencyP50Ms = quantileOrZero(latencies, 0.50)
-		r.LatencyP90Ms = quantileOrZero(latencies, 0.90)
-		r.LatencyP99Ms = quantileOrZero(latencies, 0.99)
+		r.LatencyP50Ms = metrics.QuantileOrZero(latencies, 0.50)
+		r.LatencyP90Ms = metrics.QuantileOrZero(latencies, 0.90)
+		r.LatencyP99Ms = metrics.QuantileOrZero(latencies, 0.99)
 		for _, l := range latencies {
 			if l > r.LatencyMaxMs {
 				r.LatencyMaxMs = l
@@ -629,12 +629,4 @@ func scrapeOne(ctx context.Context, hc *http.Client, replica string) replicaCach
 		return replicaCache{err: fmt.Errorf("loadgen: decoding %s stats: %w", replica, err)}
 	}
 	return replicaCache{hits: wire.Cache.Hits, misses: wire.Cache.Misses}
-}
-
-func quantileOrZero(xs []float64, q float64) float64 {
-	v, err := metrics.Quantile(xs, q)
-	if err != nil {
-		return 0
-	}
-	return v
 }

@@ -65,6 +65,16 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
+// QuantileOrZero is Quantile for reports that print 0 for an empty
+// sample instead of failing.
+func QuantileOrZero(xs []float64, q float64) float64 {
+	v, err := Quantile(xs, q)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
 // Interval is a two-sided confidence interval around a point estimate.
 type Interval struct {
 	Point, Lo, Hi float64

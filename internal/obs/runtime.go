@@ -20,10 +20,9 @@ import (
 //
 //   - RegisterRuntimeMetrics: goroutine count, heap bytes, cumulative
 //     allocation, GC cycles, and GC pause quantiles, read from
-//     runtime/metrics at scrape time. These are the denominators the
-//     benchmark trajectory (internal/benchtrack) needs when a latency
-//     regression shows up: was it allocation pressure, a goroutine
-//     leak, or GC pauses?
+//     runtime/metrics at scrape time. These are the denominators a
+//     latency-regression investigation needs: was it allocation
+//     pressure, a goroutine leak, or GC pauses?
 
 // Runtime metric names sampled by RegisterRuntimeMetrics. Unsupported
 // names (older runtimes) are skipped, never served as zeros.

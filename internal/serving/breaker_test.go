@@ -124,18 +124,6 @@ func TestCoreBreakerDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestCoreNoteDegraded(t *testing.T) {
-	c, err := New(func(p, s string) string { return p }, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.NoteDegraded()
-	c.NoteDegraded()
-	if got := c.Stats().Degraded; got != 2 {
-		t.Fatalf("degraded = %d, want 2", got)
-	}
-}
-
 func TestCoreClientCancelDoesNotTripBreaker(t *testing.T) {
 	c, _, entered, release := breakerCore(t, 1)
 

@@ -15,12 +15,13 @@ type shedFixture struct {
 	release func()
 }
 
-func newShedFixture(t *testing.T, breakerThreshold int) *shedFixture {
+func newShedFixture(t *testing.T, breakerThreshold int, degrade bool) *shedFixture {
 	t.Helper()
 	c, release := occupied(t, Config{
 		QueueDepth:       1,
 		QueueWait:        5 * time.Second,
 		BreakerThreshold: breakerThreshold,
+		Degrade:          degrade,
 	})
 	return &shedFixture{core: c, release: release}
 }
@@ -37,11 +38,12 @@ func (f *shedFixture) fillQueue(t *testing.T) chan error {
 	return done
 }
 
-// tripBreaker opens the 1-threshold breaker with one queue-full shed.
+// tripBreaker opens the 1-threshold breaker with one queue-full shed
+// (which a fail-open fixture answers at the raw rung, without error).
 func (f *shedFixture) tripBreaker(t *testing.T) {
 	t.Helper()
 	parked := f.fillQueue(t)
-	if _, err := f.core.Do(context.Background(), "tripper", "", "m"); !errors.Is(err, ErrQueueFull) {
+	if _, err := f.core.Do(context.Background(), "tripper", "", "m"); err != nil && !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("tripper: err = %v, want ErrQueueFull", err)
 	}
 	if st := f.core.Stats(); st.Breaker == nil || st.Breaker.State != "open" {
@@ -58,7 +60,7 @@ func (f *shedFixture) tripBreaker(t *testing.T) {
 // full queue is incidental. The parked waiter, admitted pre-drain,
 // still completes.
 func TestDrainDuringFullQueueShedsDraining(t *testing.T) {
-	f := newShedFixture(t, 0)
+	f := newShedFixture(t, 0, false)
 	parked := f.fillQueue(t)
 
 	f.core.Drain()
@@ -82,7 +84,10 @@ func TestDrainDuringFullQueueShedsDraining(t *testing.T) {
 //	client gone > draining > breaker open > queue full > wait budget
 //
 // Each row stacks every condition at and below its own, so the matrix
-// proves each signal outranks everything beneath it.
+// proves each signal outranks everything beneath it. The degrade rows
+// pin fail-open as the ladder's last rung: an overload shed is answered
+// ("", LevelRaw, nil) and counted degraded, while a draining core still
+// sheds — it never degrades.
 func TestShedPrecedenceMatrix(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -95,24 +100,25 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 		trip     bool // open the breaker first
 		fill     bool // park a waiter in the queue
 		drain    bool
+		degrade  bool // Config.Degrade
 		ctx      context.Context
-		wantErr  error
+		wantErr  error // nil: served at LevelRaw and counted degraded
 		wantShed func(Stats) (int64, string)
 	}{
 		{
-			name: "cancelled client outranks drain+breaker+full queue",
+			name:    "cancelled client outranks drain+breaker+full queue",
 			breaker: 1, trip: true, fill: true, drain: true,
 			ctx:     cancelled,
 			wantErr: context.Canceled,
 		},
 		{
-			name: "expired client deadline outranks drain",
+			name:    "expired client deadline outranks drain",
 			breaker: 0, fill: true, drain: true,
 			ctx:     expired,
 			wantErr: context.DeadlineExceeded,
 		},
 		{
-			name: "draining outranks open breaker and full queue",
+			name:    "draining outranks open breaker and full queue",
 			breaker: 1, trip: true, fill: true, drain: true,
 			ctx:     context.Background(),
 			wantErr: ErrDraining,
@@ -121,7 +127,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "open breaker outranks full queue",
+			name:    "open breaker outranks full queue",
 			breaker: 1, trip: true, fill: true,
 			ctx:     context.Background(),
 			wantErr: ErrBreakerOpen,
@@ -130,7 +136,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "full queue outranks wait budget",
+			name:    "full queue outranks wait budget",
 			breaker: 0, fill: true,
 			ctx:     context.Background(),
 			wantErr: ErrQueueFull,
@@ -147,10 +153,41 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 				return s.ShedDeadline, "shed_deadline"
 			},
 		},
+		{
+			name: "fail-open: cancelled client is not degraded",
+			fill: true, degrade: true,
+			ctx:     cancelled,
+			wantErr: context.Canceled,
+		},
+		{
+			name:    "fail-open: draining sheds, never degrades",
+			breaker: 1, trip: true, fill: true, drain: true, degrade: true,
+			ctx:     context.Background(),
+			wantErr: ErrDraining,
+			wantShed: func(s Stats) (int64, string) {
+				return s.ShedDraining, "shed_draining"
+			},
+		},
+		{
+			name:    "fail-open: open breaker is answered at the raw rung",
+			breaker: 1, trip: true, fill: true, degrade: true,
+			ctx: context.Background(),
+			wantShed: func(s Stats) (int64, string) {
+				return s.ShedBreaker, "shed_breaker"
+			},
+		},
+		{
+			name: "fail-open: full queue is answered at the raw rung",
+			fill: true, degrade: true,
+			ctx: context.Background(),
+			wantShed: func(s Stats) (int64, string) {
+				return s.ShedQueueFull, "shed_queue_full"
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newShedFixture(t, tc.breaker)
+			f := newShedFixture(t, tc.breaker, tc.degrade)
 			defer f.release()
 			if tc.trip {
 				f.tripBreaker(t)
@@ -166,9 +203,20 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			if tc.drain {
 				f.core.Drain()
 			}
+			degradedBefore := f.core.Stats().Degraded
 
-			if _, err := f.core.Do(tc.ctx, "victim", "", "m"); !errors.Is(err, tc.wantErr) {
+			v, level, err := f.core.DoLevel(tc.ctx, "victim", "", "m")
+			wantDegraded := degradedBefore
+			if tc.wantErr == nil {
+				wantDegraded++
+				if err != nil || level != LevelRaw || v != "" {
+					t.Fatalf("DoLevel = (%q, %v, %v), want (\"\", raw, nil)", v, level, err)
+				}
+			} else if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := f.core.Stats().Degraded; got != wantDegraded {
+				t.Fatalf("degraded = %d, want %d", got, wantDegraded)
 			}
 			if tc.wantShed != nil {
 				after, name := tc.wantShed(f.core.Stats())
@@ -185,7 +233,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 	}
 }
 
-// adaptiveCore builds a 2-ceiling adaptive core whose fn blocks on the
+// adaptiveCore builds a 2-ceiling core whose fn blocks on the
 // given prompts, plus the cut sequence every adaptive test starts
 // with: saturate both slots, miss a deadline in the queue, and verify
 // the AIMD limit was cut 2 → 1.
@@ -201,13 +249,11 @@ func adaptiveCore(t *testing.T, target time.Duration) (c *Core, release chan str
 		return "pc:" + prompt
 	}
 	c = mustNew(t, fn, Config{
-		CacheSize:     -1,
-		MaxInFlight:   2,
-		QueueDepth:    1,
-		QueueWait:     5 * time.Second,
-		AdaptiveLimit: true,
-		LimitFloor:    1,
-		LimitTarget:   target,
+		CacheSize:   -1,
+		MaxInFlight: 2,
+		QueueDepth:  1,
+		QueueWait:   5 * time.Second,
+		LimitTarget: target,
 	})
 	if got := c.Stats().Limit; got != 2 {
 		t.Fatalf("initial limit = %d, want the MaxInFlight ceiling 2", got)
@@ -225,7 +271,7 @@ func adaptiveCore(t *testing.T, target time.Duration) (c *Core, release chan str
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	s := c.Stats()
-	if s.Limit != 1 || s.AdaptiveLimit == nil || s.AdaptiveLimit.Cuts != 1 {
+	if s.Limit != 1 || s.AdaptiveLimit.Cuts != 1 {
 		t.Fatalf("after deadline miss: limit = %d, adaptive = %+v; want 1 with one cut", s.Limit, s.AdaptiveLimit)
 	}
 	return c, release, entered, blocked

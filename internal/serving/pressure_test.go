@@ -104,9 +104,9 @@ func TestPressureRetryAfterFromDrainEWMA(t *testing.T) {
 	cases := []struct {
 		waiting, limit, want int
 	}{
-		{0, 1, 1},  // ceil(400ms·1) = 1s
-		{9, 2, 3},  // 9/2+1 = 5.5 rounds · 400ms = 2.2s → 3s
-		{9, 0, 4},  // a zero limit prices like 1: 10 rounds · 400ms → 4s
+		{0, 1, 1},    // ceil(400ms·1) = 1s
+		{9, 2, 3},    // 9/2+1 = 5.5 rounds · 400ms = 2.2s → 3s
+		{9, 0, 4},    // a zero limit prices like 1: 10 rounds · 400ms → 4s
 		{200, 1, 30}, // 201 rounds · 400ms = 80.4s → clamped to 30
 	}
 	for _, tc := range cases {
@@ -116,8 +116,9 @@ func TestPressureRetryAfterFromDrainEWMA(t *testing.T) {
 	}
 }
 
-// brownoutCore builds a core with the ladder armed and a distinct
-// cheap complement so the rung is visible in the payload.
+// brownoutCore builds a default core — the ladder is always armed —
+// with a distinct cheap complement so the rung is visible in the
+// payload.
 func brownoutCore(t *testing.T, calls *int64, cheapCalls *int64) *Core {
 	t.Helper()
 	cheap := func(prompt, salt string) string {
@@ -126,7 +127,6 @@ func brownoutCore(t *testing.T, calls *int64, cheapCalls *int64) *Core {
 	}
 	return mustNew(t, countingFunc(calls), Config{
 		CacheSize: 64,
-		Brownout:  true,
 		CheapFn:   cheap,
 	})
 }
@@ -168,6 +168,14 @@ func TestCoreBrownoutTrimServesCheapComplement(t *testing.T) {
 	s := c.Stats()
 	if s.ServedTrim != 2 || s.PressureLevel != "trim" {
 		t.Fatalf("stats = served_trim %d, level %s; want 2, trim", s.ServedTrim, s.PressureLevel)
+	}
+	// And the other way round: once pressure clears, the key that was
+	// served (and cached) at trim computes its full complement — the
+	// cheap result was never stored under the full-quality key.
+	saturate(c.gauge, 100, 0, 0)
+	vf, levelf, err := c.DoLevel(ctx, "fresh", "s", "m")
+	if err != nil || levelf != LevelFull || vf != "pc:fresh/s" {
+		t.Fatalf("post-recovery request = (%q, %v, %v), want the full complement", vf, levelf, err)
 	}
 }
 

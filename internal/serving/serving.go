@@ -9,16 +9,16 @@
 //     trigger exactly one computation and share its result;
 //  3. tenant-aware bounded admission with deadline-aware load shedding
 //     — at most the live concurrency limit's worth of computations run
-//     at once (a static MaxInFlight, or an AIMD-adaptive limit with
-//     MaxInFlight as its ceiling), waiters queue per tenant under
-//     weighted deficit-round-robin, and a request that cannot get a
-//     slot within its budget (QueueWait capped by the context
-//     deadline) is shed with a typed error the HTTP layer maps to
-//     503 + Retry-After.
+//     at once (an AIMD limit between LimitFloor and MaxInFlight),
+//     waiters queue per tenant under weighted deficit-round-robin, and
+//     a request that cannot get a slot within its budget (QueueWait
+//     capped by the context deadline) is shed with a typed error the
+//     HTTP layer maps to 503 + Retry-After.
 //
-// Under sustained pressure the core also climbs a brownout ladder
-// (full → trim → raw) so it sheds computation cost before it sheds
-// requests; see Level and Config.Brownout.
+// Under sustained pressure the core climbs a degradation ladder (full →
+// trim → raw) so it sheds computation cost before it sheds requests;
+// with Config.Degrade a request that would still be shed is answered
+// at the raw rung too. See Level and DoLevel.
 //
 // The package is pure library: it knows nothing about HTTP except the
 // optional StatsHandler, and the complement function is injected, so
@@ -85,9 +85,9 @@ type Config struct {
 	// until evicted. For a fixed deterministic model TTL 0 is sound;
 	// set a TTL when the model behind the core can be retrained.
 	CacheTTL time.Duration
-	// MaxInFlight bounds concurrent complement computations: the static
-	// cap, or the ceiling of the adaptive limit when AdaptiveLimit is
-	// set. Default 64.
+	// MaxInFlight bounds concurrent complement computations: it is the
+	// ceiling, and the starting point, of the AIMD concurrency limit.
+	// Default 64.
 	MaxInFlight int
 	// QueueDepth bounds requests waiting for a computation slot across
 	// all tenants. Unlike the other fields, 0 is meaningful rather than
@@ -106,23 +106,33 @@ type Config struct {
 	// the breaker is armed.
 	BreakerCooldown time.Duration
 
-	// AdaptiveLimit arms AIMD concurrency control: the live limit
-	// starts at MaxInFlight (now a ceiling), is cut multiplicatively on
-	// deadline misses and breaker trips, and regrows additively while
-	// admission-to-completion latency stays under LimitTarget.
-	AdaptiveLimit bool
-	// LimitFloor is the adaptive limit's lower clamp. Default 1.
+	// Retries re-attempts a shed request with full-jitter backoff before
+	// giving up (or degrading); 0 disables retrying. Open-breaker and
+	// draining sheds are never retried — the breaker exists to stop
+	// exactly that traffic, and drain is one-way.
+	Retries int
+	// RetryBudget bounds the whole retry loop, sleeps included.
+	// Default 500ms.
+	RetryBudget time.Duration
+	// Degrade fails open: a request the core would shed is answered at
+	// LevelRaw — the caller proceeds with the un-augmented prompt —
+	// instead of with an error, and counted in Stats.Degraded. Sound for
+	// PAS because the complement only ever adds guidance: the raw prompt
+	// is always a valid request. A draining core still sheds.
+	Degrade bool
+
+	// LimitFloor is the lower clamp of the concurrency limit, which is
+	// cut multiplicatively on deadline misses and breaker trips and
+	// regrows additively towards MaxInFlight. Default 1; LimitFloor ==
+	// MaxInFlight makes the cap static.
 	LimitFloor int
-	// LimitTarget is the latency budget feeding the adaptive limit's
-	// additive increase. Default 25ms.
+	// LimitTarget is the admission-to-completion latency under which a
+	// computation argues for raising the limit. Default 25ms.
 	LimitTarget time.Duration
 
-	// Brownout arms the degradation ladder: under pressure the core
-	// steps full → trim (CheapFn) → raw passthrough before shedding.
-	Brownout bool
-	// CheapFn is the reduced-cost complement served at the trim rung;
-	// nil falls back to the full function, collapsing the ladder to
-	// full → raw.
+	// CheapFn is the reduced-cost complement served at the ladder's trim
+	// rung; nil falls back to the full function, collapsing the ladder
+	// to full → raw.
 	CheapFn Func
 
 	// TenantWeights assigns DRR weights to known tenant ids; any other
@@ -149,7 +159,7 @@ type Config struct {
 	ComputeDelay time.Duration
 
 	// Now injects the clock for TTL expiry, breaker cooldowns, and the
-	// adaptive limit; tests pin it. Default time.Now.
+	// concurrency limit; tests pin it. Default time.Now.
 	Now func() time.Time
 }
 
@@ -189,6 +199,15 @@ func (cfg *Config) applyDefaults() error {
 	}
 	if cfg.BreakerThreshold > 0 && cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = 2 * time.Second
+	}
+	if cfg.Retries < 0 {
+		return fmt.Errorf("serving: Retries must be >= 0, got %d", cfg.Retries)
+	}
+	if cfg.RetryBudget < 0 {
+		return fmt.Errorf("serving: RetryBudget must be >= 0, got %v", cfg.RetryBudget)
+	}
+	if cfg.RetryBudget == 0 {
+		cfg.RetryBudget = 500 * time.Millisecond
 	}
 	if cfg.LimitFloor < 0 {
 		return fmt.Errorf("serving: LimitFloor must be >= 0, got %d", cfg.LimitFloor)
@@ -242,10 +261,10 @@ type Core struct {
 
 	flight  flightGroup
 	sched   *scheduler
-	limit   func() int          // live concurrency limit
-	limiter *resilience.Limit   // nil when AdaptiveLimit is off
-	gauge   *pressureGauge      // always armed; ladder gated by cfg.Brownout
+	limiter *resilience.Limit   // live concurrency limit, shared with sched
+	gauge   *pressureGauge      // picks the ladder rung misses are served at
 	breaker *resilience.Breaker // nil when BreakerThreshold == 0
+	retry   resilience.Policy   // shed-retry schedule, used when cfg.Retries > 0
 
 	// draining, once set, refuses new computations (ErrDraining) while
 	// in-flight and cache-hit traffic keeps being served; see Drain.
@@ -273,31 +292,33 @@ func New(fn Func, cfg Config) (*Core, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
+	limiter, err := resilience.NewLimit(resilience.LimitConfig{
+		Floor:   cfg.LimitFloor,
+		Ceiling: cfg.MaxInFlight,
+		Target:  cfg.LimitTarget,
+		Now:     cfg.Now,
+	})
+	if err != nil {
+		return nil, err
+	}
 	c := &Core{
-		fn:    fn,
-		cheap: fn,
-		cfg:   cfg,
-		gauge: newPressureGauge(cfg.QueueWait),
-		lat:   newLatencyRing(latencyWindow),
+		fn:      fn,
+		cheap:   fn,
+		cfg:     cfg,
+		sched:   newScheduler(&cfg, limiter),
+		limiter: limiter,
+		gauge:   newPressureGauge(cfg.QueueWait),
+		retry: resilience.Policy{
+			MaxAttempts: cfg.Retries + 1,
+			BaseDelay:   25 * time.Millisecond,
+			MaxDelay:    200 * time.Millisecond,
+			Budget:      cfg.RetryBudget,
+		},
+		lat: newLatencyRing(latencyWindow),
 	}
 	if cfg.CheapFn != nil {
 		c.cheap = cfg.CheapFn
 	}
-	c.limit = func() int { return cfg.MaxInFlight }
-	if cfg.AdaptiveLimit {
-		lim, err := resilience.NewLimit(resilience.LimitConfig{
-			Floor:   cfg.LimitFloor,
-			Ceiling: cfg.MaxInFlight,
-			Target:  cfg.LimitTarget,
-			Now:     cfg.Now,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.limiter = lim
-		c.limit = lim.Current
-	}
-	c.sched = newScheduler(&cfg, c.limit)
 	if cfg.CacheSize > 0 {
 		c.cache = newCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
 	}
@@ -347,20 +368,58 @@ func SplitKey(k string) (prompt, salt, model string, ok bool) {
 // front several model versions without cross-talk. On success it
 // returns p_c; on overload it returns a typed shedding error; a
 // context that ends first returns its ctx.Err(). Callers that honor
-// the brownout ladder use DoLevel instead.
+// the degradation ladder use DoLevel instead.
 func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, error) {
 	v, _, err := c.DoLevel(ctx, prompt, salt, model)
 	return v, err
 }
 
-// DoLevel is Do plus the brownout ladder: it reports the rung the
+// DoLevel is Do plus the degradation ladder: it reports the rung the
 // response was served at. At LevelFull and LevelTrim the returned
 // string is the (full or cheap) complement; at LevelRaw it is empty
 // and the caller must answer with the raw prompt, flagged degraded via
-// Level.Header. A draining core never degrades — it sheds.
+// Level.Header.
+//
+// A shed attempt is retried per Config.Retries. With Config.Degrade,
+// fail-open is the ladder's last rung: a request that is still shed is
+// answered ("", LevelRaw, nil) and counted in Stats.Degraded. Drain
+// sheds are the one overload that never degrades: a draining replica
+// must answer 503 so its router fails the request over to a peer,
+// instead of fail-open 200s keeping traffic pinned to a process on its
+// way out.
+func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string, Level, error) {
+	var (
+		v     string
+		level Level
+		err   error
+	)
+	if c.cfg.Retries == 0 {
+		v, level, err = c.attempt(ctx, prompt, salt, model)
+	} else {
+		v, err = resilience.DoValue(ctx, c.retry, func(ctx context.Context) (v string, err error) {
+			v, level, err = c.attempt(ctx, prompt, salt, model)
+			if errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrDraining) {
+				// Retrying against an open breaker (or a draining core —
+				// drain is one-way) only burns the backoff budget; mark
+				// these terminal for the retry loop. Overloaded still sees
+				// the typed error through the wrapper.
+				err = resilience.AsTerminal(err)
+			}
+			return v, err
+		})
+	}
+	if err != nil && c.cfg.Degrade && Overloaded(err) && !errors.Is(err, ErrDraining) {
+		atomic.AddInt64(&c.degraded, 1)
+		obs.AddEvent(ctx, "augment.degraded", "cause", err.Error())
+		return "", LevelRaw, nil
+	}
+	return v, level, err
+}
+
+// attempt is one pass through cache, ladder, dedup, and admission.
 //
 //paslint:hotpath cache-hit path budget is key+lookup+finish; the paper's p50 assumes hits do not allocate
-func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string, Level, error) {
+func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string, Level, error) {
 	atomic.AddInt64(&c.requests, 1)
 	if err := ctx.Err(); err != nil {
 		return "", LevelFull, err // client already gone; don't compute for the dead
@@ -385,8 +444,9 @@ func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string,
 	}
 	lookup.End()
 
+	// A draining core never serves a reduced rung — it sheds.
 	level := LevelFull
-	if c.cfg.Brownout && !c.draining.Load() {
+	if !c.draining.Load() {
 		level = c.gauge.current()
 	}
 	key, fn := k, c.fn
@@ -472,9 +532,7 @@ func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt st
 			if berr != nil {
 				atomic.AddInt64(&c.shedBreaker, 1)
 				c.sched.shedOther(tq)
-				if c.limiter != nil {
-					c.limiter.OnOverload() // a trip is a congestion signal
-				}
+				c.limiter.OnOverload() // a trip is a congestion signal
 				qspan.SetError(ErrBreakerOpen)
 				qspan.End()
 				return "", ErrBreakerOpen
@@ -506,9 +564,7 @@ func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt st
 		total := c.cfg.Now().Sub(admitStart)
 		compute.End()
 		c.gauge.observeService(total - waited)
-		if c.limiter != nil {
-			c.limiter.OnSuccess(total)
-		}
+		c.limiter.OnSuccess(total)
 		if c.cache != nil {
 			c.cache.put(key, out)
 		}
@@ -532,7 +588,7 @@ func (c *Core) waitBudget(ctx context.Context) time.Duration {
 }
 
 // noteShed folds an admission shed into the global counters, the
-// adaptive limit, and the pressure gauge. Client cancellations are
+// concurrency limit, and the pressure gauge. Client cancellations are
 // not sheds and count nothing.
 func (c *Core) noteShed(err error) {
 	switch {
@@ -540,9 +596,7 @@ func (c *Core) noteShed(err error) {
 		atomic.AddInt64(&c.shedQueueFull, 1)
 	case errors.Is(err, ErrDeadline):
 		atomic.AddInt64(&c.shedDeadline, 1)
-		if c.limiter != nil {
-			c.limiter.OnOverload() // the queue outran the drain rate
-		}
+		c.limiter.OnOverload() // the queue outran the drain rate
 	default:
 		return
 	}
@@ -569,21 +623,14 @@ func (c *Core) finish(start time.Time) {
 // computation has been observed it is 1 — the old fixed constant.
 func (c *Core) RetryAfter() int {
 	_, waiting := c.sched.depth()
-	return c.gauge.retryAfter(waiting, c.limit())
+	return c.gauge.retryAfter(waiting, c.limiter.Current())
 }
 
-// PressureLevel is the brownout ladder's current rung. It is one
+// PressureLevel is the degradation ladder's current rung. It is one
 // mutex acquisition — cheap enough for the status probe a fleet of
 // ring members polls continuously.
 func (c *Core) PressureLevel() Level {
 	return c.gauge.current()
-}
-
-// NoteDegraded records that a caller fell back to the un-augmented
-// prompt after this core failed it — the fail-open counterpart to
-// shedding, surfaced in Stats so degradation is never silent.
-func (c *Core) NoteDegraded() {
-	atomic.AddInt64(&c.degraded, 1)
 }
 
 // Drain flips the core into draining: from now on new computations are
@@ -621,9 +668,9 @@ func (c *Core) Quiesce(ctx context.Context) error {
 
 // Overloaded reports whether err is one of the core's shedding errors
 // (including an open breaker and a draining core), for which the caller
-// should answer 503 with a Retry-After hint — or degrade to the raw
-// prompt when running fail-open (draining excepted: a draining core
-// must shed so routers move on, not absorb traffic fail-open).
+// should answer 503 with a Retry-After hint. DoLevel returns one only
+// when it could not degrade instead: Config.Degrade is off, or the core
+// is draining.
 func Overloaded(err error) bool {
 	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadline) ||
 		errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrDraining)

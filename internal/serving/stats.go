@@ -83,14 +83,14 @@ type Stats struct {
 	// computations and the process is on its way out.
 	Draining bool `json:"draining,omitempty"`
 
-	// Degraded counts requests the layer above served fail-open with
-	// the un-augmented prompt after this core failed them.
+	// Degraded counts requests served fail-open — answered at the raw
+	// rung because the core would otherwise have shed them.
 	Degraded int64 `json:"degraded"`
 
-	// Limit is the live concurrency limit (MaxInFlight when static);
-	// AdaptiveLimit carries the AIMD limiter's snapshot when armed.
-	Limit         int                    `json:"limit"`
-	AdaptiveLimit *resilience.LimitStats `json:"adaptive_limit,omitempty"`
+	// Limit is the live concurrency limit; AdaptiveLimit is the AIMD
+	// limiter's full snapshot (clamps, raises, cuts).
+	Limit         int                   `json:"limit"`
+	AdaptiveLimit resilience.LimitStats `json:"adaptive_limit"`
 
 	// PressureScore is the unitless overload score in [0, 1];
 	// PressureLevel is the brownout rung misses are served at ("full",
@@ -147,16 +147,13 @@ func (c *Core) Stats() Stats {
 		ShedDraining:  atomic.LoadInt64(&c.shedDraining),
 		Draining:      c.draining.Load(),
 		Degraded:      atomic.LoadInt64(&c.degraded),
-		Limit:         c.limit(),
+		AdaptiveLimit: c.limiter.Stats(),
 		ServedTrim:    atomic.LoadInt64(&c.servedTrim),
 		ServedRaw:     atomic.LoadInt64(&c.servedRaw),
 	}
+	s.Limit = s.AdaptiveLimit.Current
 	s.DedupHits = atomic.LoadInt64(&c.dedupHits)
 	s.Shed = s.ShedQueueFull + s.ShedDeadline + s.ShedBreaker + s.ShedDraining
-	if c.limiter != nil {
-		ls := c.limiter.Stats()
-		s.AdaptiveLimit = &ls
-	}
 	score, level, transitions, waitMs, svcMs := c.gauge.snapshot()
 	s.PressureScore = score
 	s.PressureLevel = level.String()
@@ -175,20 +172,11 @@ func (c *Core) Stats() Stats {
 			s.CacheHitRatio = float64(s.Cache.Hits) / float64(lookups)
 		}
 	}
-	if lats := c.lat.snapshot(); len(lats) > 0 {
-		s.LatencyP50Ms = quantileOrZero(lats, 0.50)
-		s.LatencyP95Ms = quantileOrZero(lats, 0.95)
-		s.LatencyP99Ms = quantileOrZero(lats, 0.99)
-	}
+	lats := c.lat.snapshot()
+	s.LatencyP50Ms = metrics.QuantileOrZero(lats, 0.50)
+	s.LatencyP95Ms = metrics.QuantileOrZero(lats, 0.95)
+	s.LatencyP99Ms = metrics.QuantileOrZero(lats, 0.99)
 	return s
-}
-
-func quantileOrZero(xs []float64, q float64) float64 {
-	v, err := metrics.Quantile(xs, q)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // RegisterMetrics exposes the core's counters on reg under the
@@ -215,11 +203,9 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		}
 		e.Gauge("pas_serving_draining", "Whether the core is draining for shutdown (1 = draining).", draining)
 		e.Counter("pas_serving_degraded_total", "Requests served fail-open with the raw prompt.", float64(s.Degraded))
-		e.Gauge("pas_serving_limit", "Live concurrency limit (AIMD-adaptive, or the static cap).", float64(s.Limit))
-		if s.AdaptiveLimit != nil {
-			e.Counter("pas_serving_limit_raises_total", "Additive increases applied to the adaptive limit.", float64(s.AdaptiveLimit.Raises))
-			e.Counter("pas_serving_limit_cuts_total", "Multiplicative decreases applied to the adaptive limit.", float64(s.AdaptiveLimit.Cuts))
-		}
+		e.Gauge("pas_serving_limit", "Live AIMD concurrency limit.", float64(s.Limit))
+		e.Counter("pas_serving_limit_raises_total", "Additive increases applied to the concurrency limit.", float64(s.AdaptiveLimit.Raises))
+		e.Counter("pas_serving_limit_cuts_total", "Multiplicative decreases applied to the concurrency limit.", float64(s.AdaptiveLimit.Cuts))
 		e.Gauge("pas_serving_pressure_score", "Overload pressure score in [0, 1] (queue wait + limit headroom).", s.PressureScore)
 		levelNum := 0.0
 		switch s.PressureLevel {

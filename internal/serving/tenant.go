@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // DefaultTenant is the tenant id a request carries when the caller set
@@ -47,7 +49,7 @@ func TenantFrom(ctx context.Context) string {
 // deficit counters are small integers and a visit's quantum is exactly
 // the tenant's weight.
 type scheduler struct {
-	limit func() int // live concurrency limit (static or adaptive)
+	limit *resilience.Limit // live concurrency limit
 
 	queueCap      int // total waiters across all tenants (QueueDepth)
 	tenantCap     int // per-tenant waiter cap; 0 = weighted share of queueCap
@@ -90,7 +92,7 @@ type waiter struct {
 	granted bool
 }
 
-func newScheduler(cfg *Config, limit func() int) *scheduler {
+func newScheduler(cfg *Config, limit *resilience.Limit) *scheduler {
 	s := &scheduler{
 		limit:         limit,
 		queueCap:      cfg.QueueDepth,
@@ -154,7 +156,7 @@ func (s *scheduler) shedOther(tq *tenantQ) {
 // must be called exactly once.
 func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration) (func(), error) {
 	s.mu.Lock()
-	if s.waiting == 0 && s.inflight < s.limit() && !quotaFull(tq) {
+	if s.waiting == 0 && s.inflight < s.limit.Current() && !quotaFull(tq) {
 		s.inflight++
 		tq.inflight++
 		tq.admitted++
@@ -247,16 +249,8 @@ func (s *scheduler) release(tq *tenantQ) {
 	s.mu.Unlock()
 }
 
-// kick re-runs dispatch; the core calls it when the live limit may
-// have risen so waiters don't sit on freed headroom.
-func (s *scheduler) kick() {
-	s.mu.Lock()
-	s.dispatchLocked()
-	s.mu.Unlock()
-}
-
 func (s *scheduler) dispatchLocked() {
-	for s.waiting > 0 && s.inflight < s.limit() {
+	for s.waiting > 0 && s.inflight < s.limit.Current() {
 		if !s.grantOneLocked() {
 			return // every waiting tenant is quota-capped
 		}
@@ -332,7 +326,7 @@ func (s *scheduler) tenantShareLocked(tq *tenantQ) int {
 // load snapshots (inflight, live limit) for the pressure gauge.
 func (s *scheduler) load() (inflight, limit int) {
 	s.mu.Lock()
-	inflight, limit = s.inflight, s.limit()
+	inflight, limit = s.inflight, s.limit.Current()
 	s.mu.Unlock()
 	return inflight, limit
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // testScheduler builds a scheduler over a fixed limit with the given
@@ -17,7 +19,11 @@ func testScheduler(limit int, cfg Config) *scheduler {
 	if cfg.MaxTenants == 0 {
 		cfg.MaxTenants = 64
 	}
-	return newScheduler(&cfg, func() int { return limit })
+	lim, err := resilience.NewLimit(resilience.LimitConfig{Floor: limit, Ceiling: limit})
+	if err != nil {
+		panic(err)
+	}
+	return newScheduler(&cfg, lim)
 }
 
 // mustAcquire acquires a slot on the fast path or fails the test.

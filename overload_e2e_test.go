@@ -16,9 +16,10 @@ import (
 // overloadFixture is one passerve-equivalent replica tuned for the
 // overload drill: caching off so every request costs a computation,
 // a padded compute (the -compute-delay knob) so a modest request rate
-// saturates it, a small adaptive ceiling, and the brownout ladder
-// armed. Requests are admitted through the tenant fair-share queue via
-// the same httpmw.Tenant middleware passerve mounts.
+// saturates it, and a small concurrency ceiling — nothing opted into:
+// the limiter and the ladder are the default path. Requests are
+// admitted through the tenant fair-share queue via the same
+// httpmw.Tenant middleware passerve mounts.
 type overloadFixture struct {
 	sys *System
 	srv *httptest.Server
@@ -29,15 +30,13 @@ func newOverloadFixture(t *testing.T) *overloadFixture {
 	model := testSystem(t).System.model
 	sys := NewSystem(model)
 	if err := sys.EnableServing(ServingConfig{
-		CacheSize:     -1,
-		ComputeDelay:  25 * time.Millisecond,
-		MaxInFlight:   4,
-		AdaptiveLimit: true,
-		LimitFloor:    1,
-		LimitTarget:   60 * time.Millisecond,
-		QueueDepth:    64,
-		QueueWait:     250 * time.Millisecond,
-		Brownout:      true,
+		CacheSize:    -1,
+		ComputeDelay: 25 * time.Millisecond,
+		MaxInFlight:  4,
+		LimitFloor:   1,
+		LimitTarget:  60 * time.Millisecond,
+		QueueDepth:   64,
+		QueueWait:    250 * time.Millisecond,
 		// Fail closed: a hard shed must surface as a deliberate 503 so
 		// the isolation numbers count refusals instead of hiding them
 		// behind fail-open passthroughs.

@@ -30,7 +30,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/resilience"
 	"repro/internal/serving"
 	"repro/internal/sft"
 	"repro/internal/simllm"
@@ -79,13 +78,6 @@ type System struct {
 	// core, when enabled, is the admission-controlled, deduplicating,
 	// cached hot path behind the HTTP surfaces; see EnableServing.
 	core *serving.Core
-	// degrade fails open: a PAS-side failure serves the raw prompt
-	// instead of an error (ServingConfig.Degrade).
-	degrade bool
-	// retry re-attempts shed complement computations; retries is 0
-	// when disabled (ServingConfig.Retries).
-	retry   resilience.Policy
-	retries int
 
 	// draining, once set, flips /v1/status to "draining" and sheds new
 	// augmentation work so routers stop sending traffic here; see Drain.
@@ -127,9 +119,8 @@ func (s *System) Complement(prompt, salt string) string {
 }
 
 // ComplementCheap is the degraded-mode complement served at the
-// brownout ladder's trim rung (ServingConfig.Brownout): a constant-
-// work generic directive instead of the full policy inference. See
-// sft.Model.ComplementCheap.
+// degradation ladder's trim rung: a constant-work generic directive
+// instead of the full policy inference. See sft.Model.ComplementCheap.
 func (s *System) ComplementCheap(prompt, salt string) string {
 	return s.model.ComplementCheap(prompt, salt)
 }
@@ -137,11 +128,17 @@ func (s *System) ComplementCheap(prompt, salt string) string {
 // Augment returns cat(p, p_c): the text to send to the downstream LLM.
 // The user's original prompt is preserved verbatim.
 func (s *System) Augment(prompt, salt string) string {
-	c := s.Complement(prompt, salt)
-	if c == "" {
+	return cat(prompt, s.Complement(prompt, salt))
+}
+
+// cat is the paper's cat(p, p_c). An empty complement — a degraded
+// call, or a model with nothing to add — leaves the prompt untouched,
+// without a stray newline.
+func cat(prompt, complement string) string {
+	if complement == "" {
 		return prompt
 	}
-	return prompt + "\n" + c
+	return prompt + "\n" + complement
 }
 
 // Name implements the APE interface.
@@ -181,8 +178,8 @@ type Enhanced struct {
 	Complement string
 	// Response is r_e = LLM(cat(p, p_c)).
 	Response string
-	// Degraded reports that the augmentation side failed and the main
-	// model was called with the raw prompt instead
+	// Degraded reports that the augmentation side answered below full
+	// quality — a cheaper complement under pressure, or none at all
 	// (ServingConfig.Degrade) — the plug-and-play guarantee held: the
 	// user still got an answer.
 	Degraded bool
@@ -243,19 +240,16 @@ func (s *System) EnhanceContext(ctx context.Context, main Chatter, prompt, salt 
 	if main == nil {
 		return Enhanced{}, fmt.Errorf("pas: nil downstream model")
 	}
-	c, _, degraded, err := s.complementOrDegrade(ctx, prompt, salt)
+	c, level, err := s.complementLevel(ctx, prompt, salt)
 	if err != nil {
 		return Enhanced{}, err
 	}
-	content := prompt + "\n" + c
-	if c == "" {
-		content = prompt // degraded or empty complement: raw prompt, no stray newline
-	}
+	degraded := level != serving.LevelFull
 	mctx, mspan := obs.StartSpan(ctx, "main.chat")
 	mspan.SetAttr("model", main.Name())
 	mspan.SetAttrBool("degraded", degraded)
 	resp, err := AsChatterCtx(main).ChatContext(mctx,
-		[]simllm.Message{{Role: "user", Content: content}},
+		[]simllm.Message{{Role: "user", Content: cat(prompt, c)}},
 		simllm.Options{Salt: salt})
 	if err != nil {
 		mspan.SetError(err)

@@ -33,17 +33,17 @@ type Proxy struct {
 // Augmenter is the augmentation source a Proxy fronts. Two
 // implementations exist: *System (in-process augmentation through the
 // serving core) and ring.Client (consistent-hash routing across a
-// passerve replica fleet). The degraded result reports a fail-open
-// fallback — the prompt went through un-augmented — which the proxy
-// surfaces as X-PAS-Degraded rather than hiding.
+// passerve replica fleet). The degraded result reports that the prompt
+// went through below full quality, which the proxy surfaces as
+// X-PAS-Degraded rather than hiding.
 type Augmenter interface {
 	AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error)
 }
 
 // LevelAugmenter is the optional refinement an Augmenter can implement
 // to name the degradation rung instead of a bare verdict: the returned
-// level is the X-PAS-Degraded wire value ("" full, "trim" the brownout
-// ladder's cheap complement, "1" raw passthrough). *System and the
+// level is the X-PAS-Degraded wire value ("" full, "trim" the
+// degradation ladder's cheap complement, "1" raw passthrough). *System and the
 // ring client implement it; the proxy falls back to the boolean
 // interface (and the legacy "1" flag) for augmenters that do not.
 type LevelAugmenter interface {
@@ -127,11 +127,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			status := http.StatusBadRequest
 			if IsOverloaded(err) {
-				// The serving core shed the augmentation and the system is
-				// running fail-closed (ServingConfig.Degrade off): tell the
-				// client to retry. With Degrade on this path is unreachable
-				// for overload — the fallback already happened inside
-				// AugmentContextDegraded and is flagged below instead.
+				// The serving core shed the augmentation: it is running
+				// fail-closed (ServingConfig.Degrade off) or draining. Tell
+				// the client to retry. With Degrade on, overload never gets
+				// here — the core answered at the raw rung and the response
+				// is flagged below instead.
 				status = http.StatusServiceUnavailable
 				w.Header().Set("Retry-After", "1")
 			}
@@ -139,8 +139,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if level != "" {
-			// Below full quality — a fail-open fallback ("1") or a brownout
-			// rung ("trim"). Never silent: flagged here and counted in
+			// Below full quality — the cheap complement ("trim") or the raw
+			// prompt ("1"). Never silent: flagged here and counted in
 			// /v1/stats.
 			w.Header().Set("X-PAS-Degraded", level)
 		}

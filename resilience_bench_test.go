@@ -9,7 +9,6 @@ package pas
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -19,9 +18,6 @@ import (
 
 func BenchmarkEnhanceDegraded(b *testing.B) {
 	sys := NewSystem(testSystem(b).System.model)
-	if err := sys.EnableServing(ServingConfig{Degrade: true, Retries: 1}); err != nil {
-		b.Fatal(err)
-	}
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	core, err := serving.New(func(prompt, salt string) string {
@@ -36,6 +32,8 @@ func BenchmarkEnhanceDegraded(b *testing.B) {
 		QueueDepth:       0,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // stays open for the whole run
+		Degrade:          true,
+		Retries:          1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -50,8 +48,8 @@ func BenchmarkEnhanceDegraded(b *testing.B) {
 		close(done)
 	}()
 	<-entered
-	if _, err := core.Do(context.Background(), "x", "", "bench"); !errors.Is(err, serving.ErrQueueFull) {
-		b.Fatalf("priming shed got %v", err)
+	if _, _, err := core.DoLevel(context.Background(), "x", "", "bench"); err != nil || core.Stats().Breaker.State != "open" {
+		b.Fatalf("priming shed got %v, breaker %+v", err, core.Stats().Breaker)
 	}
 	close(release)
 	<-done

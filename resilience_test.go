@@ -22,16 +22,13 @@ import (
 	"repro/internal/simllm"
 )
 
-// degradedSystem builds a fail-open system whose serving core has one
-// computation slot, no queue, and a complement function that can be
-// parked on demand: send a "block" prompt, receive on entered, and the
-// next real request is guaranteed to shed.
-func degradedSystem(t *testing.T) (sys *System, entered chan struct{}, release chan struct{}) {
+// degradedSystem builds a system (fail-open per degrade) whose serving
+// core has one computation slot, no queue, and a complement function
+// that can be parked on demand: send a "block" prompt, receive on
+// entered, and the next real request is guaranteed to shed.
+func degradedSystem(t *testing.T, degrade bool) (sys *System, entered chan struct{}, release chan struct{}) {
 	t.Helper()
 	sys = NewSystem(testSystem(t).System.model)
-	if err := sys.EnableServing(ServingConfig{Degrade: true}); err != nil {
-		t.Fatal(err)
-	}
 	entered = make(chan struct{})
 	release = make(chan struct{})
 	core, err := serving.New(func(prompt, salt string) string {
@@ -40,7 +37,7 @@ func degradedSystem(t *testing.T) (sys *System, entered chan struct{}, release c
 			<-release
 		}
 		return sys.Complement(prompt, salt)
-	}, serving.Config{CacheSize: -1, MaxInFlight: 1, QueueDepth: 0})
+	}, serving.Config{CacheSize: -1, MaxInFlight: 1, QueueDepth: 0, Degrade: degrade, CheapFn: sys.ComplementCheap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func occupySlot(t *testing.T, sys *System, entered, release chan struct{}) func(
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		_, err := sys.ComplementContext(context.Background(), "block", "")
+		_, _, err := sys.AugmentContextLevel(context.Background(), "block", "")
 		done <- err
 	}()
 	<-entered
@@ -72,7 +69,7 @@ func occupySlot(t *testing.T, sys *System, entered, release chan struct{}) func(
 // response is flagged X-PAS-Degraded, and /v1/stats counts the
 // fallback. No PAS-side failure becomes a user-visible 5xx.
 func TestProxyDegradesToRawPromptNot503(t *testing.T) {
-	sys, entered, release := degradedSystem(t)
+	sys, entered, release := degradedSystem(t, true)
 	upstream, bodies := captureUpstream(t)
 	proxy, err := NewProxy(sys, upstream.URL)
 	if err != nil {
@@ -117,7 +114,7 @@ func TestProxyDegradesToRawPromptNot503(t *testing.T) {
 // TestAugmentHandlerDegrades: same policy on POST /v1/augment — 200,
 // augmented == prompt, degraded flagged in body, header, and stats.
 func TestAugmentHandlerDegrades(t *testing.T) {
-	sys, entered, release := degradedSystem(t)
+	sys, entered, release := degradedSystem(t, true)
 	srv := httptest.NewServer(sys.Handler())
 	defer srv.Close()
 
@@ -148,12 +145,86 @@ func TestAugmentHandlerDegrades(t *testing.T) {
 	}
 }
 
+// TestEveryNonFull200CarriesDegradedHeader walks one fail-open system
+// through every way of answering 200 — full quality, the fail-open raw
+// rung while saturated, the trim rung once the slot frees — and checks
+// on both HTTP surfaces that X-PAS-Degraded names exactly the rung the
+// answer was served at: "1" or "trim" on every non-full 200, absent at
+// full quality.
+func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
+	sys, entered, release := degradedSystem(t, true)
+	srv := httptest.NewServer(sys.Handler())
+	defer srv.Close()
+	upstream, bodies := captureUpstream(t)
+	proxy, err := NewProxy(sys, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+
+	const prompt = "Explain how tides form."
+	// probe sends prompt through one surface and checks the answer is a
+	// 200 carrying wantAugmented, flagged wantHeader.
+	probe := func(viaProxy bool, wantHeader, wantAugmented string) {
+		t.Helper()
+		url, body := srv.URL+"/v1/augment", `{"prompt":"`+prompt+`"}`
+		if viaProxy {
+			url, body = front.URL+"/v1/chat/completions", `{"model":"m","messages":[{"role":"user","content":"`+prompt+`"}]}`
+		}
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if got := resp.Header.Get("X-PAS-Degraded"); resp.StatusCode != http.StatusOK || got != wantHeader {
+			t.Fatalf("proxy=%v: status %d, X-PAS-Degraded %q; want 200, %q", viaProxy, resp.StatusCode, got, wantHeader)
+		}
+		var augmented string
+		if viaProxy {
+			var fwd chatPayload
+			if err := json.Unmarshal((*bodies)[len(*bodies)-1], &fwd); err != nil {
+				t.Fatal(err)
+			}
+			augmented = fwd.Messages[0].Content
+		} else {
+			var ar AugmentResponse
+			if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
+				t.Fatal(err)
+			}
+			if ar.DegradedLevel != wantHeader || ar.Degraded != (wantHeader != "") {
+				t.Fatalf("body flags = (%v, %q), want rung %q", ar.Degraded, ar.DegradedLevel, wantHeader)
+			}
+			augmented = ar.Augmented
+		}
+		if augmented != wantAugmented {
+			t.Fatalf("proxy=%v at rung %q: augmented = %q, want %q", viaProxy, wantHeader, augmented, wantAugmented)
+		}
+	}
+
+	for _, viaProxy := range []bool{false, true} {
+		probe(viaProxy, "", sys.Augment(prompt, ""))
+	}
+	// Saturated: every request is shed and answered fail-open, and each
+	// shed pushes the ladder up.
+	free := occupySlot(t, sys, entered, release)
+	for i := 0; sys.core.PressureLevel() == serving.LevelFull; i++ {
+		probe(i%2 == 1, "1", prompt)
+	}
+	free()
+	if got := sys.core.PressureLevel(); got != serving.LevelTrim {
+		t.Fatalf("rung after saturation = %v, want trim", got)
+	}
+	for _, viaProxy := range []bool{false, true} {
+		probe(viaProxy, "trim", cat(prompt, sys.ComplementCheap(prompt, "")))
+	}
+}
+
 // TestProxyFailClosedWithoutDegrade: with Degrade off the old contract
 // holds — a shed augmentation is a 503 + Retry-After, not silent
 // un-augmented forwarding.
 func TestProxyFailClosedWithoutDegrade(t *testing.T) {
-	sys, entered, release := degradedSystem(t)
-	sys.degrade = false
+	sys, entered, release := degradedSystem(t, false)
 	upstream, bodies := captureUpstream(t)
 	proxy, err := NewProxy(sys, upstream.URL)
 	if err != nil {
@@ -250,7 +321,7 @@ func TestProxyUnreachableUpstreamIsJSON502(t *testing.T) {
 // the downstream model is still called, with the raw prompt, and the
 // result says so.
 func TestEnhanceContextDegrades(t *testing.T) {
-	sys, entered, release := degradedSystem(t)
+	sys, entered, release := degradedSystem(t, true)
 	free := occupySlot(t, sys, entered, release)
 	defer free()
 

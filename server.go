@@ -11,10 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/serving"
 )
 
@@ -37,9 +35,9 @@ type AugmentResponse struct {
 	// Model is the PAS base model name.
 	Model string `json:"model"`
 	// Degraded reports that the response is below full quality: the
-	// augmentation path failed and the service fell back to the raw
-	// prompt (ServingConfig.Degrade), or the brownout ladder served a
-	// reduced rung (ServingConfig.Brownout).
+	// degradation ladder served a reduced rung, or the augmentation
+	// path shed and the service fell back to the raw prompt
+	// (ServingConfig.Degrade).
 	Degraded bool `json:"degraded,omitempty"`
 	// DegradedLevel names the rung when Degraded: "trim" for the cheap
 	// complement, "1" for raw passthrough (the legacy fail-open value).
@@ -54,200 +52,44 @@ type errorResponse struct {
 // maxPromptBytes bounds request bodies; a prompt this size is abuse.
 const maxPromptBytes = 1 << 20
 
-// ServingConfig sizes the serving core enabled by EnableServing. It
-// mirrors the internal serving package's configuration; zero values
-// select defaults (see the flag docs in cmd/passerve).
-type ServingConfig struct {
-	// CacheSize is the result-cache capacity in entries; negative
-	// disables caching, 0 defaults to 4096.
-	CacheSize int
-	// CacheTTL expires cached complements; 0 keeps them until evicted,
-	// which is sound for a fixed deterministic model.
-	CacheTTL time.Duration
-	// MaxInFlight bounds concurrent complement computations (default 64).
-	MaxInFlight int
-	// QueueDepth bounds requests waiting for a computation slot;
-	// 0 sheds immediately when all slots are busy.
-	QueueDepth int
-	// QueueWait is the longest a request waits for a slot (default
-	// 100ms); the request's context deadline tightens it.
-	QueueWait time.Duration
-	// Retries re-attempts a shed complement computation with
-	// full-jitter backoff before giving up (or degrading); 0 disables
-	// retrying. Open-breaker failures are never retried — the breaker
-	// exists to stop exactly that traffic.
-	Retries int
-	// RetryBudget bounds the whole retry loop, sleeps included.
-	// Default 500ms when Retries > 0.
-	RetryBudget time.Duration
-	// BreakerThreshold arms a circuit breaker over the augmentation
-	// path: after that many consecutive shed computations the core
-	// fails fast for BreakerCooldown, then probes once per half-open
-	// window. 0 disables it.
-	BreakerThreshold int
-	// BreakerCooldown is the breaker's open→half-open window (default
-	// 2s when armed).
-	BreakerCooldown time.Duration
-	// Degrade fails open: when the augmentation path sheds, times out,
-	// or is open-circuited, context-taking entry points return the
-	// un-augmented prompt instead of an error. The fallback is counted
-	// in /v1/stats as "degraded" (and flagged X-PAS-Degraded by the
-	// proxy), never silent. Sound for PAS because the complement only
-	// ever adds guidance — the raw prompt is always a valid request.
-	Degrade bool
-
-	// AdaptiveLimit replaces the static in-flight cap with an AIMD
-	// limit that climbs on fast completions and halves on deadline
-	// misses and breaker trips; MaxInFlight becomes its ceiling.
-	AdaptiveLimit bool
-	// LimitFloor is the adaptive limit's lower clamp (default 1).
-	LimitFloor int
-	// LimitTarget is the latency below which a completion argues for
-	// raising the adaptive limit (default 25ms).
-	LimitTarget time.Duration
-
-	// Brownout arms the degradation ladder: under queue pressure the
-	// core steps full complement → cheap complement (trim) → raw
-	// passthrough before it starts hard-shedding. Responses carry the
-	// rung in X-PAS-Degraded ("trim", then "1").
-	Brownout bool
-
-	// TenantWeights biases the fair-share admission queue: a tenant
-	// with weight 3 drains three requests per round for every one of a
-	// weight-1 tenant. Unlisted tenants get DefaultTenantWeight.
-	TenantWeights map[string]int
-	// DefaultTenantWeight is the weight of unlisted tenants (default 1).
-	DefaultTenantWeight int
-	// TenantQuotas caps a tenant's concurrent computations; excess
-	// requests queue behind the tenant's own traffic. 0 = no cap.
-	TenantQuotas map[string]int
-	// TenantQueueDepth caps each tenant's share of the waiting room.
-	// 0 derives the cap from QueueDepth weighted by tenant weight.
-	TenantQueueDepth int
-	// MaxTenants bounds the tenant accounting table; ids beyond it
-	// share one overflow queue (default 64).
-	MaxTenants int
-
-	// ComputeDelay pads every complement computation — an overload-
-	// drill knob for load tests, never set in production.
-	ComputeDelay time.Duration
-}
+// ServingConfig sizes the serving core enabled by EnableServing; zero
+// values select defaults. It is the serving package's own
+// configuration, so the daemons' flags, this API, and the core read one
+// struct.
+type ServingConfig = serving.Config
 
 // EnableServing puts the admission-controlled, deduplicating, cached
 // serving core in front of Complement for every context-taking entry
-// point: handleAugment, the reverse proxy, ComplementContext, and
-// AugmentContext. Call it once before serving traffic; the plain
-// Complement and Augment methods stay direct and unlimited.
+// point: handleAugment, the reverse proxy, AugmentContextLevel, and
+// EnhanceContext. Call it once before serving traffic; the plain
+// Complement and Augment methods stay direct and unlimited. Unless
+// cfg.CheapFn is set, the degradation ladder's trim rung serves
+// ComplementCheap.
 func (s *System) EnableServing(cfg ServingConfig) error {
-	if cfg.Retries < 0 {
-		return fmt.Errorf("pas: Retries must be >= 0, got %d", cfg.Retries)
+	if cfg.CheapFn == nil {
+		cfg.CheapFn = s.ComplementCheap
 	}
-	scfg := serving.Config{
-		CacheSize:           cfg.CacheSize,
-		CacheTTL:            cfg.CacheTTL,
-		MaxInFlight:         cfg.MaxInFlight,
-		QueueDepth:          cfg.QueueDepth,
-		QueueWait:           cfg.QueueWait,
-		BreakerThreshold:    cfg.BreakerThreshold,
-		BreakerCooldown:     cfg.BreakerCooldown,
-		AdaptiveLimit:       cfg.AdaptiveLimit,
-		LimitFloor:          cfg.LimitFloor,
-		LimitTarget:         cfg.LimitTarget,
-		Brownout:            cfg.Brownout,
-		TenantWeights:       cfg.TenantWeights,
-		DefaultTenantWeight: cfg.DefaultTenantWeight,
-		TenantQuotas:        cfg.TenantQuotas,
-		TenantQueueDepth:    cfg.TenantQueueDepth,
-		MaxTenants:          cfg.MaxTenants,
-		ComputeDelay:        cfg.ComputeDelay,
-	}
-	if cfg.Brownout {
-		scfg.CheapFn = s.ComplementCheap
-	}
-	core, err := serving.New(s.Complement, scfg)
+	core, err := serving.New(s.Complement, cfg)
 	if err != nil {
 		return err
 	}
 	s.core = core
-	s.degrade = cfg.Degrade
-	s.retries = cfg.Retries
-	if cfg.Retries > 0 {
-		budget := cfg.RetryBudget
-		if budget == 0 {
-			budget = 500 * time.Millisecond
-		}
-		s.retry = resilience.Policy{
-			MaxAttempts: cfg.Retries + 1,
-			BaseDelay:   25 * time.Millisecond,
-			MaxDelay:    200 * time.Millisecond,
-			Budget:      budget,
-		}
-	}
 	return nil
 }
 
-// ComplementContext is Complement through the serving core when one is
+// complementLevel is Complement through the serving core when one is
 // enabled: results are cached, concurrent identical requests share one
-// computation, shed computations are retried per ServingConfig.Retries,
-// and persistent overload fails with an error for which
-// IsOverloaded(err) is true. Without EnableServing it computes
-// directly and never fails.
-func (s *System) ComplementContext(ctx context.Context, prompt, salt string) (string, error) {
-	c, _, err := s.complementLevel(ctx, prompt, salt)
-	return c, err
-}
-
-// complementLevel is ComplementContext plus the brownout rung the core
-// chose. A trim-level result is the cheap complement; a raw-level
-// result is an empty complement with no error — the caller proceeds
-// with the un-augmented prompt.
+// computation, and under pressure the core answers below full quality
+// instead of failing (see serving.Core.DoLevel). A trim-level result is
+// the cheap complement; a raw-level result is an empty complement with
+// no error — the caller proceeds with the un-augmented prompt. An error
+// for which IsOverloaded is true means the request was shed. Without
+// EnableServing it computes directly and never fails.
 func (s *System) complementLevel(ctx context.Context, prompt, salt string) (string, serving.Level, error) {
 	if s.core == nil {
 		return s.Complement(prompt, salt), serving.LevelFull, nil
 	}
-	var level serving.Level
-	do := func(ctx context.Context) (string, error) {
-		v, lvl, err := s.core.DoLevel(ctx, prompt, salt, s.BaseModel())
-		level = lvl
-		if errors.Is(err, serving.ErrBreakerOpen) || errors.Is(err, serving.ErrDraining) {
-			// Retrying against an open breaker (or a draining core —
-			// drain is one-way) only burns the backoff budget; mark
-			// these terminal for the retry loop. IsOverloaded still sees
-			// the typed error through the wrapper.
-			return v, resilience.AsTerminal(err)
-		}
-		return v, err
-	}
-	if s.retries == 0 {
-		v, err := do(ctx)
-		return v, level, err
-	}
-	v, err := resilience.DoValue(ctx, s.retry, do)
-	return v, level, err
-}
-
-// complementOrDegrade runs the complement through the serving layers
-// and applies the fail-open policy: when the PAS side sheds and Degrade
-// is enabled, the caller proceeds with an empty complement (the raw
-// prompt), and the fallback is counted in the core's stats. Drain sheds
-// are the one overload that never degrades: a draining replica must
-// answer 503 so its router fails the request over to a peer, instead of
-// fail-open 200s keeping traffic pinned to a process on its way out.
-// With Brownout armed the core may also answer below full quality
-// without any failure; the returned level carries the rung (raw-level
-// results report degraded with the complement empty, mirroring the
-// fail-open shape).
-func (s *System) complementOrDegrade(ctx context.Context, prompt, salt string) (complement string, level serving.Level, degraded bool, err error) {
-	c, level, err := s.complementLevel(ctx, prompt, salt)
-	if err == nil {
-		return c, level, level != serving.LevelFull, nil
-	}
-	if s.degrade && IsOverloaded(err) && !IsDraining(err) {
-		s.core.NoteDegraded()
-		obs.AddEvent(ctx, "augment.degraded", "cause", err.Error())
-		return "", serving.LevelRaw, true, nil
-	}
-	return "", serving.LevelFull, false, err
+	return s.core.DoLevel(ctx, prompt, salt, s.BaseModel())
 }
 
 // RegisterMetrics exposes the serving core's counters on reg (see
@@ -259,36 +101,24 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 	}
 }
 
-// AugmentContext is Augment through the serving core; see
-// ComplementContext. With ServingConfig.Degrade enabled, a PAS-side
-// failure returns the un-augmented prompt and a nil error — augmenting
-// is an enhancement, not a dependency.
-func (s *System) AugmentContext(ctx context.Context, prompt, salt string) (string, error) {
-	aug, _, err := s.AugmentContextDegraded(ctx, prompt, salt)
-	return aug, err
-}
-
-// AugmentContextDegraded is AugmentContext plus the degradation
-// verdict, for callers (the proxy, the augment handler) that must
-// surface fail-open fallbacks instead of hiding them.
+// AugmentContextDegraded is AugmentContextLevel with the rung reduced
+// to a verdict, for callers that only need to know whether the prompt
+// went through below full quality.
 func (s *System) AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error) {
 	aug, level, err := s.AugmentContextLevel(ctx, prompt, salt)
 	return aug, level != "", err
 }
 
-// AugmentContextLevel is AugmentContextDegraded with the degradation
-// rung as its X-PAS-Degraded wire value: "" full quality, "trim" the
-// brownout ladder's cheap complement, "1" raw passthrough (fail-open
-// fallback or the ladder's last rung before shedding).
+// AugmentContextLevel is Augment through the serving core (see
+// complementLevel), with the degradation rung as its X-PAS-Degraded
+// wire value: "" full quality, "trim" the ladder's cheap complement,
+// "1" raw passthrough (the ladder's last rung, fail-open included).
 func (s *System) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
-	c, lvl, _, err := s.complementOrDegrade(ctx, prompt, salt)
+	c, lvl, err := s.complementLevel(ctx, prompt, salt)
 	if err != nil {
 		return "", "", err
 	}
-	if c == "" {
-		return prompt, lvl.Header(), nil
-	}
-	return prompt + "\n" + c, lvl.Header(), nil
+	return cat(prompt, c), lvl.Header(), nil
 }
 
 // IsOverloaded reports whether err from a context-taking entry point
@@ -489,24 +319,21 @@ func (s *System) handleAugment(w http.ResponseWriter, r *http.Request) {
 		s.writeOverloaded(w, serving.ErrDraining)
 		return
 	}
-	c, level, degraded, err := s.complementOrDegrade(r.Context(), req.Prompt, req.Salt)
+	c, level, err := s.complementLevel(r.Context(), req.Prompt, req.Salt)
 	if err != nil {
 		s.writeOverloaded(w, err)
 		return
 	}
 	resp := AugmentResponse{
-		Prompt:     req.Prompt,
-		Complement: c,
-		Augmented:  req.Prompt + "\n" + c,
-		Model:      s.BaseModel(),
-		Degraded:   degraded,
+		Prompt:        req.Prompt,
+		Complement:    c,
+		Augmented:     cat(req.Prompt, c),
+		Model:         s.BaseModel(),
+		Degraded:      level != serving.LevelFull,
+		DegradedLevel: level.Header(),
 	}
-	if degraded {
-		if c == "" {
-			resp.Augmented = req.Prompt
-		}
-		resp.DegradedLevel = level.Header()
-		w.Header().Set("X-PAS-Degraded", level.Header())
+	if resp.Degraded {
+		w.Header().Set("X-PAS-Degraded", resp.DegradedLevel)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -545,38 +372,4 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("pas: writing response: %v", err)
 	}
-}
-
-// ServeContext runs the plug-and-play HTTP service on addr until the
-// server fails or ctx is cancelled, then drains in-flight requests via
-// http.Server.Shutdown (bounded at 10s). It returns nil after a clean
-// shutdown.
-func (s *System) ServeContext(ctx context.Context, addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// The parent context is already cancelled; detach from its
-		// cancellation (keeping its values) so shutdown still gets its
-		// drain window instead of aborting immediately.
-		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	}
-}
-
-// Serve runs the service until the server fails. It is a thin wrapper
-// over ServeContext for cmd/passerve; libraries should mount Handler
-// on their own server for timeout and shutdown control.
-func (s *System) Serve(addr string) error {
-	return s.ServeContext(context.Background(), addr)
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/serving"
 )
@@ -124,42 +123,15 @@ func TestWriteOverloadedSetsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestContextVariantsWithoutCore: ComplementContext/AugmentContext on a
-// plain system are the direct methods and never fail.
+// TestContextVariantsWithoutCore: AugmentContextLevel on a plain system
+// is the direct Augment at full quality and never fails.
 func TestContextVariantsWithoutCore(t *testing.T) {
 	sys := testSystem(t).System
-	ctx := context.Background()
-	c, err := sys.ComplementContext(ctx, "Explain how tides form.", "s")
+	a, level, err := sys.AugmentContextLevel(context.Background(), "Explain how tides form.", "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sys.Complement("Explain how tides form.", "s"); c != want {
-		t.Fatalf("ComplementContext %q != Complement %q", c, want)
-	}
-	a, err := sys.AugmentContext(ctx, "Explain how tides form.", "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sys.Augment("Explain how tides form.", "s"); a != want {
-		t.Fatalf("AugmentContext %q != Augment %q", a, want)
-	}
-}
-
-// TestServeContextShutsDownCleanly: cancelling the context drains the
-// server and returns nil instead of killing the process mid-request.
-func TestServeContextShutsDownCleanly(t *testing.T) {
-	sys := testSystem(t).System
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sys.ServeContext(ctx, "127.0.0.1:0") }()
-	time.Sleep(50 * time.Millisecond) // let ListenAndServe start
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("graceful shutdown returned %v, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeContext did not return after cancel")
+	if want := sys.Augment("Explain how tides form.", "s"); a != want || level != "" {
+		t.Fatalf("AugmentContextLevel = (%q, %q), want (%q, full)", a, level, want)
 	}
 }
