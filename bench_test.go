@@ -9,11 +9,18 @@
 package pas_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
+	pas "repro"
 	"repro/internal/augment"
 	"repro/internal/baselines"
 	"repro/internal/cluster"
@@ -495,5 +502,94 @@ func BenchmarkLeaderboard(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFirst(b, "leaderboard", rep.String())
+	}
+}
+
+// constAugmenter appends a fixed complement, so BenchmarkProxyRewrite
+// times the proxy's request rewrite and not M_p.
+type constAugmenter struct{}
+
+func (constAugmenter) AugmentContextDegraded(_ context.Context, prompt, _ string) (string, bool, error) {
+	return prompt + "\nState your assumptions and number the steps.", false, nil
+}
+
+// memTransport answers every round trip from memory, after consuming
+// the forwarded body as a socket would.
+type memTransport struct{}
+
+func (memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		_, _ = io.Copy(io.Discard, req.Body) // a reader over memory
+		_ = req.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{"Content-Type": {"application/json"}},
+		Body:   io.NopCloser(strings.NewReader(`{"ok":true}`)), ContentLength: 11, Request: req,
+	}, nil
+}
+
+// discardWriter is the cheapest ResponseWriter.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// BenchmarkProxyRewrite times one chat request through Proxy.ServeHTTP
+// with no socket and no model on the path: what is left is reading the
+// body, finding the last user turn, splicing the complement in, and the
+// reverse proxy's own bookkeeping. long is the 14-message, 7 KiB
+// conversation of pasperf's proxy_chat workload, short its 2-message
+// cluster_zipf one (the same shapes as the proxy.rewrite_ns and
+// proxy.rewrite_short_ns probes). The proxy has no Transport of its
+// own, so the in-memory one is installed as http.DefaultTransport while
+// the benchmark runs. Use -benchmem.
+func BenchmarkProxyRewrite(b *testing.B) {
+	type message struct {
+		Role    string `json:"role"`
+		Content string `json:"content"`
+	}
+	chat := func(msgs []message) []byte {
+		body, err := json.Marshal(map[string]any{"model": "gpt-4-0613", "temperature": 0.7, "seed": "pasperf", "messages": msgs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	const prompt = "Explain how tides form, for a reader who has never seen the sea."
+	filler := strings.Repeat("On tides, in plain words, as a numbered list. ", 11) // ~520 bytes a turn
+	long := []message{{"system", "You are a careful assistant. " + filler[:200]}}
+	for i := 0; i < 6; i++ {
+		long = append(long, message{"user", filler[:380]}, message{"assistant", filler + filler[:100]})
+	}
+	long = append(long, message{"user", prompt})
+	short := []message{{"system", "You are a careful assistant."}, {"user", prompt}}
+
+	saved := http.DefaultTransport
+	http.DefaultTransport = memTransport{}
+	defer func() { http.DefaultTransport = saved }()
+
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"long", chat(long)}, {"short", chat(short)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			proxy, err := pas.NewProxyWith(constAugmenter{}, "http://upstream.invalid")
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := discardWriter{h: http.Header{}}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req, err := http.NewRequest(http.MethodPost, "http://proxy/v1/chat/completions", bytes.NewReader(bc.body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				proxy.ServeHTTP(w, req)
+			}
+		})
 	}
 }

@@ -3,12 +3,13 @@ package pas
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -17,13 +18,20 @@ import (
 
 // Proxy is the transparent deployment form of the plug-and-play system:
 // a reverse proxy that sits in front of any OpenAI-style chat-completions
-// endpoint and augments the final user message of every request with a
-// complementary prompt before forwarding. Clients keep their existing
+// endpoint and appends a complementary prompt to the final user message
+// of every request before forwarding. Clients keep their existing
 // SDKs and URLs — they just point at the proxy — which is the strongest
 // reading of the paper's "can be plugged into any other LLMs available
 // via public APIs".
 //
-// Non-chat paths (model listings, health checks) pass through untouched.
+// The request reaches the main model intact: every byte outside the
+// content string of the last user message is forwarded unchanged (see
+// augmentRequest), so tool calls, names and fields the proxy does not
+// know survive. A chat body the proxy cannot use or will not hold —
+// unparseable, multimodal content, over maxChatBody — is forwarded raw
+// and the response flagged X-PAS-Degraded: 1; the proxy never answers
+// 400 in the upstream's place. Non-chat paths (model listings, health
+// checks) pass through untouched.
 type Proxy struct {
 	system   Augmenter
 	upstream *url.URL
@@ -105,15 +113,6 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 	return p, nil
 }
 
-// chatPayload is the subset of the chat-completions request the proxy
-// rewrites; unknown fields are preserved via Raw.
-type chatPayload struct {
-	Messages []struct {
-		Role    string `json:"role"`
-		Content string `json:"content"`
-	} `json:"messages"`
-}
-
 // ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/chat/completions") {
@@ -129,82 +128,103 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if IsOverloaded(err) {
 				// The serving core shed the augmentation: it is running
 				// fail-closed (ServingConfig.Degrade off) or draining. Tell
-				// the client to retry. With Degrade on, overload never gets
-				// here — the core answered at the raw rung and the response
-				// is flagged below instead.
+				// the client to retry, after as long as the augmenter
+				// expects the congestion to last when it can say. With
+				// Degrade on, overload never gets here — the core answered
+				// at the raw rung and the response is flagged below instead.
 				status = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", "1")
+				retryAfter := 1
+				if h, ok := p.system.(interface{ RetryAfterHint() int }); ok {
+					retryAfter = h.RetryAfterHint()
+				}
+				w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 			}
 			http.Error(w, fmt.Sprintf(`{"error":{"message":%q,"type":"pas_proxy_error"}}`, err.Error()), status)
 			return
 		}
 		if level != "" {
-			// Below full quality — the cheap complement ("trim") or the raw
-			// prompt ("1"). Never silent: flagged here and counted in
-			// /v1/stats.
+			// Below full quality — the cheap complement ("trim"), or no
+			// complement at all ("1": the core answered at the raw rung, or
+			// the body was not one the proxy could augment). Never silent.
 			w.Header().Set("X-PAS-Degraded", level)
 		}
 	}
 	p.rp.ServeHTTP(w, r)
 }
 
-// augmentRequest rewrites the body in place: the last user message gets
-// the complementary prompt appended. All other fields — model, seed,
-// temperature, stream, anything the proxy does not know about — survive
-// byte-for-byte via generic JSON handling. The returned level is the
-// X-PAS-Degraded wire value ("" when the augmentation ran at full
-// quality). ctx carries the caller's span in addition to r.Context()'s
-// deadline and cancellation, so augmentation work parents under it.
+// maxChatBody is the largest chat body the proxy reads into memory to
+// augment; anything longer is streamed to the upstream as it came.
+const maxChatBody = 4 << 20
+
+// augmentRequest appends the complementary prompt to the last user
+// message of the chat body. It edits bytes, not a decoded document: one
+// scan finds the content string literal of that message, only that
+// literal is decoded, and the escaped "\n"+complement goes in before its
+// closing quote. Every byte outside that one literal reaches the
+// upstream exactly as the client sent it — key order, whitespace,
+// number spelling, tool calls, fields the proxy has never heard of.
+//
+// A body with nothing to augment (no messages, no user turn) is
+// forwarded as it is. So is one the proxy cannot use — not JSON, not an
+// object, messages not an array of objects, a last user turn whose
+// content is not a string (multimodal parts), or longer than
+// maxChatBody — and that one is flagged: the upstream, not the proxy,
+// decides what to make of it.
+//
+// The returned level is the X-PAS-Degraded wire value ("" when the
+// augmentation ran at full quality). ctx carries the caller's span in
+// addition to r.Context()'s deadline and cancellation, so augmentation
+// work parents under it.
 func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level string, _ error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
-	if err != nil {
+	if r.ContentLength > maxChatBody {
+		return "1", nil
+	}
+	// Sized from Content-Length; the spare bytes.MinRead lets ReadFrom
+	// see EOF without growing and usually takes the complement too.
+	buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxChatBody+1)); err != nil {
 		return "", fmt.Errorf("reading request: %w", err)
+	}
+	body := buf.Bytes()
+	if len(body) > maxChatBody {
+		// No declared length and more than the proxy will hold: what was
+		// read, then the rest straight from the client.
+		r.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.MultiReader(bytes.NewReader(body), r.Body), r.Body}
+		return "1", nil
 	}
 	_ = r.Body.Close() // request body: nothing actionable on close failure
 
-	var generic map[string]json.RawMessage
-	if err := json.Unmarshal(body, &generic); err != nil {
-		return "", fmt.Errorf("invalid JSON: %w", err)
-	}
-	var payload chatPayload
-	if err := json.Unmarshal(body, &payload); err != nil {
-		return "", fmt.Errorf("invalid chat payload: %w", err)
-	}
-	last := -1
-	for i := len(payload.Messages) - 1; i >= 0; i-- {
-		if payload.Messages[i].Role == "user" {
-			last = i
-			break
-		}
-	}
-	if last >= 0 {
-		// Salt from the seed field if present, for reproducible proxies.
-		salt := ""
-		if raw, ok := generic["seed"]; ok {
-			salt = string(raw)
-		}
+	scan := scanChat(body)
+	switch {
+	case !scan.usable:
+		level = "1"
+	case scan.contentEnd > 0:
+		// Salt from the raw seed value if present, for reproducible proxies.
+		salt := string(body[scan.seedStart:scan.seedEnd])
+		prompt := unquote(body[scan.contentStart:scan.contentEnd])
 		// Through the serving core (cache + dedup + admission + breaker)
 		// when the system has one; the request context propagates
 		// deadlines and client disconnects into the queue. With Degrade
 		// enabled a PAS-side failure leaves the message untouched.
-		augmented, lvl, err := p.augmentLevel(ctx, payload.Messages[last].Content, salt)
+		augmented, lvl, err := p.augmentLevel(ctx, prompt, salt)
 		if err != nil {
 			return "", err
 		}
 		level = lvl
-		payload.Messages[last].Content = augmented
-		msgs, err := json.Marshal(payload.Messages)
-		if err != nil {
-			return "", fmt.Errorf("re-encoding messages: %w", err)
-		}
-		generic["messages"] = msgs
-		if body, err = json.Marshal(generic); err != nil {
-			return "", fmt.Errorf("re-encoding request: %w", err)
+		if tail, ok := strings.CutPrefix(augmented, prompt); ok {
+			body = slices.Insert(body, scan.contentEnd-1, appendEscaped(nil, tail)...)
+		} else {
+			// An augmenter that rewrote the prompt instead of extending it:
+			// the whole literal is replaced.
+			body = slices.Replace(body, scan.contentStart+1, scan.contentEnd-1, appendEscaped(nil, augmented)...)
 		}
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	r.ContentLength = int64(len(body))
-	r.Header.Set("Content-Length", fmt.Sprint(len(body)))
+	r.Header.Set("Content-Length", strconv.Itoa(len(body)))
 	return level, nil
 }
 

@@ -120,15 +120,22 @@ func TestProxyStreamingPassesThrough(t *testing.T) {
 	}
 }
 
-// TestProxyRejectsGarbageChatBody sends a raw broken body straight
-// through net/http (the chatapi client validates JSON before sending, so
+// TestProxyRejectsGarbageChatBody: it is the upstream that rejects, not
+// the proxy. A chat body the proxy cannot augment — garbage, the wrong
+// shape, multimodal content — reaches the upstream byte for byte, the
+// upstream's own verdict comes back verbatim, and the response says the
+// request went through un-augmented. Bodies go straight through
+// net/http (the chatapi client validates JSON before sending, so
 // garbage cannot come from it).
 func TestProxyRejectsGarbageChatBody(t *testing.T) {
-	apiServer, err := chatapi.NewServer(chatapi.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	upstream := httptest.NewServer(apiServer.Handler())
+	const verdict = `{"error":{"message":"could not parse the request body","type":"invalid_request_error"}}`
+	var received []byte
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		received, _ = io.ReadAll(r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		io.WriteString(w, verdict)
+	}))
 	defer upstream.Close()
 	proxy, err := NewProxy(testSystem(t).System, upstream.URL)
 	if err != nil {
@@ -136,13 +143,70 @@ func TestProxyRejectsGarbageChatBody(t *testing.T) {
 	}
 	front := httptest.NewServer(proxy)
 	defer front.Close()
-	resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json", strings.NewReader("{broken"))
+
+	for name, sent := range map[string]string{
+		"not JSON":             "{broken",
+		"truncated":            `{"messages":[{"role":"user","content":"Explain how ti`,
+		"not an object":        `[{"role":"user","content":"x"}]`,
+		"messages not array":   `{"messages":{"role":"user","content":"x"}}`,
+		"element not object":   `{"messages":[{"role":"user","content":"x"},"y"]}`,
+		"multimodal content":   `{"model":"m","messages":[{"role":"user","content":[{"type":"text","text":"what is this?"},{"type":"image_url","image_url":{"url":"data:image/png;base64,AAAA"}}]}]}`,
+		"null content":         `{"messages":[{"role":"user","content":null}]}`,
+		"last of two not text": `{"messages":[{"role":"user","content":"x"},{"role":"user","content":[]}]}`,
+	} {
+		received = nil
+		resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json", strings.NewReader(sent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if string(received) != sent {
+			t.Errorf("%s: upstream received %q, want the body as sent %q", name, received, sent)
+		}
+		if resp.StatusCode != http.StatusBadRequest || string(got) != verdict {
+			t.Errorf("%s: answer %d %q, want the upstream's own 400 verbatim", name, resp.StatusCode, got)
+		}
+		if flag := resp.Header.Get("X-PAS-Degraded"); flag != "1" {
+			t.Errorf("%s: X-PAS-Degraded = %q, want 1", name, flag)
+		}
+	}
+}
+
+// TestProxyPassesOversizedChatThrough: a chat longer than the proxy
+// will hold is not cut at the limit and called invalid JSON; it streams
+// to the upstream whole and un-augmented, flagged — with a declared
+// length (nothing is read) and without one (what was read, then the
+// rest).
+func TestProxyPassesOversizedChatThrough(t *testing.T) {
+	upstream, bodies := captureUpstream(t)
+	proxy, err := NewProxy(testSystem(t).System, upstream.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+
+	sent := `{"model":"m","messages":[{"role":"user","content":"` + strings.Repeat("tides ", (5<<20)/6) + `"}]}`
+	if len(sent) <= maxChatBody {
+		t.Fatalf("test body of %d bytes is not oversized", len(sent))
+	}
+	for name, body := range map[string]io.Reader{
+		"Content-Length": strings.NewReader(sent),
+		"chunked":        struct{ io.Reader }{strings.NewReader(sent)}, // hides Len: no declared length
+	} {
+		*bodies = nil
+		resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-PAS-Degraded") != "1" {
+			t.Errorf("%s: status %d, X-PAS-Degraded %q; want 200 flagged 1", name, resp.StatusCode, resp.Header.Get("X-PAS-Degraded"))
+		}
+		if len(*bodies) != 1 || string((*bodies)[0]) != sent {
+			t.Errorf("%s: upstream did not receive the %d bytes as sent", name, len(sent))
+		}
 	}
 }
 
@@ -161,6 +225,19 @@ func captureUpstream(t *testing.T) (*httptest.Server, *[][]byte) {
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &bodies
+}
+
+// forwardedMessages decodes the messages of a chat body the upstream
+// received.
+func forwardedMessages(t *testing.T, body []byte) []chatapi.Message {
+	t.Helper()
+	var chat struct {
+		Messages []chatapi.Message `json:"messages"`
+	}
+	if err := json.Unmarshal(body, &chat); err != nil {
+		t.Fatalf("upstream received %q: %v", body, err)
+	}
+	return chat.Messages
 }
 
 // TestProxyPassesThroughNonChatPOSTUnchanged: POST bodies on non-chat
@@ -232,15 +309,12 @@ func TestProxyAugmentsLastUserTurnEvenMidConversation(t *testing.T) {
 	if len(*bodies) != 1 {
 		t.Fatalf("upstream saw %d bodies", len(*bodies))
 	}
-	var got chatPayload
-	if err := json.Unmarshal((*bodies)[0], &got); err != nil {
-		t.Fatal(err)
+	got := forwardedMessages(t, (*bodies)[0])
+	if want := sys.Augment("Explain how tides form.", ""); got[0].Content != want {
+		t.Fatalf("user turn = %q, want augmented %q", got[0].Content, want)
 	}
-	if want := sys.Augment("Explain how tides form.", ""); got.Messages[0].Content != want {
-		t.Fatalf("user turn = %q, want augmented %q", got.Messages[0].Content, want)
-	}
-	if got.Messages[1].Content != "Gravity." {
-		t.Fatalf("assistant turn rewritten to %q", got.Messages[1].Content)
+	if got[1].Content != "Gravity." {
+		t.Fatalf("assistant turn rewritten to %q", got[1].Content)
 	}
 }
 

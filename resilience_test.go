@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -98,12 +99,8 @@ func TestProxyDegradesToRawPromptNot503(t *testing.T) {
 	if len(*bodies) != 1 {
 		t.Fatalf("upstream saw %d bodies, want 1", len(*bodies))
 	}
-	var fwd chatPayload
-	if err := json.Unmarshal((*bodies)[0], &fwd); err != nil {
-		t.Fatal(err)
-	}
-	if fwd.Messages[0].Content != prompt {
-		t.Fatalf("upstream saw %q, want the raw prompt %q", fwd.Messages[0].Content, prompt)
+	if got := forwardedMessages(t, (*bodies)[0])[0].Content; got != prompt {
+		t.Fatalf("upstream saw %q, want the raw prompt %q", got, prompt)
 	}
 	st := sys.core.Stats()
 	if st.Degraded != 1 || st.ShedQueueFull != 1 {
@@ -182,11 +179,7 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 		}
 		var augmented string
 		if viaProxy {
-			var fwd chatPayload
-			if err := json.Unmarshal((*bodies)[len(*bodies)-1], &fwd); err != nil {
-				t.Fatal(err)
-			}
-			augmented = fwd.Messages[0].Content
+			augmented = forwardedMessages(t, (*bodies)[len(*bodies)-1])[0].Content
 		} else {
 			var ar AugmentResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
@@ -220,37 +213,56 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 	}
 }
 
+// shedAugmenter sheds every request; priced, it also says for how long.
+var shedAugmenter = augmentFunc(func(string, string) (string, bool, error) {
+	return "", false, serving.ErrQueueFull
+})
+
+type pricedShedAugmenter struct{ augmentFunc }
+
+func (pricedShedAugmenter) RetryAfterHint() int { return 7 }
+
 // TestProxyFailClosedWithoutDegrade: with Degrade off the old contract
 // holds — a shed augmentation is a 503 + Retry-After, not silent
-// un-augmented forwarding.
+// un-augmented forwarding. The Retry-After is the augmenter's own price
+// for the congestion when it has one, 1 otherwise.
 func TestProxyFailClosedWithoutDegrade(t *testing.T) {
 	sys, entered, release := degradedSystem(t, false)
-	upstream, bodies := captureUpstream(t)
-	proxy, err := NewProxy(sys, upstream.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(proxy)
-	defer front.Close()
-
 	free := occupySlot(t, sys, entered, release)
 	defer free()
 
-	resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json",
-		strings.NewReader(`{"model":"m","messages":[{"role":"user","content":"x"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 when fail-closed", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 must carry Retry-After")
-	}
-	if len(*bodies) != 0 {
-		t.Fatal("fail-closed request must not reach the upstream")
+	for _, tc := range []struct {
+		name           string
+		augmenter      Augmenter
+		wantRetryAfter string
+	}{
+		{"saturated core", sys, strconv.Itoa(sys.RetryAfterHint())},
+		{"augmenter with a hint", pricedShedAugmenter{shedAugmenter}, "7"},
+		{"augmenter without one", shedAugmenter, "1"},
+	} {
+		upstream, bodies := captureUpstream(t)
+		proxy, err := NewProxyWith(tc.augmenter, upstream.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(proxy)
+		resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json",
+			strings.NewReader(`{"model":"m","messages":[{"role":"user","content":"x"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		front.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s: status = %d, want 503 when fail-closed", tc.name, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != tc.wantRetryAfter {
+			t.Errorf("%s: Retry-After = %q, want %q", tc.name, got, tc.wantRetryAfter)
+		}
+		if len(*bodies) != 0 {
+			t.Errorf("%s: fail-closed request must not reach the upstream", tc.name)
+		}
 	}
 }
 
