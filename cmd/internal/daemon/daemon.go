@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"strconv"
 	"strings"
 	"time"
@@ -79,8 +78,8 @@ func tenantMap(dst *map[string]int) func(string) error {
 }
 
 // Obs is a server's observability: its two flags and, once Start has
-// run, the metrics registry, tracer, and HTTP metrics behind /metricsz
-// and the debug listener.
+// run, the metrics registry (served at /metricsz by Reg.Handler()), the
+// tracer, and the HTTP metrics recorded into that registry.
 type Obs struct {
 	DebugAddr   string
 	TraceSample int
@@ -114,14 +113,8 @@ func (o *Obs) Start(ctx context.Context, service string) {
 	}
 	log.Printf("debug endpoints (pprof, /debug/traces, /metricsz) on %s", o.DebugAddr)
 	go func() {
-		if err := obs.ServeDebug(ctx, o.DebugAddr, obs.DebugMux(o.Reg, o.Tracer, o.Metrics.Handler())); err != nil {
+		if err := obs.ServeDebug(ctx, o.DebugAddr, obs.DebugMux(o.Reg, o.Tracer)); err != nil {
 			log.Printf("debug listener: %v", err)
 		}
 	}()
-}
-
-// MetricsHandler serves /metricsz: the unified exposition (Prometheus
-// text; ?format=json for the per-path JSON shape).
-func (o *Obs) MetricsHandler() http.Handler {
-	return o.Reg.HandlerWithJSON(o.Metrics.Handler())
 }

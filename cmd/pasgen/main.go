@@ -80,7 +80,7 @@ func run(args []string, w io.Writer) error {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go func() {
-			if err := obs.ServeDebug(ctx, *debugAddr, obs.DebugMux(reg, nil, nil)); err != nil {
+			if err := obs.ServeDebug(ctx, *debugAddr, obs.DebugMux(reg, nil)); err != nil {
 				log.Printf("debug listener: %v", err)
 			}
 		}()

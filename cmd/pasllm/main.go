@@ -71,7 +71,7 @@ func main() {
 		httpmw.ConcurrencyLimit(128),
 		o.Metrics.Middleware(),
 	))
-	mux.Handle("/metricsz", o.MetricsHandler())
+	mux.Handle("/metricsz", o.Reg.Handler())
 
 	log.Printf("serving the model roster on %s", *addr)
 	srv := &http.Server{

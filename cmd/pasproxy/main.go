@@ -184,9 +184,8 @@ func main() {
 		httpmw.Tenant(),
 		o.Metrics.Middleware(),
 	))
-	// Served locally, not proxied: the unified metrics (Prometheus text;
-	// ?format=json for the old shape). /v1/stats is mounted per mode.
-	mux.Handle("/metricsz", o.MetricsHandler())
+	// Served locally, not proxied. /v1/stats is mounted per mode.
+	mux.Handle("/metricsz", o.Reg.Handler())
 
 	log.Printf("augmenting traffic to %s on %s", o.upstream, o.addr)
 	srv := &http.Server{

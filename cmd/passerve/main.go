@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -80,6 +81,33 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.drainLinger, "drain-linger", time.Second, "time to advertise draining before closing the listener, so routers stop sending traffic")
 	fs.DurationVar(&o.drainWait, "drain-deadline", 10*time.Second, "max total wait for in-flight and queued work to finish before exiting anyway")
 	return o
+}
+
+// newHandler assembles passerve's HTTP surface. POST /v1/augment, the
+// data plane, runs behind all seven middlewares. The control plane —
+// /v1/status, /healthz, /v1/stats, /v1/drain — runs behind the same
+// chain minus the concurrency limiter: a flood of augment requests must
+// not 503 the probe that tells the ring this replica is merely busy,
+// nor the drain an operator sends to take it out of rotation.
+func newHandler(sys *pas.System, o *daemon.Obs, concurrency int, logger *log.Logger) http.Handler {
+	type middleware = func(http.Handler) http.Handler
+	outer := []middleware{
+		httpmw.Recover(logger),
+		httpmw.RequestID(),
+		httpmw.Trace(o.Tracer, "passerve"),
+		httpmw.Logging(logger),
+	}
+	// The backstop prices its Retry-After from the core's queue-drain
+	// estimate, like the core's own sheds.
+	limiter := httpmw.ConcurrencyLimitHint(concurrency, sys.RetryAfterHint)
+	inner := []middleware{httpmw.Tenant(), o.Metrics.Middleware()}
+
+	api := sys.Handler()
+	mux := http.NewServeMux()
+	mux.Handle("/v1/augment", httpmw.Chain(api, slices.Concat(outer, []middleware{limiter}, inner)...))
+	mux.Handle("/", httpmw.Chain(api, slices.Concat(outer, inner)...))
+	mux.Handle("/metricsz", o.Reg.Handler())
+	return mux
 }
 
 func main() {
@@ -125,25 +153,10 @@ func main() {
 	sys.RegisterMetrics(o.Reg)
 	resilience.RegisterMetrics(o.Reg)
 
-	logger := log.New(os.Stderr, "passerve: ", 0)
-	mux := http.NewServeMux()
-	mux.Handle("/", httpmw.Chain(sys.Handler(),
-		httpmw.Recover(logger),
-		httpmw.RequestID(),
-		httpmw.Trace(o.Tracer, "passerve"),
-		httpmw.Logging(logger),
-		// The outer backstop prices its Retry-After from the core's
-		// queue-drain estimate, like the core's own sheds.
-		httpmw.ConcurrencyLimitHint(o.concurrency, sys.RetryAfterHint),
-		httpmw.Tenant(),
-		o.Metrics.Middleware(),
-	))
-	mux.Handle("/metricsz", o.MetricsHandler())
-
 	log.Printf("serving PAS (base %s) on %s", sys.BaseModel(), o.addr)
 	srv := &http.Server{
 		Addr:              o.addr,
-		Handler:           mux,
+		Handler:           newHandler(sys, o.Obs, o.concurrency, log.New(os.Stderr, "passerve: ", 0)),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,

@@ -1,8 +1,9 @@
 package chatapi
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // lruCache is a bounded, thread-safe LRU of completed chat responses.
@@ -10,35 +11,27 @@ import (
 // semantically transparent; on a real endpoint the same cache keyed on
 // (model, messages, seed) would serve seeded replays.
 type lruCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *cacheEntry
-	byKey map[string]*list.Element
+	mu  sync.Mutex
+	lru *lru.Cache[string, ChatResponse]
 
 	hits, misses int64
 }
 
-type cacheEntry struct {
-	key  string
-	resp ChatResponse
-}
-
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
+	return &lruCache{lru: lru.New[string, ChatResponse](capacity)}
 }
 
 // get returns a cached response and whether it was present.
 func (c *lruCache) get(key string) (ChatResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
+	resp, ok := c.lru.Get(key)
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return ChatResponse{}, false
 	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return el.Value.(*cacheEntry).resp, true
+	return resp, ok
 }
 
 // put stores a response, evicting the least recently used entry when
@@ -46,17 +39,7 @@ func (c *lruCache) get(key string) (ChatResponse, bool) {
 func (c *lruCache) put(key string, resp ChatResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).resp = resp
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, resp: resp})
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-	}
+	c.lru.Put(key, resp)
 }
 
 // stats returns hit/miss counters.
@@ -70,5 +53,5 @@ func (c *lruCache) stats() (hits, misses int64) {
 func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.Len()
 }

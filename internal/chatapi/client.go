@@ -123,14 +123,7 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.RegisterCollector(func(e *obs.Emitter) {
 		s := c.breaker.Stats()
-		state := 0.0
-		switch s.State {
-		case "half-open":
-			state = 1
-		case "open":
-			state = 2
-		}
-		e.Gauge("pas_chatapi_breaker_state", "Backend breaker state (0 closed, 1 half-open, 2 open).", state)
+		e.Gauge("pas_chatapi_breaker_state", "Backend breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
 		e.Counter("pas_chatapi_breaker_failures_total", "Failed backend calls recorded by the breaker.", float64(s.Failures))
 		e.Counter("pas_chatapi_breaker_opens_total", "Times the backend breaker opened.", float64(s.Opens))
 		e.Counter("pas_chatapi_breaker_rejections_total", "Calls rejected by the open breaker.", float64(s.Rejections))

@@ -32,7 +32,7 @@ func TestExemplarsResolveToStoredTraces(t *testing.T) {
 	app := httptest.NewServer(Chain(inner,
 		Recover(nil), RequestID(), Trace(tracer, "test"), metrics.Middleware()))
 	defer app.Close()
-	dbg := httptest.NewServer(obs.DebugMux(reg, tracer, metrics.Handler()))
+	dbg := httptest.NewServer(obs.DebugMux(reg, tracer))
 	defer dbg.Close()
 
 	for i := 0; i < 5; i++ {

@@ -218,35 +218,92 @@ func writeJSONError(w http.ResponseWriter, status int, msg string) {
 	}
 }
 
-// Metrics counts requests, errors, and latency by path. After
-// Register, it also feeds a per-path latency histogram whose buckets
-// carry trace-ID exemplars: a slow bucket on /metricsz?exemplars=1
-// names the exact trace to pull up in /debug/traces.
+// maxPaths bounds the distinct values of the path label: the first
+// maxPaths request paths seen keep their own series and every later one
+// pools under otherPath — the overflow rule serving.Config.MaxTenants
+// applies to tenants — because the path is chosen by the client.
+const (
+	maxPaths  = 64
+	otherPath = "other"
+)
+
+// Metrics records request latency and errors by path, straight into the
+// registry it is Registered on (before that its middleware records
+// nothing): pas_http_request_duration_seconds, whose _count and _sum
+// are the request count and total time and whose buckets carry trace-ID
+// exemplars — a slow bucket on /metricsz?exemplars=1 names the exact
+// trace to pull up in /debug/traces — and pas_http_errors_total.
 type Metrics struct {
+	hist obs.HistogramVec
+	errs obs.CounterVec
+
+	// paths caches the resolved children, copy-on-write: a request
+	// loads the map and indexes it, so the steady state joins no labels
+	// and takes no lock shared between paths; only the first request to
+	// one of the first maxPaths paths takes mu, to publish a new map.
+	paths atomic.Pointer[pathTable]
+	other *pathSeries
 	mu    sync.Mutex
-	paths map[string]*pathStats
-
-	// hist is set by Register; zero-valued (and skipped) before then.
-	hist    obs.HistogramVec
-	histSet bool
 }
 
-type pathStats struct {
-	Requests int64         `json:"requests"`
-	Errors   int64         `json:"errors"` // status >= 400
-	Total    time.Duration `json:"-"`
-	MeanMs   float64       `json:"mean_ms"`
+// pathTable is one immutable generation of the children cache.
+type pathTable struct{ byPath map[string]*pathSeries }
+
+// pathSeries is one path's resolved children.
+type pathSeries struct {
+	hist obs.Histogram
+	errs obs.Counter
 }
 
-// NewMetrics creates an empty metrics registry.
-func NewMetrics() *Metrics {
-	return &Metrics{paths: make(map[string]*pathStats)}
+// NewMetrics creates request metrics for Register to attach to a registry.
+func NewMetrics() *Metrics { return &Metrics{} }
+
+// Register creates the two families on reg. Call it once, before
+// serving traffic; storing the empty table is what publishes them.
+func (m *Metrics) Register(reg *obs.Registry) {
+	m.hist = reg.HistogramVec("pas_http_request_duration_seconds",
+		"HTTP request latency, by path.", obs.DefaultLatencyBuckets, "path")
+	m.errs = reg.CounterVec("pas_http_errors_total",
+		"HTTP responses with status >= 400, by path.", "path")
+	m.other = &pathSeries{m.hist.With(otherPath), m.errs.With(otherPath)}
+	m.paths.Store(&pathTable{})
 }
 
-// Middleware records every request into the registry. When the request
-// context carries a sampled span (Metrics sits inside the Trace
-// middleware in every daemon's chain), the latency observation also
-// attaches that trace id as the histogram bucket's exemplar.
+// series returns path's children, or nil before Register.
+func (m *Metrics) series(path string) *pathSeries {
+	t := m.paths.Load()
+	if t == nil {
+		return nil
+	}
+	if ps := t.byPath[path]; ps != nil {
+		return ps
+	}
+	if len(t.byPath) >= maxPaths {
+		return m.other
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t = m.paths.Load() // another first request may have published since
+	if ps := t.byPath[path]; ps != nil {
+		return ps
+	}
+	if len(t.byPath) >= maxPaths {
+		return m.other
+	}
+	grown := make(map[string]*pathSeries, len(t.byPath)+1)
+	for p, ps := range t.byPath {
+		grown[p] = ps
+	}
+	ps := &pathSeries{m.hist.With(path), m.errs.With(path)}
+	grown[path] = ps
+	m.paths.Store(&pathTable{grown})
+	return ps
+}
+
+// Middleware records every request. When the request context carries a
+// sampled span (Metrics sits inside the Trace middleware in every
+// daemon's chain), the latency observation also attaches that trace id
+// as the histogram bucket's exemplar.
 func (m *Metrics) Middleware() func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -254,80 +311,18 @@ func (m *Metrics) Middleware() func(http.Handler) http.Handler {
 			rec := obs.WrapResponseWriter(w)
 			next.ServeHTTP(rec, r)
 			dur := time.Since(start)
-			hist, ok := m.observe(r.URL.Path, rec.StatusOr200(), dur)
-			if ok {
-				h := hist.With(r.URL.Path)
-				if sc := obs.SpanContextFromContext(r.Context()); sc.Valid() && sc.Sampled {
-					h.ObserveExemplar(dur.Seconds(), sc.TraceID.String())
-				} else {
-					h.Observe(dur.Seconds())
-				}
+			ps := m.series(r.URL.Path)
+			if ps == nil {
+				return
 			}
+			if rec.StatusOr200() >= 400 {
+				ps.errs.Inc()
+			}
+			traceID := ""
+			if sc := obs.SpanContextFromContext(r.Context()); sc.Valid() && sc.Sampled {
+				traceID = sc.TraceID.String()
+			}
+			ps.hist.ObserveExemplar(dur.Seconds(), traceID)
 		})
 	}
-}
-
-// observe updates the per-path stats and returns the latency histogram
-// (set once by Register) so the caller can observe outside the lock.
-func (m *Metrics) observe(path string, status int, d time.Duration) (obs.HistogramVec, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps := m.paths[path]
-	if ps == nil {
-		ps = &pathStats{}
-		m.paths[path] = ps
-	}
-	ps.Requests++
-	if status >= 400 {
-		ps.Errors++
-	}
-	ps.Total += d
-	ps.MeanMs = float64(ps.Total.Milliseconds()) / float64(ps.Requests)
-	return m.hist, m.histSet
-}
-
-// Snapshot returns a copy of the per-path stats.
-func (m *Metrics) Snapshot() map[string]pathStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]pathStats, len(m.paths))
-	for p, s := range m.paths {
-		out[p] = *s
-	}
-	return out
-}
-
-// Register exposes the per-path stats on reg under the pas_http_
-// namespace, read at scrape time so the middleware's counters stay the
-// single source of truth. It also registers the
-// pas_http_request_duration_seconds histogram the middleware observes
-// into (with trace-ID exemplars for sampled requests).
-func (m *Metrics) Register(reg *obs.Registry) {
-	m.mu.Lock()
-	m.hist = reg.HistogramVec("pas_http_request_duration_seconds",
-		"HTTP request latency, by path.", obs.DefaultLatencyBuckets, "path")
-	m.histSet = true
-	m.mu.Unlock()
-	reg.RegisterCollector(func(e *obs.Emitter) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for path, ps := range m.paths {
-			e.Counter("pas_http_requests_total", "HTTP requests served, by path.",
-				float64(ps.Requests), "path", path)
-			e.Counter("pas_http_errors_total", "HTTP responses with status >= 400, by path.",
-				float64(ps.Errors), "path", path)
-			e.Counter("pas_http_request_seconds_sum", "Total time serving HTTP requests, by path.",
-				ps.Total.Seconds(), "path", path)
-		}
-	})
-}
-
-// Handler serves the metrics snapshot as JSON (mount at /metricsz).
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := json.NewEncoder(w).Encode(m.Snapshot()); err != nil {
-			log.Printf("httpmw: writing metrics: %v", err)
-		}
-	})
 }

@@ -289,8 +289,36 @@ func TestConcurrencyLimitSkipsCancelledClients(t *testing.T) {
 	}
 }
 
+// registeredMetrics returns request metrics attached to a fresh
+// registry, the only place their numbers live.
+func registeredMetrics() (*Metrics, *obs.Registry) {
+	m, reg := NewMetrics(), obs.NewRegistry()
+	m.Register(reg)
+	return m, reg
+}
+
+// pathCounts reads the per-path request counts (the latency histogram's
+// _count), total seconds (its _sum) and error counts off the registry.
+func pathCounts(reg *obs.Registry) (requests, seconds, errors map[string]float64) {
+	requests, seconds, errors = map[string]float64{}, map[string]float64{}, map[string]float64{}
+	for _, f := range reg.Gather() {
+		for _, s := range f.Samples {
+			path := s.Labels[0].Value
+			switch {
+			case f.Name == "pas_http_request_duration_seconds" && s.Suffix == "_count":
+				requests[path] = s.Value
+			case f.Name == "pas_http_request_duration_seconds" && s.Suffix == "_sum":
+				seconds[path] = s.Value
+			case f.Name == "pas_http_errors_total":
+				errors[path] = s.Value
+			}
+		}
+	}
+	return requests, seconds, errors
+}
+
 func TestMetricsCountsAndErrors(t *testing.T) {
-	m := NewMetrics()
+	m, reg := registeredMetrics()
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/bad" {
 			http.Error(w, "no", http.StatusBadRequest)
@@ -305,31 +333,110 @@ func TestMetricsCountsAndErrors(t *testing.T) {
 	}
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/bad", nil))
 
-	snap := m.Snapshot()
-	good, bad := snap["/good"], snap["/bad"]
-	if good.Requests != 3 || good.Errors != 0 {
-		t.Fatalf("good stats = %+v", good)
+	requests, seconds, errors := pathCounts(reg)
+	if requests["/good"] != 3 || errors["/good"] != 0 {
+		t.Fatalf("/good: %v requests, %v errors; want 3, 0", requests["/good"], errors["/good"])
 	}
-	if bad.Requests != 1 || bad.Errors != 1 {
-		t.Fatalf("bad stats = %+v", bad)
+	if requests["/bad"] != 1 || errors["/bad"] != 1 {
+		t.Fatalf("/bad: %v requests, %v errors; want 1, 1", requests["/bad"], errors["/bad"])
 	}
-	if good.MeanMs < 0 {
-		t.Fatalf("mean = %v", good.MeanMs)
+	if seconds["/good"] < 0.003 {
+		t.Fatalf("/good took %vs in total, want at least its three 1ms sleeps", seconds["/good"])
 	}
 }
 
-func TestMetricsHandlerServesJSON(t *testing.T) {
-	m := NewMetrics()
+// TestMetricsScrapeServesPathSeries: what the middleware recorded is on
+// the registry's /metricsz, with nothing else to mount.
+func TestMetricsScrapeServesPathSeries(t *testing.T) {
+	m, reg := registeredMetrics()
 	h := Chain(okHandler(), m.Middleware())
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/a", nil))
 
 	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricsz", nil))
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricsz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), `"/a"`) {
-		t.Fatalf("metrics body = %s", rec.Body.String())
+	for _, want := range []string{
+		`pas_http_request_duration_seconds_count{path="/a"} 1` + "\n",
+		`pas_http_errors_total{path="/a"} 0` + "\n",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("scrape missing %q:\n%s", want, rec.Body.String())
+		}
+	}
+}
+
+// TestMetricsPathCardinalityIsBounded: the path is chosen by the
+// client, so a scan over 10,000 URLs must not grow the registry by
+// 10,000 series. The first 64 paths keep exact counts, everything after
+// pools under path="other", nothing is lost, and the scrape still
+// parses.
+func TestMetricsPathCardinalityIsBounded(t *testing.T) {
+	m, reg := registeredMetrics()
+	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "7") {
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}), m.Middleware())
+	const total = 10000
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < total; i += 4 {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", fmt.Sprintf("/scan/%d", i), nil))
+			}
+		}(g)
+	}
+	wg.Wait()
+	// A second pass over ten of the paths: whichever side of the bound
+	// each landed on the first time, it lands there again.
+	for i := 0; i < 10; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", fmt.Sprintf("/scan/%d", i), nil))
+	}
+
+	requests, _, errors := pathCounts(reg)
+	if len(requests) > maxPaths+1 || len(errors) > maxPaths+1 {
+		t.Fatalf("%d latency children and %d error children, want at most %d each", len(requests), len(errors), maxPaths+1)
+	}
+	var sum, errSum float64
+	own := 0
+	for path, n := range requests {
+		sum += n
+		errSum += errors[path]
+		if path == otherPath {
+			continue
+		}
+		own++
+		var i int
+		if _, err := fmt.Sscanf(path, "/scan/%d", &i); err != nil {
+			t.Fatalf("unexpected path label %q", path)
+		}
+		want, wantErrs := 1.0, 0.0
+		if i < 10 {
+			want = 2
+		}
+		if i%10 == 7 {
+			wantErrs = want
+		}
+		if n != want || errors[path] != wantErrs {
+			t.Fatalf("%s: %v requests, %v errors; want %v, %v", path, n, errors[path], want, wantErrs)
+		}
+	}
+	if own != maxPaths {
+		t.Fatalf("%d paths kept their own series, want the first %d", own, maxPaths)
+	}
+	if sum != total+10 || errSum != total/10+1 {
+		t.Fatalf("counts reconcile to %v requests and %v errors, want %d and %d", sum, errSum, total+10, total/10+1)
+	}
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ParseExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatalf("scrape no longer parses: %v", err)
 	}
 }
 
@@ -467,7 +574,7 @@ func TestLoggingRecordsExplicitStatus(t *testing.T) {
 // 503 is a request AND an error — capacity rejections must not be
 // invisible in /metricsz.
 func TestMetricsCountLimiterSheds(t *testing.T) {
-	m := NewMetrics()
+	m, reg := registeredMetrics()
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -502,12 +609,12 @@ func TestMetricsCountLimiterSheds(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	snap := m.Snapshot()["/a"]
-	if snap.Requests != 2 {
-		t.Fatalf("requests = %d, want 2 (one served, one shed)", snap.Requests)
+	requests, _, errors := pathCounts(reg)
+	if requests["/a"] != 2 {
+		t.Fatalf("requests = %v, want 2 (one served, one shed)", requests["/a"])
 	}
-	if snap.Errors != 1 {
-		t.Fatalf("errors = %d, want the shed 503 counted", snap.Errors)
+	if errors["/a"] != 1 {
+		t.Fatalf("errors = %v, want the shed 503 counted", errors["/a"])
 	}
 }
 

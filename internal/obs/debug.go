@@ -14,10 +14,9 @@ import (
 //	/debug/pprof/*  net/http/pprof profiling (CPU, heap, goroutines, ...)
 //	/debug/traces   the tracer's recent and slowest traces as JSON
 //	/metricsz       the registry in Prometheus text exposition
-//	                (?format=json serves jsonMetrics when non-nil)
 //
 // Nil reg or tracer simply omit their endpoints.
-func DebugMux(reg *Registry, tracer *Tracer, jsonMetrics http.Handler) *http.ServeMux {
+func DebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -28,7 +27,7 @@ func DebugMux(reg *Registry, tracer *Tracer, jsonMetrics http.Handler) *http.Ser
 		mux.Handle("/debug/traces", tracer.Handler())
 	}
 	if reg != nil {
-		mux.Handle("/metricsz", reg.HandlerWithJSON(jsonMetrics))
+		mux.Handle("/metricsz", reg.Handler())
 	}
 	return mux
 }

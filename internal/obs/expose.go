@@ -4,7 +4,7 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -17,92 +17,80 @@ const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 // live (the 0.0.4 format has no syntax for them).
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// WriteText renders every family in Prometheus text exposition format:
-// sorted by metric name, HELP and TYPE lines first, samples sorted by
-// label signature, histograms as cumulative _bucket/_sum/_count lines.
-// The output is deterministic for a given registry state.
-func (r *Registry) WriteText(w io.Writer) error {
-	return r.writeExposition(w, false)
+// Family is one metric family — the # HELP / # TYPE header plus every
+// sample line under it — and the one form metrics travel in: Gather
+// produces it, ParseExposition reads it back from another process's
+// scrape, MergeExpositions combines it, Write renders it.
+type Family struct {
+	Name string
+	Help string
+	// Type is the TYPE line's value — counter, gauge, histogram,
+	// summary, or untyped when an exposition never declared one.
+	Type    string
+	Samples []Sample
 }
 
-// WriteOpenMetrics renders the same exposition in OpenMetrics flavor:
-// histogram bucket lines carry ` # {trace_id="..."} value` exemplar
-// suffixes where one was recorded (via Histogram.ObserveExemplar), and
-// the output ends with the mandatory `# EOF` terminator. Everything
-// else matches WriteText, so the two differ only where exemplars
-// require it.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.writeExposition(w, true)
+// Sample is one exposition line of its family. A histogram's series are
+// plain samples told apart by Suffix ("_bucket" with the bound as a
+// trailing le label, "_sum", "_count"), which is exactly what a
+// re-render or a merge needs; other samples have an empty Suffix.
+type Sample struct {
+	Suffix string
+	Labels []Attr
+	Value  float64
+	// Exemplar, on a gathered _bucket sample, is the last sampled
+	// observation that fell in that bucket; the zero value means none.
+	Exemplar Exemplar
 }
 
-func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
+// Exemplar links one observed value to the trace that produced it, in
+// the OpenMetrics sense, so a slow p99 bucket resolves to a span in
+// /debug/traces.
+type Exemplar struct {
+	TraceID string
+	Value   float64
+}
+
+// WriteText renders the registry in Prometheus text exposition format
+// 0.0.4. The output is deterministic for a given registry state.
+func (r *Registry) WriteText(w io.Writer) error { return Write(w, r.Gather(), false) }
+
+// WriteOpenMetrics renders the same exposition in OpenMetrics flavor,
+// the only one with syntax for trace-ID exemplars.
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return Write(w, r.Gather(), true) }
+
+// Write renders fams in the order given: per family a HELP line (when
+// there is help), a TYPE line, then one `name[suffix]{labels} value`
+// line per sample. With openMetrics, samples that carry an exemplar
+// gain a ` # {trace_id="..."} value` suffix and the output ends with
+// the mandatory `# EOF`; nothing else differs between the two flavors.
+func Write(w io.Writer, fams []Family, openMetrics bool) error {
 	var b strings.Builder
-	for _, f := range r.gather() {
-		if len(f.samples) == 0 && len(f.histograms) == 0 {
-			continue
+	for _, f := range fams {
+		if f.Help != "" {
+			b.WriteString("# HELP ")
+			b.WriteString(f.Name)
+			b.WriteByte(' ')
+			b.WriteString(escapeHelp(f.Help))
+			b.WriteByte('\n')
 		}
-		b.WriteString("# HELP ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(escapeHelp(f.help))
-		b.WriteByte('\n')
 		b.WriteString("# TYPE ")
-		b.WriteString(f.name)
+		b.WriteString(f.Name)
 		b.WriteByte(' ')
-		b.WriteString(f.typ)
+		b.WriteString(f.Type)
 		b.WriteByte('\n')
-
-		samples := append([]emittedSample(nil), f.samples...)
-		sort.Slice(samples, func(i, j int) bool {
-			return labelSignature(samples[i].labels) < labelSignature(samples[j].labels)
-		})
-		for _, s := range samples {
-			b.WriteString(f.name)
-			writeLabels(&b, s.labels, false, 0)
+		for _, s := range f.Samples {
+			b.WriteString(f.Name)
+			b.WriteString(s.Suffix)
+			writeLabels(&b, s.Labels)
 			b.WriteByte(' ')
-			b.WriteString(formatValue(s.value))
-			b.WriteByte('\n')
-		}
-
-		hists := append([]histogramSample(nil), f.histograms...)
-		sort.Slice(hists, func(i, j int) bool {
-			return labelSignature(hists[i].labels) < labelSignature(hists[j].labels)
-		})
-		for _, h := range hists {
-			// Bucket counts are cumulative; the implicit +Inf bucket
-			// equals _count. Exemplar slots are per-bucket
-			// (non-cumulative), so slot i annotates bucket i's line.
-			for i, bound := range h.bounds {
-				b.WriteString(f.name)
-				b.WriteString("_bucket")
-				writeLabels(&b, h.labels, true, bound)
-				b.WriteByte(' ')
-				b.WriteString(strconv.FormatInt(h.buckets[i], 10))
-				if openMetrics {
-					writeExemplar(&b, h.exemplars, i)
-				}
-				b.WriteByte('\n')
+			b.WriteString(formatValue(s.Value))
+			if openMetrics && s.Exemplar.TraceID != "" {
+				b.WriteString(` # {trace_id="`)
+				b.WriteString(escapeLabel(s.Exemplar.TraceID))
+				b.WriteString(`"} `)
+				b.WriteString(formatValue(s.Exemplar.Value))
 			}
-			b.WriteString(f.name)
-			b.WriteString("_bucket")
-			writeLabels(&b, h.labels, true, infBound)
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatInt(h.count, 10))
-			if openMetrics {
-				writeExemplar(&b, h.exemplars, len(h.bounds))
-			}
-			b.WriteByte('\n')
-			b.WriteString(f.name)
-			b.WriteString("_sum")
-			writeLabels(&b, h.labels, false, 0)
-			b.WriteByte(' ')
-			b.WriteString(formatValue(h.sum))
-			b.WriteByte('\n')
-			b.WriteString(f.name)
-			b.WriteString("_count")
-			writeLabels(&b, h.labels, false, 0)
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatInt(h.count, 10))
 			b.WriteByte('\n')
 		}
 	}
@@ -113,63 +101,50 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	return err
 }
 
-// writeExemplar appends an OpenMetrics exemplar suffix
-// (` # {trace_id="..."} value`) for slot i, if one was recorded.
-func writeExemplar(b *strings.Builder, exemplars []exemplar, i int) {
-	if i >= len(exemplars) || exemplars[i].traceID == "" {
-		return
-	}
-	b.WriteString(` # {trace_id="`)
-	b.WriteString(escapeLabel(exemplars[i].traceID))
-	b.WriteString(`"} `)
-	b.WriteString(formatValue(exemplars[i].value))
-}
-
-// infBound marks the implicit +Inf bucket for writeLabels.
-const infBound = -1
-
-// writeLabels renders the {k="v",...} block, appending the le bucket
-// bound when withLE is set; no labels and no le renders nothing.
-func writeLabels(b *strings.Builder, labels []Attr, withLE bool, bound float64) {
-	if len(labels) == 0 && !withLE {
+// writeLabels renders the {k="v",...} block; no labels renders nothing.
+func writeLabels(b *strings.Builder, labels []Attr) {
+	if len(labels) == 0 {
 		return
 	}
 	b.WriteByte('{')
-	first := true
-	for _, l := range labels {
-		if !first {
+	for i, l := range labels {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		first = false
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabel(l.Value))
 		b.WriteByte('"')
 	}
-	if withLE {
-		if !first {
-			b.WriteByte(',')
-		}
-		b.WriteString(`le="`)
-		if bound == infBound {
-			b.WriteString("+Inf")
-		} else {
-			b.WriteString(formatValue(bound))
-		}
-		b.WriteByte('"')
-	}
 	b.WriteByte('}')
 }
 
-func labelSignature(labels []Attr) string {
-	var b strings.Builder
-	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte('\x00')
-		b.WriteString(l.Value)
-		b.WriteByte('\x00')
+// sortSamples orders a family's samples by label signature. The sort is
+// stable and a _bucket sample's le does not count, so the series of one
+// histogram child stay together in the order they were produced.
+func sortSamples(samples []Sample) {
+	type keyed struct {
+		sig string
+		Sample
 	}
-	return b.String()
+	ks := make([]keyed, len(samples))
+	for i, s := range samples {
+		var b strings.Builder
+		for _, l := range s.Labels {
+			if s.Suffix == "_bucket" && l.Key == "le" {
+				continue
+			}
+			b.WriteString(l.Key)
+			b.WriteByte('\x00')
+			b.WriteString(l.Value)
+			b.WriteByte('\x00')
+		}
+		ks[i] = keyed{b.String(), s}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return strings.Compare(a.sig, b.sig) })
+	for i, k := range ks {
+		samples[i] = k.Sample
+	}
 }
 
 func formatValue(v float64) string {
@@ -188,23 +163,11 @@ func escapeLabel(s string) string {
 }
 
 // Handler serves the registry in text exposition format; mount at
-// GET /metricsz.
+// GET /metricsz. A scrape asking for OpenMetrics (Accept:
+// application/openmetrics-text, or ?exemplars=1 for humans) gets
+// WriteOpenMetrics, the only flavor that carries trace-ID exemplars.
 func (r *Registry) Handler() http.Handler {
-	return r.HandlerWithJSON(nil)
-}
-
-// HandlerWithJSON serves text exposition by default and delegates to
-// jsonFallback when the scrape asks for ?format=json — the shape the
-// pre-obs /metricsz served, kept for existing dashboards. A scrape
-// asking for OpenMetrics (Accept: application/openmetrics-text, or
-// ?exemplars=1 for humans) gets WriteOpenMetrics, which is the only
-// flavor that carries trace-ID exemplars.
-func (r *Registry) HandlerWithJSON(jsonFallback http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if jsonFallback != nil && req.URL.Query().Get("format") == "json" {
-			jsonFallback.ServeHTTP(w, req)
-			return
-		}
 		if req.URL.Query().Get("exemplars") == "1" ||
 			strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text") {
 			w.Header().Set("Content-Type", OpenMetricsContentType)

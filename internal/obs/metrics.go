@@ -10,14 +10,15 @@ import (
 )
 
 // Registry is the process-wide metrics registry: registered instruments
-// (counters, gauges, histograms) updated on the hot path, plus
-// scrape-time collectors for subsystems that already keep their own
-// counters (the serving core, breakers, caches). One Registry feeds
-// one /metricsz. Safe for concurrent use.
+// (counters, histograms) updated on the hot path, plus scrape-time
+// collectors for subsystems that already keep their own counters and
+// for every gauge (the serving core, breakers, caches, the runtime).
+// Every number leaves it the same way — Gather snapshots it into
+// []Family and Write renders that — so one Registry feeds one /metricsz.
+// Safe for concurrent use.
 type Registry struct {
 	mu         sync.Mutex
 	instr      map[string]*instrument
-	names      []string
 	collectors []Collector
 }
 
@@ -31,44 +32,39 @@ func NewRegistry() *Registry {
 	return &Registry{instr: make(map[string]*instrument)}
 }
 
-// instrument is one registered metric family and its children (one per
+// instrument is one metric family and its children (one per
 // label-value combination; the empty combination for unlabeled
 // instruments).
 type instrument struct {
 	name   string
 	help   string
-	typ    string // "counter", "gauge", "histogram"
+	typ    string // "counter" or "histogram"
 	labels []string
 	bounds []float64 // histograms only
 
 	mu       sync.Mutex
 	children map[string]*child
-	keys     []string
 }
 
 type child struct {
 	labelValues []string
 
-	// counter/gauge value: float64 bits, atomically updated.
+	// counter value: float64 bits, atomically updated.
 	bits atomic.Uint64
 
-	// histogram state, guarded by mu. exemplars holds the most recent
-	// exemplar per bucket (len(bounds)+1, the last slot for +Inf) and
-	// stays nil until the first ObserveExemplar.
+	// histogram state, guarded by mu. buckets holds per-bucket (not
+	// cumulative) counts, len(bounds)+1 with the last slot for +Inf;
+	// exemplars, the most recent exemplar per bucket, has the same
+	// shape and stays nil until the first ObserveExemplar.
 	mu        sync.Mutex
 	buckets   []int64
 	sum       float64
-	count     int64
-	exemplars []exemplar
+	exemplars []Exemplar
 }
 
-// exemplar links one observed value to the trace that produced it, in
-// the OpenMetrics sense: the last sampled observation landing in a
-// bucket, exposed so a slow p99 bucket resolves to a span in
-// /debug/traces.
-type exemplar struct {
-	traceID string
-	value   float64
+func newInstrument(name, help, typ string, bounds []float64, labels []string) *instrument {
+	return &instrument{name: name, help: help, typ: typ, labels: labels, bounds: bounds,
+		children: make(map[string]*child)}
 }
 
 func (r *Registry) register(name, help, typ string, bounds []float64, labels ...string) *instrument {
@@ -81,10 +77,8 @@ func (r *Registry) register(name, help, typ string, bounds []float64, labels ...
 		}
 		return in
 	}
-	in := &instrument{name: name, help: help, typ: typ, labels: labels, bounds: bounds,
-		children: make(map[string]*child)}
+	in := newInstrument(name, help, typ, bounds, labels)
 	r.instr[name] = in
-	r.names = append(r.names, name)
 	return in
 }
 
@@ -99,10 +93,9 @@ func (in *instrument) child(labelValues ...string) *child {
 	if !ok {
 		c = &child{labelValues: append([]string(nil), labelValues...)}
 		if in.typ == "histogram" {
-			c.buckets = make([]int64, len(in.bounds))
+			c.buckets = make([]int64, len(in.bounds)+1)
 		}
 		in.children[key] = c
-		in.keys = append(in.keys, key)
 	}
 	return c
 }
@@ -124,29 +117,6 @@ func (c Counter) Add(n float64) {
 	}
 }
 
-// Value returns the current count.
-func (c Counter) Value() float64 { return math.Float64frombits(c.c.bits.Load()) }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ c *child }
-
-// Set replaces the value.
-func (g Gauge) Set(v float64) { g.c.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the value by delta.
-func (g Gauge) Add(delta float64) {
-	for {
-		old := g.c.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.c.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
-
 // Histogram is a bounded-bucket distribution (cumulative buckets plus
 // sum and count, the Prometheus shape).
 type Histogram struct {
@@ -154,49 +124,38 @@ type Histogram struct {
 	bounds []float64
 }
 
-// Observe records one value.
-func (h Histogram) Observe(v float64) {
+// Observe records one value: one bucket increment under the child's own
+// mutex, no allocation.
+func (h Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
+
+// ObserveExemplar records one value and, when traceID is non-empty,
+// attaches it as the exemplar of the bucket the value falls in,
+// replacing that bucket's previous one. Exemplars appear only in the
+// OpenMetrics exposition (WriteOpenMetrics); WriteText stays
+// 0.0.4-clean.
+func (h Histogram) ObserveExemplar(v float64, traceID string) {
+	slot := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) is +Inf
 	h.c.mu.Lock()
-	for i, b := range h.bounds {
-		if v <= b {
-			h.c.buckets[i]++
-		}
-	}
+	h.c.buckets[slot]++
 	h.c.sum += v
-	h.c.count++
+	if traceID != "" {
+		if h.c.exemplars == nil {
+			h.c.exemplars = make([]Exemplar, len(h.bounds)+1)
+		}
+		h.c.exemplars[slot] = Exemplar{TraceID: traceID, Value: v}
+	}
 	h.c.mu.Unlock()
 }
 
-// ObserveExemplar records one value and attaches traceID as the
-// exemplar for the (non-cumulative) bucket the value falls in,
-// replacing that bucket's previous exemplar. An empty traceID degrades
-// to a plain Observe. Exemplars appear only in the OpenMetrics
-// exposition (WriteOpenMetrics); WriteText stays 0.0.4-clean.
-func (h Histogram) ObserveExemplar(v float64, traceID string) {
-	if traceID == "" {
-		h.Observe(v)
-		return
-	}
+// Count returns the number of observations so far.
+func (h Histogram) Count() int64 {
 	h.c.mu.Lock()
-	for i, b := range h.bounds {
-		if v <= b {
-			h.c.buckets[i]++
-		}
+	defer h.c.mu.Unlock()
+	var n int64
+	for _, b := range h.c.buckets {
+		n += b
 	}
-	h.c.sum += v
-	h.c.count++
-	if h.c.exemplars == nil {
-		h.c.exemplars = make([]exemplar, len(h.bounds)+1)
-	}
-	slot := len(h.bounds) // +Inf
-	for i, b := range h.bounds {
-		if v <= b {
-			slot = i
-			break
-		}
-	}
-	h.c.exemplars[slot] = exemplar{traceID: traceID, value: v}
-	h.c.mu.Unlock()
+	return n
 }
 
 // DefaultLatencyBuckets are exposition bounds for request latencies in
@@ -208,11 +167,6 @@ var DefaultLatencyBuckets = []float64{
 // Counter registers (or returns the existing) unlabeled counter.
 func (r *Registry) Counter(name, help string) Counter {
 	return Counter{r.register(name, help, "counter", nil).child()}
-}
-
-// Gauge registers (or returns the existing) unlabeled gauge.
-func (r *Registry) Gauge(name, help string) Gauge {
-	return Gauge{r.register(name, help, "gauge", nil).child()}
 }
 
 // Histogram registers (or returns the existing) unlabeled histogram
@@ -235,28 +189,25 @@ func (v CounterVec) With(labelValues ...string) Counter {
 	return Counter{v.in.child(labelValues...)}
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ in *instrument }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
-	return GaugeVec{r.register(name, help, "gauge", nil, labels...)}
-}
-
-// With returns the gauge for one label-value combination.
-func (v GaugeVec) With(labelValues ...string) Gauge {
-	return Gauge{v.in.child(labelValues...)}
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ in *instrument }
+
+// NewHistogramVec builds a histogram family that belongs to no
+// registry: its owner observes into it from the start and a collector
+// exposes it with Emitter.Histogram once a registry exists (the serving
+// core is built before, and in tests without, one).
+func NewHistogramVec(name, help string, bounds []float64, labels ...string) HistogramVec {
+	return HistogramVec{newInstrument(name, help, "histogram", bounds, labels)}
+}
 
 // HistogramVec registers a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) HistogramVec {
 	return HistogramVec{r.register(name, help, "histogram", bounds, labels...)}
 }
 
-// With returns the histogram for one label-value combination.
+// With returns the histogram for one label-value combination. It joins
+// the label values and takes the family's lock; hot paths resolve their
+// children once and keep them.
 func (v HistogramVec) With(labelValues ...string) Histogram {
 	return Histogram{v.in.child(labelValues...), v.in.bounds}
 }
@@ -269,36 +220,31 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.mu.Unlock()
 }
 
-// Emitter receives a collector's scrape-time samples. Families emitted
-// here merge with registered instruments in the exposition output.
+// Emitter receives one scrape's samples, from registered instruments
+// and collectors alike; same-named families merge.
 type Emitter struct {
-	fams  map[string]*emittedFamily
-	names []string
+	fams  []Family
+	index map[string]int
 }
 
-type emittedFamily struct {
-	name, help, typ string
-	samples         []emittedSample
-	histograms      []histogramSample
-}
-
-type emittedSample struct {
-	labels []Attr
-	value  float64
+// family returns the named family, valid until the next call.
+func (e *Emitter) family(name, help, typ string) *Family {
+	i, ok := e.index[name]
+	if !ok {
+		i = len(e.fams)
+		e.index[name] = i
+		e.fams = append(e.fams, Family{Name: name, Help: help, Type: typ})
+	}
+	return &e.fams[i]
 }
 
 func (e *Emitter) emit(name, help, typ string, value float64, labels []string) {
-	f, ok := e.fams[name]
-	if !ok {
-		f = &emittedFamily{name: name, help: help, typ: typ}
-		e.fams[name] = f
-		e.names = append(e.names, name)
-	}
-	s := emittedSample{value: value}
+	s := Sample{Value: value}
 	for i := 0; i+1 < len(labels); i += 2 {
-		s.labels = append(s.labels, Attr{Key: labels[i], Value: labels[i+1]})
+		s.Labels = append(s.Labels, Attr{Key: labels[i], Value: labels[i+1]})
 	}
-	f.samples = append(f.samples, s)
+	f := e.family(name, help, typ)
+	f.Samples = append(f.Samples, s)
 }
 
 // Counter emits one counter sample; labels lists key/value pairs.
@@ -311,82 +257,84 @@ func (e *Emitter) Gauge(name, help string, value float64, labels ...string) {
 	e.emit(name, help, "gauge", value, labels)
 }
 
-// gather snapshots every family — registered instruments first, then
-// collectors — sorted by name for a stable exposition.
-func (r *Registry) gather() []*emittedFamily {
+// Histogram emits every child of a histogram family its collector owns
+// (see NewHistogramVec).
+func (e *Emitter) Histogram(v HistogramVec) { e.instrument(v.in) }
+
+// instrument snapshots in's children into its family: one sample per
+// counter child; per histogram child the cumulative _bucket
+// series (le last, +Inf equal to _count, each carrying its bucket's
+// exemplar), then _sum and _count.
+func (e *Emitter) instrument(in *instrument) {
+	in.mu.Lock()
+	children := make([]*child, 0, len(in.children))
+	for _, c := range in.children {
+		children = append(children, c)
+	}
+	in.mu.Unlock()
+
+	f := e.family(in.name, in.help, in.typ)
+	for _, c := range children {
+		var labels []Attr
+		for i, l := range in.labels {
+			labels = append(labels, Attr{Key: l, Value: c.labelValues[i]})
+		}
+		if in.typ != "histogram" {
+			f.Samples = append(f.Samples, Sample{Labels: labels, Value: math.Float64frombits(c.bits.Load())})
+			continue
+		}
+		c.mu.Lock()
+		buckets := append([]int64(nil), c.buckets...)
+		exemplars := append([]Exemplar(nil), c.exemplars...)
+		sum := c.sum
+		c.mu.Unlock()
+		var count int64
+		for i, n := range buckets {
+			count += n
+			le := "+Inf"
+			if i < len(in.bounds) {
+				le = formatValue(in.bounds[i])
+			}
+			s := Sample{Suffix: "_bucket", Value: float64(count),
+				Labels: append(labels[:len(labels):len(labels)], Attr{Key: "le", Value: le})}
+			if exemplars != nil {
+				s.Exemplar = exemplars[i]
+			}
+			f.Samples = append(f.Samples, s)
+		}
+		f.Samples = append(f.Samples,
+			Sample{Suffix: "_sum", Labels: labels, Value: sum},
+			Sample{Suffix: "_count", Labels: labels, Value: float64(count)})
+	}
+}
+
+// Gather snapshots the registry — registered instruments first, then
+// collectors — in exposition order: families sorted by name, each one's
+// samples by label signature with a histogram child's series kept
+// together. Families with no samples are left out.
+func (r *Registry) Gather() []Family {
 	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	instr := make([]*instrument, 0, len(names))
-	for _, n := range names {
-		instr = append(instr, r.instr[n])
+	instr := make([]*instrument, 0, len(r.instr))
+	for _, in := range r.instr {
+		instr = append(instr, in)
 	}
 	collectors := append([]Collector(nil), r.collectors...)
 	r.mu.Unlock()
 
-	e := &Emitter{fams: make(map[string]*emittedFamily)}
+	e := &Emitter{index: make(map[string]int)}
 	for _, in := range instr {
-		e.gatherInstrument(in)
+		e.instrument(in)
 	}
 	for _, c := range collectors {
 		c(e)
 	}
-	fams := make([]*emittedFamily, 0, len(e.names))
-	for _, n := range e.names {
-		fams = append(fams, e.fams[n])
+	fams := e.fams[:0]
+	for _, f := range e.fams {
+		if len(f.Samples) > 0 {
+			sortSamples(f.Samples)
+			fams = append(fams, f)
+		}
 	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 	return fams
-}
-
-func (e *Emitter) gatherInstrument(in *instrument) {
-	in.mu.Lock()
-	keys := append([]string(nil), in.keys...)
-	children := make([]*child, 0, len(keys))
-	for _, k := range keys {
-		children = append(children, in.children[k])
-	}
-	in.mu.Unlock()
-
-	f, ok := e.fams[in.name]
-	if !ok {
-		f = &emittedFamily{name: in.name, help: in.help, typ: in.typ}
-		e.fams[in.name] = f
-		e.names = append(e.names, in.name)
-	}
-	for _, c := range children {
-		labels := make([]Attr, len(in.labels))
-		for i, l := range in.labels {
-			labels[i] = Attr{Key: l, Value: c.labelValues[i]}
-		}
-		switch in.typ {
-		case "histogram":
-			c.mu.Lock()
-			hs := histogramSample{
-				labels:  labels,
-				bounds:  in.bounds,
-				buckets: append([]int64(nil), c.buckets...),
-				sum:     c.sum,
-				count:   c.count,
-			}
-			if c.exemplars != nil {
-				hs.exemplars = append([]exemplar(nil), c.exemplars...)
-			}
-			c.mu.Unlock()
-			f.histograms = append(f.histograms, hs)
-		default:
-			f.samples = append(f.samples, emittedSample{labels: labels,
-				value: math.Float64frombits(c.bits.Load())})
-		}
-	}
-}
-
-type histogramSample struct {
-	labels  []Attr
-	bounds  []float64
-	buckets []int64
-	sum     float64
-	count   int64
-	// exemplars is nil or len(bounds)+1 (last slot +Inf); zero-value
-	// entries mean "no exemplar for this bucket".
-	exemplars []exemplar
 }

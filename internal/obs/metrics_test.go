@@ -18,7 +18,6 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("pas_requests_total", "Total requests served.").Add(42)
-	r.Gauge("pas_inflight", "Requests currently in flight.").Set(3)
 	rv := r.CounterVec("pas_cache_ops_total", "Cache operations by verdict.", "verdict")
 	rv.With("hit").Add(10)
 	rv.With("miss").Add(4)
@@ -29,6 +28,7 @@ func goldenRegistry() *Registry {
 	h.Observe(5)
 	r.RegisterCollector(func(e *Emitter) {
 		e.Gauge("pas_breaker_state", "Breaker state (0 closed, 1 open).", 0, "name", "llm")
+		e.Gauge("pas_inflight", "Requests currently in flight.", 3)
 		e.Counter("pas_retries_total", "Retry attempts.", 7)
 	})
 	return r
@@ -220,15 +220,15 @@ func TestRegistryReRegister(t *testing.T) {
 	c2 := r.Counter("pas_x_total", "x")
 	c1.Inc()
 	c2.Inc()
-	if c1.Value() != 2 {
-		t.Fatalf("re-registered counter is a different instrument: %v", c1.Value())
+	if got := r.Gather()[0].Samples[0].Value; got != 2 {
+		t.Fatalf("re-registered counter is a different instrument: %v", got)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("conflicting re-registration did not panic")
 		}
 	}()
-	r.Gauge("pas_x_total", "x")
+	r.Histogram("pas_x_total", "x", nil)
 }
 
 func TestLabelEscaping(t *testing.T) {
@@ -241,30 +241,6 @@ func TestLabelEscaping(t *testing.T) {
 	want := `pas_esc_total{path="a\"b\\c\nd"} 1`
 	if !strings.Contains(b.String(), want+"\n") {
 		t.Fatalf("escaped label missing; got:\n%s", b.String())
-	}
-}
-
-func TestHandlerJSONFallback(t *testing.T) {
-	r := goldenRegistry()
-	jsonCalled := false
-	h := r.HandlerWithJSON(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		jsonCalled = true
-		w.Header().Set("Content-Type", "application/json")
-	}))
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != TextContentType {
-		t.Fatalf("default content type = %q, want %q", ct, TextContentType)
-	}
-	if !strings.Contains(rec.Body.String(), "pas_requests_total 42") {
-		t.Fatalf("text body missing counter:\n%s", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz?format=json", nil))
-	if !jsonCalled {
-		t.Fatal("?format=json did not reach the JSON fallback")
 	}
 }
 

@@ -17,10 +17,11 @@
 //     promotion for errored and slow traces, browsable at
 //     /debug/traces.
 //
-//   - Metrics. A Registry holds counters, gauges, and bounded
-//     histograms — registered instruments for hot-path increments and
-//     scrape-time collectors for subsystems that already keep their own
-//     counters (the serving core, breakers, caches). One scrape at
+//   - Metrics. A Registry holds counters and bounded histograms —
+//     registered instruments for hot-path increments — and scrape-time
+//     collectors for subsystems that already keep their own counters
+//     and gauges (the serving core, breakers, caches). Gather snapshots
+//     both into []Family, the one form Write renders; one scrape at
 //     /metricsz serves the whole process in Prometheus text exposition
 //     format under the pas_ namespace.
 //

@@ -9,40 +9,19 @@ import (
 	"strings"
 )
 
-// This file is the read side of the exposition format WriteText emits:
-// a parser for Prometheus text format 0.0.4 and a merger that combines
-// several members' scrapes into one instance-labeled exposition. It
+// This file is the read side of the exposition format Write emits: a
+// parser for Prometheus text format 0.0.4 and a merger that combines
+// several members' scrapes into one instance-labeled []Family. It
 // exists so a fleet fronted by one proxy can serve a cluster-wide
 // /metricsz without adding a metrics dependency — the proxy scrapes
 // each member, parses, tags with instance, and re-renders.
 
-// Family is one parsed metric family: the # HELP / # TYPE header plus
-// every sample line attributed to it. Histogram families keep their
-// _bucket/_sum/_count series as plain samples (Sample.Suffix records
-// which), which is exactly what a re-render or a sum needs.
-type Family struct {
-	Name string
-	Help string
-	// Type is the TYPE line's value — counter, gauge, histogram,
-	// summary, or untyped when the exposition never declared one.
-	Type    string
-	Samples []Sample
-}
-
-// Sample is one exposition line. For histogram series Suffix is
-// "_bucket", "_sum" or "_count" and Name is the family name; plain
-// families have an empty Suffix.
-type Sample struct {
-	Name   string
-	Suffix string
-	Labels []Attr
-	Value  float64
-}
-
 // ParseExposition reads a text exposition and groups samples into
-// families. Unknown comment lines are skipped; a malformed sample or
-// label set is an error naming the line. The zero exposition parses to
-// an empty slice.
+// families, in the order the exposition first names them. A histogram's
+// (or summary's) suffixed series fold into their declared family, which
+// is why a TYPE line must come before its family's samples. Unknown
+// comment lines are skipped; a malformed sample or label set is an
+// error naming the line. The zero exposition parses to an empty slice.
 func ParseExposition(r io.Reader) ([]Family, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -81,31 +60,36 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 				if name == "" || typ == "" {
 					return nil, fmt.Errorf("obs: line %d: TYPE needs a name and a type", lineNo)
 				}
-				fam(name).Type = typ
+				f := fam(name)
+				if len(f.Samples) > 0 {
+					return nil, fmt.Errorf("obs: line %d: TYPE %s after its samples", lineNo, name)
+				}
+				f.Type = typ
 			default:
 				// Plain comment; the format allows them anywhere.
 			}
 			continue
 		}
 
-		s, err := parseSampleLine(line)
+		name, s, err := parseSampleLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
 		}
 		// Histogram/summary series carry suffixed sample names; fold
 		// them into the declared base family.
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			base := strings.TrimSuffix(s.Name, suf)
-			if base == s.Name {
+			base := strings.TrimSuffix(name, suf)
+			if base == name {
 				continue
 			}
 			if f, ok := byName[base]; ok && (f.Type == "histogram" || f.Type == "summary") {
 				s.Suffix = suf
-				s.Name = base
+				name = base
 				break
 			}
 		}
-		fam(s.Name).Samples = append(fam(s.Name).Samples, s)
+		f := fam(name)
+		f.Samples = append(f.Samples, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: reading exposition: %w", err)
@@ -119,28 +103,23 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 }
 
 // parseSampleLine splits `name[{labels}] value [timestamp]`.
-func parseSampleLine(line string) (Sample, error) {
-	var s Sample
-	rest := line
-	if i := strings.IndexAny(rest, "{ \t"); i < 0 {
-		return s, fmt.Errorf("sample %q has no value", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
+func parseSampleLine(line string) (name string, s Sample, err error) {
+	i := strings.IndexAny(line, "{ \t")
+	if i < 0 {
+		return "", s, fmt.Errorf("sample %q has no value", line)
 	}
-	if s.Name == "" {
-		return s, fmt.Errorf("sample %q has no metric name", line)
+	if i == 0 {
+		return "", s, fmt.Errorf("sample %q has no metric name", line)
 	}
+	name, rest := line[:i], line[i:]
 	if strings.HasPrefix(rest, "{") {
 		end := labelBlockEnd(rest)
 		if end < 0 {
-			return s, fmt.Errorf("unterminated label block in %q", line)
+			return "", s, fmt.Errorf("unterminated label block in %q", line)
 		}
-		labels, err := parseLabels(rest[1:end])
-		if err != nil {
-			return s, err
+		if s.Labels, err = parseLabels(rest[1:end]); err != nil {
+			return "", s, err
 		}
-		s.Labels = labels
 		rest = rest[end+1:]
 	}
 	// OpenMetrics bucket lines may carry an exemplar suffix after the
@@ -151,16 +130,14 @@ func parseSampleLine(line string) (Sample, error) {
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 {
-		return s, fmt.Errorf("sample %q has no value", line)
+		return "", s, fmt.Errorf("sample %q has no value", line)
 	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return s, fmt.Errorf("sample %q: bad value: %w", line, err)
+	if s.Value, err = strconv.ParseFloat(fields[0], 64); err != nil {
+		return "", s, fmt.Errorf("sample %q: bad value: %w", line, err)
 	}
-	s.Value = v
 	// fields[1], when present, is a timestamp; the merge is a snapshot
 	// so it is deliberately dropped.
-	return s, nil
+	return name, s, nil
 }
 
 // labelBlockEnd finds the index of the closing brace of a label block
@@ -235,10 +212,11 @@ func parseLabels(s string) ([]Attr, error) {
 	return out, nil
 }
 
-func unescapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\n`, "\n")
-	return strings.ReplaceAll(s, `\\`, `\`)
-}
+// helpUnescaper inverts escapeHelp in one left-to-right pass, so an
+// escaped backslash followed by an n stays a backslash and an n.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+
+func unescapeHelp(s string) string { return helpUnescaper.Replace(s) }
 
 // ScrapedExposition is one member's parsed /metricsz, tagged with the
 // instance identity the merge stamps onto every sample.
@@ -249,8 +227,8 @@ type ScrapedExposition struct {
 
 // MergeExpositions combines several members' expositions into one: each
 // sample gains an instance="<member>" label (prepended, so a family's
-// samples group by member in the sorted output) and families with the
-// same name concatenate. HELP and TYPE come from the first member that
+// samples group by member) and families with the same name concatenate;
+// the result is in exposition order, like Gather's. HELP and TYPE come from the first member that
 // declared them. Series are kept per-instance rather than summed —
 // gauges and histogram buckets do not aggregate meaningfully without
 // knowing each family's semantics, and a rollup that preserves the
@@ -273,12 +251,8 @@ func MergeExpositions(members []ScrapedExposition) []Family {
 				out.Type = f.Type
 			}
 			for _, s := range f.Samples {
-				tagged := Sample{
-					Name:   s.Name,
-					Suffix: s.Suffix,
-					Value:  s.Value,
-					Labels: make([]Attr, 0, len(s.Labels)+1),
-				}
+				tagged := s
+				tagged.Labels = make([]Attr, 0, len(s.Labels)+1)
 				tagged.Labels = append(tagged.Labels, Attr{Key: "instance", Value: m.Instance})
 				tagged.Labels = append(tagged.Labels, s.Labels...)
 				out.Samples = append(out.Samples, tagged)
@@ -287,65 +261,11 @@ func MergeExpositions(members []ScrapedExposition) []Family {
 	}
 	fams := make([]Family, 0, len(order))
 	for _, n := range order {
+		sortSamples(byName[n].Samples)
 		fams = append(fams, *byName[n])
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 	return fams
-}
-
-// WriteFamilies renders parsed (or merged) families back to text
-// exposition format, deterministically: families sorted by name,
-// samples by suffix then label signature.
-func WriteFamilies(w io.Writer, fams []Family) error {
-	sorted := append([]Family(nil), fams...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var b strings.Builder
-	for _, f := range sorted {
-		if len(f.Samples) == 0 {
-			continue
-		}
-		if f.Help != "" {
-			b.WriteString("# HELP ")
-			b.WriteString(f.Name)
-			b.WriteByte(' ')
-			b.WriteString(escapeHelp(f.Help))
-			b.WriteByte('\n')
-		}
-		b.WriteString("# TYPE ")
-		b.WriteString(f.Name)
-		b.WriteByte(' ')
-		b.WriteString(f.Type)
-		b.WriteByte('\n')
-		samples := append([]Sample(nil), f.Samples...)
-		sort.SliceStable(samples, func(i, j int) bool {
-			if samples[i].Suffix != samples[j].Suffix {
-				return suffixRank(samples[i].Suffix) < suffixRank(samples[j].Suffix)
-			}
-			return labelSignature(samples[i].Labels) < labelSignature(samples[j].Labels)
-		})
-		for _, s := range samples {
-			b.WriteString(s.Name)
-			b.WriteString(s.Suffix)
-			writeLabels(&b, s.Labels, false, 0)
-			b.WriteByte(' ')
-			b.WriteString(formatValue(s.Value))
-			b.WriteByte('\n')
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func suffixRank(s string) int {
-	switch s {
-	case "_bucket":
-		return 0
-	case "_sum":
-		return 1
-	case "_count":
-		return 2
-	}
-	return 3
 }
 
 // cutSpace splits at the first run of spaces/tabs.

@@ -14,14 +14,16 @@ var ErrOpen = errors.New("resilience: circuit open")
 // State is a breaker position.
 type State int
 
+// The numeric values are what the *_breaker_state gauges export, in
+// order of severity.
 const (
 	// Closed: traffic flows; consecutive failures are counted.
 	Closed State = iota
-	// Open: traffic is rejected outright until the cooldown elapses.
-	Open
 	// HalfOpen: up to HalfOpenProbes requests are admitted to test the
 	// backend; everyone else is still rejected.
 	HalfOpen
+	// Open: traffic is rejected outright until the cooldown elapses.
+	Open
 )
 
 func (s State) String() string {

@@ -594,16 +594,7 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_ring_members_added_total", "Members joined at runtime.", float64(adds))
 		e.Counter("pas_ring_members_removed_total", "Members retired at runtime.", float64(removes))
 		for _, m := range s.Members {
-			state := 0.0
-			switch m.State {
-			case "suspect":
-				state = 1
-			case "down":
-				state = 2
-			case "draining":
-				state = 3
-			}
-			e.Gauge("pas_ring_member_state", "Member health (0 up, 1 suspect, 2 down, 3 draining).", state, "replica", m.URL)
+			e.Gauge("pas_ring_member_state", "Member health (0 up, 1 suspect, 2 down, 3 draining).", float64(m.state), "replica", m.URL)
 			e.Counter("pas_ring_probes_total", "Health probes issued.", float64(m.Probes), "replica", m.URL)
 			e.Counter("pas_ring_probe_failures_total", "Health probes failed.", float64(m.ProbeFails), "replica", m.URL)
 			e.Counter("pas_ring_member_downs_total", "Evictions of the member from the ring.", float64(m.Downs), "replica", m.URL)

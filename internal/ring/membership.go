@@ -483,6 +483,7 @@ func (m *Membership) failCount(url string) int {
 type MemberStatus struct {
 	URL   string `json:"url"`
 	State string `json:"state"`
+	state State  // State as the enum, for the pas_ring_member_state gauge
 	// Fails is the consecutive-failure streak; 0 for a healthy member.
 	Fails   int    `json:"fails,omitempty"`
 	LastErr string `json:"last_error,omitempty"`
@@ -507,6 +508,7 @@ func (m *Membership) Snapshot() []MemberStatus {
 		out = append(out, MemberStatus{
 			URL:        mem.url,
 			State:      mem.state.String(),
+			state:      mem.state,
 			Fails:      mem.fails,
 			LastErr:    mem.lastErr,
 			Pressure:   mem.pressure,

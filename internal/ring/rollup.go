@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,12 +53,10 @@ func (c *Client) MetricsRollup(local *obs.Registry, timeout time.Duration) http.
 					ok, fams = 0, nil
 				}
 				fams = append(fams, obs.Family{
-					Name: scrapeOKName,
-					Help: "Whether the last rollup scrape of this instance succeeded.",
-					Type: "gauge",
-					Samples: []obs.Sample{
-						{Name: scrapeOKName, Value: ok},
-					},
+					Name:    scrapeOKName,
+					Help:    "Whether the last rollup scrape of this instance succeeded.",
+					Type:    "gauge",
+					Samples: []obs.Sample{{Value: ok}},
 				})
 				scrapes[i] = obs.ScrapedExposition{Instance: url, Families: fams}
 			}(i, m.URL)
@@ -67,18 +64,13 @@ func (c *Client) MetricsRollup(local *obs.Registry, timeout time.Duration) http.
 		wg.Wait()
 
 		if local != nil {
-			var b strings.Builder
-			if err := local.WriteText(&b); err == nil {
-				if fams, err := obs.ParseExposition(strings.NewReader(b.String())); err == nil {
-					scrapes = append(scrapes, obs.ScrapedExposition{Instance: localInstance, Families: fams})
-				}
-			}
+			scrapes = append(scrapes, obs.ScrapedExposition{Instance: localInstance, Families: local.Gather()})
 		}
 
 		merged := obs.MergeExpositions(scrapes)
 		span.SetAttr("ring.members", fmt.Sprint(len(members)))
 		w.Header().Set("Content-Type", obs.TextContentType)
-		if err := obs.WriteFamilies(w, merged); err != nil {
+		if err := obs.Write(w, merged, false); err != nil {
 			obs.AddEvent(ctx, "ring.rollup_write_error", "cause", err.Error())
 		}
 	})

@@ -1,16 +1,16 @@
 package serving
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/textkit"
 )
 
 // cache is a sharded TTL-LRU of complement results. Sharding by key hash
 // keeps lock contention bounded under concurrent load: each shard has its
-// own mutex, recency list, and counters, so N cores hitting N different
+// own mutex, LRU (internal/lru), and counters, so N cores hitting N different
 // keys rarely serialize on the same lock. A TTL bounds staleness when the
 // underlying model is hot-swapped or retrained; with the fixed
 // deterministic mapping p -> p_c of a single model, entries never go
@@ -22,16 +22,13 @@ type cache struct {
 }
 
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *cacheEntry
-	byKey map[string]*list.Element
+	mu  sync.Mutex
+	lru *lru.Cache[string, cacheEntry]
 
 	hits, misses, evictions, expiries int64
 }
 
 type cacheEntry struct {
-	key     string
 	val     string
 	expires time.Time // zero when the cache has no TTL
 }
@@ -49,11 +46,7 @@ func newCache(size, shards int, ttl time.Duration, now func() time.Time) *cache 
 	perShard := (size + shards - 1) / shards
 	c := &cache{shards: make([]*cacheShard, shards), ttl: ttl, now: now}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			cap:   perShard,
-			order: list.New(),
-			byKey: make(map[string]*list.Element),
-		}
+		c.shards[i] = &cacheShard{lru: lru.New[string, cacheEntry](perShard)}
 	}
 	return c
 }
@@ -69,20 +62,17 @@ func (c *cache) get(key string) (string, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.byKey[key]
+	e, ok := s.lru.Get(key)
 	if !ok {
 		s.misses++
 		return "", false
 	}
-	e := el.Value.(*cacheEntry)
 	if c.ttl > 0 && c.now().After(e.expires) {
-		s.order.Remove(el)
-		delete(s.byKey, key)
+		s.lru.Remove(key)
 		s.expiries++
 		s.misses++
 		return "", false
 	}
-	s.order.MoveToFront(el)
 	s.hits++
 	return e.val, true
 }
@@ -97,18 +87,7 @@ func (c *cache) put(key, val string) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.val = val
-		e.expires = expires
-		s.order.MoveToFront(el)
-		return
-	}
-	s.byKey[key] = s.order.PushFront(&cacheEntry{key: key, val: val, expires: expires})
-	if s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.byKey, oldest.Value.(*cacheEntry).key)
+	if s.lru.Put(key, cacheEntry{val: val, expires: expires}) {
 		s.evictions++
 	}
 }
@@ -130,7 +109,7 @@ func (c *cache) stats() CacheStats {
 		out.Misses += s.misses
 		out.Evictions += s.evictions
 		out.Expiries += s.expiries
-		out.Entries += s.order.Len()
+		out.Entries += s.lru.Len()
 		s.mu.Unlock()
 	}
 	return out

@@ -271,7 +271,6 @@ type Core struct {
 	draining atomic.Bool
 
 	requests      int64
-	completed     int64
 	dedupHits     int64
 	shedQueueFull int64
 	shedDeadline  int64
@@ -281,7 +280,30 @@ type Core struct {
 	servedTrim    int64
 	servedRaw     int64
 
-	lat *latencyRing
+	// durations is the one record of completed requests (Stats().Completed
+	// is its total); finish observes into lat, its children resolved once
+	// in New. The core owns it because cores are built before — and in
+	// tests without — a registry; RegisterMetrics exposes it.
+	durations obs.HistogramVec
+	lat       [len(outcomeNames)][LevelTrim + 1]obs.Histogram
+}
+
+// outcome is how a completed request got its answer.
+type outcome int
+
+const (
+	outcomeHit      outcome = iota // served from the result cache
+	outcomeShared                  // attached to another request's computation
+	outcomeComputed                // ran the computation (single-flight leader)
+)
+
+var outcomeNames = [...]string{"hit", "shared", "computed"}
+
+// durationBounds are the duration histogram's bucket bounds in seconds:
+// cache hits finish within microseconds, computations within
+// milliseconds, and queue waits stretch to QueueWait and beyond.
+var durationBounds = []float64{
+	0.00001, 0.0001, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
 // New builds a serving core around fn.
@@ -314,7 +336,14 @@ func New(fn Func, cfg Config) (*Core, error) {
 			MaxDelay:    200 * time.Millisecond,
 			Budget:      cfg.RetryBudget,
 		},
-		lat: newLatencyRing(latencyWindow),
+		durations: obs.NewHistogramVec("pas_serving_request_duration_seconds",
+			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed) and ladder rung.",
+			durationBounds, "outcome", "level"),
+	}
+	for o, name := range outcomeNames {
+		for _, l := range []Level{LevelFull, LevelTrim} {
+			c.lat[o][l] = c.durations.With(name, l.String())
+		}
 	}
 	if cfg.CheapFn != nil {
 		c.cheap = cfg.CheapFn
@@ -435,7 +464,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 			lookup.SetStatus("hit")
 			lookup.End()
 			span.SetStatus("cache_hit")
-			c.finish(start)
+			c.finish(start, outcomeHit, LevelFull)
 			return v, LevelFull, nil
 		}
 		lookup.SetStatus("miss")
@@ -474,14 +503,16 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 				c.gauge.observe(0, utilization(inflight, limit))
 				span.SetStatus("brownout_trim_hit")
 				atomic.AddInt64(&c.servedTrim, 1)
-				c.finish(start)
+				c.finish(start, outcomeHit, LevelTrim)
 				return v, LevelTrim, nil
 			}
 		}
 	}
 
 	v, shared, err := c.compute(ctx, key, fn, prompt, salt)
+	how := outcomeComputed
 	if shared {
+		how = outcomeShared
 		atomic.AddInt64(&c.dedupHits, 1)
 		span.SetAttr("singleflight.role", "follower")
 	}
@@ -492,7 +523,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	if level == LevelTrim {
 		atomic.AddInt64(&c.servedTrim, 1)
 	}
-	c.finish(start)
+	c.finish(start, how, level)
 	return v, level, nil
 }
 
@@ -612,9 +643,11 @@ func utilization(inflight, limit int) float64 {
 	return float64(inflight) / float64(limit)
 }
 
-func (c *Core) finish(start time.Time) {
-	atomic.AddInt64(&c.completed, 1)
-	c.lat.observe(c.cfg.Now().Sub(start))
+// finish records a served request: an array index into the children
+// New resolved, then that child's own mutex — no map lookup, no label
+// join, no allocation.
+func (c *Core) finish(start time.Time, how outcome, level Level) {
+	c.lat[how][level].Observe(c.cfg.Now().Sub(start).Seconds())
 }
 
 // RetryAfter is the backoff hint, in whole seconds, a shed response

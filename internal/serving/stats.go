@@ -4,58 +4,11 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
-
-// latencyWindow is how many recent request latencies the quantile
-// estimator keeps. A sliding window keeps the quantiles responsive to
-// load changes while bounding memory; 4096 float64s is 32KiB.
-const latencyWindow = 4096
-
-// latencyRing is a fixed-size ring of recent latencies in
-// milliseconds.
-type latencyRing struct {
-	mu   sync.Mutex
-	buf  []float64
-	next int
-	full bool
-}
-
-func newLatencyRing(n int) *latencyRing {
-	return &latencyRing{buf: make([]float64, n)}
-}
-
-func (r *latencyRing) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	r.mu.Lock()
-	r.buf[r.next] = ms
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// snapshot copies the observed window (in insertion-independent order;
-// quantiles sort anyway).
-func (r *latencyRing) snapshot() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]float64, n)
-	copy(out, r.buf[:n])
-	return out
-}
 
 // Stats is a point-in-time snapshot of the serving core, shaped for
 // the GET /v1/stats JSON body.
@@ -67,7 +20,10 @@ type Stats struct {
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
 
-	Requests  int64 `json:"requests"`
+	Requests int64 `json:"requests"`
+	// Completed counts served requests: the total of the
+	// pas_serving_request_duration_seconds histogram, which /metricsz
+	// breaks down by outcome and rung.
 	Completed int64 `json:"completed"`
 
 	// Shed totals the load-shedding outcomes; the components tell
@@ -123,12 +79,6 @@ type Stats struct {
 	Cache CacheStats `json:"cache"`
 	// CacheHitRatio is hits/(hits+misses), 0 when no lookups yet.
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
-
-	// Latency quantiles over the recent completed-request window, in
-	// milliseconds.
-	LatencyP50Ms float64 `json:"latency_p50_ms"`
-	LatencyP95Ms float64 `json:"latency_p95_ms"`
-	LatencyP99Ms float64 `json:"latency_p99_ms"`
 }
 
 // Stats returns a consistent-enough snapshot (counters are read
@@ -140,7 +90,6 @@ func (c *Core) Stats() Stats {
 		QueueDepth:    waiting,
 		QueueCapacity: c.cfg.QueueDepth,
 		Requests:      atomic.LoadInt64(&c.requests),
-		Completed:     atomic.LoadInt64(&c.completed),
 		ShedQueueFull: atomic.LoadInt64(&c.shedQueueFull),
 		ShedDeadline:  atomic.LoadInt64(&c.shedDeadline),
 		ShedBreaker:   atomic.LoadInt64(&c.shedBreaker),
@@ -150,6 +99,11 @@ func (c *Core) Stats() Stats {
 		AdaptiveLimit: c.limiter.Stats(),
 		ServedTrim:    atomic.LoadInt64(&c.servedTrim),
 		ServedRaw:     atomic.LoadInt64(&c.servedRaw),
+	}
+	for _, byLevel := range c.lat {
+		for _, h := range byLevel {
+			s.Completed += h.Count()
+		}
 	}
 	s.Limit = s.AdaptiveLimit.Current
 	s.DedupHits = atomic.LoadInt64(&c.dedupHits)
@@ -172,19 +126,17 @@ func (c *Core) Stats() Stats {
 			s.CacheHitRatio = float64(s.Cache.Hits) / float64(lookups)
 		}
 	}
-	lats := c.lat.snapshot()
-	s.LatencyP50Ms = metrics.QuantileOrZero(lats, 0.50)
-	s.LatencyP95Ms = metrics.QuantileOrZero(lats, 0.95)
-	s.LatencyP99Ms = metrics.QuantileOrZero(lats, 0.99)
 	return s
 }
 
-// RegisterMetrics exposes the core's counters on reg under the
-// pas_serving_ namespace, read from Stats at scrape time so the core's
-// atomics stay the single source of truth.
+// RegisterMetrics exposes the core on reg under the pas_serving_
+// namespace: its counters, read from Stats at scrape time so the core's
+// atomics stay the single source of truth, and the duration histogram
+// it owns.
 func (c *Core) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
 		s := c.Stats()
+		e.Histogram(c.durations)
 		e.Gauge("pas_serving_in_flight", "Complement computations running now.", float64(s.InFlight))
 		e.Gauge("pas_serving_queue_depth", "Requests waiting for a computation slot.", float64(s.QueueDepth))
 		e.Counter("pas_serving_requests_total", "Requests entering the serving core.", float64(s.Requests))
@@ -207,14 +159,7 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_serving_limit_raises_total", "Additive increases applied to the concurrency limit.", float64(s.AdaptiveLimit.Raises))
 		e.Counter("pas_serving_limit_cuts_total", "Multiplicative decreases applied to the concurrency limit.", float64(s.AdaptiveLimit.Cuts))
 		e.Gauge("pas_serving_pressure_score", "Overload pressure score in [0, 1] (queue wait + limit headroom).", s.PressureScore)
-		levelNum := 0.0
-		switch s.PressureLevel {
-		case "trim":
-			levelNum = 1
-		case "raw":
-			levelNum = 2
-		}
-		e.Gauge("pas_serving_pressure_level", "Brownout ladder rung (0 full, 1 trim, 2 raw).", levelNum)
+		e.Gauge("pas_serving_pressure_level", "Brownout ladder rung (0 full, 1 trim, 2 raw).", float64(c.gauge.current()))
 		e.Counter("pas_serving_pressure_transitions_total", "Brownout ladder rung changes.", float64(s.PressureTransitions))
 		e.Counter("pas_serving_brownout_total", "Responses served below full quality, by rung.",
 			float64(s.ServedTrim), "level", "trim")
@@ -239,21 +184,8 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_serving_cache_evictions_total", "Result-cache LRU evictions.", float64(s.Cache.Evictions))
 		e.Counter("pas_serving_cache_expiries_total", "Result-cache TTL expiries.", float64(s.Cache.Expiries))
 		e.Gauge("pas_serving_cache_entries", "Result-cache entries resident.", float64(s.Cache.Entries))
-		e.Gauge("pas_serving_latency_ms", "Recent-window latency quantiles in milliseconds.",
-			s.LatencyP50Ms, "quantile", "0.5")
-		e.Gauge("pas_serving_latency_ms", "Recent-window latency quantiles in milliseconds.",
-			s.LatencyP95Ms, "quantile", "0.95")
-		e.Gauge("pas_serving_latency_ms", "Recent-window latency quantiles in milliseconds.",
-			s.LatencyP99Ms, "quantile", "0.99")
 		if s.Breaker != nil {
-			state := 0.0
-			switch s.Breaker.State {
-			case "half-open":
-				state = 1
-			case "open":
-				state = 2
-			}
-			e.Gauge("pas_serving_breaker_state", "Augmentation breaker state (0 closed, 1 half-open, 2 open).", state)
+			e.Gauge("pas_serving_breaker_state", "Augmentation breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
 			e.Counter("pas_serving_breaker_opens_total", "Times the augmentation breaker opened.", float64(s.Breaker.Opens))
 			e.Counter("pas_serving_breaker_rejections_total", "Requests rejected by the open breaker.", float64(s.Breaker.Rejections))
 		}

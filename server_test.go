@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serving"
 )
 
@@ -76,8 +80,71 @@ func TestServedAugmentMatchesDirectAndCaches(t *testing.T) {
 	if stats.Cache.Hits != 1 || stats.Cache.Misses != 1 || stats.CacheHitRatio != 0.5 {
 		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", stats)
 	}
-	if stats.LatencyP99Ms < stats.LatencyP50Ms {
-		t.Fatalf("latency quantiles inconsistent: %+v", stats)
+}
+
+// TestCompletionsReconcileOnTheDurationHistogram: a completed request
+// is recorded once, in pas_serving_request_duration_seconds. After c
+// computations, h cache hits and s single-flight followers its
+// per-outcome _counts are exactly c, h and s, and they are what
+// /v1/stats reports as completed.
+func TestCompletionsReconcileOnTheDurationHistogram(t *testing.T) {
+	// The padded computation is the window the followers attach in.
+	sys := servingSystem(t, ServingConfig{ComputeDelay: 500 * time.Millisecond})
+	reg := obs.NewRegistry()
+	sys.RegisterMetrics(reg)
+	srv := httptest.NewServer(sys.Handler())
+	defer srv.Close()
+	const computed, hits, shared = 2, 3, 4
+
+	for i := 0; i < 1+hits; i++ {
+		postAugment(t, srv.URL, "Explain how tides form.", "r")
+	}
+	var wg sync.WaitGroup
+	follow := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/augment", "application/json",
+				strings.NewReader(`{"prompt":"Explain how rainbows form.","salt":"r"}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("follower status = %d", resp.StatusCode)
+			}
+		}()
+	}
+	follow() // the leader
+	for deadline := time.Now().Add(5 * time.Second); sys.core.Stats().InFlight == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never started computing")
+		}
+	}
+	for i := 0; i < shared; i++ {
+		follow()
+	}
+	wg.Wait()
+
+	got := map[string]float64{}
+	var total float64
+	for _, f := range reg.Gather() {
+		if f.Name != "pas_serving_request_duration_seconds" {
+			continue
+		}
+		for _, s := range f.Samples {
+			if s.Suffix == "_count" {
+				got[s.Labels[0].Value] += s.Value // outcome is the first label
+				total += s.Value
+			}
+		}
+	}
+	if got["computed"] != computed || got["hit"] != hits || got["shared"] != shared {
+		t.Fatalf("histogram counts %v, want computed %d, hit %d, shared %d", got, computed, hits, shared)
+	}
+	if st := sys.core.Stats(); float64(st.Completed) != total || st.Completed != computed+hits+shared {
+		t.Fatalf("Stats().Completed = %d, histogram total %v, want both %d", st.Completed, total, computed+hits+shared)
 	}
 }
 
