@@ -42,10 +42,11 @@ type ClientConfig struct {
 	// the transport-level Timeout; 0 disables it. Unlike Timeout it
 	// also applies to caller-provided HTTPClients.
 	AttemptTimeout time.Duration
-	// BreakerThreshold, when > 0, puts a circuit breaker in front of
-	// this backend: after that many consecutive failed calls the client
+	// BreakerThreshold sizes the circuit breaker in front of this
+	// backend: after that many consecutive failed calls the client
 	// fails fast with resilience.ErrOpen instead of re-dialing a dead
-	// endpoint, probing once per BreakerCooldown window.
+	// endpoint, probing once per BreakerCooldown window. 0 means it
+	// never trips (resilience.BreakerConfig.Threshold).
 	BreakerThreshold int
 	// BreakerCooldown is the open→half-open window. Default 5s.
 	BreakerCooldown time.Duration
@@ -64,7 +65,7 @@ type ClientConfig struct {
 // of a public LLM API.
 type Client struct {
 	cfg     ClientConfig
-	breaker *resilience.Breaker // nil when BreakerThreshold == 0
+	breaker *resilience.Breaker // opens on consecutive failed calls
 	hedger  *resilience.Hedger  // nil when HedgeAfter == 0
 	// sleep is the retry sleeper; tests replace it to observe the
 	// schedule without real waiting.
@@ -93,34 +94,22 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.Backoff = 200 * time.Millisecond
 	}
 	c := &Client{cfg: cfg, sleep: resilience.SleepContext}
-	if cfg.BreakerThreshold > 0 {
-		c.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-		})
-	}
+	c.breaker = resilience.NewBreaker(resilience.BreakerConfig{
+		Threshold: cfg.BreakerThreshold,
+		Cooldown:  cfg.BreakerCooldown,
+	})
 	if cfg.HedgeAfter > 0 {
 		c.hedger = &resilience.Hedger{MinDelay: cfg.HedgeAfter}
 	}
 	return c, nil
 }
 
-// BreakerStats reports the backend breaker's snapshot; zero-valued when
-// no breaker is configured.
-func (c *Client) BreakerStats() resilience.BreakerStats {
-	if c.breaker == nil {
-		return resilience.BreakerStats{}
-	}
-	return c.breaker.Stats()
-}
+// BreakerStats reports the backend breaker's snapshot.
+func (c *Client) BreakerStats() resilience.BreakerStats { return c.breaker.Stats() }
 
 // RegisterMetrics exposes the client's backend-breaker counters on reg
-// under the pas_chatapi_ namespace, read at scrape time. Without a
-// breaker it registers nothing.
+// under the pas_chatapi_ namespace, read at scrape time.
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
-	if c.breaker == nil {
-		return
-	}
 	reg.RegisterCollector(func(e *obs.Emitter) {
 		s := c.breaker.Stats()
 		e.Gauge("pas_chatapi_breaker_state", "Backend breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
@@ -161,27 +150,21 @@ func (c *Client) ChatCompletionContext(ctx context.Context, req ChatRequest) (Ch
 	ctx, span := obs.StartSpan(ctx, "chatapi.chat_completion")
 	defer span.End()
 	span.SetAttr("model", req.Model)
-	var done func(bool)
-	if c.breaker != nil {
-		var berr error
-		done, berr = c.breaker.Allow()
-		if berr != nil {
-			err := fmt.Errorf("chatapi: backend %s: %w", c.cfg.BaseURL, berr)
-			span.SetError(err)
-			return ChatResponse{}, err
-		}
+	done, berr := c.breaker.Allow()
+	if berr != nil {
+		err := fmt.Errorf("chatapi: backend %s: %w", c.cfg.BaseURL, berr)
+		span.SetError(err)
+		return ChatResponse{}, err
 	}
 	resp, err := resilience.DoValue(ctx, c.policy(), func(ctx context.Context) (ChatResponse, error) {
 		return resilience.Hedge(ctx, c.hedger, func(ctx context.Context) (ChatResponse, error) {
 			return c.try(ctx, body)
 		})
 	})
-	if done != nil {
-		// Terminal answers (4xx) mean the backend is up and judging our
-		// request; only transport faults, 5xx, and overload count
-		// against its health.
-		done(err == nil || resilience.Classify(err) == resilience.Terminal)
-	}
+	// Terminal answers (4xx) mean the backend is up and judging our
+	// request; only transport faults, 5xx, and overload count against
+	// its health.
+	done(err == nil || resilience.Classify(err) == resilience.Terminal)
 	if err != nil {
 		span.SetError(err)
 	}

@@ -157,3 +157,40 @@ func TestConcurrencyLimitHintPricesRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want 7", got)
 	}
 }
+
+// FuzzTenantHeader: the tenant id becomes a metric label, a log field
+// and a stats-table key, and two of its three sources are credentials.
+// Whatever the headers hold, the id is empty, or ≤64 bytes of
+// [A-Za-z0-9._-] taken from X-PAS-Tenant, or the key-<12 hex>
+// fingerprint — never a credential as sent.
+func FuzzTenantHeader(f *testing.F) {
+	f.Add("acme", "", "")
+	f.Add("", "sk-live-0123456789", "")
+	f.Add("", "", "Bearer tok.en-value")
+	f.Add("not a label", "sk-live-0123456789", "Bearer other")
+	f.Add(strings.Repeat("x", maxTenantLen+1), "", "Bearer ")
+	f.Add("a/b", "", "bearer lowercase-scheme")
+	f.Fuzz(func(t *testing.T, tenant, apiKey, auth string) {
+		r := httptest.NewRequest("POST", "/v1/augment", nil)
+		r.Header[TenantHeader] = []string{tenant}
+		r.Header[apiKeyHeader] = []string{apiKey}
+		r.Header["Authorization"] = []string{auth}
+		id := TenantFromRequest(r)
+		if id == "" {
+			return
+		}
+		if len(id) > maxTenantLen || strings.Trim(id, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-") != "" {
+			t.Fatalf("tenant id %q is not a safe label", id)
+		}
+		if id == tenant {
+			return // the caller's own explicit, sanitized choice
+		}
+		hexPart, isKey := strings.CutPrefix(id, "key-")
+		if !isKey || len(hexPart) != 12 || strings.Trim(hexPart, "0123456789abcdef") != "" {
+			t.Fatalf("tenant id %q is neither the X-PAS-Tenant value nor a fingerprint", id)
+		}
+		if id == apiKey || id == strings.TrimPrefix(auth, "Bearer ") {
+			t.Fatalf("tenant id %q is the credential as sent", id)
+		}
+	})
+}

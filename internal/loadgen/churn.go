@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
 // ChurnTarget is one replica to roll. The three hooks are how the
@@ -249,10 +250,8 @@ func statusReady(ctx context.Context, hc *http.Client, url string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("loadgen: readiness %s: status %d", url, resp.StatusCode)
 	}
-	var wire struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &wire); err == nil && wire.Status == "draining" {
+	var st wire.Status
+	if err := json.Unmarshal(body, &st); err == nil && st.Status == wire.StatusDraining {
 		return fmt.Errorf("loadgen: readiness %s: still draining", url)
 	}
 	return nil

@@ -563,26 +563,8 @@ func doOne(ctx context.Context, cfg Config, prompt, tenant string) (level string
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return level, false, fmt.Errorf("loadgen: %s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	if cfg.Mode == ModeAugment {
-		var wire struct {
-			Degraded      bool   `json:"degraded"`
-			DegradedLevel string `json:"degraded_level"`
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&wire); err != nil {
-			return level, false, fmt.Errorf("loadgen: decoding augment response: %w", err)
-		}
-		// The header is authoritative; fall back to the body for servers
-		// that only speak the boolean contract.
-		if level == "" && wire.DegradedLevel != "" {
-			level = wire.DegradedLevel
-		}
-		if level == "" && wire.Degraded {
-			level = "1"
-		}
-		return level, false, nil
-	}
-	// Chat mode: the completion body is upstream's business; drain it so
-	// the connection is reusable.
+	// The header is the whole verdict (every non-full 200 carries it);
+	// drain the body so the connection is reusable.
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<20))
 	return level, false, nil
 }

@@ -327,3 +327,38 @@ func TestIDGenNonZeroAndUnique(t *testing.T) {
 		t.Fatal("generated an all-zero trace id")
 	}
 }
+
+// FuzzParseTraceparent: the header arrives from any client, so parsing
+// must not panic on any string, and whatever it accepts must be a valid
+// context that survives rendering and a second parse unchanged — the
+// value this hop forwards continues the same trace.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff-extra",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0",
+		"00_4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7_01",
+		"0g-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceparent(v)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected the value but returned %+v", v, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", v, sc)
+		}
+		again, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || again != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q parses to %+v, %v", v, sc, sc.Traceparent(), again, ok)
+		}
+	})
+}

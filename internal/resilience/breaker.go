@@ -19,8 +19,8 @@ type State int
 const (
 	// Closed: traffic flows; consecutive failures are counted.
 	Closed State = iota
-	// HalfOpen: up to HalfOpenProbes requests are admitted to test the
-	// backend; everyone else is still rejected.
+	// HalfOpen: one request at a time is admitted to test the backend;
+	// everyone else is still rejected.
 	HalfOpen
 	// Open: traffic is rejected outright until the cooldown elapses.
 	Open
@@ -38,31 +38,28 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// BreakerConfig sizes a circuit breaker. Zero values select defaults.
+// BreakerConfig sizes a circuit breaker.
 type BreakerConfig struct {
 	// Threshold is the consecutive-failure count that opens the
-	// circuit. Default 5.
+	// circuit. 0 means never: the breaker admits everything, records
+	// outcomes, and stays closed — the one meaning of "threshold 0"
+	// everywhere a breaker is configured, so callers always build one
+	// instead of guarding a nil.
 	Threshold int
-	// Cooldown is how long the circuit stays open before admitting
-	// half-open probes. Default 5s.
+	// Cooldown is how long the circuit stays open before admitting a
+	// half-open probe. Default 5s.
 	Cooldown time.Duration
-	// HalfOpenProbes bounds concurrently in-flight probes while
-	// half-open. Default 1 — at most one request per cooldown window
-	// reaches a dead backend.
-	HalfOpenProbes int
 	// Now injects the clock; tests pin it. Default time.Now.
 	Now func() time.Time
 }
 
+// halfOpenProbes bounds in-flight probes while half-open: at most one
+// request per cooldown window reaches a dead backend.
+const halfOpenProbes = 1
+
 func (cfg BreakerConfig) withDefaults() BreakerConfig {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 5
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 1
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -113,7 +110,7 @@ func (b *Breaker) Allow() (done func(success bool), err error) {
 		b.probes = 0
 		fallthrough
 	case HalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= halfOpenProbes {
 			b.rejections++
 			return nil, ErrOpen
 		}
@@ -147,7 +144,7 @@ func (b *Breaker) record(success bool) {
 			return
 		}
 		b.consecutive++
-		if b.consecutive >= b.cfg.Threshold {
+		if b.cfg.Threshold > 0 && b.consecutive >= b.cfg.Threshold {
 			b.trip()
 		}
 	case HalfOpen:

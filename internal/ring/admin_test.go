@@ -118,10 +118,7 @@ func TestAddRemoveReplicaBreakers(t *testing.T) {
 		t.Fatalf("AddReplica = changed %v, err %v", changed, err)
 	}
 	// Trip b's breaker, retire it, rejoin it: the breaker must be new.
-	b := c.breakerFor("http://b:1")
-	if b == nil {
-		t.Fatal("joined replica has no breaker")
-	}
+	b := c.mem.lookup([]string{"http://b:1"})[0].breaker
 	done, err := b.Allow()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +133,7 @@ func TestAddRemoveReplicaBreakers(t *testing.T) {
 	if _, _, err := c.AddReplica("http://b:1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.breakerFor("http://b:1"); got == b || got.State().String() != "closed" {
+	if got := c.mem.lookup([]string{"http://b:1"})[0].breaker; got == b || got.State().String() != "closed" {
 		t.Fatalf("re-added replica kept its tripped breaker (state %s)", got.State())
 	}
 

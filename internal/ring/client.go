@@ -10,13 +10,13 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // ErrNoReplicas is returned (fail-closed mode) when every replica is
@@ -33,17 +33,12 @@ type Config struct {
 	// VNodes is the virtual-node count per replica on the routing ring.
 	// Default DefaultVNodes.
 	VNodes int
-	// Model scopes the shard key, mirroring the model dimension of the
-	// replica-side cache key (serving.Key). One cluster serves one
-	// model, so any constant — including "" — preserves locality; set
-	// it when one proxy fronts several model fleets.
-	Model string
 	// RequestTimeout bounds one augmentation attempt against one
 	// replica. Default 5s; the request context's deadline tightens it.
 	RequestTimeout time.Duration
 	// BreakerThreshold arms a per-replica circuit breaker: that many
-	// consecutive failed calls open it for BreakerCooldown. Default 5;
-	// negative disables the breakers.
+	// consecutive failed calls open it for BreakerCooldown. 0 means the
+	// breakers never trip (resilience.BreakerConfig.Threshold).
 	BreakerThreshold int
 	// BreakerCooldown is each breaker's open→half-open window.
 	// Default 2s.
@@ -68,27 +63,19 @@ type Config struct {
 	HTTPClient *http.Client
 }
 
-// replicaCounters are per-replica lifetime data-path counters.
-type replicaCounters struct {
-	requests int64 // successful augmentations served by this replica
-	errors   int64 // failed attempts against this replica
-}
-
 // Client routes augmentation requests across a replica fleet by
 // consistent hash of the serving cache key. It implements the same
 // AugmentContextDegraded contract as pas.System, so the reverse proxy
 // can swap an in-process system for a cluster without knowing the
-// difference. Safe for concurrent use.
+// difference. Everything it knows about one replica lives in that
+// replica's record in the membership table; the client itself keeps
+// only fleet-wide counters. Safe for concurrent use.
 type Client struct {
 	cfg    Config
 	ring   *Ring
 	mem    *Membership
 	hedger *resilience.Hedger // nil when hedging is off
 	hc     *http.Client
-
-	mu       sync.Mutex
-	breakers map[string]*resilience.Breaker // nil map when disabled
-	counters map[string]*replicaCounters
 
 	requests  int64
 	failovers int64 // successes served by a non-owner replica
@@ -110,9 +97,6 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
@@ -130,25 +114,11 @@ func NewClient(cfg Config) (*Client, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	c := &Client{
-		cfg:      cfg,
-		ring:     New(cfg.VNodes),
-		hc:       hc,
-		counters: make(map[string]*replicaCounters, len(replicas)),
-	}
-	c.mem = NewMembership(replicas, c.ring, hc, cfg.Health)
-	if cfg.BreakerThreshold > 0 {
-		c.breakers = make(map[string]*resilience.Breaker, len(replicas))
-		for _, r := range replicas {
-			c.breakers[r] = resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: cfg.BreakerThreshold,
-				Cooldown:  cfg.BreakerCooldown,
-			})
-		}
-	}
-	for _, r := range replicas {
-		c.counters[r] = &replicaCounters{}
-	}
+	c := &Client{cfg: cfg, ring: New(cfg.VNodes), hc: hc}
+	c.mem = NewMembership(replicas, c.ring, hc, cfg.Health, resilience.BreakerConfig{
+		Threshold: cfg.BreakerThreshold,
+		Cooldown:  cfg.BreakerCooldown,
+	})
 	if cfg.Hedge {
 		c.hedger = &resilience.Hedger{MinDelay: cfg.HedgeMin, MaxDelay: cfg.HedgeMax}
 	}
@@ -191,49 +161,30 @@ func NormalizeReplicas(replicas []string) ([]string, error) {
 func (c *Client) Start(ctx context.Context) { c.mem.Start(ctx) }
 
 // AddReplica joins one replica to the fleet at runtime: the URL is
-// validated and normalized, a fresh breaker and counters are armed, and
-// the membership table puts it on the ring (starting its probe loop
-// when the prober is running). Adding a replica that is already present
-// and routable is a harmless no-op. It returns the normalized URL and
-// whether the membership actually changed.
+// validated and normalized, and the membership table gives it a fresh
+// record — closed breaker, zero counters — and puts it on the ring
+// (starting its probe loop when the prober is running). Adding a
+// replica that is already present and routable is a harmless no-op. It
+// returns the normalized URL and whether the membership actually
+// changed.
 func (c *Client) AddReplica(rawurl string) (string, bool, error) {
 	norm, err := NormalizeReplicas([]string{rawurl})
 	if err != nil {
 		return "", false, err
 	}
-	url := norm[0]
-	c.mu.Lock()
-	if _, ok := c.counters[url]; !ok {
-		c.counters[url] = &replicaCounters{}
-	}
-	if c.breakers != nil {
-		if _, ok := c.breakers[url]; !ok {
-			// A re-added replica starts with a clean breaker: its past
-			// failures belonged to the process that was retired.
-			c.breakers[url] = resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: c.cfg.BreakerThreshold,
-				Cooldown:  c.cfg.BreakerCooldown,
-			})
-		}
-	}
-	c.mu.Unlock()
-	return url, c.mem.Add(url), nil
+	return norm[0], c.mem.Add(norm[0]), nil
 }
 
 // RemoveReplica retires one replica: off the ring, probe loop stopped,
-// breaker dropped (so a later re-add starts closed). The lifetime
-// counters stay — traffic it served still happened. It reports whether
-// the replica was a member.
+// record dropped — its past failures and traffic belonged to the
+// process that was retired, so a later re-add starts from zero. It
+// reports whether the replica was a member.
 func (c *Client) RemoveReplica(rawurl string) (bool, error) {
 	norm, err := NormalizeReplicas([]string{rawurl})
 	if err != nil {
 		return false, err
 	}
-	url := norm[0]
-	c.mu.Lock()
-	delete(c.breakers, url)
-	c.mu.Unlock()
-	return c.mem.Remove(url), nil
+	return c.mem.Remove(norm[0]), nil
 }
 
 // Membership exposes the health table (stats surfaces, tests).
@@ -242,31 +193,22 @@ func (c *Client) Membership() *Membership { return c.mem }
 // Ring exposes the routing ring (stats surfaces, tests).
 func (c *Client) Ring() *Ring { return c.ring }
 
+// shardKey is the routing key: the bytes the replica's serving cache
+// shards on. One cluster serves one model, so the model dimension of
+// serving.Key is a constant here and locality holds.
+func shardKey(prompt, salt string) string { return serving.Key(prompt, salt, "") }
+
 // Owner returns the replica that owns (prompt, salt) right now — the
 // one whose cache the request will warm.
 func (c *Client) Owner(prompt, salt string) (string, bool) {
-	return c.ring.Owner(serving.Key(prompt, salt, c.cfg.Model))
+	return c.ring.Owner(shardKey(prompt, salt))
 }
 
 // result carries one successful remote augmentation.
 type result struct {
 	augmented string
 	level     string // X-PAS-Degraded wire value; "" = full quality
-	replica   string
-}
-
-// wire shapes of POST /v1/augment, mirroring the root package's
-// AugmentRequest/AugmentResponse. Redeclared rather than imported: the
-// root package sits above internal/ring in the dependency order, and
-// the JSON field names are the stable contract.
-type augmentWireRequest struct {
-	Prompt string `json:"prompt"`
-	Salt   string `json:"salt,omitempty"`
-}
-
-type augmentWireResponse struct {
-	Augmented string `json:"augmented"`
-	Degraded  bool   `json:"degraded,omitempty"`
+	replica   *replica
 }
 
 // AugmentContextDegraded routes one augmentation to the key's owner
@@ -285,25 +227,26 @@ func (c *Client) AugmentContextDegraded(ctx context.Context, prompt, salt string
 // level-aware augmenter interface.
 func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
 	atomic.AddInt64(&c.requests, 1)
-	key := serving.Key(prompt, salt, c.cfg.Model)
-	cands := c.ring.Successors(key, 0) // live members, owner first
-	owner := ""
+	// Live members, owner first, resolved to their records once; every
+	// later step reads the record, not the table.
+	cands := c.mem.lookup(c.ring.Successors(shardKey(prompt, salt), 0))
+	var owner *replica
 	if len(cands) > 0 {
 		owner = cands[0]
 	}
 	cands = c.partitionByPressure(cands)
 	ctx, span := obs.StartSpan(ctx, "ring.route")
 	defer span.End()
-	if owner != "" {
-		span.SetAttr("ring.owner", owner)
+	if owner != nil {
+		span.SetAttr("ring.owner", owner.url)
 	}
 	res, err := c.tryCandidates(ctx, cands, prompt, salt)
 	if err == nil {
-		span.SetAttr("ring.replica", res.replica)
+		span.SetAttr("ring.replica", res.replica.url)
 		span.SetAttrBool("degraded", res.level != "")
 		// Failovers count against the true ring owner — a brownout
 		// demotion that lands the request elsewhere is a failover too.
-		if res.replica != "" && owner != "" && res.replica != owner {
+		if res.replica != owner {
 			atomic.AddInt64(&c.failovers, 1)
 		}
 		return res.augmented, res.level, nil
@@ -326,35 +269,29 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 // can still do full-quality work. Locality degrades gracefully — the
 // raw members stay candidates of last resort, and order within each
 // partition is preserved. A whole-fleet brownout leaves the original
-// order (nothing better to prefer).
-func (c *Client) partitionByPressure(cands []string) []string {
+// order (nothing better to prefer). One pass, in place: cands is this
+// request's own slice.
+func (c *Client) partitionByPressure(cands []*replica) []*replica {
 	if len(cands) < 2 {
 		return cands
 	}
-	raw := 0
-	for _, u := range cands {
-		if c.mem.Pressure(u) == "raw" {
-			raw++
+	owner := cands[0]
+	healthy := cands[:0]
+	var raw []*replica
+	for _, r := range cands {
+		if r.rung() == serving.LevelRaw {
+			raw = append(raw, r)
+		} else {
+			healthy = append(healthy, r)
 		}
 	}
-	if raw == 0 || raw == len(cands) {
-		return cands
+	if len(raw) == 0 || len(healthy) == 0 {
+		return cands // untouched: each survivor was written over itself
 	}
-	if c.mem.Pressure(cands[0]) == "raw" {
+	if raw[0] == owner {
 		atomic.AddInt64(&c.brownoutReroutes, 1)
 	}
-	out := make([]string, 0, len(cands))
-	for _, u := range cands {
-		if c.mem.Pressure(u) != "raw" {
-			out = append(out, u)
-		}
-	}
-	for _, u := range cands {
-		if c.mem.Pressure(u) == "raw" {
-			out = append(out, u)
-		}
-	}
-	return out
+	return append(healthy, raw...)
 }
 
 // tryCandidates serves one request from the candidate list. The
@@ -362,7 +299,7 @@ func (c *Client) partitionByPressure(cands []string) []string {
 // failure; when hedging is on, a slow owner additionally races a
 // second attempt that starts at the first successor. The atomic cursor
 // hands each attempt its own starting offset.
-func (c *Client) tryCandidates(ctx context.Context, cands []string, prompt, salt string) (result, error) {
+func (c *Client) tryCandidates(ctx context.Context, cands []*replica, prompt, salt string) (result, error) {
 	if len(cands) == 0 {
 		return result{}, ErrNoReplicas
 	}
@@ -395,45 +332,38 @@ func (c *Client) tryCandidates(ctx context.Context, cands []string, prompt, salt
 }
 
 // callReplica performs one POST /v1/augment against one replica,
-// through its circuit breaker, reporting transport reachability to the
-// membership table.
-func (c *Client) callReplica(ctx context.Context, replica, prompt, salt string) (result, error) {
-	var done func(bool)
-	if b := c.breakerFor(replica); b != nil {
-		var berr error
-		done, berr = b.Allow()
-		if berr != nil {
-			return result{}, fmt.Errorf("ring: replica %s: %w", replica, berr)
-		}
+// through its circuit breaker, counting the outcome on its record.
+func (c *Client) callReplica(ctx context.Context, r *replica, prompt, salt string) (result, error) {
+	done, err := r.breaker.Allow()
+	if err != nil {
+		return result{}, fmt.Errorf("ring: replica %s: %w", r.url, err)
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	ctx, span := obs.StartSpan(ctx, "ring.augment")
-	span.SetAttr("ring.replica", replica)
+	span.SetAttr("ring.replica", r.url)
 	defer span.End()
 
-	res, err := c.doAugment(ctx, replica, prompt, salt)
+	res, err := c.doAugment(ctx, r.url, prompt, salt)
 	if err != nil {
 		span.SetError(err)
-		if done != nil {
-			// Terminal errors (the caller cancelling, 4xx) say nothing
-			// about replica health; everything else feeds the breaker.
-			done(resilience.Classify(err) == resilience.Terminal)
-		}
-		c.count(replica, false)
+		// Terminal errors (the caller cancelling, 4xx) say nothing
+		// about replica health; everything else feeds the breaker.
+		done(resilience.Classify(err) == resilience.Terminal)
+		r.errors.Add(1)
 		return result{}, err
 	}
-	if done != nil {
-		done(true)
-	}
-	c.count(replica, true)
+	done(true)
+	r.requests.Add(1)
+	res.replica = r
 	span.SetAttrBool("degraded", res.level != "")
 	return res, nil
 }
 
-// doAugment is the bare HTTP exchange.
+// doAugment is the bare HTTP exchange, reporting transport reachability
+// to the membership table.
 func (c *Client) doAugment(ctx context.Context, replica, prompt, salt string) (result, error) {
-	body, err := json.Marshal(augmentWireRequest{Prompt: prompt, Salt: salt})
+	body, err := json.Marshal(wire.AugmentRequest{Prompt: prompt, Salt: salt})
 	if err != nil {
 		return result{}, fmt.Errorf("ring: encoding request: %w", err)
 	}
@@ -468,49 +398,20 @@ func (c *Client) doAugment(ctx context.Context, replica, prompt, salt string) (r
 		}
 		return result{}, err
 	}
-	var wire augmentWireResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&wire); err != nil {
+	var ar wire.AugmentResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&ar); err != nil {
 		return result{}, fmt.Errorf("ring: replica %s: decoding response: %w", replica, err)
 	}
-	// The header carries the rung ("trim" or "1"); the body's boolean
-	// covers replicas old enough to flag degradation without a level.
-	level := resp.Header.Get("X-PAS-Degraded")
-	if level == "" && wire.Degraded {
-		level = "1"
-	}
-	return result{augmented: wire.Augmented, level: level, replica: replica}, nil
-}
-
-// breakerFor returns the replica's breaker, nil when disabled.
-func (c *Client) breakerFor(replica string) *resilience.Breaker {
-	if c.breakers == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.breakers[replica]
-}
-
-// count records one data-path outcome for a replica.
-func (c *Client) count(replica string, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rc, exists := c.counters[replica]
-	if !exists {
-		return
-	}
-	if ok {
-		rc.requests++
-	} else {
-		rc.errors++
-	}
+	// The header carries the rung ("trim" or "1") on every non-full 200.
+	return result{augmented: ar.Augmented, level: resp.Header.Get("X-PAS-Degraded")}, nil
 }
 
 // ReplicaStats is one replica's data-path snapshot.
 type ReplicaStats struct {
 	URL string `json:"url"`
 	// Requests counts augmentations this replica served; Errors counts
-	// failed attempts against it (breaker-open refusals included).
+	// failed attempts that reached it (breaker-open refusals excluded).
+	// Both restart from zero when a retired replica is re-added.
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
 }
@@ -539,31 +440,11 @@ func (c *Client) Stats() Stats {
 		Failovers:        atomic.LoadInt64(&c.failovers),
 		Degraded:         atomic.LoadInt64(&c.degraded),
 		BrownoutReroutes: atomic.LoadInt64(&c.brownoutReroutes),
-		Live:             c.mem.Live(),
-		Members:          c.mem.Snapshot(),
 		Hedging:          c.hedger != nil,
 	}
-	c.mu.Lock()
-	// Per-replica traffic follows the live membership table, not the
+	// The per-replica views follow the live membership table, not the
 	// boot-time config: replicas come and go at runtime.
-	for _, m := range s.Members {
-		rs := ReplicaStats{URL: m.URL}
-		if rc := c.counters[m.URL]; rc != nil {
-			rs.Requests, rs.Errors = rc.requests, rc.errors
-		}
-		s.Replicas = append(s.Replicas, rs)
-	}
-	breakers := make(map[string]*resilience.Breaker, len(c.breakers))
-	for u, b := range c.breakers {
-		breakers[u] = b
-	}
-	c.mu.Unlock()
-	if len(breakers) > 0 {
-		s.Breakers = make(map[string]string, len(breakers))
-		for u, b := range breakers {
-			s.Breakers[u] = b.State().String()
-		}
-	}
+	c.mem.fill(&s)
 	return s
 }
 

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // fakeReplica is a minimal passerve stand-in: /v1/augment echoes an
@@ -48,7 +50,7 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 				http.Error(w, "injected failure", int(code))
 				return
 			}
-			var req augmentWireRequest
+			var req wire.AugmentRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // State is a member's health position. Transitions:
@@ -25,7 +29,7 @@ import (
 // successors. A Down member keeps being probed at backed-off intervals
 // and rejoins the ring on its first successful probe.
 //
-// Draining is the third, deliberate state: the member answers probes
+// Draining is the fourth, deliberate state: the member answers probes
 // (it is healthy) but has announced it is shutting down, so it is taken
 // off the ring without any failure bookkeeping — no suspect detour, no
 // breaker food, no error streak. Only probes move a member in or out of
@@ -66,11 +70,8 @@ func (s State) String() string {
 // routable reports whether a member in state s should be on the ring.
 func routable(s State) bool { return s == StateUp || s == StateSuspect }
 
-// wireDrainingStatus is the /v1/status "status" value a draining
-// replica reports. Deliberately redeclared here rather than imported
-// from the root package (which would be an import cycle); it is part
-// of the HTTP wire contract, like augmentWireRequest.
-const wireDrainingStatus = "draining"
+// probePath is the status endpoint probed on each member.
+const probePath = "/v1/status"
 
 // HealthConfig sizes the active health checker. Zero values select
 // defaults.
@@ -81,9 +82,6 @@ type HealthConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request. Default 1s.
 	ProbeTimeout time.Duration
-	// ProbePath is the status endpoint probed on each member. Default
-	// /v1/status (served by passerve and pasllm alike).
-	ProbePath string
 	// DownAfter is the consecutive-failure count that evicts a member
 	// from the ring. Default 3.
 	DownAfter int
@@ -99,9 +97,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
 	}
-	if c.ProbePath == "" {
-		c.ProbePath = "/v1/status"
-	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
 	}
@@ -111,44 +106,57 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	return c
 }
 
-// member is one replica's health record.
-type member struct {
-	url     string
+// replica is one member's record, and the only place the routing tier
+// keeps anything about one URL: a member that leaves takes all of it
+// along, and one that comes back starts clean.
+type replica struct {
+	url string
+
+	// Health, guarded by Membership.mu.
 	state   State
 	fails   int    // consecutive failures since the last success
 	lastErr string // most recent failure, for stats
 	since   time.Time
-	// pressure is the brownout rung the member's last successful probe
-	// reported ("", "trim", or "raw"). A raw-pressure member stays on
-	// the ring — it is healthy and still answers — but the client
-	// deprioritizes it so hedges and failovers land on replicas that
-	// can serve full-quality work.
-	pressure string
 
 	probes     int64
 	probeFails int64
 	downs      int64 // ->Down transitions
 	drains     int64 // ->Draining transitions
+	// stopProbe cancels the member's probe loop; nil while none runs.
+	stopProbe context.CancelFunc
+
+	// Data path: read and written by Client without the table lock.
+	breaker  *resilience.Breaker
+	requests atomic.Int64 // successful augmentations served by this replica
+	errors   atomic.Int64 // failed attempts against this replica
+	// pressure is the brownout rung (a serving.Level) the member's last
+	// successful probe reported. A raw-pressure member stays on the ring
+	// — it is healthy and still answers — but the client deprioritizes
+	// it so hedges and failovers land on replicas that can serve
+	// full-quality work.
+	pressure atomic.Int32
 }
 
-// Membership tracks replica health and keeps the routing ring in sync:
-// only Up and Suspect members are on the ring. Safe for concurrent
-// use. The member set is dynamic: Add and Remove reshape it at
-// runtime, starting and stopping probe loops to match.
+// rung is the brownout rung the member last reported.
+func (r *replica) rung() serving.Level { return serving.Level(r.pressure.Load()) }
+
+// Membership is the replica table: one record per member, holding its
+// health, its breaker and its traffic counters, and it keeps the
+// routing ring in sync — only Up and Suspect members are on the ring.
+// Safe for concurrent use. The member set is dynamic: Add and Remove
+// reshape it at runtime, starting and stopping probe loops to match.
 type Membership struct {
-	ring *Ring
-	cfg  HealthConfig
-	hc   *http.Client
+	ring    *Ring
+	cfg     HealthConfig
+	breaker resilience.BreakerConfig
+	hc      *http.Client
 
 	mu      sync.Mutex
-	members map[string]*member
-	order   []string // stable iteration order for snapshots
+	members map[string]*replica
+	order   []*replica // stable iteration order for snapshots
 	// runCtx is the context Start was called with; nil before Start.
 	// Probe loops started later (Add after Start) inherit it.
 	runCtx context.Context
-	// cancels stops one member's probe loop; Remove uses it so a
-	// departed replica is not probed forever.
-	cancels map[string]context.CancelFunc
 
 	// Lifetime churn counters.
 	adds    int64
@@ -159,31 +167,39 @@ type Membership struct {
 // NewMembership creates a table over replicas, all initially Up and on
 // the ring (optimistic start: the first probe sweep corrects it within
 // one interval, and routing to a briefly-dead member degrades per
-// request rather than blocking startup). hc may be nil for a default
-// client; its transport is shared by probes only — the data path has
-// its own client.
-func NewMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthConfig) *Membership {
-	cfg = cfg.withDefaults()
+// request rather than blocking startup). Every member gets a breaker
+// built from breaker. hc may be nil for a default client; its transport
+// is shared by probes only — the data path has its own client.
+func NewMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthConfig, breaker resilience.BreakerConfig) *Membership {
 	if hc == nil {
 		hc = &http.Client{}
 	}
 	m := &Membership{
 		ring:    ring,
-		cfg:     cfg,
+		cfg:     cfg.withDefaults(),
+		breaker: breaker,
 		hc:      hc,
-		members: make(map[string]*member, len(replicas)),
-		cancels: make(map[string]context.CancelFunc),
+		members: make(map[string]*replica, len(replicas)),
 	}
-	now := cfg.Now()
-	for _, r := range replicas {
-		if _, dup := m.members[r]; dup {
+	urls := make([]string, 0, len(replicas))
+	for _, u := range replicas {
+		if _, dup := m.members[u]; dup {
 			continue
 		}
-		m.members[r] = &member{url: r, state: StateUp, since: now}
-		m.order = append(m.order, r)
+		m.insertLocked(u)
+		urls = append(urls, u)
 	}
-	ring.SetMembers(m.order)
+	ring.SetMembers(urls)
 	return m
+}
+
+// insertLocked appends a fresh Up record for url — closed breaker, zero
+// counters, no streak. Caller holds m.mu (or is the constructor).
+func (m *Membership) insertLocked(url string) *replica {
+	r := &replica{url: url, state: StateUp, since: m.cfg.Now(), breaker: resilience.NewBreaker(m.breaker)}
+	m.members[url] = r
+	m.order = append(m.order, r)
+	return r
 }
 
 // Start launches one probe goroutine per member; they stop when ctx
@@ -193,31 +209,20 @@ func (m *Membership) Start(ctx context.Context) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.runCtx = ctx
-	for _, u := range m.order {
-		m.startLoopLocked(u)
+	for _, r := range m.order {
+		m.startLoopLocked(r)
 	}
 }
 
-// startLoopLocked spawns url's probe loop if Start has been called and
+// startLoopLocked spawns r's probe loop if Start has been called and
 // one is not already running. Caller holds m.mu.
-func (m *Membership) startLoopLocked(url string) {
-	if m.runCtx == nil {
+func (m *Membership) startLoopLocked(r *replica) {
+	if m.runCtx == nil || r.stopProbe != nil {
 		return
 	}
-	if _, running := m.cancels[url]; running {
-		return
-	}
-	ctx, cancel := context.WithCancel(m.runCtx)
-	m.cancels[url] = cancel
-	go m.probeLoop(ctx, url)
-}
-
-// stopLoopLocked cancels url's probe loop, if any. Caller holds m.mu.
-func (m *Membership) stopLoopLocked(url string) {
-	if cancel, ok := m.cancels[url]; ok {
-		cancel()
-		delete(m.cancels, url)
-	}
+	var ctx context.Context
+	ctx, r.stopProbe = context.WithCancel(m.runCtx)
+	go m.probeLoop(ctx, r)
 }
 
 // Add inserts a member (or revives a removed-from-ring one), puts it on
@@ -227,32 +232,30 @@ func (m *Membership) stopLoopLocked(url string) {
 func (m *Membership) Add(url string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := m.cfg.Now()
-	if mem, ok := m.members[url]; ok {
-		m.startLoopLocked(url) // heal a lost loop even when state is fine
-		if routable(mem.state) {
-			return false
-		}
+	r, known := m.members[url]
+	switch {
+	case !known:
+		r = m.insertLocked(url)
+	case routable(r.state):
+		m.startLoopLocked(r) // heal a lost loop even when state is fine
+		return false
+	default:
 		// Known but off-ring (Down or Draining): the operator says it is
 		// back. Reset to Up; the next probe corrects optimism.
-		mem.state = StateUp
-		mem.fails = 0
-		mem.lastErr = ""
-		mem.since = now
-		m.ring.Add(url)
-		m.adds++
-		return true
+		r.state = StateUp
+		r.fails = 0
+		r.lastErr = ""
+		r.since = m.cfg.Now()
 	}
-	m.members[url] = &member{url: url, state: StateUp, since: now}
-	m.order = append(m.order, url)
 	m.ring.Add(url)
-	m.startLoopLocked(url)
+	m.startLoopLocked(r)
 	m.adds++
 	return true
 }
 
-// Remove deletes a member: off the ring, record dropped, probe loop
-// cancelled. It reports whether the member existed.
+// Remove deletes a member: off the ring, probe loop cancelled, record —
+// breaker and counters included — dropped. It reports whether the
+// member existed.
 func (m *Membership) Remove(url string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -264,22 +267,34 @@ func (m *Membership) Remove(url string) bool {
 		m.ring.Remove(url)
 	}
 	delete(m.members, url)
-	for i, u := range m.order {
-		if u == url {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	m.order = slices.DeleteFunc(m.order, func(o *replica) bool { return o == mem })
+	if mem.stopProbe != nil {
+		mem.stopProbe()
 	}
-	m.stopLoopLocked(url)
 	m.removes++
 	return true
 }
 
-// probeLoop probes one member forever. Healthy members are probed every
-// ProbeInterval with jitter; a failing member's probes back off on the
-// capped full-jitter envelope of resilience.Policy, so a dead replica
-// costs a bounded probe rate instead of a tight reconnect loop.
-func (m *Membership) probeLoop(ctx context.Context, url string) {
+// lookup resolves ring candidates to their records, in order, under one
+// acquisition of the table lock; a URL retired since the ring was read
+// is skipped.
+func (m *Membership) lookup(urls []string) []*replica {
+	out := make([]*replica, 0, len(urls))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, u := range urls {
+		if r, ok := m.members[u]; ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// probeLoop probes one member until ctx ends. Healthy members are probed
+// every ProbeInterval with jitter; a failing member's probes back off on
+// the capped full-jitter envelope of resilience.Policy, so a dead
+// replica costs a bounded probe rate instead of a tight reconnect loop.
+func (m *Membership) probeLoop(ctx context.Context, r *replica) {
 	healthy := resilience.Policy{
 		BaseDelay: m.cfg.ProbeInterval / 2,
 		MaxDelay:  m.cfg.ProbeInterval / 2,
@@ -289,7 +304,9 @@ func (m *Membership) probeLoop(ctx context.Context, url string) {
 		MaxDelay:  8 * m.cfg.ProbeInterval,
 	}
 	for {
-		fails := m.failCount(url)
+		m.mu.Lock()
+		fails := r.fails
+		m.mu.Unlock()
 		var d time.Duration
 		if fails == 0 {
 			// Jittered over [interval/2, interval): Delay(0) is full
@@ -304,7 +321,7 @@ func (m *Membership) probeLoop(ctx context.Context, url string) {
 		if err := resilience.SleepContext(ctx, d); err != nil {
 			return
 		}
-		m.ProbeOne(ctx, url)
+		m.ProbeOne(ctx, r.url)
 	}
 }
 
@@ -327,7 +344,7 @@ func (m *Membership) ProbeOne(ctx context.Context, url string) {
 		// Only a successful probe speaks for the replica's brownout
 		// rung; a failed one says nothing (the last reading stands
 		// until eviction takes the member off the ring anyway).
-		mem.pressure = pressure
+		mem.pressure.Store(int32(pressure))
 	}
 	m.applyLocked(mem, err, draining, true)
 }
@@ -335,47 +352,60 @@ func (m *Membership) ProbeOne(ctx context.Context, url string) {
 // ProbeAll sweeps every member once, synchronously.
 func (m *Membership) ProbeAll(ctx context.Context) {
 	m.mu.Lock()
-	urls := append([]string(nil), m.order...)
+	members := slices.Clone(m.order)
 	m.mu.Unlock()
-	for _, u := range urls {
-		m.ProbeOne(ctx, u)
+	for _, r := range members {
+		m.ProbeOne(ctx, r.url)
 	}
 }
 
-// probe issues one GET ProbePath and reports whether the member looks
+// probe issues one GET probePath and reports whether the member looks
 // alive: any 2xx is healthy, everything else (or a transport error) is
-// a failure. A healthy body whose JSON status reads "draining" flags
-// the member as deliberately leaving, and its "pressure" field carries
-// the brownout rung; a non-JSON 2xx body stays plain healthy for
-// compatibility with simpler status endpoints.
-func (m *Membership) probe(ctx context.Context, url string) (draining bool, pressure string, err error) {
+// a failure. What a healthy body says is parseStatus's business.
+func (m *Membership) probe(ctx context.Context, url string) (draining bool, pressure serving.Level, err error) {
 	ctx, cancel := context.WithTimeout(ctx, m.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+m.cfg.ProbePath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+probePath, nil)
 	if err != nil {
-		return false, "", fmt.Errorf("ring: building probe: %w", err)
+		return false, serving.LevelFull, fmt.Errorf("ring: building probe: %w", err)
 	}
 	resp, err := m.hc.Do(req)
 	if err != nil {
-		return false, "", fmt.Errorf("ring: probe %s: %w", url, err)
+		return false, serving.LevelFull, fmt.Errorf("ring: probe %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	// Read (and thereby drain, so the transport can reuse the
 	// connection) a bounded prefix of the body: it carries the
 	// draining announcement.
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxStatusBody))
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxStatusBody))
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return false, "", fmt.Errorf("ring: probe %s: status %d", url, resp.StatusCode)
+		return false, serving.LevelFull, fmt.Errorf("ring: probe %s: status %d", url, resp.StatusCode)
 	}
-	var wire struct {
-		Status   string `json:"status"`
-		Pressure string `json:"pressure"`
+	draining, pressure = parseStatus(body)
+	return draining, pressure, nil
+}
+
+// maxStatusBody bounds how much of a probe response is read.
+const maxStatusBody = 4096
+
+// parseStatus reads a 2xx probe body: a wire.Status whose status reads
+// "draining" flags the member as deliberately leaving, and its pressure
+// field carries the brownout rung, parsed here once — an unknown rung
+// reads as full. A non-JSON body stays plain healthy, for compatibility
+// with simpler status endpoints.
+func parseStatus(body []byte) (draining bool, pressure serving.Level) {
+	var st wire.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		return false, serving.LevelFull
 	}
-	if jsonErr := json.Unmarshal(body, &wire); jsonErr == nil {
-		return wire.Status == wireDrainingStatus, wire.Pressure, nil
+	switch st.Pressure {
+	case serving.LevelTrim.String():
+		pressure = serving.LevelTrim
+	case serving.LevelRaw.String():
+		pressure = serving.LevelRaw
 	}
-	return false, "", nil
+	return st.Status == wire.StatusDraining, pressure
 }
 
 // Observe feeds a data-path outcome into the health table: the augment
@@ -399,7 +429,7 @@ func (m *Membership) Observe(url string, err error) {
 // answering in-flight and cached work on purpose, so data-path
 // successes must not re-ring it and data-path failures must not smear
 // its record. Caller holds m.mu.
-func (m *Membership) applyLocked(mem *member, err error, draining, fromProbe bool) {
+func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bool) {
 	now := m.cfg.Now()
 	if mem.state == StateDraining && !fromProbe {
 		return
@@ -458,27 +488,6 @@ func (m *Membership) applyLocked(mem *member, err error, draining, fromProbe boo
 	}
 }
 
-// Pressure returns the brownout rung a member last reported; ""
-// for unknown members or members that have not announced pressure.
-func (m *Membership) Pressure(url string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mem, ok := m.members[url]; ok {
-		return mem.pressure
-	}
-	return ""
-}
-
-// failCount returns a member's consecutive-failure streak.
-func (m *Membership) failCount(url string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mem, ok := m.members[url]; ok {
-		return mem.fails
-	}
-	return 0
-}
-
 // MemberStatus is one member's snapshot, shaped for JSON stats bodies.
 type MemberStatus struct {
 	URL   string `json:"url"`
@@ -498,27 +507,52 @@ type MemberStatus struct {
 	Drains     int64 `json:"drains,omitempty"`
 }
 
+// statusLocked snapshots r's health. Caller holds Membership.mu.
+func (r *replica) statusLocked() MemberStatus {
+	st := MemberStatus{
+		URL:        r.url,
+		State:      r.state.String(),
+		state:      r.state,
+		Fails:      r.fails,
+		LastErr:    r.lastErr,
+		Probes:     r.probes,
+		ProbeFails: r.probeFails,
+		Downs:      r.downs,
+		Drains:     r.drains,
+	}
+	if l := r.rung(); l != serving.LevelFull {
+		st.Pressure = l.String()
+	}
+	return st
+}
+
 // Snapshot returns every member's status in the stable replica order.
 func (m *Membership) Snapshot() []MemberStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]MemberStatus, 0, len(m.order))
-	for _, u := range m.order {
-		mem := m.members[u]
-		out = append(out, MemberStatus{
-			URL:        mem.url,
-			State:      mem.state.String(),
-			state:      mem.state,
-			Fails:      mem.fails,
-			LastErr:    mem.lastErr,
-			Pressure:   mem.pressure,
-			Probes:     mem.probes,
-			ProbeFails: mem.probeFails,
-			Downs:      mem.downs,
-			Drains:     mem.drains,
-		})
+	for _, r := range m.order {
+		out = append(out, r.statusLocked())
 	}
 	return out
+}
+
+// fill writes the per-member views of a Stats snapshot in one pass over
+// the table, so all four list exactly the current members.
+func (m *Membership) fill(s *Stats) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.Members = make([]MemberStatus, 0, len(m.order))
+	s.Replicas = make([]ReplicaStats, 0, len(m.order))
+	s.Breakers = make(map[string]string, len(m.order))
+	for _, r := range m.order {
+		if routable(r.state) {
+			s.Live++
+		}
+		s.Members = append(s.Members, r.statusLocked())
+		s.Replicas = append(s.Replicas, ReplicaStats{URL: r.url, Requests: r.requests.Load(), Errors: r.errors.Load()})
+		s.Breakers[r.url] = r.breaker.State().String()
+	}
 }
 
 // Live returns how many members are currently routable (Up or
@@ -527,7 +561,7 @@ func (m *Membership) Live() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, mem := range m.members {
+	for _, mem := range m.order {
 		if routable(mem.state) {
 			n++
 		}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // drainableServer is a fake replica whose /v1/status can announce
@@ -53,7 +55,7 @@ func TestDrainingStateMachine(t *testing.T) {
 	m := NewMembership([]string{rep.srv.URL}, ring, rep.srv.Client(), HealthConfig{
 		ProbeTimeout: time.Second,
 		DownAfter:    2,
-	})
+	}, resilience.BreakerConfig{})
 	ctx := context.Background()
 
 	rep.draining.Store(true)
@@ -118,7 +120,7 @@ func TestDrainingStateMachine(t *testing.T) {
 // report whether anything changed.
 func TestMembershipAddRemove(t *testing.T) {
 	ring := New(8)
-	m := NewMembership([]string{"http://a:1"}, ring, nil, HealthConfig{DownAfter: 2})
+	m := NewMembership([]string{"http://a:1"}, ring, nil, HealthConfig{DownAfter: 2}, resilience.BreakerConfig{})
 
 	if !m.Add("http://b:1") {
 		t.Fatal("adding a new member reported no change")
@@ -170,7 +172,7 @@ func TestProbeLoopLifecycle(t *testing.T) {
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     2,
-	})
+	}, resilience.BreakerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m.Start(ctx)

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // statusServer is a fake replica whose /v1/status can be flipped dead.
@@ -28,7 +30,7 @@ func statusServer(t *testing.T, dead *atomic.Bool) *httptest.Server {
 	return srv
 }
 
-// TestHealthTransitions drives the three-state machine: a healthy
+// TestHealthTransitions drives the health state machine: a healthy
 // member stays Up; failures walk Up→Suspect→Down and evict it from the
 // ring; a successful probe brings it straight back.
 func TestHealthTransitions(t *testing.T) {
@@ -39,7 +41,7 @@ func TestHealthTransitions(t *testing.T) {
 	m := NewMembership([]string{srv.URL}, ring, srv.Client(), HealthConfig{
 		ProbeTimeout: time.Second,
 		DownAfter:    3,
-	})
+	}, resilience.BreakerConfig{})
 	ctx := context.Background()
 
 	m.ProbeOne(ctx, srv.URL)
@@ -88,7 +90,7 @@ func TestHealthTransitions(t *testing.T) {
 // waiting for the prober.
 func TestObserveFeedsHealth(t *testing.T) {
 	ring := New(8)
-	m := NewMembership([]string{"http://a:1", "http://b:1"}, ring, nil, HealthConfig{DownAfter: 2})
+	m := NewMembership([]string{"http://a:1", "http://b:1"}, ring, nil, HealthConfig{DownAfter: 2}, resilience.BreakerConfig{})
 
 	m.Observe("http://a:1", context.DeadlineExceeded)
 	m.Observe("http://a:1", context.DeadlineExceeded)
@@ -125,7 +127,7 @@ func TestStartProbesUntilCancel(t *testing.T) {
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     2,
-	})
+	}, resilience.BreakerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m.Start(ctx)

@@ -66,7 +66,7 @@ func TestCoreBreakerOpensAfterConsecutiveSheds(t *testing.T) {
 	if st.ShedQueueFull != 2 || st.ShedBreaker != 1 || st.Shed != 3 {
 		t.Fatalf("shed stats = %+v", st)
 	}
-	if st.Breaker == nil || st.Breaker.State != "open" || st.Breaker.Opens != 1 {
+	if st.Breaker.State != "open" || st.Breaker.Opens != 1 {
 		t.Fatalf("breaker stats = %+v, want open after 1 trip", st.Breaker)
 	}
 
@@ -114,13 +114,36 @@ func TestCoreBreakerHalfOpenProbeCloses(t *testing.T) {
 	}
 }
 
+// TestCoreBreakerDisabledByDefault: threshold 0 (the zero Config) means
+// the breaker never trips. With the one slot held, every computation
+// that reaches admission is shed — a failure the breaker records, with
+// no success between them (the ladder answers the rest at the raw rung
+// without touching the breaker) — and none is ever ErrBreakerOpen.
 func TestCoreBreakerDisabledByDefault(t *testing.T) {
-	c, err := New(func(p, s string) string { return p }, Config{})
-	if err != nil {
-		t.Fatal(err)
+	c, _, entered, release := breakerCore(t, 0)
+	ctx := context.Background()
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.Do(ctx, "block", "s", "m")
+		blocked <- err
+	}()
+	<-entered
+	for i := 0; c.Stats().Breaker.Failures < 100; i++ {
+		if _, err := c.Do(ctx, "x", "s", "m"); err != nil && !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("request %d: err = %v, want a queue-full shed or a raw-rung answer", i, err)
+		}
+		if i > 10000 {
+			t.Fatalf("only %d sheds reached the breaker in %d requests", c.Stats().Breaker.Failures, i)
+		}
 	}
-	if st := c.Stats(); st.Breaker != nil {
-		t.Fatalf("unarmed core reports breaker stats: %+v", st.Breaker)
+	st := c.Stats()
+	if st.ShedBreaker != 0 || st.Breaker.State != "closed" || st.Breaker.Opens != 0 || st.Breaker.Successes != 0 {
+		t.Fatalf("shed_breaker %d, breaker %+v; want none and closed after 100 straight failures", st.ShedBreaker, st.Breaker)
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocked leader failed: %v", err)
 	}
 }
 

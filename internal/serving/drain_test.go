@@ -59,7 +59,7 @@ func TestDrainRefusesNewWorkServesHits(t *testing.T) {
 			t.Fatalf("draining core returned %v, want ErrDraining (breaker must stay closed)", err)
 		}
 	}
-	if bs := b.Stats(); bs.Breaker == nil || bs.Breaker.State != "closed" {
+	if bs := b.Stats(); bs.Breaker.State != "closed" {
 		t.Fatalf("breaker after drain sheds: %+v, want closed", b.Stats().Breaker)
 	}
 }

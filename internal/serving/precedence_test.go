@@ -46,7 +46,7 @@ func (f *shedFixture) tripBreaker(t *testing.T) {
 	if _, err := f.core.Do(context.Background(), "tripper", "", "m"); err != nil && !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("tripper: err = %v, want ErrQueueFull", err)
 	}
-	if st := f.core.Stats(); st.Breaker == nil || st.Breaker.State != "open" {
+	if st := f.core.Stats(); st.Breaker.State != "open" {
 		t.Fatalf("breaker not open after shed: %+v", f.core.Stats().Breaker)
 	}
 	// Drain the parked waiter's error later via the caller if needed;

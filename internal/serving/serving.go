@@ -97,13 +97,13 @@ type Config struct {
 	// QueueWait is the longest a request waits for a slot before being
 	// shed; the context deadline tightens it per request. Default 100ms.
 	QueueWait time.Duration
-	// BreakerThreshold, when > 0, arms a circuit breaker over the
-	// computation path: after that many consecutive shed computations
-	// the core fails fast with ErrBreakerOpen for BreakerCooldown,
-	// then admits a single probe per half-open window. 0 disables it.
+	// BreakerThreshold sizes the circuit breaker over the computation
+	// path: after that many consecutive shed computations the core
+	// fails fast with ErrBreakerOpen for BreakerCooldown, then admits a
+	// single probe per half-open window. 0 means it never trips
+	// (resilience.BreakerConfig.Threshold).
 	BreakerThreshold int
-	// BreakerCooldown is the open→half-open window. Default 2s when
-	// the breaker is armed.
+	// BreakerCooldown is the open→half-open window. Default 2s.
 	BreakerCooldown time.Duration
 
 	// Retries re-attempts a shed request with full-jitter backoff before
@@ -197,7 +197,7 @@ func (cfg *Config) applyDefaults() error {
 	if cfg.BreakerCooldown < 0 {
 		return fmt.Errorf("serving: BreakerCooldown must be >= 0, got %v", cfg.BreakerCooldown)
 	}
-	if cfg.BreakerThreshold > 0 && cfg.BreakerCooldown == 0 {
+	if cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.Retries < 0 {
@@ -263,7 +263,7 @@ type Core struct {
 	sched   *scheduler
 	limiter *resilience.Limit   // live concurrency limit, shared with sched
 	gauge   *pressureGauge      // picks the ladder rung misses are served at
-	breaker *resilience.Breaker // nil when BreakerThreshold == 0
+	breaker *resilience.Breaker // opens on consecutive shed computations
 	retry   resilience.Policy   // shed-retry schedule, used when cfg.Retries > 0
 
 	// draining, once set, refuses new computations (ErrDraining) while
@@ -351,13 +351,11 @@ func New(fn Func, cfg Config) (*Core, error) {
 	if cfg.CacheSize > 0 {
 		c.cache = newCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
 	}
-	if cfg.BreakerThreshold > 0 {
-		c.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-			Now:       cfg.Now,
-		})
-	}
+	c.breaker = resilience.NewBreaker(resilience.BreakerConfig{
+		Threshold: cfg.BreakerThreshold,
+		Cooldown:  cfg.BreakerCooldown,
+		Now:       cfg.Now,
+	})
 	return c, nil
 }
 
@@ -555,29 +553,23 @@ func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt st
 		// The breaker guards the leader only: followers share the
 		// leader's outcome, and cache hits never reach this point, so
 		// one failed computation is one recorded failure.
-		var done func(success bool)
-		if c.breaker != nil {
-			qspan.SetAttr("breaker.state", c.breaker.Stats().State)
-			var berr error
-			done, berr = c.breaker.Allow()
-			if berr != nil {
-				atomic.AddInt64(&c.shedBreaker, 1)
-				c.sched.shedOther(tq)
-				c.limiter.OnOverload() // a trip is a congestion signal
-				qspan.SetError(ErrBreakerOpen)
-				qspan.End()
-				return "", ErrBreakerOpen
-			}
+		qspan.SetAttr("breaker.state", c.breaker.Stats().State)
+		done, berr := c.breaker.Allow()
+		if berr != nil {
+			atomic.AddInt64(&c.shedBreaker, 1)
+			c.sched.shedOther(tq)
+			c.limiter.OnOverload() // a trip is a congestion signal
+			qspan.SetError(ErrBreakerOpen)
+			qspan.End()
+			return "", ErrBreakerOpen
 		}
 		admitStart := c.cfg.Now()
 		release, err := c.sched.acquire(ctx, tq, c.waitBudget(ctx))
 		if err != nil {
 			c.noteShed(err)
-			if done != nil {
-				// Shed computations are the breaker's failure signal; a
-				// cancelled client says nothing about core health.
-				done(!Overloaded(err))
-			}
+			// Shed computations are the breaker's failure signal; a
+			// cancelled client says nothing about core health.
+			done(!Overloaded(err))
 			qspan.SetError(err)
 			qspan.End()
 			return "", err
@@ -599,9 +591,7 @@ func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt st
 		if c.cache != nil {
 			c.cache.put(key, out)
 		}
-		if done != nil {
-			done(true)
-		}
+		done(true)
 		return out, nil
 	})
 }

@@ -68,9 +68,9 @@ type Stats struct {
 	// Tenants is the per-tenant admission accounting, sorted by id.
 	Tenants []TenantStats `json:"tenants,omitempty"`
 
-	// Breaker is the augmentation breaker's snapshot; nil when no
-	// breaker is armed.
-	Breaker *resilience.BreakerStats `json:"breaker,omitempty"`
+	// Breaker is the augmentation breaker's snapshot (with
+	// BreakerThreshold 0: closed, zero opens, forever).
+	Breaker resilience.BreakerStats `json:"breaker"`
 
 	// DedupHits counts requests served by attaching to another
 	// request's in-flight computation.
@@ -116,10 +116,7 @@ func (c *Core) Stats() Stats {
 	s.ServiceEWMAMs = svcMs
 	s.RetryAfterHintS = c.gauge.retryAfter(waiting, s.Limit)
 	s.Tenants = c.sched.tenantStats()
-	if c.breaker != nil {
-		bs := c.breaker.Stats()
-		s.Breaker = &bs
-	}
+	s.Breaker = c.breaker.Stats()
 	if c.cache != nil {
 		s.Cache = c.cache.stats()
 		if lookups := s.Cache.Hits + s.Cache.Misses; lookups > 0 {
@@ -184,11 +181,9 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_serving_cache_evictions_total", "Result-cache LRU evictions.", float64(s.Cache.Evictions))
 		e.Counter("pas_serving_cache_expiries_total", "Result-cache TTL expiries.", float64(s.Cache.Expiries))
 		e.Gauge("pas_serving_cache_entries", "Result-cache entries resident.", float64(s.Cache.Entries))
-		if s.Breaker != nil {
-			e.Gauge("pas_serving_breaker_state", "Augmentation breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
-			e.Counter("pas_serving_breaker_opens_total", "Times the augmentation breaker opened.", float64(s.Breaker.Opens))
-			e.Counter("pas_serving_breaker_rejections_total", "Requests rejected by the open breaker.", float64(s.Breaker.Rejections))
-		}
+		e.Gauge("pas_serving_breaker_state", "Augmentation breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
+		e.Counter("pas_serving_breaker_opens_total", "Times the augmentation breaker opened.", float64(s.Breaker.Opens))
+		e.Counter("pas_serving_breaker_rejections_total", "Requests rejected by the open breaker.", float64(s.Breaker.Rejections))
 	})
 }
 

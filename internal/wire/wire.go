@@ -1,0 +1,54 @@
+// Package wire declares the JSON bodies passerve exchanges with its
+// callers — POST /v1/augment and GET /v1/status — once, below both the
+// root package that serves them and the packages that consume them
+// (internal/ring's router and prober, internal/loadgen's readiness
+// poll). The field names are the stable contract.
+package wire
+
+// AugmentRequest is the body of POST /v1/augment.
+type AugmentRequest struct {
+	// Prompt is the user prompt to complement. Required.
+	Prompt string `json:"prompt"`
+	// Salt optionally decorrelates repeated calls.
+	Salt string `json:"salt,omitempty"`
+}
+
+// AugmentResponse is the reply of POST /v1/augment.
+type AugmentResponse struct {
+	// Prompt echoes the original prompt.
+	Prompt string `json:"prompt"`
+	// Complement is p_c = M_p(p).
+	Complement string `json:"complement"`
+	// Augmented is cat(p, p_c), ready to send to any LLM.
+	Augmented string `json:"augmented"`
+	// Model is the PAS base model name.
+	Model string `json:"model"`
+	// Degraded reports that the response is below full quality: the
+	// degradation ladder served a reduced rung, or the augmentation
+	// path shed and the service fell back to the raw prompt
+	// (ServingConfig.Degrade).
+	Degraded bool `json:"degraded,omitempty"`
+	// DegradedLevel names the rung when Degraded: "trim" for the cheap
+	// complement, "1" for raw passthrough (the legacy fail-open value).
+	// The X-PAS-Degraded response header carries the same value.
+	DegradedLevel string `json:"degraded_level,omitempty"`
+}
+
+// The values of Status.Status.
+const (
+	StatusOK       = "ok"
+	StatusDraining = "draining"
+)
+
+// Status is the body of GET /v1/status, the probe the cluster
+// membership table polls. The HTTP status stays 200 while draining — a
+// draining process is healthy, just leaving — and Status carries the
+// routing verdict: StatusDraining reads as routing-excluded-but-healthy,
+// anything else 2xx as "route to me".
+type Status struct {
+	Status string `json:"status"`
+	Model  string `json:"model"`
+	// Pressure is the brownout rung ("trim" or "raw"); empty at full
+	// service.
+	Pressure string `json:"pressure,omitempty"`
+}

@@ -14,35 +14,15 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
-// AugmentRequest is the body of POST /v1/augment.
-type AugmentRequest struct {
-	// Prompt is the user prompt to complement. Required.
-	Prompt string `json:"prompt"`
-	// Salt optionally decorrelates repeated calls.
-	Salt string `json:"salt,omitempty"`
-}
-
-// AugmentResponse is the reply of POST /v1/augment.
-type AugmentResponse struct {
-	// Prompt echoes the original prompt.
-	Prompt string `json:"prompt"`
-	// Complement is p_c = M_p(p).
-	Complement string `json:"complement"`
-	// Augmented is cat(p, p_c), ready to send to any LLM.
-	Augmented string `json:"augmented"`
-	// Model is the PAS base model name.
-	Model string `json:"model"`
-	// Degraded reports that the response is below full quality: the
-	// degradation ladder served a reduced rung, or the augmentation
-	// path shed and the service fell back to the raw prompt
-	// (ServingConfig.Degrade).
-	Degraded bool `json:"degraded,omitempty"`
-	// DegradedLevel names the rung when Degraded: "trim" for the cheap
-	// complement, "1" for raw passthrough (the legacy fail-open value).
-	DegradedLevel string `json:"degraded_level,omitempty"`
-}
+// AugmentRequest and AugmentResponse are the bodies of POST /v1/augment,
+// declared in internal/wire so the cluster router speaks the same types.
+type (
+	AugmentRequest  = wire.AugmentRequest
+	AugmentResponse = wire.AugmentResponse
+)
 
 // errorResponse is the JSON error envelope.
 type errorResponse struct {
@@ -221,32 +201,22 @@ func (s *System) Handler() http.Handler {
 }
 
 // handleStatus is the liveness probe the cluster membership table polls
-// (ring.HealthConfig.ProbePath). The status code stays 200 even while
-// draining — a draining process is healthy, just leaving — and the body
-// status field carries the routing verdict: probers (internal/ring)
-// parse "draining" as routing-excluded-but-healthy, anything else 2xx
-// as "route to me". It is deliberately cheap — no serving-core
-// counters, no locks — because a fleet of probers hits it continuously.
+// (see wire.Status for what probers read from it). It is deliberately
+// cheap — no serving-core counters, no locks beyond the rung's one
+// mutex read — because a fleet of probers hits it continuously.
 func (s *System) handleStatus(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
+	st := wire.Status{Status: wire.StatusOK, Model: s.BaseModel()}
 	if s.Draining() {
-		status = "draining"
+		st.Status = wire.StatusDraining
 	}
-	// The brownout rung rides along (one mutex read, still cheap) so
-	// ring routers can steer hedges away from a browned-out replica
-	// before sending it more work.
-	pressure := ""
+	// The brownout rung rides along so ring routers can steer hedges
+	// away from a browned-out replica before sending it more work.
 	if s.core != nil {
-		pressure = s.core.PressureLevel().String()
-		if pressure == "full" {
-			pressure = ""
+		if l := s.core.PressureLevel(); l != serving.LevelFull {
+			st.Pressure = l.String()
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Status   string `json:"status"`
-		Model    string `json:"model"`
-		Pressure string `json:"pressure,omitempty"`
-	}{Status: status, Model: s.BaseModel(), Pressure: pressure})
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleDrain is the admin half of a rolling restart: it flips the
