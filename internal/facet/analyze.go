@@ -1,7 +1,9 @@
 package facet
 
 import (
+	"math/bits"
 	"strings"
+	"unicode"
 
 	"repro/internal/textkit"
 )
@@ -29,21 +31,43 @@ type Analysis struct {
 }
 
 // AnalyzePrompt derives an Analysis from the prompt text alone. It is the
-// shared "reading comprehension" routine of every simulated model.
+// shared "reading comprehension" routine of every simulated model, and
+// the bulk of a serving cache miss, so it reads the prompt once: one
+// tokenisation, then one cue-index lookup per word fills the hit count
+// of all 14 category and 12 facet lexicons.
 func AnalyzePrompt(text string) Analysis {
+	// Room for a ~40-word prompt on the stack; longer ones spill to the heap.
+	var wordBuf [256]byte
+	var endBuf [48]int
+	buf, ends := textkit.AppendWords(wordBuf[:0], endBuf[:0], text)
+	var seen [cueLexicons]uint64
+	promptCues.mark(buf, ends, seen[:])
+	hits := func(lexicon int) int { return bits.OnesCount64(seen[lexicon]) }
+
 	var a Analysis
-	a.Category, a.CategoryScore = guessCategory(text)
+	a.Category = QA
+	for c := 0; c < CategoryCount; c++ {
+		score := hits(c)
+		// Coding/knowledge cues are rarer and more diagnostic than the
+		// ubiquitous QA interrogatives; weight them up.
+		if Category(c) != QA && Category(c) != Chitchat {
+			score *= 2
+		}
+		if score > a.CategoryScore {
+			a.Category, a.CategoryScore = Category(c), score
+		}
+	}
 	a.Needs = NeedPrior(a.Category)
 
 	// Sharpen needs with explicit cues; explicit cues also register as
 	// constraints when they bound the answer (conciseness, style,
 	// structure are binding; the rest just raise need weight).
 	for f := 0; f < Count; f++ {
-		hits := textkit.CountLexiconHits(text, needCueLex[Facet(f)])
-		if hits == 0 {
+		n := hits(CategoryCount + f)
+		if n == 0 {
 			continue
 		}
-		a.Needs[f] += 0.5 * float64(hits)
+		a.Needs[f] += 0.5 * float64(n)
 		if a.Needs[f] > 2 {
 			a.Needs[f] = 2
 		}
@@ -59,34 +83,89 @@ func AnalyzePrompt(text string) Analysis {
 		a.Needs[Reasoning] += 0.5
 	}
 
-	words := float64(textkit.WordCount(text))
 	active := 0
 	for _, w := range a.Needs {
 		if w > 0.3 {
 			active++
 		}
 	}
-	a.Complexity = words/40 + float64(active)/4
+	a.Complexity = float64(len(ends))/40 + float64(active)/4
 	if a.Complexity > 3 {
 		a.Complexity = 3
 	}
 	return a
 }
 
-func guessCategory(text string) (Category, int) {
-	best, bestScore := QA, 0
-	for _, c := range Categories() {
-		score := textkit.CountLexiconHits(text, categoryCues[c])
-		// Coding/knowledge cues are rarer and more diagnostic than the
-		// ubiquitous QA interrogatives; weight them up.
-		if c != QA && c != Chitchat {
-			score *= 2
+// cueLexicons is the number of lexicons AnalyzePrompt counts hits in:
+// categoryCues[c] is lexicon c, needCueLex[f] is lexicon CategoryCount+f.
+const cueLexicons = CategoryCount + Count
+
+// promptCues indexes those lexicons. It is filled in taxonomy order, not
+// by ranging over the maps, so the index is the same in every process.
+var promptCues = func() cueIndex {
+	lexicons := make([][]string, 0, cueLexicons)
+	for c := 0; c < CategoryCount; c++ {
+		lexicons = append(lexicons, categoryCues[Category(c)])
+	}
+	for f := 0; f < Count; f++ {
+		lexicons = append(lexicons, needCueLex[Facet(f)])
+	}
+	return buildCueIndex(lexicons)
+}()
+
+// cueIndex maps the first word of each lexicon entry to the entries that
+// start with it. An entry is matched against the word sequence of a
+// text: a single word as a whole token, several words as a phrase.
+type cueIndex map[string][]cue
+
+type cue struct {
+	rest []string // the entry's words after the first
+	lex  uint8    // the lexicon it belongs to
+	bit  uint8    // its position in that lexicon
+}
+
+// buildCueIndex compiles lexicons, folding each entry the way
+// AppendWords folds text. An entry that is not letters-only words joined
+// by single spaces can occur in no word sequence and is left out.
+func buildCueIndex(lexicons [][]string) cueIndex {
+	notLetter := func(r rune) bool { return !unicode.IsLetter(r) }
+	idx := cueIndex{}
+	for l, lexicon := range lexicons {
+		if len(lexicon) > 64 {
+			panic("facet: a cue lexicon holds more entries than a 64-bit hit set")
 		}
-		if score > bestScore {
-			best, bestScore = c, score
+	entries:
+		for bit, entry := range lexicon {
+			words := strings.Split(strings.ToLower(strings.TrimSpace(entry)), " ")
+			for _, w := range words {
+				if w == "" || strings.IndexFunc(w, notLetter) >= 0 {
+					continue entries
+				}
+			}
+			idx[words[0]] = append(idx[words[0]], cue{rest: words[1:], lex: uint8(l), bit: uint8(bit)})
 		}
 	}
-	return best, bestScore
+	return idx
+}
+
+// mark sets bit e of seen[l] for every entry e of lexicon l that occurs
+// in the words of buf — word k is buf[ends[k-1]:ends[k]] — so the number
+// of distinct entries of a lexicon that hit is the popcount of its word.
+func (idx cueIndex) mark(buf []byte, ends []int, seen []uint64) {
+	start := 0
+	for i, end := range ends {
+	candidates:
+		for _, c := range idx[string(buf[start:end])] {
+			for j, w := range c.rest {
+				k := i + 1 + j
+				if k >= len(ends) || string(buf[ends[k-1]:ends[k]]) != w {
+					continue candidates
+				}
+			}
+			seen[c.lex] |= 1 << c.bit
+		}
+		start = end
+	}
 }
 
 // DetectDirectives reads a complementary prompt and returns the facets it
@@ -94,9 +173,10 @@ func guessCategory(text string) (Category, int) {
 // downstream LLM "obeys" an augmentation: only phrases present in the
 // shared lexicon steer it.
 func DetectDirectives(aug string) Set {
+	folded := strings.ToLower(aug)
 	var s Set
 	for f := 0; f < Count; f++ {
-		if countPhraseHits(aug, directiveLex[Facet(f)]) > 0 {
+		if countPhraseHits(folded, directiveLex[Facet(f)]) > 0 {
 			s = s.With(Facet(f))
 		}
 	}
@@ -106,9 +186,10 @@ func DetectDirectives(aug string) Set {
 // DetectDelivered reads a response and scores how strongly it delivers
 // each facet, from the delivery lexicon.
 func DetectDelivered(response string) Weights {
+	folded := strings.ToLower(response)
 	var w Weights
 	for f := 0; f < Count; f++ {
-		hits := countPhraseHits(response, deliveryLex[Facet(f)])
+		hits := countPhraseHits(folded, deliveryLex[Facet(f)])
 		w[f] = float64(hits)
 		if w[f] > 3 {
 			w[f] = 3
@@ -120,7 +201,7 @@ func DetectDelivered(response string) Weights {
 // DetectAnswerLeak reports whether an augmentation text directly answers
 // the question instead of supplementing it.
 func DetectAnswerLeak(aug string) bool {
-	return countPhraseHits(aug, answerLeakCues) > 0
+	return countPhraseHits(strings.ToLower(aug), answerLeakCues) > 0
 }
 
 // ConflictingDirectives returns the demanded facets that conflict with
@@ -137,17 +218,14 @@ func ConflictingDirectives(a Analysis, directives Set) []Facet {
 	return out
 }
 
-// countPhraseHits counts lexicon phrases occurring in text. Unlike
-// textkit.CountLexiconHits it matches substrings on the normalised text,
-// because directive/delivery phrases include punctuation and markdown.
-func countPhraseHits(text string, phrases []string) int {
-	folded := strings.ToLower(text)
+// countPhraseHits counts the lexicon phrases occurring in folded, a
+// lower-cased text. Unlike the cue index it matches substrings, because
+// directive/delivery phrases include punctuation and markdown. The banks
+// are stored lower-cased, with no empty phrase (TestPhraseLexiconsAreFolded).
+func countPhraseHits(folded string, phrases []string) int {
 	hits := 0
 	for _, p := range phrases {
-		if p == "" {
-			continue
-		}
-		if strings.Contains(folded, strings.ToLower(p)) {
+		if strings.Contains(folded, p) {
 			hits++
 		}
 	}

@@ -1,6 +1,7 @@
 package facet
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -261,5 +262,25 @@ func TestDetectDeliveredCapsAtThree(t *testing.T) {
 	w := DetectDelivered(text)
 	if w[Examples] != 3 {
 		t.Fatalf("examples delivery = %v, want capped at 3", w[Examples])
+	}
+}
+
+// TestPhraseLexiconsAreFolded: countPhraseHits folds the text and not
+// the phrases, so every phrase it is given must already be lower-case,
+// and none may be empty (an empty phrase would hit every text).
+func TestPhraseLexiconsAreFolded(t *testing.T) {
+	banks := [][]string{answerLeakCues}
+	for _, f := range All() {
+		banks = append(banks, directiveLex[f], deliveryLex[f])
+	}
+	for _, bank := range banks {
+		for _, p := range bank {
+			if p == "" || p != strings.ToLower(p) {
+				t.Errorf("phrase %q is empty or not lower-case", p)
+			}
+		}
+	}
+	if !DetectDirectives("THINK STEP BY STEP").Has(Reasoning) || !DetectAnswerLeak("The Answer Is 4") {
+		t.Error("detection must stay case-insensitive on the text side")
 	}
 }

@@ -17,20 +17,25 @@ func RenderDirectives(facets []Facet, variant string) string {
 	if len(facets) == 0 {
 		return ""
 	}
-	parts := make([]string, 0, len(facets))
+	var b strings.Builder
+	b.Grow(32 * len(facets))
 	for i, f := range facets {
 		lex := directiveLex[f]
 		if len(lex) == 0 {
 			continue
 		}
-		pick := textkit.Bucket(variant+"/"+f.String(), 0xd1ec, len(lex))
-		phrase := lex[pick]
-		if i == 0 {
-			phrase = "Please " + phrase
+		if b.Len() > 0 {
+			b.WriteString("; ")
 		}
-		parts = append(parts, phrase)
+		if i == 0 {
+			b.WriteString("Please ")
+		}
+		// The hash of variant+"/"+f.String(), fed in pieces.
+		h := textkit.NewHasher(0xd1ec).Add(variant).Add("/").Add(f.String())
+		b.WriteString(lex[h.Bucket(len(lex))])
 	}
-	return strings.Join(parts, "; ") + "."
+	b.WriteByte('.')
+	return b.String()
 }
 
 // RenderConflicting composes a defective augmentation that demands a facet

@@ -74,9 +74,19 @@ type Result struct {
 	Distance float64
 }
 
+// point is a vector with its Euclidean norm, taken once — at Add for a
+// stored vector, per search for a query — because the cosine metric
+// divides by both norms on every one of a search's comparisons.
+type point struct {
+	vec  embed.Vector
+	norm float64
+}
+
+func newPoint(vec embed.Vector) point { return point{vec: vec, norm: vec.Norm()} }
+
 type node struct {
-	id      int
-	vec     embed.Vector
+	id int
+	point
 	level   int
 	friends [][]int32 // friends[l] = neighbour slots at layer l
 }
@@ -130,17 +140,21 @@ func (ix *Index) Len() int {
 	return len(ix.nodes)
 }
 
-func (ix *Index) dist(a, b embed.Vector) float64 {
+func (ix *Index) dist(a, b point) float64 {
 	switch ix.cfg.Metric {
 	case Euclidean:
 		var s float64
-		for i := range a {
-			d := float64(a[i]) - float64(b[i])
+		for i := range a.vec {
+			d := float64(a.vec[i]) - float64(b.vec[i])
 			s += d * d
 		}
 		return math.Sqrt(s)
 	default:
-		return 1 - a.Cosine(b)
+		// 1 - a.vec.Cosine(b.vec), with the norms Cosine would recompute.
+		if a.norm == 0 || b.norm == 0 {
+			return 1
+		}
+		return 1 - a.vec.Dot(b.vec)/(a.norm*b.norm)
 	}
 }
 
@@ -163,7 +177,8 @@ func (ix *Index) Add(id int, vec embed.Vector) error {
 	}
 
 	level := ix.randomLevel()
-	n := &node{id: id, vec: vec, level: level, friends: make([][]int32, level+1)}
+	q := newPoint(vec)
+	n := &node{id: id, point: q, level: level, friends: make([][]int32, level+1)}
 	slot := int32(len(ix.nodes))
 	ix.nodes = append(ix.nodes, n)
 	ix.byID[id] = slot
@@ -175,10 +190,10 @@ func (ix *Index) Add(id int, vec embed.Vector) error {
 	}
 
 	cur := ix.entry
-	curDist := ix.dist(vec, ix.nodes[cur].vec)
+	curDist := ix.dist(q, ix.nodes[cur].point)
 	// Greedy descent through layers above the node's level.
 	for l := ix.maxLvl; l > level; l-- {
-		cur, curDist = ix.greedyStep(vec, cur, curDist, l)
+		cur, curDist = ix.greedyStep(q, cur, curDist, l)
 	}
 	// Insert into each layer from min(level, maxLvl) down to 0.
 	top := level
@@ -187,8 +202,8 @@ func (ix *Index) Add(id int, vec embed.Vector) error {
 	}
 	ep := []candidate{{slot: cur, dist: curDist}}
 	for l := top; l >= 0; l-- {
-		w := ix.searchLayer(vec, ep, ix.cfg.EfConstruction, l)
-		neighbors := ix.selectNeighbors(vec, w, ix.cfg.M)
+		w := ix.searchLayer(q, ep, ix.cfg.EfConstruction, l)
+		neighbors := ix.selectNeighbors(w, ix.cfg.M)
 		n.friends[l] = make([]int32, 0, len(neighbors))
 		for _, c := range neighbors {
 			n.friends[l] = append(n.friends[l], c.slot)
@@ -220,21 +235,21 @@ func (ix *Index) link(from, to int32, l int) {
 	}
 	cands := make([]candidate, 0, len(fn.friends[l]))
 	for _, s := range fn.friends[l] {
-		cands = append(cands, candidate{slot: s, dist: ix.dist(fn.vec, ix.nodes[s].vec)})
+		cands = append(cands, candidate{slot: s, dist: ix.dist(fn.point, ix.nodes[s].point)})
 	}
-	kept := ix.selectNeighbors(fn.vec, cands, maxConn)
+	kept := ix.selectNeighbors(cands, maxConn)
 	fn.friends[l] = fn.friends[l][:0]
 	for _, c := range kept {
 		fn.friends[l] = append(fn.friends[l], c.slot)
 	}
 }
 
-func (ix *Index) greedyStep(q embed.Vector, start int32, startDist float64, l int) (int32, float64) {
+func (ix *Index) greedyStep(q point, start int32, startDist float64, l int) (int32, float64) {
 	cur, curDist := start, startDist
 	for {
 		improved := false
 		for _, nb := range ix.nodes[cur].friends[l] {
-			if d := ix.dist(q, ix.nodes[nb].vec); d < curDist {
+			if d := ix.dist(q, ix.nodes[nb].point); d < curDist {
 				cur, curDist = nb, d
 				improved = true
 			}
@@ -281,7 +296,7 @@ func (h *maxHeap) Pop() interface{} {
 }
 
 // searchLayer is algorithm 2: best-first expansion bounded by ef.
-func (ix *Index) searchLayer(q embed.Vector, entry []candidate, ef, l int) []candidate {
+func (ix *Index) searchLayer(q point, entry []candidate, ef, l int) []candidate {
 	visited := make(map[int32]bool, ef*4)
 	var cand minHeap
 	var result maxHeap
@@ -303,7 +318,7 @@ func (ix *Index) searchLayer(q embed.Vector, entry []candidate, ef, l int) []can
 				continue
 			}
 			visited[nb] = true
-			d := ix.dist(q, ix.nodes[nb].vec)
+			d := ix.dist(q, ix.nodes[nb].point)
 			if result.Len() < ef || d < result[0].dist {
 				heap.Push(&cand, candidate{slot: nb, dist: d})
 				heap.Push(&result, candidate{slot: nb, dist: d})
@@ -324,7 +339,7 @@ func (ix *Index) searchLayer(q embed.Vector, entry []candidate, ef, l int) []can
 // follows algorithm 4: a candidate is kept only if it is closer to the
 // query than to every already-kept neighbour, which preserves graph
 // navigability in clustered data.
-func (ix *Index) selectNeighbors(q embed.Vector, cands []candidate, m int) []candidate {
+func (ix *Index) selectNeighbors(cands []candidate, m int) []candidate {
 	sorted := make([]candidate, len(cands))
 	copy(sorted, cands)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].dist < sorted[j].dist })
@@ -342,7 +357,7 @@ func (ix *Index) selectNeighbors(q embed.Vector, cands []candidate, m int) []can
 		}
 		good := true
 		for _, k := range kept {
-			if ix.dist(ix.nodes[c.slot].vec, ix.nodes[k.slot].vec) < c.dist {
+			if ix.dist(ix.nodes[c.slot].point, ix.nodes[k.slot].point) < c.dist {
 				good = false
 				break
 			}
@@ -383,12 +398,13 @@ func (ix *Index) SearchEf(q embed.Vector, k, ef int) []Result {
 	if ef < k {
 		ef = k
 	}
+	qp := newPoint(q)
 	cur := ix.entry
-	curDist := ix.dist(q, ix.nodes[cur].vec)
+	curDist := ix.dist(qp, ix.nodes[cur].point)
 	for l := ix.maxLvl; l > 0; l-- {
-		cur, curDist = ix.greedyStep(q, cur, curDist, l)
+		cur, curDist = ix.greedyStep(qp, cur, curDist, l)
 	}
-	w := ix.searchLayer(q, []candidate{{slot: cur, dist: curDist}}, ef, 0)
+	w := ix.searchLayer(qp, []candidate{{slot: cur, dist: curDist}}, ef, 0)
 	if len(w) > k {
 		w = w[:k]
 	}

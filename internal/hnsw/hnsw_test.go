@@ -320,3 +320,37 @@ func BenchmarkHNSWSearch(b *testing.B) {
 		ix.Search(q, 10)
 	}
 }
+
+// TestStoredNormsGiveCosineBits: the index divides by norms it stored at
+// Add and at the top of a search; every distance it reports must be the
+// float embed.Vector.Cosine gives, bit for bit — unnormalised and zero
+// vectors included — or the curated dataset downstream would move.
+func TestStoredNormsGiveCosineBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	ix := MustNew(DefaultConfig())
+	vecs := map[int]embed.Vector{}
+	for i := 0; i < 300; i++ {
+		v := randVec(rng, 24)
+		for j := range v {
+			v[j] *= float32(1 + i%7) // off the unit sphere
+		}
+		if i == 150 {
+			v = make(embed.Vector, 24) // zero vector: Cosine is 0, distance 1
+		}
+		vecs[i] = v
+		if err := ix.Add(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []embed.Vector{make(embed.Vector, 24), vecs[150], vecs[3]}
+	for i := 0; i < 40; i++ {
+		queries = append(queries, randVec(rng, 24))
+	}
+	for _, q := range queries {
+		for _, r := range ix.Search(q, 300) {
+			if want := 1 - q.Cosine(vecs[r.ID]); r.Distance != want {
+				t.Fatalf("distance to id %d = %v, 1 - Cosine = %v", r.ID, r.Distance, want)
+			}
+		}
+	}
+}

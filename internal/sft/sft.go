@@ -186,13 +186,13 @@ func (m *Model) Complement(prompt, salt string) string {
 	// selection noise.
 	infidelity := 1.6 - m.base.Quality
 
-	if m.draw(prompt, "leak", salt) < m.policy.LeakRate*infidelity {
+	if m.draw(prompt, salt, "leak") < m.policy.LeakRate*infidelity {
 		return facet.RenderAnswerLeak(prompt + salt)
 	}
-	if a.Constraints.Len() > 0 && m.draw(prompt, "conflict", salt) < m.policy.ConflictRate*infidelity {
+	if a.Constraints.Len() > 0 && m.draw(prompt, salt, "conflict") < m.policy.ConflictRate*infidelity {
 		return facet.RenderConflicting(a.Constraints.Facets()[0], prompt+salt)
 	}
-	if a.Complexity < 1 && m.draw(prompt, "overreach", salt) < m.policy.OverreachRate*infidelity {
+	if a.Complexity < 1 && m.draw(prompt, salt, "overreach") < m.policy.OverreachRate*infidelity {
 		return facet.RenderDirectives([]facet.Facet{
 			facet.Completeness, facet.Examples, facet.Context, facet.Safety, facet.Planning,
 		}, prompt+salt)
@@ -203,18 +203,18 @@ func (m *Model) Complement(prompt, salt string) string {
 	// garbles one facet choice. This is why fine-tuning the same data
 	// onto LLaMA-2-7B (Table 2) trails the Qwen2-7B build (Table 1).
 	var want []facet.Facet
-	if m.draw(prompt, "flub", salt) < 1.1*(0.8-m.base.Quality) {
+	if m.draw(prompt, salt, "flub") < 1.1*(0.8-m.base.Quality) {
 		want = []facet.Facet{facet.Specificity}
 	} else {
 		want = m.pickFacets(a, prompt, salt)
-		if len(want) > 0 && m.draw(prompt, "garble", salt) < 0.8*(0.8-m.base.Quality) {
-			sub := facet.Facet(int(m.draw(prompt, "garblepick", salt) * float64(facet.Count)))
+		if len(want) > 0 && m.draw(prompt, salt, "garble") < 0.8*(0.8-m.base.Quality) {
+			sub := facet.Facet(int(m.draw(prompt, salt, "garblepick") * float64(facet.Count)))
 			if sub.Valid() && !conflictsConstraint(a, sub) {
 				want[len(want)-1] = sub
 			}
 		}
 	}
-	if a.Trapped && m.draw(prompt, "trapdir", salt) < m.policy.TrapDirective {
+	if a.Trapped && m.draw(prompt, salt, "trapdir") < m.policy.TrapDirective {
 		if !hasFacet(want, facet.TrapAware) {
 			want = append([]facet.Facet{facet.TrapAware}, want...)
 		}
@@ -233,11 +233,11 @@ func (m *Model) pickFacets(a facet.Analysis, prompt, salt string) []facet.Facet 
 		f facet.Facet
 		s float64
 	}
-	var cands []scored
+	cands := make([]scored, 0, facet.Count)
 	for f := 0; f < facet.Count; f++ {
 		prop := m.policy.CategoryFacet[a.Category][f]
 		s := prop * (0.4 + a.Needs[f])
-		s += (m.draw(prompt, "pick/"+facet.Facet(f).String(), salt) - 0.5) * noise * prop * 4
+		s += (m.draw(prompt, salt, "pick/", facet.Facet(f).String()) - 0.5) * noise * prop * 4
 		if conflictsConstraint(a, facet.Facet(f)) {
 			// A well-trained policy learned to avoid these; residual
 			// conflict habit is handled by ConflictRate above.
@@ -279,13 +279,21 @@ func (m *Model) ComplementCheap(prompt, salt string) string {
 	return facet.RenderDirectives([]facet.Facet{facet.Specificity}, prompt+salt)
 }
 
-func (m *Model) draw(prompt, purpose, salt string) float64 {
-	return textkit.Unit(purpose+"\x00"+salt+"\x00"+prompt, m.seed)
+// draw is the model's pseudo-random source: a unit float fixed by the
+// purpose (given in pieces), the salt and the prompt. It hashes
+// purpose+"\x00"+salt+"\x00"+prompt piece by piece, so the ~18 draws of
+// one Complement build no strings.
+func (m *Model) draw(prompt, salt string, purpose ...string) float64 {
+	h := textkit.NewHasher(m.seed)
+	for _, p := range purpose {
+		h = h.Add(p)
+	}
+	return h.Add("\x00").Add(salt).Add("\x00").Add(prompt).Unit()
 }
 
 func conflictsConstraint(a facet.Analysis, f facet.Facet) bool {
-	for _, g := range a.Constraints.Facets() {
-		if f != g && facet.ConflictsWith(f, g) {
+	for g := facet.Facet(0); int(g) < facet.Count; g++ {
+		if a.Constraints.Has(g) && f != g && facet.ConflictsWith(f, g) {
 			return true
 		}
 	}

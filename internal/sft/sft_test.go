@@ -12,13 +12,15 @@ import (
 	"repro/internal/simllm"
 )
 
-// cleanDataset builds a curated-quality training set: golden pairs
-// replicated with varied prompts.
+// cleanDataset builds a curated-quality training set: the golden pairs,
+// in taxonomy order so dirtyDataset corrupts the same pairs every run
+// (complement.golden depends on that).
 func cleanDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	d := &dataset.Dataset{}
-	for _, pairs := range dataset.Golden() {
-		for _, p := range pairs {
+	golden := dataset.Golden()
+	for _, c := range facet.Categories() {
+		for _, p := range golden[c] {
 			if err := d.Add(p); err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package textkit
 
 import (
+	"slices"
 	"testing"
 	"unicode/utf8"
 )
@@ -21,11 +22,9 @@ func FuzzTokenize(f *testing.F) {
 				t.Fatal("empty token")
 			}
 		}
-		// Words is a subset of Tokenize and also must not panic.
-		for _, w := range Words(s) {
-			if w == "" {
-				t.Fatal("empty word")
-			}
+		// Words is the letters-only subset of Tokenize, found by its own scan.
+		if got, want := Words(s), tokenizeWords(s); !slices.Equal(got, want) {
+			t.Fatalf("Words = %q, the word tokens of Tokenize are %q", got, want)
 		}
 		_ = Sentences(s)
 		_ = Normalize(s)

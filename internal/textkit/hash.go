@@ -23,14 +23,27 @@ func Hash64(s string) uint64 {
 // Hash64Seed hashes s mixed with a seed, so independent feature spaces
 // (for example the sign hash and the bucket hash of a hashing-trick
 // embedder) do not collide systematically.
-func Hash64Seed(s string, seed uint64) uint64 {
-	h := fnvOffset64 ^ (seed * fnvPrime64)
+func Hash64Seed(s string, seed uint64) uint64 { return NewHasher(seed).Add(s).Sum() }
+
+// Hasher is Hash64Seed fed in pieces: NewHasher(seed).Add(a).Add(b).Sum()
+// equals Hash64Seed(a+b, seed) without building a+b, so a draw keyed by
+// several strings costs no allocation.
+type Hasher uint64
+
+// NewHasher starts a seeded hash.
+func NewHasher(seed uint64) Hasher { return fnvOffset64 ^ Hasher(seed*fnvPrime64) }
+
+// Add hashes the bytes of s after everything added so far.
+func (h Hasher) Add(s string) Hasher {
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+		h ^= Hasher(s[i])
 		h *= fnvPrime64
 	}
-	return mix64(h)
+	return h
 }
+
+// Sum returns the finished hash.
+func (h Hasher) Sum() uint64 { return mix64(uint64(h)) }
 
 // mix64 is a finaliser (splitmix64 style) that breaks up the linear
 // structure FNV leaves in the low bits.
@@ -44,9 +57,10 @@ func mix64(h uint64) uint64 {
 }
 
 // Bucket maps s into [0, n) using the seeded hash. n must be > 0.
-func Bucket(s string, seed uint64, n int) int {
-	return int(Hash64Seed(s, seed) % uint64(n))
-}
+func Bucket(s string, seed uint64, n int) int { return NewHasher(seed).Add(s).Bucket(n) }
+
+// Bucket is Bucket for a hash fed in pieces.
+func (h Hasher) Bucket(n int) int { return int(h.Sum() % uint64(n)) }
 
 // Sign returns +1 or -1 derived from a seeded hash of s, used as the
 // hashing-trick sign to make collisions unbiased in expectation.
@@ -60,6 +74,7 @@ func Sign(s string, seed uint64) float64 {
 // Unit maps s to a deterministic float in [0, 1). It is the source of all
 // "stylistic" pseudo-randomness in the simulated LLM: same string, same
 // draw, regardless of call order.
-func Unit(s string, seed uint64) float64 {
-	return float64(Hash64Seed(s, seed)>>11) / (1 << 53)
-}
+func Unit(s string, seed uint64) float64 { return NewHasher(seed).Add(s).Unit() }
+
+// Unit is Unit for a hash fed in pieces.
+func (h Hasher) Unit() float64 { return float64(h.Sum()>>11) / (1 << 53) }

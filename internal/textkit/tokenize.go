@@ -10,6 +10,7 @@ package textkit
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single lexical unit produced by Tokenize. Tokens are
@@ -63,23 +64,38 @@ func Tokenize(text string) []Token {
 // Words returns only the word tokens of text, dropping numbers and
 // punctuation. Most feature extraction works on words.
 func Words(text string) []string {
-	toks := Tokenize(text)
-	words := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if len(t) > 0 && isWord(string(t)) {
-			words = append(words, string(t))
-		}
+	buf, ends := AppendWords(make([]byte, 0, len(text)), make([]int, 0, len(text)/6+1), text)
+	all := string(buf)
+	words := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		words[i] = all[start:end]
+		start = end
 	}
 	return words
 }
 
-func isWord(s string) bool {
-	for _, r := range s {
-		if !unicode.IsLetter(r) {
-			return false
+// AppendWords is Words without the strings: it appends the words of
+// text to buf back to back, and each word's end offset in buf to ends.
+// A word is a maximal run of letters, lower-cased rune by rune; every
+// other rune (digit, space, punctuation, invalid UTF-8) only separates.
+// That is exactly the word-token subset of Tokenize, because no rune
+// outside the letters lower-cases into them (TestWordRule).
+func AppendWords(buf []byte, ends []int, text string) ([]byte, []int) {
+	inWord := false
+	for _, r := range text {
+		if unicode.IsLetter(r) {
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			inWord = true
+		} else if inWord {
+			ends = append(ends, len(buf))
+			inWord = false
 		}
 	}
-	return len(s) > 0
+	if inWord {
+		ends = append(ends, len(buf))
+	}
+	return buf, ends
 }
 
 // Sentences splits text into sentences on terminal punctuation. It keeps
@@ -140,38 +156,4 @@ func WordCount(text string) int { return len(Words(text)) }
 // spaces, producing the canonical form used for deduplication keys.
 func Normalize(text string) string {
 	return strings.Join(strings.Fields(strings.ToLower(text)), " ")
-}
-
-// ContainsAnyWord reports whether any of the given lexicon words appears
-// as a whole word token in text. Matching is case-insensitive.
-func ContainsAnyWord(text string, lexicon []string) bool {
-	set := make(map[string]bool, len(lexicon))
-	for _, w := range lexicon {
-		set[strings.ToLower(w)] = true
-	}
-	for _, w := range Words(text) {
-		if set[w] {
-			return true
-		}
-	}
-	return false
-}
-
-// CountLexiconHits counts how many distinct lexicon entries occur in text.
-// Multi-word lexicon entries are matched as phrases against the word
-// sequence; single words are matched as whole tokens.
-func CountLexiconHits(text string, lexicon []string) int {
-	words := Words(text)
-	joined := " " + strings.Join(words, " ") + " "
-	hits := 0
-	for _, entry := range lexicon {
-		e := strings.ToLower(strings.TrimSpace(entry))
-		if e == "" {
-			continue
-		}
-		if strings.Contains(joined, " "+e+" ") {
-			hits++
-		}
-	}
-	return hits
 }

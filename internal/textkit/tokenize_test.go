@@ -1,9 +1,11 @@
 package textkit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -94,23 +96,50 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestContainsAnyWord(t *testing.T) {
-	if !ContainsAnyWord("Explain step by step", []string{"step"}) {
-		t.Error("expected hit on whole word")
+// tokenizeWords is the definition AppendWords is held to: the tokens of
+// Tokenize that consist of letters only.
+func tokenizeWords(text string) []string {
+	words := []string{}
+	for _, tok := range Tokenize(text) {
+		if strings.IndexFunc(string(tok), func(r rune) bool { return !unicode.IsLetter(r) }) < 0 {
+			words = append(words, string(tok))
+		}
 	}
-	if ContainsAnyWord("stepwise approach", []string{"step"}) {
-		t.Error("should not match inside a longer word")
+	return words
+}
+
+// TestWordRule: Words scans for letter runs directly, where it used to
+// filter Tokenize's output. The two agree because lower-casing never
+// moves a rune into or out of the letters; check that for every rune.
+func TestWordRule(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if unicode.IsLetter(r) != unicode.IsLetter(unicode.ToLower(r)) {
+			t.Fatalf("%U: letter=%v but its lower case %U: letter=%v",
+				r, unicode.IsLetter(r), unicode.ToLower(r), unicode.IsLetter(unicode.ToLower(r)))
+		}
+	}
+	for _, text := range []string{
+		"", "  ", "Write 3 tests, quickly!", "gpt4 turbo", "in 5 depth", "a1b2c3", "Café MÜNCHEN ǅ İ",
+		"aⒷc", "x²", "tl;dr", "wh\xffy", "\xff\xfe", "trailing word", "你好 world", "e\u0301 combining",
+	} {
+		got, want := Words(text), tokenizeWords(text)
+		if !slices.Equal(got, want) {
+			t.Errorf("Words(%q) = %q, the word tokens of Tokenize are %q", text, got, want)
+		}
+		if WordCount(text) != len(want) {
+			t.Errorf("WordCount(%q) = %d, want %d", text, WordCount(text), len(want))
+		}
 	}
 }
 
-func TestCountLexiconHits(t *testing.T) {
-	text := "please think step by step and show your reasoning"
-	lex := []string{"step by step", "reasoning", "missing phrase"}
-	if got := CountLexiconHits(text, lex); got != 2 {
-		t.Fatalf("hits = %d, want 2", got)
+func TestHasherMatchesConcatenation(t *testing.T) {
+	f := func(a, b, c string, seed uint64) bool {
+		h := NewHasher(seed).Add(a).Add(b).Add(c)
+		s := a + b + c
+		return h.Sum() == Hash64Seed(s, seed) && h.Unit() == Unit(s, seed) && h.Bucket(7) == Bucket(s, seed, 7)
 	}
-	if got := CountLexiconHits(text, []string{" ", ""}); got != 0 {
-		t.Fatalf("blank lexicon entries should not count, got %d", got)
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
