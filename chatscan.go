@@ -1,35 +1,26 @@
 package pas
 
-import (
-	"bytes"
-	"encoding/json"
-	"unicode/utf8"
-)
+import "repro/internal/wire"
 
-// maxJSONDepth is encoding/json's nesting limit. json.Valid rejects
-// anything deeper, and the scanner's syntax verdict must equal it.
-const maxJSONDepth = 10000
-
-// Where an object sits decides which of its keys the scanner reads:
-// "seed" and "messages" at the top level, "role" and "content" in an
-// element of messages, none anywhere else.
+// Where an object sits decides which of its keys the scan reads: "seed"
+// and "messages" at the top level, "role" and "content" in an element
+// of messages. Objects anywhere else are the scanner's to skip.
 const (
-	inOther = iota
-	inTop
+	inTop = iota
 	inMessage
 )
 
-// chatScan is one forward pass over a chat-completions request body.
-// It validates RFC 8259 syntax and, on the way, records where the raw
-// seed value and the content string literal of the last "role":"user"
-// element of the top-level messages array sit in the body. Keys are
-// compared after unescaping, case-sensitively; of duplicate keys the
-// last one wins, as encoding/json resolves them. Offsets index the
-// scanned body; an end of 0 means "absent".
+// chatScan is one forward pass over a chat-completions request body,
+// made with the repository's one JSON scanner (wire.Scanner, which also
+// reads the /v1/augment bodies). It validates RFC 8259 syntax and, on
+// the way, records where the raw seed value and the content string
+// literal of the last "role":"user" element of the top-level messages
+// array sit in the body. Keys are compared after unescaping,
+// case-sensitively; of duplicate keys the last one wins, as
+// encoding/json resolves them. Offsets index the scanned body; an end of
+// 0 means "absent".
 type chatScan struct {
-	b     []byte
-	i     int // next unread byte
-	depth int // open containers
+	wire.Scanner
 
 	// valid is the syntax verdict, equal to json.Valid's. usable adds
 	// the shape the rewrite needs: a top-level object whose messages, if
@@ -52,340 +43,97 @@ type chatScan struct {
 //
 //paslint:hotpath runs on every chat request before anything else; the rewrite's budget is one pass and no garbage
 func scanChat(body []byte) chatScan {
-	var s chatScan
-	s.b = body
-	top := s.skipWS()
+	s := chatScan{Scanner: wire.NewScanner(body)}
+	top := s.SkipWS()
 	var ok bool
 	if top == '{' {
 		ok = s.object(inTop)
 	} else {
-		ok = s.value()
+		ok = s.Value()
 	}
-	s.skipWS()
-	s.valid = ok && s.i == len(body)
+	s.valid = ok && s.AtEnd()
 	s.usable = s.valid && top == '{' && !s.badMessages && (!s.haveUser || s.contentEnd > 0)
 	return s
 }
 
-// skipWS consumes insignificant whitespace and returns the byte it
-// stopped at without consuming it, 0 at the end of input (a NUL byte
-// starts no JSON token, so the two need no telling apart).
+// object consumes the top-level object or an element of messages,
+// reading the keys its place makes interesting.
 //
-//paslint:hotpath between every two tokens
-func (s *chatScan) skipWS() byte {
-	for s.i < len(s.b) {
-		switch c := s.b[s.i]; c {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return c
-		}
-	}
-	return 0
-}
-
-// value consumes one JSON value of any kind starting at s.i.
-//
-//paslint:hotpath once per value
-func (s *chatScan) value() bool {
-	if s.i >= len(s.b) {
-		return false
-	}
-	switch c := s.b[s.i]; {
-	case c == '"':
-		return s.str()
-	case c == '{':
-		return s.object(inOther)
-	case c == '[':
-		return s.array(false)
-	case c == '-' || '0' <= c && c <= '9':
-		return s.number()
-	case c == 't':
-		return s.word("true")
-	case c == 'f':
-		return s.word("false")
-	case c == 'n':
-		return s.word("null")
-	}
-	return false
-}
-
-// word consumes the literal name w.
-func (s *chatScan) word(w string) bool {
-	if len(s.b)-s.i < len(w) || string(s.b[s.i:s.i+len(w)]) != w {
-		return false
-	}
-	s.i += len(w)
-	return true
-}
-
-// enter opens a container at s.i.
-func (s *chatScan) enter() bool {
-	s.i++
-	s.depth++
-	return s.depth <= maxJSONDepth
-}
-
-// leave closes the container whose closing bracket is at s.i.
-func (s *chatScan) leave() bool {
-	s.i++
-	s.depth--
-	return true
-}
-
-// object consumes the object starting at s.i, reading the keys its
-// place makes interesting.
-//
-//paslint:hotpath once per object; the chat's messages are objects
+//paslint:hotpath once per chat message
 func (s *chatScan) object(in int) bool {
-	if !s.enter() {
+	if !s.Enter() {
 		return false
 	}
-	if s.skipWS() == '}' {
-		return s.leave()
-	}
-	for {
-		if s.skipWS() != '"' {
-			return false
+	for first := true; ; first = false {
+		key, c, ok := s.Member(first)
+		if !ok || key == nil {
+			return ok
 		}
-		k := s.i
-		if !s.str() {
-			return false
-		}
-		key := s.b[k:s.i]
-		if s.skipWS() != ':' {
-			return false
-		}
-		s.i++
-		c := s.skipWS()
-		v := s.i
-		var ok bool
+		v := s.Pos()
 		switch {
-		case in == inTop && literalIs(key, "messages"):
+		case in == inTop && wire.LiteralIs(key, "messages"):
 			s.badMessages, s.haveUser, s.contentEnd = c != '[', false, 0
 			if c == '[' {
-				ok = s.array(true)
+				ok = s.messages()
 			} else {
-				ok = s.value()
+				ok = s.Value()
 			}
-		case in == inTop && literalIs(key, "seed"):
-			ok = s.value()
-			s.seedStart, s.seedEnd = v, s.i
-		case in == inMessage && literalIs(key, "role"):
-			ok = s.value()
-			s.msgUser = ok && c == '"' && literalIs(s.b[v:s.i], "user")
-		case in == inMessage && literalIs(key, "content"):
-			ok = s.value()
+		case in == inTop && wire.LiteralIs(key, "seed"):
+			ok = s.Value()
+			s.seedStart, s.seedEnd = v, s.Pos()
+		case in == inMessage && wire.LiteralIs(key, "role"):
+			ok = s.Value()
+			s.msgUser = ok && c == '"' && wire.LiteralIs(s.Since(v), "user")
+		case in == inMessage && wire.LiteralIs(key, "content"):
+			ok = s.Value()
 			s.msgStart, s.msgEnd = v, 0
 			if c == '"' {
-				s.msgEnd = s.i
+				s.msgEnd = s.Pos()
 			}
 		default:
-			ok = s.value()
+			ok = s.Value()
 		}
 		if !ok {
 			return false
 		}
-		switch s.skipWS() {
-		case ',':
-			s.i++
-		case '}':
-			return s.leave()
-		default:
-			return false
-		}
 	}
 }
 
-// array consumes the array starting at s.i. With messages set it is
-// the top-level messages array: each element is read as a chat message
-// and the last one whose role is "user" supplies the content span.
+// messages consumes the top-level messages array: each element is read
+// as a chat message and the last one whose role is "user" supplies the
+// content span.
 //
-//paslint:hotpath once per array; messages is one
-func (s *chatScan) array(messages bool) bool {
-	if !s.enter() {
+//paslint:hotpath once per chat
+func (s *chatScan) messages() bool {
+	if !s.Enter() {
 		return false
 	}
-	if s.skipWS() == ']' {
-		return s.leave()
-	}
-	for {
-		switch c := s.skipWS(); {
-		case !messages:
-			if !s.value() {
-				return false
-			}
-		case c == '{':
-			s.msgUser, s.msgEnd = false, 0
-			if !s.object(inMessage) {
-				return false
-			}
-			if s.msgUser {
-				s.haveUser, s.contentStart, s.contentEnd = true, s.msgStart, s.msgEnd
-			}
-		default:
+	for first := true; ; first = false {
+		c, more, ok := s.Elem(first)
+		if !ok || !more {
+			return ok
+		}
+		if c != '{' {
 			s.badMessages = true
-			if !s.value() {
+			if !s.Value() {
 				return false
 			}
-		}
-		switch s.skipWS() {
-		case ',':
-			s.i++
-		case ']':
-			return s.leave()
-		default:
-			return false
-		}
-	}
-}
-
-// plainByte marks the bytes a string literal holds as they are:
-// everything but the quote, the backslash and the control characters.
-var plainByte = func() (t [256]bool) {
-	for c := 0x20; c < len(t); c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// str consumes the string literal whose opening quote is at s.i. Like
-// json.Valid it checks escapes and control characters, not UTF-8.
-//
-//paslint:hotpath once per byte of every string; strings are most of a chat body
-func (s *chatScan) str() bool {
-	b := s.b
-	for i := s.i + 1; ; i++ {
-		for i < len(b) && plainByte[b[i]] {
-			i++
-		}
-		if i >= len(b) {
-			return false
-		}
-		switch b[i] {
-		case '"':
-			s.i = i + 1
-			return true
-		case '\\':
-			i++
-			if i >= len(b) {
-				return false
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if len(b)-i < 5 || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-					return false
-				}
-				i += 4
-			default:
-				return false
-			}
-		default: // a control character
-			return false
-		}
-	}
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// number consumes -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. What
-// may follow it is the enclosing container's business.
-//
-//paslint:hotpath once per number
-func (s *chatScan) number() bool {
-	if s.b[s.i] == '-' {
-		s.i++
-	}
-	switch n := s.digits(); {
-	case n == 0, n > 1 && s.b[s.i-n] == '0':
-		return false
-	}
-	if s.i < len(s.b) && s.b[s.i] == '.' {
-		s.i++
-		if s.digits() == 0 {
-			return false
-		}
-	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		s.i++
-		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
-			s.i++
-		}
-		if s.digits() == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (s *chatScan) digits() int {
-	start := s.i
-	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-		s.i++
-	}
-	return s.i - start
-}
-
-// literalIs reports whether the valid string literal lit, quotes
-// included, decodes to want.
-func literalIs(lit []byte, want string) bool {
-	if bytes.IndexByte(lit, '\\') < 0 {
-		return string(lit[1:len(lit)-1]) == want
-	}
-	return unquote(lit) == want
-}
-
-// unquote decodes a string literal the scanner accepted, quotes
-// included. Only the one literal the proxy extends (and a key spelled
-// with escapes) comes here, so it is left to encoding/json: a surrogate
-// escape without its partner and every byte that is not UTF-8 become
-// U+FFFD, exactly as the upstream's decoder will read them.
-func unquote(lit []byte) string {
-	if bytes.IndexByte(lit, '\\') < 0 && utf8.Valid(lit) {
-		return string(lit[1 : len(lit)-1])
-	}
-	var s string
-	_ = json.Unmarshal(lit, &s) // a valid string literal always decodes into a string
-	return s
-}
-
-// appendEscaped appends s to dst as the inside of a JSON string
-// literal with the escapes RFC 8259 requires and no others: quote,
-// backslash and the control characters. <, > and & stay as they are.
-// Bytes that are not UTF-8 become U+FFFD, so the result is always text.
-func appendEscaped(dst []byte, s string) []byte {
-	const hexDigits = "0123456789abcdef"
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				dst = append(dst, "\uFFFD"...)
-			} else {
-				dst = append(dst, s[i:i+size]...)
-			}
-			i += size
 			continue
 		}
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c >= 0x20:
-			dst = append(dst, c)
-		case c == '\n':
-			dst = append(dst, '\\', 'n')
-		case c == '\r':
-			dst = append(dst, '\\', 'r')
-		case c == '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+		s.msgUser, s.msgEnd = false, 0
+		if !s.object(inMessage) {
+			return false
 		}
-		i++
+		if s.msgUser {
+			s.haveUser, s.contentStart, s.contentEnd = true, s.msgStart, s.msgEnd
+		}
 	}
-	return dst
 }
+
+// unquote and appendEscaped are the proxy's names for the scanner's
+// literal decoder and for the RFC-minimal mode of the one JSON string
+// appender: quote, backslash and the control characters are escaped, <,
+// > and & stay as they are, and bytes that are not UTF-8 become U+FFFD,
+// so the result is always text.
+func unquote(lit []byte) string                 { return wire.Unquote(lit) }
+func appendEscaped(dst []byte, s string) []byte { return wire.AppendEscaped(dst, s, false) }

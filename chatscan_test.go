@@ -160,6 +160,7 @@ func checkScanAgainstRef(t *testing.T, body []byte) {
 // TestScanChatDepthLimit: json.Valid gives up past 10000 open
 // containers, so the scanner does, at the same depth.
 func TestScanChatDepthLimit(t *testing.T) {
+	const maxJSONDepth = 10000 // encoding/json's limit, which wire.Scanner mirrors
 	for _, depth := range []int{maxJSONDepth, maxJSONDepth + 1} {
 		for _, pair := range []string{"[]", `{"a":}`} {
 			open, shut := pair[:len(pair)-1], pair[len(pair)-1:]

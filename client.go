@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Client talks to a remote PAS service (see System.Handler). It is how a
@@ -32,10 +34,7 @@ func NewClient(baseURL string) (*Client, error) {
 
 // Augment requests a complementary prompt for the given user prompt.
 func (c *Client) Augment(prompt, salt string) (AugmentResponse, error) {
-	body, err := json.Marshal(AugmentRequest{Prompt: prompt, Salt: salt})
-	if err != nil {
-		return AugmentResponse{}, fmt.Errorf("pas: encoding request: %w", err)
-	}
+	body := wire.AppendAugmentRequest(nil, AugmentRequest{Prompt: prompt, Salt: salt})
 	resp, err := c.http.Post(c.baseURL+"/v1/augment", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return AugmentResponse{}, fmt.Errorf("pas: calling service: %w", err)

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Chain applies middlewares right-to-left: the first listed is outermost.
@@ -47,26 +49,57 @@ func Recover(logger *log.Logger) func(http.Handler) http.Handler {
 // requestIDHeader carries the per-request id.
 const requestIDHeader = "X-Request-Id"
 
+// maxRequestIDLen caps a client-supplied request id: it is echoed into
+// the reply, the span and every log line, so like the tenant id it must
+// not be the client's to make arbitrarily long.
+const maxRequestIDLen = 128
+
 // degradedHeader is the flag the serving layer sets on fail-open
 // responses; the access log surfaces it so degradation is visible per
 // request, not just in aggregate stats.
-const degradedHeader = "X-PAS-Degraded"
+const degradedHeader = wire.DegradedHeader
 
 // RequestID assigns a monotonically increasing request id when the
-// client did not send one, and echoes it on the response.
+// client did not send a usable one — at most maxRequestIDLen bytes of
+// visible ASCII — and echoes it on the response.
 func RequestID() func(http.Handler) http.Handler {
-	var counter uint64
+	var counter atomic.Uint64
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			id := r.Header.Get(requestIDHeader)
-			if id == "" {
-				id = fmt.Sprintf("req-%08d", atomic.AddUint64(&counter, 1))
+			if !usableRequestID(id) {
+				var b [24]byte // "req-" and up to twenty digits
+				id = string(appendRequestID(b[:0], counter.Add(1)))
 				r.Header.Set(requestIDHeader, id)
 			}
 			w.Header().Set(requestIDHeader, id)
 			next.ServeHTTP(w, r)
 		})
 	}
+}
+
+// usableRequestID reports whether a client-supplied id is safe to echo.
+func usableRequestID(id string) bool {
+	if id == "" || len(id) > maxRequestIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] <= ' ' || id[i] > '~' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendRequestID appends what fmt.Sprintf("req-%08d", n) returns.
+//
+//paslint:hotpath once per request
+func appendRequestID(dst []byte, n uint64) []byte {
+	dst = append(dst, "req-"...)
+	for pad := uint64(10_000_000); pad > n && pad > 1; pad /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, n, 10)
 }
 
 // Trace starts the request's root span: a continuation of the
@@ -127,6 +160,52 @@ type accessLine struct {
 	Tenant    string  `json:"tenant,omitempty"`
 }
 
+// appendTo appends the bytes json.Marshal(l) returns, for a finite
+// DurMs: the struct tags above are the declaration, this the writer,
+// and FuzzAccessLine holds the two together.
+//
+//paslint:hotpath once per request
+func (l *accessLine) appendTo(dst []byte) []byte {
+	dst = wire.AppendField(append(dst, '{'), "req_id", l.RequestID)
+	if l.TraceID != "" {
+		dst = wire.AppendField(append(dst, ','), "trace_id", l.TraceID)
+	}
+	dst = wire.AppendField(append(dst, ','), "method", l.Method)
+	dst = wire.AppendField(append(dst, ','), "path", l.Path)
+	dst = strconv.AppendInt(append(dst, `,"status":`...), int64(l.Status), 10)
+	dst = strconv.AppendInt(append(dst, `,"bytes":`...), int64(l.Bytes), 10)
+	dst = appendJSONFloat(append(dst, `,"dur_ms":`...), l.DurMs)
+	if l.Shed {
+		dst = append(dst, `,"shed":true`...)
+	}
+	if l.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if l.Degrade != "" {
+		dst = wire.AppendField(append(dst, ','), "degrade_level", l.Degrade)
+	}
+	if l.Tenant != "" {
+		dst = wire.AppendField(append(dst, ','), "tenant", l.Tenant)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONFloat appends a finite f as encoding/json spells a float64:
+// the shortest decimal that reads back as f, in exponent form below
+// 1e-6 and from 1e21 up, with the exponent's leading zero dropped.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 -> e-7
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
 // Logging writes one JSON access-log line per request: request id,
 // trace id, status, latency, and the shed/degraded flags that make
 // backpressure and fail-open visible per request.
@@ -153,15 +232,13 @@ func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 				Degrade:   level,
 				Tenant:    TenantFromRequest(r),
 			}
-			if sc := obs.SpanContextFromContext(r.Context()); sc.Valid() {
-				line.TraceID = sc.TraceID.String()
-			}
-			b, err := json.Marshal(line)
-			if err != nil {
-				logger.Printf("httpmw: marshaling access line: %v", err)
-				return
-			}
-			logger.Printf("%s", b)
+			line.TraceID, _ = obs.TraceIDFromContext(r.Context())
+			buf := wire.GetBuffer()
+			buf.B = line.appendTo(buf.B)
+			// One write per request, unbuffered: what was logged is what
+			// survives a crash.
+			_ = logger.Output(2, string(buf.B)) // a failing log sink has nowhere to be reported
+			buf.Release()
 		})
 	}
 }
@@ -174,6 +251,11 @@ func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 func ConcurrencyLimit(n int) func(http.Handler) http.Handler {
 	return ConcurrencyLimitHint(n, nil)
 }
+
+// statusClientClosedRequest is the conventional (nginx) code for a
+// request its client abandoned before it was served. It is recorded,
+// never sent.
+const statusClientClosedRequest = 499
 
 // ConcurrencyLimitHint is ConcurrencyLimit with a dynamic Retry-After:
 // each shed response prices its hint from retryAfter() — typically the
@@ -190,7 +272,13 @@ func ConcurrencyLimitHint(n int, retryAfter func() int) func(http.Handler) http.
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
 				if r.Context().Err() != nil {
-					return // client gone before we started; don't burn the slot
+					// Client gone before we started; don't burn the slot.
+					// Nothing is sent, and the layers outside must not
+					// read that as the implicit 200.
+					if rec, ok := w.(*obs.ResponseRecorder); ok {
+						rec.NoteStatus(statusClientClosedRequest)
+					}
+					return
 				}
 				next.ServeHTTP(w, r)
 			default:
@@ -318,9 +406,9 @@ func (m *Metrics) Middleware() func(http.Handler) http.Handler {
 			if rec.StatusOr200() >= 400 {
 				ps.errs.Inc()
 			}
-			traceID := ""
-			if sc := obs.SpanContextFromContext(r.Context()); sc.Valid() && sc.Sampled {
-				traceID = sc.TraceID.String()
+			traceID, sampled := obs.TraceIDFromContext(r.Context())
+			if !sampled {
+				traceID = ""
 			}
 			ps.hist.ObserveExemplar(dur.Seconds(), traceID)
 		})

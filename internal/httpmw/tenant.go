@@ -9,13 +9,16 @@ import (
 	"repro/internal/serving"
 )
 
-// TenantHeader names the caller's tenant explicitly. When absent, the
+// TenantHeader names the caller's tenant explicitly (X-PAS-Tenant in
+// the documentation; header names match in any case). When absent, the
 // middleware falls back to credential headers so keyed clients get
-// per-key fair-share without any client change.
-const TenantHeader = "X-PAS-Tenant"
+// per-key fair-share without any client change. Both names are spelled
+// the way net/http keys them: the lookups run twice per request, and a
+// name in any other spelling costs a canonical copy each time.
+const TenantHeader = "X-Pas-Tenant"
 
 // apiKeyHeader is the secondary tenant source for keyed deployments.
-const apiKeyHeader = "X-API-Key"
+const apiKeyHeader = "X-Api-Key"
 
 // maxTenantLen caps tenant ids so a hostile header cannot bloat the
 // per-tenant stats table or log lines.

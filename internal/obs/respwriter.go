@@ -41,6 +41,12 @@ func (rr *ResponseRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// NoteStatus records code as the request's outcome without sending
+// anything: for a request nobody is left to answer (499, the client
+// closed it), so the log line, the span and the metrics do not read the
+// silence as the implicit 200.
+func (rr *ResponseRecorder) NoteStatus(code int) { rr.status = code }
+
 // Flush forwards flushing so SSE streaming keeps working through the
 // middleware stack.
 func (rr *ResponseRecorder) Flush() {

@@ -32,10 +32,14 @@ type Span struct {
 	tracer *Tracer
 	rec    *traceRec
 	sc     SpanContext
-	parent SpanID
 	name   string
 	start  time.Time
 	root   bool
+
+	// The ids as /debug/traces and traceparent spell them. A span
+	// renders its own once, when it starts, and takes its parent's from
+	// the parent; the trace's is on rec.
+	spanHex, parentHex string
 
 	mu     sync.Mutex
 	attrs  []Attr
@@ -43,6 +47,10 @@ type Span struct {
 	failed bool
 	status string
 	ended  bool
+
+	// attrBuf is where attrs starts out: the HTTP root span sets four
+	// and the serving spans fewer, so most spans never grow it.
+	attrBuf [4]Attr
 }
 
 // Context returns the span's propagation context.
@@ -131,6 +139,8 @@ func (s *Span) SetStatus(msg string) {
 // End finishes the span and hands its data to the trace record; the
 // root span's End also submits the trace to the store. End is
 // idempotent; spans left un-ended simply never appear in the store.
+//
+//paslint:hotpath once per span, several per request
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -144,8 +154,8 @@ func (s *Span) End() {
 	s.ended = true
 	data := SpanData{
 		Name:       s.name,
-		TraceID:    s.sc.TraceID.String(),
-		SpanID:     s.sc.SpanID.String(),
+		SpanID:     s.spanHex,
+		ParentID:   s.parentHex,
 		Start:      s.start,
 		DurationMs: durationMs(end.Sub(s.start)),
 		Attrs:      s.attrs,
@@ -154,12 +164,10 @@ func (s *Span) End() {
 		Status:     s.status,
 	}
 	s.mu.Unlock()
-	if !s.parent.IsZero() {
-		data.ParentID = s.parent.String()
-	}
 	if s.rec == nil {
 		return
 	}
+	data.TraceID = s.rec.traceHex
 	s.rec.addSpan(data)
 	if s.root {
 		s.rec.finishRoot(data)

@@ -86,7 +86,7 @@ func summarize(rec *traceRec) TraceSummary {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	s := TraceSummary{
-		TraceID:    rec.traceID.String(),
+		TraceID:    rec.traceHex,
 		Root:       rec.rootName,
 		Start:      rec.start,
 		DurationMs: durationMs(rec.rootDur),

@@ -10,7 +10,11 @@ import (
 type TraceID [16]byte
 
 // String returns the 32-char lowercase hex form used on the wire.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+func (t TraceID) String() string {
+	var b [2 * len(t)]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the id is the invalid all-zero id.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
@@ -19,7 +23,11 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 type SpanID [8]byte
 
 // String returns the 16-char lowercase hex form used on the wire.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+func (s SpanID) String() string {
+	var b [2 * len(s)]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the id is the invalid all-zero id.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
@@ -38,17 +46,23 @@ type SpanContext struct {
 // Valid reports whether both ids are non-zero, per the W3C invariants.
 func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
-// TraceparentHeader is the W3C Trace Context header name.
-const TraceparentHeader = "traceparent"
+// TraceparentHeader is the W3C Trace Context header name, spelled the
+// way net/http keys it (and writes it: Set canonicalises either way), so
+// a Get or Set with it allocates no canonical copy.
+const TraceparentHeader = "Traceparent"
 
 // Traceparent renders the context as a version-00 traceparent value:
 // "00-<32 hex trace id>-<16 hex span id>-<2 hex flags>".
 func (sc SpanContext) Traceparent() string {
-	flags := "00"
-	if sc.Sampled {
-		flags = "01"
+	return traceparent(sc.TraceID.String(), sc.SpanID.String(), sc.Sampled)
+}
+
+// traceparent joins ids that are already hex.
+func traceparent(traceHex, spanHex string, sampled bool) string {
+	if sampled {
+		return "00-" + traceHex + "-" + spanHex + "-01"
 	}
-	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-" + flags
+	return "00-" + traceHex + "-" + spanHex + "-00"
 }
 
 // ParseTraceparent parses a W3C traceparent header value. It accepts
@@ -161,6 +175,22 @@ func SpanContextFromContext(ctx context.Context) SpanContext {
 	return sc
 }
 
+// TraceIDFromContext returns the hex trace id visible in ctx, "" when
+// there is none, and the sampling verdict that travels with it. Under an
+// active span it is the string the trace rendered once when it began —
+// what the access log and the latency exemplar stamp on every request.
+//
+//paslint:hotpath read by the access log and the exemplar on every request
+func TraceIDFromContext(ctx context.Context) (traceHex string, sampled bool) {
+	if s := SpanFromContext(ctx); s != nil && s.rec != nil {
+		return s.rec.traceHex, s.sc.Sampled
+	}
+	if sc, ok := remoteFromContext(ctx); ok {
+		return sc.TraceID.String(), sc.Sampled
+	}
+	return "", false
+}
+
 // StartSpan starts a child of the span active in ctx. When ctx carries
 // no span (tracing disabled or this request was never admitted to a
 // trace) it returns ctx unchanged and a nil span, whose methods all
@@ -185,8 +215,12 @@ func AddEvent(ctx context.Context, name string, kv ...string) {
 // Inject writes the active span context (or remote parent) into h as a
 // traceparent header, propagating the trace to the next hop. No-op
 // when ctx carries no valid span context.
+//
+//paslint:hotpath once per response and once per outgoing hop
 func Inject(ctx context.Context, h http.Header) {
-	if sc := SpanContextFromContext(ctx); sc.Valid() {
+	if s := SpanFromContext(ctx); s != nil && s.rec != nil {
+		h.Set(TraceparentHeader, traceparent(s.rec.traceHex, s.spanHex, s.sc.Sampled))
+	} else if sc, ok := remoteFromContext(ctx); ok {
 		h.Set(TraceparentHeader, sc.Traceparent())
 	}
 }

@@ -93,14 +93,17 @@ func (t *Tracer) headSample() bool {
 // ContextWithRemote, else a brand-new root trace. The returned context
 // carries the span; pass it down so children nest and Inject
 // propagates the right parent.
+//
+//paslint:hotpath once per span, several per request
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	now := t.cfg.Now()
 	s := &Span{tracer: t, name: name, start: now}
+	s.attrs = s.attrBuf[:0]
 	if parent := SpanFromContext(ctx); parent != nil && parent.rec != nil {
 		s.rec = parent.rec
 		s.sc.TraceID = parent.sc.TraceID
 		s.sc.Sampled = parent.sc.Sampled
-		s.parent = parent.sc.SpanID
+		s.parentHex = parent.spanHex
 	} else if remote, ok := remoteFromContext(ctx); ok {
 		// Continue the distributed trace: same trace id, remote span as
 		// parent. The upstream sampling verdict is honored (OR-ing in
@@ -109,7 +112,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		s.rec = newTraceRec(remote.TraceID, now, t.cfg.MaxSpansPerTrace)
 		s.sc.TraceID = remote.TraceID
 		s.sc.Sampled = remote.Sampled
-		s.parent = remote.SpanID
+		s.parentHex = remote.SpanID.String()
 		s.rec.head = remote.Sampled
 	} else {
 		s.root = true
@@ -120,6 +123,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		s.rec.head = s.sc.Sampled
 	}
 	s.sc.SpanID = t.ids.spanID()
+	s.spanHex = s.sc.SpanID.String()
 	return context.WithValue(ctx, spanCtxKey, s), s
 }
 
@@ -194,7 +198,7 @@ func (g *idGen) spanID() SpanID {
 // slow root can still promote the whole trace at the end.
 type traceRec struct {
 	mu       sync.Mutex
-	traceID  TraceID
+	traceHex string // the trace id, rendered once for every span, header and log line that carries it
 	start    time.Time
 	spans    []SpanData
 	dropped  int
@@ -203,10 +207,16 @@ type traceRec struct {
 	rootName string
 	rootDur  time.Duration
 	maxSpans int
+
+	// spanBuf is where spans starts out: a cache hit is the root plus
+	// two serving spans, so most traces never grow it.
+	spanBuf [4]SpanData
 }
 
 func newTraceRec(id TraceID, start time.Time, maxSpans int) *traceRec {
-	return &traceRec{traceID: id, start: start, maxSpans: maxSpans}
+	r := &traceRec{traceHex: id.String(), start: start, maxSpans: maxSpans}
+	r.spans = r.spanBuf[:0]
+	return r
 }
 
 func (r *traceRec) addSpan(d SpanData) {

@@ -363,10 +363,9 @@ func (c *Client) callReplica(ctx context.Context, r *replica, prompt, salt strin
 // doAugment is the bare HTTP exchange, reporting transport reachability
 // to the membership table.
 func (c *Client) doAugment(ctx context.Context, replica, prompt, salt string) (result, error) {
-	body, err := json.Marshal(wire.AugmentRequest{Prompt: prompt, Salt: salt})
-	if err != nil {
-		return result{}, fmt.Errorf("ring: encoding request: %w", err)
-	}
+	// Its own slice, not pooled scratch: the transport may still be
+	// reading a request body after Do has returned.
+	body := wire.AppendAugmentRequest(make([]byte, 0, len(prompt)+len(salt)+32), wire.AugmentRequest{Prompt: prompt, Salt: salt})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, replica+"/v1/augment", bytes.NewReader(body))
 	if err != nil {
 		return result{}, fmt.Errorf("ring: building request: %w", err)
@@ -398,12 +397,22 @@ func (c *Client) doAugment(ctx context.Context, replica, prompt, salt string) (r
 		}
 		return result{}, err
 	}
-	var ar wire.AugmentResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&ar); err != nil {
-		return result{}, fmt.Errorf("ring: replica %s: decoding response: %w", replica, err)
+	// The reply is read into pooled scratch; augmented leaves it as a copy.
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	readErr := buf.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	augmented, ok := wire.DecodeAugmented(buf.B)
+	if !ok {
+		// A reply the scanner does not claim, or not all of one:
+		// encoding/json reads it, or says what is wrong with it.
+		var ar wire.AugmentResponse
+		if err := json.NewDecoder(buf.Replay(readErr)).Decode(&ar); err != nil {
+			return result{}, fmt.Errorf("ring: replica %s: decoding response: %w", replica, err)
+		}
+		augmented = ar.Augmented
 	}
 	// The header carries the rung ("trim" or "1") on every non-full 200.
-	return result{augmented: ar.Augmented, level: resp.Header.Get("X-PAS-Degraded")}, nil
+	return result{augmented: augmented, level: resp.Header.Get(wire.DegradedHeader)}, nil
 }
 
 // ReplicaStats is one replica's data-path snapshot.

@@ -85,9 +85,6 @@ type HealthConfig struct {
 	// DownAfter is the consecutive-failure count that evicts a member
 	// from the ring. Default 3.
 	DownAfter int
-	// Now injects the clock for state timestamps; tests pin it.
-	// Default time.Now.
-	Now func() time.Time
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -99,9 +96,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -116,7 +110,6 @@ type replica struct {
 	state   State
 	fails   int    // consecutive failures since the last success
 	lastErr string // most recent failure, for stats
-	since   time.Time
 
 	probes     int64
 	probeFails int64
@@ -196,7 +189,7 @@ func NewMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthCon
 // insertLocked appends a fresh Up record for url — closed breaker, zero
 // counters, no streak. Caller holds m.mu (or is the constructor).
 func (m *Membership) insertLocked(url string) *replica {
-	r := &replica{url: url, state: StateUp, since: m.cfg.Now(), breaker: resilience.NewBreaker(m.breaker)}
+	r := &replica{url: url, state: StateUp, breaker: resilience.NewBreaker(m.breaker)}
 	m.members[url] = r
 	m.order = append(m.order, r)
 	return r
@@ -245,7 +238,6 @@ func (m *Membership) Add(url string) bool {
 		r.state = StateUp
 		r.fails = 0
 		r.lastErr = ""
-		r.since = m.cfg.Now()
 	}
 	m.ring.Add(url)
 	m.startLoopLocked(r)
@@ -430,7 +422,6 @@ func (m *Membership) Observe(url string, err error) {
 // successes must not re-ring it and data-path failures must not smear
 // its record. Caller holds m.mu.
 func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bool) {
-	now := m.cfg.Now()
 	if mem.state == StateDraining && !fromProbe {
 		return
 	}
@@ -440,7 +431,6 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 				m.ring.Remove(mem.url)
 			}
 			mem.state = StateDraining
-			mem.since = now
 			mem.drains++
 			m.drains++
 		}
@@ -450,10 +440,7 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 	}
 	if err == nil {
 		wasRoutable := routable(mem.state)
-		if mem.state != StateUp {
-			mem.state = StateUp
-			mem.since = now
-		}
+		mem.state = StateUp
 		mem.fails = 0
 		mem.lastErr = ""
 		if !wasRoutable {
@@ -466,11 +453,9 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 	switch mem.state {
 	case StateUp:
 		mem.state = StateSuspect
-		mem.since = now
 	case StateSuspect:
 		if mem.fails >= m.cfg.DownAfter {
 			mem.state = StateDown
-			mem.since = now
 			mem.downs++
 			m.ring.Remove(mem.url)
 		}
@@ -480,7 +465,6 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 		// probe cadence backs off until a restart brings it back.
 		if mem.fails >= m.cfg.DownAfter {
 			mem.state = StateDown
-			mem.since = now
 			mem.downs++
 		}
 	case StateDown:

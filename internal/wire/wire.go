@@ -2,8 +2,19 @@
 // callers — POST /v1/augment and GET /v1/status — once, below both the
 // root package that serves them and the packages that consume them
 // (internal/ring's router and prober, internal/loadgen's readiness
-// poll). The field names are the stable contract.
+// poll). The field names are the stable contract. The augment bodies
+// are also read and written here (codec.go), by the repository's one
+// JSON scanner (scan.go) and one JSON string appender instead of by
+// reflection; encoding/json stays the reference both are fuzzed against
+// and the reader of every body the scanner does not claim.
 package wire
+
+// DegradedHeader is the response header that flags every reply below
+// full quality; its value is the rung (see AugmentResponse.DegradedLevel).
+// Documented, and matched by HTTP, as X-PAS-Degraded; spelled here the
+// way net/http keys and writes it, so a Get or Set allocates no
+// canonical copy of the name.
+const DegradedHeader = "X-Pas-Degraded"
 
 // AugmentRequest is the body of POST /v1/augment.
 type AugmentRequest struct {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Proxy is the transparent deployment form of the plug-and-play system:
@@ -146,7 +147,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// Below full quality — the cheap complement ("trim"), or no
 			// complement at all ("1": the core answered at the raw rung, or
 			// the body was not one the proxy could augment). Never silent.
-			w.Header().Set("X-PAS-Degraded", level)
+			w.Header().Set(wire.DegradedHeader, level)
 		}
 	}
 	p.rp.ServeHTTP(w, r)

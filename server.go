@@ -272,9 +272,8 @@ func (s *System) handleAugment(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
-	var req AugmentRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPromptBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := readAugmentRequest(w, r)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
@@ -303,9 +302,36 @@ func (s *System) handleAugment(w http.ResponseWriter, r *http.Request) {
 		DegradedLevel: level.Header(),
 	}
 	if resp.Degraded {
-		w.Header().Set("X-PAS-Degraded", resp.DegradedLevel)
+		w.Header().Set(wire.DegradedHeader, resp.DegradedLevel)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = wire.AppendAugmentResponse(buf.B, &resp)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(buf.B); err != nil {
+		log.Printf("pas: writing response: %v", err)
+	}
+}
+
+// readAugmentRequest reads and decodes the body of POST /v1/augment. The
+// body goes through pooled scratch that is handed back before the
+// request waits on the core, so the fields are copies, never views of it
+// (wire.DecodeAugmentRequest). A body the scanner does not claim — or the
+// readable part of one that failed to arrive whole — is encoding/json's to
+// read, from the same bytes and the same read error (Buffer.Replay): what
+// is accepted, and the wording of every 400, are what they were before
+// this handler scanned.
+func readAugmentRequest(w http.ResponseWriter, r *http.Request) (AugmentRequest, error) {
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	readErr := buf.ReadAll(http.MaxBytesReader(w, r.Body, maxPromptBytes))
+	req, ok := wire.DecodeAugmentRequest(buf.B)
+	if ok {
+		return req, nil
+	}
+	err := json.NewDecoder(buf.Replay(readErr)).Decode(&req)
+	return req, err
 }
 
 // writeOverloaded answers a shed (or client-abandoned) request. Loaded
