@@ -95,11 +95,22 @@ func bindFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
+// keepUpstreamConnections lets http.DefaultTransport, which pas.Proxy
+// forwards through, keep as many idle connections to the one upstream
+// host as it may keep in all: the default of two per host re-dials on
+// most requests once more than two clients are in flight.
+func keepUpstreamConnections() {
+	if t, ok := http.DefaultTransport.(*http.Transport); ok {
+		t.MaxIdleConnsPerHost = t.MaxIdleConns
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pasproxy: ")
 	o := bindFlags(flag.CommandLine)
 	flag.Parse()
+	keepUpstreamConnections()
 
 	// Fail configuration errors at startup with a clear message, not as
 	// the first request's 502: the upstream must be a bare absolute

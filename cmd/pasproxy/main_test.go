@@ -1,9 +1,18 @@
 package main
 
 import (
+	"context"
 	"flag"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	pas "repro"
 	"repro/cmd/internal/daemon"
 )
 
@@ -26,5 +35,76 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 	})
 	if n < 20 {
 		t.Fatalf("the binder declared %d flags, want the 18 serving + 2 observability ones", n)
+	}
+}
+
+// suffixAugmenter appends a fixed complement.
+type suffixAugmenter struct{}
+
+func (suffixAugmenter) AugmentContextDegraded(_ context.Context, prompt, _ string) (string, bool, error) {
+	return prompt + "\nState your assumptions.", false, nil
+}
+
+// TestProxyReusesUpstreamConnections: the proxy has one upstream host,
+// and net/http keeps two idle connections per host unless told
+// otherwise, so with more than two clients most requests used to dial.
+// After keepUpstreamConnections eight clients need eight connections.
+func TestProxyReusesUpstreamConnections(t *testing.T) {
+	keepUpstreamConnections()
+	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+
+	const clients, chats = 8, 25
+	// The first chat of every client is held until all eight are in
+	// flight, so that eight connections exist before any is handed back: a
+	// client that finished while others were still dialling would lend its
+	// connection out and have to dial a ninth for itself.
+	var opened, arrived atomic.Int64
+	allIn := make(chan struct{})
+	upstream := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if arrived.Add(1) == clients {
+			close(allIn)
+		}
+		<-allIn
+		_, _ = w.Write([]byte(`{"ok":true}`))
+	}))
+	upstream.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	upstream.Start()
+	defer upstream.Close()
+	proxy, err := pas.NewProxyWith(suffixAugmenter{}, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < chats; i++ {
+				resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json",
+					strings.NewReader(`{"messages":[{"role":"user","content":"Explain how tides form."}]}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("%d clients x %d chats opened %d upstream connections", clients, chats, opened.Load())
+	if opened.Load() > clients {
+		t.Fatalf("%d upstream connections for %d concurrent clients: idle connections are not being kept", opened.Load(), clients)
 	}
 }

@@ -2,7 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
+	"strings"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -305,17 +306,82 @@ func LiteralIs(lit []byte, want string) bool {
 }
 
 // Unquote decodes a string literal the scanner accepted, quotes
-// included, into a string of its own: never a view of lit. A literal
-// with an escape or a byte that is not UTF-8 is left to encoding/json —
-// a surrogate escape without its partner and every such byte become
-// U+FFFD, exactly as any encoding/json reader would have them.
+// included, into a string of its own: never a view of lit. The reading
+// is encoding/json's, which FuzzUnquote holds it to: a surrogate escape
+// without its partner and every byte that is not UTF-8 become U+FFFD.
+// It allocates the string and nothing else.
 func Unquote(lit []byte) string {
-	if bytes.IndexByte(lit, '\\') < 0 && utf8.Valid(lit) {
-		return string(lit[1 : len(lit)-1])
+	in := lit[1 : len(lit)-1]
+	if bytes.IndexByte(in, '\\') < 0 && utf8.Valid(in) {
+		return string(in)
 	}
-	var s string
-	_ = json.Unmarshal(lit, &s) // a valid string literal always decodes into a string
-	return s
+	var out strings.Builder
+	out.Grow(len(in))
+	for i := 0; i < len(in); {
+		c := in[i]
+		switch {
+		case c == '\\':
+			c = in[i+1]
+			i += 2
+			switch c {
+			case 'b':
+				out.WriteByte('\b')
+			case 'f':
+				out.WriteByte('\f')
+			case 'n':
+				out.WriteByte('\n')
+			case 'r':
+				out.WriteByte('\r')
+			case 't':
+				out.WriteByte('\t')
+			case 'u':
+				r := hex4(in[i:])
+				i += 4
+				if utf16.IsSurrogate(r) {
+					// Half of a pair: whole only with a \u low half right behind
+					// it, which is then consumed too; alone it is U+FFFD and
+					// what follows is read for itself.
+					var low rune
+					if len(in)-i >= 6 && in[i] == '\\' && in[i+1] == 'u' {
+						low = hex4(in[i+2:])
+					}
+					if r = utf16.DecodeRune(r, low); r != utf8.RuneError {
+						i += 6
+					}
+				}
+				out.WriteRune(r)
+			default: // quote, backslash, slash
+				out.WriteByte(c)
+			}
+		case c < utf8.RuneSelf:
+			start := i
+			for i < len(in) && in[i] != '\\' && in[i] < utf8.RuneSelf {
+				i++
+			}
+			out.Write(in[start:i])
+		default:
+			r, size := utf8.DecodeRune(in[i:])
+			i += size
+			out.WriteRune(r)
+		}
+	}
+	return out.String()
+}
+
+// hex4 reads the four hex digits of a \u escape the scanner checked.
+func hex4(b []byte) (r rune) {
+	for _, c := range b[:4] {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c <= 'F':
+			c -= 'A' - 10
+		default:
+			c -= 'a' - 10
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 // Strings scans body and reports the string values of the top-level

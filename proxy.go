@@ -11,7 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -33,6 +33,11 @@ import (
 // and the response flagged X-PAS-Degraded: 1; the proxy never answers
 // 400 in the upstream's place. Non-chat paths (model listings, health
 // checks) pass through untouched.
+//
+// A forwarded chat runs out of reused memory: it is read into pooled
+// scratch, rewritten there and sent from there (chatBody), and the
+// response is copied through a pooled buffer, flushed as httputil does
+// unasked: at once for an event stream or a body of undeclared length.
 type Proxy struct {
 	system   Augmenter
 	upstream *url.URL
@@ -92,7 +97,7 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 			// downstream service continues the same trace.
 			obs.Inject(r.Context(), r.Header)
 		},
-		FlushInterval: 50 * time.Millisecond, // keep SSE streaming live
+		BufferPool: copyBuffers,
 		// The proxy's own middleware already echoes a traceparent on the
 		// response; drop the upstream's echo so the client is not handed
 		// two values for one header.
@@ -103,15 +108,72 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 		// Only transport-level failures (upstream unreachable, connection
 		// reset) reach this handler; an upstream that answers — any
 		// status, 4xx included — streams back to the client verbatim.
-		// The default handler writes an empty 502; clients of an
-		// OpenAI-style API expect a JSON error envelope.
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.WriteHeader(http.StatusBadGateway)
-			fmt.Fprintf(w, `{"error":{"message":%q,"type":"upstream_unreachable"}}`, err.Error())
+			writeError(w, http.StatusBadGateway, "upstream_unreachable", err)
 		},
 	}
 	return p, nil
+}
+
+// writeError answers in the proxy's own name, with the JSON error
+// envelope clients of an OpenAI-style API expect, escaped as
+// encoding/json escapes: the error may quote bytes a replica sent.
+func writeError(w http.ResponseWriter, status int, kind string, err error) {
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = wire.AppendField(append(buf.B, `{"error":{`...), "message", err.Error())
+	buf.B = append(wire.AppendField(append(buf.B, ','), "type", kind), '}', '}')
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.B) // the client hung up: nothing to do about it here
+}
+
+// copyBufferPool is the reverse proxy's httputil.BufferPool: without one
+// it makes a 32 KiB slice for every response it copies. Arrays are pooled,
+// not slices, so that Put boxes a pointer and allocates nothing.
+type copyBufferPool struct{ arrays sync.Pool }
+
+var copyBuffers = &copyBufferPool{arrays: sync.Pool{New: func() any { return new([32 << 10]byte) }}}
+
+func (p *copyBufferPool) Get() []byte  { return p.arrays.Get().(*[32 << 10]byte)[:] }
+func (p *copyBufferPool) Put(b []byte) { p.arrays.Put((*[32 << 10]byte)(b)) }
+
+// chatBody is a rewritten chat on its way to the upstream: a reader over
+// pooled scratch that hands the scratch back at Close. Close and Read
+// share a lock because httputil.ReverseProxy closes the body when its
+// handler returns and documents that a transport's Read may still be in
+// flight then: the scratch goes back between Reads, and a later Read
+// returns http.ErrBodyReadAfterClose, never a recycled buffer's bytes.
+// The transport and the reverse proxy both close it; the second Close
+// finds nothing to release.
+type chatBody struct {
+	mu  sync.Mutex
+	buf *wire.Buffer // nil once closed
+	off int          // buf.B[off:] is unread
+}
+
+func (b *chatBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.buf == nil:
+		return 0, http.ErrBodyReadAfterClose
+	case b.off == len(b.buf.B):
+		return 0, io.EOF
+	}
+	n := copy(p, b.buf.B[b.off:])
+	b.off += n
+	return n, nil
+}
+
+func (b *chatBody) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.buf != nil {
+		b.buf.Release()
+		b.buf = nil
+	}
+	return nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -140,7 +202,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				}
 				w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 			}
-			http.Error(w, fmt.Sprintf(`{"error":{"message":%q,"type":"pas_proxy_error"}}`, err.Error()), status)
+			writeError(w, status, "pas_proxy_error", err)
 			return
 		}
 		if level != "" {
@@ -172,6 +234,10 @@ const maxChatBody = 4 << 20
 // maxChatBody — and that one is flagged: the upstream, not the proxy,
 // decides what to make of it.
 //
+// The chat is read into pooled scratch and rewritten there. The scratch
+// leaves as r.Body, which releases it at Close, or is released here on
+// an error; the prompt and the salt the augmenter gets are copies.
+//
 // The returned level is the X-PAS-Degraded wire value ("" when the
 // augmentation ran at full quality). ctx carries the caller's span in
 // addition to r.Context()'s deadline and cancellation, so augmentation
@@ -180,53 +246,67 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	if r.ContentLength > maxChatBody {
 		return "1", nil
 	}
-	// Sized from Content-Length; the spare bytes.MinRead lets ReadFrom
-	// see EOF without growing and usually takes the complement too.
-	buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxChatBody+1)); err != nil {
+	buf := wire.GetBuffer()
+	// Sized from Content-Length; the spare bytes.MinRead lets ReadAll see
+	// EOF without growing and usually takes the complement too.
+	buf.B = slices.Grow(buf.B, int(max(r.ContentLength, 0))+bytes.MinRead)
+	if err := buf.ReadAll(io.LimitReader(r.Body, maxChatBody+1)); err != nil {
+		buf.Release()
 		return "", fmt.Errorf("reading request: %w", err)
 	}
-	body := buf.Bytes()
-	if len(body) > maxChatBody {
+	if len(buf.B) > maxChatBody {
 		// No declared length and more than the proxy will hold: what was
-		// read, then the rest straight from the client.
+		// read, then the rest straight from the client. Scratch this large
+		// the pool would not take back, so it is simply dropped.
 		r.Body = struct {
 			io.Reader
 			io.Closer
-		}{io.MultiReader(bytes.NewReader(body), r.Body), r.Body}
+		}{io.MultiReader(bytes.NewReader(buf.B), r.Body), r.Body}
 		return "1", nil
 	}
 	_ = r.Body.Close() // request body: nothing actionable on close failure
 
-	scan := scanChat(body)
+	scan := scanChat(buf.B)
 	switch {
 	case !scan.usable:
 		level = "1"
 	case scan.contentEnd > 0:
 		// Salt from the raw seed value if present, for reproducible proxies.
-		salt := string(body[scan.seedStart:scan.seedEnd])
-		prompt := unquote(body[scan.contentStart:scan.contentEnd])
+		salt := string(buf.B[scan.seedStart:scan.seedEnd])
+		prompt := unquote(buf.B[scan.contentStart:scan.contentEnd])
 		// Through the serving core (cache + dedup + admission + breaker)
 		// when the system has one; the request context propagates
 		// deadlines and client disconnects into the queue. With Degrade
 		// enabled a PAS-side failure leaves the message untouched.
 		augmented, lvl, err := p.augmentLevel(ctx, prompt, salt)
 		if err != nil {
+			buf.Release()
 			return "", err
 		}
 		level = lvl
 		if tail, ok := strings.CutPrefix(augmented, prompt); ok {
-			body = slices.Insert(body, scan.contentEnd-1, appendEscaped(nil, tail)...)
+			spliceEscaped(buf, scan.contentEnd-1, scan.contentEnd-1, tail)
 		} else {
 			// An augmenter that rewrote the prompt instead of extending it:
 			// the whole literal is replaced.
-			body = slices.Replace(body, scan.contentStart+1, scan.contentEnd-1, appendEscaped(nil, augmented)...)
+			spliceEscaped(buf, scan.contentStart+1, scan.contentEnd-1, augmented)
 		}
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	r.Header.Set("Content-Length", strconv.Itoa(len(body)))
+	r.Body = &chatBody{buf: buf}
+	r.ContentLength = int64(len(buf.B))
+	r.Header.Set("Content-Length", strconv.Itoa(len(buf.B)))
 	return level, nil
+}
+
+// spliceEscaped puts s, escaped for the inside of a string literal,
+// where buf.B[from:to] is: s is escaped straight onto the end of the
+// scratch, the bytes after to are appended behind it, and the two move
+// down together. No second buffer, and nothing before from is touched.
+func spliceEscaped(buf *wire.Buffer, from, to int, s string) {
+	end := len(buf.B)
+	buf.B = appendEscaped(buf.B, s)
+	buf.B = append(buf.B, buf.B[to:end]...)
+	buf.B = buf.B[:from+copy(buf.B[from:], buf.B[end:])]
 }
 
 // augmentLevel calls the level-aware interface when the augmenter has
