@@ -25,7 +25,10 @@
 // With -replicas the proxy instead routes each augmentation to the
 // replica owning its cache key on a consistent-hash ring (-vnodes
 // virtual nodes), so repeated prompts always warm the same replica's
-// cache. Replica health is probed at /v1/status (-probe-interval,
+// cache — after looking the key up in its own near cache (-cache-size,
+// -cache-ttl) of full-quality answers, which a replica restart empties.
+// The other serving flags size a core this mode does not run; setting
+// one is logged at start-up. Replica health is probed at /v1/status (-probe-interval,
 // -probe-timeout); a member failing -down-after consecutive checks is
 // evicted from the ring — moving only its own keys — and rejoins on
 // recovery. A replica announcing "draining" is routed around without
@@ -49,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -61,8 +65,9 @@ import (
 )
 
 // options is pasproxy's command line: the shared serving flags (which
-// size the in-process core in single-node mode; -replicas uses only the
-// breaker and -degrade settings) plus its own.
+// size the in-process core in single-node mode; -replicas uses the
+// cache, breaker and -degrade settings and ignores clusterIgnored) plus
+// its own.
 type options struct {
 	*daemon.Flags
 	model, upstream, addr string
@@ -76,8 +81,31 @@ type options struct {
 	ringTimeout                 time.Duration
 }
 
+// clusterIgnored are the serving flags that do nothing with -replicas:
+// they size the in-process core's admission, tenancy and retry, and the
+// replicas run their own.
+var clusterIgnored = []string{
+	"max-inflight", "limit-floor", "limit-target", "tenant-weights", "default-tenant-weight",
+	"tenant-quotas", "tenant-queue-depth", "max-tenants", "compute-delay", "queue-depth",
+	"queue-wait", "retries", "retry-budget",
+}
+
+// setButIgnored names the flags of clusterIgnored that were set on fs.
+func setButIgnored(fs *flag.FlagSet) (names []string) {
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(clusterIgnored, f.Name) {
+			names = append(names, f.Name)
+		}
+	})
+	return names
+}
+
 func bindFlags(fs *flag.FlagSet) *options {
 	o := &options{Flags: daemon.Bind(fs)}
+	// The two cache flags mean something else in cluster mode; pasproxy
+	// says so on top of the shared help text.
+	fs.Lookup("cache-size").Usage += "; with -replicas: the proxy's near cache of full-quality replica answers (0 or negative disables)"
+	fs.Lookup("cache-ttl").Usage += "; with -replicas: the proxy's near cache, which a replica restart also empties"
 	fs.StringVar(&o.model, "model", "pas-model.json", "trained PAS model (from pastrain); unused with -replicas")
 	fs.StringVar(&o.upstream, "upstream", "http://localhost:8423", "chat-completions endpoint to front (bare http(s)://host[:port])")
 	fs.StringVar(&o.addr, "addr", ":8424", "listen address")
@@ -146,6 +174,8 @@ func main() {
 			HedgeMin:         o.hedgeMin,
 			HedgeMax:         o.hedgeMax,
 			Degrade:          o.Serving.Degrade,
+			CacheSize:        o.Serving.CacheSize,
+			CacheTTL:         o.Serving.CacheTTL,
 			Health: ring.HealthConfig{
 				ProbeInterval: o.probeInterval,
 				ProbeTimeout:  o.probeTimeout,
@@ -166,7 +196,10 @@ func main() {
 		if o.adminToken != "" {
 			log.Printf("membership admin API enabled at /v1/cluster/replicas")
 		}
-		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v", len(urls), o.vnodes, o.hedge)
+		for _, name := range setButIgnored(flag.CommandLine) {
+			log.Printf("-%s has no effect with -replicas: it sizes the in-process serving core, and the replicas run their own", name)
+		}
+		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v, near cache %d entries", len(urls), o.vnodes, o.hedge, max(o.Serving.CacheSize, 0))
 	} else {
 		sys, err := pas.LoadSystem(o.model)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,9 +18,10 @@ import (
 )
 
 // TestServingFlagsAreTheSharedBinders: every serving flag pasproxy
-// exposes is cmd/internal/daemon's, name, default and help. The same
-// test in the other daemon compares against the same binder, so the two
-// cannot drift apart.
+// exposes is cmd/internal/daemon's, name, default and help — the two
+// cache flags' help going on to say what they size with -replicas. The
+// same test in the other daemon compares against the same binder, so
+// the two cannot drift apart.
 func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 	got := flag.NewFlagSet("pasproxy", flag.ContinueOnError)
 	bindFlags(got)
@@ -29,12 +31,52 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 	want.VisitAll(func(w *flag.Flag) {
 		n++
 		g := got.Lookup(w.Name)
-		if g == nil || g.DefValue != w.DefValue || g.Usage != w.Usage {
+		usage := w.Usage
+		if g != nil && (w.Name == "cache-size" || w.Name == "cache-ttl") {
+			usage, _, _ = strings.Cut(g.Usage, "; with -replicas: ")
+			if !strings.Contains(g.Usage, "; with -replicas: the proxy's near cache") {
+				t.Errorf("-%s: help %q does not say what it sizes with -replicas", w.Name, g.Usage)
+			}
+		}
+		if g == nil || g.DefValue != w.DefValue || usage != w.Usage {
 			t.Errorf("-%s: pasproxy has %+v, the binder %+v", w.Name, g, w)
 		}
 	})
 	if n < 20 {
 		t.Fatalf("the binder declared %d flags, want the 18 serving + 2 observability ones", n)
+	}
+}
+
+// TestClusterModeAccountsForEveryServingFlag: with -replicas a serving
+// flag either reaches ring.Config or is in clusterIgnored and named at
+// start-up when set, so none is dropped without a word.
+func TestClusterModeAccountsForEveryServingFlag(t *testing.T) {
+	used := []string{"cache-size", "cache-ttl", "breaker-threshold", "breaker-cooldown", "degrade"}
+	obsFlags := flag.NewFlagSet("obs", flag.ContinueOnError)
+	daemon.BindObs(obsFlags)
+	serving := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	daemon.Bind(serving)
+	n := 0
+	serving.VisitAll(func(f *flag.Flag) {
+		if obsFlags.Lookup(f.Name) != nil {
+			return
+		}
+		n++
+		if slices.Contains(used, f.Name) == slices.Contains(clusterIgnored, f.Name) {
+			t.Errorf("-%s: used with -replicas %v, listed as ignored %v", f.Name, slices.Contains(used, f.Name), slices.Contains(clusterIgnored, f.Name))
+		}
+	})
+	if n != len(used)+len(clusterIgnored) {
+		t.Fatalf("%d serving flags, %d used + %d ignored", n, len(used), len(clusterIgnored))
+	}
+
+	fs := flag.NewFlagSet("pasproxy", flag.ContinueOnError)
+	o := bindFlags(fs)
+	if err := fs.Parse([]string{"-replicas", "http://a:1", "-retries", "0", "-cache-size", "10", "-queue-depth", "5", "-trace-sample", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := setButIgnored(fs); !slices.Equal(got, []string{"queue-depth", "retries"}) || o.Serving.CacheSize != 10 {
+		t.Fatalf("set but ignored = %v, cache size %d; want [queue-depth retries], 10", got, o.Serving.CacheSize)
 	}
 }
 

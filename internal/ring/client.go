@@ -61,6 +61,14 @@ type Config struct {
 	// HTTPClient carries augmentation and probe traffic; nil builds a
 	// default with sane connection pooling.
 	HTTPClient *http.Client
+	// CacheSize and CacheTTL size the near cache: full-quality
+	// complements remembered at the client, so a repeated (prompt, salt)
+	// is answered without a hop. Unlike the fields above, a CacheSize of
+	// 0 (or below) is not a default: it means no near cache, and every
+	// request hops. CacheTTL 0 keeps an entry until it is evicted or a
+	// member restarts (see nearCache).
+	CacheSize int
+	CacheTTL  time.Duration
 }
 
 // Client routes augmentation requests across a replica fleet by
@@ -76,6 +84,7 @@ type Client struct {
 	mem    *Membership
 	hedger *resilience.Hedger // nil when hedging is off
 	hc     *http.Client
+	near   *nearCache // nil when Config.CacheSize <= 0
 
 	requests  int64
 	failovers int64 // successes served by a non-owner replica
@@ -108,9 +117,11 @@ func NewClient(cfg Config) (*Client, error) {
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
+		// Every idle connection may belong to one replica: a closed-loop
+		// caller per connection must find its own again, not re-dial.
 		hc = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 16,
+			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
@@ -119,6 +130,10 @@ func NewClient(cfg Config) (*Client, error) {
 		Threshold: cfg.BreakerThreshold,
 		Cooldown:  cfg.BreakerCooldown,
 	})
+	if cfg.CacheSize > 0 {
+		c.near = newNearCache(cfg.CacheSize, cfg.CacheTTL, time.Now)
+		c.mem.onNewInstance = c.near.flush
+	}
 	if cfg.Hedge {
 		c.hedger = &resilience.Hedger{MinDelay: cfg.HedgeMin, MaxDelay: cfg.HedgeMax}
 	}
@@ -225,11 +240,30 @@ func (c *Client) AugmentContextDegraded(ctx context.Context, prompt, salt string
 // rung: the X-PAS-Degraded wire value the serving replica answered
 // with ("" full, "trim", "1" raw/fail-open). It implements the proxy's
 // level-aware augmenter interface.
+//
+// With a near cache the key is looked up before anything is routed, and
+// a hit is prompt + the remembered tail at full quality. Only a replica's
+// full-quality answer is ever remembered — never a "trim" or "1" reply,
+// never the fail-open below — so a near hit cannot serve a reduced rung
+// unflagged.
 func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
 	atomic.AddInt64(&c.requests, 1)
+	key := shardKey(prompt, salt)
+	// The generation looked up in is the one stored into after the hop:
+	// see nearCache.
+	var near *serving.Cache
+	if c.near != nil {
+		near = c.near.gen.Load()
+		if tail, ok := near.Get(key); ok {
+			_, span := obs.StartSpan(ctx, "ring.route")
+			span.SetAttr("ring.cache", "hit")
+			span.End()
+			return prompt + tail, "", nil
+		}
+	}
 	// Live members, owner first, resolved to their records once; every
 	// later step reads the record, not the table.
-	cands := c.mem.lookup(c.ring.Successors(shardKey(prompt, salt), 0))
+	cands := c.mem.lookup(c.ring.Successors(key, 0))
 	var owner *replica
 	if len(cands) > 0 {
 		owner = cands[0]
@@ -248,6 +282,11 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 		// demotion that lands the request elsewhere is a failover too.
 		if res.replica != owner {
 			atomic.AddInt64(&c.failovers, 1)
+		}
+		// The tail is stored as its own copy: a slice of augmented would
+		// pin the prompt a second time beside the key.
+		if near != nil && res.level == "" && len(res.augmented) > len(prompt) && strings.HasPrefix(res.augmented, prompt) {
+			near.Put(key, strings.Clone(res.augmented[len(prompt):]))
 		}
 		return res.augmented, res.level, nil
 	}
@@ -344,7 +383,7 @@ func (c *Client) callReplica(ctx context.Context, r *replica, prompt, salt strin
 	span.SetAttr("ring.replica", r.url)
 	defer span.End()
 
-	res, err := c.doAugment(ctx, r.url, prompt, salt)
+	res, err := c.doAugment(ctx, r, prompt, salt)
 	if err != nil {
 		span.SetError(err)
 		// Terminal errors (the caller cancelling, 4xx) say nothing
@@ -362,33 +401,45 @@ func (c *Client) callReplica(ctx context.Context, r *replica, prompt, salt strin
 
 // doAugment is the bare HTTP exchange, reporting transport reachability
 // to the membership table.
-func (c *Client) doAugment(ctx context.Context, replica, prompt, salt string) (result, error) {
+func (c *Client) doAugment(ctx context.Context, r *replica, prompt, salt string) (result, error) {
 	// Its own slice, not pooled scratch: the transport may still be
 	// reading a request body after Do has returned.
 	body := wire.AppendAugmentRequest(make([]byte, 0, len(prompt)+len(salt)+32), wire.AugmentRequest{Prompt: prompt, Salt: salt})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, replica+"/v1/augment", bytes.NewReader(body))
-	if err != nil {
-		return result{}, fmt.Errorf("ring: building request: %w", err)
+	if r.augmentURL == nil {
+		return result{}, fmt.Errorf("ring: building request: replica URL %q does not parse", r.url)
 	}
-	req.Header.Set("Content-Type", "application/json; charset=utf-8")
+	// What http.NewRequestWithContext builds, minus parsing the same URL
+	// again on every request: the record carries it parsed.
+	req := (&http.Request{
+		Method: http.MethodPost,
+		URL:    r.augmentURL,
+		Host:   r.augmentURL.Host,
+		Proto:  "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:        http.Header{"Content-Type": {"application/json; charset=utf-8"}},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		// The transport replays the body when a kept-alive connection
+		// turns out to be dead.
+		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+	}).WithContext(ctx)
 	// The replica continues this trace, so one trace id spans
 	// proxy→replica→(replica-side serving core).
 	obs.Inject(ctx, req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.mem.Observe(replica, err)
-		return result{}, fmt.Errorf("ring: replica %s: %w", replica, err)
+		c.mem.Observe(r.url, err)
+		return result{}, fmt.Errorf("ring: replica %s: %w", r.url, err)
 	}
 	defer resp.Body.Close()
 	// Reachable at the transport level — HTTP-level shedding (503) is
 	// breaker food, not a membership failure.
-	c.mem.Observe(replica, nil)
+	c.mem.Observe(r.url, nil)
 	if resp.StatusCode != http.StatusOK {
 		// Read a bounded slice of the error body for the message, and
 		// classify so the breaker and retry layers treat 503 as
 		// overload and 4xx as terminal.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("ring: replica %s: status %d: %s", replica, resp.StatusCode, bytes.TrimSpace(msg))
+		err := fmt.Errorf("ring: replica %s: status %d: %s", r.url, resp.StatusCode, bytes.TrimSpace(msg))
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
 			return result{}, resilience.AsOverload(err)
@@ -407,7 +458,7 @@ func (c *Client) doAugment(ctx context.Context, replica, prompt, salt string) (r
 		// encoding/json reads it, or says what is wrong with it.
 		var ar wire.AugmentResponse
 		if err := json.NewDecoder(buf.Replay(readErr)).Decode(&ar); err != nil {
-			return result{}, fmt.Errorf("ring: replica %s: decoding response: %w", replica, err)
+			return result{}, fmt.Errorf("ring: replica %s: decoding response: %w", r.url, err)
 		}
 		augmented = ar.Augmented
 	}
@@ -440,6 +491,9 @@ type Stats struct {
 	Replicas []ReplicaStats    `json:"replicas"`
 	Breakers map[string]string `json:"breakers,omitempty"`
 	Hedging  bool              `json:"hedging"`
+	// Cache is the near cache; all zero without one. Requests it does
+	// not count as hits are the ones that went on to the ring.
+	Cache CacheStats `json:"cache"`
 }
 
 // Stats returns a monitoring snapshot.
@@ -450,6 +504,9 @@ func (c *Client) Stats() Stats {
 		Degraded:         atomic.LoadInt64(&c.degraded),
 		BrownoutReroutes: atomic.LoadInt64(&c.brownoutReroutes),
 		Hedging:          c.hedger != nil,
+	}
+	if c.near != nil {
+		s.Cache = c.near.stats()
 	}
 	// The per-replica views follow the live membership table, not the
 	// boot-time config: replicas come and go at runtime.
@@ -479,6 +536,12 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_ring_failovers_total", "Requests served by a non-owner replica.", float64(s.Failovers))
 		e.Counter("pas_ring_degraded_total", "Requests served fail-open after the whole fleet failed.", float64(s.Degraded))
 		e.Counter("pas_ring_brownout_reroutes_total", "Requests whose owner was deprioritized for raw brownout pressure.", float64(s.BrownoutReroutes))
+		e.Counter("pas_ring_cache_hits_total", "Requests answered from the near cache, without a hop.", float64(s.Cache.Hits))
+		e.Counter("pas_ring_cache_misses_total", "Near-cache misses: requests routed to a replica.", float64(s.Cache.Misses))
+		e.Counter("pas_ring_cache_evictions_total", "Near-cache LRU evictions.", float64(s.Cache.Evictions))
+		e.Counter("pas_ring_cache_expiries_total", "Near-cache TTL expiries.", float64(s.Cache.Expiries))
+		e.Counter("pas_ring_cache_flushes_total", "Whole near-cache drops after a member came back as a new instance.", float64(s.Cache.Flushes))
+		e.Gauge("pas_ring_cache_entries", "Near-cache entries resident.", float64(s.Cache.Entries))
 		e.Gauge("pas_ring_live_members", "Members currently routable (up or suspect).", float64(s.Live))
 		adds, removes, _ := c.mem.Churn()
 		e.Counter("pas_ring_members_added_total", "Members joined at runtime.", float64(adds))

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/serving"
@@ -9,8 +10,9 @@ import (
 
 // FuzzProbeStatus: the prober decodes bytes another process wrote, so
 // on any ≤4 KiB body parseStatus must not panic, a body that is not a
-// JSON object must read as healthy, not draining, at full service, and
-// an unknown pressure name must read as full.
+// JSON object must read as healthy, not draining, at full service and
+// with no instance, an unknown pressure name must read as full, and the
+// instance must be the string sent, whatever its size.
 func FuzzProbeStatus(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -26,6 +28,14 @@ func FuzzProbeStatus(f *testing.F) {
 		`["draining"]`,
 		`{"status":"ok","status":"draining"}`,
 		"\xff\xfe{\"status\":\"draining\"}",
+		`{"status":"ok","model":"m","instance":"1790000000000000000"}`,
+		`{"status":"draining","pressure":"raw","instance":""}`,
+		`{"status":"ok","instance":1790000000000000000}`,
+		`{"status":"ok","instance":null}`,
+		`{"status":"ok","instance":["a"]}`,
+		`{"status":"ok","instance":"a","instance":"b"}`,
+		`{"status":"ok","instance":"` + strings.Repeat("9", maxStatusBody-40) + `"}`,
+		`{"status":"draining","instance":"` + strings.Repeat("9", 2*maxStatusBody) + `"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -33,16 +43,20 @@ func FuzzProbeStatus(f *testing.F) {
 		if len(body) > maxStatusBody {
 			body = body[:maxStatusBody]
 		}
-		draining, pressure := parseStatus(body)
-		// The reference reading: the two fields by their wire names, and
-		// a body encoding/json rejects says nothing at all.
-		var ref struct{ Status, Pressure string }
+		got := parseStatus(body)
+		// The reference reading: the three fields by their wire names,
+		// and a body encoding/json rejects says nothing at all.
+		var ref struct{ Status, Pressure, Instance string }
 		if json.Unmarshal(body, &ref) != nil {
-			ref.Status, ref.Pressure = "", ""
+			ref.Status, ref.Pressure, ref.Instance = "", "", ""
 		}
-		want := map[string]serving.Level{"trim": serving.LevelTrim, "raw": serving.LevelRaw}[ref.Pressure]
-		if draining != (ref.Status == "draining") || pressure != want {
-			t.Fatalf("body %q read as draining=%v pressure=%v, want %v %v", body, draining, pressure, ref.Status == "draining", want)
+		want := probeStatus{
+			draining: ref.Status == "draining",
+			pressure: map[string]serving.Level{"trim": serving.LevelTrim, "raw": serving.LevelRaw}[ref.Pressure],
+			instance: ref.Instance,
+		}
+		if got != want {
+			t.Fatalf("body %q read as %+v, want %+v", body, got, want)
 		}
 	})
 }

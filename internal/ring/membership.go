@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,9 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // along, and one that comes back starts clean.
 type replica struct {
 	url string
+	// augmentURL is url + "/v1/augment", parsed once for every request
+	// the data path sends; read-only after insert, nil if unparseable.
+	augmentURL *neturl.URL
 
 	// Health, guarded by Membership.mu.
 	state   State
@@ -115,6 +119,9 @@ type replica struct {
 	probeFails int64
 	downs      int64 // ->Down transitions
 	drains     int64 // ->Draining transitions
+	// instance is the wire.Status.Instance the member's last successful
+	// probe read; "" on a fresh record.
+	instance string
 	// stopProbe cancels the member's probe loop; nil while none runs.
 	stopProbe context.CancelFunc
 
@@ -150,6 +157,10 @@ type Membership struct {
 	// runCtx is the context Start was called with; nil before Start.
 	// Probe loops started later (Add after Start) inherit it.
 	runCtx context.Context
+	// onNewInstance, when set (before Start, by the Client), is called
+	// after a probe read an instance other than the one on the member's
+	// record: the process behind the URL has been replaced.
+	onNewInstance func()
 
 	// Lifetime churn counters.
 	adds    int64
@@ -190,6 +201,9 @@ func NewMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthCon
 // counters, no streak. Caller holds m.mu (or is the constructor).
 func (m *Membership) insertLocked(url string) *replica {
 	r := &replica{url: url, state: StateUp, breaker: resilience.NewBreaker(m.breaker)}
+	// Nil for a URL that does not parse (NormalizeReplicas admits none;
+	// a caller of Add might pass one): doAugment reports that per request.
+	r.augmentURL, _ = neturl.Parse(url + "/v1/augment")
 	m.members[url] = r
 	m.order = append(m.order, r)
 	return r
@@ -322,23 +336,35 @@ func (m *Membership) probeLoop(ctx context.Context, r *replica) {
 func (m *Membership) ProbeOne(ctx context.Context, url string) {
 	// The probe runs without the table lock: a slow replica must not
 	// stall snapshots or the data path's health observations.
-	draining, pressure, err := m.probe(ctx, url)
+	st, err := m.probe(ctx, url)
+	if m.recordProbe(url, st, err) && m.onNewInstance != nil {
+		m.onNewInstance()
+	}
+}
+
+// recordProbe applies one probe's outcome to url's record and reports
+// whether it found the member running as another instance than the one
+// recorded (a fresh record has none, so a first reading counts).
+func (m *Membership) recordProbe(url string, st probeStatus, err error) (newInstance bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mem, ok := m.members[url]
 	if !ok {
-		return
+		return false
 	}
 	mem.probes++
 	if err != nil {
 		mem.probeFails++
 	} else {
-		// Only a successful probe speaks for the replica's brownout
-		// rung; a failed one says nothing (the last reading stands
-		// until eviction takes the member off the ring anyway).
-		mem.pressure.Store(int32(pressure))
+		// Only a successful probe speaks for the replica's brownout rung
+		// and instance; a failed one says nothing (the last reading
+		// stands until eviction takes the member off the ring anyway).
+		mem.pressure.Store(int32(st.pressure))
+		newInstance = st.instance != mem.instance
+		mem.instance = st.instance
 	}
-	m.applyLocked(mem, err, draining, true)
+	m.applyLocked(mem, err, st.draining, true)
+	return newInstance
 }
 
 // ProbeAll sweeps every member once, synchronously.
@@ -354,16 +380,16 @@ func (m *Membership) ProbeAll(ctx context.Context) {
 // probe issues one GET probePath and reports whether the member looks
 // alive: any 2xx is healthy, everything else (or a transport error) is
 // a failure. What a healthy body says is parseStatus's business.
-func (m *Membership) probe(ctx context.Context, url string) (draining bool, pressure serving.Level, err error) {
+func (m *Membership) probe(ctx context.Context, url string) (probeStatus, error) {
 	ctx, cancel := context.WithTimeout(ctx, m.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+probePath, nil)
 	if err != nil {
-		return false, serving.LevelFull, fmt.Errorf("ring: building probe: %w", err)
+		return probeStatus{}, fmt.Errorf("ring: building probe: %w", err)
 	}
 	resp, err := m.hc.Do(req)
 	if err != nil {
-		return false, serving.LevelFull, fmt.Errorf("ring: probe %s: %w", url, err)
+		return probeStatus{}, fmt.Errorf("ring: probe %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	// Read (and thereby drain, so the transport can reuse the
@@ -372,32 +398,40 @@ func (m *Membership) probe(ctx context.Context, url string) (draining bool, pres
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxStatusBody))
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxStatusBody))
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return false, serving.LevelFull, fmt.Errorf("ring: probe %s: status %d", url, resp.StatusCode)
+		return probeStatus{}, fmt.Errorf("ring: probe %s: status %d", url, resp.StatusCode)
 	}
-	draining, pressure = parseStatus(body)
-	return draining, pressure, nil
+	return parseStatus(body), nil
 }
 
 // maxStatusBody bounds how much of a probe response is read.
 const maxStatusBody = 4096
 
+// probeStatus is what one healthy probe body says.
+type probeStatus struct {
+	draining bool
+	pressure serving.Level
+	instance string
+}
+
 // parseStatus reads a 2xx probe body: a wire.Status whose status reads
-// "draining" flags the member as deliberately leaving, and its pressure
+// "draining" flags the member as deliberately leaving, its pressure
 // field carries the brownout rung, parsed here once — an unknown rung
-// reads as full. A non-JSON body stays plain healthy, for compatibility
-// with simpler status endpoints.
-func parseStatus(body []byte) (draining bool, pressure serving.Level) {
+// reads as full — and its instance names the process. A non-JSON body
+// stays plain healthy with no instance, for compatibility with simpler
+// status endpoints.
+func parseStatus(body []byte) probeStatus {
 	var st wire.Status
 	if err := json.Unmarshal(body, &st); err != nil {
-		return false, serving.LevelFull
+		return probeStatus{}
 	}
+	out := probeStatus{draining: st.Status == wire.StatusDraining, instance: st.Instance}
 	switch st.Pressure {
 	case serving.LevelTrim.String():
-		pressure = serving.LevelTrim
+		out.pressure = serving.LevelTrim
 	case serving.LevelRaw.String():
-		pressure = serving.LevelRaw
+		out.pressure = serving.LevelRaw
 	}
-	return st.Status == wire.StatusDraining, pressure
+	return out
 }
 
 // Observe feeds a data-path outcome into the health table: the augment
@@ -483,6 +517,8 @@ type MemberStatus struct {
 	// Pressure is the brownout rung the member last reported ("",
 	// "trim", or "raw"); the client deprioritizes raw-pressure members.
 	Pressure string `json:"pressure,omitempty"`
+	// Instance is the process incarnation the member last reported.
+	Instance string `json:"instance,omitempty"`
 	// Probes / ProbeFails are lifetime probe counters; Downs counts
 	// evictions from the ring; Drains counts graceful departures.
 	Probes     int64 `json:"probes"`
@@ -499,6 +535,7 @@ func (r *replica) statusLocked() MemberStatus {
 		state:      r.state,
 		Fails:      r.fails,
 		LastErr:    r.lastErr,
+		Instance:   r.instance,
 		Probes:     r.probes,
 		ProbeFails: r.probeFails,
 		Downs:      r.downs,

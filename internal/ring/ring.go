@@ -14,6 +14,7 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -159,14 +160,12 @@ func (r *Ring) Successors(key string, n int) []string {
 		n = len(r.members)
 	}
 	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
 	for i, start := 0, r.at(hashKey(key)); len(out) < n && i < len(r.points); i++ {
-		m := r.points[(start+i)%len(r.points)].member
-		if _, dup := seen[m]; dup {
-			continue
+		// out holds at most one entry per member: scanning it is cheaper
+		// than a set built per call.
+		if m := r.points[(start+i)%len(r.points)].member; !slices.Contains(out, m) {
+			out = append(out, m)
 		}
-		seen[m] = struct{}{}
-		out = append(out, m)
 	}
 	return out
 }

@@ -8,14 +8,17 @@ import (
 	"repro/internal/textkit"
 )
 
-// cache is a sharded TTL-LRU of complement results. Sharding by key hash
+// Cache is a sharded TTL-LRU of complement results, and the repository's
+// one such type: the serving core's result cache and the cluster
+// client's near cache (internal/ring) are both this. Sharding by key hash
 // keeps lock contention bounded under concurrent load: each shard has its
 // own mutex, LRU (internal/lru), and counters, so N cores hitting N different
 // keys rarely serialize on the same lock. A TTL bounds staleness when the
 // underlying model is hot-swapped or retrained; with the fixed
 // deterministic mapping p -> p_c of a single model, entries never go
-// semantically stale and TTL 0 (no expiry) is sound.
-type cache struct {
+// semantically stale and TTL 0 (no expiry) is sound. Safe for concurrent
+// use.
+type Cache struct {
 	shards []*cacheShard
 	ttl    time.Duration
 	now    func() time.Time
@@ -33,10 +36,10 @@ type cacheEntry struct {
 	expires time.Time // zero when the cache has no TTL
 }
 
-// newCache builds a sharded cache holding ~size entries in total. The
-// per-shard capacity is rounded up so the aggregate capacity is at least
-// size.
-func newCache(size, shards int, ttl time.Duration, now func() time.Time) *cache {
+// NewCache builds a sharded cache holding ~size entries in total (size
+// must be positive). The per-shard capacity is rounded up so the
+// aggregate capacity is at least size. now is read only when ttl > 0.
+func NewCache(size, shards int, ttl time.Duration, now func() time.Time) *Cache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -44,21 +47,21 @@ func newCache(size, shards int, ttl time.Duration, now func() time.Time) *cache 
 		shards = size
 	}
 	perShard := (size + shards - 1) / shards
-	c := &cache{shards: make([]*cacheShard, shards), ttl: ttl, now: now}
+	c := &Cache{shards: make([]*cacheShard, shards), ttl: ttl, now: now}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{lru: lru.New[string, cacheEntry](perShard)}
 	}
 	return c
 }
 
-func (c *cache) shard(key string) *cacheShard {
+func (c *Cache) shard(key string) *cacheShard {
 	return c.shards[textkit.Hash64(key)%uint64(len(c.shards))]
 }
 
-// get returns the cached value and whether it was present and fresh.
+// Get returns the cached value and whether it was present and fresh.
 // Expired entries are removed on access and counted separately from
 // plain misses.
-func (c *cache) get(key string) (string, bool) {
+func (c *Cache) Get(key string) (string, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -77,9 +80,9 @@ func (c *cache) get(key string) (string, bool) {
 	return e.val, true
 }
 
-// put stores a value, evicting the least recently used entry of the
+// Put stores a value, evicting the least recently used entry of the
 // shard when full.
-func (c *cache) put(key, val string) {
+func (c *Cache) Put(key, val string) {
 	var expires time.Time
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
@@ -101,7 +104,8 @@ type CacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-func (c *cache) stats() CacheStats {
+// Stats sums the shards' counters and entry counts.
+func (c *Cache) Stats() CacheStats {
 	var out CacheStats
 	for _, s := range c.shards {
 		s.mu.Lock()

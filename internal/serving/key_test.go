@@ -55,7 +55,7 @@ func TestKeyMatchesCache(t *testing.T) {
 	if _, err := core.Do(context.Background(), "p", "s", "m"); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := core.cache.get(Key("p", "s", "m")); !ok || v != "c:p" {
-		t.Fatalf("cache.get(Key(...)) = %q, %v; want \"c:p\", true", v, ok)
+	if v, ok := core.cache.Get(Key("p", "s", "m")); !ok || v != "c:p" {
+		t.Fatalf("cache.Get(Key(...)) = %q, %v; want \"c:p\", true", v, ok)
 	}
 }

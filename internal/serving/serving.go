@@ -257,7 +257,7 @@ type Core struct {
 	fn    Func
 	cheap Func // trim-rung complement; == fn unless CheapFn was set
 	cfg   Config
-	cache *cache // nil when caching is disabled
+	cache *Cache // nil when caching is disabled
 
 	flight  flightGroup
 	sched   *scheduler
@@ -349,7 +349,7 @@ func New(fn Func, cfg Config) (*Core, error) {
 		c.cheap = cfg.CheapFn
 	}
 	if cfg.CacheSize > 0 {
-		c.cache = newCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
+		c.cache = NewCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
 	}
 	c.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
@@ -458,7 +458,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 
 	_, lookup := obs.StartSpan(ctx, "serving.cache_lookup")
 	if c.cache != nil {
-		if v, ok := c.cache.get(k); ok {
+		if v, ok := c.cache.Get(k); ok {
 			lookup.SetStatus("hit")
 			lookup.End()
 			span.SetStatus("cache_hit")
@@ -493,7 +493,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 		key = k + trimKeySuffix
 		fn = c.cheap
 		if c.cache != nil {
-			if v, ok := c.cache.get(key); ok {
+			if v, ok := c.cache.Get(key); ok {
 				// Trim hits observe like raw serves do: without this,
 				// pure repeat traffic would freeze the gauge at trim
 				// even after the backlog is long gone.
@@ -589,7 +589,7 @@ func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt st
 		c.gauge.observeService(total - waited)
 		c.limiter.OnSuccess(total)
 		if c.cache != nil {
-			c.cache.put(key, out)
+			c.cache.Put(key, out)
 		}
 		done(true)
 		return out, nil

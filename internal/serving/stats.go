@@ -118,7 +118,7 @@ func (c *Core) Stats() Stats {
 	s.Tenants = c.sched.tenantStats()
 	s.Breaker = c.breaker.Stats()
 	if c.cache != nil {
-		s.Cache = c.cache.stats()
+		s.Cache = c.cache.Stats()
 		if lookups := s.Cache.Hits + s.Cache.Misses; lookups > 0 {
 			s.CacheHitRatio = float64(s.Cache.Hits) / float64(lookups)
 		}

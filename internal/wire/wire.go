@@ -62,4 +62,9 @@ type Status struct {
 	// Pressure is the brownout rung ("trim" or "raw"); empty at full
 	// service.
 	Pressure string `json:"pressure,omitempty"`
+	// Instance names the serving process's incarnation: fixed when it is
+	// built, different after a restart. A restarted replica may carry a
+	// new model, so a prober that reads a changed Instance drops whatever
+	// it cached of the fleet's answers.
+	Instance string `json:"instance,omitempty"`
 }

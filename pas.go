@@ -22,8 +22,10 @@ package pas
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/augment"
 	"repro/internal/curation"
@@ -89,11 +91,15 @@ type System struct {
 	// asks the process to exit; cmd/passerve hooks its shutdown here.
 	onDrain   func()
 	drainExit sync.Once
+	// instance is this System's incarnation, reported by /v1/status
+	// (wire.Status.Instance): its construction time in nanoseconds, so a
+	// restarted process — which may load another model — reads as new.
+	instance string
 }
 
 // NewSystem wraps a fine-tuned PAS model.
 func NewSystem(model *sft.Model) *System {
-	return &System{model: model}
+	return &System{model: model, instance: strconv.FormatInt(time.Now().UnixNano(), 10)}
 }
 
 // LoadSystem reads a trained PAS model from a file saved with SaveModel.

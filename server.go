@@ -205,7 +205,7 @@ func (s *System) Handler() http.Handler {
 // cheap — no serving-core counters, no locks beyond the rung's one
 // mutex read — because a fleet of probers hits it continuously.
 func (s *System) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := wire.Status{Status: wire.StatusOK, Model: s.BaseModel()}
+	st := wire.Status{Status: wire.StatusOK, Model: s.BaseModel(), Instance: s.instance}
 	if s.Draining() {
 		st.Status = wire.StatusDraining
 	}
