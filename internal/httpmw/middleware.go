@@ -220,6 +220,10 @@ func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 			}
 			status := rec.StatusOr200()
 			level := rec.Header().Get(degradedHeader)
+			tenant, resolved := rec.Tenant()
+			if !resolved { // no Tenant middleware inside this one
+				tenant = TenantFromRequest(r)
+			}
 			line := accessLine{
 				RequestID: r.Header.Get(requestIDHeader),
 				Method:    r.Method,
@@ -230,7 +234,7 @@ func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 				Shed:      status == http.StatusServiceUnavailable,
 				Degraded:  level != "",
 				Degrade:   level,
-				Tenant:    TenantFromRequest(r),
+				Tenant:    tenant,
 			}
 			line.TraceID, _ = obs.TraceIDFromContext(r.Context())
 			buf := wire.GetBuffer()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/serving"
 )
 
@@ -13,8 +14,8 @@ import (
 // the documentation; header names match in any case). When absent, the
 // middleware falls back to credential headers so keyed clients get
 // per-key fair-share without any client change. Both names are spelled
-// the way net/http keys them: the lookups run twice per request, and a
-// name in any other spelling costs a canonical copy each time.
+// the way net/http keys them: a name in any other spelling costs a
+// canonical copy on every lookup.
 const TenantHeader = "X-Pas-Tenant"
 
 // apiKeyHeader is the secondary tenant source for keyed deployments.
@@ -29,11 +30,16 @@ const maxTenantLen = 64
 // precedence: X-PAS-Tenant, then X-API-Key, then an Authorization
 // bearer token — credentials are fingerprinted, never used verbatim,
 // so tenant ids stay safe to log. Requests with no usable identity run
-// as the shared default tenant.
+// as the shared default tenant. What it resolved is noted on the shared
+// response recorder, where the access log outside reads it.
 func Tenant() func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if id := TenantFromRequest(r); id != "" {
+			id := TenantFromRequest(r)
+			if rec, ok := w.(*obs.ResponseRecorder); ok {
+				rec.NoteTenant(id)
+			}
+			if id != "" {
 				r = r.WithContext(serving.WithTenant(r.Context(), id))
 			}
 			next.ServeHTTP(w, r)

@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -129,6 +130,44 @@ func TestLoggingIncludesTenantAndDegradeLevel(t *testing.T) {
 	for _, want := range []string{`"tenant":"acme"`, `"degrade_level":"trim"`, `"degraded":true`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("access line %s missing %s", buf.String(), want)
+		}
+	}
+}
+
+// TestLoggingReadsTenantFromRecorder: with Tenant inside it,
+// Logging writes the id Tenant noted on the shared recorder, and that is
+// the id it resolves for itself when no Tenant middleware ran — the
+// access line is the same either way, for every source of identity.
+func TestLoggingReadsTenantFromRecorder(t *testing.T) {
+	durMs := regexp.MustCompile(`"dur_ms":[^,}]*`)
+	accessLine := func(r *http.Request, inner ...func(http.Handler) http.Handler) string {
+		var buf bytes.Buffer
+		mws := append([]func(http.Handler) http.Handler{Logging(log.New(&buf, "", 0))}, inner...)
+		Chain(okHandler(), mws...).ServeHTTP(httptest.NewRecorder(), r)
+		return durMs.ReplaceAllString(buf.String(), "")
+	}
+	for _, tc := range []struct{ hdr, val, want string }{
+		{"", "", ""},
+		{TenantHeader, "acme", `,"tenant":"acme"`},
+		{TenantHeader, "not a valid id", ""},
+		{apiKeyHeader, "sk-live-123", `,"tenant":"` + fingerprintTenant("sk-live-123") + `"`},
+		{"Authorization", "Bearer tok-9", `,"tenant":"` + fingerprintTenant("tok-9") + `"`},
+	} {
+		alone := accessLine(tenantRequest(tc.hdr, tc.val))
+		// resolveOnce fails the request's second resolution: it empties the
+		// headers Tenant has read by the time Logging writes its line.
+		resolveOnce := func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				next.ServeHTTP(w, r)
+				clear(r.Header)
+			})
+		}
+		noted := accessLine(tenantRequest(tc.hdr, tc.val), resolveOnce, Tenant())
+		if alone != noted {
+			t.Errorf("%s=%q: access line without Tenant %s, with it %s", tc.hdr, tc.val, alone, noted)
+		}
+		if got := strings.Contains(noted, `"tenant"`); got != (tc.want != "") || !strings.Contains(noted, tc.want) {
+			t.Errorf("%s=%q: access line %s, want tenant field %q", tc.hdr, tc.val, noted, tc.want)
 		}
 	}
 }

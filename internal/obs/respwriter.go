@@ -13,6 +13,9 @@ type ResponseRecorder struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+
+	tenant         string
+	tenantResolved bool
 }
 
 // WrapResponseWriter wraps w, or returns it as-is when it is already a
@@ -46,6 +49,15 @@ func (rr *ResponseRecorder) Write(p []byte) (int, error) {
 // closed it), so the log line, the span and the metrics do not read the
 // silence as the implicit 200.
 func (rr *ResponseRecorder) NoteStatus(code int) { rr.status = code }
+
+// NoteTenant records the tenant id the request resolved to ("" for the
+// anonymous default), so a middleware further out reads it instead of
+// resolving the request's credentials a second time.
+func (rr *ResponseRecorder) NoteTenant(id string) { rr.tenant, rr.tenantResolved = id, true }
+
+// Tenant returns the noted tenant id; ok is false when nothing inside
+// this recorder resolved one.
+func (rr *ResponseRecorder) Tenant() (id string, ok bool) { return rr.tenant, rr.tenantResolved }
 
 // Flush forwards flushing so SSE streaming keeps working through the
 // middleware stack.

@@ -28,29 +28,38 @@ type Event struct {
 // Tracer.StartSpan (roots) or StartSpan (children); a nil *Span is
 // valid and every method on it is a no-op, so instrumentation never
 // branches on whether tracing is enabled.
+//
+// A span is its own finished record: End stamps dur, sets ended and
+// appends the span itself to its trace, after which nothing writes to it
+// again, so whoever finds it in rec.spans (under rec.mu) reads it
+// without mu. It is never reused — a context that outlives its request
+// keeps pointing at the span it was given.
 type Span struct {
 	tracer *Tracer
 	rec    *traceRec
 	sc     SpanContext
+	parent SpanID // zero on a root that continues no remote trace
+	// failed and ended are guarded by mu like the fields below it; they
+	// sit here, in the padding after the ids, so that a child span with
+	// its attribute room is 240 bytes, which is an allocation size class.
+	failed bool
+	ended  bool
 	name   string
 	start  time.Time
-	root   bool
-
-	// The ids as /debug/traces and traceparent spell them. A span
-	// renders its own once, when it starts, and takes its parent's from
-	// the parent; the trace's is on rec.
-	spanHex, parentHex string
+	dur    time.Duration
 
 	mu     sync.Mutex
 	attrs  []Attr
 	events []Event
-	failed bool
 	status string
-	ended  bool
+}
 
-	// attrBuf is where attrs starts out: the HTTP root span sets four
-	// and the serving spans fewer, so most spans never grow it.
-	attrBuf [4]Attr
+// childSpan is how a span below the root is allocated: with room for
+// the two attributes the serving spans set at most. The root's room is
+// in its traceRec.
+type childSpan struct {
+	Span
+	attrBuf [2]Attr
 }
 
 // Context returns the span's propagation context.
@@ -136,9 +145,9 @@ func (s *Span) SetStatus(msg string) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and hands its data to the trace record; the
-// root span's End also submits the trace to the store. End is
-// idempotent; spans left un-ended simply never appear in the store.
+// End finishes the span and adds it to the trace record; the root
+// span's End also submits the trace to the store. End is idempotent;
+// spans left un-ended simply never appear in the store.
 //
 //paslint:hotpath once per span, several per request
 func (s *Span) End() {
@@ -152,26 +161,11 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	data := SpanData{
-		Name:       s.name,
-		SpanID:     s.spanHex,
-		ParentID:   s.parentHex,
-		Start:      s.start,
-		DurationMs: durationMs(end.Sub(s.start)),
-		Attrs:      s.attrs,
-		Events:     s.events,
-		Error:      s.failed,
-		Status:     s.status,
-	}
+	s.dur = end.Sub(s.start)
 	s.mu.Unlock()
-	if s.rec == nil {
-		return
-	}
-	data.TraceID = s.rec.traceHex
-	s.rec.addSpan(data)
-	if s.root {
-		s.rec.finishRoot(data)
-		s.tracer.submit(s.rec)
+	s.rec.addSpan(s, s.tracer.cfg.MaxSpansPerTrace)
+	if s == &s.rec.root {
+		s.tracer.submit(s.rec, s.dur)
 	}
 }
 
@@ -179,8 +173,8 @@ func (s *Span) End() {
 // must not turn one span into an unbounded allocation.
 const maxEventsPerSpan = 64
 
-// SpanData is the immutable record of a finished span, shaped for the
-// /debug/traces JSON body.
+// SpanData is a finished span as the /debug/traces JSON body shows it;
+// summarize builds one per span when the store is read.
 type SpanData struct {
 	Name       string    `json:"name"`
 	TraceID    string    `json:"trace_id"`

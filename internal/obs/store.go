@@ -12,28 +12,38 @@ import (
 
 // traceStore holds finished traces: a ring of the most recent and a
 // bounded list of the slowest. Memory is bounded by
-// (MaxTraces + MaxSlow) × MaxSpansPerTrace spans.
+// (MaxTraces + MaxSlow) × MaxSpansPerTrace retained spans, and a
+// retained span is the 240-byte childSpan itself: at the defaults the
+// worst case is (128 + 32) × 256 × 240 B ≈ 9.8 MB, were every kept
+// trace full; at the five spans a cache miss leaves, a trace holds
+// 1.4 KB and the store some 230 KB. Attributes past a span's own room,
+// events, and the strings of both come on top.
 type traceStore struct {
 	mu      sync.Mutex
 	recent  []*traceRec // ring, oldest overwritten first
 	next    int
 	filled  bool
-	slow    []*traceRec // sorted by root duration, longest first
+	slow    []slowTrace // sorted by root duration, longest first
 	maxSlow int
 
 	kept      atomic.Int64
 	discarded atomic.Int64
 }
 
+// slowTrace is one entry of the slowest list: a root's duration is
+// final when the trace is submitted, so it is kept beside the record
+// and ordering the list locks no record.
+type slowTrace struct {
+	rec *traceRec
+	dur time.Duration
+}
+
 func newTraceStore(maxRecent, maxSlow int) *traceStore {
 	return &traceStore{recent: make([]*traceRec, maxRecent), maxSlow: maxSlow}
 }
 
-func (st *traceStore) add(rec *traceRec) {
+func (st *traceStore) add(rec *traceRec, rootDur time.Duration) {
 	st.kept.Add(1)
-	rec.mu.Lock()
-	dur := rec.rootDur
-	rec.mu.Unlock()
 	st.mu.Lock()
 	st.recent[st.next] = rec
 	st.next++
@@ -43,16 +53,11 @@ func (st *traceStore) add(rec *traceRec) {
 	}
 	// Keep the slow list sorted; a trace slower than the current
 	// slowest MaxSlow-th displaces it.
-	i := sort.Search(len(st.slow), func(i int) bool {
-		st.slow[i].mu.Lock()
-		d := st.slow[i].rootDur
-		st.slow[i].mu.Unlock()
-		return d < dur
-	})
+	i := sort.Search(len(st.slow), func(i int) bool { return st.slow[i].dur < rootDur })
 	if i < st.maxSlow {
-		st.slow = append(st.slow, nil)
+		st.slow = append(st.slow, slowTrace{})
 		copy(st.slow[i+1:], st.slow[i:])
-		st.slow[i] = rec
+		st.slow[i] = slowTrace{rec, rootDur}
 		if len(st.slow) > st.maxSlow {
 			st.slow = st.slow[:st.maxSlow]
 		}
@@ -82,21 +87,41 @@ type TracesSnapshot struct {
 	Slowest   []TraceSummary `json:"slowest"`
 }
 
+// summarize renders a stored trace: this is where a span's ids become
+// text and its duration milliseconds, once per read of /debug/traces
+// rather than once per span served.
 func summarize(rec *traceRec) TraceSummary {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	s := TraceSummary{
+	root := &rec.root
+	sum := TraceSummary{
 		TraceID:    rec.traceHex,
-		Root:       rec.rootName,
-		Start:      rec.start,
-		DurationMs: durationMs(rec.rootDur),
+		Root:       root.name,
+		Start:      root.start,
+		DurationMs: durationMs(root.dur),
 		Error:      rec.errored,
-		Sampled:    rec.head,
+		Sampled:    root.sc.Sampled,
 		Dropped:    rec.dropped,
 		Spans:      make([]SpanData, len(rec.spans)),
 	}
-	copy(s.Spans, rec.spans)
-	return s
+	for i, s := range rec.spans {
+		d := &sum.Spans[i]
+		*d = SpanData{
+			Name:       s.name,
+			TraceID:    rec.traceHex,
+			SpanID:     s.sc.SpanID.String(),
+			Start:      s.start,
+			DurationMs: durationMs(s.dur),
+			Attrs:      s.attrs,
+			Events:     s.events,
+			Error:      s.failed,
+			Status:     s.status,
+		}
+		if !s.parent.IsZero() {
+			d.ParentID = s.parent.String()
+		}
+	}
+	return sum
 }
 
 // Snapshot copies the store's current contents.
@@ -119,7 +144,9 @@ func (t *Tracer) Snapshot() TracesSnapshot {
 		}
 	}
 	slow := make([]*traceRec, len(st.slow))
-	copy(slow, st.slow)
+	for i := range st.slow {
+		slow[i] = st.slow[i].rec
+	}
 	st.mu.Unlock()
 
 	snap := TracesSnapshot{

@@ -52,17 +52,16 @@ func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.I
 const TraceparentHeader = "Traceparent"
 
 // Traceparent renders the context as a version-00 traceparent value:
-// "00-<32 hex trace id>-<16 hex span id>-<2 hex flags>".
+// "00-<32 hex trace id>-<16 hex span id>-<2 hex flags>", built in one
+// buffer so the string is the only allocation.
 func (sc SpanContext) Traceparent() string {
-	return traceparent(sc.TraceID.String(), sc.SpanID.String(), sc.Sampled)
-}
-
-// traceparent joins ids that are already hex.
-func traceparent(traceHex, spanHex string, sampled bool) string {
-	if sampled {
-		return "00-" + traceHex + "-" + spanHex + "-01"
+	b := [55]byte{0: '0', 1: '0', 2: '-', 35: '-', 52: '-', 53: '0', 54: '0'}
+	hex.Encode(b[3:35], sc.TraceID[:])
+	hex.Encode(b[36:52], sc.SpanID[:])
+	if sc.Sampled {
+		b[54] = '1'
 	}
-	return "00-" + traceHex + "-" + spanHex + "-00"
+	return string(b[:])
 }
 
 // ParseTraceparent parses a W3C traceparent header value. It accepts
@@ -218,9 +217,7 @@ func AddEvent(ctx context.Context, name string, kv ...string) {
 //
 //paslint:hotpath once per response and once per outgoing hop
 func Inject(ctx context.Context, h http.Header) {
-	if s := SpanFromContext(ctx); s != nil && s.rec != nil {
-		h.Set(TraceparentHeader, traceparent(s.rec.traceHex, s.spanHex, s.sc.Sampled))
-	} else if sc, ok := remoteFromContext(ctx); ok {
+	if sc := SpanContextFromContext(ctx); sc.Valid() {
 		h.Set(TraceparentHeader, sc.Traceparent())
 	}
 }

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -307,6 +309,91 @@ func TestSpanEndIdempotent(t *testing.T) {
 	if snap := tr.Snapshot(); snap.Kept != 1 || len(snap.Recent[0].Spans) != 1 {
 		t.Fatalf("repeated End duplicated the trace: %+v", snap)
 	}
+}
+
+// TestTraceDurationIsTheRootSpans: the trace's duration is the root
+// span's, whatever the clock difference — it used to be read back from
+// the span's float milliseconds, which loses a nanosecond on about one
+// duration in fifty (249ns came back as 248).
+func TestTraceDurationIsTheRootSpans(t *testing.T) {
+	clk := &testClock{t: time.Unix(1700000000, 0)}
+	tr := newTestTracer(TraceConfig{Now: clk.now})
+	for _, d := range []time.Duration{249, 251, 489, 1234567, 15 * time.Millisecond} {
+		_, root := tr.StartSpan(context.Background(), "root")
+		clk.advance(d)
+		root.End()
+		trace := tr.Snapshot().Recent[0]
+		if want := durationMs(d); trace.DurationMs != want || trace.Spans[0].DurationMs != want {
+			t.Errorf("root of %v: trace duration_ms %v, root span's %v, want %v", d, trace.DurationMs, trace.Spans[0].DurationMs, want)
+		}
+	}
+}
+
+// TestSnapshotRacesLiveTraces reads the store while the traces in it are
+// still in use: a child ends after its root did, setters are called on
+// spans that have ended. Run under -race; what a snapshot shows of a
+// span must be the span as it ended.
+func TestSnapshotRacesLiveTraces(t *testing.T) {
+	tr := NewTracer(TraceConfig{MaxTraces: 8, MaxSlow: 4, SlowThreshold: time.Nanosecond})
+	stop := make(chan struct{})
+	var reader, writers sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := tr.Snapshot()
+			for _, trace := range append(snap.Recent, snap.Slowest...) {
+				for _, sp := range trace.Spans {
+					if sp.TraceID != trace.TraceID {
+						t.Errorf("span %s of trace %s carries trace id %s", sp.Name, trace.TraceID, sp.TraceID)
+					}
+					for _, a := range sp.Attrs {
+						if a.Key == "after" {
+							t.Errorf("span %s shows an attribute set after it ended", sp.Name)
+						}
+					}
+					if sp.Name == "child" && (len(sp.Attrs) != 3 || len(sp.Events) != 1 || sp.Status != "done") {
+						t.Errorf("child span read torn: %+v", sp)
+					}
+				}
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 300; i++ {
+				ctx, root := tr.StartSpan(context.Background(), "root")
+				_, late := StartSpan(ctx, "late")
+				_, child := StartSpan(ctx, "child")
+				child.SetAttr("a", "1")
+				child.SetAttr("b", "2")
+				child.SetAttrInt("c", 3) // outgrows the span's own room
+				child.AddEvent("ev", "k", "v")
+				child.SetStatus("done")
+				child.End()
+				root.SetAttr("http.status", "200")
+				root.End()
+				// The trace is in the store from here on.
+				child.SetAttr("after", "end")
+				child.SetStatus("after end")
+				root.SetAttr("after", "end")
+				late.SetAttr("ended", "after root")
+				late.SetError(errors.New("late"))
+				late.End()
+				late.SetAttr("after", "end")
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	reader.Wait()
 }
 
 func TestIDGenNonZeroAndUnique(t *testing.T) {

@@ -97,48 +97,41 @@ func (t *Tracer) headSample() bool {
 //paslint:hotpath once per span, several per request
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	now := t.cfg.Now()
-	s := &Span{tracer: t, name: name, start: now}
-	s.attrs = s.attrBuf[:0]
+	var s *Span
 	if parent := SpanFromContext(ctx); parent != nil && parent.rec != nil {
+		c := &childSpan{}
+		s = &c.Span
+		s.attrs = c.attrBuf[:0]
 		s.rec = parent.rec
 		s.sc.TraceID = parent.sc.TraceID
 		s.sc.Sampled = parent.sc.Sampled
-		s.parentHex = parent.spanHex
+		s.parent = parent.sc.SpanID
 	} else if remote, ok := remoteFromContext(ctx); ok {
 		// Continue the distributed trace: same trace id, remote span as
 		// parent. The upstream sampling verdict is honored (OR-ing in
 		// our own head sample would re-sample on every hop).
-		s.root = true
-		s.rec = newTraceRec(remote.TraceID, now, t.cfg.MaxSpansPerTrace)
-		s.sc.TraceID = remote.TraceID
-		s.sc.Sampled = remote.Sampled
-		s.parentHex = remote.SpanID.String()
-		s.rec.head = remote.Sampled
+		s = newTraceRec(remote.TraceID, remote.Sampled)
+		s.parent = remote.SpanID
 	} else {
-		s.root = true
-		tid := t.ids.traceID()
-		s.rec = newTraceRec(tid, now, t.cfg.MaxSpansPerTrace)
-		s.sc.TraceID = tid
-		s.sc.Sampled = t.headSample()
-		s.rec.head = s.sc.Sampled
+		s = newTraceRec(t.ids.traceID(), t.headSample())
 	}
+	s.tracer, s.name, s.start = t, name, now
 	s.sc.SpanID = t.ids.spanID()
-	s.spanHex = s.sc.SpanID.String()
 	return context.WithValue(ctx, spanCtxKey, s), s
 }
 
 // submit applies the keep policy when a root span ends: head-sampled,
 // errored, or slow traces land in the store; the rest are discarded
 // (counted, so the sampling rate is observable).
-func (t *Tracer) submit(rec *traceRec) {
+func (t *Tracer) submit(rec *traceRec, rootDur time.Duration) {
 	rec.mu.Lock()
-	keep := rec.head || rec.errored || rec.rootDur >= t.cfg.SlowThreshold
+	keep := rec.root.sc.Sampled || rec.errored || rootDur >= t.cfg.SlowThreshold
 	rec.mu.Unlock()
 	if !keep {
 		t.store.discarded.Add(1)
 		return
 	}
-	t.store.add(rec)
+	t.store.add(rec, rootDur)
 }
 
 // idGen derives trace and span ids from a random (or seeded) base and
@@ -193,40 +186,48 @@ func (g *idGen) spanID() SpanID {
 	return id
 }
 
-// traceRec buffers the spans of one in-flight trace. All spans are
-// buffered regardless of the head-sampling verdict so an error or a
-// slow root can still promote the whole trace at the end.
+// traceRec buffers the spans of one trace, in flight and then in the
+// store. All spans are buffered regardless of the head-sampling verdict
+// so an error or a slow root can still promote the whole trace at the
+// end. The record is the trace's one allocation besides its id's text:
+// the root span, the room for its attributes and the room for the span
+// list are all inside it.
 type traceRec struct {
 	mu       sync.Mutex
-	traceHex string // the trace id, rendered once for every span, header and log line that carries it
-	start    time.Time
-	spans    []SpanData
+	traceHex string  // the trace id, rendered once for every header and log line that carries it
+	spans    []*Span // ended spans, in the order they ended
 	dropped  int
 	errored  bool
-	head     bool
-	rootName string
-	rootDur  time.Duration
-	maxSpans int
 
-	// spanBuf is where spans starts out: a cache hit is the root plus
-	// two serving spans, so most traces never grow it.
-	spanBuf [4]SpanData
+	root Span
+	// rootAttrs is where root.attrs starts out: the HTTP root sets four.
+	rootAttrs [4]Attr
+	// spanBuf is where spans starts out: a cache miss is the root plus
+	// four serving spans, so most traces never grow it.
+	spanBuf [8]*Span
 }
 
-func newTraceRec(id TraceID, start time.Time, maxSpans int) *traceRec {
-	r := &traceRec{traceHex: id.String(), start: start, maxSpans: maxSpans}
+// newTraceRec starts a trace and returns its root span, which carries
+// the head-sampling verdict for the whole trace.
+func newTraceRec(id TraceID, sampled bool) *Span {
+	r := &traceRec{traceHex: id.String()}
 	r.spans = r.spanBuf[:0]
-	return r
+	r.root.rec = r
+	r.root.attrs = r.rootAttrs[:0]
+	r.root.sc.TraceID = id
+	r.root.sc.Sampled = sampled
+	return &r.root
 }
 
-func (r *traceRec) addSpan(d SpanData) {
+// addSpan takes an ended span into the record.
+func (r *traceRec) addSpan(s *Span, maxSpans int) {
 	r.mu.Lock()
-	if len(r.spans) < r.maxSpans {
-		r.spans = append(r.spans, d)
+	if len(r.spans) < maxSpans {
+		r.spans = append(r.spans, s)
 	} else {
 		r.dropped++
 	}
-	if d.Error {
+	if s.failed {
 		r.errored = true
 	}
 	r.mu.Unlock()
@@ -235,12 +236,5 @@ func (r *traceRec) addSpan(d SpanData) {
 func (r *traceRec) noteError() {
 	r.mu.Lock()
 	r.errored = true
-	r.mu.Unlock()
-}
-
-func (r *traceRec) finishRoot(d SpanData) {
-	r.mu.Lock()
-	r.rootName = d.Name
-	r.rootDur = time.Duration(d.DurationMs * float64(time.Millisecond))
 	r.mu.Unlock()
 }

@@ -39,13 +39,13 @@ func newTestLimit(t *testing.T, cfg LimitConfig) *Limit {
 
 func TestLimitConfigValidation(t *testing.T) {
 	cases := []LimitConfig{
-		{},                                  // missing ceiling
-		{Ceiling: -1},                       // negative ceiling
-		{Ceiling: 4, Floor: 8},              // floor above ceiling
-		{Ceiling: 4, Initial: 9},            // initial above ceiling
-		{Ceiling: 8, Floor: 4, Initial: 2},  // initial below floor
-		{Ceiling: 4, Backoff: 1.0},          // backoff must shrink
-		{Ceiling: 4, Backoff: -0.5},         // negative backoff
+		{},                                   // missing ceiling
+		{Ceiling: -1},                        // negative ceiling
+		{Ceiling: 4, Floor: 8},               // floor above ceiling
+		{Ceiling: 4, Initial: 9},             // initial above ceiling
+		{Ceiling: 8, Floor: 4, Initial: 2},   // initial below floor
+		{Ceiling: 4, Backoff: 1.0},           // backoff must shrink
+		{Ceiling: 4, Backoff: -0.5},          // negative backoff
 		{Ceiling: 4, Target: -time.Second},   // negative target
 		{Ceiling: 4, Cooldown: -time.Second}, // negative cooldown
 	}

@@ -270,6 +270,12 @@ func TestObsOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped with -short")
 	}
+	if raceEnabled {
+		// The detector's instrumentation is several times the 5% being
+		// compared; CI holds this guard in a step of its own without it,
+		// and TestObsOverheadAllocations holds under both.
+		t.Skip("timing guard skipped under the race detector")
+	}
 	sys, main := enhanceCachedSystem(t)
 	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: -1})
 
@@ -300,4 +306,27 @@ func TestObsOverheadGuard(t *testing.T) {
 	}
 	t.Errorf("sampled-out tracing exceeded the 5%% overhead budget on every attempt:\n%s",
 		strings.Join(report, "\n"))
+}
+
+// TestObsOverheadAllocations is the same comparison in a unit that does
+// not depend on the clock: what a sampled-out tracer adds to one cached
+// EnhanceContext call is its three spans (serving.do,
+// serving.cache_lookup, main.chat), each a span and a context value.
+func TestObsOverheadAllocations(t *testing.T) {
+	sys, main := enhanceCachedSystem(t)
+	allocs := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := sys.EnhanceContext(ctx, main, benchPrompt, "bench"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(context.Background())
+	tctx, span := obs.NewTracer(obs.TraceConfig{SampleEvery: -1}).StartSpan(context.Background(), "guard")
+	traced := allocs(tctx)
+	span.End()
+	t.Logf("allocations per cached EnhanceContext: %v untraced, %v traced", base, traced)
+	if extra := traced - base; extra > 6 {
+		t.Errorf("tracing adds %v allocations to a cached EnhanceContext (%v -> %v), want <= 6", extra, base, traced)
+	}
 }
