@@ -129,11 +129,3 @@ func (s *chatScan) messages() bool {
 		}
 	}
 }
-
-// unquote and appendEscaped are the proxy's names for the scanner's
-// literal decoder and for the RFC-minimal mode of the one JSON string
-// appender: quote, backslash and the control characters are escaped, <,
-// > and & stay as they are, and bytes that are not UTF-8 become U+FFFD,
-// so the result is always text.
-func unquote(lit []byte) string                 { return wire.Unquote(lit) }
-func appendEscaped(dst []byte, s string) []byte { return wire.AppendEscaped(dst, s, false) }

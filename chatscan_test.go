@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"repro/internal/wire"
 )
 
 // refChat is the reference the byte scanner is held to: encoding/json's
@@ -151,7 +153,7 @@ func checkScanAgainstRef(t *testing.T, body []byte) {
 		t.Fatalf("%q: salt = %q, reference %q", body, salt, ref.salt)
 	}
 	if ref.hasUser {
-		if prompt := unquote(body[got.contentStart:got.contentEnd]); prompt != ref.prompt {
+		if prompt := wire.Unquote(body[got.contentStart:got.contentEnd]); prompt != ref.prompt {
 			t.Fatalf("%q: prompt = %q, reference %q", body, prompt, ref.prompt)
 		}
 	}
@@ -192,7 +194,7 @@ func TestAppendEscapedIsMinimalAndRoundTrips(t *testing.T) {
 		"日本語 \U0001F600":         "日本語 \U0001F600",
 		"bad \xff\xc3":           "bad \uFFFD\uFFFD",
 	} {
-		got := appendEscaped(nil, in)
+		got := wire.AppendEscaped(nil, in, false)
 		if string(got) != want {
 			t.Errorf("appendEscaped(%q) = %s, want %s", in, got, want)
 		}

@@ -187,8 +187,8 @@ func main() {
 		rep.Requests, rep.DurationSeconds, rep.AchievedQPS,
 		rep.LatencyP50Ms, rep.LatencyP90Ms, rep.LatencyP99Ms, rep.Errors, rep.Degraded, rep.Shed)
 	for _, row := range rep.Tenants {
-		log.Printf("tenant %-6s %5d requests: %4d shed, %4d trim, %4d raw, p50 %.2fms p99 %.2fms",
-			row.Tenant, row.Requests, row.Shed, row.DegradedTrim, row.DegradedRaw,
+		log.Printf("tenant %-6s %5d requests: %4d shed, %4d degraded, p50 %.2fms p99 %.2fms",
+			row.Tenant, row.Requests, row.Shed, row.Degraded,
 			row.LatencyP50Ms, row.LatencyP99Ms)
 	}
 	if rep.ClusterHits+rep.ClusterMisses > 0 {

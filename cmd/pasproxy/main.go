@@ -18,7 +18,7 @@
 // cmd/passerve, configured by the same flags (cmd/internal/daemon) —
 // result cache (-cache-size, -cache-ttl), single-flight dedup, bounded
 // tenant-fair admission under an AIMD limit (-max-inflight,
-// -queue-depth, -queue-wait), the trim → raw degradation ladder, and
+// -queue-depth, -queue-wait), the full → raw degradation ladder, and
 // shed-retry (-retries, -retry-budget) behind a circuit breaker
 // (-breaker-threshold, -breaker-cooldown).
 //

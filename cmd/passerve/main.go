@@ -25,10 +25,10 @@
 //
 // The in-flight cap is an AIMD limit that backs off when the queue
 // sheds and regrows on healthy completions, between -limit-floor and
-// -max-inflight. Under sustained queue pressure the replica first
-// serves a cheap complement (X-PAS-Degraded: trim), then the raw prompt
-// (X-PAS-Degraded: 1), before hard-shedding — and /v1/status advertises
-// the pressure rung so routing tiers deprioritize the replica. Requests
+// -max-inflight. Under sustained queue pressure the replica serves the
+// raw prompt (X-PAS-Degraded: 1, the only reduced answer) before
+// hard-shedding — and /v1/status advertises the pressure rung so
+// routing tiers deprioritize the replica. Requests
 // carrying an X-PAS-Tenant header (or an API key, fingerprinted) are
 // admitted by a weighted fair-share queue (-tenant-weights,
 // -tenant-quotas, -max-tenants), so one flooding tenant cannot starve

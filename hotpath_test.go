@@ -109,8 +109,8 @@ func checkAgainstReference(t *testing.T, name string, sys, ref *System, body str
 
 // TestAugmentHandlerMatchesEncodingJSON: the handler answers every body
 // exactly as it did when encoding/json decoded the request and encoded
-// the reply — with and without a serving core, shed with a 503, and on
-// the raw and trim rungs.
+// the reply — with and without a serving core, shed with a 503,
+// fail-open, and on the ladder's raw rung.
 func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
 	full, bare := servingSystem(t, ServingConfig{}), NewSystem(testSystem(t).System.model)
 	for _, body := range augmentBodies {
@@ -120,7 +120,7 @@ func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
 
 	// A shed moves the ladder, so what a saturated core answers is read
 	// off twin systems walked through the same states: fail-closed for
-	// the 503, fail-open for the raw and then the trim rung.
+	// the 503, fail-open until the sheds reach the raw rung.
 	const body = `{"prompt":"Compare <b>TCP</b> & UDP.","salt":"s"}`
 	twins := func(degrade bool) (sys, ref *System, free func()) {
 		sys, entered, release := degradedSystem(t, degrade)
@@ -135,15 +135,18 @@ func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
 	free()
 
 	sys, ref, free = twins(true)
-	if got := checkAgainstReference(t, "raw", sys, ref, body).Header().Get("X-PAS-Degraded"); got != "1" {
+	if got := checkAgainstReference(t, "fail-open", sys, ref, body).Header().Get("X-PAS-Degraded"); got != "1" {
 		t.Errorf("saturated, fail-open: X-PAS-Degraded %q, want 1", got)
 	}
 	for sys.core.PressureLevel() == serving.LevelFull || ref.core.PressureLevel() == serving.LevelFull {
-		checkAgainstReference(t, "raw", sys, ref, body)
+		checkAgainstReference(t, "fail-open", sys, ref, body)
 	}
 	free()
-	if got := checkAgainstReference(t, "trim", sys, ref, body).Header().Get("X-PAS-Degraded"); got != "trim" {
-		t.Errorf("after saturation: X-PAS-Degraded %q, want trim", got)
+	if got := checkAgainstReference(t, "raw rung", sys, ref, body).Header().Get("X-PAS-Degraded"); got != "1" {
+		t.Errorf("after saturation, slot free, at the raw rung: X-PAS-Degraded %q, want 1", got)
+	}
+	if st := sys.core.Stats(); st.ServedRaw != 1 {
+		t.Errorf("served_raw = %d, want the one answer after the slot freed", st.ServedRaw)
 	}
 }
 

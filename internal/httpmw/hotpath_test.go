@@ -51,7 +51,7 @@ var accessLineSeeds = []struct {
 	{"bad \xff\xc3 bytes \xed\xa0\x80 surrogate", 200, 999999999999999999999, math.MaxUint64},
 	{"ctl \x00\x01\b\f\r\t\x1f\x7f", 200, 123456.789, 7},
 	{"/v1/augment", 200, 2.5e-7, 10_000_000},
-	{"trim", 200, -0.001, 9_999_999},
+	{"trim", 200, -0.001, 9_999_999}, // a degrade level only a replica from before the two-rung ladder sends
 	{strings.Repeat("x", 300), 200, math.SmallestNonzeroFloat64, 42},
 	{"1", 200, math.MaxFloat64, 1 << 40},
 }

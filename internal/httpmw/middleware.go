@@ -130,9 +130,8 @@ func Trace(tracer *obs.Tracer, service string) func(http.Handler) http.Handler {
 
 			status := rec.StatusOr200()
 			span.SetAttrInt("http.status", int64(status))
-			// Any non-empty value is a degraded response: "1" is the
-			// raw-passthrough legacy flag, "trim" the brownout ladder's
-			// cheap-complement rung.
+			// Any non-empty value is a degraded response; "1", raw
+			// passthrough, is the only one this tree sends.
 			if rec.Header().Get(degradedHeader) != "" {
 				span.SetStatus("degraded")
 			}
@@ -156,7 +155,7 @@ type accessLine struct {
 	DurMs     float64 `json:"dur_ms"`
 	Shed      bool    `json:"shed,omitempty"`
 	Degraded  bool    `json:"degraded,omitempty"`
-	Degrade   string  `json:"degrade_level,omitempty"` // "trim" or "1" (raw)
+	Degrade   string  `json:"degrade_level,omitempty"` // "1" (raw)
 	Tenant    string  `json:"tenant,omitempty"`
 }
 

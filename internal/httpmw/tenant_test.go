@@ -119,8 +119,9 @@ func TestTenantMiddlewareTagsContext(t *testing.T) {
 }
 
 // TestLoggingIncludesTenantAndDegradeLevel: the access line carries the
-// tenant and the ladder rung, and any non-empty X-PAS-Degraded counts
-// as degraded (not just the legacy "1").
+// tenant and the X-PAS-Degraded value as sent, and any non-empty one
+// counts as degraded, not just "1" — here "trim", which a proxy relays
+// from a replica that predates the two-rung ladder, mid rolling upgrade.
 func TestLoggingIncludesTenantAndDegradeLevel(t *testing.T) {
 	var buf bytes.Buffer
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

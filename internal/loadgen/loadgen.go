@@ -178,12 +178,9 @@ type Report struct {
 
 	Requests int `json:"requests"`
 	Errors   int `json:"errors"`
-	// Degraded counts every served request below full quality;
-	// DegradedTrim and DegradedRaw split it by brownout rung (the
-	// X-PAS-Degraded wire values "trim" and "1" respectively).
-	Degraded     int `json:"degraded"`
-	DegradedTrim int `json:"degraded_trim,omitempty"`
-	DegradedRaw  int `json:"degraded_raw,omitempty"`
+	// Degraded counts every served request below full quality: any
+	// reply carrying a non-empty X-PAS-Degraded.
+	Degraded int `json:"degraded"`
 	// Shed counts requests the serving side refused with 503 — load
 	// shedding or a draining replica. They are availability events, not
 	// failures: the server answered deliberately, with Retry-After.
@@ -228,9 +225,7 @@ type TenantReport struct {
 	Requests int    `json:"requests"`
 	Errors   int    `json:"errors,omitempty"`
 	Shed     int    `json:"shed"`
-	// Degraded splits by brownout rung, as in the top-level report.
-	DegradedTrim int `json:"degraded_trim"`
-	DegradedRaw  int `json:"degraded_raw"`
+	Degraded int    `json:"degraded"`
 
 	// Latency quantiles cover served requests only (refusals are fast
 	// by design and would flatter the numbers).
@@ -240,9 +235,8 @@ type TenantReport struct {
 
 // tenantAgg accumulates one tenant's counters during the run.
 type tenantAgg struct {
-	requests, errors, shed int
-	trim, raw              int
-	latencies              []float64
+	requests, errors, shed, degraded int
+	latencies                        []float64
 }
 
 // Run replays the corpus and returns the report. It stops at the
@@ -357,15 +351,14 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	}()
 
 	var (
-		mu         sync.Mutex
-		latencies  []float64
-		requests   int
-		errCount   int
-		trimCount  int
-		rawCount   int
-		shedCount  int
-		firstError string
-		tenants    map[string]*tenantAgg
+		mu            sync.Mutex
+		latencies     []float64
+		requests      int
+		errCount      int
+		degradedCount int
+		shedCount     int
+		firstError    string
+		tenants       map[string]*tenantAgg
 	)
 	if cfg.Tenants > 0 {
 		tenants = make(map[string]*tenantAgg, cfg.Tenants)
@@ -377,7 +370,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			defer wg.Done()
 			for j := range idxCh {
 				t0 := time.Now()
-				level, shed, err := doOne(ctx, cfg, cfg.Prompts[j.idx], j.tenant)
+				degraded, shed, err := doOne(ctx, cfg, cfg.Prompts[j.idx], j.tenant)
 				ms := float64(time.Since(t0)) / float64(time.Millisecond)
 				mu.Lock()
 				requests++
@@ -408,21 +401,14 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 					}
 				default:
 					latencies = append(latencies, ms)
-					switch level {
-					case "":
-					case "trim":
-						trimCount++
-						if agg != nil {
-							agg.trim++
-						}
-					default: // "1" and any future raw-equivalent rung
-						rawCount++
-						if agg != nil {
-							agg.raw++
-						}
+					if degraded {
+						degradedCount++
 					}
 					if agg != nil {
 						agg.latencies = append(agg.latencies, ms)
+						if degraded {
+							agg.degraded++
+						}
 					}
 				}
 				mu.Unlock()
@@ -445,9 +431,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		Seed:            cfg.Seed,
 		Requests:        requests,
 		Errors:          errCount,
-		Degraded:        trimCount + rawCount,
-		DegradedTrim:    trimCount,
-		DegradedRaw:     rawCount,
+		Degraded:        degradedCount,
 		Shed:            shedCount,
 		DistinctKeys:    len(distinct),
 		DurationSeconds: elapsed.Seconds(),
@@ -467,8 +451,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				Requests:     agg.requests,
 				Errors:       agg.errors,
 				Shed:         agg.shed,
-				DegradedTrim: agg.trim,
-				DegradedRaw:  agg.raw,
+				Degraded:     agg.degraded,
 				LatencyP50Ms: metrics.QuantileOrZero(agg.latencies, 0.50),
 				LatencyP99Ms: metrics.QuantileOrZero(agg.latencies, 0.99),
 			})
@@ -511,11 +494,10 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	return r, nil
 }
 
-// doOne issues one request and reports the degradation level the
-// serving side flagged it with ("" full quality, "trim" the brownout
-// cheap complement, "1" raw passthrough) and whether it was shed with a
-// deliberate 503.
-func doOne(ctx context.Context, cfg Config, prompt, tenant string) (level string, shed bool, err error) {
+// doOne issues one request and reports whether the serving side flagged
+// it below full quality (any non-empty X-PAS-Degraded) and whether it
+// was shed with a deliberate 503.
+func doOne(ctx context.Context, cfg Config, prompt, tenant string) (degraded, shed bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 
@@ -536,11 +518,11 @@ func doOne(ctx context.Context, cfg Config, prompt, tenant string) (level string
 	}
 	body, err := json.Marshal(payload)
 	if err != nil {
-		return "", false, fmt.Errorf("loadgen: encoding request: %w", err)
+		return false, false, fmt.Errorf("loadgen: encoding request: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.Target+path, bytes.NewReader(body))
 	if err != nil {
-		return "", false, fmt.Errorf("loadgen: building request: %w", err)
+		return false, false, fmt.Errorf("loadgen: building request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json; charset=utf-8")
 	if tenant != "" {
@@ -548,25 +530,25 @@ func doOne(ctx context.Context, cfg Config, prompt, tenant string) (level string
 	}
 	resp, err := cfg.HTTPClient.Do(req)
 	if err != nil {
-		return "", false, fmt.Errorf("loadgen: %s: %w", path, err)
+		return false, false, fmt.Errorf("loadgen: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	level = resp.Header.Get("X-PAS-Degraded")
+	degraded = resp.Header.Get("X-PAS-Degraded") != ""
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		// The serving side shed the request on purpose (overload or a
 		// draining replica). Drain the body; this is not an error.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return level, true, nil
+		return degraded, true, nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		// Drain a bounded slice for the error message.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return level, false, fmt.Errorf("loadgen: %s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
+		return degraded, false, fmt.Errorf("loadgen: %s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	// The header is the whole verdict (every non-full 200 carries it);
 	// drain the body so the connection is reusable.
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<20))
-	return level, false, nil
+	return degraded, false, nil
 }
 
 // replicaCache is one scrape of a replica's cache counters.

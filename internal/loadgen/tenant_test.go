@@ -10,8 +10,10 @@ import (
 )
 
 // tenantTarget fakes a fair-share replica: it sheds every request from
-// the flooding tenant, serves t1 at the trim rung, and serves everyone
-// else at full quality — so each report row has a distinct signature.
+// the flooding tenant, flags every t1 reply the way a replica from
+// before the two-rung ladder does mid rolling upgrade ("trim", a value
+// this tree never sends), and serves everyone else at full quality — so
+// each report row has a distinct signature.
 type tenantTarget struct {
 	mu   sync.Mutex
 	seen map[string]int // tenant header value -> request count
@@ -43,7 +45,8 @@ func newTenantTarget(t *testing.T) *tenantTarget {
 
 // TestRunTenantsSkewAndRows: a skewed multi-tenant run labels every
 // request, concentrates traffic on t0, and reports per-tenant shed and
-// degraded-by-level counts that sum to the top-line numbers.
+// degraded counts that sum to the top-line numbers; any non-empty
+// X-PAS-Degraded, a foreign value included, counts as degraded.
 func TestRunTenantsSkewAndRows(t *testing.T) {
 	tt := newTenantTarget(t)
 	rep, err := Run(context.Background(), Config{
@@ -68,7 +71,7 @@ func TestRunTenantsSkewAndRows(t *testing.T) {
 		t.Fatalf("tenant rows = %+v, want 3", rep.Tenants)
 	}
 	rows := make(map[string]TenantReport, len(rep.Tenants))
-	total, shed, trim := 0, 0, 0
+	total, shed, degraded := 0, 0, 0
 	for i, row := range rep.Tenants {
 		if i > 0 && rep.Tenants[i-1].Tenant >= row.Tenant {
 			t.Fatalf("rows not sorted by tenant: %+v", rep.Tenants)
@@ -76,24 +79,24 @@ func TestRunTenantsSkewAndRows(t *testing.T) {
 		rows[row.Tenant] = row
 		total += row.Requests
 		shed += row.Shed
-		trim += row.DegradedTrim
+		degraded += row.Degraded
 	}
-	if total != rep.Requests || shed != rep.Shed || trim != rep.DegradedTrim {
+	if total != rep.Requests || shed != rep.Shed || degraded != rep.Degraded {
 		t.Fatalf("rows don't sum to totals: rows(%d, %d, %d) report(%d, %d, %d)",
-			total, shed, trim, rep.Requests, rep.Shed, rep.DegradedTrim)
+			total, shed, degraded, rep.Requests, rep.Shed, rep.Degraded)
 	}
 	// Skew 10 over 3 tenants puts ~83% of traffic on t0.
 	if rows["t0"].Requests <= rows["t1"].Requests+rows["t2"].Requests {
 		t.Fatalf("skew did not concentrate on t0: %+v", rep.Tenants)
 	}
-	// The fake sheds all of t0, trims all of t1, serves t2 clean.
+	// The fake sheds all of t0, flags all of t1, serves t2 clean.
 	if r := rows["t0"]; r.Shed != r.Requests || r.LatencyP50Ms != 0 {
 		t.Fatalf("t0 row: %+v, want fully shed with no latency window", r)
 	}
-	if r := rows["t1"]; r.DegradedTrim != r.Requests || r.DegradedRaw != 0 || r.LatencyP50Ms <= 0 {
-		t.Fatalf("t1 row: %+v, want all-trim with quantiles", r)
+	if r := rows["t1"]; r.Degraded != r.Requests || r.LatencyP50Ms <= 0 {
+		t.Fatalf("t1 row: %+v, want all-degraded with quantiles", r)
 	}
-	if r := rows["t2"]; r.Shed != 0 || r.DegradedTrim != 0 || r.DegradedRaw != 0 {
+	if r := rows["t2"]; r.Shed != 0 || r.Degraded != 0 {
 		t.Fatalf("t2 row: %+v, want clean", r)
 	}
 	// The wire saw exactly the three labels, never an anonymous request.

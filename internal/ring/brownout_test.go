@@ -97,8 +97,10 @@ func TestClientBrownoutWholeFleetKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestClientLevelPropagates: the rung a replica answers with rides the
-// header back through the cluster client.
+// TestClientLevelPropagates: the value a replica flags its answer with
+// rides the header back through the cluster client untouched — here
+// "trim", which only a replica from before the two-rung ladder sends,
+// mid rolling upgrade.
 func TestClientLevelPropagates(t *testing.T) {
 	c, reps := newTestCluster(t, 2, nil)
 	ctx := context.Background()
@@ -107,7 +109,7 @@ func TestClientLevelPropagates(t *testing.T) {
 	}
 	_, level, err := c.AugmentContextLevel(ctx, "p", "s")
 	if err != nil || level != "trim" {
-		t.Fatalf("(level, err) = (%q, %v), want trim", level, err)
+		t.Fatalf("(level, err) = (%q, %v), want the replica's value passed through", level, err)
 	}
 	// The boolean interface folds any rung into degraded=true.
 	_, degraded, err := c.AugmentContextDegraded(ctx, "p2", "s")

@@ -238,13 +238,13 @@ func (c *Client) AugmentContextDegraded(ctx context.Context, prompt, salt string
 
 // AugmentContextLevel is AugmentContextDegraded with the degradation
 // rung: the X-PAS-Degraded wire value the serving replica answered
-// with ("" full, "trim", "1" raw/fail-open). It implements the proxy's
-// level-aware augmenter interface.
+// with ("" full, "1" raw/fail-open), passed through as sent. It
+// implements the proxy's level-aware augmenter interface.
 //
 // With a near cache the key is looked up before anything is routed, and
 // a hit is prompt + the remembered tail at full quality. Only a replica's
-// full-quality answer is ever remembered — never a "trim" or "1" reply,
-// never the fail-open below — so a near hit cannot serve a reduced rung
+// full-quality answer is ever remembered — never a flagged reply, never
+// the fail-open below — so a near hit cannot serve a reduced rung
 // unflagged.
 func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
 	atomic.AddInt64(&c.requests, 1)
@@ -462,7 +462,7 @@ func (c *Client) doAugment(ctx context.Context, r *replica, prompt, salt string)
 		}
 		augmented = ar.Augmented
 	}
-	// The header carries the rung ("trim" or "1") on every non-full 200.
+	// The header carries the rung ("1") on every non-full 200.
 	return result{augmented: augmented, level: resp.Header.Get(wire.DegradedHeader)}, nil
 }
 

@@ -22,7 +22,7 @@ type fakeReplica struct {
 	name     string
 	delay    atomic.Int64 // nanoseconds added to every augment
 	fail     atomic.Int32 // HTTP status to answer augments with; 0 = 200
-	pressure atomic.Value // brownout rung reported by /v1/status ("", "trim", "raw")
+	pressure atomic.Value // brownout rung reported by /v1/status ("", "raw")
 	level    atomic.Value // X-PAS-Degraded value set on augment responses
 
 	mu     sync.Mutex

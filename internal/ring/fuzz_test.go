@@ -11,8 +11,10 @@ import (
 // FuzzProbeStatus: the prober decodes bytes another process wrote, so
 // on any ≤4 KiB body parseStatus must not panic, a body that is not a
 // JSON object must read as healthy, not draining, at full service and
-// with no instance, an unknown pressure name must read as full, and the
-// instance must be the string sent, whatever its size.
+// with no instance, an unknown pressure name — "trim" from a replica
+// that predates the two-rung ladder, mid rolling upgrade, included —
+// must read as full, and the instance must be the string sent, whatever
+// its size.
 func FuzzProbeStatus(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -52,7 +54,7 @@ func FuzzProbeStatus(f *testing.F) {
 		}
 		want := probeStatus{
 			draining: ref.Status == "draining",
-			pressure: map[string]serving.Level{"trim": serving.LevelTrim, "raw": serving.LevelRaw}[ref.Pressure],
+			pressure: map[string]serving.Level{"raw": serving.LevelRaw}[ref.Pressure],
 			instance: ref.Instance,
 		}
 		if got != want {

@@ -425,10 +425,7 @@ func parseStatus(body []byte) probeStatus {
 		return probeStatus{}
 	}
 	out := probeStatus{draining: st.Status == wire.StatusDraining, instance: st.Instance}
-	switch st.Pressure {
-	case serving.LevelTrim.String():
-		out.pressure = serving.LevelTrim
-	case serving.LevelRaw.String():
+	if st.Pressure == serving.LevelRaw.String() {
 		out.pressure = serving.LevelRaw
 	}
 	return out
@@ -514,8 +511,8 @@ type MemberStatus struct {
 	// Fails is the consecutive-failure streak; 0 for a healthy member.
 	Fails   int    `json:"fails,omitempty"`
 	LastErr string `json:"last_error,omitempty"`
-	// Pressure is the brownout rung the member last reported ("",
-	// "trim", or "raw"); the client deprioritizes raw-pressure members.
+	// Pressure is the brownout rung the member last reported ("" or
+	// "raw"); the client deprioritizes raw-pressure members.
 	Pressure string `json:"pressure,omitempty"`
 	// Instance is the process incarnation the member last reported.
 	Instance string `json:"instance,omitempty"`

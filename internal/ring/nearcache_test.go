@@ -23,7 +23,7 @@ import (
 // The answers a modelFleet host can be scripted to give on /v1/augment.
 const (
 	answerFull    = iota // 200, prompt + the host's tail, no degraded header
-	answerTrim           // 200 flagged "trim"
+	answerTrim           // 200 flagged "trim", prompt extended: a replica from before the two-rung ladder, mid rolling upgrade
 	answerRaw            // 200 flagged "1", the prompt echoed
 	answerForeign        // 200 at full quality whose augmented does not extend the prompt
 	answerBare           // 200 at full quality, the prompt and nothing more

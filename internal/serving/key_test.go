@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestKeyRoundTrip: SplitKey must invert Key for NUL-free components —
-// the contract the ring routing tier relies on to agree byte-for-byte
-// with the cache on the shard key.
+// TestKeyRoundTrip: distinct (prompt, salt, model) triples never share
+// a key, including the shapes a plain concatenation would confuse.
 func TestKeyRoundTrip(t *testing.T) {
 	cases := []struct{ prompt, salt, model string }{
 		{"write a sort in Go", "", "pas-sim"},
@@ -24,23 +23,6 @@ func TestKeyRoundTrip(t *testing.T) {
 			t.Fatalf("Key(%q,%q,%q) collides with an earlier case", c.prompt, c.salt, c.model)
 		}
 		seen[k] = true
-		p, s, m, ok := SplitKey(k)
-		if !ok {
-			t.Fatalf("SplitKey(Key(%q,%q,%q)) not ok", c.prompt, c.salt, c.model)
-		}
-		if p != c.prompt || s != c.salt || m != c.model {
-			t.Fatalf("round trip (%q,%q,%q) -> (%q,%q,%q)", c.prompt, c.salt, c.model, p, s, m)
-		}
-	}
-}
-
-// TestSplitKeyMalformed: strings that are not NUL-joined triples are
-// rejected rather than misparsed.
-func TestSplitKeyMalformed(t *testing.T) {
-	for _, k := range []string{"", "no separators", "one\x00separator"} {
-		if _, _, _, ok := SplitKey(k); ok {
-			t.Fatalf("SplitKey(%q) = ok, want malformed", k)
-		}
 	}
 }
 

@@ -6,55 +6,47 @@ import (
 	"time"
 )
 
-// Level is a rung of the brownout degradation ladder. Under rising
-// pressure the core steps full → trim → raw, shedding compute cost
-// before it has to shed requests; each rung is a strictly cheaper way
-// to still answer 200.
+// Level is a rung of the brownout degradation ladder, and the one place
+// that decides how many answers PAS may give: cat(p, M_p(p)) or p. Under
+// sustained pressure the core steps full → raw, shedding the
+// computation before it has to shed the request.
 type Level int32
 
 const (
 	// LevelFull serves the full-model complement.
-	LevelFull Level = iota
-	// LevelTrim serves the cheap complement (Config.CheapFn).
-	LevelTrim
+	LevelFull Level = 0
 	// LevelRaw skips augmentation entirely: the caller answers with the
-	// raw prompt, flagged degraded, without touching admission.
-	LevelRaw
+	// raw prompt, flagged degraded, without touching admission. It keeps
+	// the value 2: pas_serving_pressure_level exports the number, and
+	// dashboards read 1 as a rung that no longer exists.
+	LevelRaw Level = 2
 )
 
 func (l Level) String() string {
-	switch l {
-	case LevelTrim:
-		return "trim"
-	case LevelRaw:
+	if l == LevelRaw {
 		return "raw"
 	}
 	return "full"
 }
 
-// Header is l's X-PAS-Degraded wire value: empty for full service,
-// "trim" for the cheap complement, and "1" for raw passthrough — the
-// historical value existing consumers already test for, so a fully
-// browned-out response is indistinguishable from the legacy fail-open
-// path to clients that predate the ladder.
+// Header is l's X-PAS-Degraded wire value: empty for full service and
+// "1" for raw passthrough — the value the fail-open path has always
+// sent, so a browned-out response and a fail-open one read the same to
+// every client.
 func (l Level) Header() string {
-	switch l {
-	case LevelTrim:
-		return "trim"
-	case LevelRaw:
+	if l == LevelRaw {
 		return "1"
 	}
 	return ""
 }
 
-// Ladder hysteresis bands, on the unitless pressure score in [0, 1]:
-// a rung is entered at the upper threshold and left at the lower one,
-// so a score oscillating around a boundary does not flap the ladder.
+// The ladder's hysteresis band, on the unitless pressure score in
+// [0, 1]: the raw rung is entered at the upper threshold and left at
+// the lower one, so a score oscillating around a boundary does not flap
+// the ladder.
 const (
-	enterTrim = 0.50
-	exitTrim  = 0.35
-	enterRaw  = 0.85
-	exitRaw   = 0.60
+	enterRaw = 0.85
+	exitRaw  = 0.60
 )
 
 // pressureAlpha is the EWMA smoothing factor for all gauge averages.
@@ -80,10 +72,7 @@ type pressureGauge struct {
 	utilEWMA float64 // inflight/limit, [0, 1]
 	svcEWMA  float64 // computation service time, ms
 	score    float64
-	level    Level
-	// atTrim / atRaw are the two hysteresis latches behind level: each
-	// sets at its enter threshold and clears at its (lower) exit one.
-	atTrim, atRaw bool
+	level    Level // the hysteresis latch: set at enterRaw, cleared at exitRaw
 	// transitions counts rung changes in either direction; the chaos
 	// e2e asserts the ladder actually moved.
 	transitions int64
@@ -126,28 +115,15 @@ func (g *pressureGauge) observeService(d time.Duration) {
 	g.mu.Unlock()
 }
 
-// relevelLocked applies the hysteresis bands to the current score. The
-// two boundaries are independent latches, so a spike can step the
-// ladder straight from full to raw and recovery retraces through trim.
+// relevelLocked applies the hysteresis band to the current score; a
+// score between the two thresholds keeps the rung it has.
 func (g *pressureGauge) relevelLocked() {
-	switch {
-	case g.score >= enterTrim:
-		g.atTrim = true
-	case g.score <= exitTrim:
-		g.atTrim = false
-	}
+	next := g.level
 	switch {
 	case g.score >= enterRaw:
-		g.atRaw = true
-	case g.score <= exitRaw:
-		g.atRaw = false
-	}
-	next := LevelFull
-	switch {
-	case g.atRaw:
 		next = LevelRaw
-	case g.atTrim:
-		next = LevelTrim
+	case g.score <= exitRaw:
+		next = LevelFull
 	}
 	if next != g.level {
 		g.level = next

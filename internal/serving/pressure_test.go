@@ -9,17 +9,22 @@ import (
 
 func TestLevelHeaderWireValues(t *testing.T) {
 	// "1" for raw is load-bearing: httpmw, loadgen, and the ring client
-	// all predate the ladder and test X-PAS-Degraded for that value.
+	// all predate the ladder and test X-PAS-Degraded for that value. So
+	// is the number: pas_serving_pressure_level exports it, and raw must
+	// never read 1.
 	cases := []struct {
 		level  Level
+		num    int
 		str    string
 		header string
 	}{
-		{LevelFull, "full", ""},
-		{LevelTrim, "trim", "trim"},
-		{LevelRaw, "raw", "1"},
+		{LevelFull, 0, "full", ""},
+		{LevelRaw, 2, "raw", "1"},
 	}
 	for _, tc := range cases {
+		if int(tc.level) != tc.num {
+			t.Errorf("%v = %d, want %d", tc.level, int(tc.level), tc.num)
+		}
 		if got := tc.level.String(); got != tc.str {
 			t.Errorf("(%d).String() = %q, want %q", tc.level, got, tc.str)
 		}
@@ -37,27 +42,20 @@ func saturate(g *pressureGauge, n int, wait time.Duration, util float64) {
 	}
 }
 
-// TestPressureLadderStepsAndRecovers walks the gauge up the full
-// ladder and back down, checking the hysteresis bands hold at each
-// boundary.
+// TestPressureLadderStepsAndRecovers walks the gauge up the ladder and
+// back down, checking the one hysteresis band holds on both sides.
 func TestPressureLadderStepsAndRecovers(t *testing.T) {
 	g := newPressureGauge(100 * time.Millisecond)
 	if g.current() != LevelFull {
 		t.Fatal("fresh gauge not at LevelFull")
 	}
 
-	// Moderate pressure: wait ~60% of budget at ~60% utilization →
-	// score converges to 0.6, above enterTrim (0.5), below enterRaw.
-	saturate(g, 50, 60*time.Millisecond, 0.6)
-	if got := g.current(); got != LevelTrim {
-		t.Fatalf("level = %v at score %.2f, want trim", got, g.score)
-	}
-
-	// Hysteresis: sagging to 0.4 (between exitTrim 0.35 and enterTrim
-	// 0.5) must hold the trim rung, not flap.
-	saturate(g, 50, 40*time.Millisecond, 0.4)
-	if got := g.current(); got != LevelTrim {
-		t.Fatalf("level = %v at score %.2f inside the trim band, want trim held", got, g.score)
+	// Moderate pressure: wait ~70% of budget at ~70% utilization →
+	// score converges to 0.7, inside the band but never above enterRaw
+	// (0.85): the ladder has no rung to offer, so service stays full.
+	saturate(g, 50, 70*time.Millisecond, 0.7)
+	if got := g.current(); got != LevelFull {
+		t.Fatalf("level = %v at score %.2f below enterRaw, want full", got, g.score)
 	}
 
 	// Saturation: full budget waits at full utilization → raw.
@@ -66,25 +64,21 @@ func TestPressureLadderStepsAndRecovers(t *testing.T) {
 		t.Fatalf("level = %v at score %.2f, want raw", got, g.score)
 	}
 
-	// Partial recovery to ~0.7 (above exitRaw 0.6) holds raw...
+	// Partial recovery to ~0.7 (between exitRaw 0.6 and enterRaw 0.85)
+	// holds raw, not flaps...
 	saturate(g, 50, 70*time.Millisecond, 0.7)
 	if got := g.current(); got != LevelRaw {
 		t.Fatalf("level = %v at score %.2f inside the raw band, want raw held", got, g.score)
 	}
-	// ...then dropping below exitRaw re-enters trim, and a quiet queue
-	// walks all the way back to full.
+	// ...and dropping below exitRaw goes straight back to full.
 	saturate(g, 50, 40*time.Millisecond, 0.4)
-	if got := g.current(); got != LevelTrim {
-		t.Fatalf("level = %v at score %.2f, want trim after raw exit", got, g.score)
-	}
-	saturate(g, 100, 0, 0)
 	if got := g.current(); got != LevelFull {
-		t.Fatalf("level = %v at score %.2f, want full after recovery", got, g.score)
+		t.Fatalf("level = %v at score %.2f, want full after raw exit", got, g.score)
 	}
 
-	// Up, down at both boundaries: full→trim→raw→trim→full is 4 moves.
-	if _, _, transitions, _, _ := g.snapshot(); transitions != 4 {
-		t.Fatalf("transitions = %d, want 4", transitions)
+	// One latch: full→raw→full is 2 moves.
+	if _, _, transitions, _, _ := g.snapshot(); transitions != 2 {
+		t.Fatalf("transitions = %d, want 2", transitions)
 	}
 }
 
@@ -116,87 +110,44 @@ func TestPressureRetryAfterFromDrainEWMA(t *testing.T) {
 	}
 }
 
-// brownoutCore builds a default core — the ladder is always armed —
-// with a distinct cheap complement so the rung is visible in the
-// payload.
-func brownoutCore(t *testing.T, calls *int64, cheapCalls *int64) *Core {
+// brownoutCore builds a default core — the ladder is always armed.
+func brownoutCore(t *testing.T, calls *int64) *Core {
 	t.Helper()
-	cheap := func(prompt, salt string) string {
-		*cheapCalls++
-		return "cheap:" + prompt
-	}
-	return mustNew(t, countingFunc(calls), Config{
-		CacheSize: 64,
-		CheapFn:   cheap,
-	})
+	return mustNew(t, countingFunc(calls), Config{CacheSize: 64})
 }
 
-// TestCoreBrownoutTrimServesCheapComplement: at the trim rung the core
-// serves CheapFn results under a trim-scoped cache key, so full-quality
-// entries are neither served stale nor poisoned.
-func TestCoreBrownoutTrimServesCheapComplement(t *testing.T) {
-	var calls, cheapCalls int64
-	c := brownoutCore(t, &calls, &cheapCalls)
+// TestCoreBrownoutRawSkipsAdmission: at the raw rung misses bypass
+// computation entirely — nothing computed, nothing stored — and the
+// caller is told to pass the prompt through; a full-quality cache hit
+// still outranks the ladder, and draining outranks it the other way and
+// sheds instead.
+func TestCoreBrownoutRawSkipsAdmission(t *testing.T) {
+	var calls int64
+	c := brownoutCore(t, &calls)
 	ctx := context.Background()
 
-	// Warm the full-quality entry before any pressure.
+	// Warm one full-quality entry before any pressure.
 	full, level, err := c.DoLevel(ctx, "warm", "s", "m")
 	if err != nil || level != LevelFull {
 		t.Fatalf("warm request = (%q, %v, %v)", full, level, err)
 	}
-
-	saturate(c.gauge, 50, 60*time.Millisecond, 0.6) // force trim
-	v, level, err := c.DoLevel(ctx, "fresh", "s", "m")
-	if err != nil || level != LevelTrim || v != "cheap:fresh" {
-		t.Fatalf("trim miss = (%q, %v, %v), want cheap complement", v, level, err)
-	}
-	// The trim result was cached under its own key: a repeat serves it
-	// again without recomputing, still flagged trim.
-	v2, level2, err := c.DoLevel(ctx, "fresh", "s", "m")
-	if err != nil || level2 != LevelTrim || v2 != v {
-		t.Fatalf("trim repeat = (%q, %v, %v)", v2, level2, err)
-	}
-	if cheapCalls != 1 {
-		t.Fatalf("cheap complement computed %d times, want 1 (trim cache)", cheapCalls)
-	}
-	// A full-quality cache hit outranks the ladder: the warm key still
-	// serves its full complement.
-	vh, levelh, err := c.DoLevel(ctx, "warm", "s", "m")
-	if err != nil || levelh != LevelFull || vh != full {
-		t.Fatalf("warm hit under pressure = (%q, %v, %v), want full", vh, levelh, err)
-	}
-	s := c.Stats()
-	if s.ServedTrim != 2 || s.PressureLevel != "trim" {
-		t.Fatalf("stats = served_trim %d, level %s; want 2, trim", s.ServedTrim, s.PressureLevel)
-	}
-	// And the other way round: once pressure clears, the key that was
-	// served (and cached) at trim computes its full complement — the
-	// cheap result was never stored under the full-quality key.
-	saturate(c.gauge, 100, 0, 0)
-	vf, levelf, err := c.DoLevel(ctx, "fresh", "s", "m")
-	if err != nil || levelf != LevelFull || vf != "pc:fresh/s" {
-		t.Fatalf("post-recovery request = (%q, %v, %v), want the full complement", vf, levelf, err)
-	}
-}
-
-// TestCoreBrownoutRawSkipsAdmission: at the raw rung misses bypass
-// computation entirely and the caller is told to pass the prompt
-// through; draining still outranks the ladder and sheds instead.
-func TestCoreBrownoutRawSkipsAdmission(t *testing.T) {
-	var calls, cheapCalls int64
-	c := brownoutCore(t, &calls, &cheapCalls)
-	ctx := context.Background()
 
 	saturate(c.gauge, 50, 100*time.Millisecond, 1) // force raw
 	v, level, err := c.DoLevel(ctx, "p", "s", "m")
 	if err != nil || level != LevelRaw || v != "" {
 		t.Fatalf("raw miss = (%q, %v, %v), want empty value at LevelRaw", v, level, err)
 	}
-	if calls != 0 || cheapCalls != 0 {
-		t.Fatalf("raw rung computed (full %d, cheap %d), want no computation", calls, cheapCalls)
+	s := c.Stats()
+	if calls != 1 || s.Cache.Entries != 1 {
+		t.Fatalf("raw rung computed or stored (calls %d, entries %d), want only the warm-up's 1 and 1", calls, s.Cache.Entries)
 	}
-	if s := c.Stats(); s.ServedRaw != 1 {
-		t.Fatalf("served_raw = %d, want 1", s.ServedRaw)
+	if s.ServedRaw != 1 || s.PressureLevel != "raw" {
+		t.Fatalf("stats = served_raw %d, level %s; want 1, raw", s.ServedRaw, s.PressureLevel)
+	}
+	// The warm key still serves its full complement, unflagged.
+	vh, levelh, err := c.DoLevel(ctx, "warm", "s", "m")
+	if err != nil || levelh != LevelFull || vh != full {
+		t.Fatalf("warm hit under pressure = (%q, %v, %v), want full", vh, levelh, err)
 	}
 
 	// Drain beats brownout: a draining core sheds so routers fail over;
@@ -211,8 +162,8 @@ func TestCoreBrownoutRawSkipsAdmission(t *testing.T) {
 // the (now idle) core, so sustained traffic alone walks the ladder
 // back to full service — no operator action needed.
 func TestCoreBrownoutRecoversUnderTraffic(t *testing.T) {
-	var calls, cheapCalls int64
-	c := brownoutCore(t, &calls, &cheapCalls)
+	var calls int64
+	c := brownoutCore(t, &calls)
 	ctx := context.Background()
 
 	saturate(c.gauge, 50, 100*time.Millisecond, 1)
@@ -224,9 +175,10 @@ func TestCoreBrownoutRecoversUnderTraffic(t *testing.T) {
 	if got := c.gauge.current(); got != LevelFull {
 		t.Fatalf("level = %v after sustained idle traffic, want full", got)
 	}
-	// Back at full: the next miss computes the real complement again.
-	v, level, err := c.DoLevel(ctx, "recovered", "s", "m")
-	if err != nil || level != LevelFull || v != "pc:recovered/s" {
+	// Back at full: the key that was only ever answered raw computes its
+	// real complement — the raw rung left nothing behind under it.
+	v, level, err := c.DoLevel(ctx, "recovery", "s", "m")
+	if err != nil || level != LevelFull || v != "pc:recovery/s" {
 		t.Fatalf("post-recovery request = (%q, %v, %v), want full complement", v, level, err)
 	}
 }

@@ -16,9 +16,9 @@
 //     HTTP layer maps to 503 + Retry-After.
 //
 // Under sustained pressure the core climbs a degradation ladder (full →
-// trim → raw) so it sheds computation cost before it sheds requests;
-// with Config.Degrade a request that would still be shed is answered
-// at the raw rung too. See Level and DoLevel.
+// raw) so it sheds the computation before it sheds the request; with
+// Config.Degrade a request that would still be shed is answered at the
+// raw rung too. See Level and DoLevel.
 //
 // The package is pure library: it knows nothing about HTTP except the
 // optional StatsHandler, and the complement function is injected, so
@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -66,11 +65,6 @@ var (
 	// not keep absorbing traffic.
 	ErrDraining = errors.New("serving: draining: new computations refused")
 )
-
-// trimKeySuffix scopes trim-level results to their own cache entries;
-// without it a browned-out computation would poison the full-quality
-// key for every later request.
-const trimKeySuffix = "\x00trim"
 
 // Config sizes the serving core. The zero value of any field selects
 // its default.
@@ -129,11 +123,6 @@ type Config struct {
 	// LimitTarget is the admission-to-completion latency under which a
 	// computation argues for raising the limit. Default 25ms.
 	LimitTarget time.Duration
-
-	// CheapFn is the reduced-cost complement served at the ladder's trim
-	// rung; nil falls back to the full function, collapsing the ladder
-	// to full → raw.
-	CheapFn Func
 
 	// TenantWeights assigns DRR weights to known tenant ids; any other
 	// tenant gets DefaultTenantWeight (default 1). Under contention a
@@ -255,7 +244,6 @@ func (cfg *Config) applyDefaults() error {
 // Core is the serving engine. Create with New; safe for concurrent use.
 type Core struct {
 	fn    Func
-	cheap Func // trim-rung complement; == fn unless CheapFn was set
 	cfg   Config
 	cache *Cache // nil when caching is disabled
 
@@ -277,7 +265,6 @@ type Core struct {
 	shedBreaker   int64
 	shedDraining  int64
 	degraded      int64
-	servedTrim    int64
 	servedRaw     int64
 
 	// durations is the one record of completed requests (Stats().Completed
@@ -285,7 +272,7 @@ type Core struct {
 	// in New. The core owns it because cores are built before — and in
 	// tests without — a registry; RegisterMetrics exposes it.
 	durations obs.HistogramVec
-	lat       [len(outcomeNames)][LevelTrim + 1]obs.Histogram
+	lat       [len(outcomeNames)]obs.Histogram
 }
 
 // outcome is how a completed request got its answer.
@@ -325,7 +312,6 @@ func New(fn Func, cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		fn:      fn,
-		cheap:   fn,
 		cfg:     cfg,
 		sched:   newScheduler(&cfg, limiter),
 		limiter: limiter,
@@ -341,12 +327,9 @@ func New(fn Func, cfg Config) (*Core, error) {
 			durationBounds, "outcome", "level"),
 	}
 	for o, name := range outcomeNames {
-		for _, l := range []Level{LevelFull, LevelTrim} {
-			c.lat[o][l] = c.durations.With(name, l.String())
-		}
-	}
-	if cfg.CheapFn != nil {
-		c.cheap = cfg.CheapFn
+		// Only full-quality answers are timed — a raw serve computes
+		// nothing — so the level label has the one value.
+		c.lat[o] = c.durations.With(name, LevelFull.String())
 	}
 	if cfg.CacheSize > 0 {
 		c.cache = NewCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
@@ -374,22 +357,6 @@ func Key(prompt, salt, model string) string {
 	return prompt + "\x00" + salt + "\x00" + model
 }
 
-// SplitKey inverts Key: it splits at the first two NUL separators, so
-// the round trip is exact whenever prompt and salt are NUL-free (the
-// invariant every caller upholds — both come from JSON text fields).
-// ok is false when k is not a well-formed key (fewer than two NULs).
-func SplitKey(k string) (prompt, salt, model string, ok bool) {
-	i := strings.Index(k, "\x00")
-	if i < 0 {
-		return "", "", "", false
-	}
-	j := strings.Index(k[i+1:], "\x00")
-	if j < 0 {
-		return "", "", "", false
-	}
-	return k[:i], k[i+1 : i+1+j], k[i+1+j+1:], true
-}
-
 // Do serves one complement request through cache, dedup, and
 // admission. The model string scopes the cache key so one core can
 // front several model versions without cross-talk. On success it
@@ -402,10 +369,9 @@ func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, erro
 }
 
 // DoLevel is Do plus the degradation ladder: it reports the rung the
-// response was served at. At LevelFull and LevelTrim the returned
-// string is the (full or cheap) complement; at LevelRaw it is empty
-// and the caller must answer with the raw prompt, flagged degraded via
-// Level.Header.
+// response was served at. At LevelFull the returned string is the
+// complement; at LevelRaw it is empty and the caller must answer with
+// the raw prompt, flagged degraded via Level.Header.
 //
 // A shed attempt is retried per Config.Retries. With Config.Degrade,
 // fail-open is the ladder's last rung: a request that is still shed is
@@ -462,7 +428,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 			lookup.SetStatus("hit")
 			lookup.End()
 			span.SetStatus("cache_hit")
-			c.finish(start, outcomeHit, LevelFull)
+			c.finish(start, outcomeHit)
 			return v, LevelFull, nil
 		}
 		lookup.SetStatus("miss")
@@ -471,15 +437,9 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	}
 	lookup.End()
 
-	// A draining core never serves a reduced rung — it sheds.
-	level := LevelFull
-	if !c.draining.Load() {
-		level = c.gauge.current()
-	}
-	key, fn := k, c.fn
-	switch level {
-	case LevelRaw:
-		// The top rung sheds the computation, not the request: the
+	// A draining core never serves the raw rung — it sheds.
+	if !c.draining.Load() && c.gauge.current() == LevelRaw {
+		// The raw rung sheds the computation, not the request: the
 		// caller answers with the raw prompt and admission is never
 		// touched, so the backlog drains. The zero-wait observation
 		// below is what walks the gauge back down while traffic keeps
@@ -489,25 +449,9 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 		atomic.AddInt64(&c.servedRaw, 1)
 		span.SetStatus("brownout_raw")
 		return "", LevelRaw, nil
-	case LevelTrim:
-		key = k + trimKeySuffix
-		fn = c.cheap
-		if c.cache != nil {
-			if v, ok := c.cache.Get(key); ok {
-				// Trim hits observe like raw serves do: without this,
-				// pure repeat traffic would freeze the gauge at trim
-				// even after the backlog is long gone.
-				inflight, limit := c.sched.load()
-				c.gauge.observe(0, utilization(inflight, limit))
-				span.SetStatus("brownout_trim_hit")
-				atomic.AddInt64(&c.servedTrim, 1)
-				c.finish(start, outcomeHit, LevelTrim)
-				return v, LevelTrim, nil
-			}
-		}
 	}
 
-	v, shared, err := c.compute(ctx, key, fn, prompt, salt)
+	v, shared, err := c.compute(ctx, k, prompt, salt)
 	how := outcomeComputed
 	if shared {
 		how = outcomeShared
@@ -516,18 +460,15 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	}
 	if err != nil {
 		span.SetError(err)
-		return "", level, err
+		return "", LevelFull, err
 	}
-	if level == LevelTrim {
-		atomic.AddInt64(&c.servedTrim, 1)
-	}
-	c.finish(start, how, level)
-	return v, level, nil
+	c.finish(start, how)
+	return v, LevelFull, nil
 }
 
-// compute runs the admission-controlled single-flight computation for
-// key with fn (the full or the trim-rung complement).
-func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt string) (string, bool, error) {
+// compute runs the admission-controlled single-flight computation of
+// the complement stored under key.
+func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, bool, error) {
 	return c.flight.do(ctx, key, func() (string, error) {
 		// The single-flight leader runs here; followers share its
 		// outcome, so the spans below describe the one real computation.
@@ -583,7 +524,7 @@ func (c *Core) compute(ctx context.Context, key string, fn Func, prompt, salt st
 		if c.cfg.ComputeDelay > 0 {
 			time.Sleep(c.cfg.ComputeDelay)
 		}
-		out := fn(prompt, salt)
+		out := c.fn(prompt, salt)
 		total := c.cfg.Now().Sub(admitStart)
 		compute.End()
 		c.gauge.observeService(total - waited)
@@ -636,8 +577,8 @@ func utilization(inflight, limit int) float64 {
 // finish records a served request: an array index into the children
 // New resolved, then that child's own mutex — no map lookup, no label
 // join, no allocation.
-func (c *Core) finish(start time.Time, how outcome, level Level) {
-	c.lat[how][level].Observe(c.cfg.Now().Sub(start).Seconds())
+func (c *Core) finish(start time.Time, how outcome) {
+	c.lat[how].Observe(c.cfg.Now().Sub(start).Seconds())
 }
 
 // RetryAfter is the backoff hint, in whole seconds, a shed response

@@ -416,7 +416,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	// The duration histogram is the only record of completions, and its
 	// outcomes reconcile with the counters kept elsewhere.
-	hits, shared, computed := c.lat[outcomeHit][LevelFull].Count(), c.lat[outcomeShared][LevelFull].Count(), c.lat[outcomeComputed][LevelFull].Count()
+	hits, shared, computed := c.lat[outcomeHit].Count(), c.lat[outcomeShared].Count(), c.lat[outcomeComputed].Count()
 	if hits != s.Cache.Hits || shared != s.DedupHits || computed != atomic.LoadInt64(&calls) {
 		t.Fatalf("histogram says %d hit / %d shared / %d computed; cache hits %d, dedup hits %d, complement calls %d",
 			hits, shared, computed, s.Cache.Hits, s.DedupHits, calls)

@@ -50,12 +50,11 @@ type Stats struct {
 
 	// PressureScore is the unitless overload score in [0, 1];
 	// PressureLevel is the brownout rung misses are served at ("full",
-	// "trim", "raw") and PressureTransitions counts rung changes.
-	// ServedTrim / ServedRaw count responses the ladder degraded.
+	// "raw") and PressureTransitions counts rung changes. ServedRaw
+	// counts responses the ladder degraded.
 	PressureScore       float64 `json:"pressure_score"`
 	PressureLevel       string  `json:"pressure_level"`
 	PressureTransitions int64   `json:"pressure_transitions"`
-	ServedTrim          int64   `json:"served_trim"`
 	ServedRaw           int64   `json:"served_raw"`
 
 	// QueueWaitEWMAMs / ServiceEWMAMs are the smoothed admission-wait
@@ -97,13 +96,10 @@ func (c *Core) Stats() Stats {
 		Draining:      c.draining.Load(),
 		Degraded:      atomic.LoadInt64(&c.degraded),
 		AdaptiveLimit: c.limiter.Stats(),
-		ServedTrim:    atomic.LoadInt64(&c.servedTrim),
 		ServedRaw:     atomic.LoadInt64(&c.servedRaw),
 	}
-	for _, byLevel := range c.lat {
-		for _, h := range byLevel {
-			s.Completed += h.Count()
-		}
+	for _, h := range c.lat {
+		s.Completed += h.Count()
 	}
 	s.Limit = s.AdaptiveLimit.Current
 	s.DedupHits = atomic.LoadInt64(&c.dedupHits)
@@ -156,10 +152,8 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_serving_limit_raises_total", "Additive increases applied to the concurrency limit.", float64(s.AdaptiveLimit.Raises))
 		e.Counter("pas_serving_limit_cuts_total", "Multiplicative decreases applied to the concurrency limit.", float64(s.AdaptiveLimit.Cuts))
 		e.Gauge("pas_serving_pressure_score", "Overload pressure score in [0, 1] (queue wait + limit headroom).", s.PressureScore)
-		e.Gauge("pas_serving_pressure_level", "Brownout ladder rung (0 full, 1 trim, 2 raw).", float64(c.gauge.current()))
+		e.Gauge("pas_serving_pressure_level", "Brownout ladder rung (0 full, 2 raw).", float64(c.gauge.current()))
 		e.Counter("pas_serving_pressure_transitions_total", "Brownout ladder rung changes.", float64(s.PressureTransitions))
-		e.Counter("pas_serving_brownout_total", "Responses served below full quality, by rung.",
-			float64(s.ServedTrim), "level", "trim")
 		e.Counter("pas_serving_brownout_total", "Responses served below full quality, by rung.",
 			float64(s.ServedRaw), "level", "raw")
 		e.Gauge("pas_serving_retry_after_hint_seconds", "Current Retry-After hint for shed responses.", float64(s.RetryAfterHintS))

@@ -269,12 +269,11 @@ func (m *Model) pickFacets(a facet.Analysis, prompt, salt string) []facet.Facet 
 	return out
 }
 
-// ComplementCheap is the brownout complement: one generic specificity
-// directive, rendered with no prompt analysis, no policy scoring, and
-// no defect simulation — constant work per call. It is what the
-// serving tier's trim rung serves when the full model's admission
-// queue is saturated: strictly less useful than Complement, still a
-// valid p_c (it only adds guidance), and far cheaper.
+// ComplementCheap is one generic specificity directive, rendered with
+// no prompt analysis, no policy scoring, and no defect simulation —
+// constant work per call. Nothing serves it: bench/pasperf's
+// sft.complement_cheap_ns probe is its only caller, and it leaves with
+// that probe (ROADMAP item 4's [benchmark] edit).
 func (m *Model) ComplementCheap(prompt, salt string) string {
 	return facet.RenderDirectives([]facet.Facet{facet.Specificity}, prompt+salt)
 }

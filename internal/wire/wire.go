@@ -35,13 +35,13 @@ type AugmentResponse struct {
 	// Model is the PAS base model name.
 	Model string `json:"model"`
 	// Degraded reports that the response is below full quality: the
-	// degradation ladder served a reduced rung, or the augmentation
+	// degradation ladder served the raw rung, or the augmentation
 	// path shed and the service fell back to the raw prompt
 	// (ServingConfig.Degrade).
 	Degraded bool `json:"degraded,omitempty"`
-	// DegradedLevel names the rung when Degraded: "trim" for the cheap
-	// complement, "1" for raw passthrough (the legacy fail-open value).
-	// The X-PAS-Degraded response header carries the same value.
+	// DegradedLevel names the rung when Degraded: "1", raw passthrough,
+	// is the only reduced value. The X-PAS-Degraded response header
+	// carries the same value.
 	DegradedLevel string `json:"degraded_level,omitempty"`
 }
 
@@ -59,8 +59,7 @@ const (
 type Status struct {
 	Status string `json:"status"`
 	Model  string `json:"model"`
-	// Pressure is the brownout rung ("trim" or "raw"); empty at full
-	// service.
+	// Pressure is the brownout rung ("raw"); empty at full service.
 	Pressure string `json:"pressure,omitempty"`
 	// Instance names the serving process's incarnation: fixed when it is
 	// built, different after a restart. A restarted replica may carry a

@@ -67,10 +67,12 @@ func otherModel(t *testing.T, m *sft.Model) *sft.Model {
 // whole life. A repeated chat is answered at the proxy: no replica sees
 // a second request and the upstream receives the same bytes. The owner
 // restarted with another model is noticed by its next probe, and the
-// same chat then carries the new model's complement. A fleet answering
-// at the trim rung is flagged on every request, repeats included, and
-// with the fleet gone the remembered chat is still served in full while
-// a new one is flagged raw.
+// same chat then carries the new model's complement. A fleet still
+// running a build from before the two-rung ladder, mid rolling upgrade,
+// flags its answers "trim": the value reaches the client untouched on
+// every request, repeats included, and is never remembered. With the
+// fleet gone the remembered chat is still served in full while a new
+// one is flagged raw.
 func TestClusterE2ENearCache(t *testing.T) {
 	model := testSystem(t).System.model
 	const probeInterval = 40 * time.Millisecond
@@ -206,7 +208,8 @@ func TestClusterE2ENearCache(t *testing.T) {
 		t.Fatalf("after the restart: degraded %q, upstream got %q; want the new model's %q", level, sent(third), want)
 	}
 
-	// A fleet at the trim rung: flagged every time, never remembered.
+	// A fleet of older replicas flagging "trim", a value this tree never
+	// sends: passed through every time, never remembered.
 	var trims atomic.Int64
 	for _, r := range replicas {
 		inner := *r.h.Load().(*http.Handler)
@@ -224,11 +227,11 @@ func TestClusterE2ENearCache(t *testing.T) {
 	}
 	for i := 1; i <= 2; i++ {
 		if level, got := chat("a prompt first seen under pressure"); level != "trim" || !strings.HasSuffix(sent(got), "\nBe specific.") || trims.Load() != int64(i) {
-			t.Fatalf("trim fleet, request %d: degraded %q, upstream got %q, %d replica answers", i, level, sent(got), trims.Load())
+			t.Fatalf("older fleet, request %d: degraded %q, upstream got %q, %d replica answers", i, level, sent(got), trims.Load())
 		}
 	}
 	if level, got := chat(prompt); level != "" || !bytes.Equal(got, third) || trims.Load() != 2 {
-		t.Fatalf("remembered chat under a trim fleet: degraded %q, %d replica answers, upstream got %q", level, trims.Load(), sent(got))
+		t.Fatalf("remembered chat under an older fleet: degraded %q, %d replica answers, upstream got %q", level, trims.Load(), sent(got))
 	}
 
 	// The fleet gone: what is remembered is still full quality, the rest

@@ -124,13 +124,6 @@ func (s *System) Complement(prompt, salt string) string {
 	return s.model.Complement(prompt, salt)
 }
 
-// ComplementCheap is the degraded-mode complement served at the
-// degradation ladder's trim rung: a constant-work generic directive
-// instead of the full policy inference. See sft.Model.ComplementCheap.
-func (s *System) ComplementCheap(prompt, salt string) string {
-	return s.model.ComplementCheap(prompt, salt)
-}
-
 // Augment returns cat(p, p_c): the text to send to the downstream LLM.
 // The user's original prompt is preserved verbatim.
 func (s *System) Augment(prompt, salt string) string {
@@ -184,10 +177,9 @@ type Enhanced struct {
 	Complement string
 	// Response is r_e = LLM(cat(p, p_c)).
 	Response string
-	// Degraded reports that the augmentation side answered below full
-	// quality — a cheaper complement under pressure, or none at all
-	// (ServingConfig.Degrade) — the plug-and-play guarantee held: the
-	// user still got an answer.
+	// Degraded reports that the augmentation side answered with the raw
+	// prompt — under pressure, or fail-open (ServingConfig.Degrade) —
+	// the plug-and-play guarantee held: the user still got an answer.
 	Degraded bool
 }
 

@@ -56,10 +56,10 @@ type Augmenter interface {
 
 // LevelAugmenter is the optional refinement an Augmenter can implement
 // to name the degradation rung instead of a bare verdict: the returned
-// level is the X-PAS-Degraded wire value ("" full, "trim" the
-// degradation ladder's cheap complement, "1" raw passthrough). *System and the
-// ring client implement it; the proxy falls back to the boolean
-// interface (and the legacy "1" flag) for augmenters that do not.
+// level is the X-PAS-Degraded wire value ("" full, "1" raw
+// passthrough). *System and the ring client implement it, the ring
+// client passing a replica's value through as sent; the proxy falls back
+// to the boolean interface (and the "1" flag) for augmenters that do not.
 type LevelAugmenter interface {
 	AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error)
 }
@@ -117,13 +117,15 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 
 // writeError answers in the proxy's own name, with the JSON error
 // envelope clients of an OpenAI-style API expect, escaped as
-// encoding/json escapes: the error may quote bytes a replica sent.
+// encoding/json escapes and marked nosniff: the error may quote bytes a
+// replica sent.
 func writeError(w http.ResponseWriter, status int, kind string, err error) {
 	buf := wire.GetBuffer()
 	defer buf.Release()
 	buf.B = wire.AppendField(append(buf.B, `{"error":{`...), "message", err.Error())
 	buf.B = append(wire.AppendField(append(buf.B, ','), "type", kind), '}', '}')
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.B) // the client hung up: nothing to do about it here
 }
@@ -206,9 +208,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if level != "" {
-			// Below full quality — the cheap complement ("trim"), or no
-			// complement at all ("1": the core answered at the raw rung, or
-			// the body was not one the proxy could augment). Never silent.
+			// No complement ("1": the core answered at the raw rung, or the
+			// body was not one the proxy could augment). Never silent.
 			w.Header().Set(wire.DegradedHeader, level)
 		}
 	}
@@ -273,7 +274,7 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	case scan.contentEnd > 0:
 		// Salt from the raw seed value if present, for reproducible proxies.
 		salt := string(buf.B[scan.seedStart:scan.seedEnd])
-		prompt := unquote(buf.B[scan.contentStart:scan.contentEnd])
+		prompt := wire.Unquote(buf.B[scan.contentStart:scan.contentEnd])
 		// Through the serving core (cache + dedup + admission + breaker)
 		// when the system has one; the request context propagates
 		// deadlines and client disconnects into the queue. With Degrade
@@ -298,13 +299,14 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	return level, nil
 }
 
-// spliceEscaped puts s, escaped for the inside of a string literal,
-// where buf.B[from:to] is: s is escaped straight onto the end of the
-// scratch, the bytes after to are appended behind it, and the two move
-// down together. No second buffer, and nothing before from is touched.
+// spliceEscaped puts s, escaped for the inside of a string literal
+// (RFC-minimal: <, > and & stay as they are), where buf.B[from:to] is:
+// s is escaped straight onto the end of the scratch, the bytes after to
+// are appended behind it, and the two move down together. No second
+// buffer, and nothing before from is touched.
 func spliceEscaped(buf *wire.Buffer, from, to int, s string) {
 	end := len(buf.B)
-	buf.B = appendEscaped(buf.B, s)
+	buf.B = wire.AppendEscaped(buf.B, s, false)
 	buf.B = append(buf.B, buf.B[to:end]...)
 	buf.B = buf.B[:from+copy(buf.B[from:], buf.B[end:])]
 }

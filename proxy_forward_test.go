@@ -142,10 +142,10 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestProxyErrorEnvelopesAreJSON: the three answers the proxy gives in
-// its own name — 400, 503 and 502 — are one envelope, declared as JSON
-// and JSON whatever the error text holds. A fail-closed ring error
-// quotes bytes of a replica's reply; %q would have spelled \x01 the Go
-// way, which no JSON reader accepts.
+// its own name — 400, 503 and 502 — are one envelope, declared as JSON,
+// marked nosniff, and JSON whatever the error text holds. A fail-closed
+// ring error quotes bytes of a replica's reply; %q would have spelled
+// \x01 the Go way, which no JSON reader accepts.
 func TestProxyErrorEnvelopesAreJSON(t *testing.T) {
 	const text = "replica said \x01 \"no\" \u2028 and \xff <b>"
 	upstream, _ := captureUpstream(t)
@@ -176,6 +176,9 @@ func TestProxyErrorEnvelopesAreJSON(t *testing.T) {
 			}
 			if got := resp.Header.Get("Content-Type"); got != "application/json; charset=utf-8" {
 				t.Errorf("Content-Type %q", got)
+			}
+			if got := resp.Header.Get("X-Content-Type-Options"); got != "nosniff" {
+				t.Errorf("X-Content-Type-Options %q, want nosniff: the message can quote a replica's bytes", got)
 			}
 			if got := resp.Header.Get("Retry-After"); got != tc.retryAfter {
 				t.Errorf("Retry-After %q, want %q", got, tc.retryAfter)

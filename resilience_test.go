@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/ring"
 	"repro/internal/serving"
 	"repro/internal/simllm"
 )
@@ -38,7 +39,7 @@ func degradedSystem(t *testing.T, degrade bool) (sys *System, entered chan struc
 			<-release
 		}
 		return sys.Complement(prompt, salt)
-	}, serving.Config{CacheSize: -1, MaxInFlight: 1, QueueDepth: 0, Degrade: degrade, CheapFn: sys.ComplementCheap})
+	}, serving.Config{CacheSize: -1, MaxInFlight: 1, QueueDepth: 0, Degrade: degrade})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,13 @@ func TestAugmentHandlerDegrades(t *testing.T) {
 }
 
 // TestEveryNonFull200CarriesDegradedHeader walks one fail-open system
-// through every way of answering 200 — full quality, the fail-open raw
-// rung while saturated, the trim rung once the slot frees — and checks
-// on both HTTP surfaces that X-PAS-Degraded names exactly the rung the
-// answer was served at: "1" or "trim" on every non-full 200, absent at
-// full quality.
+// through every way of answering 200 — full quality, fail-open while
+// saturated, the raw rung the sheds push the ladder to, full quality
+// again once traffic has walked it back — and checks on every surface
+// (POST /v1/augment, the proxy, the ring client against that handler)
+// that PAS has exactly two answers, in both directions: a 200 is either
+// unflagged with augmented == cat(p, M_p(p)), or flagged "1" with no
+// complement and augmented == p byte for byte. Nothing in between.
 func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 	sys, entered, release := degradedSystem(t, true)
 	srv := httptest.NewServer(sys.Handler())
@@ -159,57 +162,92 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 	}
 	front := httptest.NewServer(proxy)
 	defer front.Close()
+	client, err := ring.NewClient(ring.Config{Replicas: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const prompt = "Explain how tides form."
-	// probe sends prompt through one surface and checks the answer is a
-	// 200 carrying wantAugmented, flagged wantHeader.
-	probe := func(viaProxy bool, wantHeader, wantAugmented string) {
+	post := func(url, body string) *http.Response {
 		t.Helper()
-		url, body := srv.URL+"/v1/augment", `{"prompt":"`+prompt+`"}`
-		if viaProxy {
-			url, body = front.URL+"/v1/chat/completions", `{"model":"m","messages":[{"role":"user","content":"`+prompt+`"}]}`
-		}
 		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if got := resp.Header.Get("X-PAS-Degraded"); resp.StatusCode != http.StatusOK || got != wantHeader {
-			t.Fatalf("proxy=%v: status %d, X-PAS-Degraded %q; want 200, %q", viaProxy, resp.StatusCode, got, wantHeader)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, want 200", url, resp.StatusCode)
 		}
-		var augmented string
-		if viaProxy {
-			augmented = forwardedMessages(t, (*bodies)[len(*bodies)-1])[0].Content
-		} else {
+		return resp
+	}
+	// Each surface sends prompt and reports the flag and the augmented
+	// prompt that came back (for the proxy: that went upstream).
+	surfaces := []struct {
+		name string
+		ask  func() (flag, augmented string)
+	}{
+		{"augment", func() (string, string) {
+			resp := post(srv.URL+"/v1/augment", `{"prompt":"`+prompt+`"}`)
+			defer resp.Body.Close()
+			flag := resp.Header.Get("X-PAS-Degraded")
 			var ar AugmentResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 				t.Fatal(err)
 			}
-			if ar.DegradedLevel != wantHeader || ar.Degraded != (wantHeader != "") {
-				t.Fatalf("body flags = (%v, %q), want rung %q", ar.Degraded, ar.DegradedLevel, wantHeader)
+			if ar.DegradedLevel != flag || ar.Degraded != (flag != "") || (ar.Complement == "") != (flag != "") {
+				t.Fatalf("body says (degraded %v, level %q, complement %q) under header %q", ar.Degraded, ar.DegradedLevel, ar.Complement, flag)
 			}
-			augmented = ar.Augmented
+			return flag, ar.Augmented
+		}},
+		{"proxy", func() (string, string) {
+			resp := post(front.URL+"/v1/chat/completions", `{"model":"m","messages":[{"role":"user","content":"`+prompt+`"}]}`)
+			resp.Body.Close()
+			return resp.Header.Get("X-PAS-Degraded"), forwardedMessages(t, (*bodies)[len(*bodies)-1])[0].Content
+		}},
+		{"ring", func() (string, string) {
+			augmented, level, err := client.AugmentContextLevel(context.Background(), prompt, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return level, augmented
+		}},
+	}
+	full := sys.Augment(prompt, "")
+	probe := func(i int, wantFlag string) {
+		t.Helper()
+		s := surfaces[i%len(surfaces)]
+		flag, augmented := s.ask()
+		if !(flag == "" && augmented == full) && !(flag == "1" && augmented == prompt) {
+			t.Fatalf("%s: flag %q with augmented %q is neither of PAS's two answers", s.name, flag, augmented)
 		}
-		if augmented != wantAugmented {
-			t.Fatalf("proxy=%v at rung %q: augmented = %q, want %q", viaProxy, wantHeader, augmented, wantAugmented)
+		if flag != wantFlag {
+			t.Fatalf("%s: X-PAS-Degraded %q, want %q", s.name, flag, wantFlag)
 		}
 	}
 
-	for _, viaProxy := range []bool{false, true} {
-		probe(viaProxy, "", sys.Augment(prompt, ""))
+	for i := range surfaces {
+		probe(i, "")
 	}
 	// Saturated: every request is shed and answered fail-open, and each
-	// shed pushes the ladder up.
+	// shed pushes the ladder up...
 	free := occupySlot(t, sys, entered, release)
 	for i := 0; sys.core.PressureLevel() == serving.LevelFull; i++ {
-		probe(i%2 == 1, "1", prompt)
+		probe(i, "1")
+	}
+	// ...to the raw rung, which answers without touching admission.
+	for i := range surfaces {
+		probe(i, "1")
+	}
+	if st := sys.core.Stats(); st.Degraded == 0 || st.ServedRaw != int64(len(surfaces)) {
+		t.Fatalf("saturation answered %d fail-open, %d at the raw rung; want > 0 and %d", st.Degraded, st.ServedRaw, len(surfaces))
 	}
 	free()
-	if got := sys.core.PressureLevel(); got != serving.LevelTrim {
-		t.Fatalf("rung after saturation = %v, want trim", got)
+	// Recovery: raw serves observe the idle core until the rung clears,
+	// and the same prompt is back to its full answer.
+	for i := 0; sys.core.PressureLevel() == serving.LevelRaw; i++ {
+		probe(i, "1")
 	}
-	for _, viaProxy := range []bool{false, true} {
-		probe(viaProxy, "trim", cat(prompt, sys.ComplementCheap(prompt, "")))
+	for i := range surfaces {
+		probe(i, "")
 	}
 }
 

@@ -42,13 +42,8 @@ type ServingConfig = serving.Config
 // serving core in front of Complement for every context-taking entry
 // point: handleAugment, the reverse proxy, AugmentContextLevel, and
 // EnhanceContext. Call it once before serving traffic; the plain
-// Complement and Augment methods stay direct and unlimited. Unless
-// cfg.CheapFn is set, the degradation ladder's trim rung serves
-// ComplementCheap.
+// Complement and Augment methods stay direct and unlimited.
 func (s *System) EnableServing(cfg ServingConfig) error {
-	if cfg.CheapFn == nil {
-		cfg.CheapFn = s.ComplementCheap
-	}
 	core, err := serving.New(s.Complement, cfg)
 	if err != nil {
 		return err
@@ -59,12 +54,11 @@ func (s *System) EnableServing(cfg ServingConfig) error {
 
 // complementLevel is Complement through the serving core when one is
 // enabled: results are cached, concurrent identical requests share one
-// computation, and under pressure the core answers below full quality
-// instead of failing (see serving.Core.DoLevel). A trim-level result is
-// the cheap complement; a raw-level result is an empty complement with
-// no error — the caller proceeds with the un-augmented prompt. An error
-// for which IsOverloaded is true means the request was shed. Without
-// EnableServing it computes directly and never fails.
+// computation, and under pressure the core answers at the raw rung
+// instead of failing (see serving.Core.DoLevel): an empty complement
+// with no error — the caller proceeds with the un-augmented prompt. An
+// error for which IsOverloaded is true means the request was shed.
+// Without EnableServing it computes directly and never fails.
 func (s *System) complementLevel(ctx context.Context, prompt, salt string) (string, serving.Level, error) {
 	if s.core == nil {
 		return s.Complement(prompt, salt), serving.LevelFull, nil
@@ -91,8 +85,8 @@ func (s *System) AugmentContextDegraded(ctx context.Context, prompt, salt string
 
 // AugmentContextLevel is Augment through the serving core (see
 // complementLevel), with the degradation rung as its X-PAS-Degraded
-// wire value: "" full quality, "trim" the ladder's cheap complement,
-// "1" raw passthrough (the ladder's last rung, fail-open included).
+// wire value: "" full quality, "1" raw passthrough (the ladder's raw
+// rung, fail-open included).
 func (s *System) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
 	c, lvl, err := s.complementLevel(ctx, prompt, salt)
 	if err != nil {
