@@ -225,7 +225,7 @@ var (
 	saltAugmenter = augmentFunc(func(prompt, salt string) (string, bool, error) {
 		return prompt + "\nsalt=" + salt, false, nil
 	})
-	// rewordAugmenter does not extend the prompt, it replaces it.
+	// rewordAugmenter does not extend the prompt, it rewrites it.
 	rewordAugmenter = augmentFunc(func(prompt, _ string) (string, bool, error) {
 		return "Reworded: <" + strings.ToUpper(prompt) + ">", false, nil
 	})
@@ -303,12 +303,11 @@ func TestSpliceFidelity(t *testing.T) {
 		}
 	})
 
-	t.Run("an augmenter that rewords replaces the whole literal", func(t *testing.T) {
+	t.Run("an augmenter that rewords leaves the body alone, flagged", func(t *testing.T) {
 		orig := []byte(`{"messages":[{"content":"café \"au\" lait","role":"user"}],"n":1}`)
-		out, n, _ := rewriteBody(t, rewordAugmenter, orig)
-		want := `{"messages":[{"content":"Reworded: <CAFÉ \"AU\" LAIT>","role":"user"}],"n":1}`
-		if string(out) != want || n != int64(len(out)) {
-			t.Fatalf("forwarded %s (length %d), want %s", out, n, want)
+		out, n, level := rewriteBody(t, rewordAugmenter, orig)
+		if !bytes.Equal(out, orig) || n != int64(len(orig)) || level != "1" {
+			t.Fatalf("forwarded %s (length %d) at level %q, want the body as sent, flagged 1", out, n, level)
 		}
 	})
 

@@ -34,9 +34,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	c := &f.Serving
 	fs.IntVar(&c.CacheSize, "cache-size", 4096, "complement result cache entries (negative disables)")
 	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result cache TTL (0 = no expiry; sound for a fixed model)")
-	fs.IntVar(&c.MaxInFlight, "max-inflight", 64, "max concurrent complement computations: the ceiling of the AIMD concurrency limit, which backs off on deadline misses and breaker trips and regrows on healthy completions")
-	fs.IntVar(&c.LimitFloor, "limit-floor", 1, "lower clamp of the concurrency limit (equal to -max-inflight = a static cap)")
-	fs.DurationVar(&c.LimitTarget, "limit-target", 25*time.Millisecond, "computation latency under which a completion argues for raising the concurrency limit")
+	fs.IntVar(&c.MaxInFlight, "max-inflight", 64, "max concurrent complement computations (a fixed cap)")
 	fs.Func("tenant-weights", "fair-share weights as tenant=w,tenant=w (unlisted tenants get -default-tenant-weight)", tenantMap(&c.TenantWeights))
 	fs.IntVar(&c.DefaultTenantWeight, "default-tenant-weight", 1, "fair-share weight of unlisted tenants")
 	fs.Func("tenant-quotas", "per-tenant concurrent-computation caps as tenant=n,tenant=n", tenantMap(&c.TenantQuotas))
@@ -45,8 +43,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&c.ComputeDelay, "compute-delay", 0, "pad every complement computation (overload-drill knob; leave 0 in production)")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 256, "max requests waiting for a computation slot (0 = shed instantly)")
 	fs.DurationVar(&c.QueueWait, "queue-wait", 100*time.Millisecond, "max wait for a slot before shedding")
-	fs.IntVar(&c.Retries, "retries", 1, "re-attempts for a shed complement computation (0 disables)")
-	fs.DurationVar(&c.RetryBudget, "retry-budget", 500*time.Millisecond, "total time budget for the retry loop, sleeps included")
 	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 8, "consecutive shed computations before the augment breaker opens (per replica with pasproxy -replicas; 0 disables)")
 	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 2*time.Second, "breaker open->half-open window")
 	fs.BoolVar(&c.Degrade, "degrade", true, "fail open: answer with the un-augmented prompt, flagged X-PAS-Degraded, instead of 503 when augmentation sheds")

@@ -27,9 +27,8 @@ func TestBindDefaults(t *testing.T) {
 	}
 	want := pas.ServingConfig{
 		CacheSize: 4096, MaxInFlight: 64, QueueDepth: 256, QueueWait: 100 * time.Millisecond,
-		Retries: 1, RetryBudget: 500 * time.Millisecond,
 		BreakerThreshold: 8, BreakerCooldown: 2 * time.Second,
-		Degrade: true, LimitFloor: 1, LimitTarget: 25 * time.Millisecond, DefaultTenantWeight: 1,
+		Degrade: true, DefaultTenantWeight: 1,
 	}
 	if !reflect.DeepEqual(f.Serving, want) {
 		t.Fatalf("default serving config:\n got %+v\nwant %+v", f.Serving, want)
@@ -50,8 +49,6 @@ func TestBindRoundTrip(t *testing.T) {
 		{"cache-size", "-1", func(f *Flags) any { return f.Serving.CacheSize }, -1},
 		{"cache-ttl", "30s", func(f *Flags) any { return f.Serving.CacheTTL }, 30 * time.Second},
 		{"max-inflight", "8", func(f *Flags) any { return f.Serving.MaxInFlight }, 8},
-		{"limit-floor", "8", func(f *Flags) any { return f.Serving.LimitFloor }, 8},
-		{"limit-target", "60ms", func(f *Flags) any { return f.Serving.LimitTarget }, 60 * time.Millisecond},
 		{"tenant-weights", "gold=3, free=1", func(f *Flags) any { return f.Serving.TenantWeights }, map[string]int{"gold": 3, "free": 1}},
 		{"default-tenant-weight", "2", func(f *Flags) any { return f.Serving.DefaultTenantWeight }, 2},
 		{"tenant-quotas", "free=2", func(f *Flags) any { return f.Serving.TenantQuotas }, map[string]int{"free": 2}},
@@ -60,8 +57,6 @@ func TestBindRoundTrip(t *testing.T) {
 		{"compute-delay", "25ms", func(f *Flags) any { return f.Serving.ComputeDelay }, 25 * time.Millisecond},
 		{"queue-depth", "0", func(f *Flags) any { return f.Serving.QueueDepth }, 0},
 		{"queue-wait", "250ms", func(f *Flags) any { return f.Serving.QueueWait }, 250 * time.Millisecond},
-		{"retries", "0", func(f *Flags) any { return f.Serving.Retries }, 0},
-		{"retry-budget", "1s", func(f *Flags) any { return f.Serving.RetryBudget }, time.Second},
 		{"breaker-threshold", "0", func(f *Flags) any { return f.Serving.BreakerThreshold }, 0},
 		{"breaker-cooldown", "5s", func(f *Flags) any { return f.Serving.BreakerCooldown }, 5 * time.Second},
 		{"degrade", "false", func(f *Flags) any { return f.Serving.Degrade }, false},

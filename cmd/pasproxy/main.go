@@ -17,10 +17,9 @@
 // In single-node mode augmentation runs through the same serving core as
 // cmd/passerve, configured by the same flags (cmd/internal/daemon) —
 // result cache (-cache-size, -cache-ttl), single-flight dedup, bounded
-// tenant-fair admission under an AIMD limit (-max-inflight,
-// -queue-depth, -queue-wait), the full → raw degradation ladder, and
-// shed-retry (-retries, -retry-budget) behind a circuit breaker
-// (-breaker-threshold, -breaker-cooldown).
+// tenant-fair admission under a fixed cap (-max-inflight,
+// -queue-depth, -queue-wait), the full → raw degradation ladder, and a
+// circuit breaker (-breaker-threshold, -breaker-cooldown).
 //
 // With -replicas the proxy instead routes each augmentation to the
 // replica owning its cache key on a consistent-hash ring (-vnodes
@@ -82,12 +81,11 @@ type options struct {
 }
 
 // clusterIgnored are the serving flags that do nothing with -replicas:
-// they size the in-process core's admission, tenancy and retry, and the
+// they size the in-process core's admission and tenancy, and the
 // replicas run their own.
 var clusterIgnored = []string{
-	"max-inflight", "limit-floor", "limit-target", "tenant-weights", "default-tenant-weight",
-	"tenant-quotas", "tenant-queue-depth", "max-tenants", "compute-delay", "queue-depth",
-	"queue-wait", "retries", "retry-budget",
+	"max-inflight", "tenant-weights", "default-tenant-weight", "tenant-quotas",
+	"tenant-queue-depth", "max-tenants", "compute-delay", "queue-depth", "queue-wait",
 }
 
 // setButIgnored names the flags of clusterIgnored that were set on fs.

@@ -42,8 +42,8 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 			t.Errorf("-%s: pasproxy has %+v, the binder %+v", w.Name, g, w)
 		}
 	})
-	if n < 20 {
-		t.Fatalf("the binder declared %d flags, want the 18 serving + 2 observability ones", n)
+	if n < 16 {
+		t.Fatalf("the binder declared %d flags, want the 14 serving + 2 observability ones", n)
 	}
 }
 
@@ -72,11 +72,11 @@ func TestClusterModeAccountsForEveryServingFlag(t *testing.T) {
 
 	fs := flag.NewFlagSet("pasproxy", flag.ContinueOnError)
 	o := bindFlags(fs)
-	if err := fs.Parse([]string{"-replicas", "http://a:1", "-retries", "0", "-cache-size", "10", "-queue-depth", "5", "-trace-sample", "4"}); err != nil {
+	if err := fs.Parse([]string{"-replicas", "http://a:1", "-max-inflight", "2", "-cache-size", "10", "-queue-depth", "5", "-trace-sample", "4"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := setButIgnored(fs); !slices.Equal(got, []string{"queue-depth", "retries"}) || o.Serving.CacheSize != 10 {
-		t.Fatalf("set but ignored = %v, cache size %d; want [queue-depth retries], 10", got, o.Serving.CacheSize)
+	if got := setButIgnored(fs); !slices.Equal(got, []string{"max-inflight", "queue-depth"}) || o.Serving.CacheSize != 10 {
+		t.Fatalf("set but ignored = %v, cache size %d; want [max-inflight queue-depth], 10", got, o.Serving.CacheSize)
 	}
 }
 

@@ -16,16 +16,15 @@
 // result cache (-cache-size, -cache-ttl), single-flight deduplication of
 // concurrent identical prompts, and a bounded admission queue
 // (-max-inflight, -queue-depth, -queue-wait) that sheds overload with
-// 503 + Retry-After. Shed computations are retried (-retries,
-// -retry-budget) behind a circuit breaker (-breaker-threshold,
-// -breaker-cooldown), and with -degrade (default on) a request the
-// augmentation path still cannot serve is answered 200 with the raw
-// prompt — flagged X-PAS-Degraded and counted in /v1/stats — instead
-// of a 503.
+// 503 + Retry-After. Consecutive sheds open a circuit breaker
+// (-breaker-threshold, -breaker-cooldown), and with -degrade (default
+// on) a request the augmentation path cannot serve is answered 200 with
+// the raw prompt — flagged X-PAS-Degraded and counted in /v1/stats —
+// instead of a 503.
 //
-// The in-flight cap is an AIMD limit that backs off when the queue
-// sheds and regrows on healthy completions, between -limit-floor and
-// -max-inflight. Under sustained queue pressure the replica serves the
+// The in-flight cap (-max-inflight) is fixed: M_p's service time does
+// not rise with concurrency, so nothing adapts it and a shed request
+// gets one attempt. Under sustained queue pressure the replica serves the
 // raw prompt (X-PAS-Degraded: 1, the only reduced answer) before
 // hard-shedding — and /v1/status advertises the pressure rung so
 // routing tiers deprioritize the replica. Requests

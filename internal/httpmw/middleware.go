@@ -38,7 +38,8 @@ func Recover(logger *log.Logger) func(http.Handler) http.Handler {
 					if logger != nil {
 						logger.Printf("panic serving %s %s: %v", r.Method, r.URL.Path, v)
 					}
-					http.Error(w, `{"error":"internal server error"}`, http.StatusInternalServerError)
+					w.Header().Set("X-Content-Type-Options", "nosniff") // like the proxy's own envelopes
+					writeJSONError(w, http.StatusInternalServerError, "internal server error")
 				}
 			}()
 			next.ServeHTTP(w, r)
@@ -300,7 +301,8 @@ func ConcurrencyLimitHint(n int, retryAfter func() int) func(http.Handler) http.
 }
 
 // writeJSONError writes the envelope the PAS services use everywhere
-// else, so limiter 503s are machine-parseable like every other error.
+// else, so limiter 503s and recovered panics' 500s are machine-parseable
+// like every other error.
 func writeJSONError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)

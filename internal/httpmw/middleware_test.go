@@ -53,6 +53,12 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d", rec.Code)
 	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
+		t.Fatalf("Content-Type = %q on a JSON envelope", ct)
+	}
+	if got, want := rec.Body.String(), `{"error":"internal server error"}`+"\n"; got != want {
+		t.Fatalf("body = %q, want %q", got, want)
+	}
 	if !strings.Contains(buf.String(), "boom") {
 		t.Fatal("panic not logged")
 	}

@@ -285,8 +285,8 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 		}
 		// The tail is stored as its own copy: a slice of augmented would
 		// pin the prompt a second time beside the key.
-		if near != nil && res.level == "" && len(res.augmented) > len(prompt) && strings.HasPrefix(res.augmented, prompt) {
-			near.Put(key, strings.Clone(res.augmented[len(prompt):]))
+		if tail, ok := strings.CutPrefix(res.augmented, prompt); near != nil && res.level == "" && ok && tail != "" {
+			near.Put(key, strings.Clone(tail))
 		}
 		return res.augmented, res.level, nil
 	}

@@ -233,118 +233,98 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 	}
 }
 
-// adaptiveCore builds a 2-ceiling core whose fn blocks on the
-// given prompts, plus the cut sequence every adaptive test starts
-// with: saturate both slots, miss a deadline in the queue, and verify
-// the AIMD limit was cut 2 → 1.
-func adaptiveCore(t *testing.T, target time.Duration) (c *Core, release chan struct{}, entered chan struct{}, blocked chan error) {
-	t.Helper()
-	release = make(chan struct{})
-	entered = make(chan struct{}, 8)
-	fn := func(prompt, salt string) string {
-		if prompt == "block-a" || prompt == "block-b" || prompt == "hold" {
-			entered <- struct{}{}
-			<-release
-		}
+// TestCapHoldsAfterDeadlineMisses is the regression test for the shed
+// cascade: queued deadline misses used to halve an adaptive limit, which
+// only regrew on completions faster than a target measured from before
+// the queue wait, so a backed-up queue ratcheted capacity down. The cap
+// is fixed: after k misses Stats().Limit is still MaxInFlight, and
+// MaxInFlight concurrent first-time prompts all run without queueing.
+func TestCapHoldsAfterDeadlineMisses(t *testing.T) {
+	const slots, misses = 4, 3
+	release := make(chan struct{})
+	c := mustNew(t, func(prompt, _ string) string {
+		<-release
 		return "pc:" + prompt
-	}
-	c = mustNew(t, fn, Config{
-		CacheSize:   -1,
-		MaxInFlight: 2,
-		QueueDepth:  1,
-		QueueWait:   5 * time.Second,
-		LimitTarget: target,
-	})
-	if got := c.Stats().Limit; got != 2 {
-		t.Fatalf("initial limit = %d, want the MaxInFlight ceiling 2", got)
-	}
-	blocked = make(chan error, 2)
-	for _, p := range []string{"block-a", "block-b"} {
-		go func(p string) {
-			_, err := c.Do(context.Background(), p, "", "m")
-			blocked <- err
-		}(p)
-	}
-	<-entered
-	<-entered
-	if _, err := c.Do(deadlineCtx(20*time.Millisecond), "victim", "", "m"); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-	s := c.Stats()
-	if s.Limit != 1 || s.AdaptiveLimit.Cuts != 1 {
-		t.Fatalf("after deadline miss: limit = %d, adaptive = %+v; want 1 with one cut", s.Limit, s.AdaptiveLimit)
-	}
-	return c, release, entered, blocked
-}
+	}, Config{CacheSize: -1, MaxInFlight: slots, QueueDepth: misses, QueueWait: 20 * time.Millisecond})
 
-// TestCoreAdaptiveLimitGatesAdmission: after a cut the reduced limit
-// really bounds concurrency — a second request queues instead of
-// running. The 1ns target keeps every success "slow" so the limit
-// cannot regrow mid-test.
-func TestCoreAdaptiveLimitGatesAdmission(t *testing.T) {
-	c, release, entered, blocked := adaptiveCore(t, time.Nanosecond)
-
-	// Unblock the saturating pair; at target 1ns their successes hold
-	// the limit at 1.
-	for i := 0; i < 2; i++ {
-		release <- struct{}{}
+	// fill runs one computation per slot and waits until all hold one.
+	fill := func(round string) chan error {
+		done := make(chan error, slots)
+		for i := 0; i < slots; i++ {
+			go func(i int) {
+				_, err := c.Do(context.Background(), round+string(rune('a'+i)), "", "m")
+				done <- err
+			}(i)
+		}
+		waitFor(t, func() bool { return c.Stats().InFlight == slots })
+		return done
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-blocked; err != nil {
-			t.Fatalf("blocked request %d: %v", i, err)
+	drain := func(done chan error) {
+		for i := 0; i < slots; i++ {
+			release <- struct{}{}
+		}
+		for i := 0; i < slots; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	waitFor(t, func() bool { return c.Stats().InFlight == 0 })
-	if got := c.Stats().Limit; got != 1 {
-		t.Fatalf("limit = %d, want still 1 (no sub-target successes)", got)
-	}
 
-	held := make(chan error, 1)
-	go func() {
-		_, err := c.Do(context.Background(), "hold", "", "m")
-		held <- err
-	}()
-	<-entered
-	queued := make(chan error, 1)
-	go func() {
-		_, err := c.Do(context.Background(), "queued", "", "m")
-		queued <- err
-	}()
-	waitFor(t, func() bool { return c.Stats().QueueDepth == 1 })
-	if got := c.Stats().InFlight; got != 1 {
-		t.Fatalf("in_flight = %d under cut limit 1, want 1", got)
-	}
-	release <- struct{}{}
-	if err := <-held; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-queued; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCoreAdaptiveLimitRecoversToCeiling: with a generous target,
-// healthy completions regrow a cut limit back to — and never past —
-// the MaxInFlight ceiling.
-func TestCoreAdaptiveLimitRecoversToCeiling(t *testing.T) {
-	c, release, _, blocked := adaptiveCore(t, time.Minute)
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-blocked; err != nil {
-			t.Fatalf("blocked request %d: %v", i, err)
+	first := fill("first-")
+	for i := 0; i < misses; i++ {
+		if _, err := c.Do(context.Background(), "victim", "", "m"); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("queued victim %d: err = %v, want ErrDeadline", i, err)
 		}
 	}
-	waitFor(t, func() bool { return c.Stats().InFlight == 0 })
+	if st := c.Stats(); st.ShedDeadline != misses || st.Limit != slots {
+		t.Fatalf("after %d deadline misses: shed_deadline = %d, limit = %d; want %d and the cap %d",
+			misses, st.ShedDeadline, st.Limit, misses, slots)
+	}
+	drain(first)
 
-	for i := 0; i < 10; i++ {
-		if _, err := c.Do(context.Background(), "healthy", "", "m"); err != nil {
+	second := fill("second-")
+	if st := c.Stats(); st.QueueDepth != 0 || st.Limit != slots {
+		t.Fatalf("%d first-time prompts after the misses: %d queued, limit %d; want all running", slots, st.QueueDepth, st.Limit)
+	}
+	drain(second)
+}
+
+// TestShedIsOneAttempt: a shed request is not retried — it returns at
+// once and enters the core exactly once — and the deprecated LimitFloor,
+// Retries and RetryBudget fields change nothing about that.
+func TestShedIsOneAttempt(t *testing.T) {
+	type result struct {
+		v                    string
+		level                Level
+		err                  string
+		entered, shed, limit int64
+	}
+	shed := func(cfg Config) result {
+		cfg.QueueDepth, cfg.QueueWait = 1, 5*time.Second
+		c, release := occupied(t, cfg)
+		defer release()
+		parked := (&shedFixture{core: c}).fillQueue(t)
+		before := c.Stats().Requests
+		start := time.Now()
+		v, level, err := c.DoLevel(context.Background(), "shed me", "", "m")
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("queue-full shed took %v; a shed is one attempt and returns at once", took)
+		}
+		if !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("err = %v, want ErrQueueFull", err)
+		}
+		st := c.Stats()
+		release()
+		if err := <-parked; err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Stats().Limit; got > 2 {
-			t.Fatalf("limit %d exceeded the ceiling", got)
-		}
+		return result{v, level, err.Error(), st.Requests - before, st.ShedQueueFull, int64(st.Limit)}
 	}
-	if got := c.Stats().Limit; got != 2 {
-		t.Fatalf("recovered limit = %d, want back at ceiling 2", got)
+	zero := shed(Config{})
+	if zero.entered != 1 {
+		t.Fatalf("one shed request entered the core %d times, want 1", zero.entered)
+	}
+	if inert := shed(Config{LimitFloor: 7, Retries: 3, RetryBudget: time.Hour}); inert != zero {
+		t.Fatalf("deprecated fields changed a shed:\n got %+v\nwant %+v", inert, zero)
 	}
 }

@@ -59,8 +59,8 @@ const pressureAlpha = 0.2
 //	score = 0.5·min(1, waitEWMA/QueueWait) + 0.5·utilizationEWMA
 //
 // Queue wait says how long admission is stalling requests relative to
-// the shed budget; utilization (inflight/limit) says how much headroom
-// the concurrency limit has left. Both at zero is a cold core; both at
+// the shed budget; slot utilization (inflight/MaxInFlight) says how much
+// headroom the cap has left. Both at zero is a cold core; both at
 // one is a core about to shed. The gauge also tracks a service-time
 // EWMA, which prices Retry-After hints off the observed drain rate
 // instead of a constant.
@@ -69,7 +69,7 @@ type pressureGauge struct {
 
 	mu       sync.Mutex
 	waitEWMA float64 // admission wait, ms
-	utilEWMA float64 // inflight/limit, [0, 1]
+	utilEWMA float64 // inflight/MaxInFlight, [0, 1]
 	svcEWMA  float64 // computation service time, ms
 	score    float64
 	level    Level // the hysteresis latch: set at enterRaw, cleared at exitRaw
@@ -83,14 +83,11 @@ func newPressureGauge(queueWait time.Duration) *pressureGauge {
 }
 
 // observe folds one admission outcome into the gauge: how long the
-// request waited for a slot and the load (inflight/limit) at that
+// request waited for a slot and the slot utilization at that
 // moment. Sheds observe their full budget as the wait — the queue was
 // saturated for at least that long.
 func (g *pressureGauge) observe(wait time.Duration, utilization float64) {
 	waitMs := float64(wait) / float64(time.Millisecond)
-	if utilization > 1 {
-		utilization = 1 // inflight can transiently exceed a freshly cut limit
-	}
 	g.mu.Lock()
 	g.waitEWMA += pressureAlpha * (waitMs - g.waitEWMA)
 	g.utilEWMA += pressureAlpha * (utilization - g.utilEWMA)

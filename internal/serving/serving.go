@@ -8,9 +8,8 @@
 //  2. single-flight deduplication — N concurrent identical requests
 //     trigger exactly one computation and share its result;
 //  3. tenant-aware bounded admission with deadline-aware load shedding
-//     — at most the live concurrency limit's worth of computations run
-//     at once (an AIMD limit between LimitFloor and MaxInFlight),
-//     waiters queue per tenant under weighted deficit-round-robin, and
+//     — at most MaxInFlight computations run at once, waiters queue per
+//     tenant under weighted deficit-round-robin, and
 //     a request that cannot get a slot within its budget (QueueWait
 //     capped by the context deadline) is shed with a typed error the
 //     HTTP layer maps to 503 + Retry-After.
@@ -44,7 +43,7 @@ type Func func(prompt, salt string) string
 // Typed shedding errors; the serving layers above map all of them to
 // 503 + Retry-After (or to graceful degradation when enabled).
 var (
-	// ErrQueueFull reports that the concurrency limit was saturated and
+	// ErrQueueFull reports that every computation slot was taken and
 	// the admission queue was already holding its bound of waiters
 	// (globally, or the requesting tenant's share of it).
 	ErrQueueFull = errors.New("serving: admission queue full")
@@ -79,9 +78,8 @@ type Config struct {
 	// until evicted. For a fixed deterministic model TTL 0 is sound;
 	// set a TTL when the model behind the core can be retrained.
 	CacheTTL time.Duration
-	// MaxInFlight bounds concurrent complement computations: it is the
-	// ceiling, and the starting point, of the AIMD concurrency limit.
-	// Default 64.
+	// MaxInFlight bounds concurrent complement computations: a fixed
+	// cap. Default 64.
 	MaxInFlight int
 	// QueueDepth bounds requests waiting for a computation slot across
 	// all tenants. Unlike the other fields, 0 is meaningful rather than
@@ -100,14 +98,6 @@ type Config struct {
 	// BreakerCooldown is the open→half-open window. Default 2s.
 	BreakerCooldown time.Duration
 
-	// Retries re-attempts a shed request with full-jitter backoff before
-	// giving up (or degrading); 0 disables retrying. Open-breaker and
-	// draining sheds are never retried — the breaker exists to stop
-	// exactly that traffic, and drain is one-way.
-	Retries int
-	// RetryBudget bounds the whole retry loop, sleeps included.
-	// Default 500ms.
-	RetryBudget time.Duration
 	// Degrade fails open: a request the core would shed is answered at
 	// LevelRaw — the caller proceeds with the un-augmented prompt —
 	// instead of with an error, and counted in Stats.Degraded. Sound for
@@ -115,14 +105,12 @@ type Config struct {
 	// is always a valid request. A draining core still sheds.
 	Degrade bool
 
-	// LimitFloor is the lower clamp of the concurrency limit, which is
-	// cut multiplicatively on deadline misses and breaker trips and
-	// regrows additively towards MaxInFlight. Default 1; LimitFloor ==
-	// MaxInFlight makes the cap static.
-	LimitFloor int
-	// LimitTarget is the admission-to-completion latency under which a
-	// computation argues for raising the limit. Default 25ms.
-	LimitTarget time.Duration
+	// Deprecated: read by nothing; kept one round because bench/pasperf's
+	// frozen config literals name them; deleted with ROADMAP item 4's
+	// [benchmark] edit.
+	LimitFloor  int
+	Retries     int
+	RetryBudget time.Duration
 
 	// TenantWeights assigns DRR weights to known tenant ids; any other
 	// tenant gets DefaultTenantWeight (default 1). Under contention a
@@ -147,8 +135,8 @@ type Config struct {
 	// replica (see the README's "Surviving overload" runbook). 0 off.
 	ComputeDelay time.Duration
 
-	// Now injects the clock for TTL expiry, breaker cooldowns, and the
-	// concurrency limit; tests pin it. Default time.Now.
+	// Now injects the clock for TTL expiry and breaker cooldowns; tests
+	// pin it. Default time.Now.
 	Now func() time.Time
 }
 
@@ -188,24 +176,6 @@ func (cfg *Config) applyDefaults() error {
 	}
 	if cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.Retries < 0 {
-		return fmt.Errorf("serving: Retries must be >= 0, got %d", cfg.Retries)
-	}
-	if cfg.RetryBudget < 0 {
-		return fmt.Errorf("serving: RetryBudget must be >= 0, got %v", cfg.RetryBudget)
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 500 * time.Millisecond
-	}
-	if cfg.LimitFloor < 0 {
-		return fmt.Errorf("serving: LimitFloor must be >= 0, got %d", cfg.LimitFloor)
-	}
-	if cfg.LimitTarget < 0 {
-		return fmt.Errorf("serving: LimitTarget must be >= 0, got %v", cfg.LimitTarget)
-	}
-	if cfg.LimitTarget == 0 {
-		cfg.LimitTarget = 25 * time.Millisecond
 	}
 	if cfg.DefaultTenantWeight == 0 {
 		cfg.DefaultTenantWeight = 1
@@ -249,10 +219,8 @@ type Core struct {
 
 	flight  flightGroup
 	sched   *scheduler
-	limiter *resilience.Limit   // live concurrency limit, shared with sched
 	gauge   *pressureGauge      // picks the ladder rung misses are served at
 	breaker *resilience.Breaker // opens on consecutive shed computations
-	retry   resilience.Policy   // shed-retry schedule, used when cfg.Retries > 0
 
 	// draining, once set, refuses new computations (ErrDraining) while
 	// in-flight and cache-hit traffic keeps being served; see Drain.
@@ -301,27 +269,11 @@ func New(fn Func, cfg Config) (*Core, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	limiter, err := resilience.NewLimit(resilience.LimitConfig{
-		Floor:   cfg.LimitFloor,
-		Ceiling: cfg.MaxInFlight,
-		Target:  cfg.LimitTarget,
-		Now:     cfg.Now,
-	})
-	if err != nil {
-		return nil, err
-	}
 	c := &Core{
-		fn:      fn,
-		cfg:     cfg,
-		sched:   newScheduler(&cfg, limiter),
-		limiter: limiter,
-		gauge:   newPressureGauge(cfg.QueueWait),
-		retry: resilience.Policy{
-			MaxAttempts: cfg.Retries + 1,
-			BaseDelay:   25 * time.Millisecond,
-			MaxDelay:    200 * time.Millisecond,
-			Budget:      cfg.RetryBudget,
-		},
+		fn:    fn,
+		cfg:   cfg,
+		sched: newScheduler(&cfg),
+		gauge: newPressureGauge(cfg.QueueWait),
 		durations: obs.NewHistogramVec("pas_serving_request_duration_seconds",
 			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed) and ladder rung.",
 			durationBounds, "outcome", "level"),
@@ -373,34 +325,15 @@ func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, erro
 // complement; at LevelRaw it is empty and the caller must answer with
 // the raw prompt, flagged degraded via Level.Header.
 //
-// A shed attempt is retried per Config.Retries. With Config.Degrade,
-// fail-open is the ladder's last rung: a request that is still shed is
-// answered ("", LevelRaw, nil) and counted in Stats.Degraded. Drain
+// A request gets one attempt. With Config.Degrade, fail-open is the
+// ladder's last rung: a request that is shed is answered
+// ("", LevelRaw, nil) and counted in Stats.Degraded. Drain
 // sheds are the one overload that never degrades: a draining replica
 // must answer 503 so its router fails the request over to a peer,
 // instead of fail-open 200s keeping traffic pinned to a process on its
 // way out.
 func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string, Level, error) {
-	var (
-		v     string
-		level Level
-		err   error
-	)
-	if c.cfg.Retries == 0 {
-		v, level, err = c.attempt(ctx, prompt, salt, model)
-	} else {
-		v, err = resilience.DoValue(ctx, c.retry, func(ctx context.Context) (v string, err error) {
-			v, level, err = c.attempt(ctx, prompt, salt, model)
-			if errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrDraining) {
-				// Retrying against an open breaker (or a draining core —
-				// drain is one-way) only burns the backoff budget; mark
-				// these terminal for the retry loop. Overloaded still sees
-				// the typed error through the wrapper.
-				err = resilience.AsTerminal(err)
-			}
-			return v, err
-		})
-	}
+	v, level, err := c.attempt(ctx, prompt, salt, model)
 	if err != nil && c.cfg.Degrade && Overloaded(err) && !errors.Is(err, ErrDraining) {
 		atomic.AddInt64(&c.degraded, 1)
 		obs.AddEvent(ctx, "augment.degraded", "cause", err.Error())
@@ -444,8 +377,8 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 		// touched, so the backlog drains. The zero-wait observation
 		// below is what walks the gauge back down while traffic keeps
 		// flowing.
-		inflight, limit := c.sched.load()
-		c.gauge.observe(0, utilization(inflight, limit))
+		inflight, _ := c.sched.depth()
+		c.gauge.observe(0, c.utilization(inflight))
 		atomic.AddInt64(&c.servedRaw, 1)
 		span.SetStatus("brownout_raw")
 		return "", LevelRaw, nil
@@ -499,7 +432,6 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		if berr != nil {
 			atomic.AddInt64(&c.shedBreaker, 1)
 			c.sched.shedOther(tq)
-			c.limiter.OnOverload() // a trip is a congestion signal
 			qspan.SetError(ErrBreakerOpen)
 			qspan.End()
 			return "", ErrBreakerOpen
@@ -516,8 +448,8 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 			return "", err
 		}
 		waited := c.cfg.Now().Sub(admitStart)
-		inflight, limit := c.sched.load()
-		c.gauge.observe(waited, utilization(inflight, limit))
+		inflight, _ := c.sched.depth()
+		c.gauge.observe(waited, c.utilization(inflight))
 		qspan.End()
 		defer release()
 		_, compute := obs.StartSpan(ctx, "serving.compute")
@@ -528,7 +460,6 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		total := c.cfg.Now().Sub(admitStart)
 		compute.End()
 		c.gauge.observeService(total - waited)
-		c.limiter.OnSuccess(total)
 		if c.cache != nil {
 			c.cache.Put(key, out)
 		}
@@ -549,16 +480,14 @@ func (c *Core) waitBudget(ctx context.Context) time.Duration {
 	return wait
 }
 
-// noteShed folds an admission shed into the global counters, the
-// concurrency limit, and the pressure gauge. Client cancellations are
-// not sheds and count nothing.
+// noteShed folds an admission shed into the global counters and the
+// pressure gauge. Client cancellations are not sheds and count nothing.
 func (c *Core) noteShed(err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		atomic.AddInt64(&c.shedQueueFull, 1)
 	case errors.Is(err, ErrDeadline):
 		atomic.AddInt64(&c.shedDeadline, 1)
-		c.limiter.OnOverload() // the queue outran the drain rate
 	default:
 		return
 	}
@@ -567,11 +496,9 @@ func (c *Core) noteShed(err error) {
 	c.gauge.observe(c.cfg.QueueWait, 1)
 }
 
-func utilization(inflight, limit int) float64 {
-	if limit < 1 {
-		limit = 1
-	}
-	return float64(inflight) / float64(limit)
+// utilization is the share of the MaxInFlight slots in use.
+func (c *Core) utilization(inflight int) float64 {
+	return float64(inflight) / float64(c.cfg.MaxInFlight)
 }
 
 // finish records a served request: an array index into the children
@@ -587,7 +514,7 @@ func (c *Core) finish(start time.Time, how outcome) {
 // computation has been observed it is 1 — the old fixed constant.
 func (c *Core) RetryAfter() int {
 	_, waiting := c.sched.depth()
-	return c.gauge.retryAfter(waiting, c.limiter.Current())
+	return c.gauge.retryAfter(waiting, c.cfg.MaxInFlight)
 }
 
 // PressureLevel is the degradation ladder's current rung. It is one

@@ -43,10 +43,9 @@ type Stats struct {
 	// rung because the core would otherwise have shed them.
 	Degraded int64 `json:"degraded"`
 
-	// Limit is the live concurrency limit; AdaptiveLimit is the AIMD
-	// limiter's full snapshot (clamps, raises, cuts).
-	Limit         int                   `json:"limit"`
-	AdaptiveLimit resilience.LimitStats `json:"adaptive_limit"`
+	// Limit is the concurrency cap (MaxInFlight), so in_flight/limit is
+	// the slot utilization.
+	Limit int `json:"limit"`
 
 	// PressureScore is the unitless overload score in [0, 1];
 	// PressureLevel is the brownout rung misses are served at ("full",
@@ -95,13 +94,12 @@ func (c *Core) Stats() Stats {
 		ShedDraining:  atomic.LoadInt64(&c.shedDraining),
 		Draining:      c.draining.Load(),
 		Degraded:      atomic.LoadInt64(&c.degraded),
-		AdaptiveLimit: c.limiter.Stats(),
+		Limit:         c.cfg.MaxInFlight,
 		ServedRaw:     atomic.LoadInt64(&c.servedRaw),
 	}
 	for _, h := range c.lat {
 		s.Completed += h.Count()
 	}
-	s.Limit = s.AdaptiveLimit.Current
 	s.DedupHits = atomic.LoadInt64(&c.dedupHits)
 	s.Shed = s.ShedQueueFull + s.ShedDeadline + s.ShedBreaker + s.ShedDraining
 	score, level, transitions, waitMs, svcMs := c.gauge.snapshot()
@@ -148,9 +146,7 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		}
 		e.Gauge("pas_serving_draining", "Whether the core is draining for shutdown (1 = draining).", draining)
 		e.Counter("pas_serving_degraded_total", "Requests served fail-open with the raw prompt.", float64(s.Degraded))
-		e.Gauge("pas_serving_limit", "Live AIMD concurrency limit.", float64(s.Limit))
-		e.Counter("pas_serving_limit_raises_total", "Additive increases applied to the concurrency limit.", float64(s.AdaptiveLimit.Raises))
-		e.Counter("pas_serving_limit_cuts_total", "Multiplicative decreases applied to the concurrency limit.", float64(s.AdaptiveLimit.Cuts))
+		e.Gauge("pas_serving_limit", "Concurrency cap (-max-inflight).", float64(s.Limit))
 		e.Gauge("pas_serving_pressure_score", "Overload pressure score in [0, 1] (queue wait + limit headroom).", s.PressureScore)
 		e.Gauge("pas_serving_pressure_level", "Brownout ladder rung (0 full, 2 raw).", float64(c.gauge.current()))
 		e.Counter("pas_serving_pressure_transitions_total", "Brownout ladder rung changes.", float64(s.PressureTransitions))

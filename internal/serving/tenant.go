@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // DefaultTenant is the tenant id a request carries when the caller set
@@ -39,8 +37,8 @@ func TenantFrom(ctx context.Context) string {
 }
 
 // scheduler is the tenant-aware admission stage: a weighted
-// deficit-round-robin (DRR) queue in front of a live concurrency
-// limit. Under contention each waiting tenant is visited in round-robin
+// deficit-round-robin (DRR) queue in front of a fixed concurrency
+// cap. Under contention each waiting tenant is visited in round-robin
 // order and granted up to weight slots per visit, so a tenant flooding
 // 10× its share only ever lengthens its own queue — the well-behaved
 // tenant's wait is bounded by one DRR round, not by the flood.
@@ -49,7 +47,7 @@ func TenantFrom(ctx context.Context) string {
 // deficit counters are small integers and a visit's quantum is exactly
 // the tenant's weight.
 type scheduler struct {
-	limit *resilience.Limit // live concurrency limit
+	limit int // concurrent computation slots (MaxInFlight)
 
 	queueCap      int // total waiters across all tenants (QueueDepth)
 	tenantCap     int // per-tenant waiter cap; 0 = weighted share of queueCap
@@ -92,9 +90,9 @@ type waiter struct {
 	granted bool
 }
 
-func newScheduler(cfg *Config, limit *resilience.Limit) *scheduler {
+func newScheduler(cfg *Config) *scheduler {
 	s := &scheduler{
-		limit:         limit,
+		limit:         cfg.MaxInFlight,
 		queueCap:      cfg.QueueDepth,
 		tenantCap:     cfg.TenantQueueDepth,
 		maxTenants:    cfg.MaxTenants,
@@ -156,7 +154,7 @@ func (s *scheduler) shedOther(tq *tenantQ) {
 // must be called exactly once.
 func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration) (func(), error) {
 	s.mu.Lock()
-	if s.waiting == 0 && s.inflight < s.limit.Current() && !quotaFull(tq) {
+	if s.waiting == 0 && s.inflight < s.limit && !quotaFull(tq) {
 		s.inflight++
 		tq.inflight++
 		tq.admitted++
@@ -250,7 +248,7 @@ func (s *scheduler) release(tq *tenantQ) {
 }
 
 func (s *scheduler) dispatchLocked() {
-	for s.waiting > 0 && s.inflight < s.limit.Current() {
+	for s.waiting > 0 && s.inflight < s.limit {
 		if !s.grantOneLocked() {
 			return // every waiting tenant is quota-capped
 		}
@@ -323,15 +321,8 @@ func (s *scheduler) tenantShareLocked(tq *tenantQ) int {
 	return share
 }
 
-// load snapshots (inflight, live limit) for the pressure gauge.
-func (s *scheduler) load() (inflight, limit int) {
-	s.mu.Lock()
-	inflight, limit = s.inflight, s.limit.Current()
-	s.mu.Unlock()
-	return inflight, limit
-}
-
-// depth snapshots (inflight, waiting) for stats and quiescing.
+// depth snapshots (inflight, waiting) for stats, the pressure gauge and
+// quiescing.
 func (s *scheduler) depth() (inflight, waiting int) {
 	s.mu.Lock()
 	inflight, waiting = s.inflight, s.waiting

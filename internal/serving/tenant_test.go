@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // testScheduler builds a scheduler over a fixed limit with the given
@@ -19,11 +17,8 @@ func testScheduler(limit int, cfg Config) *scheduler {
 	if cfg.MaxTenants == 0 {
 		cfg.MaxTenants = 64
 	}
-	lim, err := resilience.NewLimit(resilience.LimitConfig{Floor: limit, Ceiling: limit})
-	if err != nil {
-		panic(err)
-	}
-	return newScheduler(&cfg, lim)
+	cfg.MaxInFlight = limit
+	return newScheduler(&cfg)
 }
 
 // mustAcquire acquires a slot on the fast path or fails the test.

@@ -229,7 +229,7 @@ func (s *System) Enhance(main Chatter, prompt, salt string) (Enhanced, error) {
 
 // EnhanceContext runs the full plug-and-play path under ctx: the
 // complement goes through the serving core when one is enabled
-// (cache, dedup, admission, retries, breaker), and with
+// (cache, dedup, admission, breaker), and with
 // ServingConfig.Degrade a PAS-side failure falls back to the raw
 // prompt — the main-model call always happens, so augmentation can
 // only add value, never availability risk. Main-model errors are the

@@ -286,11 +286,11 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 		}
 		level = lvl
 		if tail, ok := strings.CutPrefix(augmented, prompt); ok {
-			spliceEscaped(buf, scan.contentEnd-1, scan.contentEnd-1, tail)
-		} else {
-			// An augmenter that rewrote the prompt instead of extending it:
-			// the whole literal is replaced.
-			spliceEscaped(buf, scan.contentStart+1, scan.contentEnd-1, augmented)
+			spliceEscaped(buf, scan.contentEnd-1, tail)
+		} else if level == "" {
+			// A reply that does not extend the prompt is not cat(p, M_p(p)):
+			// the user's words go upstream as sent, flagged.
+			level = "1"
 		}
 	}
 	r.Body = &chatBody{buf: buf}
@@ -299,16 +299,16 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	return level, nil
 }
 
-// spliceEscaped puts s, escaped for the inside of a string literal
-// (RFC-minimal: <, > and & stay as they are), where buf.B[from:to] is:
-// s is escaped straight onto the end of the scratch, the bytes after to
-// are appended behind it, and the two move down together. No second
-// buffer, and nothing before from is touched.
-func spliceEscaped(buf *wire.Buffer, from, to int, s string) {
+// spliceEscaped inserts s, escaped for the inside of a string literal
+// (RFC-minimal: <, > and & stay as they are), at buf.B[at]: s is escaped
+// straight onto the end of the scratch, the bytes from at on are
+// appended behind it, and the two move down together. No second buffer,
+// and nothing before at is touched.
+func spliceEscaped(buf *wire.Buffer, at int, s string) {
 	end := len(buf.B)
 	buf.B = wire.AppendEscaped(buf.B, s, false)
-	buf.B = append(buf.B, buf.B[to:end]...)
-	buf.B = buf.B[:from+copy(buf.B[from:], buf.B[end:])]
+	buf.B = append(buf.B, buf.B[at:end]...)
+	buf.B = buf.B[:at+copy(buf.B[at:], buf.B[end:])]
 }
 
 // augmentLevel calls the level-aware interface when the augmenter has

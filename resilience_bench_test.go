@@ -33,7 +33,6 @@ func BenchmarkEnhanceDegraded(b *testing.B) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // stays open for the whole run
 		Degrade:          true,
-		Retries:          1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -150,7 +150,9 @@ func TestAugmentHandlerDegrades(t *testing.T) {
 // (POST /v1/augment, the proxy, the ring client against that handler)
 // that PAS has exactly two answers, in both directions: a 200 is either
 // unflagged with augmented == cat(p, M_p(p)), or flagged "1" with no
-// complement and augmented == p byte for byte. Nothing in between.
+// complement and augmented == p byte for byte. Nothing in between — a
+// proxy whose augmenter rewords the prompt instead of extending it
+// included: the user's words go upstream as sent, flagged.
 func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 	sys, entered, release := degradedSystem(t, true)
 	srv := httptest.NewServer(sys.Handler())
@@ -162,6 +164,12 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 	}
 	front := httptest.NewServer(proxy)
 	defer front.Close()
+	reworder, err := NewProxyWith(rewordAugmenter, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewordFront := httptest.NewServer(reworder)
+	defer rewordFront.Close()
 	client, err := ring.NewClient(ring.Config{Replicas: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +186,11 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 			t.Fatalf("POST %s: status %d, want 200", url, resp.StatusCode)
 		}
 		return resp
+	}
+	askProxy := func(url string) (flag, forwarded string) {
+		resp := post(url+"/v1/chat/completions", `{"model":"m","messages":[{"role":"user","content":"`+prompt+`"}]}`)
+		resp.Body.Close()
+		return resp.Header.Get("X-PAS-Degraded"), forwardedMessages(t, (*bodies)[len(*bodies)-1])[0].Content
 	}
 	// Each surface sends prompt and reports the flag and the augmented
 	// prompt that came back (for the proxy: that went upstream).
@@ -198,11 +211,7 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 			}
 			return flag, ar.Augmented
 		}},
-		{"proxy", func() (string, string) {
-			resp := post(front.URL+"/v1/chat/completions", `{"model":"m","messages":[{"role":"user","content":"`+prompt+`"}]}`)
-			resp.Body.Close()
-			return resp.Header.Get("X-PAS-Degraded"), forwardedMessages(t, (*bodies)[len(*bodies)-1])[0].Content
-		}},
+		{"proxy", func() (string, string) { return askProxy(front.URL) }},
 		{"ring", func() (string, string) {
 			augmented, level, err := client.AugmentContextLevel(context.Background(), prompt, "")
 			if err != nil {
@@ -226,6 +235,9 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 
 	for i := range surfaces {
 		probe(i, "")
+	}
+	if flag, forwarded := askProxy(rewordFront.URL); flag != "1" || forwarded != prompt {
+		t.Fatalf("rewording augmenter: flag %q with %q forwarded, want 1 and the prompt as sent", flag, forwarded)
 	}
 	// Saturated: every request is shed and answered fail-open, and each
 	// shed pushes the ladder up...
