@@ -22,7 +22,7 @@ import (
 // Flags is the parsed form of the flags both serving daemons accept.
 type Flags struct {
 	// Serving is handed to System.EnableServing as is; pasproxy
-	// -replicas reads its breaker and degrade settings for the ring.
+	// -replicas reads its cache and degrade settings for the ring.
 	Serving pas.ServingConfig
 	*Obs
 }
@@ -43,8 +43,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&c.ComputeDelay, "compute-delay", 0, "pad every complement computation (overload-drill knob; leave 0 in production)")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 256, "max requests waiting for a computation slot (0 = shed instantly)")
 	fs.DurationVar(&c.QueueWait, "queue-wait", 100*time.Millisecond, "max wait for a slot before shedding")
-	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 8, "consecutive shed computations before the augment breaker opens (per replica with pasproxy -replicas; 0 disables)")
-	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 2*time.Second, "breaker open->half-open window")
 	fs.BoolVar(&c.Degrade, "degrade", true, "fail open: answer with the un-augmented prompt, flagged X-PAS-Degraded, instead of 503 when augmentation sheds")
 	return f
 }

@@ -27,7 +27,6 @@ func TestBindDefaults(t *testing.T) {
 	}
 	want := pas.ServingConfig{
 		CacheSize: 4096, MaxInFlight: 64, QueueDepth: 256, QueueWait: 100 * time.Millisecond,
-		BreakerThreshold: 8, BreakerCooldown: 2 * time.Second,
 		Degrade: true, DefaultTenantWeight: 1,
 	}
 	if !reflect.DeepEqual(f.Serving, want) {
@@ -57,8 +56,6 @@ func TestBindRoundTrip(t *testing.T) {
 		{"compute-delay", "25ms", func(f *Flags) any { return f.Serving.ComputeDelay }, 25 * time.Millisecond},
 		{"queue-depth", "0", func(f *Flags) any { return f.Serving.QueueDepth }, 0},
 		{"queue-wait", "250ms", func(f *Flags) any { return f.Serving.QueueWait }, 250 * time.Millisecond},
-		{"breaker-threshold", "0", func(f *Flags) any { return f.Serving.BreakerThreshold }, 0},
-		{"breaker-cooldown", "5s", func(f *Flags) any { return f.Serving.BreakerCooldown }, 5 * time.Second},
 		{"degrade", "false", func(f *Flags) any { return f.Serving.Degrade }, false},
 		{"debug-addr", "127.0.0.1:6061", func(f *Flags) any { return f.DebugAddr }, "127.0.0.1:6061"},
 		{"trace-sample", "100", func(f *Flags) any { return f.TraceSample }, 100},

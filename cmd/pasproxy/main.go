@@ -18,8 +18,7 @@
 // cmd/passerve, configured by the same flags (cmd/internal/daemon) —
 // result cache (-cache-size, -cache-ttl), single-flight dedup, bounded
 // tenant-fair admission under a fixed cap (-max-inflight,
-// -queue-depth, -queue-wait), the full → raw degradation ladder, and a
-// circuit breaker (-breaker-threshold, -breaker-cooldown).
+// -queue-depth, -queue-wait) and the full → raw degradation ladder.
 //
 // With -replicas the proxy instead routes each augmentation to the
 // replica owning its cache key on a consistent-hash ring (-vnodes
@@ -32,7 +31,10 @@
 // evicted from the ring — moving only its own keys — and rejoins on
 // recovery. A replica announcing "draining" is routed around without
 // any failure bookkeeping and rejoins when its status reads ok again.
-// -hedge races slow owners against their ring successor.
+// -hedge races slow owners against their ring successor, and each
+// replica sits behind its own circuit breaker (-breaker-threshold,
+// -breaker-cooldown): consecutive failed calls stop the proxy calling it
+// for a while.
 // GET /metricsz/cluster scrapes and merges every member's exposition.
 // The fleet is reshaped at runtime through /v1/cluster/replicas
 // (GET/POST/DELETE), enabled by -admin-token.
@@ -65,8 +67,7 @@ import (
 
 // options is pasproxy's command line: the shared serving flags (which
 // size the in-process core in single-node mode; -replicas uses the
-// cache, breaker and -degrade settings and ignores clusterIgnored) plus
-// its own.
+// cache and -degrade settings and ignores clusterIgnored) plus its own.
 type options struct {
 	*daemon.Flags
 	model, upstream, addr string
@@ -78,6 +79,8 @@ type options struct {
 	hedgeMin, hedgeMax          time.Duration
 	probeInterval, probeTimeout time.Duration
 	ringTimeout                 time.Duration
+	breakerThreshold            int
+	breakerCooldown             time.Duration
 }
 
 // clusterIgnored are the serving flags that do nothing with -replicas:
@@ -116,6 +119,8 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "target spacing between health probes of each replica")
 	fs.DurationVar(&o.probeTimeout, "probe-timeout", time.Second, "timeout for one health probe")
 	fs.IntVar(&o.downAfter, "down-after", 3, "consecutive failures that evict a replica from the ring")
+	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 8, "consecutive failed calls to a replica before its breaker opens (per-replica breaker, with -replicas; 0 disables)")
+	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 2*time.Second, "breaker open->half-open window (per-replica breaker, with -replicas)")
 	fs.DurationVar(&o.ringTimeout, "ring-timeout", 5*time.Second, "timeout for one augmentation attempt against one replica")
 	fs.StringVar(&o.adminToken, "admin-token", "", "token for the /v1/cluster/replicas membership API (empty keeps it disabled)")
 	return o
@@ -166,8 +171,8 @@ func main() {
 			Replicas:         urls,
 			VNodes:           o.vnodes,
 			RequestTimeout:   o.ringTimeout,
-			BreakerThreshold: o.Serving.BreakerThreshold,
-			BreakerCooldown:  o.Serving.BreakerCooldown,
+			BreakerThreshold: o.breakerThreshold,
+			BreakerCooldown:  o.breakerCooldown,
 			Hedge:            o.hedge,
 			HedgeMin:         o.hedgeMin,
 			HedgeMax:         o.hedgeMax,

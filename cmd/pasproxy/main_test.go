@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	pas "repro"
 	"repro/cmd/internal/daemon"
@@ -42,8 +43,8 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 			t.Errorf("-%s: pasproxy has %+v, the binder %+v", w.Name, g, w)
 		}
 	})
-	if n < 16 {
-		t.Fatalf("the binder declared %d flags, want the 14 serving + 2 observability ones", n)
+	if n < 14 {
+		t.Fatalf("the binder declared %d flags, want the 12 serving + 2 observability ones", n)
 	}
 }
 
@@ -51,7 +52,7 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 // flag either reaches ring.Config or is in clusterIgnored and named at
 // start-up when set, so none is dropped without a word.
 func TestClusterModeAccountsForEveryServingFlag(t *testing.T) {
-	used := []string{"cache-size", "cache-ttl", "breaker-threshold", "breaker-cooldown", "degrade"}
+	used := []string{"cache-size", "cache-ttl", "degrade"}
 	obsFlags := flag.NewFlagSet("obs", flag.ContinueOnError)
 	daemon.BindObs(obsFlags)
 	serving := flag.NewFlagSet("daemon", flag.ContinueOnError)
@@ -77,6 +78,13 @@ func TestClusterModeAccountsForEveryServingFlag(t *testing.T) {
 	}
 	if got := setButIgnored(fs); !slices.Equal(got, []string{"max-inflight", "queue-depth"}) || o.Serving.CacheSize != 10 {
 		t.Fatalf("set but ignored = %v, cache size %d; want [max-inflight queue-depth], 10", got, o.Serving.CacheSize)
+	}
+	// The per-replica breaker is the proxy's own pair of flags — the
+	// serving core has no breaker — at the defaults the shared binder
+	// used to give them.
+	if serving.Lookup("breaker-threshold") != nil || serving.Lookup("breaker-cooldown") != nil ||
+		o.breakerThreshold != 8 || o.breakerCooldown != 2*time.Second {
+		t.Fatalf("per-replica breaker flags: threshold %d, cooldown %v; want pasproxy's own, 8 and 2s", o.breakerThreshold, o.breakerCooldown)
 	}
 }
 

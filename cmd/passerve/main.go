@@ -16,11 +16,9 @@
 // result cache (-cache-size, -cache-ttl), single-flight deduplication of
 // concurrent identical prompts, and a bounded admission queue
 // (-max-inflight, -queue-depth, -queue-wait) that sheds overload with
-// 503 + Retry-After. Consecutive sheds open a circuit breaker
-// (-breaker-threshold, -breaker-cooldown), and with -degrade (default
-// on) a request the augmentation path cannot serve is answered 200 with
-// the raw prompt — flagged X-PAS-Degraded and counted in /v1/stats —
-// instead of a 503.
+// 503 + Retry-After. With -degrade (default on) a request the
+// augmentation path cannot serve is answered 200 with the raw prompt —
+// flagged X-PAS-Degraded and counted in /v1/stats — instead of a 503.
 //
 // The in-flight cap (-max-inflight) is fixed: M_p's service time does
 // not rise with concurrency, so nothing adapts it and a shed request

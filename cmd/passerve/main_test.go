@@ -34,8 +34,8 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 			t.Errorf("-%s: passerve has %+v, the binder %+v", w.Name, g, w)
 		}
 	})
-	if n < 16 {
-		t.Fatalf("the binder declared %d flags, want the 14 serving + 2 observability ones", n)
+	if n < 14 {
+		t.Fatalf("the binder declared %d flags, want the 12 serving + 2 observability ones", n)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // TestLoadModulePackages smoke-tests the loader against the repository
-// itself: module-local recursion (serving imports resilience), stdlib
+// itself: module-local recursion (serving imports obs), stdlib
 // source-importing (net/http closure), and directive collection all run
 // on real input.
 func TestLoadModulePackages(t *testing.T) {
@@ -33,12 +33,12 @@ func TestLoadModulePackages(t *testing.T) {
 	// intra-module imports, not error sentinels.
 	found := false
 	for _, imp := range sv.Types.Imports() {
-		if imp.Path() == "repro/internal/resilience" {
+		if imp.Path() == "repro/internal/obs" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("serving package lost its resilience import: %v", sv.Types.Imports())
+		t.Fatalf("serving package lost its obs import: %v", sv.Types.Imports())
 	}
 }
 

@@ -50,18 +50,6 @@ func TestDrainRefusesNewWorkServesHits(t *testing.T) {
 	if got := atomic.LoadInt64(&calls); got != 1 {
 		t.Fatalf("compute calls = %d, want 1 (drain must not compute)", got)
 	}
-	// Drain sheds are an operator action, not breaker food: with a
-	// 1-threshold breaker armed, drain sheds must not open it.
-	b := mustNew(t, countingFunc(&calls), Config{CacheSize: -1, BreakerThreshold: 1})
-	b.Drain()
-	for i := 0; i < 3; i++ {
-		if _, err := b.Do(ctx, "p", "", "m"); !errors.Is(err, ErrDraining) {
-			t.Fatalf("draining core returned %v, want ErrDraining (breaker must stay closed)", err)
-		}
-	}
-	if bs := b.Stats(); bs.Breaker.State != "closed" {
-		t.Fatalf("breaker after drain sheds: %+v, want closed", b.Stats().Breaker)
-	}
 }
 
 // TestDrainLetsInFlightFinishAndQuiesce: a computation admitted before

@@ -9,19 +9,18 @@ import (
 
 // shedFixture is an overloaded single-slot core with every distress
 // signal available on demand: the slot held, the one-deep queue full,
-// a 1-threshold breaker that can be tripped, and Drain a call away.
+// and Drain a call away.
 type shedFixture struct {
 	core    *Core
 	release func()
 }
 
-func newShedFixture(t *testing.T, breakerThreshold int, degrade bool) *shedFixture {
+func newShedFixture(t *testing.T, degrade bool) *shedFixture {
 	t.Helper()
 	c, release := occupied(t, Config{
-		QueueDepth:       1,
-		QueueWait:        5 * time.Second,
-		BreakerThreshold: breakerThreshold,
-		Degrade:          degrade,
+		QueueDepth: 1,
+		QueueWait:  5 * time.Second,
+		Degrade:    degrade,
 	})
 	return &shedFixture{core: c, release: release}
 }
@@ -38,29 +37,13 @@ func (f *shedFixture) fillQueue(t *testing.T) chan error {
 	return done
 }
 
-// tripBreaker opens the 1-threshold breaker with one queue-full shed
-// (which a fail-open fixture answers at the raw rung, without error).
-func (f *shedFixture) tripBreaker(t *testing.T) {
-	t.Helper()
-	parked := f.fillQueue(t)
-	if _, err := f.core.Do(context.Background(), "tripper", "", "m"); err != nil && !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("tripper: err = %v, want ErrQueueFull", err)
-	}
-	if st := f.core.Stats(); st.Breaker.State != "open" {
-		t.Fatalf("breaker not open after shed: %+v", f.core.Stats().Breaker)
-	}
-	// Drain the parked waiter's error later via the caller if needed;
-	// it stays queued and completes once the slot frees.
-	go func() { <-parked }()
-}
-
 // TestDrainDuringFullQueueShedsDraining is the satellite regression:
 // a request refused while the core drains counts shed_draining even
 // when the queue is simultaneously full — the drain is the reason, the
 // full queue is incidental. The parked waiter, admitted pre-drain,
 // still completes.
 func TestDrainDuringFullQueueShedsDraining(t *testing.T) {
-	f := newShedFixture(t, 0, false)
+	f := newShedFixture(t, false)
 	parked := f.fillQueue(t)
 
 	f.core.Drain()
@@ -81,7 +64,7 @@ func TestDrainDuringFullQueueShedsDraining(t *testing.T) {
 // TestShedPrecedenceMatrix pins the refusal order when several
 // conditions hold at once:
 //
-//	client gone > draining > breaker open > queue full > wait budget
+//	client gone > draining > queue full > wait budget
 //
 // Each row stacks every condition at and below its own, so the matrix
 // proves each signal outranks everything beneath it. The degrade rows
@@ -96,30 +79,29 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		breaker  int  // threshold; 0 = unarmed
-		trip     bool // open the breaker first
 		fill     bool // park a waiter in the queue
 		drain    bool
 		degrade  bool // Config.Degrade
 		ctx      context.Context
-		wantErr  error // nil: served at LevelRaw and counted degraded
+		timeout  time.Duration // see rowCtx
+		wantErr  error         // nil: served at LevelRaw and counted degraded
 		wantShed func(Stats) (int64, string)
 	}{
 		{
-			name:    "cancelled client outranks drain+breaker+full queue",
-			breaker: 1, trip: true, fill: true, drain: true,
+			name: "cancelled client outranks drain+full queue",
+			fill: true, drain: true,
 			ctx:     cancelled,
 			wantErr: context.Canceled,
 		},
 		{
-			name:    "expired client deadline outranks drain",
-			breaker: 0, fill: true, drain: true,
+			name: "expired client deadline outranks drain",
+			fill: true, drain: true,
 			ctx:     expired,
 			wantErr: context.DeadlineExceeded,
 		},
 		{
-			name:    "draining outranks open breaker and full queue",
-			breaker: 1, trip: true, fill: true, drain: true,
+			name: "draining outranks full queue",
+			fill: true, drain: true,
 			ctx:     context.Background(),
 			wantErr: ErrDraining,
 			wantShed: func(s Stats) (int64, string) {
@@ -127,17 +109,8 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			},
 		},
 		{
-			name:    "open breaker outranks full queue",
-			breaker: 1, trip: true, fill: true,
-			ctx:     context.Background(),
-			wantErr: ErrBreakerOpen,
-			wantShed: func(s Stats) (int64, string) {
-				return s.ShedBreaker, "shed_breaker"
-			},
-		},
-		{
 			name:    "full queue outranks wait budget",
-			breaker: 0, fill: true,
+			fill:    true,
 			ctx:     context.Background(),
 			wantErr: ErrQueueFull,
 			wantShed: func(s Stats) (int64, string) {
@@ -146,8 +119,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 		},
 		{
 			name:    "wait budget is the last resort",
-			breaker: 0,
-			ctx:     deadlineCtx(30 * time.Millisecond),
+			timeout: 30 * time.Millisecond,
 			wantErr: ErrDeadline,
 			wantShed: func(s Stats) (int64, string) {
 				return s.ShedDeadline, "shed_deadline"
@@ -160,20 +132,12 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			wantErr: context.Canceled,
 		},
 		{
-			name:    "fail-open: draining sheds, never degrades",
-			breaker: 1, trip: true, fill: true, drain: true, degrade: true,
+			name: "fail-open: draining sheds, never degrades",
+			fill: true, drain: true, degrade: true,
 			ctx:     context.Background(),
 			wantErr: ErrDraining,
 			wantShed: func(s Stats) (int64, string) {
 				return s.ShedDraining, "shed_draining"
-			},
-		},
-		{
-			name:    "fail-open: open breaker is answered at the raw rung",
-			breaker: 1, trip: true, fill: true, degrade: true,
-			ctx: context.Background(),
-			wantShed: func(s Stats) (int64, string) {
-				return s.ShedBreaker, "shed_breaker"
 			},
 		},
 		{
@@ -187,13 +151,10 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newShedFixture(t, tc.breaker, tc.degrade)
+			f := newShedFixture(t, tc.degrade)
 			defer f.release()
-			if tc.trip {
-				f.tripBreaker(t)
-			}
 			var parked chan error
-			if tc.fill && !tc.trip { // tripBreaker already filled the queue
+			if tc.fill {
 				parked = f.fillQueue(t)
 			}
 			before, _ := int64(0), ""
@@ -205,7 +166,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			}
 			degradedBefore := f.core.Stats().Degraded
 
-			v, level, err := f.core.DoLevel(tc.ctx, "victim", "", "m")
+			v, level, err := f.core.DoLevel(rowCtx(t, tc.ctx, tc.timeout), "victim", "", "m")
 			wantDegraded := degradedBefore
 			if tc.wantErr == nil {
 				wantDegraded++
@@ -230,6 +191,50 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			}
 			waitFor(t, func() bool { return f.core.Stats().InFlight == 0 })
 		})
+	}
+}
+
+// TestFollowerDoesNotInheritItsLeadersClient: a single-flight follower
+// shares its leader's result and its leader's shed, not its leader's
+// client. When the leader's client hangs up while the leader is queued,
+// a follower whose own context is live takes the key over and is served;
+// it used to be handed the leader's context.Canceled, which is no
+// overload, so a fail-open core answered it with an error.
+func TestFollowerDoesNotInheritItsLeadersClient(t *testing.T) {
+	c, release := occupied(t, Config{QueueDepth: 4, QueueWait: 5 * time.Second, Degrade: true})
+	defer release()
+
+	leaderCtx, hangUp := context.WithCancel(WithTenant(context.Background(), "a"))
+	defer hangUp()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Do(leaderCtx, "shared", "", "m")
+		leader <- err
+	}()
+	waitFor(t, func() bool { return c.Stats().QueueDepth == 1 })
+
+	type answer struct {
+		v     string
+		level Level
+		err   error
+	}
+	follower := make(chan answer, 1)
+	go func() {
+		v, level, err := c.DoLevel(WithTenant(context.Background(), "b"), "shared", "", "m")
+		follower <- answer{v, level, err}
+	}()
+	waitFor(t, func() bool { return c.flight.waiters(Key("shared", "", "m")) == 1 })
+
+	hangUp()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader whose client hung up: err = %v, want context.Canceled", err)
+	}
+	release()
+	if got := <-follower; got.err != nil || got.level != LevelFull || got.v != "pc:shared" {
+		t.Fatalf("follower with a live client = (%q, %v, %v), want (\"pc:shared\", full, nil)", got.v, got.level, got.err)
+	}
+	if st := c.Stats(); st.Shed != 0 || st.Degraded != 0 {
+		t.Fatalf("a hung-up leader is no shed: shed = %d, degraded = %d", st.Shed, st.Degraded)
 	}
 }
 
@@ -290,8 +295,8 @@ func TestCapHoldsAfterDeadlineMisses(t *testing.T) {
 }
 
 // TestShedIsOneAttempt: a shed request is not retried — it returns at
-// once and enters the core exactly once — and the deprecated LimitFloor,
-// Retries and RetryBudget fields change nothing about that.
+// once and enters the core exactly once — and the five deprecated fields
+// change nothing about that.
 func TestShedIsOneAttempt(t *testing.T) {
 	type result struct {
 		v                    string
@@ -324,7 +329,7 @@ func TestShedIsOneAttempt(t *testing.T) {
 	if zero.entered != 1 {
 		t.Fatalf("one shed request entered the core %d times, want 1", zero.entered)
 	}
-	if inert := shed(Config{LimitFloor: 7, Retries: 3, RetryBudget: time.Hour}); inert != zero {
+	if inert := shed(Config{LimitFloor: 7, Retries: 3, RetryBudget: time.Hour, BreakerThreshold: 1, BreakerCooldown: -time.Hour}); inert != zero {
 		t.Fatalf("deprecated fields changed a shed:\n got %+v\nwant %+v", inert, zero)
 	}
 }

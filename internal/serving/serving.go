@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Func computes the complementary prompt p_c = M_p(p). It must be safe
@@ -51,10 +50,6 @@ var (
 	// wait budget (QueueWait, or less when the context deadline is
 	// nearer).
 	ErrDeadline = errors.New("serving: queue wait budget exhausted")
-	// ErrBreakerOpen reports that the augmentation breaker is open:
-	// recent computations kept shedding, so the core fails fast instead
-	// of queueing more doomed work.
-	ErrBreakerOpen = fmt.Errorf("serving: augmentation breaker open: %w", resilience.ErrOpen)
 	// ErrDraining reports that the core is draining for shutdown: new
 	// computations are refused so the process can quiesce, while cache
 	// hits and computations already admitted (or attached to in flight)
@@ -89,14 +84,6 @@ type Config struct {
 	// QueueWait is the longest a request waits for a slot before being
 	// shed; the context deadline tightens it per request. Default 100ms.
 	QueueWait time.Duration
-	// BreakerThreshold sizes the circuit breaker over the computation
-	// path: after that many consecutive shed computations the core
-	// fails fast with ErrBreakerOpen for BreakerCooldown, then admits a
-	// single probe per half-open window. 0 means it never trips
-	// (resilience.BreakerConfig.Threshold).
-	BreakerThreshold int
-	// BreakerCooldown is the open→half-open window. Default 2s.
-	BreakerCooldown time.Duration
 
 	// Degrade fails open: a request the core would shed is answered at
 	// LevelRaw — the caller proceeds with the un-augmented prompt —
@@ -108,9 +95,11 @@ type Config struct {
 	// Deprecated: read by nothing; kept one round because bench/pasperf's
 	// frozen config literals name them; deleted with ROADMAP item 4's
 	// [benchmark] edit.
-	LimitFloor  int
-	Retries     int
-	RetryBudget time.Duration
+	LimitFloor       int
+	Retries          int
+	RetryBudget      time.Duration
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
 
 	// TenantWeights assigns DRR weights to known tenant ids; any other
 	// tenant gets DefaultTenantWeight (default 1). Under contention a
@@ -135,8 +124,8 @@ type Config struct {
 	// replica (see the README's "Surviving overload" runbook). 0 off.
 	ComputeDelay time.Duration
 
-	// Now injects the clock for TTL expiry and breaker cooldowns; tests
-	// pin it. Default time.Now.
+	// Now injects the clock for TTL expiry and the waits and durations
+	// the core measures; tests pin it. Default time.Now.
 	Now func() time.Time
 }
 
@@ -167,15 +156,6 @@ func (cfg *Config) applyDefaults() error {
 	}
 	if cfg.QueueWait < 0 {
 		return fmt.Errorf("serving: QueueWait must be >= 0, got %v", cfg.QueueWait)
-	}
-	if cfg.BreakerThreshold < 0 {
-		return fmt.Errorf("serving: BreakerThreshold must be >= 0, got %d", cfg.BreakerThreshold)
-	}
-	if cfg.BreakerCooldown < 0 {
-		return fmt.Errorf("serving: BreakerCooldown must be >= 0, got %v", cfg.BreakerCooldown)
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.DefaultTenantWeight == 0 {
 		cfg.DefaultTenantWeight = 1
@@ -217,10 +197,9 @@ type Core struct {
 	cfg   Config
 	cache *Cache // nil when caching is disabled
 
-	flight  flightGroup
-	sched   *scheduler
-	gauge   *pressureGauge      // picks the ladder rung misses are served at
-	breaker *resilience.Breaker // opens on consecutive shed computations
+	flight flightGroup
+	sched  *scheduler
+	gauge  *pressureGauge // picks the ladder rung misses are served at
 
 	// draining, once set, refuses new computations (ErrDraining) while
 	// in-flight and cache-hit traffic keeps being served; see Drain.
@@ -230,7 +209,6 @@ type Core struct {
 	dedupHits     int64
 	shedQueueFull int64
 	shedDeadline  int64
-	shedBreaker   int64
 	shedDraining  int64
 	degraded      int64
 	servedRaw     int64
@@ -286,11 +264,6 @@ func New(fn Func, cfg Config) (*Core, error) {
 	if cfg.CacheSize > 0 {
 		c.cache = NewCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
 	}
-	c.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-		Threshold: cfg.BreakerThreshold,
-		Cooldown:  cfg.BreakerCooldown,
-		Now:       cfg.Now,
-	})
 	return c, nil
 }
 
@@ -409,13 +382,10 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		// The drain gate sits exactly here — after the cache lookup and
 		// the follower attach — so a draining core still answers repeat
 		// traffic (hits) and requests that joined an in-flight
-		// computation, but never starts new work. Shedding before the
-		// breaker keeps drain out of the breaker's failure accounting:
-		// draining is an operator action, not a health signal. And
-		// because the gate precedes the queue-capacity check, a drain
-		// that lands on a full queue still counts shed_draining — the
-		// drain is the reason the request is refused, the full queue is
-		// incidental.
+		// computation, but never starts new work. And because the gate
+		// precedes the queue-capacity check, a drain that lands on a
+		// full queue still counts shed_draining — the drain is the
+		// reason the request is refused, the full queue is incidental.
 		tq := c.sched.arrive(TenantFrom(ctx))
 		if c.draining.Load() {
 			atomic.AddInt64(&c.shedDraining, 1)
@@ -424,25 +394,10 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		}
 		_, qspan := obs.StartSpan(ctx, "serving.queue_wait")
 		qspan.SetAttr("singleflight.role", "leader")
-		// The breaker guards the leader only: followers share the
-		// leader's outcome, and cache hits never reach this point, so
-		// one failed computation is one recorded failure.
-		qspan.SetAttr("breaker.state", c.breaker.Stats().State)
-		done, berr := c.breaker.Allow()
-		if berr != nil {
-			atomic.AddInt64(&c.shedBreaker, 1)
-			c.sched.shedOther(tq)
-			qspan.SetError(ErrBreakerOpen)
-			qspan.End()
-			return "", ErrBreakerOpen
-		}
 		admitStart := c.cfg.Now()
 		release, err := c.sched.acquire(ctx, tq, c.waitBudget(ctx))
 		if err != nil {
 			c.noteShed(err)
-			// Shed computations are the breaker's failure signal; a
-			// cancelled client says nothing about core health.
-			done(!Overloaded(err))
 			qspan.SetError(err)
 			qspan.End()
 			return "", err
@@ -463,7 +418,6 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		if c.cache != nil {
 			c.cache.Put(key, out)
 		}
-		done(true)
 		return out, nil
 	})
 }
@@ -558,11 +512,9 @@ func (c *Core) Quiesce(ctx context.Context) error {
 }
 
 // Overloaded reports whether err is one of the core's shedding errors
-// (including an open breaker and a draining core), for which the caller
-// should answer 503 with a Retry-After hint. DoLevel returns one only
-// when it could not degrade instead: Config.Degrade is off, or the core
-// is draining.
+// (a draining core's included), for which the caller should answer 503
+// with a Retry-After hint. DoLevel returns one only when it could not
+// degrade instead: Config.Degrade is off, or the core is draining.
 func Overloaded(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadline) ||
-		errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrDraining)
+	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrDraining)
 }

@@ -260,6 +260,7 @@ func TestLoadShedding(t *testing.T) {
 		name    string
 		cfg     Config
 		ctx     context.Context
+		timeout time.Duration // when set, ctx is built in the subtest with this deadline
 		wantErr error
 		check   func(Stats) error
 	}{
@@ -290,7 +291,7 @@ func TestLoadShedding(t *testing.T) {
 		{
 			name:    "context deadline tightens the wait",
 			cfg:     Config{QueueDepth: 4, QueueWait: time.Hour},
-			ctx:     deadlineCtx(30 * time.Millisecond),
+			timeout: 30 * time.Millisecond,
 			wantErr: ErrDeadline,
 		},
 		{
@@ -310,7 +311,7 @@ func TestLoadShedding(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, releaseOccupier := occupied(t, tc.cfg)
 			defer releaseOccupier()
-			_, err := c.Do(tc.ctx, "victim", "", "m")
+			_, err := c.Do(rowCtx(t, tc.ctx, tc.timeout), "victim", "", "m")
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -333,9 +334,17 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
-func deadlineCtx(d time.Duration) context.Context {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	_ = cancel // released when the test binary exits; the timeout is the point
+// rowCtx is a table row's context: ctx as the table holds it, or, for a
+// row with a timeout, one whose clock starts now, inside the subtest. A
+// deadline set when the table was built could pass during set-up on a
+// busy machine, and the request then failed the entry check instead of
+// the queue wait.
+func rowCtx(t *testing.T, ctx context.Context, timeout time.Duration) context.Context {
+	if timeout == 0 {
+		return ctx
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	t.Cleanup(cancel)
 	return ctx
 }
 

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -23,6 +24,9 @@ type flightCall struct {
 	done chan struct{}
 	val  string
 	err  error
+	// gone marks err as the leader's own context ending — its client
+	// hung up while it queued — which is no outcome to share.
+	gone bool
 	// dups counts followers that attached to this call; read by tests
 	// and by the core's dedup-hit counter.
 	dups int64
@@ -32,17 +36,27 @@ type flightCall struct {
 // whether this caller was a follower (shared someone else's execution).
 // Followers return early with ctx.Err() when their context ends first;
 // the leader always runs fn to completion so the result can still be
-// cached for everyone else.
+// cached for everyone else. A follower shares the leader's result and
+// the leader's shed, but not the leader's client: when the call ended
+// because the leader's context did, a follower whose own context is
+// live goes round again, to lead the key itself or join a newer call.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (string, error)) (val string, shared bool, err error) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
-	}
-	if c, ok := g.calls[key]; ok {
+	for {
+		g.mu.Lock()
+		if g.calls == nil {
+			g.calls = make(map[string]*flightCall)
+		}
+		c, ok := g.calls[key]
+		if !ok {
+			break
+		}
 		atomic.AddInt64(&c.dups, 1)
 		g.mu.Unlock()
 		select {
 		case <-c.done:
+			if c.gone && ctx.Err() == nil {
+				continue
+			}
 			return c.val, true, c.err
 		case <-ctx.Done():
 			return "", true, ctx.Err()
@@ -53,6 +67,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (string, err
 	g.mu.Unlock()
 
 	c.val, c.err = fn()
+	c.gone = c.err != nil && errors.Is(c.err, ctx.Err())
 
 	g.mu.Lock()
 	delete(g.calls, key)

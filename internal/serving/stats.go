@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Stats is a point-in-time snapshot of the serving core, shaped for
@@ -27,12 +26,10 @@ type Stats struct {
 	Completed int64 `json:"completed"`
 
 	// Shed totals the load-shedding outcomes; the components tell
-	// overload apart from tight deadlines, a tripped breaker, and a
-	// draining core.
+	// overload apart from tight deadlines and a draining core.
 	Shed          int64 `json:"shed"`
 	ShedQueueFull int64 `json:"shed_queue_full"`
 	ShedDeadline  int64 `json:"shed_deadline"`
-	ShedBreaker   int64 `json:"shed_breaker"`
 	ShedDraining  int64 `json:"shed_draining"`
 
 	// Draining reports that Drain was called: the core refuses new
@@ -66,10 +63,6 @@ type Stats struct {
 	// Tenants is the per-tenant admission accounting, sorted by id.
 	Tenants []TenantStats `json:"tenants,omitempty"`
 
-	// Breaker is the augmentation breaker's snapshot (with
-	// BreakerThreshold 0: closed, zero opens, forever).
-	Breaker resilience.BreakerStats `json:"breaker"`
-
 	// DedupHits counts requests served by attaching to another
 	// request's in-flight computation.
 	DedupHits int64 `json:"dedup_hits"`
@@ -90,7 +83,6 @@ func (c *Core) Stats() Stats {
 		Requests:      atomic.LoadInt64(&c.requests),
 		ShedQueueFull: atomic.LoadInt64(&c.shedQueueFull),
 		ShedDeadline:  atomic.LoadInt64(&c.shedDeadline),
-		ShedBreaker:   atomic.LoadInt64(&c.shedBreaker),
 		ShedDraining:  atomic.LoadInt64(&c.shedDraining),
 		Draining:      c.draining.Load(),
 		Degraded:      atomic.LoadInt64(&c.degraded),
@@ -101,7 +93,7 @@ func (c *Core) Stats() Stats {
 		s.Completed += h.Count()
 	}
 	s.DedupHits = atomic.LoadInt64(&c.dedupHits)
-	s.Shed = s.ShedQueueFull + s.ShedDeadline + s.ShedBreaker + s.ShedDraining
+	s.Shed = s.ShedQueueFull + s.ShedDeadline + s.ShedDraining
 	score, level, transitions, waitMs, svcMs := c.gauge.snapshot()
 	s.PressureScore = score
 	s.PressureLevel = level.String()
@@ -110,7 +102,6 @@ func (c *Core) Stats() Stats {
 	s.ServiceEWMAMs = svcMs
 	s.RetryAfterHintS = c.gauge.retryAfter(waiting, s.Limit)
 	s.Tenants = c.sched.tenantStats()
-	s.Breaker = c.breaker.Stats()
 	if c.cache != nil {
 		s.Cache = c.cache.Stats()
 		if lookups := s.Cache.Hits + s.Cache.Misses; lookups > 0 {
@@ -136,8 +127,6 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 			float64(s.ShedQueueFull), "reason", "queue_full")
 		e.Counter("pas_serving_shed_total", "Requests shed, by reason.",
 			float64(s.ShedDeadline), "reason", "deadline")
-		e.Counter("pas_serving_shed_total", "Requests shed, by reason.",
-			float64(s.ShedBreaker), "reason", "breaker")
 		e.Counter("pas_serving_shed_total", "Requests shed, by reason.",
 			float64(s.ShedDraining), "reason", "draining")
 		draining := 0.0
@@ -171,9 +160,6 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_serving_cache_evictions_total", "Result-cache LRU evictions.", float64(s.Cache.Evictions))
 		e.Counter("pas_serving_cache_expiries_total", "Result-cache TTL expiries.", float64(s.Cache.Expiries))
 		e.Gauge("pas_serving_cache_entries", "Result-cache entries resident.", float64(s.Cache.Entries))
-		e.Gauge("pas_serving_breaker_state", "Augmentation breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
-		e.Counter("pas_serving_breaker_opens_total", "Times the augmentation breaker opened.", float64(s.Breaker.Opens))
-		e.Counter("pas_serving_breaker_rejections_total", "Requests rejected by the open breaker.", float64(s.Breaker.Rejections))
 	})
 }
 

@@ -79,7 +79,7 @@ type tenantQ struct {
 	admitted      int64
 	shedQueueFull int64
 	shedDeadline  int64
-	shedOther     int64 // draining + breaker sheds, counted by the core
+	shedOther     int64 // drain sheds, counted by the core
 }
 
 // waiter is one queued admission request. grant is closed (under
@@ -140,8 +140,8 @@ func (s *scheduler) tenantLocked(id string) *tenantQ {
 	return tq
 }
 
-// shedOther records a pre-admission shed (draining core or open
-// breaker) against the tenant, keeping per-tenant shed totals honest.
+// shedOther records a pre-admission shed (a draining core's) against
+// the tenant, keeping per-tenant shed totals honest.
 func (s *scheduler) shedOther(tq *tenantQ) {
 	s.mu.Lock()
 	tq.shedOther++
@@ -348,8 +348,8 @@ type TenantStats struct {
 	Shed          int64 `json:"shed"`
 	ShedQueueFull int64 `json:"shed_queue_full"`
 	ShedDeadline  int64 `json:"shed_deadline"`
-	// ShedOther counts draining and breaker sheds attributed to the
-	// tenant before admission.
+	// ShedOther counts the tenant's drain sheds — the one refusal made
+	// before admission.
 	ShedOther int64 `json:"shed_other,omitempty"`
 }
 

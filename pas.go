@@ -229,11 +229,10 @@ func (s *System) Enhance(main Chatter, prompt, salt string) (Enhanced, error) {
 
 // EnhanceContext runs the full plug-and-play path under ctx: the
 // complement goes through the serving core when one is enabled
-// (cache, dedup, admission, breaker), and with
-// ServingConfig.Degrade a PAS-side failure falls back to the raw
-// prompt — the main-model call always happens, so augmentation can
-// only add value, never availability risk. Main-model errors are the
-// downstream's own and propagate unchanged.
+// (cache, dedup, admission), and with ServingConfig.Degrade a PAS-side
+// failure falls back to the raw prompt — the main-model call always
+// happens, so augmentation can only add value, never availability risk.
+// Main-model errors are the downstream's own and propagate unchanged.
 func (s *System) EnhanceContext(ctx context.Context, main Chatter, prompt, salt string) (Enhanced, error) {
 	if main == nil {
 		return Enhanced{}, fmt.Errorf("pas: nil downstream model")

@@ -182,22 +182,21 @@ func (b *chatBody) Close() error {
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/chat/completions") {
 		actx, span := obs.StartSpan(r.Context(), "proxy.augment")
-		level, err := p.augmentRequest(actx, r)
+		level, status, err := p.augmentRequest(actx, r)
 		span.SetAttrBool("degraded", level != "")
 		if err != nil {
 			span.SetError(err)
 		}
 		span.End()
 		if err != nil {
-			status := http.StatusBadRequest
-			if IsOverloaded(err) {
-				// The serving core shed the augmentation: it is running
-				// fail-closed (ServingConfig.Degrade off) or draining. Tell
-				// the client to retry, after as long as the augmenter
-				// expects the congestion to last when it can say. With
-				// Degrade on, overload never gets here — the core answered
-				// at the raw rung and the response is flagged below instead.
-				status = http.StatusServiceUnavailable
+			if status == http.StatusServiceUnavailable {
+				// The augmenter failed — the serving core shed while
+				// fail-closed (ServingConfig.Degrade off) or draining, or
+				// the fleet is unreachable with -degrade=false. That is
+				// PAS's failure, not the client's: retry, after as long as
+				// the augmenter expects the congestion to last when it can
+				// say. With Degrade on none of this gets here — the
+				// augmenter answered raw and the response is flagged below.
 				retryAfter := 1
 				if h, ok := p.system.(interface{ RetryAfterHint() int }); ok {
 					retryAfter = h.RetryAfterHint()
@@ -240,12 +239,15 @@ const maxChatBody = 4 << 20
 // an error; the prompt and the salt the augmenter gets are copies.
 //
 // The returned level is the X-PAS-Degraded wire value ("" when the
-// augmentation ran at full quality). ctx carries the caller's span in
+// augmentation ran at full quality). An error comes with the status it
+// is answered with, decided by where it arose: 400 for a body that could
+// not be read — the one failure that is the client's — and 503 for
+// anything the augmenter returned. ctx carries the caller's span in
 // addition to r.Context()'s deadline and cancellation, so augmentation
 // work parents under it.
-func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level string, _ error) {
+func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level string, status int, _ error) {
 	if r.ContentLength > maxChatBody {
-		return "1", nil
+		return "1", 0, nil
 	}
 	buf := wire.GetBuffer()
 	// Sized from Content-Length; the spare bytes.MinRead lets ReadAll see
@@ -253,7 +255,7 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	buf.B = slices.Grow(buf.B, int(max(r.ContentLength, 0))+bytes.MinRead)
 	if err := buf.ReadAll(io.LimitReader(r.Body, maxChatBody+1)); err != nil {
 		buf.Release()
-		return "", fmt.Errorf("reading request: %w", err)
+		return "", http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
 	}
 	if len(buf.B) > maxChatBody {
 		// No declared length and more than the proxy will hold: what was
@@ -263,7 +265,7 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 			io.Reader
 			io.Closer
 		}{io.MultiReader(bytes.NewReader(buf.B), r.Body), r.Body}
-		return "1", nil
+		return "1", 0, nil
 	}
 	_ = r.Body.Close() // request body: nothing actionable on close failure
 
@@ -275,14 +277,14 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 		// Salt from the raw seed value if present, for reproducible proxies.
 		salt := string(buf.B[scan.seedStart:scan.seedEnd])
 		prompt := wire.Unquote(buf.B[scan.contentStart:scan.contentEnd])
-		// Through the serving core (cache + dedup + admission + breaker)
-		// when the system has one; the request context propagates
-		// deadlines and client disconnects into the queue. With Degrade
-		// enabled a PAS-side failure leaves the message untouched.
+		// Through the serving core (cache + dedup + admission) when the
+		// system has one; the request context propagates deadlines and
+		// client disconnects into the queue. With Degrade enabled a
+		// PAS-side failure leaves the message untouched.
 		augmented, lvl, err := p.augmentLevel(ctx, prompt, salt)
 		if err != nil {
 			buf.Release()
-			return "", err
+			return "", http.StatusServiceUnavailable, err
 		}
 		level = lvl
 		if tail, ok := strings.CutPrefix(augmented, prompt); ok {
@@ -296,7 +298,7 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	r.Body = &chatBody{buf: buf}
 	r.ContentLength = int64(len(buf.B))
 	r.Header.Set("Content-Length", strconv.Itoa(len(buf.B)))
-	return level, nil
+	return level, 0, nil
 }
 
 // spliceEscaped inserts s, escaped for the inside of a string literal

@@ -141,8 +141,8 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// TestProxyErrorEnvelopesAreJSON: the three answers the proxy gives in
-// its own name — 400, 503 and 502 — are one envelope, declared as JSON,
+// TestProxyErrorEnvelopesAreJSON: the answers the proxy gives in its own
+// name — 503 for anything its augmenter returns, 502 — are one envelope, declared as JSON,
 // marked nosniff, and JSON whatever the error text holds. A fail-closed
 // ring error quotes bytes of a replica's reply; %q would have spelled
 // \x01 the Go way, which no JSON reader accepts.
@@ -155,7 +155,7 @@ func TestProxyErrorEnvelopesAreJSON(t *testing.T) {
 		err                    error
 		fromTransport          bool
 	}{
-		{name: "augmenter error", status: 400, kind: "pas_proxy_error", err: errors.New(text)},
+		{name: "augmenter error", status: 503, kind: "pas_proxy_error", retryAfter: "1", err: errors.New(text)},
 		{name: "shed", status: 503, kind: "pas_proxy_error", retryAfter: "1", err: fmt.Errorf("%s: %w", text, serving.ErrQueueFull)},
 		{name: "upstream unreachable", status: 502, kind: "upstream_unreachable", err: errors.New(text), fromTransport: true},
 	} {
@@ -194,6 +194,28 @@ func TestProxyErrorEnvelopesAreJSON(t *testing.T) {
 				t.Errorf("envelope %+v, want message %q and type %q", envelope.Error, want, tc.kind)
 			}
 		})
+	}
+}
+
+// TestProxyAnswers400OnlyForAnUnreadableBody: the one 400 the proxy
+// originates is a chat body it could not read — the client's failure, so
+// no Retry-After — in the same envelope as its other answers.
+func TestProxyAnswers400OnlyForAnUnreadableBody(t *testing.T) {
+	upstream, bodies := captureUpstream(t)
+	proxy, err := NewProxyWith(markAugmenter, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	proxy.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/chat/completions", iotest.ErrReader(errors.New("connection reset"))))
+	if rec.Code != http.StatusBadRequest || rec.Header().Get("Retry-After") != "" {
+		t.Fatalf("status %d, Retry-After %q, want 400 and none: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	if want := `{"error":{"message":"reading request: connection reset","type":"pas_proxy_error"}}`; rec.Body.String() != want {
+		t.Fatalf("body %s, want %s", rec.Body, want)
+	}
+	if len(*bodies) != 0 {
+		t.Fatalf("the upstream saw %d requests, want none", len(*bodies))
 	}
 }
 
@@ -251,8 +273,9 @@ func TestChatBodyLifetime(t *testing.T) {
 	_ = whole.Close()
 }
 
-// TestProxyErrorPathsReleaseScratch: a chat the augmenter refuses (400)
-// or sheds (503) never becomes a request body, so nobody will Close it;
+// TestProxyErrorPathsReleaseScratch: a chat the augmenter fails on or
+// sheds — a 503 with Retry-After either way, PAS's failure and never the
+// client's 400 — never becomes a request body, so nobody will Close it;
 // augmentRequest hands its scratch back itself. The scratch is known by
 // a marker deep in the chat, past what the error envelope, which may
 // take the same buffer next, writes over.
@@ -275,8 +298,8 @@ func TestProxyErrorPathsReleaseScratch(t *testing.T) {
 			for try := 0; try < 50; try++ {
 				rec := httptest.NewRecorder()
 				proxy.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/chat/completions", strings.NewReader(chat)))
-				if rec.Code != http.StatusBadRequest && rec.Code != http.StatusServiceUnavailable {
-					t.Fatalf("status %d: %s", rec.Code, rec.Body)
+				if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+					t.Fatalf("status %d, Retry-After %q, want 503 and 1: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
 				}
 				found := false
 				pooledScratch(16, func(b *wire.Buffer) {

@@ -143,6 +143,94 @@ func TestAugmentHandlerDegrades(t *testing.T) {
 	}
 }
 
+// TestAugmentHandlerFollowerOutlivesLeadersClient is the single-flight
+// follower fix on the HTTP surface: two clients ask for the same prompt
+// while the one slot is held, the first — the queued leader — hangs up,
+// and the second is answered 200 at full quality once the slot frees.
+// It used to get the leader's "context canceled" as a 503 without
+// Retry-After (a 400 from the proxy) from a fail-open system.
+func TestAugmentHandlerFollowerOutlivesLeadersClient(t *testing.T) {
+	sys := NewSystem(testSystem(t).System.model)
+	entered, release := make(chan struct{}), make(chan struct{})
+	core, err := serving.New(func(prompt, salt string) string {
+		if prompt == "block" {
+			entered <- struct{}{}
+			<-release
+		}
+		return sys.Complement(prompt, salt)
+	}, serving.Config{CacheSize: -1, MaxInFlight: 1, QueueDepth: 4, QueueWait: 5 * time.Second, Degrade: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.core = core
+	srv := httptest.NewServer(sys.Handler())
+	defer srv.Close()
+	free := occupySlot(t, sys, entered, release)
+
+	const body = `{"prompt":"Explain how tides form."}`
+	post := func(ctx context.Context) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/augment", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		return srv.Client().Do(req)
+	}
+	wait := func(what string, cond func(serving.Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(sys.core.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 5s", what)
+			}
+		}
+	}
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		if resp, err := post(leaderCtx); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	wait("the leader queues", func(s serving.Stats) bool { return s.QueueDepth == 1 })
+
+	type reply struct {
+		status int
+		flag   string
+		ar     AugmentResponse
+		err    error
+	}
+	follower := make(chan reply, 1)
+	go func() {
+		resp, err := post(context.Background())
+		if err != nil {
+			follower <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := reply{status: resp.StatusCode, flag: resp.Header.Get("X-PAS-Degraded")}
+		r.err = json.NewDecoder(resp.Body).Decode(&r.ar)
+		follower <- r
+	}()
+	// The follower has entered the core (the occupier, the leader and it
+	// make three) and attaches to the leader's call a moment later; should
+	// it lose that race it leads the key itself, and is answered the same.
+	wait("the follower enters the core", func(s serving.Stats) bool { return s.Requests == 3 })
+	time.Sleep(20 * time.Millisecond)
+
+	hangUp()
+	<-leaderDone
+	free()
+	got := <-follower
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.status != http.StatusOK || got.flag != "" || got.ar.Degraded || got.ar.Complement == "" {
+		t.Fatalf("follower with a live client: status %d, X-PAS-Degraded %q, body %+v; want a full-quality 200",
+			got.status, got.flag, got.ar)
+	}
+}
+
 // TestEveryNonFull200CarriesDegradedHeader walks one fail-open system
 // through every way of answering 200 — full quality, fail-open while
 // saturated, the raw rung the sheds push the ladder to, full quality
