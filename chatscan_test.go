@@ -244,7 +244,7 @@ func rewriteBody(t testing.TB, aug Augmenter, body []byte) (out []byte, contentL
 		Method: http.MethodPost, Header: http.Header{},
 		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
 	}
-	level, _, err := proxy.augmentRequest(context.Background(), req)
+	level, _, err := proxy.augmentRequest(context.Background(), nil, req)
 	if err != nil {
 		t.Fatalf("%q: augmentRequest: %v", body, err)
 	}

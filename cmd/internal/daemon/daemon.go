@@ -1,8 +1,9 @@
 // Package daemon is what the serving daemons share: cmd/passerve and
 // cmd/pasproxy bind the serving flags here, once, straight onto the one
-// pas.ServingConfig, and all three servers (cmd/pasllm included) take
-// their observability flags and registry / tracer / debug-listener
-// wiring from Obs.
+// pas.ServingConfig, and serve behind the one middleware chain of
+// Obs.Chain; all three servers (cmd/pasllm included) take their
+// observability flags and registry / tracer / debug-listener wiring
+// from Obs.
 package daemon
 
 import (
@@ -10,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"strconv"
 	"strings"
 	"time"
@@ -111,4 +113,19 @@ func (o *Obs) Start(ctx context.Context, service string) {
 			log.Printf("debug listener: %v", err)
 		}
 	}()
+}
+
+// Chain puts h behind the middlewares both serving daemons run, the
+// first outermost. The order is load-bearing: Logging reads the tenant
+// Tenant notes on the shared recorder, Metrics the span Trace starts.
+// None of them refuses a request: admission is the serving core's alone.
+func (o *Obs) Chain(h http.Handler, service string, logger *log.Logger) http.Handler {
+	return httpmw.Chain(h,
+		httpmw.Recover(logger),
+		httpmw.RequestID(),
+		httpmw.Trace(o.Tracer, service),
+		httpmw.Logging(logger),
+		httpmw.Tenant(),
+		o.Metrics.Middleware(),
+	)
 }

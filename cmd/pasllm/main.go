@@ -25,17 +25,18 @@ import (
 	"repro/internal/tokenizer"
 )
 
+func bindFlags(fs *flag.FlagSet) (addr *string, rate, vocab, cache *int, o *daemon.Obs) {
+	addr = fs.String("addr", ":8423", "listen address")
+	rate = fs.Int("rate", 600, "requests per minute per API key (0 = unlimited)")
+	vocab = fs.Int("vocab", 2048, "BPE vocabulary size for usage metering")
+	cache = fs.Int("cache", 0, "LRU response-cache entries (0 = disabled)")
+	return addr, rate, vocab, cache, daemon.BindObs(fs)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pasllm: ")
-
-	var (
-		addr  = flag.String("addr", ":8423", "listen address")
-		rate  = flag.Int("rate", 600, "requests per minute per API key (0 = unlimited)")
-		vocab = flag.Int("vocab", 2048, "BPE vocabulary size for usage metering")
-		cache = flag.Int("cache", 0, "LRU response-cache entries (0 = disabled)")
-		o     = daemon.BindObs(flag.CommandLine)
-	)
+	addr, rate, vocab, cache, o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
 	log.Printf("training %d-token BPE vocabulary for usage metering...", *vocab)

@@ -60,7 +60,6 @@ import (
 
 	pas "repro"
 	"repro/cmd/internal/daemon"
-	"repro/internal/httpmw"
 	"repro/internal/resilience"
 	"repro/internal/ring"
 )
@@ -219,18 +218,7 @@ func main() {
 		log.Printf("single-node mode (PAS base %s)", sys.BaseModel())
 	}
 
-	logger := log.New(os.Stderr, "pasproxy: ", 0)
-	mux.Handle("/", httpmw.Chain(proxy,
-		httpmw.Recover(logger),
-		httpmw.RequestID(),
-		httpmw.Trace(o.Tracer, "pasproxy"),
-		httpmw.Logging(logger),
-		// Tags the request context with the caller's tenant so the
-		// single-node serving core admits it through the fair-share
-		// queue (and access logs carry the label in both modes).
-		httpmw.Tenant(),
-		o.Metrics.Middleware(),
-	))
+	mux.Handle("/", o.Chain(proxy, "pasproxy", log.New(os.Stderr, "pasproxy: ", 0)))
 	// Served locally, not proxied. /v1/stats is mounted per mode.
 	mux.Handle("/metricsz", o.Reg.Handler())
 
@@ -239,6 +227,9 @@ func main() {
 		Addr:              o.addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
+		// No ReadTimeout or WriteTimeout: pas.Proxy bounds the one read it
+		// holds in memory. Longer than an idle http.Transport keeps a connection.
+		IdleTimeout: 2 * time.Minute,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

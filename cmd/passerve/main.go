@@ -15,10 +15,10 @@
 // The augment hot path runs through the serving core: a sharded TTL-LRU
 // result cache (-cache-size, -cache-ttl), single-flight deduplication of
 // concurrent identical prompts, and a bounded admission queue
-// (-max-inflight, -queue-depth, -queue-wait) that sheds overload with
-// 503 + Retry-After. With -degrade (default on) a request the
-// augmentation path cannot serve is answered 200 with the raw prompt —
-// flagged X-PAS-Degraded and counted in /v1/stats — instead of a 503.
+// (-max-inflight, -queue-depth, -queue-wait) — the only admission there
+// is — that sheds overload with 503 + Retry-After. With -degrade (default
+// on) a request the augmentation path cannot serve is answered 200 with
+// the raw prompt, flagged X-PAS-Degraded and counted in /v1/stats.
 //
 // The in-flight cap (-max-inflight) is fixed: M_p's service time does
 // not rise with concurrency, so nothing adapts it and a shed request
@@ -48,13 +48,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 	"time"
 
 	pas "repro"
 	"repro/cmd/internal/daemon"
-	"repro/internal/httpmw"
 	"repro/internal/resilience"
 )
 
@@ -64,7 +62,6 @@ type options struct {
 	*daemon.Flags
 	model, addr, adminToken string
 	build                   bool
-	concurrency             int
 	drainLinger, drainWait  time.Duration
 }
 
@@ -73,36 +70,18 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.model, "model", "pas-model.json", "trained model path (from pastrain)")
 	fs.StringVar(&o.addr, "addr", ":8422", "listen address")
 	fs.BoolVar(&o.build, "build", false, "ignore -model and build a small PAS in-process")
-	fs.IntVar(&o.concurrency, "concurrency", 256, "hard cap on in-flight HTTP requests (outer backstop)")
 	fs.StringVar(&o.adminToken, "admin-token", "", "token required by POST /v1/drain (empty = unauthenticated)")
 	fs.DurationVar(&o.drainLinger, "drain-linger", time.Second, "time to advertise draining before closing the listener, so routers stop sending traffic")
 	fs.DurationVar(&o.drainWait, "drain-deadline", 10*time.Second, "max total wait for in-flight and queued work to finish before exiting anyway")
 	return o
 }
 
-// newHandler assembles passerve's HTTP surface. POST /v1/augment, the
-// data plane, runs behind all seven middlewares. The control plane —
-// /v1/status, /healthz, /v1/stats, /v1/drain — runs behind the same
-// chain minus the concurrency limiter: a flood of augment requests must
-// not 503 the probe that tells the ring this replica is merely busy,
-// nor the drain an operator sends to take it out of rotation.
-func newHandler(sys *pas.System, o *daemon.Obs, concurrency int, logger *log.Logger) http.Handler {
-	type middleware = func(http.Handler) http.Handler
-	outer := []middleware{
-		httpmw.Recover(logger),
-		httpmw.RequestID(),
-		httpmw.Trace(o.Tracer, "passerve"),
-		httpmw.Logging(logger),
-	}
-	// The backstop prices its Retry-After from the core's queue-drain
-	// estimate, like the core's own sheds.
-	limiter := httpmw.ConcurrencyLimitHint(concurrency, sys.RetryAfterHint)
-	inner := []middleware{httpmw.Tenant(), o.Metrics.Middleware()}
-
-	api := sys.Handler()
+// newHandler assembles passerve's HTTP surface: every route of the
+// System behind the daemons' one middleware chain. What admits a
+// POST /v1/augment is the serving core and nothing in front of it.
+func newHandler(sys *pas.System, o *daemon.Obs, logger *log.Logger) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/augment", httpmw.Chain(api, slices.Concat(outer, []middleware{limiter}, inner)...))
-	mux.Handle("/", httpmw.Chain(api, slices.Concat(outer, inner)...))
+	mux.Handle("/", o.Chain(sys.Handler(), "passerve", logger))
 	mux.Handle("/metricsz", o.Reg.Handler())
 	return mux
 }
@@ -153,7 +132,7 @@ func main() {
 	log.Printf("serving PAS (base %s) on %s", sys.BaseModel(), o.addr)
 	srv := &http.Server{
 		Addr:              o.addr,
-		Handler:           newHandler(sys, o.Obs, o.concurrency, log.New(os.Stderr, "passerve: ", 0)),
+		Handler:           newHandler(sys, o.Obs, log.New(os.Stderr, "passerve: ", 0)),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,

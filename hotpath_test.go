@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/serving"
 	"repro/internal/wire"
@@ -156,6 +157,11 @@ type nopResponse struct{ h http.Header }
 func (w *nopResponse) Header() http.Header         { return w.h }
 func (w *nopResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nopResponse) WriteHeader(int)             {}
+
+// SetReadDeadline: like a daemon's connection it can be given one, so the
+// proxy's figures below are a served request's, not those of the error a
+// writer without deadlines returns.
+func (w *nopResponse) SetReadDeadline(time.Time) error { return nil }
 
 // rewindBody is a request body that can be read again.
 type rewindBody struct{ bytes.Reader }

@@ -164,8 +164,8 @@ func TestAbandonedRequestIsRecordedAs499(t *testing.T) {
 	if status != "499" {
 		t.Errorf("span http.status = %q, want 499", status)
 	}
-	if _, _, errs := pathCounts(reg); errs["/v1/augment"] != 1 {
-		t.Errorf("pas_http_errors_total = %v, want the abandoned request counted once", errs)
+	if counts, _, errs := pathCounts(reg); counts["/v1/augment"] != 1 || errs["/v1/augment"] != 0 {
+		t.Errorf("requests %v, pas_http_errors_total %v: want the abandoned request timed once and not counted as an error response", counts, errs)
 	}
 
 	// The limiter on its own, with no recorder outside it, still just returns.

@@ -1,8 +1,10 @@
 // Package httpmw provides the HTTP middleware the PAS services
 // (cmd/passerve, cmd/pasproxy, cmd/pasllm) run behind: panic recovery,
-// request ids, distributed-trace roots, structured access logging, a
-// concurrency limiter, and in-process request metrics. It is the small
-// operational layer that turns a handler into a service.
+// request ids, distributed-trace roots, structured access logging,
+// in-process request metrics, and the concurrency limiter that is
+// cmd/pasllm's admission (the serving daemons admit in the serving
+// core). It is the small operational layer that turns a handler into a
+// service.
 package httpmw
 
 import (
@@ -256,11 +258,6 @@ func ConcurrencyLimit(n int) func(http.Handler) http.Handler {
 	return ConcurrencyLimitHint(n, nil)
 }
 
-// statusClientClosedRequest is the conventional (nginx) code for a
-// request its client abandoned before it was served. It is recorded,
-// never sent.
-const statusClientClosedRequest = 499
-
 // ConcurrencyLimitHint is ConcurrencyLimit with a dynamic Retry-After:
 // each shed response prices its hint from retryAfter() — typically the
 // serving core's queue-drain EWMA — instead of the fixed 1s. A nil
@@ -280,7 +277,7 @@ func ConcurrencyLimitHint(n int, retryAfter func() int) func(http.Handler) http.
 					// Nothing is sent, and the layers outside must not
 					// read that as the implicit 200.
 					if rec, ok := w.(*obs.ResponseRecorder); ok {
-						rec.NoteStatus(statusClientClosedRequest)
+						rec.NoteStatus(obs.StatusClientClosedRequest)
 					}
 					return
 				}
@@ -408,7 +405,8 @@ func (m *Metrics) Middleware() func(http.Handler) http.Handler {
 			if ps == nil {
 				return
 			}
-			if rec.StatusOr200() >= 400 {
+			// A 499 is a note that the client left, not a response.
+			if s := rec.StatusOr200(); s >= 400 && s != obs.StatusClientClosedRequest {
 				ps.errs.Inc()
 			}
 			traceID, sampled := obs.TraceIDFromContext(r.Context())

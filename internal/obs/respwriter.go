@@ -44,6 +44,11 @@ func (rr *ResponseRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// StatusClientClosedRequest is the conventional (nginx) code for a
+// request its client abandoned before it was answered. It is recorded
+// with NoteStatus, never sent.
+const StatusClientClosedRequest = 499
+
 // NoteStatus records code as the request's outcome without sending
 // anything: for a request nobody is left to answer (499, the client
 // closed it), so the log line, the span and the metrics do not read the
@@ -58,6 +63,10 @@ func (rr *ResponseRecorder) NoteTenant(id string) { rr.tenant, rr.tenantResolved
 // Tenant returns the noted tenant id; ok is false when nothing inside
 // this recorder resolved one.
 func (rr *ResponseRecorder) Tenant() (id string, ok bool) { return rr.tenant, rr.tenantResolved }
+
+// Unwrap lets an http.ResponseController reach the connection's
+// deadlines through the recorder.
+func (rr *ResponseRecorder) Unwrap() http.ResponseWriter { return rr.ResponseWriter }
 
 // Flush forwards flushing so SSE streaming keeps working through the
 // middleware stack.

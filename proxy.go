@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -39,9 +40,10 @@ import (
 // response is copied through a pooled buffer, flushed as httputil does
 // unasked: at once for an event stream or a body of undeclared length.
 type Proxy struct {
-	system   Augmenter
-	upstream *url.URL
-	rp       *httputil.ReverseProxy
+	system      Augmenter
+	upstream    *url.URL
+	rp          *httputil.ReverseProxy
+	readTimeout time.Duration // chatReadTimeout; shorter in tests
 }
 
 // Augmenter is the augmentation source a Proxy fronts. Two
@@ -86,7 +88,7 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("pas: upstream URL %q must be absolute", upstreamURL)
 	}
-	p := &Proxy{system: system, upstream: u}
+	p := &Proxy{system: system, upstream: u, readTimeout: chatReadTimeout}
 	p.rp = &httputil.ReverseProxy{
 		Director: func(r *http.Request) {
 			r.URL.Scheme = u.Scheme
@@ -182,7 +184,7 @@ func (b *chatBody) Close() error {
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/chat/completions") {
 		actx, span := obs.StartSpan(r.Context(), "proxy.augment")
-		level, status, err := p.augmentRequest(actx, r)
+		level, status, err := p.augmentRequest(actx, w, r)
 		span.SetAttrBool("degraded", level != "")
 		if err != nil {
 			span.SetError(err)
@@ -190,6 +192,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		span.End()
 		if err != nil {
 			if status == http.StatusServiceUnavailable {
+				if clientGone(w, r) {
+					return
+				}
 				// The augmenter failed — the serving core shed while
 				// fail-closed (ServingConfig.Degrade off) or draining, or
 				// the fleet is unreachable with -degrade=false. That is
@@ -219,6 +224,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // augment; anything longer is streamed to the upstream as it came.
 const maxChatBody = 4 << 20
 
+// chatReadTimeout (passerve's ReadTimeout) bounds that read and nothing
+// else: a stalled client must not park a goroutine and its scratch for
+// ever, and a server-wide timeout would cut a slow upload or an SSE reply.
+const chatReadTimeout = 30 * time.Second
+
 // augmentRequest appends the complementary prompt to the last user
 // message of the chat body. It edits bytes, not a decoded document: one
 // scan finds the content string literal of that message, only that
@@ -244,8 +254,8 @@ const maxChatBody = 4 << 20
 // not be read — the one failure that is the client's — and 503 for
 // anything the augmenter returned. ctx carries the caller's span in
 // addition to r.Context()'s deadline and cancellation, so augmentation
-// work parents under it.
-func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level string, status int, _ error) {
+// work parents under it. The read deadline goes on w's connection.
+func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (level string, status int, _ error) {
 	if r.ContentLength > maxChatBody {
 		return "1", 0, nil
 	}
@@ -253,10 +263,14 @@ func (p *Proxy) augmentRequest(ctx context.Context, r *http.Request) (level stri
 	// Sized from Content-Length; the spare bytes.MinRead lets ReadAll see
 	// EOF without growing and usually takes the complement too.
 	buf.B = slices.Grow(buf.B, int(max(r.ContentLength, 0))+bytes.MinRead)
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(p.readTimeout)) // a writer with no connection under it has no deadlines to set
 	if err := buf.ReadAll(io.LimitReader(r.Body, maxChatBody+1)); err != nil {
+		// The deadline stays, to fail net/http's drain of the body's rest too.
 		buf.Release()
 		return "", http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
 	}
+	_ = rc.SetReadDeadline(time.Time{}) // what is left of an over-limit upload, M_p and the reply run without one
 	if len(buf.B) > maxChatBody {
 		// No declared length and more than the proxy will hold: what was
 		// read, then the rest straight from the client. Scratch this large

@@ -1,6 +1,7 @@
 package pas
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -275,31 +277,69 @@ func TestChatBodyLifetime(t *testing.T) {
 
 // TestProxyErrorPathsReleaseScratch: a chat the augmenter fails on or
 // sheds — a 503 with Retry-After either way, PAS's failure and never the
-// client's 400 — never becomes a request body, so nobody will Close it;
-// augmentRequest hands its scratch back itself. The scratch is known by
-// a marker deep in the chat, past what the error envelope, which may
-// take the same buffer next, writes over.
+// client's 400 — or one whose client sent half of it and went quiet — the
+// 400 for a body that could not be read, once the read deadline passes —
+// never becomes a request body, so nobody will Close it; augmentRequest
+// hands its scratch back itself. The scratch is known by a marker deep
+// in the chat, past what the error envelope, which may take the same
+// buffer next, writes over.
 func TestProxyErrorPathsReleaseScratch(t *testing.T) {
 	upstream, _ := captureUpstream(t)
-	for name, err := range map[string]error{
-		"augmenter error": errors.New("no"),
-		"shed":            serving.ErrQueueFull,
+	// direct serves the chat whole, straight into the handler.
+	direct := func(_ *testing.T, proxy *Proxy, chat string) (int, string, string) {
+		rec := httptest.NewRecorder()
+		proxy.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/chat/completions", strings.NewReader(chat)))
+		return rec.Code, rec.Header().Get("Retry-After"), rec.Body.String()
+	}
+	// stalled is a client of the proxy as pasproxy mounts it — the read
+	// deadline has to reach the connection through the chain's recorder —
+	// that declares the whole chat, sends half and waits for the answer.
+	stalled := func(t *testing.T, proxy *Proxy, chat string) (int, string, string) {
+		proxy.readTimeout = 30 * time.Millisecond
+		front := httptest.NewServer(httpmw.Chain(proxy, httpmw.Logging(nil)))
+		defer front.Close()
+		conn, err := net.Dial("tcp", front.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/chat/completions HTTP/1.1\r\nHost: pas\r\nContent-Length: %d\r\n\r\n%s", len(chat), chat[:len(chat)/2])
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("no answer to a stalled body: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Retry-After"), string(body)
+	}
+	for _, tc := range []struct {
+		name       string
+		aug        Augmenter
+		send       func(*testing.T, *Proxy, string) (int, string, string)
+		status     int
+		retryAfter string
+		body       string
+	}{
+		{"augmenter error", failingWith(errors.New("no")), direct, http.StatusServiceUnavailable, "1", `"message":"no"`},
+		{"shed", failingWith(serving.ErrQueueFull), direct, http.StatusServiceUnavailable, "1", `"pas_proxy_error"`},
+		{"stalled body", markAugmenter, stalled, http.StatusBadRequest, "", `"message":"reading request: `},
 	} {
-		t.Run(name, func(t *testing.T) {
-			proxy, perr := NewProxyWith(failingWith(err), upstream.URL)
+		t.Run(tc.name, func(t *testing.T) {
+			proxy, perr := NewProxyWith(tc.aug, upstream.URL)
 			if perr != nil {
 				t.Fatal(perr)
 			}
-			marker := []byte("marker-of-" + strings.ReplaceAll(name, " ", "-"))
-			chat := fmt.Sprintf(`{"messages":[{"role":"user","content":"%s %s"}]}`, strings.Repeat("filler ", 400), marker)
+			marker := []byte("marker-of-" + strings.ReplaceAll(tc.name, " ", "-"))
+			// The marker sits in the half a stalled client does send.
+			chat := fmt.Sprintf(`{"messages":[{"role":"user","content":"%s %s %s"}]}`, strings.Repeat("filler ", 100), marker, strings.Repeat("filler ", 700))
 			// sync.Pool drops a Put now and then (always one in four under
 			// the race detector), so one request proves nothing; a path that
 			// never releases never puts the marker in the pool at all.
 			for try := 0; try < 50; try++ {
-				rec := httptest.NewRecorder()
-				proxy.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/chat/completions", strings.NewReader(chat)))
-				if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
-					t.Fatalf("status %d, Retry-After %q, want 503 and 1: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+				status, retryAfter, body := tc.send(t, proxy, chat)
+				if status != tc.status || retryAfter != tc.retryAfter || !strings.Contains(body, tc.body) {
+					t.Fatalf("status %d, Retry-After %q, want %d and %q: %s", status, retryAfter, tc.status, tc.retryAfter, body)
 				}
 				found := false
 				pooledScratch(16, func(b *wire.Buffer) {
@@ -311,6 +351,46 @@ func TestProxyErrorPathsReleaseScratch(t *testing.T) {
 			}
 			t.Fatal("the chat's scratch never came back out of the pool")
 		})
+	}
+}
+
+// TestProxyReadDeadlineCoversOnlyTheRead: the deadline on a chat body is
+// for the read into memory and is gone once that is done. A chat that
+// arrives in two halves 50ms apart is augmented and forwarded whole, and
+// an upstream that then takes longer than the deadline to answer is
+// waited for: a deadline left on the connection would end the request
+// under it.
+func TestProxyReadDeadlineCoversOnlyTheRead(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	var got []byte
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		time.Sleep(timeout + 150*time.Millisecond)
+		_, _ = w.Write([]byte(`{"ok":true}`))
+	}))
+	defer upstream.Close()
+	front, proxy := chainedFront(t, markAugmenter, upstream.URL)
+	proxy.readTimeout = timeout
+
+	conn, err := net.Dial("tcp", front.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	half := len(tidesChat) / 2
+	fmt.Fprintf(conn, "POST /v1/chat/completions HTTP/1.1\r\nHost: pas\r\nContent-Length: %d\r\n\r\n%s", len(tidesChat), tidesChat[:half])
+	time.Sleep(50 * time.Millisecond)
+	fmt.Fprint(conn, tidesChat[half:])
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	want, _, _ := rewriteBody(t, markAugmenter, []byte(tidesChat))
+	if resp.StatusCode != http.StatusOK || string(body) != `{"ok":true}` || !bytes.Equal(got, want) {
+		t.Fatalf("status %d, body %s, upstream got %s; want 200 and the augmented chat %s", resp.StatusCode, body, got, want)
 	}
 }
 

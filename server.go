@@ -284,7 +284,9 @@ func (s *System) handleAugment(w http.ResponseWriter, r *http.Request) {
 	}
 	c, level, err := s.complementLevel(r.Context(), req.Prompt, req.Salt)
 	if err != nil {
-		s.writeOverloaded(w, err)
+		if !clientGone(w, r) {
+			s.writeOverloaded(w, err)
+		}
 		return
 	}
 	resp := AugmentResponse{
@@ -328,7 +330,19 @@ func readAugmentRequest(w http.ResponseWriter, r *http.Request) (AugmentRequest,
 	return req, err
 }
 
-// writeOverloaded answers a shed (or client-abandoned) request. Loaded
+// clientGone reports whether the request's own client has left: its
+// context has ended, which a follower of a cancelled single-flight
+// leader's has not. Nobody was refused and nobody is listening, so the
+// chain's shared recorder is told 499 and the caller writes nothing.
+func clientGone(w http.ResponseWriter, r *http.Request) bool {
+	gone := r.Context().Err() != nil
+	if rec, ok := w.(*obs.ResponseRecorder); ok && gone {
+		rec.NoteStatus(obs.StatusClientClosedRequest)
+	}
+	return gone
+}
+
+// writeOverloaded answers a request the core shed or failed. Loaded
 // sheds carry Retry-After priced from the core's observed queue-drain
 // rate — the backlog divided by the admission limit, times the service
 // EWMA — so well-behaved clients back off for roughly as long as the
@@ -347,8 +361,8 @@ func (s *System) writeOverloaded(w http.ResponseWriter, err error) {
 
 // RetryAfterHint is the congestion-priced Retry-After in whole seconds
 // — the core's queue-drain estimate, or 1 when serving is not enabled.
-// Outer backpressure layers (httpmw.ConcurrencyLimitHint) use it so
-// their refusals carry the same advice as the core's own sheds.
+// The proxy prices its own 503s with it, so they carry the same advice
+// as the core's sheds.
 func (s *System) RetryAfterHint() int {
 	if s.core != nil {
 		return s.core.RetryAfter()

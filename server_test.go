@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpmw"
 	"repro/internal/obs"
 	"repro/internal/serving"
 )
@@ -159,18 +161,64 @@ func TestStatsWithoutServingCore(t *testing.T) {
 	}
 }
 
-// TestAugmentShedsDisconnectedClient: a request whose client context
-// already ended is answered 503 without computing.
-func TestAugmentShedsDisconnectedClient(t *testing.T) {
+// TestAbandonedRequestIs499NotAShed: a request whose own client has
+// left comes back from the augmenter as that context's error, on
+// POST /v1/augment and through the proxy alike. Nobody was refused and
+// nobody is listening, so nothing is written, and the chain's shared
+// record says 499: not the 503 with "shed":true an operator would read
+// as overload, not an error on /metricsz. (A follower of a cancelled
+// single-flight leader has a live context of its own and gets its 200:
+// TestAugmentHandlerFollowerOutlivesLeadersClient.)
+func TestAbandonedRequestIs499NotAShed(t *testing.T) {
 	sys := servingSystem(t, ServingConfig{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	body, _ := json.Marshal(AugmentRequest{Prompt: "p"})
-	req := httptest.NewRequest("POST", "/v1/augment", bytes.NewReader(body)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	sys.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", rec.Code)
+	upstream, bodies := captureUpstream(t)
+	proxy, err := NewProxy(sys, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		h                http.Handler
+	}{
+		{"augment handler", "/v1/augment", `{"prompt":"Explain how tides form."}`, sys.Handler()},
+		{"proxy", "/v1/chat/completions", tidesChat, proxy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged bytes.Buffer
+			reg := obs.NewRegistry()
+			metrics := httpmw.NewMetrics()
+			metrics.Register(reg)
+			h := httpmw.Chain(tc.h, httpmw.Logging(log.New(&logged, "", 0)), httpmw.Tenant(), metrics.Middleware())
+
+			ctx, hangUp := context.WithCancel(context.Background())
+			hangUp()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)).WithContext(ctx))
+
+			if rec.Body.Len() != 0 || rec.Header().Get("Retry-After") != "" || len(*bodies) != 0 {
+				t.Errorf("wrote %q (Retry-After %q), forwarded %d chats, for a client that had gone", rec.Body, rec.Header().Get("Retry-After"), len(*bodies))
+			}
+			var line struct {
+				Status, Bytes int
+				Shed          bool
+			}
+			if err := json.Unmarshal(logged.Bytes(), &line); err != nil {
+				t.Fatalf("access line %q: %v", logged.Bytes(), err)
+			}
+			if line.Status != obs.StatusClientClosedRequest || line.Shed || line.Bytes != 0 {
+				t.Errorf("access line %s; want status 499, no shed flag, no bytes", bytes.TrimSpace(logged.Bytes()))
+			}
+			for _, f := range reg.Gather() {
+				for _, smp := range f.Samples {
+					if f.Name == "pas_http_errors_total" && smp.Value != 0 {
+						t.Errorf("pas_http_errors_total%v = %v: an error counted for a request nobody was refused", smp.Labels, smp.Value)
+					}
+				}
+			}
+		})
+	}
+	if st := sys.core.Stats(); st.Shed != 0 || st.Degraded != 0 {
+		t.Errorf("core counted a shed or a degraded answer for clients that left: %+v", st)
 	}
 }
 
