@@ -229,7 +229,7 @@ var (
 	rewordAugmenter = augmentFunc(func(prompt, _ string) (string, bool, error) {
 		return "Reworded: <" + strings.ToUpper(prompt) + ">", false, nil
 	})
-	// rawRungAugmenter answers at the raw rung: the prompt, flagged.
+	// rawRungAugmenter answers raw: the prompt, flagged.
 	rawRungAugmenter = augmentFunc(func(prompt, _ string) (string, bool, error) {
 		return prompt, true, nil
 	})

@@ -266,7 +266,6 @@ type clusterFlood struct {
 	rawUpstream int64
 	// perReplica is each replica's core after the run.
 	perReplica []serving.Stats
-	ring       ring.Stats
 }
 
 // full is the number of answers built from cat(p, M_p(p)).
@@ -319,38 +318,26 @@ func runClusterFlood(t *testing.T, replica func(int) ServingConfig, qps float64,
 	for _, sys := range f.systems {
 		out.perReplica = append(out.perReplica, sys.core.Stats())
 	}
-	out.ring = f.client.Stats()
 	return out
 }
 
 // TestClusterE2EFloodKeepsFullQuality floods the fleet at nearly twice
-// its computation capacity and asserts what overload may not cost. On
-// every run, for two seconds: the plug-and-play contract — no error, no
-// 5xx, every answer below full quality flagged. With PAS_FLOOD_DRILL=1,
-// for eight seconds, so that every member is probed at least four times:
-// the fleet's work — at least half of what the replicas can compute over
-// the run comes back at full quality. With a global breaker in each core
-// that read 0.21-0.52 of capacity, under the bound on 9 runs of 10: an
-// open breaker answers raw in microseconds without moving the pressure
-// gauge, /v1/status keeps reading full, and the ring's pressure reroute
-// herds the fleet's traffic onto that member (DESIGN section 15).
-//
-// The bound is gated like the PAS_BENCH_OUT reports because it is not yet
-// a regression gate on two cores: without the breaker it holds on 9 of 10
-// plain runs and 5 of 10 under the race detector. The runs that miss it
-// are the reroute alone herding — it acts on a rung probed every 1-2 s
-// that flips every 20-100 ms — which DESIGN section 12 measures and leaves
-// for its own issue. The bound stays where the drill put it.
+// its computation capacity for eight seconds, so that every member is
+// probed at least four times, and asserts what overload may not cost:
+// the plug-and-play contract — no error, no 5xx, every answer below full
+// quality flagged — and the fleet's work: at least 0.8 of what the
+// replicas can compute over the run comes back at full quality. Each
+// replica's fair queue keeps its own slots busy and the ring spreads the
+// keys evenly, so it reads 0.97-0.98 (DESIGN section 12). It read
+// 0.21-0.52 with a global breaker in each core and 0.44-0.69 with the
+// brownout ladder, whose raw rung the ring's pressure reroute read from
+// a probe snapshot and herded the fleet's traffic onto whichever member
+// last read full.
 func TestClusterE2EFloodKeepsFullQuality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster flood drill is seconds-scale")
 	}
-	drill := os.Getenv("PAS_FLOOD_DRILL") != ""
-	const qps = 900
-	seconds := 2
-	if drill {
-		seconds = 8
-	}
+	const qps, seconds = 900, 8
 	got := runClusterFlood(t, floodReplica, qps, qps*seconds+1)
 
 	if got.rep.Errors != 0 {
@@ -366,19 +353,16 @@ func TestClusterE2EFloodKeepsFullQuality(t *testing.T) {
 	if got.rep.Degraded == 0 {
 		t.Fatalf("the flood never saturated the fleet: %+v", got.rep)
 	}
-	if !drill {
-		return
-	}
 	// Three replicas, four slots each, 25 ms a computation.
 	capacity := 3 * 4 * got.rep.DurationSeconds / 0.025
 	shares := make([]int64, len(got.perReplica))
 	for i, s := range got.perReplica {
 		shares[i] = s.Requests
 	}
-	t.Logf("%d of %d answers at full quality, %.2f of the fleet's capacity of %.0f computations in %.1fs (requests per replica %v, brownout reroutes %d)",
-		got.full(), got.rep.Requests, float64(got.full())/capacity, capacity, got.rep.DurationSeconds, shares, got.ring.BrownoutReroutes)
-	if float64(got.full()) < capacity/2 {
-		t.Fatal("under half the fleet's capacity came back at full quality")
+	t.Logf("%d of %d answers at full quality, %.2f of the fleet's capacity of %.0f computations in %.1fs (requests per replica %v)",
+		got.full(), got.rep.Requests, float64(got.full())/capacity, capacity, got.rep.DurationSeconds, shares)
+	if float64(got.full()) < 0.8*capacity {
+		t.Fatal("under 0.8 of the fleet's capacity came back at full quality")
 	}
 }
 

@@ -18,7 +18,7 @@
 // cmd/passerve, configured by the same flags (cmd/internal/daemon) —
 // result cache (-cache-size, -cache-ttl), single-flight dedup, bounded
 // tenant-fair admission under a fixed cap (-max-inflight,
-// -queue-depth, -queue-wait) and the full → raw degradation ladder.
+// -queue-depth, -queue-wait) and fail-open (-degrade).
 //
 // With -replicas the proxy instead routes each augmentation to the
 // replica owning its cache key on a consistent-hash ring (-vnodes

@@ -22,10 +22,8 @@
 //
 // The in-flight cap (-max-inflight) is fixed: M_p's service time does
 // not rise with concurrency, so nothing adapts it and a shed request
-// gets one attempt. Under sustained queue pressure the replica serves the
-// raw prompt (X-PAS-Degraded: 1, the only reduced answer) before
-// hard-shedding — and /v1/status advertises the pressure rung so
-// routing tiers deprioritize the replica. Requests
+// gets one attempt — answered raw (X-PAS-Degraded: 1, the only reduced
+// answer) with -degrade, 503 + Retry-After without. Requests
 // carrying an X-PAS-Tenant header (or an API key, fingerprinted) are
 // admitted by a weighted fair-share queue (-tenant-weights,
 // -tenant-quotas, -max-tenants), so one flooding tenant cannot starve

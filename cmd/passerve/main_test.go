@@ -153,14 +153,12 @@ func (d *daemonUnderTest) must(method, path, body string) reply {
 
 // stats decodes GET /v1/stats.
 func (d *daemonUnderTest) stats() (st struct {
-	InFlight  int    `json:"in_flight"`
-	Requests  int64  `json:"requests"`
-	Completed int64  `json:"completed"`
-	Shed      int64  `json:"shed"`
-	Degraded  int64  `json:"degraded"`
-	ServedRaw int64  `json:"served_raw"`
-	DedupHits int64  `json:"dedup_hits"`
-	Level     string `json:"pressure_level"`
+	InFlight  int   `json:"in_flight"`
+	Requests  int64 `json:"requests"`
+	Completed int64 `json:"completed"`
+	Shed      int64 `json:"shed"`
+	Degraded  int64 `json:"degraded"`
+	DedupHits int64 `json:"dedup_hits"`
 	Tenants   []struct {
 		Tenant                   string
 		Requests, Admitted, Shed int64
@@ -240,8 +238,8 @@ func TestFloodIsNever5xxWhenFailOpen(t *testing.T) {
 		}
 	}
 	st := d.stats()
-	if raw == 0 || raw == n || st.Degraded+st.ServedRaw != int64(raw) {
-		t.Errorf("%d of %d answered raw, stats degraded %d + served_raw %d: want a flood the core absorbs part of, every raw answer counted", raw, n, st.Degraded, st.ServedRaw)
+	if raw == 0 || raw == n || st.Degraded != int64(raw) {
+		t.Errorf("%d of %d answered raw, stats degraded %d: want a flood the core absorbs part of, every raw answer counted", raw, n, st.Degraded)
 	}
 	// The fair queue's own books close for both tenants: each computation
 	// a tenant asked for was admitted or refused by the core, and every
@@ -273,7 +271,7 @@ func TestHerdOnOnePromptIsAnsweredInFull(t *testing.T) {
 		}
 	}
 	st := d.stats()
-	if computed := st.Completed - st.DedupHits; st.Completed != n || st.DedupHits < n-10 || st.Shed != 0 || st.Degraded != 0 || st.Level != "full" {
+	if computed := st.Completed - st.DedupHits; st.Completed != n || st.DedupHits < n-10 || st.Shed != 0 || st.Degraded != 0 {
 		t.Errorf("core: %+v; want %d completed, at most 10 of them computed (%d were), nothing shed or degraded", st, n, computed)
 	}
 }

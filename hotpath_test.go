@@ -110,8 +110,8 @@ func checkAgainstReference(t *testing.T, name string, sys, ref *System, body str
 
 // TestAugmentHandlerMatchesEncodingJSON: the handler answers every body
 // exactly as it did when encoding/json decoded the request and encoded
-// the reply — with and without a serving core, shed with a 503,
-// fail-open, and on the ladder's raw rung.
+// the reply — with and without a serving core, shed with a 503, and
+// shed fail-open.
 func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
 	full, bare := servingSystem(t, ServingConfig{}), NewSystem(testSystem(t).System.model)
 	for _, body := range augmentBodies {
@@ -119,9 +119,8 @@ func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
 		checkAgainstReference(t, "bare", bare, bare, body)
 	}
 
-	// A shed moves the ladder, so what a saturated core answers is read
-	// off twin systems walked through the same states: fail-closed for
-	// the 503, fail-open until the sheds reach the raw rung.
+	// What a saturated core answers is read off twin systems in the same
+	// state: fail-closed for the 503, fail-open for the flagged 200.
 	const body = `{"prompt":"Compare <b>TCP</b> & UDP.","salt":"s"}`
 	twins := func(degrade bool) (sys, ref *System, free func()) {
 		sys, entered, release := degradedSystem(t, degrade)
@@ -139,16 +138,10 @@ func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
 	if got := checkAgainstReference(t, "fail-open", sys, ref, body).Header().Get("X-PAS-Degraded"); got != "1" {
 		t.Errorf("saturated, fail-open: X-PAS-Degraded %q, want 1", got)
 	}
-	for sys.core.PressureLevel() == serving.LevelFull || ref.core.PressureLevel() == serving.LevelFull {
-		checkAgainstReference(t, "fail-open", sys, ref, body)
+	if st := sys.core.Stats(); st.Degraded != 1 {
+		t.Errorf("degraded = %d, want the one fail-open answer", st.Degraded)
 	}
 	free()
-	if got := checkAgainstReference(t, "raw rung", sys, ref, body).Header().Get("X-PAS-Degraded"); got != "1" {
-		t.Errorf("after saturation, slot free, at the raw rung: X-PAS-Degraded %q, want 1", got)
-	}
-	if st := sys.core.Stats(); st.ServedRaw != 1 {
-		t.Errorf("served_raw = %d, want the one answer after the slot freed", st.ServedRaw)
-	}
 }
 
 // nopResponse is the cheapest http.ResponseWriter there is.

@@ -89,9 +89,6 @@ type Client struct {
 	requests  int64
 	failovers int64 // successes served by a non-owner replica
 	degraded  int64
-	// brownoutReroutes counts requests whose owner was deprioritized
-	// because its last probe reported raw-level brownout pressure.
-	brownoutReroutes int64
 }
 
 // NewClient validates the replica list and builds the routing tier.
@@ -236,15 +233,15 @@ func (c *Client) AugmentContextDegraded(ctx context.Context, prompt, salt string
 	return augmented, level != "", err
 }
 
-// AugmentContextLevel is AugmentContextDegraded with the degradation
-// rung: the X-PAS-Degraded wire value the serving replica answered
+// AugmentContextLevel is AugmentContextDegraded with the answer's
+// level: the X-PAS-Degraded wire value the serving replica answered
 // with ("" full, "1" raw/fail-open), passed through as sent. It
 // implements the proxy's level-aware augmenter interface.
 //
 // With a near cache the key is looked up before anything is routed, and
 // a hit is prompt + the remembered tail at full quality. Only a replica's
 // full-quality answer is ever remembered — never a flagged reply, never
-// the fail-open below — so a near hit cannot serve a reduced rung
+// the fail-open below — so a near hit cannot serve a raw answer
 // unflagged.
 func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
 	atomic.AddInt64(&c.requests, 1)
@@ -264,23 +261,16 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 	// Live members, owner first, resolved to their records once; every
 	// later step reads the record, not the table.
 	cands := c.mem.lookup(c.ring.Successors(key, 0))
-	var owner *replica
-	if len(cands) > 0 {
-		owner = cands[0]
-	}
-	cands = c.partitionByPressure(cands)
 	ctx, span := obs.StartSpan(ctx, "ring.route")
 	defer span.End()
-	if owner != nil {
-		span.SetAttr("ring.owner", owner.url)
+	if len(cands) > 0 {
+		span.SetAttr("ring.owner", cands[0].url)
 	}
 	res, err := c.tryCandidates(ctx, cands, prompt, salt)
 	if err == nil {
 		span.SetAttr("ring.replica", res.replica.url)
 		span.SetAttrBool("degraded", res.level != "")
-		// Failovers count against the true ring owner — a brownout
-		// demotion that lands the request elsewhere is a failover too.
-		if res.replica != owner {
+		if res.replica != cands[0] {
 			atomic.AddInt64(&c.failovers, 1)
 		}
 		// The tail is stored as its own copy: a slice of augmented would
@@ -300,37 +290,6 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 		return prompt, "1", nil
 	}
 	return "", "", err
-}
-
-// partitionByPressure stably moves raw-brownout members behind every
-// healthy candidate: a replica announcing raw pressure answers only
-// passthroughs, so hedges and failovers should land on successors that
-// can still do full-quality work. Locality degrades gracefully — the
-// raw members stay candidates of last resort, and order within each
-// partition is preserved. A whole-fleet brownout leaves the original
-// order (nothing better to prefer). One pass, in place: cands is this
-// request's own slice.
-func (c *Client) partitionByPressure(cands []*replica) []*replica {
-	if len(cands) < 2 {
-		return cands
-	}
-	owner := cands[0]
-	healthy := cands[:0]
-	var raw []*replica
-	for _, r := range cands {
-		if r.rung() == serving.LevelRaw {
-			raw = append(raw, r)
-		} else {
-			healthy = append(healthy, r)
-		}
-	}
-	if len(raw) == 0 || len(healthy) == 0 {
-		return cands // untouched: each survivor was written over itself
-	}
-	if raw[0] == owner {
-		atomic.AddInt64(&c.brownoutReroutes, 1)
-	}
-	return append(healthy, raw...)
 }
 
 // tryCandidates serves one request from the candidate list. The
@@ -462,7 +421,7 @@ func (c *Client) doAugment(ctx context.Context, r *replica, prompt, salt string)
 		}
 		augmented = ar.Augmented
 	}
-	// The header carries the rung ("1") on every non-full 200.
+	// The header carries the level ("1") on every non-full 200.
 	return result{augmented: augmented, level: resp.Header.Get(wire.DegradedHeader)}, nil
 }
 
@@ -481,9 +440,6 @@ type Stats struct {
 	Requests  int64 `json:"requests"`
 	Failovers int64 `json:"failovers"`
 	Degraded  int64 `json:"degraded"`
-	// BrownoutReroutes counts requests whose owner was demoted behind
-	// healthier successors because it reported raw brownout pressure.
-	BrownoutReroutes int64 `json:"brownout_reroutes,omitempty"`
 	// Live is the routable member count; Members the full health table.
 	Live    int            `json:"live"`
 	Members []MemberStatus `json:"members"`
@@ -499,11 +455,10 @@ type Stats struct {
 // Stats returns a monitoring snapshot.
 func (c *Client) Stats() Stats {
 	s := Stats{
-		Requests:         atomic.LoadInt64(&c.requests),
-		Failovers:        atomic.LoadInt64(&c.failovers),
-		Degraded:         atomic.LoadInt64(&c.degraded),
-		BrownoutReroutes: atomic.LoadInt64(&c.brownoutReroutes),
-		Hedging:          c.hedger != nil,
+		Requests:  atomic.LoadInt64(&c.requests),
+		Failovers: atomic.LoadInt64(&c.failovers),
+		Degraded:  atomic.LoadInt64(&c.degraded),
+		Hedging:   c.hedger != nil,
 	}
 	if c.near != nil {
 		s.Cache = c.near.stats()
@@ -535,7 +490,6 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("pas_ring_requests_total", "Requests entering the cluster routing tier.", float64(s.Requests))
 		e.Counter("pas_ring_failovers_total", "Requests served by a non-owner replica.", float64(s.Failovers))
 		e.Counter("pas_ring_degraded_total", "Requests served fail-open after the whole fleet failed.", float64(s.Degraded))
-		e.Counter("pas_ring_brownout_reroutes_total", "Requests whose owner was deprioritized for raw brownout pressure.", float64(s.BrownoutReroutes))
 		e.Counter("pas_ring_cache_hits_total", "Requests answered from the near cache, without a hop.", float64(s.Cache.Hits))
 		e.Counter("pas_ring_cache_misses_total", "Near-cache misses: requests routed to a replica.", float64(s.Cache.Misses))
 		e.Counter("pas_ring_cache_evictions_total", "Near-cache LRU evictions.", float64(s.Cache.Evictions))

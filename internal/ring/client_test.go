@@ -19,11 +19,10 @@ import (
 // augmented prompt and records which prompts it served; /v1/status
 // answers probes.
 type fakeReplica struct {
-	name     string
-	delay    atomic.Int64 // nanoseconds added to every augment
-	fail     atomic.Int32 // HTTP status to answer augments with; 0 = 200
-	pressure atomic.Value // brownout rung reported by /v1/status ("", "raw")
-	level    atomic.Value // X-PAS-Degraded value set on augment responses
+	name  string
+	delay atomic.Int64 // nanoseconds added to every augment
+	fail  atomic.Int32 // HTTP status to answer augments with; 0 = 200
+	level atomic.Value // X-PAS-Degraded value set on augment responses
 
 	mu     sync.Mutex
 	served map[string]int // prompt -> times served here
@@ -37,11 +36,7 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 		switch r.URL.Path {
 		case "/v1/status":
 			w.Header().Set("Content-Type", "application/json")
-			body := `{"status":"ok"}`
-			if p, _ := f.pressure.Load().(string); p != "" {
-				body = fmt.Sprintf(`{"status":"ok","pressure":%q}`, p)
-			}
-			_, _ = w.Write([]byte(body))
+			_, _ = w.Write([]byte(`{"status":"ok"}`))
 		case "/v1/augment":
 			if d := f.delay.Load(); d > 0 {
 				time.Sleep(time.Duration(d))
@@ -331,5 +326,26 @@ func TestClientBreaker(t *testing.T) {
 	// were refused locally.
 	if n := reps[0].servedCount(); n != 0 {
 		t.Fatalf("failing replica recorded %d served augments, want 0", n)
+	}
+}
+
+// TestClientLevelPropagates: the value a replica flags its answer with
+// rides the header back through the cluster client untouched — here
+// "trim", which only a replica from before the two-rung ladder sends,
+// mid rolling upgrade.
+func TestClientLevelPropagates(t *testing.T) {
+	c, reps := newTestCluster(t, 2, nil)
+	ctx := context.Background()
+	for _, r := range reps {
+		r.level.Store("trim")
+	}
+	_, level, err := c.AugmentContextLevel(ctx, "p", "s")
+	if err != nil || level != "trim" {
+		t.Fatalf("(level, err) = (%q, %v), want the replica's value passed through", level, err)
+	}
+	// The boolean interface folds any level into degraded=true.
+	_, degraded, err := c.AugmentContextDegraded(ctx, "p2", "s")
+	if err != nil || !degraded {
+		t.Fatalf("(degraded, err) = (%v, %v), want true", degraded, err)
 	}
 }

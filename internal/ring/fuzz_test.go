@@ -4,17 +4,14 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/serving"
 )
 
 // FuzzProbeStatus: the prober decodes bytes another process wrote, so
 // on any ≤4 KiB body parseStatus must not panic, a body that is not a
-// JSON object must read as healthy, not draining, at full service and
-// with no instance, an unknown pressure name — "trim" from a replica
-// that predates the two-rung ladder, mid rolling upgrade, included —
-// must read as full, and the instance must be the string sent, whatever
-// its size.
+// JSON object must read as healthy, not draining and with no instance, a
+// "pressure" key — what a replica from before the ladder's removal sends
+// mid rolling upgrade — must change nothing whatever its value, and the
+// instance must be the string sent, whatever its size.
 func FuzzProbeStatus(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -46,17 +43,13 @@ func FuzzProbeStatus(f *testing.F) {
 			body = body[:maxStatusBody]
 		}
 		got := parseStatus(body)
-		// The reference reading: the three fields by their wire names,
-		// and a body encoding/json rejects says nothing at all.
-		var ref struct{ Status, Pressure, Instance string }
+		// The reference reading: the two fields by their wire names, and
+		// a body encoding/json rejects says nothing at all.
+		var ref struct{ Status, Instance string }
 		if json.Unmarshal(body, &ref) != nil {
-			ref.Status, ref.Pressure, ref.Instance = "", "", ""
+			ref.Status, ref.Instance = "", ""
 		}
-		want := probeStatus{
-			draining: ref.Status == "draining",
-			pressure: map[string]serving.Level{"raw": serving.LevelRaw}[ref.Pressure],
-			instance: ref.Instance,
-		}
+		want := probeStatus{draining: ref.Status == "draining", instance: ref.Instance}
 		if got != want {
 			t.Fatalf("body %q read as %+v, want %+v", body, got, want)
 		}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/resilience"
-	"repro/internal/serving"
 	"repro/internal/wire"
 )
 
@@ -129,16 +128,7 @@ type replica struct {
 	breaker  *resilience.Breaker
 	requests atomic.Int64 // successful augmentations served by this replica
 	errors   atomic.Int64 // failed attempts against this replica
-	// pressure is the brownout rung (a serving.Level) the member's last
-	// successful probe reported. A raw-pressure member stays on the ring
-	// — it is healthy and still answers — but the client deprioritizes
-	// it so hedges and failovers land on replicas that can serve
-	// full-quality work.
-	pressure atomic.Int32
 }
-
-// rung is the brownout rung the member last reported.
-func (r *replica) rung() serving.Level { return serving.Level(r.pressure.Load()) }
 
 // Membership is the replica table: one record per member, holding its
 // health, its breaker and its traffic counters, and it keeps the
@@ -356,10 +346,9 @@ func (m *Membership) recordProbe(url string, st probeStatus, err error) (newInst
 	if err != nil {
 		mem.probeFails++
 	} else {
-		// Only a successful probe speaks for the replica's brownout rung
-		// and instance; a failed one says nothing (the last reading
-		// stands until eviction takes the member off the ring anyway).
-		mem.pressure.Store(int32(st.pressure))
+		// Only a successful probe speaks for the replica's instance; a
+		// failed one says nothing (the last reading stands until eviction
+		// takes the member off the ring anyway).
 		newInstance = st.instance != mem.instance
 		mem.instance = st.instance
 	}
@@ -409,26 +398,21 @@ const maxStatusBody = 4096
 // probeStatus is what one healthy probe body says.
 type probeStatus struct {
 	draining bool
-	pressure serving.Level
 	instance string
 }
 
 // parseStatus reads a 2xx probe body: a wire.Status whose status reads
-// "draining" flags the member as deliberately leaving, its pressure
-// field carries the brownout rung, parsed here once — an unknown rung
-// reads as full — and its instance names the process. A non-JSON body
-// stays plain healthy with no instance, for compatibility with simpler
-// status endpoints.
+// "draining" flags the member as deliberately leaving, and its instance
+// names the process. Any other field — the "pressure" an older replica
+// sends mid rolling upgrade included — is ignored. A non-JSON body stays
+// plain healthy with no instance, for compatibility with simpler status
+// endpoints.
 func parseStatus(body []byte) probeStatus {
 	var st wire.Status
 	if err := json.Unmarshal(body, &st); err != nil {
 		return probeStatus{}
 	}
-	out := probeStatus{draining: st.Status == wire.StatusDraining, instance: st.Instance}
-	if st.Pressure == serving.LevelRaw.String() {
-		out.pressure = serving.LevelRaw
-	}
-	return out
+	return probeStatus{draining: st.Status == wire.StatusDraining, instance: st.Instance}
 }
 
 // Observe feeds a data-path outcome into the health table: the augment
@@ -511,9 +495,6 @@ type MemberStatus struct {
 	// Fails is the consecutive-failure streak; 0 for a healthy member.
 	Fails   int    `json:"fails,omitempty"`
 	LastErr string `json:"last_error,omitempty"`
-	// Pressure is the brownout rung the member last reported ("" or
-	// "raw"); the client deprioritizes raw-pressure members.
-	Pressure string `json:"pressure,omitempty"`
 	// Instance is the process incarnation the member last reported.
 	Instance string `json:"instance,omitempty"`
 	// Probes / ProbeFails are lifetime probe counters; Downs counts
@@ -526,7 +507,7 @@ type MemberStatus struct {
 
 // statusLocked snapshots r's health. Caller holds Membership.mu.
 func (r *replica) statusLocked() MemberStatus {
-	st := MemberStatus{
+	return MemberStatus{
 		URL:        r.url,
 		State:      r.state.String(),
 		state:      r.state,
@@ -538,10 +519,6 @@ func (r *replica) statusLocked() MemberStatus {
 		Downs:      r.downs,
 		Drains:     r.drains,
 	}
-	if l := r.rung(); l != serving.LevelFull {
-		st.Pressure = l.String()
-	}
-	return st
 }
 
 // Snapshot returns every member's status in the stable replica order.

@@ -47,7 +47,6 @@ func (f *scriptedFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 type modelReplica struct {
 	state            State
 	fails            int
-	pressure         string
 	requests, errors int64
 	streak           int // consecutive breaker failures
 }
@@ -127,16 +126,10 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				fleet.status[host] = body
 				c.mem.ProbeOne(ctx, u)
 				if mr != nil {
+					// A "pressure" key is what a replica from before the
+					// ladder's removal sends mid rolling upgrade: like any
+					// unknown field it changes nothing.
 					mr.observe(body == "", strings.Contains(body, "draining"), true, downAfter)
-					// "trim" is what a replica from before the two-rung
-					// ladder reports mid rolling upgrade: like any unknown
-					// rung it reads as full.
-					switch {
-					case strings.Contains(body, "raw"):
-						mr.pressure = "raw"
-					case body != "":
-						mr.pressure = ""
-					}
 				}
 			case 3:
 				code := []int{0, http.StatusOK, http.StatusServiceUnavailable}[rng.Intn(3)]
@@ -169,7 +162,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					wantRing = append(wantRing, u)
 					wantStats.Live++
 				}
-				wantStats.Members = append(wantStats.Members, MemberStatus{URL: u, State: mr.state.String(), Fails: mr.fails, Pressure: mr.pressure})
+				wantStats.Members = append(wantStats.Members, MemberStatus{URL: u, State: mr.state.String(), Fails: mr.fails})
 				wantStats.Replicas = append(wantStats.Replicas, ReplicaStats{URL: u, Requests: mr.requests, Errors: mr.errors})
 				wantStats.Breakers[u] = "closed"
 				if mr.streak >= threshold {
@@ -182,7 +175,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				// The model keeps what routing depends on, not the probe
 				// counters and error text.
 				m := got.Members[i]
-				got.Members[i] = MemberStatus{URL: m.URL, State: m.State, Fails: m.Fails, Pressure: m.Pressure}
+				got.Members[i] = MemberStatus{URL: m.URL, State: m.State, Fails: m.Fails}
 			}
 			got.Requests, got.Failovers, got.Degraded = 0, 0, 0
 			if !reflect.DeepEqual(got, wantStats) {

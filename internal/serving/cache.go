@@ -80,6 +80,19 @@ func (c *Cache) Get(key string) (string, bool) {
 	return e.val, true
 }
 
+// peek is Get without the counters: a second look by a request whose
+// Get already counted. An expired entry is left for Get to count.
+func (c *Cache) peek(key string) (string, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.lru.Get(key)
+	if !ok || c.ttl > 0 && c.now().After(e.expires) {
+		return "", false
+	}
+	return e.val, true
+}
+
 // Put stores a value, evicting the least recently used entry of the
 // shard when full.
 func (c *Cache) Put(key, val string) {

@@ -68,9 +68,9 @@ func TestDrainDuringFullQueueShedsDraining(t *testing.T) {
 //
 // Each row stacks every condition at and below its own, so the matrix
 // proves each signal outranks everything beneath it. The degrade rows
-// pin fail-open as the ladder's last rung: an overload shed is answered
-// ("", LevelRaw, nil) and counted degraded, while a draining core still
-// sheds — it never degrades.
+// pin fail-open: an overload shed is answered ("", LevelRaw, nil) and
+// counted degraded, while a draining core still sheds — it never
+// degrades.
 func TestShedPrecedenceMatrix(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

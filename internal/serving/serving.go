@@ -14,10 +14,9 @@
 //     capped by the context deadline) is shed with a typed error the
 //     HTTP layer maps to 503 + Retry-After.
 //
-// Under sustained pressure the core climbs a degradation ladder (full →
-// raw) so it sheds the computation before it sheds the request; with
-// Config.Degrade a request that would still be shed is answered at the
-// raw rung too. See Level and DoLevel.
+// A request is answered one of two ways: the complement, or — when the
+// core sheds it and Config.Degrade is set — the raw prompt, flagged
+// degraded (fail-open). See Level and DoLevel.
 //
 // The package is pure library: it knows nothing about HTTP except the
 // optional StatsHandler, and the complement function is injected, so
@@ -120,7 +119,7 @@ type Config struct {
 	MaxTenants int
 
 	// ComputeDelay injects a fixed sleep into every computation — an
-	// overload-drill knob for rehearsing brownouts against a live
+	// overload-drill knob for rehearsing saturation against a live
 	// replica (see the README's "Surviving overload" runbook). 0 off.
 	ComputeDelay time.Duration
 
@@ -199,7 +198,7 @@ type Core struct {
 
 	flight flightGroup
 	sched  *scheduler
-	gauge  *pressureGauge // picks the ladder rung misses are served at
+	svc    serviceGauge // prices RetryAfter
 
 	// draining, once set, refuses new computations (ErrDraining) while
 	// in-flight and cache-hit traffic keeps being served; see Drain.
@@ -211,7 +210,6 @@ type Core struct {
 	shedDeadline  int64
 	shedDraining  int64
 	degraded      int64
-	servedRaw     int64
 
 	// durations is the one record of completed requests (Stats().Completed
 	// is its total); finish observes into lat, its children resolved once
@@ -251,13 +249,12 @@ func New(fn Func, cfg Config) (*Core, error) {
 		fn:    fn,
 		cfg:   cfg,
 		sched: newScheduler(&cfg),
-		gauge: newPressureGauge(cfg.QueueWait),
 		durations: obs.NewHistogramVec("pas_serving_request_duration_seconds",
-			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed) and ladder rung.",
+			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed) and level.",
 			durationBounds, "outcome", "level"),
 	}
 	for o, name := range outcomeNames {
-		// Only full-quality answers are timed — a raw serve computes
+		// Only full-quality answers are timed — a raw answer computes
 		// nothing — so the level label has the one value.
 		c.lat[o] = c.durations.With(name, LevelFull.String())
 	}
@@ -287,24 +284,23 @@ func Key(prompt, salt, model string) string {
 // front several model versions without cross-talk. On success it
 // returns p_c; on overload it returns a typed shedding error; a
 // context that ends first returns its ctx.Err(). Callers that honor
-// the degradation ladder use DoLevel instead.
+// fail-open use DoLevel instead.
 func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, error) {
 	v, _, err := c.DoLevel(ctx, prompt, salt, model)
 	return v, err
 }
 
-// DoLevel is Do plus the degradation ladder: it reports the rung the
-// response was served at. At LevelFull the returned string is the
-// complement; at LevelRaw it is empty and the caller must answer with
-// the raw prompt, flagged degraded via Level.Header.
+// DoLevel is Do plus fail-open: it reports the level the response was
+// served at. At LevelFull the returned string is the complement; at
+// LevelRaw it is empty and the caller must answer with the raw prompt,
+// flagged degraded via Level.Header.
 //
-// A request gets one attempt. With Config.Degrade, fail-open is the
-// ladder's last rung: a request that is shed is answered
-// ("", LevelRaw, nil) and counted in Stats.Degraded. Drain
-// sheds are the one overload that never degrades: a draining replica
-// must answer 503 so its router fails the request over to a peer,
-// instead of fail-open 200s keeping traffic pinned to a process on its
-// way out.
+// A request gets one attempt. With Config.Degrade a request that is
+// shed is answered ("", LevelRaw, nil) and counted in Stats.Degraded —
+// the only way a request gets LevelRaw. Drain sheds are the one
+// overload that never degrades: a draining replica must answer 503 so
+// its router fails the request over to a peer, instead of fail-open 200s
+// keeping traffic pinned to a process on its way out.
 func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string, Level, error) {
 	v, level, err := c.attempt(ctx, prompt, salt, model)
 	if err != nil && c.cfg.Degrade && Overloaded(err) && !errors.Is(err, ErrDraining) {
@@ -315,7 +311,7 @@ func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string,
 	return v, level, err
 }
 
-// attempt is one pass through cache, ladder, dedup, and admission.
+// attempt is one pass through cache, dedup, and admission.
 //
 //paslint:hotpath cache-hit path budget is key+lookup+finish; the paper's p50 assumes hits do not allocate
 func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string, Level, error) {
@@ -343,20 +339,6 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	}
 	lookup.End()
 
-	// A draining core never serves the raw rung — it sheds.
-	if !c.draining.Load() && c.gauge.current() == LevelRaw {
-		// The raw rung sheds the computation, not the request: the
-		// caller answers with the raw prompt and admission is never
-		// touched, so the backlog drains. The zero-wait observation
-		// below is what walks the gauge back down while traffic keeps
-		// flowing.
-		inflight, _ := c.sched.depth()
-		c.gauge.observe(0, c.utilization(inflight))
-		atomic.AddInt64(&c.servedRaw, 1)
-		span.SetStatus("brownout_raw")
-		return "", LevelRaw, nil
-	}
-
 	v, shared, err := c.compute(ctx, k, prompt, salt)
 	how := outcomeComputed
 	if shared {
@@ -373,12 +355,25 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 }
 
 // compute runs the admission-controlled single-flight computation of
-// the complement stored under key.
+// the complement stored under key. It reports shared when the answer
+// was not computed for this request: a follower's, or one the previous
+// leader stored between this request's cache miss and its flight.
 func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, bool, error) {
-	return c.flight.do(ctx, key, func() (string, error) {
+	stored := false
+	v, shared, err := c.flight.do(ctx, key, func() (string, error) {
 		// The single-flight leader runs here; followers share its
 		// outcome, so the spans below describe the one real computation.
 		//
+		// A request that missed the cache just before the previous
+		// leader's Put, and reached the flight just after that leader
+		// left it, leads the key again: the cache is read once more,
+		// without counting, so a request is one hit or one miss.
+		if c.cache != nil {
+			if v, ok := c.cache.peek(key); ok {
+				stored = true
+				return v, nil
+			}
+		}
 		// The drain gate sits exactly here — after the cache lookup and
 		// the follower attach — so a draining core still answers repeat
 		// traffic (hits) and requests that joined an in-flight
@@ -403,8 +398,6 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 			return "", err
 		}
 		waited := c.cfg.Now().Sub(admitStart)
-		inflight, _ := c.sched.depth()
-		c.gauge.observe(waited, c.utilization(inflight))
 		qspan.End()
 		defer release()
 		_, compute := obs.StartSpan(ctx, "serving.compute")
@@ -414,12 +407,13 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		out := c.fn(prompt, salt)
 		total := c.cfg.Now().Sub(admitStart)
 		compute.End()
-		c.gauge.observeService(total - waited)
+		c.svc.observeService(total - waited)
 		if c.cache != nil {
 			c.cache.Put(key, out)
 		}
 		return out, nil
 	})
+	return v, shared || stored, err
 }
 
 // waitBudget is how long this request may wait for a slot: QueueWait,
@@ -434,25 +428,15 @@ func (c *Core) waitBudget(ctx context.Context) time.Duration {
 	return wait
 }
 
-// noteShed folds an admission shed into the global counters and the
-// pressure gauge. Client cancellations are not sheds and count nothing.
+// noteShed folds an admission shed into the global counters. Client
+// cancellations are not sheds and count nothing.
 func (c *Core) noteShed(err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		atomic.AddInt64(&c.shedQueueFull, 1)
 	case errors.Is(err, ErrDeadline):
 		atomic.AddInt64(&c.shedDeadline, 1)
-	default:
-		return
 	}
-	// A shed observes its full wait budget at saturation: the queue was
-	// full, or stalled, for at least that long.
-	c.gauge.observe(c.cfg.QueueWait, 1)
-}
-
-// utilization is the share of the MaxInFlight slots in use.
-func (c *Core) utilization(inflight int) float64 {
-	return float64(inflight) / float64(c.cfg.MaxInFlight)
 }
 
 // finish records a served request: an array index into the children
@@ -468,14 +452,7 @@ func (c *Core) finish(start time.Time, how outcome) {
 // computation has been observed it is 1 — the old fixed constant.
 func (c *Core) RetryAfter() int {
 	_, waiting := c.sched.depth()
-	return c.gauge.retryAfter(waiting, c.cfg.MaxInFlight)
-}
-
-// PressureLevel is the degradation ladder's current rung. It is one
-// mutex acquisition — cheap enough for the status probe a fleet of
-// ring members polls continuously.
-func (c *Core) PressureLevel() Level {
-	return c.gauge.current()
+	return c.svc.retryAfter(waiting, c.cfg.MaxInFlight)
 }
 
 // Drain flips the core into draining: from now on new computations are

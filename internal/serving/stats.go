@@ -22,7 +22,7 @@ type Stats struct {
 	Requests int64 `json:"requests"`
 	// Completed counts served requests: the total of the
 	// pas_serving_request_duration_seconds histogram, which /metricsz
-	// breaks down by outcome and rung.
+	// breaks down by outcome.
 	Completed int64 `json:"completed"`
 
 	// Shed totals the load-shedding outcomes; the components tell
@@ -36,27 +36,16 @@ type Stats struct {
 	// computations and the process is on its way out.
 	Draining bool `json:"draining,omitempty"`
 
-	// Degraded counts requests served fail-open — answered at the raw
-	// rung because the core would otherwise have shed them.
+	// Degraded counts requests served fail-open — answered with the raw
+	// prompt because the core would otherwise have shed them.
 	Degraded int64 `json:"degraded"`
 
 	// Limit is the concurrency cap (MaxInFlight), so in_flight/limit is
 	// the slot utilization.
 	Limit int `json:"limit"`
 
-	// PressureScore is the unitless overload score in [0, 1];
-	// PressureLevel is the brownout rung misses are served at ("full",
-	// "raw") and PressureTransitions counts rung changes. ServedRaw
-	// counts responses the ladder degraded.
-	PressureScore       float64 `json:"pressure_score"`
-	PressureLevel       string  `json:"pressure_level"`
-	PressureTransitions int64   `json:"pressure_transitions"`
-	ServedRaw           int64   `json:"served_raw"`
-
-	// QueueWaitEWMAMs / ServiceEWMAMs are the smoothed admission-wait
-	// and computation times feeding the score and the Retry-After hint
-	// (RetryAfterHintS, seconds).
-	QueueWaitEWMAMs float64 `json:"queue_wait_ewma_ms"`
+	// ServiceEWMAMs is the smoothed computation time pricing the
+	// Retry-After hint (RetryAfterHintS, seconds).
 	ServiceEWMAMs   float64 `json:"service_ewma_ms"`
 	RetryAfterHintS int     `json:"retry_after_hint_s"`
 
@@ -87,20 +76,14 @@ func (c *Core) Stats() Stats {
 		Draining:      c.draining.Load(),
 		Degraded:      atomic.LoadInt64(&c.degraded),
 		Limit:         c.cfg.MaxInFlight,
-		ServedRaw:     atomic.LoadInt64(&c.servedRaw),
+		ServiceEWMAMs: c.svc.serviceMs(),
 	}
 	for _, h := range c.lat {
 		s.Completed += h.Count()
 	}
 	s.DedupHits = atomic.LoadInt64(&c.dedupHits)
 	s.Shed = s.ShedQueueFull + s.ShedDeadline + s.ShedDraining
-	score, level, transitions, waitMs, svcMs := c.gauge.snapshot()
-	s.PressureScore = score
-	s.PressureLevel = level.String()
-	s.PressureTransitions = transitions
-	s.QueueWaitEWMAMs = waitMs
-	s.ServiceEWMAMs = svcMs
-	s.RetryAfterHintS = c.gauge.retryAfter(waiting, s.Limit)
+	s.RetryAfterHintS = c.svc.retryAfter(waiting, s.Limit)
 	s.Tenants = c.sched.tenantStats()
 	if c.cache != nil {
 		s.Cache = c.cache.Stats()
@@ -136,11 +119,6 @@ func (c *Core) RegisterMetrics(reg *obs.Registry) {
 		e.Gauge("pas_serving_draining", "Whether the core is draining for shutdown (1 = draining).", draining)
 		e.Counter("pas_serving_degraded_total", "Requests served fail-open with the raw prompt.", float64(s.Degraded))
 		e.Gauge("pas_serving_limit", "Concurrency cap (-max-inflight).", float64(s.Limit))
-		e.Gauge("pas_serving_pressure_score", "Overload pressure score in [0, 1] (queue wait + limit headroom).", s.PressureScore)
-		e.Gauge("pas_serving_pressure_level", "Brownout ladder rung (0 full, 2 raw).", float64(c.gauge.current()))
-		e.Counter("pas_serving_pressure_transitions_total", "Brownout ladder rung changes.", float64(s.PressureTransitions))
-		e.Counter("pas_serving_brownout_total", "Responses served below full quality, by rung.",
-			float64(s.ServedRaw), "level", "raw")
 		e.Gauge("pas_serving_retry_after_hint_seconds", "Current Retry-After hint for shed responses.", float64(s.RetryAfterHintS))
 		for _, ts := range s.Tenants {
 			e.Counter("pas_serving_tenant_requests_total", "Computation admissions attempted, by tenant.",

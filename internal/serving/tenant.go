@@ -321,7 +321,7 @@ func (s *scheduler) tenantShareLocked(tq *tenantQ) int {
 	return share
 }
 
-// depth snapshots (inflight, waiting) for stats, the pressure gauge and
+// depth snapshots (inflight, waiting) for stats, the Retry-After price and
 // quiescing.
 func (s *scheduler) depth() (inflight, waiting int) {
 	s.mu.Lock()

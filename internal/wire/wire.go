@@ -10,7 +10,7 @@
 package wire
 
 // DegradedHeader is the response header that flags every reply below
-// full quality; its value is the rung (see AugmentResponse.DegradedLevel).
+// full quality; its value is the level (see AugmentResponse.DegradedLevel).
 // Documented, and matched by HTTP, as X-PAS-Degraded; spelled here the
 // way net/http keys and writes it, so a Get or Set allocates no
 // canonical copy of the name.
@@ -35,11 +35,10 @@ type AugmentResponse struct {
 	// Model is the PAS base model name.
 	Model string `json:"model"`
 	// Degraded reports that the response is below full quality: the
-	// degradation ladder served the raw rung, or the augmentation
-	// path shed and the service fell back to the raw prompt
-	// (ServingConfig.Degrade).
+	// augmentation path shed and the service fell back to the raw
+	// prompt (ServingConfig.Degrade).
 	Degraded bool `json:"degraded,omitempty"`
-	// DegradedLevel names the rung when Degraded: "1", raw passthrough,
+	// DegradedLevel names the level when Degraded: "1", raw passthrough,
 	// is the only reduced value. The X-PAS-Degraded response header
 	// carries the same value.
 	DegradedLevel string `json:"degraded_level,omitempty"`
@@ -59,8 +58,6 @@ const (
 type Status struct {
 	Status string `json:"status"`
 	Model  string `json:"model"`
-	// Pressure is the brownout rung ("raw"); empty at full service.
-	Pressure string `json:"pressure,omitempty"`
 	// Instance names the serving process's incarnation: fixed when it is
 	// built, different after a restart. A restarted replica may carry a
 	// new model, so a prober that reads a changed Instance drops whatever

@@ -178,8 +178,8 @@ type Enhanced struct {
 	// Response is r_e = LLM(cat(p, p_c)).
 	Response string
 	// Degraded reports that the augmentation side answered with the raw
-	// prompt — under pressure, or fail-open (ServingConfig.Degrade) —
-	// the plug-and-play guarantee held: the user still got an answer.
+	// prompt — fail-open (ServingConfig.Degrade) — the plug-and-play
+	// guarantee held: the user still got an answer.
 	Degraded bool
 }
 

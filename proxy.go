@@ -57,7 +57,7 @@ type Augmenter interface {
 }
 
 // LevelAugmenter is the optional refinement an Augmenter can implement
-// to name the degradation rung instead of a bare verdict: the returned
+// to name the answer's level instead of a bare verdict: the returned
 // level is the X-PAS-Degraded wire value ("" full, "1" raw
 // passthrough). *System and the ring client implement it, the ring
 // client passing a replica's value through as sent; the proxy falls back
@@ -109,8 +109,13 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 		},
 		// Only transport-level failures (upstream unreachable, connection
 		// reset) reach this handler; an upstream that answers — any
-		// status, 4xx included — streams back to the client verbatim.
+		// status, 4xx included — streams back to the client verbatim. A
+		// client that hung up while the upstream was dialled or read is
+		// no failure of the upstream's, and nobody to answer: 499.
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			if clientGone(w, r) {
+				return
+			}
 			writeError(w, http.StatusBadGateway, "upstream_unreachable", err)
 		},
 	}
@@ -212,8 +217,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if level != "" {
-			// No complement ("1": the core answered at the raw rung, or the
-			// body was not one the proxy could augment). Never silent.
+			// No complement ("1": the core shed fail-open, or the body was
+			// not one the proxy could augment). Never silent.
 			w.Header().Set(wire.DegradedHeader, level)
 		}
 	}

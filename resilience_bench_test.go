@@ -2,9 +2,8 @@ package pas
 
 // BenchmarkEnhanceDegraded measures the fail-open fast path: the one
 // computation slot is parked for the whole run and there is no queue, so
-// every iteration takes the degrade route — refused admission (or, once
-// the sheds have pushed the ladder there, the raw rung), fallback to the
-// raw prompt, downstream chat. Nothing waits, so the numbers are stable
+// every iteration takes the degrade route — refused admission, fallback
+// to the raw prompt, downstream chat. Nothing waits, so the numbers are stable
 // run to run.
 
 import (

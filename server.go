@@ -54,10 +54,11 @@ func (s *System) EnableServing(cfg ServingConfig) error {
 
 // complementLevel is Complement through the serving core when one is
 // enabled: results are cached, concurrent identical requests share one
-// computation, and under pressure the core answers at the raw rung
-// instead of failing (see serving.Core.DoLevel): an empty complement
-// with no error — the caller proceeds with the un-augmented prompt. An
-// error for which IsOverloaded is true means the request was shed.
+// computation, and a request the core sheds is, with
+// ServingConfig.Degrade, answered raw instead of failing (see
+// serving.Core.DoLevel): an empty complement with no error — the caller
+// proceeds with the un-augmented prompt. An error for which IsOverloaded
+// is true means the request was shed.
 // Without EnableServing it computes directly and never fails.
 func (s *System) complementLevel(ctx context.Context, prompt, salt string) (string, serving.Level, error) {
 	if s.core == nil {
@@ -75,7 +76,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 	}
 }
 
-// AugmentContextDegraded is AugmentContextLevel with the rung reduced
+// AugmentContextDegraded is AugmentContextLevel with the level reduced
 // to a verdict, for callers that only need to know whether the prompt
 // went through below full quality.
 func (s *System) AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error) {
@@ -84,9 +85,8 @@ func (s *System) AugmentContextDegraded(ctx context.Context, prompt, salt string
 }
 
 // AugmentContextLevel is Augment through the serving core (see
-// complementLevel), with the degradation rung as its X-PAS-Degraded
-// wire value: "" full quality, "1" raw passthrough (the ladder's raw
-// rung, fail-open included).
+// complementLevel), with the answer's level as its X-PAS-Degraded wire
+// value: "" full quality, "1" raw passthrough (fail-open).
 func (s *System) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
 	c, lvl, err := s.complementLevel(ctx, prompt, salt)
 	if err != nil {
@@ -196,19 +196,12 @@ func (s *System) Handler() http.Handler {
 
 // handleStatus is the liveness probe the cluster membership table polls
 // (see wire.Status for what probers read from it). It is deliberately
-// cheap — no serving-core counters, no locks beyond the rung's one
-// mutex read — because a fleet of probers hits it continuously.
+// cheap — no serving-core counters, no locks — because a fleet of
+// probers hits it continuously.
 func (s *System) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := wire.Status{Status: wire.StatusOK, Model: s.BaseModel(), Instance: s.instance}
 	if s.Draining() {
 		st.Status = wire.StatusDraining
-	}
-	// The brownout rung rides along so ring routers can steer hedges
-	// away from a browned-out replica before sending it more work.
-	if s.core != nil {
-		if l := s.core.PressureLevel(); l != serving.LevelFull {
-			st.Pressure = l.String()
-		}
 	}
 	writeJSON(w, http.StatusOK, st)
 }

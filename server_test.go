@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -163,11 +164,13 @@ func TestStatsWithoutServingCore(t *testing.T) {
 
 // TestAbandonedRequestIs499NotAShed: a request whose own client has
 // left comes back from the augmenter as that context's error, on
-// POST /v1/augment and through the proxy alike. Nobody was refused and
+// POST /v1/augment and through the proxy alike — and through the proxy
+// after augmenting, while the upstream is read. Nobody was refused and
 // nobody is listening, so nothing is written, and the chain's shared
 // record says 499: not the 503 with "shed":true an operator would read
-// as overload, not an error on /metricsz. (A follower of a cancelled
-// single-flight leader has a live context of its own and gets its 200:
+// as overload, not the 502 of an unreachable upstream, not an error on
+// /metricsz. (A follower of a cancelled single-flight leader has a live
+// context of its own and gets its 200:
 // TestAugmentHandlerFollowerOutlivesLeadersClient.)
 func TestAbandonedRequestIs499NotAShed(t *testing.T) {
 	sys := servingSystem(t, ServingConfig{})
@@ -176,12 +179,31 @@ func TestAbandonedRequestIs499NotAShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An upstream that takes the chat and answers nothing until its
+	// caller leaves.
+	reached := make(chan struct{}, 1)
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Read to the end: only then does the server watch for the caller
+		// leaving.
+		_, _ = io.Copy(io.Discard, r.Body)
+		reached <- struct{}{}
+		<-r.Context().Done()
+	}))
+	defer stalled.Close()
+	stalledProxy, err := NewProxy(sys, stalled.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, path, body string
 		h                http.Handler
+		// hangUpAt, when set, is when the client leaves; otherwise it has
+		// left before the request is served.
+		hangUpAt <-chan struct{}
 	}{
-		{"augment handler", "/v1/augment", `{"prompt":"Explain how tides form."}`, sys.Handler()},
-		{"proxy", "/v1/chat/completions", tidesChat, proxy},
+		{"augment handler", "/v1/augment", `{"prompt":"Explain how tides form."}`, sys.Handler(), nil},
+		{"proxy", "/v1/chat/completions", tidesChat, proxy, nil},
+		{"proxy while the upstream is read", "/v1/chat/completions", tidesChat, stalledProxy, reached},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var logged bytes.Buffer
@@ -191,7 +213,15 @@ func TestAbandonedRequestIs499NotAShed(t *testing.T) {
 			h := httpmw.Chain(tc.h, httpmw.Logging(log.New(&logged, "", 0)), httpmw.Tenant(), metrics.Middleware())
 
 			ctx, hangUp := context.WithCancel(context.Background())
-			hangUp()
+			defer hangUp()
+			if tc.hangUpAt == nil {
+				hangUp()
+			} else {
+				go func() {
+					<-tc.hangUpAt
+					hangUp()
+				}()
+			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)).WithContext(ctx))
 
