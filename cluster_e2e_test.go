@@ -54,7 +54,7 @@ func newClusterFixture(t *testing.T, setup clusterSetup) *clusterFixture {
 	f := &clusterFixture{}
 	urls := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
-		sys := NewSystem(model)
+		sys := newSystem(model)
 		serving := ServingConfig{CacheSize: 4096}
 		if setup.replica != nil {
 			serving = setup.replica(i)

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/rules"
@@ -37,7 +38,7 @@ import (
 
 // paslintVersion is reported in SARIF driver metadata; bumped when the
 // rule set or a rule's semantics change.
-const paslintVersion = "2.0.0"
+const paslintVersion = "2.1.0"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -93,12 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(analysis.Config{Dir: root}, patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "paslint: %v\n", err)
-		return 2
-	}
-	diags, err := analysis.Run(pkgs, analyzers)
+	diags, err := lint(root, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "paslint: %v\n", err)
 		return 2
@@ -137,6 +133,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// lint loads the packages matching patterns and runs analyzers over
+// them. A whole-module analyzer needs every package and its tests to
+// count references, so when one is selected the whole module is loaded
+// once, with its tests, and only findings inside the matched packages
+// are kept.
+func lint(root string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	cfg := analysis.Config{Dir: root}
+	if !slices.ContainsFunc(analyzers, func(a *analysis.Analyzer) bool { return a.RunModule != nil }) {
+		pkgs, err := analysis.Load(cfg, patterns...)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.Run(pkgs, analyzers)
+	}
+	matched, err := analysis.Match(cfg, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Tests = true
+	all, err := analysis.Load(cfg, "./...")
+	if err != nil {
+		return nil, err
+	}
+	return analysis.RunMatched(all, matched, analyzers)
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 func TestListShowsEveryRule(t *testing.T) {
@@ -12,7 +15,7 @@ func TestListShowsEveryRule(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, stderr = %s", code, errOut.String())
 	}
-	for _, rule := range []string{"determinism", "ctxpropagate", "lockheld", "errwrap", "httpbody"} {
+	for _, rule := range []string{"determinism", "ctxpropagate", "lockheld", "errwrap", "httpbody", "unused"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing %q:\n%s", rule, out.String())
 		}
@@ -59,5 +62,38 @@ func TestLintCleanPackage(t *testing.T) {
 	}
 	if len(diags) != 0 {
 		t.Fatalf("expected no findings, got %d", len(diags))
+	}
+}
+
+// TestModuleRuleOnASubset lints one package of the unused rule's
+// fixture module: the rule still counts references across the whole
+// module — Used is called from cmd/app — but reports only inside the
+// matched package.
+func TestModuleRuleOnASubset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads stdlib sources")
+	}
+	fixture := filepath.Join("..", "..", "internal", "analysis", "rules", "testdata", "src", "unused")
+	for _, tc := range []struct {
+		pkg  string
+		exit int
+	}{{"./cmd/app", 0}, {".", 1}} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-C", fixture, "-json", "-rules", "unused", tc.pkg}, &out, &errOut)
+		if code != tc.exit {
+			t.Fatalf("%s: exit = %d, want %d\nstdout: %s\nstderr: %s", tc.pkg, code, tc.exit, out.String(), errOut.String())
+		}
+		var diags []analysis.Diagnostic
+		if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
+			t.Fatalf("%s: -json output: %v", tc.pkg, err)
+		}
+		for _, d := range diags {
+			if filepath.Base(filepath.Dir(d.Pos.Filename)) != "unused" || strings.Contains(d.Message, "Used ") {
+				t.Errorf("%s: finding outside the subset or on a live export: %s", tc.pkg, d)
+			}
+		}
+		if tc.pkg == "." && len(diags) < 5 {
+			t.Errorf(".: %d findings, want the fixture's reported shapes", len(diags))
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // fail-open like the daemons: a drain must shed all the same.
 func drainFixture(t *testing.T) (*System, *httptest.Server) {
 	t.Helper()
-	sys := NewSystem(testSystem(t).System.model)
+	sys := newSystem(testSystem(t).System.model)
 	if err := sys.EnableServing(ServingConfig{CacheSize: 64, Degrade: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func checkAgainstReference(t *testing.T, name string, sys, ref *System, body str
 // the reply — with and without a serving core, shed with a 503, and
 // shed fail-open.
 func TestAugmentHandlerMatchesEncodingJSON(t *testing.T) {
-	full, bare := servingSystem(t, ServingConfig{}), NewSystem(testSystem(t).System.model)
+	full, bare := servingSystem(t, ServingConfig{}), newSystem(testSystem(t).System.model)
 	for _, body := range augmentBodies {
 		checkAgainstReference(t, "full", full, full, body)
 		checkAgainstReference(t, "bare", bare, bare, body)

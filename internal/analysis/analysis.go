@@ -32,6 +32,32 @@ type Analyzer struct {
 	// pass.Reportf. A returned error aborts the whole lint run (it means
 	// the analyzer itself failed, not that the code has findings).
 	Run func(*Pass) error
+	// RunModule, set instead of Run, makes the rule whole-module: it is
+	// applied once to every loaded package together, for invariants no
+	// single package can decide ("nothing outside this package uses
+	// it"). Its answer is only as whole as the load: lint ./... for it.
+	RunModule func(*ModulePass) error
+}
+
+// A ModulePass carries a whole-module analyzer's view of every loaded
+// package. All packages share one FileSet and one type universe, so an
+// object declared in one package is the same types.Object in another's
+// Info.Uses.
+type ModulePass struct {
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	Packages []*Package
+
+	diags *[]Diagnostic
+}
+
+// Reportf records a finding at pos.
+func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
+	*p.diags = append(*p.diags, Diagnostic{
+		Pos:     p.Fset.Position(pos),
+		Rule:    p.Analyzer.Name,
+		Message: fmt.Sprintf(format, args...),
+	})
 }
 
 // A Pass carries one analyzer's view of one package.

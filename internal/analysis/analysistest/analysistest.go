@@ -44,6 +44,7 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 		Fset:     sharedFset,
 		Dir:      abs,
 		Module:   filepath.Base(abs),
+		Tests:    true,
 		Importer: sharedImporter,
 	}, "./...")
 	if err != nil {

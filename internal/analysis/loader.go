@@ -28,6 +28,11 @@ type Package struct {
 	Info  *types.Info
 	// Module is the module path the loader ran under.
 	Module string
+	// Tests are the package's test files, type-checked only under
+	// Config.Tests: the in-package _test.go files (checked together with
+	// Files, so that variant's own objects are fresh ones at the same
+	// positions as Types') and the external _test package.
+	Tests []*TestVariant
 
 	directives []Directive
 	badDirs    []Diagnostic // malformed directives, reported as findings
@@ -43,6 +48,10 @@ type Config struct {
 	// Module is the import-path prefix of packages under Dir. Empty
 	// means read it from Dir/go.mod.
 	Module string
+	// Tests also type-checks every loaded package's _test.go files into
+	// Package.Tests, for rules that tell a test's reference from a
+	// production one.
+	Tests bool
 	// Importer resolves non-module (standard library) imports. Nil
 	// means a fresh SourceImporter on Fset. Sharing one across loads
 	// amortizes the cost of type-checking the stdlib closure.
@@ -52,32 +61,12 @@ type Config struct {
 // Load discovers, parses, and type-checks the module packages matching
 // patterns. Supported patterns: "./..." (everything under Dir),
 // "./dir/..." (a subtree), "./dir" (one package), and the equivalent
-// full import paths. Test files are not loaded: paslint's invariants
-// are about production code, and the rules that mention tests
-// (errwrap's discarded-error ban) exclude them by definition.
+// full import paths. Test files are loaded only under Config.Tests, into
+// Package.Tests: paslint's invariants are about production code, and
+// the rules that mention tests (errwrap's discarded-error ban) exclude
+// them by definition.
 func Load(cfg Config, patterns ...string) ([]*Package, error) {
-	if cfg.Fset == nil {
-		cfg.Fset = token.NewFileSet()
-	}
-	if cfg.Importer == nil {
-		cfg.Importer = NewSourceImporter(cfg.Fset)
-	}
-	abs, err := filepath.Abs(cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: resolving %q: %w", cfg.Dir, err)
-	}
-	cfg.Dir = abs
-	if cfg.Module == "" {
-		cfg.Module, err = modulePath(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ld := &loader{cfg: cfg, checked: make(map[string]*Package), busy: make(map[string]bool)}
-	if err := ld.discover(); err != nil {
-		return nil, err
-	}
-	paths, err := ld.match(patterns)
+	ld, paths, err := newLoader(cfg, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +78,53 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		}
 		out = append(out, pkg)
 	}
+	if ld.cfg.Tests {
+		for _, pkg := range out {
+			if err := ld.checkTests(pkg); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return out, nil
+}
+
+// Match returns the sorted import paths of the module packages matching
+// patterns, as Load would select them, without parsing or type-checking
+// anything.
+func Match(cfg Config, patterns ...string) ([]string, error) {
+	_, paths, err := newLoader(cfg, patterns)
+	return paths, err
+}
+
+// newLoader resolves cfg's defaults, discovers the module's packages and
+// matches patterns against them.
+func newLoader(cfg Config, patterns []string) (*loader, []string, error) {
+	if cfg.Fset == nil {
+		cfg.Fset = token.NewFileSet()
+	}
+	if cfg.Importer == nil {
+		cfg.Importer = NewSourceImporter(cfg.Fset)
+	}
+	abs, err := filepath.Abs(cfg.Dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("analysis: resolving %q: %w", cfg.Dir, err)
+	}
+	cfg.Dir = abs
+	if cfg.Module == "" {
+		cfg.Module, err = modulePath(cfg.Dir)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	ld := &loader{cfg: cfg, checked: make(map[string]*Package), busy: make(map[string]bool)}
+	if err := ld.discover(); err != nil {
+		return nil, nil, err
+	}
+	paths, err := ld.match(patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ld, paths, nil
 }
 
 // modulePath reads the module declaration from dir/go.mod.
@@ -220,17 +255,76 @@ func (ld *loader) check(path string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: scanning %s: %w", dir, err)
 	}
 	pkg := &Package{Path: path, Dir: dir, Module: ld.cfg.Module, Fset: ld.cfg.Fset}
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(ld.cfg.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: parsing %s: %w", filepath.Join(dir, name), err)
-		}
-		pkg.Files = append(pkg.Files, f)
+	if pkg.Files, err = ld.parse(dir, bp.GoFiles); err != nil {
+		return nil, err
+	}
+	for _, f := range pkg.Files {
 		ds, bad := fileDirectives(ld.cfg.Fset, f)
 		pkg.directives = append(pkg.directives, ds...)
 		pkg.badDirs = append(pkg.badDirs, bad...)
 	}
-	pkg.Info = &types.Info{
+	if pkg.Types, pkg.Info, err = ld.typeCheck(path, pkg.Files, nil); err != nil {
+		return nil, err
+	}
+	ld.checked[path] = pkg
+	return pkg, nil
+}
+
+// checkTests type-checks pkg's test files into pkg.Tests. It runs after
+// every production package is checked: an external test may import a
+// package that imports the one under test. The external test package
+// imports the in-package test variant, as the go tool builds it, so an
+// export_test.go hook is visible to it.
+func (ld *loader) checkTests(pkg *Package) error {
+	bp, err := ld.cfg.Importer.ctxt.ImportDir(pkg.Dir, 0)
+	if err != nil {
+		return fmt.Errorf("analysis: scanning %s: %w", pkg.Dir, err)
+	}
+	under := pkg.Types
+	if len(bp.TestGoFiles) > 0 {
+		files, err := ld.parse(pkg.Dir, bp.TestGoFiles)
+		if err != nil {
+			return err
+		}
+		own := pkg.Files[:len(pkg.Files):len(pkg.Files)]
+		tpkg, info, err := ld.typeCheck(pkg.Path, append(own, files...), nil)
+		if err != nil {
+			return err
+		}
+		under = tpkg
+		pkg.Tests = append(pkg.Tests, &TestVariant{Files: files, Info: info})
+	}
+	if len(bp.XTestGoFiles) > 0 {
+		files, err := ld.parse(pkg.Dir, bp.XTestGoFiles)
+		if err != nil {
+			return err
+		}
+		_, info, err := ld.typeCheck(pkg.Path+"_test", files, under)
+		if err != nil {
+			return err
+		}
+		pkg.Tests = append(pkg.Tests, &TestVariant{Files: files, Info: info})
+	}
+	return nil
+}
+
+// parse reads the named files of dir, with comments.
+func (ld *loader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(ld.cfg.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: parsing %s: %w", filepath.Join(dir, name), err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// typeCheck checks files as the package at path. A non-nil under
+// stands in for the module package at its own path in files' imports.
+func (ld *loader) typeCheck(path string, files []*ast.File, under *types.Package) (*types.Package, *types.Info, error) {
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -240,19 +334,26 @@ func (ld *loader) check(path string) (*Package, error) {
 	}
 	var terrs []error
 	conf := types.Config{
-		Importer: &moduleImporter{ld: ld},
+		Importer: &moduleImporter{ld: ld, under: under},
 		Sizes:    ld.cfg.Importer.conf().Sizes,
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
-	tpkg, _ := conf.Check(path, ld.cfg.Fset, pkg.Files, pkg.Info)
+	tpkg, _ := conf.Check(path, ld.cfg.Fset, files, info)
 	if len(terrs) > 0 {
 		// Module packages must check cleanly: analyzers reason over the
 		// type info, and holes in it mean silent false negatives.
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, terrs[0])
+		return nil, nil, fmt.Errorf("analysis: type-checking %s: %w", path, terrs[0])
 	}
-	pkg.Types = tpkg
-	ld.checked[path] = pkg
-	return pkg, nil
+	return tpkg, info, nil
+}
+
+// A TestVariant is one type-checked set of a package's test files.
+type TestVariant struct {
+	// Files are the test files alone.
+	Files []*ast.File
+	// Info covers Files (and, in the in-package variant, the package's
+	// own files again).
+	Info *types.Info
 }
 
 // conf exposes the sizes used by the stdlib importer so module packages
@@ -262,9 +363,11 @@ func (si *SourceImporter) conf() types.Config {
 }
 
 // moduleImporter routes intra-module imports back into the loader and
-// everything else to the shared stdlib source importer.
+// everything else to the shared stdlib source importer. under, when
+// set, answers for its own path in place of the loader's package.
 type moduleImporter struct {
-	ld *loader
+	ld    *loader
+	under *types.Package
 }
 
 func (mi *moduleImporter) Import(path string) (*types.Package, error) {
@@ -272,6 +375,9 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 func (mi *moduleImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	if mi.under != nil && path == mi.under.Path() {
+		return mi.under, nil
+	}
 	mod := mi.ld.cfg.Module
 	if path == mod || strings.HasPrefix(path, mod+"/") {
 		pkg, err := mi.ld.check(path)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/token"
 	"testing"
 )
@@ -55,5 +56,42 @@ func TestLoadWholeRepo(t *testing.T) {
 	}
 	if len(pkgs) < 25 {
 		t.Fatalf("got %d packages, expected the whole module", len(pkgs))
+	}
+}
+
+// TestLoadTestVariants checks Config.Tests: the root package's
+// in-package tests and its external _test package are type-checked
+// beside it, and an in-package test's reference to the package's own
+// declaration resolves to an object at that declaration's position.
+func TestLoadTestVariants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the test closure's stdlib sources")
+	}
+	fset := token.NewFileSet()
+	pkgs, err := Load(Config{Fset: fset, Dir: "../..", Tests: true}, ".")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	root := pkgs[0]
+	if len(root.Tests) != 2 {
+		t.Fatalf("root package has %d test variants, want 2 (in-package and external)", len(root.Tests))
+	}
+	decl := root.Types.Scope().Lookup("cat")
+	if decl == nil {
+		t.Fatal("root package lost its cat helper")
+	}
+	found := false
+	for _, f := range root.Tests[0].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "cat" {
+				if obj := root.Tests[0].Info.Uses[id]; obj != nil && obj.Pos() == decl.Pos() {
+					found = true
+				}
+			}
+			return true
+		})
+	}
+	if !found {
+		t.Error("no in-package test reference to cat resolved to its declaration")
 	}
 }

@@ -17,7 +17,7 @@ func TestRegistry(t *testing.T) {
 		"determinism": true, "ctxpropagate": true, "lockheld": true,
 		"errwrap": true, "httpbody": true,
 		"goroutineleak": true, "timerstop": true, "atomicmix": true,
-		"chanhygiene": true, "hotpathalloc": true,
+		"chanhygiene": true, "hotpathalloc": true, "unused": true,
 	}
 	got := All()
 	if len(got) != len(want) {
@@ -27,8 +27,8 @@ func TestRegistry(t *testing.T) {
 		if !want[a.Name] {
 			t.Errorf("unexpected analyzer %q", a.Name)
 		}
-		if a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %q missing Doc or Run", a.Name)
+		if a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
+			t.Errorf("analyzer %q needs a Doc and exactly one of Run, RunModule", a.Name)
 		}
 	}
 	if sub, ok := ByName("determinism,errwrap"); !ok || len(sub) != 2 {

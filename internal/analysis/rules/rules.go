@@ -30,6 +30,7 @@ func All() []*analysis.Analyzer {
 		AtomicMix,
 		ChanHygiene,
 		HotPathAlloc,
+		Unused,
 	}
 }
 

@@ -2,19 +2,38 @@ package analysis
 
 import (
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sort"
 )
 
-// Run applies every analyzer to every package, filters findings through
-// //paslint:allow directives, and returns the surviving diagnostics
-// sorted by position. Malformed directives are themselves findings
-// (rule "paslint") and cannot be suppressed — a suppression the author
-// believes is active but is not would otherwise rot silently.
+// Run applies every analyzer to every package — whole-module analyzers
+// once to all of them — filters findings through //paslint:allow
+// directives, and returns the surviving diagnostics sorted by position.
+// Malformed directives are themselves findings (rule "paslint") and
+// cannot be suppressed — a suppression the author believes is active
+// but is not would otherwise rot silently.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var out []Diagnostic
+	return RunMatched(pkgs, nil, analyzers)
+}
+
+// RunMatched is Run over a whole-module load of which only the packages
+// at the import paths in matched are linted (nil means all of them):
+// per-package analyzers run on those alone, and whole-module analyzers
+// see every package but keep only their findings inside matched ones.
+func RunMatched(pkgs []*Package, matched []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var diags, out []Diagnostic
+	var directives []Directive
+	linted := make(map[string]bool) // source dirs of the matched packages
 	for _, pkg := range pkgs {
-		var diags []Diagnostic
+		if matched != nil && !slices.Contains(matched, pkg.Path) {
+			continue
+		}
+		linted[pkg.Dir] = true
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer:   a,
 				Fset:       pkg.Fset,
@@ -30,12 +49,24 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				return nil, fmt.Errorf("analysis: running %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		for _, d := range diags {
-			if !suppressed(pkg.directives, d) {
-				out = append(out, d)
+		directives = append(directives, pkg.directives...)
+		out = append(out, pkg.badDirs...)
+	}
+	if len(pkgs) > 0 {
+		for _, a := range analyzers {
+			if a.RunModule == nil {
+				continue
+			}
+			pass := &ModulePass{Analyzer: a, Fset: pkgs[0].Fset, Packages: pkgs, diags: &diags}
+			if err := a.RunModule(pass); err != nil {
+				return nil, fmt.Errorf("analysis: running %s: %w", a.Name, err)
 			}
 		}
-		out = append(out, pkg.badDirs...)
+	}
+	for _, d := range diags {
+		if linted[filepath.Dir(d.Pos.Filename)] && !suppressed(directives, d) {
+			out = append(out, d)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -53,6 +84,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
+// suppressed reports whether an allow directive covers d. Directives
+// carry their file, so one list serves every package.
 func suppressed(ds []Directive, d Diagnostic) bool {
 	for _, dir := range ds {
 		if dir.File != "" && dir.File != d.Pos.Filename {

@@ -224,7 +224,7 @@ func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 			level := rec.Header().Get(degradedHeader)
 			tenant, resolved := rec.Tenant()
 			if !resolved { // no Tenant middleware inside this one
-				tenant = TenantFromRequest(r)
+				tenant = tenantFromRequest(r)
 			}
 			line := accessLine{
 				RequestID: r.Header.Get(requestIDHeader),

@@ -10,13 +10,13 @@ import (
 	"repro/internal/serving"
 )
 
-// TenantHeader names the caller's tenant explicitly (X-PAS-Tenant in
+// tenantHeader names the caller's tenant explicitly (X-PAS-Tenant in
 // the documentation; header names match in any case). When absent, the
 // middleware falls back to credential headers so keyed clients get
 // per-key fair-share without any client change. Both names are spelled
 // the way net/http keys them: a name in any other spelling costs a
 // canonical copy on every lookup.
-const TenantHeader = "X-Pas-Tenant"
+const tenantHeader = "X-Pas-Tenant"
 
 // apiKeyHeader is the secondary tenant source for keyed deployments.
 const apiKeyHeader = "X-Api-Key"
@@ -35,7 +35,7 @@ const maxTenantLen = 64
 func Tenant() func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			id := TenantFromRequest(r)
+			id := tenantFromRequest(r)
 			if rec, ok := w.(*obs.ResponseRecorder); ok {
 				rec.NoteTenant(id)
 			}
@@ -47,11 +47,11 @@ func Tenant() func(http.Handler) http.Handler {
 	}
 }
 
-// TenantFromRequest extracts the tenant id the Tenant middleware would
+// tenantFromRequest extracts the tenant id the Tenant middleware would
 // assign: the sanitized X-PAS-Tenant value, or a fingerprint of the
 // request's credential. Empty means anonymous (shared default tenant).
-func TenantFromRequest(r *http.Request) string {
-	if id := sanitizeTenant(r.Header.Get(TenantHeader)); id != "" {
+func tenantFromRequest(r *http.Request) string {
+	if id := sanitizeTenant(r.Header.Get(tenantHeader)); id != "" {
 		return id
 	}
 	if key := r.Header.Get(apiKeyHeader); key != "" {

@@ -27,10 +27,10 @@ func TestTenantFromRequestPrecedence(t *testing.T) {
 		want string // "" = anonymous; "key-" prefix = fingerprint expected
 	}{
 		{"explicit header", func(r *http.Request) {
-			r.Header.Set(TenantHeader, "acme-prod")
+			r.Header.Set(tenantHeader, "acme-prod")
 		}, "acme-prod"},
 		{"header beats api key", func(r *http.Request) {
-			r.Header.Set(TenantHeader, "acme")
+			r.Header.Set(tenantHeader, "acme")
 			r.Header.Set("X-API-Key", "s3cret")
 		}, "acme"},
 		{"api key fingerprinted", func(r *http.Request) {
@@ -48,7 +48,7 @@ func TestTenantFromRequestPrecedence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tenantRequest("", "")
 			tc.set(r)
-			got := TenantFromRequest(r)
+			got := tenantFromRequest(r)
 			if tc.want == "key-" {
 				if !strings.HasPrefix(got, "key-") || len(got) != len("key-")+12 {
 					t.Fatalf("tenant = %q, want a key- fingerprint", got)
@@ -65,9 +65,9 @@ func TestTenantFromRequestPrecedence(t *testing.T) {
 // TestTenantFingerprintNeverEchoesSecret: credentials map to stable
 // ids that do not contain the secret, so tenant ids are loggable.
 func TestTenantFingerprintNeverEchoesSecret(t *testing.T) {
-	a := TenantFromRequest(tenantRequest("X-API-Key", "super-secret-key"))
-	b := TenantFromRequest(tenantRequest("X-API-Key", "super-secret-key"))
-	other := TenantFromRequest(tenantRequest("X-API-Key", "different"))
+	a := tenantFromRequest(tenantRequest("X-API-Key", "super-secret-key"))
+	b := tenantFromRequest(tenantRequest("X-API-Key", "super-secret-key"))
+	other := tenantFromRequest(tenantRequest("X-API-Key", "different"))
 	if a != b {
 		t.Fatalf("same key, different tenants: %q vs %q", a, b)
 	}
@@ -106,7 +106,7 @@ func TestTenantMiddlewareTagsContext(t *testing.T) {
 		seen = serving.TenantFrom(r.Context())
 	}), Tenant())
 
-	r := tenantRequest(TenantHeader, "acme")
+	r := tenantRequest(tenantHeader, "acme")
 	h.ServeHTTP(httptest.NewRecorder(), r)
 	if seen != "acme" {
 		t.Fatalf("tenant in ctx = %q, want acme", seen)
@@ -127,7 +127,7 @@ func TestLoggingIncludesTenantAndDegradeLevel(t *testing.T) {
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-PAS-Degraded", "trim")
 	}), Logging(log.New(&buf, "", 0)))
-	h.ServeHTTP(httptest.NewRecorder(), tenantRequest(TenantHeader, "acme"))
+	h.ServeHTTP(httptest.NewRecorder(), tenantRequest(tenantHeader, "acme"))
 	for _, want := range []string{`"tenant":"acme"`, `"degrade_level":"trim"`, `"degraded":true`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("access line %s missing %s", buf.String(), want)
@@ -149,8 +149,8 @@ func TestLoggingReadsTenantFromRecorder(t *testing.T) {
 	}
 	for _, tc := range []struct{ hdr, val, want string }{
 		{"", "", ""},
-		{TenantHeader, "acme", `,"tenant":"acme"`},
-		{TenantHeader, "not a valid id", ""},
+		{tenantHeader, "acme", `,"tenant":"acme"`},
+		{tenantHeader, "not a valid id", ""},
 		{apiKeyHeader, "sk-live-123", `,"tenant":"` + fingerprintTenant("sk-live-123") + `"`},
 		{"Authorization", "Bearer tok-9", `,"tenant":"` + fingerprintTenant("tok-9") + `"`},
 	} {
@@ -212,10 +212,10 @@ func FuzzTenantHeader(f *testing.F) {
 	f.Add("a/b", "", "bearer lowercase-scheme")
 	f.Fuzz(func(t *testing.T, tenant, apiKey, auth string) {
 		r := httptest.NewRequest("POST", "/v1/augment", nil)
-		r.Header[TenantHeader] = []string{tenant}
+		r.Header[tenantHeader] = []string{tenant}
 		r.Header[apiKeyHeader] = []string{apiKey}
 		r.Header["Authorization"] = []string{auth}
-		id := TenantFromRequest(r)
+		id := tenantFromRequest(r)
 		if id == "" {
 			return
 		}

@@ -24,7 +24,7 @@ func DebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if tracer != nil {
-		mux.Handle("/debug/traces", tracer.Handler())
+		mux.Handle("/debug/traces", tracer.handler())
 	}
 	if reg != nil {
 		mux.Handle("/metricsz", reg.Handler())

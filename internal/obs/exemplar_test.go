@@ -17,8 +17,8 @@ func TestObserveExemplarOpenMetricsOutput(t *testing.T) {
 	h.Observe(0.02)                                          // no exemplar
 
 	var om strings.Builder
-	if err := reg.WriteOpenMetrics(&om); err != nil {
-		t.Fatalf("WriteOpenMetrics: %v", err)
+	if err := reg.writeOpenMetrics(&om); err != nil {
+		t.Fatalf("writeOpenMetrics: %v", err)
 	}
 	out := om.String()
 
@@ -65,8 +65,8 @@ func TestParseExpositionTolerantOfExemplars(t *testing.T) {
 	reg.Counter("pas_test_total", "count").Add(3)
 
 	var om strings.Builder
-	if err := reg.WriteOpenMetrics(&om); err != nil {
-		t.Fatalf("WriteOpenMetrics: %v", err)
+	if err := reg.writeOpenMetrics(&om); err != nil {
+		t.Fatalf("writeOpenMetrics: %v", err)
 	}
 	fams, err := ParseExposition(strings.NewReader(om.String()))
 	if err != nil {

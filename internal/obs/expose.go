@@ -12,7 +12,7 @@ import (
 // TextContentType is the Prometheus text exposition content type.
 const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// OpenMetricsContentType is the content type WriteOpenMetrics serves
+// OpenMetricsContentType is the content type writeOpenMetrics serves
 // under — the OpenMetrics 1.0 text format, which is where exemplars
 // live (the 0.0.4 format has no syntax for them).
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -55,9 +55,9 @@ type Exemplar struct {
 // 0.0.4. The output is deterministic for a given registry state.
 func (r *Registry) WriteText(w io.Writer) error { return Write(w, r.Gather(), false) }
 
-// WriteOpenMetrics renders the same exposition in OpenMetrics flavor,
+// writeOpenMetrics renders the same exposition in OpenMetrics flavor,
 // the only one with syntax for trace-ID exemplars.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error { return Write(w, r.Gather(), true) }
+func (r *Registry) writeOpenMetrics(w io.Writer) error { return Write(w, r.Gather(), true) }
 
 // Write renders fams in the order given: per family a HELP line (when
 // there is help), a TYPE line, then one `name[suffix]{labels} value`
@@ -165,13 +165,13 @@ func escapeLabel(s string) string {
 // Handler serves the registry in text exposition format; mount at
 // GET /metricsz. A scrape asking for OpenMetrics (Accept:
 // application/openmetrics-text, or ?exemplars=1 for humans) gets
-// WriteOpenMetrics, the only flavor that carries trace-ID exemplars.
+// writeOpenMetrics, the only flavor that carries trace-ID exemplars.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("exemplars") == "1" ||
 			strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text") {
 			w.Header().Set("Content-Type", OpenMetricsContentType)
-			if err := r.WriteOpenMetrics(w); err != nil {
+			if err := r.writeOpenMetrics(w); err != nil {
 				log.Printf("obs: writing metrics: %v", err)
 			}
 			return

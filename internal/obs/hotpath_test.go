@@ -133,8 +133,8 @@ func TestIDsAreRenderedOnceAndAgree(t *testing.T) {
 		}
 		h := http.Header{}
 		Inject(cctx, h)
-		if got := h.Get(TraceparentHeader); got != sc.Traceparent() {
-			t.Errorf("%s: injected %q, want %q", name, got, sc.Traceparent())
+		if got := h.Get(TraceparentHeader); got != sc.traceparent() {
+			t.Errorf("%s: injected %q, want %q", name, got, sc.traceparent())
 		}
 		child.End()
 		root.End()

@@ -131,7 +131,7 @@ func (h Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 // ObserveExemplar records one value and, when traceID is non-empty,
 // attaches it as the exemplar of the bucket the value falls in,
 // replacing that bucket's previous one. Exemplars appear only in the
-// OpenMetrics exposition (WriteOpenMetrics); WriteText stays
+// OpenMetrics exposition (writeOpenMetrics); WriteText stays
 // 0.0.4-clean.
 func (h Histogram) ObserveExemplar(v float64, traceID string) {
 	slot := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) is +Inf
@@ -162,18 +162,6 @@ func (h Histogram) Count() int64 {
 // seconds, 1ms to 10s.
 var DefaultLatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// Counter registers (or returns the existing) unlabeled counter.
-func (r *Registry) Counter(name, help string) Counter {
-	return Counter{r.register(name, help, "counter", nil).child()}
-}
-
-// Histogram registers (or returns the existing) unlabeled histogram
-// over the given bucket upper bounds (ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, bounds []float64) Histogram {
-	in := r.register(name, help, "histogram", bounds)
-	return Histogram{in.child(), in.bounds}
 }
 
 // CounterVec is a counter family with labels.

@@ -13,6 +13,20 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
+// Counter registers (or returns the existing) unlabeled counter.
+func (r *Registry) Counter(name, help string) Counter {
+	return Counter{r.register(name, help, "counter", nil).child()}
+}
+
+// Histogram registers (or returns the existing) unlabeled histogram
+// over the given bucket upper bounds (ascending; +Inf is implicit).
+// Production code counts and times through the Vec families; these
+// tests build plain instruments with these two.
+func (r *Registry) Histogram(name, help string, bounds []float64) Histogram {
+	in := r.register(name, help, "histogram", bounds)
+	return Histogram{in.child(), in.bounds}
+}
+
 // goldenRegistry builds a registry with one of every instrument kind at
 // pinned values, mirroring the families the serving stack exposes.
 func goldenRegistry() *Registry {

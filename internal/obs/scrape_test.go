@@ -257,7 +257,7 @@ func TestGatherSurvivesTheWire(t *testing.T) {
 		}
 		for name, write := range map[string]func(*strings.Builder) error{
 			"text":        func(b *strings.Builder) error { return reg.WriteText(b) },
-			"openmetrics": func(b *strings.Builder) error { return reg.WriteOpenMetrics(b) },
+			"openmetrics": func(b *strings.Builder) error { return reg.writeOpenMetrics(b) },
 		} {
 			var b strings.Builder
 			if err := write(&b); err != nil {

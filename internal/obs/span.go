@@ -92,9 +92,9 @@ func (s *Span) SetAttrBool(key string, value bool) {
 	s.SetAttr(key, strconv.FormatBool(value))
 }
 
-// AddEvent appends an event at the current time; kv lists attribute
+// addEvent appends an event at the current time; kv lists attribute
 // key/value pairs (a trailing odd key gets an empty value).
-func (s *Span) AddEvent(name string, kv ...string) {
+func (s *Span) addEvent(name string, kv ...string) {
 	if s == nil {
 		return
 	}

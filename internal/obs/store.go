@@ -164,8 +164,8 @@ func (t *Tracer) Snapshot() TracesSnapshot {
 	return snap
 }
 
-// Handler serves the store as JSON; mount at GET /debug/traces.
-func (t *Tracer) Handler() http.Handler {
+// handler serves the store as JSON; mount at GET /debug/traces.
+func (t *Tracer) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if err := json.NewEncoder(w).Encode(t.Snapshot()); err != nil {

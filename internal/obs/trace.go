@@ -43,18 +43,18 @@ type SpanContext struct {
 	Sampled bool
 }
 
-// Valid reports whether both ids are non-zero, per the W3C invariants.
-func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
+// valid reports whether both ids are non-zero, per the W3C invariants.
+func (sc SpanContext) valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
 // TraceparentHeader is the W3C Trace Context header name, spelled the
 // way net/http keys it (and writes it: Set canonicalises either way), so
 // a Get or Set with it allocates no canonical copy.
 const TraceparentHeader = "Traceparent"
 
-// Traceparent renders the context as a version-00 traceparent value:
+// traceparent renders the context as a version-00 traceparent value:
 // "00-<32 hex trace id>-<16 hex span id>-<2 hex flags>", built in one
 // buffer so the string is the only allocation.
-func (sc SpanContext) Traceparent() string {
+func (sc SpanContext) traceparent() string {
 	b := [55]byte{0: '0', 1: '0', 2: '-', 35: '-', 52: '-', 53: '0', 54: '0'}
 	hex.Encode(b[3:35], sc.TraceID[:])
 	hex.Encode(b[36:52], sc.SpanID[:])
@@ -99,7 +99,7 @@ func ParseTraceparent(v string) (SpanContext, bool) {
 		return SpanContext{}, false
 	}
 	sc.Sampled = flags&0x01 != 0
-	if !sc.Valid() {
+	if !sc.valid() {
 		return SpanContext{}, false
 	}
 	return sc, true
@@ -154,20 +154,20 @@ func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
 
 func remoteFromContext(ctx context.Context) (SpanContext, bool) {
 	sc, ok := ctx.Value(remoteCtxKey).(SpanContext)
-	return sc, ok && sc.Valid()
+	return sc, ok && sc.valid()
 }
 
-// SpanFromContext returns the span active in ctx, or nil. The nil span
+// spanFromContext returns the span active in ctx, or nil. The nil span
 // is fully usable: every method is a no-op.
-func SpanFromContext(ctx context.Context) *Span {
+func spanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanCtxKey).(*Span)
 	return s
 }
 
-// SpanContextFromContext returns the propagation context visible in
+// spanContextFromContext returns the propagation context visible in
 // ctx: the active span's, else a remote parent's, else the zero value.
-func SpanContextFromContext(ctx context.Context) SpanContext {
-	if s := SpanFromContext(ctx); s != nil {
+func spanContextFromContext(ctx context.Context) SpanContext {
+	if s := spanFromContext(ctx); s != nil {
 		return s.Context()
 	}
 	sc, _ := remoteFromContext(ctx)
@@ -181,7 +181,7 @@ func SpanContextFromContext(ctx context.Context) SpanContext {
 //
 //paslint:hotpath read by the access log and the exemplar on every request
 func TraceIDFromContext(ctx context.Context) (traceHex string, sampled bool) {
-	if s := SpanFromContext(ctx); s != nil && s.rec != nil {
+	if s := spanFromContext(ctx); s != nil && s.rec != nil {
 		return s.rec.traceHex, s.sc.Sampled
 	}
 	if sc, ok := remoteFromContext(ctx); ok {
@@ -198,7 +198,7 @@ func TraceIDFromContext(ctx context.Context) (traceHex string, sampled bool) {
 // Root spans are started by a Tracer (Tracer.StartSpan), typically in
 // the HTTP middleware; everything below uses this function.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
+	parent := spanFromContext(ctx)
 	if parent == nil || parent.tracer == nil {
 		return ctx, nil
 	}
@@ -208,7 +208,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // AddEvent appends a point-in-time event to the span active in ctx;
 // kv lists attribute key/value pairs. No-op without an active span.
 func AddEvent(ctx context.Context, name string, kv ...string) {
-	SpanFromContext(ctx).AddEvent(name, kv...)
+	spanFromContext(ctx).addEvent(name, kv...)
 }
 
 // Inject writes the active span context (or remote parent) into h as a
@@ -217,8 +217,8 @@ func AddEvent(ctx context.Context, name string, kv ...string) {
 //
 //paslint:hotpath once per response and once per outgoing hop
 func Inject(ctx context.Context, h http.Header) {
-	if sc := SpanContextFromContext(ctx); sc.Valid() {
-		h.Set(TraceparentHeader, sc.Traceparent())
+	if sc := spanContextFromContext(ctx); sc.valid() {
+		h.Set(TraceparentHeader, sc.traceparent())
 	}
 }
 

@@ -59,9 +59,9 @@ func tracesGoldenRun(t *testing.T) string {
 			if i%2 == 1 {
 				clk.advance(1500 * time.Nanosecond)
 				if i == 1 {
-					s.AddEvent("ev.plain")
+					s.addEvent("ev.plain")
 				} else {
-					s.AddEvent("ev.kv", "attempt", strconv.Itoa(i), "odd")
+					s.addEvent("ev.kv", "attempt", strconv.Itoa(i), "odd")
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func tracesGoldenRun(t *testing.T) string {
 	done.SetAttr("after", "end")
 	done.SetAttrInt("after.n", 1)
 	done.SetStatus("after end")
-	done.AddEvent("after.end")
+	done.addEvent("after.end")
 	done.End()
 	clk.advance(time.Millisecond)
 	root.End()

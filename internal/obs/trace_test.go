@@ -16,7 +16,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		SpanID:  SpanID{0x00, 0xf0, 0x67, 0xaa, 0x0b, 0xa9, 0x02, 0xb7},
 		Sampled: true,
 	}
-	v := sc.Traceparent()
+	v := sc.traceparent()
 	want := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	if v != want {
 		t.Fatalf("Traceparent() = %q, want %q", v, want)
@@ -30,7 +30,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 
 	sc.Sampled = false
-	got, ok = ParseTraceparent(sc.Traceparent())
+	got, ok = ParseTraceparent(sc.traceparent())
 	if !ok || got.Sampled {
 		t.Fatalf("unsampled round trip: got %+v ok=%v", got, ok)
 	}
@@ -124,7 +124,7 @@ func TestSpanNestingAndStore(t *testing.T) {
 	clk.advance(5 * time.Millisecond)
 	child.End()
 	_, grand := StartSpan(cctx, "model.call")
-	grand.AddEvent("retry.attempt", "n", "1")
+	grand.addEvent("retry.attempt", "n", "1")
 	clk.advance(10 * time.Millisecond)
 	grand.End()
 	root.End()
@@ -176,11 +176,11 @@ func TestStartSpanWithoutTracerIsNoOp(t *testing.T) {
 	span.SetAttr("k", "v")
 	span.SetAttrInt("n", 1)
 	span.SetAttrBool("b", true)
-	span.AddEvent("e")
+	span.addEvent("e")
 	span.SetError(nil)
 	span.SetStatus("s")
 	span.End()
-	if span.Context().Valid() {
+	if span.Context().valid() {
 		t.Fatal("nil span has a valid context")
 	}
 	AddEvent(ctx, "e") // package-level helper, same guarantee
@@ -375,7 +375,7 @@ func TestSnapshotRacesLiveTraces(t *testing.T) {
 				child.SetAttr("a", "1")
 				child.SetAttr("b", "2")
 				child.SetAttrInt("c", 3) // outgrows the span's own room
-				child.AddEvent("ev", "k", "v")
+				child.addEvent("ev", "k", "v")
 				child.SetStatus("done")
 				child.End()
 				root.SetAttr("http.status", "200")
@@ -440,12 +440,12 @@ func FuzzParseTraceparent(f *testing.F) {
 			}
 			return
 		}
-		if !sc.Valid() {
+		if !sc.valid() {
 			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", v, sc)
 		}
-		again, ok := ParseTraceparent(sc.Traceparent())
+		again, ok := ParseTraceparent(sc.traceparent())
 		if !ok || again != sc {
-			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q parses to %+v, %v", v, sc, sc.Traceparent(), again, ok)
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q parses to %+v, %v", v, sc, sc.traceparent(), again, ok)
 		}
 	})
 }

@@ -98,7 +98,7 @@ func (t *Tracer) headSample() bool {
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	now := t.cfg.Now()
 	var s *Span
-	if parent := SpanFromContext(ctx); parent != nil && parent.rec != nil {
+	if parent := spanFromContext(ctx); parent != nil && parent.rec != nil {
 		c := &childSpan{}
 		s = &c.Span
 		s.attrs = c.attrBuf[:0]

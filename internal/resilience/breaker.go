@@ -168,19 +168,6 @@ func (b *Breaker) trip() {
 	b.probes = 0
 }
 
-// Do runs fn through the breaker, recording its outcome. Terminal
-// errors (the caller's fault, not the backend's — 4xx, cancelled
-// contexts) count as successes for health purposes.
-func (b *Breaker) Do(fn func() error) error {
-	done, err := b.Allow()
-	if err != nil {
-		return err
-	}
-	ferr := fn()
-	done(ferr == nil || Classify(ferr) == Terminal)
-	return ferr
-}
-
 // State reports the current position, advancing open → half-open when
 // the cooldown has elapsed so monitoring never shows a stale "open".
 func (b *Breaker) State() State {

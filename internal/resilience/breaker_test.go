@@ -172,3 +172,16 @@ func TestBreakerConcurrentOutcomes(t *testing.T) {
 		t.Fatalf("outcomes lost under concurrency: %+v", st)
 	}
 }
+
+// Do runs fn through the breaker, recording its outcome. Terminal
+// errors (the caller's fault, not the backend's — 4xx, cancelled
+// contexts) count as successes for health purposes.
+func (b *Breaker) Do(fn func() error) error {
+	done, err := b.Allow()
+	if err != nil {
+		return err
+	}
+	ferr := fn()
+	done(ferr == nil || Classify(ferr) == Terminal)
+	return ferr
+}

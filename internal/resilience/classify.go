@@ -111,9 +111,9 @@ func WithRetryAfter(err error, after time.Duration) error {
 	return &retryAfterError{err: err, after: after}
 }
 
-// RetryAfterHint extracts the server's Retry-After hint from err, if any
+// retryAfterHint extracts the server's Retry-After hint from err, if any
 // wrapper in the chain carries one.
-func RetryAfterHint(err error) (time.Duration, bool) {
+func retryAfterHint(err error) (time.Duration, bool) {
 	var ra *retryAfterError
 	if errors.As(err, &ra) {
 		return ra.after, true

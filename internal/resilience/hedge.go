@@ -57,8 +57,8 @@ func (h *Hedger) maxDelay() time.Duration {
 	return h.MaxDelay
 }
 
-// Observe records one successful-attempt latency.
-func (h *Hedger) Observe(d time.Duration) {
+// observe records one successful-attempt latency.
+func (h *Hedger) observe(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.buf == nil {
@@ -72,9 +72,9 @@ func (h *Hedger) Observe(d time.Duration) {
 	}
 }
 
-// Delay returns the current hedge trigger: the configured percentile of
+// delay returns the current hedge trigger: the configured percentile of
 // the observed window, clamped to [MinDelay, MaxDelay].
-func (h *Hedger) Delay() time.Duration {
+func (h *Hedger) delay() time.Duration {
 	h.mu.Lock()
 	n := h.next
 	if h.full {
@@ -129,7 +129,7 @@ func Hedge[T any](ctx context.Context, h *Hedger, fn func(ctx context.Context) (
 	}
 	go launch(true)
 
-	timer := time.NewTimer(h.Delay())
+	timer := time.NewTimer(h.delay())
 	defer timer.Stop()
 
 	launched := 1
@@ -138,7 +138,7 @@ func Hedge[T any](ctx context.Context, h *Hedger, fn func(ctx context.Context) (
 		select {
 		case r := <-results:
 			if r.err == nil {
-				h.Observe(r.elapsed)
+				h.observe(r.elapsed)
 				return r.val, nil
 			}
 			// Prefer the primary's error — it is the undisturbed

@@ -75,9 +75,9 @@ func TestHedgerDelayTracksPercentile(t *testing.T) {
 	h := &Hedger{Percentile: 0.90, MinDelay: time.Millisecond, MaxDelay: time.Minute}
 	// 100 observations: 1..100ms. p90 ≈ 91ms.
 	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
+		h.observe(time.Duration(i) * time.Millisecond)
 	}
-	d := h.Delay()
+	d := h.delay()
 	if d < 85*time.Millisecond || d > 95*time.Millisecond {
 		t.Fatalf("p90 delay = %v, want ≈91ms", d)
 	}
@@ -85,20 +85,20 @@ func TestHedgerDelayTracksPercentile(t *testing.T) {
 
 func TestHedgerDelayClamps(t *testing.T) {
 	h := &Hedger{MinDelay: 20 * time.Millisecond, MaxDelay: 30 * time.Millisecond}
-	if d := h.Delay(); d != 20*time.Millisecond {
+	if d := h.delay(); d != 20*time.Millisecond {
 		t.Fatalf("cold-start delay = %v, want MinDelay", d)
 	}
 	for i := 0; i < 50; i++ {
-		h.Observe(time.Second)
+		h.observe(time.Second)
 	}
-	if d := h.Delay(); d != 30*time.Millisecond {
+	if d := h.delay(); d != 30*time.Millisecond {
 		t.Fatalf("delay = %v, want clamped to MaxDelay", d)
 	}
 	h2 := &Hedger{MinDelay: 20 * time.Millisecond}
 	for i := 0; i < 50; i++ {
-		h2.Observe(time.Microsecond)
+		h2.observe(time.Microsecond)
 	}
-	if d := h2.Delay(); d != 20*time.Millisecond {
+	if d := h2.delay(); d != 20*time.Millisecond {
 		t.Fatalf("delay = %v, want floored at MinDelay", d)
 	}
 }

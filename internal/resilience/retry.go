@@ -67,25 +67,14 @@ var (
 	jitterMu sync.Mutex
 	// The production default wants unpredictable jitter so a fleet of
 	// clients retrying the same outage decorrelates; tests that need a
-	// reproducible schedule call SeedJitter or pin Policy.Rand.
-	jitterSrc = rand.New(rand.NewSource(time.Now().UnixNano())) //paslint:allow determinism production jitter must decorrelate across processes; tests inject SeedJitter or Policy.Rand
+	// reproducible schedule pin Policy.Rand or reseed this source.
+	jitterSrc = rand.New(rand.NewSource(time.Now().UnixNano())) //paslint:allow determinism production jitter must decorrelate across processes; tests pin Policy.Rand or reseed the source
 )
 
 func jitterRand() float64 {
 	jitterMu.Lock()
 	defer jitterMu.Unlock()
 	return jitterSrc.Float64()
-}
-
-// SeedJitter replaces the shared jitter source with one seeded
-// deterministically, making every Policy that uses the default Rand
-// reproducible. It is the test hook for code paths that build Policies
-// internally (chatapi.Client, serving.Core) where Policy.Rand cannot be
-// injected from outside.
-func SeedJitter(seed int64) {
-	jitterMu.Lock()
-	defer jitterMu.Unlock()
-	jitterSrc = rand.New(rand.NewSource(seed))
 }
 
 // SleepContext waits d or until ctx ends, whichever is first.
@@ -103,21 +92,13 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs fn under the policy: terminal errors (see Classify) return
-// immediately, retryable and overload errors are retried with capped
-// full-jitter backoff — or exactly the server's Retry-After hint when
-// the error carries one — until attempts, the budget, or the context
-// deadline run out. The returned error is always the most recent fn
-// error (or ctx.Err() when a sleep was cancelled), never a synthetic
-// wrapper, so callers can inspect it normally.
-func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error) error {
-	_, err := DoValue(ctx, p, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, fn(ctx)
-	})
-	return err
-}
-
-// DoValue is Do for functions that return a value.
+// DoValue runs fn under the policy: terminal errors (see Classify)
+// return immediately, retryable and overload errors are retried with
+// capped full-jitter backoff — or exactly the server's Retry-After hint
+// when the error carries one — until attempts, the budget, or the
+// context deadline run out. The returned error is always the most
+// recent fn error (or ctx.Err() when a sleep was cancelled), never a
+// synthetic wrapper, so callers can inspect it normally.
 func DoValue[T any](ctx context.Context, p Policy, fn func(ctx context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	start := p.Now()
@@ -160,8 +141,7 @@ func DoValue[T any](ctx context.Context, p Policy, fn func(ctx context.Context) 
 // Delay returns the backoff before retry number attempt+1 under the
 // policy's capped full-jitter envelope, for callers that run their own
 // loop (the ring health prober spaces probes of a down replica with it)
-// instead of going through Do. The shared jitter source applies, so
-// SeedJitter pins it for tests.
+// instead of going through DoValue. The shared jitter source applies.
 func (p Policy) Delay(attempt int) time.Duration {
 	return p.withDefaults().backoff(attempt, nil)
 }
@@ -171,7 +151,7 @@ func (p Policy) Delay(attempt int) time.Duration {
 // own recovery horizon better than our jitter does), otherwise full
 // jitter over the capped exponential envelope.
 func (p Policy) backoff(attempt int, err error) time.Duration {
-	if hint, ok := RetryAfterHint(err); ok && hint > 0 {
+	if hint, ok := retryAfterHint(err); ok && hint > 0 {
 		return hint
 	}
 	cap := p.BaseDelay << uint(attempt)

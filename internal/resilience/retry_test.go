@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -258,10 +259,28 @@ func TestClassify(t *testing.T) {
 			t.Errorf("case %d: Classify(%v) = %v, want %v", i, c.err, got, c.want)
 		}
 	}
-	if _, ok := RetryAfterHint(errors.New("plain")); ok {
+	if _, ok := retryAfterHint(errors.New("plain")); ok {
 		t.Error("plain error should carry no Retry-After hint")
 	}
-	if d, ok := RetryAfterHint(fmt.Errorf("w: %w", WithRetryAfter(errors.New("x"), 3*time.Second))); !ok || d != 3*time.Second {
+	if d, ok := retryAfterHint(fmt.Errorf("w: %w", WithRetryAfter(errors.New("x"), 3*time.Second))); !ok || d != 3*time.Second {
 		t.Errorf("hint = (%v, %v), want (3s, true)", d, ok)
 	}
+}
+
+// SeedJitter replaces the shared jitter source with one seeded
+// deterministically, making every Policy that uses the default Rand
+// reproducible.
+func SeedJitter(seed int64) {
+	jitterMu.Lock()
+	defer jitterMu.Unlock()
+	jitterSrc = rand.New(rand.NewSource(seed))
+}
+
+// Do is DoValue for a function with no value, the shape most of these
+// tests drive.
+func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error) error {
+	_, err := DoValue(ctx, p, func(ctx context.Context) (struct{}, error) {
+		return struct{}{}, fn(ctx)
+	})
+	return err
 }

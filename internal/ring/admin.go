@@ -52,18 +52,18 @@ func (c *Client) AdminHandler(token string) http.Handler {
 			if !ok {
 				return
 			}
-			norm, changed, err := c.AddReplica(url)
+			norm, changed, err := c.addReplica(url)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			writeAdminJSON(w, http.StatusOK, adminMemberResponse{URL: norm, Changed: changed, Live: c.mem.Live()})
+			writeAdminJSON(w, http.StatusOK, adminMemberResponse{URL: norm, Changed: changed, Live: c.mem.live()})
 		case http.MethodDelete:
 			url, ok := adminMemberURL(w, r)
 			if !ok {
 				return
 			}
-			removed, err := c.RemoveReplica(url)
+			removed, err := c.removeReplica(url)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -72,7 +72,7 @@ func (c *Client) AdminHandler(token string) http.Handler {
 			if !removed {
 				status = http.StatusNotFound
 			}
-			writeAdminJSON(w, status, adminMemberResponse{URL: url, Changed: removed, Live: c.mem.Live()})
+			writeAdminJSON(w, status, adminMemberResponse{URL: url, Changed: removed, Live: c.mem.live()})
 		default:
 			w.Header().Set("Allow", "GET, POST, DELETE")
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -114,8 +114,8 @@ func TestAddRemoveReplicaBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, changed, err := c.AddReplica("http://b:1"); err != nil || !changed {
-		t.Fatalf("AddReplica = changed %v, err %v", changed, err)
+	if _, changed, err := c.addReplica("http://b:1"); err != nil || !changed {
+		t.Fatalf("addReplica = changed %v, err %v", changed, err)
 	}
 	// Trip b's breaker, retire it, rejoin it: the breaker must be new.
 	b := c.mem.lookup([]string{"http://b:1"})[0].breaker
@@ -127,10 +127,10 @@ func TestAddRemoveReplicaBreakers(t *testing.T) {
 	if b.State().String() != "open" {
 		t.Fatalf("breaker state %s after failure, want open", b.State())
 	}
-	if removed, err := c.RemoveReplica("http://b:1"); err != nil || !removed {
-		t.Fatalf("RemoveReplica = %v, %v", removed, err)
+	if removed, err := c.removeReplica("http://b:1"); err != nil || !removed {
+		t.Fatalf("removeReplica = %v, %v", removed, err)
 	}
-	if _, _, err := c.AddReplica("http://b:1"); err != nil {
+	if _, _, err := c.addReplica("http://b:1"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.mem.lookup([]string{"http://b:1"})[0].breaker; got == b || got.State().String() != "closed" {

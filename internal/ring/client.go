@@ -19,10 +19,10 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrNoReplicas is returned (fail-closed mode) when every replica is
+// errNoReplicas is returned (fail-closed mode) when every replica is
 // Down and the ring is empty; with Config.Degrade the client returns
 // the raw prompt instead, flagged degraded.
-var ErrNoReplicas = errors.New("ring: no live replicas")
+var errNoReplicas = errors.New("ring: no live replicas")
 
 // Config sizes the cluster augmentation client. Zero values select
 // defaults.
@@ -123,7 +123,7 @@ func NewClient(cfg Config) (*Client, error) {
 		}}
 	}
 	c := &Client{cfg: cfg, ring: New(cfg.VNodes), hc: hc}
-	c.mem = NewMembership(replicas, c.ring, hc, cfg.Health, resilience.BreakerConfig{
+	c.mem = newMembership(replicas, c.ring, hc, cfg.Health, resilience.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
 		Cooldown:  cfg.BreakerCooldown,
 	})
@@ -170,40 +170,37 @@ func NormalizeReplicas(replicas []string) ([]string, error) {
 }
 
 // Start launches the active health prober; it stops when ctx ends.
-func (c *Client) Start(ctx context.Context) { c.mem.Start(ctx) }
+func (c *Client) Start(ctx context.Context) { c.mem.start(ctx) }
 
-// AddReplica joins one replica to the fleet at runtime: the URL is
+// addReplica joins one replica to the fleet at runtime: the URL is
 // validated and normalized, and the membership table gives it a fresh
 // record — closed breaker, zero counters — and puts it on the ring
 // (starting its probe loop when the prober is running). Adding a
 // replica that is already present and routable is a harmless no-op. It
 // returns the normalized URL and whether the membership actually
 // changed.
-func (c *Client) AddReplica(rawurl string) (string, bool, error) {
+func (c *Client) addReplica(rawurl string) (string, bool, error) {
 	norm, err := NormalizeReplicas([]string{rawurl})
 	if err != nil {
 		return "", false, err
 	}
-	return norm[0], c.mem.Add(norm[0]), nil
+	return norm[0], c.mem.add(norm[0]), nil
 }
 
-// RemoveReplica retires one replica: off the ring, probe loop stopped,
+// removeReplica retires one replica: off the ring, probe loop stopped,
 // record dropped — its past failures and traffic belonged to the
 // process that was retired, so a later re-add starts from zero. It
 // reports whether the replica was a member.
-func (c *Client) RemoveReplica(rawurl string) (bool, error) {
+func (c *Client) removeReplica(rawurl string) (bool, error) {
 	norm, err := NormalizeReplicas([]string{rawurl})
 	if err != nil {
 		return false, err
 	}
-	return c.mem.Remove(norm[0]), nil
+	return c.mem.remove(norm[0]), nil
 }
 
 // Membership exposes the health table (stats surfaces, tests).
 func (c *Client) Membership() *Membership { return c.mem }
-
-// Ring exposes the routing ring (stats surfaces, tests).
-func (c *Client) Ring() *Ring { return c.ring }
 
 // shardKey is the routing key: the bytes the replica's serving cache
 // shards on. One cluster serves one model, so the model dimension of
@@ -260,7 +257,7 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 	}
 	// Live members, owner first, resolved to their records once; every
 	// later step reads the record, not the table.
-	cands := c.mem.lookup(c.ring.Successors(key, 0))
+	cands := c.mem.lookup(c.ring.successors(key, 0))
 	ctx, span := obs.StartSpan(ctx, "ring.route")
 	defer span.End()
 	if len(cands) > 0 {
@@ -299,7 +296,7 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 // hands each attempt its own starting offset.
 func (c *Client) tryCandidates(ctx context.Context, cands []*replica, prompt, salt string) (result, error) {
 	if len(cands) == 0 {
-		return result{}, ErrNoReplicas
+		return result{}, errNoReplicas
 	}
 	var cursor int32
 	fn := func(ctx context.Context) (result, error) {
@@ -386,13 +383,13 @@ func (c *Client) doAugment(ctx context.Context, r *replica, prompt, salt string)
 	obs.Inject(ctx, req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.mem.Observe(r.url, err)
+		c.mem.observe(r.url, err)
 		return result{}, fmt.Errorf("ring: replica %s: %w", r.url, err)
 	}
 	defer resp.Body.Close()
 	// Reachable at the transport level — HTTP-level shedding (503) is
 	// breaker food, not a membership failure.
-	c.mem.Observe(r.url, nil)
+	c.mem.observe(r.url, nil)
 	if resp.StatusCode != http.StatusOK {
 		// Read a bounded slice of the error body for the message, and
 		// classify so the breaker and retry layers treat 503 as

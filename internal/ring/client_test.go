@@ -239,7 +239,7 @@ func TestClientAllDownDegrades(t *testing.T) {
 	if _, _, err := c.AugmentContextDegraded(ctx, "second", ""); err != nil {
 		t.Fatalf("second degraded request: %v", err)
 	}
-	if c.Membership().Live() != 0 {
+	if c.Membership().live() != 0 {
 		t.Fatalf("members still live after hard failures: %+v", c.Membership().Snapshot())
 	}
 	if aug, deg, err := c.AugmentContextDegraded(ctx, "empty ring", ""); err != nil || !deg || aug != "empty ring" {
@@ -349,3 +349,6 @@ func TestClientLevelPropagates(t *testing.T) {
 		t.Fatalf("(degraded, err) = (%v, %v), want true", degraded, err)
 	}
 }
+
+// Ring exposes the routing ring (stats surfaces, tests).
+func (c *Client) Ring() *Ring { return c.ring }

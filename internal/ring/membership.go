@@ -16,7 +16,7 @@ import (
 	"repro/internal/wire"
 )
 
-// State is a member's health position. Transitions:
+// state is a member's health position. Transitions:
 //
 //	Up ──probe/request failure──▶ Suspect ──DownAfter consecutive──▶ Down
 //	any ──probe/request success──▶ Up
@@ -36,39 +36,39 @@ import (
 // Draining; data-path observations are ignored while it drains, because
 // the replica intentionally keeps serving cache hits and in-flight work
 // while refusing new computations.
-type State int
+type state int
 
 const (
-	// StateUp: the member answers probes; route to it.
-	StateUp State = iota
-	// StateSuspect: recent failures below the Down threshold; still
+	// stateUp: the member answers probes; route to it.
+	stateUp state = iota
+	// stateSuspect: recent failures below the Down threshold; still
 	// routed, but one more failure streak away from eviction.
-	StateSuspect
-	// StateDown: evicted from the ring; probed on backoff until it
+	stateSuspect
+	// stateDown: evicted from the ring; probed on backoff until it
 	// recovers.
-	StateDown
-	// StateDraining: healthy but shutting down; off the ring by its own
+	stateDown
+	// stateDraining: healthy but shutting down; off the ring by its own
 	// request. Probes keep watching it — a drained process that
 	// restarts and reports ok rejoins, one that disappears goes Down.
-	StateDraining
+	stateDraining
 )
 
-func (s State) String() string {
+func (s state) String() string {
 	switch s {
-	case StateUp:
+	case stateUp:
 		return "up"
-	case StateSuspect:
+	case stateSuspect:
 		return "suspect"
-	case StateDown:
+	case stateDown:
 		return "down"
-	case StateDraining:
+	case stateDraining:
 		return "draining"
 	}
 	return "unknown"
 }
 
 // routable reports whether a member in state s should be on the ring.
-func routable(s State) bool { return s == StateUp || s == StateSuspect }
+func routable(s state) bool { return s == stateUp || s == stateSuspect }
 
 // probePath is the status endpoint probed on each member.
 const probePath = "/v1/status"
@@ -110,7 +110,7 @@ type replica struct {
 	augmentURL *neturl.URL
 
 	// Health, guarded by Membership.mu.
-	state   State
+	state   state
 	fails   int    // consecutive failures since the last success
 	lastErr string // most recent failure, for stats
 
@@ -158,13 +158,13 @@ type Membership struct {
 	drains  int64
 }
 
-// NewMembership creates a table over replicas, all initially Up and on
+// newMembership creates a table over replicas, all initially Up and on
 // the ring (optimistic start: the first probe sweep corrects it within
 // one interval, and routing to a briefly-dead member degrades per
 // request rather than blocking startup). Every member gets a breaker
 // built from breaker. hc may be nil for a default client; its transport
 // is shared by probes only — the data path has its own client.
-func NewMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthConfig, breaker resilience.BreakerConfig) *Membership {
+func newMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthConfig, breaker resilience.BreakerConfig) *Membership {
 	if hc == nil {
 		hc = &http.Client{}
 	}
@@ -190,7 +190,7 @@ func NewMembership(replicas []string, ring *Ring, hc *http.Client, cfg HealthCon
 // insertLocked appends a fresh Up record for url — closed breaker, zero
 // counters, no streak. Caller holds m.mu (or is the constructor).
 func (m *Membership) insertLocked(url string) *replica {
-	r := &replica{url: url, state: StateUp, breaker: resilience.NewBreaker(m.breaker)}
+	r := &replica{url: url, state: stateUp, breaker: resilience.NewBreaker(m.breaker)}
 	// Nil for a URL that does not parse (NormalizeReplicas admits none;
 	// a caller of Add might pass one): doAugment reports that per request.
 	r.augmentURL, _ = neturl.Parse(url + "/v1/augment")
@@ -199,10 +199,10 @@ func (m *Membership) insertLocked(url string) *replica {
 	return r
 }
 
-// Start launches one probe goroutine per member; they stop when ctx
+// start launches one probe goroutine per member; they stop when ctx
 // ends. Members added later get their loop started immediately under
 // the same ctx. Call at most once.
-func (m *Membership) Start(ctx context.Context) {
+func (m *Membership) start(ctx context.Context) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.runCtx = ctx
@@ -222,11 +222,11 @@ func (m *Membership) startLoopLocked(r *replica) {
 	go m.probeLoop(ctx, r)
 }
 
-// Add inserts a member (or revives a removed-from-ring one), puts it on
+// add inserts a member (or revives a removed-from-ring one), puts it on
 // the ring optimistically, and starts its probe loop when the checker
 // is running. It reports whether anything changed: adding a member that
 // is already present and routable is a no-op.
-func (m *Membership) Add(url string) bool {
+func (m *Membership) add(url string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, known := m.members[url]
@@ -239,20 +239,20 @@ func (m *Membership) Add(url string) bool {
 	default:
 		// Known but off-ring (Down or Draining): the operator says it is
 		// back. Reset to Up; the next probe corrects optimism.
-		r.state = StateUp
+		r.state = stateUp
 		r.fails = 0
 		r.lastErr = ""
 	}
-	m.ring.Add(url)
+	m.ring.add(url)
 	m.startLoopLocked(r)
 	m.adds++
 	return true
 }
 
-// Remove deletes a member: off the ring, probe loop cancelled, record —
+// remove deletes a member: off the ring, probe loop cancelled, record —
 // breaker and counters included — dropped. It reports whether the
 // member existed.
-func (m *Membership) Remove(url string) bool {
+func (m *Membership) remove(url string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mem, ok := m.members[url]
@@ -260,7 +260,7 @@ func (m *Membership) Remove(url string) bool {
 		return false
 	}
 	if routable(mem.state) {
-		m.ring.Remove(url)
+		m.ring.remove(url)
 	}
 	delete(m.members, url)
 	m.order = slices.DeleteFunc(m.order, func(o *replica) bool { return o == mem })
@@ -317,13 +317,13 @@ func (m *Membership) probeLoop(ctx context.Context, r *replica) {
 		if err := resilience.SleepContext(ctx, d); err != nil {
 			return
 		}
-		m.ProbeOne(ctx, r.url)
+		m.probeOne(ctx, r.url)
 	}
 }
 
-// ProbeOne probes one member once and applies the state transition.
+// probeOne probes one member once and applies the state transition.
 // Exported so callers can force a synchronous sweep (startup, tests).
-func (m *Membership) ProbeOne(ctx context.Context, url string) {
+func (m *Membership) probeOne(ctx context.Context, url string) {
 	// The probe runs without the table lock: a slow replica must not
 	// stall snapshots or the data path's health observations.
 	st, err := m.probe(ctx, url)
@@ -362,7 +362,7 @@ func (m *Membership) ProbeAll(ctx context.Context) {
 	members := slices.Clone(m.order)
 	m.mu.Unlock()
 	for _, r := range members {
-		m.ProbeOne(ctx, r.url)
+		m.probeOne(ctx, r.url)
 	}
 }
 
@@ -415,13 +415,13 @@ func parseStatus(body []byte) probeStatus {
 	return probeStatus{draining: st.Status == wire.StatusDraining, instance: st.Instance}
 }
 
-// Observe feeds a data-path outcome into the health table: the augment
+// observe feeds a data-path outcome into the health table: the augment
 // client calls it with transport-level results so a dead replica is
 // suspected at request speed instead of waiting for the next probe.
 // err nil marks the member reachable; non-nil counts like a failed
 // probe. HTTP-level overload (a live replica shedding) must NOT be
 // reported here — shedding is what breakers are for.
-func (m *Membership) Observe(url string, err error) {
+func (m *Membership) observe(url string, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mem, ok := m.members[url]
@@ -437,15 +437,15 @@ func (m *Membership) Observe(url string, err error) {
 // successes must not re-ring it and data-path failures must not smear
 // its record. Caller holds m.mu.
 func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bool) {
-	if mem.state == StateDraining && !fromProbe {
+	if mem.state == stateDraining && !fromProbe {
 		return
 	}
 	if err == nil && draining {
-		if mem.state != StateDraining {
+		if mem.state != stateDraining {
 			if routable(mem.state) {
-				m.ring.Remove(mem.url)
+				m.ring.remove(mem.url)
 			}
-			mem.state = StateDraining
+			mem.state = stateDraining
 			mem.drains++
 			m.drains++
 		}
@@ -455,34 +455,34 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 	}
 	if err == nil {
 		wasRoutable := routable(mem.state)
-		mem.state = StateUp
+		mem.state = stateUp
 		mem.fails = 0
 		mem.lastErr = ""
 		if !wasRoutable {
-			m.ring.Add(mem.url)
+			m.ring.add(mem.url)
 		}
 		return
 	}
 	mem.fails++
 	mem.lastErr = err.Error()
 	switch mem.state {
-	case StateUp:
-		mem.state = StateSuspect
-	case StateSuspect:
+	case stateUp:
+		mem.state = stateSuspect
+	case stateSuspect:
 		if mem.fails >= m.cfg.DownAfter {
-			mem.state = StateDown
+			mem.state = stateDown
 			mem.downs++
-			m.ring.Remove(mem.url)
+			m.ring.remove(mem.url)
 		}
-	case StateDraining:
+	case stateDraining:
 		// A drainer that stops answering has finished exiting (or
 		// died); it is already off the ring — just mark it Down so the
 		// probe cadence backs off until a restart brings it back.
 		if mem.fails >= m.cfg.DownAfter {
-			mem.state = StateDown
+			mem.state = stateDown
 			mem.downs++
 		}
-	case StateDown:
+	case stateDown:
 		// Already evicted; the streak just keeps the backoff growing.
 	}
 }
@@ -491,7 +491,7 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 type MemberStatus struct {
 	URL   string `json:"url"`
 	State string `json:"state"`
-	state State  // State as the enum, for the pas_ring_member_state gauge
+	state state  // State as the enum, for the pas_ring_member_state gauge
 	// Fails is the consecutive-failure streak; 0 for a healthy member.
 	Fails   int    `json:"fails,omitempty"`
 	LastErr string `json:"last_error,omitempty"`
@@ -550,9 +550,9 @@ func (m *Membership) fill(s *Stats) {
 	}
 }
 
-// Live returns how many members are currently routable (Up or
+// live returns how many members are currently routable (Up or
 // Suspect): draining members are healthy but deliberately excluded.
-func (m *Membership) Live() int {
+func (m *Membership) live() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0

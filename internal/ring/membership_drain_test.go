@@ -52,14 +52,14 @@ func newDrainableServer(t *testing.T) *drainableServer {
 func TestDrainingStateMachine(t *testing.T) {
 	rep := newDrainableServer(t)
 	ring := New(8)
-	m := NewMembership([]string{rep.srv.URL}, ring, rep.srv.Client(), HealthConfig{
+	m := newMembership([]string{rep.srv.URL}, ring, rep.srv.Client(), HealthConfig{
 		ProbeTimeout: time.Second,
 		DownAfter:    2,
 	}, resilience.BreakerConfig{})
 	ctx := context.Background()
 
 	rep.draining.Store(true)
-	m.ProbeOne(ctx, rep.srv.URL)
+	m.probeOne(ctx, rep.srv.URL)
 	st := m.Snapshot()[0]
 	if st.State != "draining" || st.Drains != 1 || st.Fails != 0 {
 		t.Fatalf("after draining probe: %+v, want draining/1 drains/0 fails", st)
@@ -67,8 +67,8 @@ func TestDrainingStateMachine(t *testing.T) {
 	if ring.Size() != 0 {
 		t.Fatal("draining member still on the ring")
 	}
-	if m.Live() != 0 {
-		t.Fatalf("Live() = %d, want 0 (draining is not routable)", m.Live())
+	if m.live() != 0 {
+		t.Fatalf("Live() = %d, want 0 (draining is not routable)", m.live())
 	}
 	if _, _, drains := m.Churn(); drains != 1 {
 		t.Fatalf("Churn drains = %d, want 1", drains)
@@ -77,24 +77,24 @@ func TestDrainingStateMachine(t *testing.T) {
 	// Data-path outcomes are ignored while draining: a success (the
 	// replica still answers cache hits) must not re-ring it, a failure
 	// must not smear its record.
-	m.Observe(rep.srv.URL, nil)
+	m.observe(rep.srv.URL, nil)
 	if st := m.Snapshot()[0]; st.State != "draining" || ring.Size() != 0 {
 		t.Fatalf("data-path success moved a draining member: %v ring %d", st.State, ring.Size())
 	}
-	m.Observe(rep.srv.URL, errors.New("boom"))
+	m.observe(rep.srv.URL, errors.New("boom"))
 	if st := m.Snapshot()[0]; st.State != "draining" || st.Fails != 0 {
 		t.Fatalf("data-path failure touched a draining member: %+v", st)
 	}
 
 	// Draining again is not another transition.
-	m.ProbeOne(ctx, rep.srv.URL)
+	m.probeOne(ctx, rep.srv.URL)
 	if st := m.Snapshot()[0]; st.Drains != 1 {
 		t.Fatalf("repeat draining probe counted again: drains %d", st.Drains)
 	}
 
 	// A healthy probe (the restarted process) rejoins the ring.
 	rep.draining.Store(false)
-	m.ProbeOne(ctx, rep.srv.URL)
+	m.probeOne(ctx, rep.srv.URL)
 	if st := m.Snapshot()[0]; st.State != "up" || ring.Size() != 1 {
 		t.Fatalf("after recovery probe: %v ring %d, want up/1", st.State, ring.Size())
 	}
@@ -102,13 +102,13 @@ func TestDrainingStateMachine(t *testing.T) {
 	// Drain again, then die: DownAfter probe failures finish it to Down
 	// directly — no suspect detour, it was already off the ring.
 	rep.draining.Store(true)
-	m.ProbeOne(ctx, rep.srv.URL)
+	m.probeOne(ctx, rep.srv.URL)
 	rep.dead.Store(true)
-	m.ProbeOne(ctx, rep.srv.URL)
+	m.probeOne(ctx, rep.srv.URL)
 	if st := m.Snapshot()[0]; st.State != "draining" {
 		t.Fatalf("one failure mid-drain: %v, want still draining", st.State)
 	}
-	m.ProbeOne(ctx, rep.srv.URL)
+	m.probeOne(ctx, rep.srv.URL)
 	st = m.Snapshot()[0]
 	if st.State != "down" || st.Downs != 1 {
 		t.Fatalf("dead drainer: %v downs %d, want down/1", st.State, st.Downs)
@@ -120,25 +120,25 @@ func TestDrainingStateMachine(t *testing.T) {
 // report whether anything changed.
 func TestMembershipAddRemove(t *testing.T) {
 	ring := New(8)
-	m := NewMembership([]string{"http://a:1"}, ring, nil, HealthConfig{DownAfter: 2}, resilience.BreakerConfig{})
+	m := newMembership([]string{"http://a:1"}, ring, nil, HealthConfig{DownAfter: 2}, resilience.BreakerConfig{})
 
-	if !m.Add("http://b:1") {
+	if !m.add("http://b:1") {
 		t.Fatal("adding a new member reported no change")
 	}
-	if m.Add("http://b:1") {
+	if m.add("http://b:1") {
 		t.Fatal("re-adding a routable member reported a change")
 	}
-	if ring.Size() != 2 || m.Live() != 2 || len(m.Snapshot()) != 2 {
-		t.Fatalf("after add: ring %d live %d members %d", ring.Size(), m.Live(), len(m.Snapshot()))
+	if ring.Size() != 2 || m.live() != 2 || len(m.Snapshot()) != 2 {
+		t.Fatalf("after add: ring %d live %d members %d", ring.Size(), m.live(), len(m.Snapshot()))
 	}
 
 	// A Down member re-added by the operator comes back optimistically.
-	m.Observe("http://b:1", errors.New("gone"))
-	m.Observe("http://b:1", errors.New("gone"))
-	if m.Live() != 1 {
-		t.Fatalf("Live() = %d after eviction, want 1", m.Live())
+	m.observe("http://b:1", errors.New("gone"))
+	m.observe("http://b:1", errors.New("gone"))
+	if m.live() != 1 {
+		t.Fatalf("Live() = %d after eviction, want 1", m.live())
 	}
-	if !m.Add("http://b:1") {
+	if !m.add("http://b:1") {
 		t.Fatal("re-adding a down member reported no change")
 	}
 	if st := m.Snapshot()[1]; st.State != "up" || st.Fails != 0 {
@@ -148,10 +148,10 @@ func TestMembershipAddRemove(t *testing.T) {
 		t.Fatal("re-added member missing from ring")
 	}
 
-	if !m.Remove("http://b:1") {
+	if !m.remove("http://b:1") {
 		t.Fatal("removing a member reported no change")
 	}
-	if m.Remove("http://b:1") {
+	if m.remove("http://b:1") {
 		t.Fatal("removing a gone member reported a change")
 	}
 	if ring.Size() != 1 || len(m.Snapshot()) != 1 {
@@ -168,17 +168,17 @@ func TestMembershipAddRemove(t *testing.T) {
 func TestProbeLoopLifecycle(t *testing.T) {
 	rep := newDrainableServer(t)
 	ring := New(8)
-	m := NewMembership(nil, ring, rep.srv.Client(), HealthConfig{
+	m := newMembership(nil, ring, rep.srv.Client(), HealthConfig{
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     2,
 	}, resilience.BreakerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m.Start(ctx)
+	m.start(ctx)
 
 	// Added after Start: the loop must begin probing on its own.
-	m.Add(rep.srv.URL)
+	m.add(rep.srv.URL)
 	deadline := time.Now().Add(5 * time.Second)
 	for atomic.LoadInt64(&rep.probes) == 0 {
 		if time.Now().After(deadline) {
@@ -189,7 +189,7 @@ func TestProbeLoopLifecycle(t *testing.T) {
 
 	// Removed: probing stops. Allow one in-flight probe to land, then
 	// require silence.
-	m.Remove(rep.srv.URL)
+	m.remove(rep.srv.URL)
 	time.Sleep(60 * time.Millisecond)
 	settled := atomic.LoadInt64(&rep.probes)
 	time.Sleep(150 * time.Millisecond)
@@ -198,7 +198,7 @@ func TestProbeLoopLifecycle(t *testing.T) {
 	}
 
 	// Re-added: probing resumes with a fresh loop.
-	m.Add(rep.srv.URL)
+	m.add(rep.srv.URL)
 	for atomic.LoadInt64(&rep.probes) == settled {
 		if time.Now().After(deadline) {
 			t.Fatal("re-added member was never probed again")

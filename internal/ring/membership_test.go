@@ -38,13 +38,13 @@ func TestHealthTransitions(t *testing.T) {
 	srv := statusServer(t, &dead)
 
 	ring := New(8)
-	m := NewMembership([]string{srv.URL}, ring, srv.Client(), HealthConfig{
+	m := newMembership([]string{srv.URL}, ring, srv.Client(), HealthConfig{
 		ProbeTimeout: time.Second,
 		DownAfter:    3,
 	}, resilience.BreakerConfig{})
 	ctx := context.Background()
 
-	m.ProbeOne(ctx, srv.URL)
+	m.probeOne(ctx, srv.URL)
 	if st := m.Snapshot()[0]; st.State != "up" {
 		t.Fatalf("after healthy probe: state %s, want up", st.State)
 	}
@@ -53,7 +53,7 @@ func TestHealthTransitions(t *testing.T) {
 	}
 
 	dead.Store(true)
-	m.ProbeOne(ctx, srv.URL)
+	m.probeOne(ctx, srv.URL)
 	if st := m.Snapshot()[0]; st.State != "suspect" {
 		t.Fatalf("after 1 failure: state %s, want suspect", st.State)
 	}
@@ -61,8 +61,8 @@ func TestHealthTransitions(t *testing.T) {
 		t.Fatal("suspect member must stay on the ring")
 	}
 
-	m.ProbeOne(ctx, srv.URL)
-	m.ProbeOne(ctx, srv.URL)
+	m.probeOne(ctx, srv.URL)
+	m.probeOne(ctx, srv.URL)
 	st := m.Snapshot()[0]
 	if st.State != "down" || st.Downs != 1 {
 		t.Fatalf("after 3 failures: state %s downs %d, want down/1", st.State, st.Downs)
@@ -70,12 +70,12 @@ func TestHealthTransitions(t *testing.T) {
 	if ring.Size() != 0 {
 		t.Fatal("down member still on the ring")
 	}
-	if m.Live() != 0 {
-		t.Fatalf("Live() = %d, want 0", m.Live())
+	if m.live() != 0 {
+		t.Fatalf("Live() = %d, want 0", m.live())
 	}
 
 	dead.Store(false)
-	m.ProbeOne(ctx, srv.URL)
+	m.probeOne(ctx, srv.URL)
 	st = m.Snapshot()[0]
 	if st.State != "up" || st.Fails != 0 {
 		t.Fatalf("after recovery: state %s fails %d, want up/0", st.State, st.Fails)
@@ -90,10 +90,10 @@ func TestHealthTransitions(t *testing.T) {
 // waiting for the prober.
 func TestObserveFeedsHealth(t *testing.T) {
 	ring := New(8)
-	m := NewMembership([]string{"http://a:1", "http://b:1"}, ring, nil, HealthConfig{DownAfter: 2}, resilience.BreakerConfig{})
+	m := newMembership([]string{"http://a:1", "http://b:1"}, ring, nil, HealthConfig{DownAfter: 2}, resilience.BreakerConfig{})
 
-	m.Observe("http://a:1", context.DeadlineExceeded)
-	m.Observe("http://a:1", context.DeadlineExceeded)
+	m.observe("http://a:1", context.DeadlineExceeded)
+	m.observe("http://a:1", context.DeadlineExceeded)
 	if st := m.Snapshot()[0]; st.State != "down" {
 		t.Fatalf("state %s, want down", st.State)
 	}
@@ -101,7 +101,7 @@ func TestObserveFeedsHealth(t *testing.T) {
 		t.Fatalf("ring members = %v, want only b", got)
 	}
 
-	m.Observe("http://a:1", nil)
+	m.observe("http://a:1", nil)
 	if st := m.Snapshot()[0]; st.State != "up" {
 		t.Fatalf("state %s, want up after success", st.State)
 	}
@@ -110,7 +110,7 @@ func TestObserveFeedsHealth(t *testing.T) {
 	}
 
 	// Unknown members are ignored, not invented.
-	m.Observe("http://nope:1", nil)
+	m.observe("http://nope:1", nil)
 	if len(m.Snapshot()) != 2 {
 		t.Fatal("Observe invented a member")
 	}
@@ -123,18 +123,18 @@ func TestStartProbesUntilCancel(t *testing.T) {
 	srv := statusServer(t, &dead)
 
 	ring := New(8)
-	m := NewMembership([]string{srv.URL}, ring, srv.Client(), HealthConfig{
+	m := newMembership([]string{srv.URL}, ring, srv.Client(), HealthConfig{
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     2,
 	}, resilience.BreakerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m.Start(ctx)
+	m.start(ctx)
 
 	dead.Store(true)
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Live() != 0 {
+	for m.live() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("prober never evicted the dead member: %+v", m.Snapshot())
 		}
@@ -142,7 +142,7 @@ func TestStartProbesUntilCancel(t *testing.T) {
 	}
 
 	dead.Store(false)
-	for m.Live() != 1 {
+	for m.live() != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("prober never recovered the member: %+v", m.Snapshot())
 		}

@@ -238,7 +238,7 @@ func TestNearCacheMatchesReferenceModel(t *testing.T) {
 					`{"status":"draining","instance":"` + inst + `"}`, `{"status":"ok","pressure":"raw","instance":"` + inst + `"}`,
 					`{"status":"ok","instance":7}`}[rng.Intn(6)]
 			case op == 9: // probe
-				c.mem.ProbeOne(ctx, url(i))
+				c.mem.probeOne(ctx, url(i))
 				last, member := recorded[url(i)]
 				if body := fleet.status[host(i)]; member && body != "" {
 					reads := ""
@@ -255,12 +255,12 @@ func TestNearCacheMatchesReferenceModel(t *testing.T) {
 				clock.t = clock.t.Add(time.Duration(rng.Int63n(int64(2 * ttl))))
 			case op == 11:
 				if _, member := recorded[url(i)]; member && rng.Intn(2) == 0 {
-					if _, err := c.RemoveReplica(url(i)); err != nil {
+					if _, err := c.removeReplica(url(i)); err != nil {
 						t.Fatal(err)
 					}
 					delete(recorded, url(i))
 				} else {
-					if _, _, err := c.AddReplica(url(i)); err != nil {
+					if _, _, err := c.addReplica(url(i)); err != nil {
 						t.Fatal(err)
 					}
 					if !member {
@@ -317,7 +317,7 @@ func TestNearCacheFlushDropsInFlightHop(t *testing.T) {
 	fleet.mu.Lock()
 	fleet.version["a:1"] = 1
 	fleet.mu.Unlock()
-	c.mem.ProbeOne(ctx, "http://a:1")
+	c.mem.probeOne(ctx, "http://a:1")
 	if s := c.Stats().Cache; s.Flushes != 1 {
 		t.Fatalf("probe of a new instance flushed %d times, want 1", s.Flushes)
 	}
@@ -367,7 +367,7 @@ func TestNearCacheSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: 1})
-	c.mem.ProbeOne(context.Background(), "http://a:1")
+	c.mem.probeOne(context.Background(), "http://a:1")
 	for i := 0; i < 3; i++ {
 		ctx, root := tracer.StartSpan(context.Background(), "test")
 		if _, _, err := c.AugmentContextLevel(ctx, "p", ""); err != nil {

@@ -66,8 +66,8 @@ func New(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
 }
 
-// Add inserts a member; adding an existing member is a no-op.
-func (r *Ring) Add(member string) {
+// add inserts a member; adding an existing member is a no-op.
+func (r *Ring) add(member string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.members[member]; ok {
@@ -77,8 +77,8 @@ func (r *Ring) Add(member string) {
 	r.rebuild()
 }
 
-// Remove deletes a member; removing an absent member is a no-op.
-func (r *Ring) Remove(member string) {
+// remove deletes a member; removing an absent member is a no-op.
+func (r *Ring) remove(member string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.members[member]; !ok {
@@ -117,18 +117,6 @@ func (r *Ring) rebuild() {
 	})
 }
 
-// Members returns the current membership, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Size returns the member count.
 func (r *Ring) Size() int {
 	r.mu.RLock()
@@ -147,10 +135,10 @@ func (r *Ring) Owner(key string) (member string, ok bool) {
 	return r.points[r.at(hashKey(key))].member, true
 }
 
-// Successors returns up to n distinct members in ring order starting at
+// successors returns up to n distinct members in ring order starting at
 // the key's owner — the owner first, then the replicas a hedged or
 // failed-over read falls back to. n <= 0 or n > members returns all.
-func (r *Ring) Successors(key string, n int) []string {
+func (r *Ring) successors(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {

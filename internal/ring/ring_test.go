@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/serving"
@@ -26,9 +27,9 @@ func TestOwnerDeterministic(t *testing.T) {
 	r1.SetMembers(members)
 	// Build r2 incrementally in a different order; the ring is a pure
 	// function of the member set.
-	r2.Add("http://c:1")
-	r2.Add("http://a:1")
-	r2.Add("http://b:1")
+	r2.add("http://c:1")
+	r2.add("http://a:1")
+	r2.add("http://b:1")
 	for _, k := range keys(1000) {
 		o1, ok1 := r1.Owner(k)
 		o2, ok2 := r2.Owner(k)
@@ -75,7 +76,7 @@ func TestRebalanceMovesOnlyOwnedKeys(t *testing.T) {
 	}
 
 	const killed = "http://b:1"
-	r.Remove(killed)
+	r.remove(killed)
 
 	moved := 0
 	for _, k := range ks {
@@ -100,7 +101,7 @@ func TestRebalanceMovesOnlyOwnedKeys(t *testing.T) {
 	}
 
 	// Re-adding the member restores every original assignment.
-	r.Add(killed)
+	r.add(killed)
 	for _, k := range ks {
 		if after, _ := r.Owner(k); after != before[k] {
 			t.Fatalf("re-added member did not restore ownership of %q", k)
@@ -116,7 +117,7 @@ func TestSuccessorsOwnerFirstDistinct(t *testing.T) {
 	r.SetMembers(members)
 	for _, k := range keys(200) {
 		owner, _ := r.Owner(k)
-		succ := r.Successors(k, 0)
+		succ := r.successors(k, 0)
 		if len(succ) != len(members) {
 			t.Fatalf("Successors returned %d members, want %d", len(succ), len(members))
 		}
@@ -131,7 +132,7 @@ func TestSuccessorsOwnerFirstDistinct(t *testing.T) {
 			seen[m] = true
 		}
 	}
-	if got := r.Successors(keys(1)[0], 2); len(got) != 2 {
+	if got := r.successors(keys(1)[0], 2); len(got) != 2 {
 		t.Fatalf("Successors(n=2) returned %d members", len(got))
 	}
 }
@@ -142,7 +143,19 @@ func TestEmptyRing(t *testing.T) {
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("Owner on empty ring reported ok")
 	}
-	if s := r.Successors("k", 3); len(s) != 0 {
+	if s := r.successors("k", 3); len(s) != 0 {
 		t.Fatalf("Successors on empty ring returned %v", s)
 	}
+}
+
+// Members returns the current membership, sorted.
+func (r *Ring) Members() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.members))
+	for m := range r.members {
+		out = append(out, m)
+	}
+	sort.Strings(out)
+	return out
 }

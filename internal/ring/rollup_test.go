@@ -16,7 +16,7 @@ import (
 func TestMetricsRollup(t *testing.T) {
 	mkMember := func(hits float64) *httptest.Server {
 		reg := obs.NewRegistry()
-		reg.Counter("pas_serving_cache_hits_total", "Cache hits.").Add(hits)
+		reg.CounterVec("pas_serving_cache_hits_total", "Cache hits.").With().Add(hits)
 		mux := http.NewServeMux()
 		mux.Handle("/metricsz", reg.Handler())
 		mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
@@ -35,7 +35,7 @@ func TestMetricsRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := obs.NewRegistry()
-	local.Counter("pas_ring_requests_total", "Routing requests.").Add(10)
+	local.CounterVec("pas_ring_requests_total", "Routing requests.").With().Add(10)
 
 	rec := httptest.NewRecorder()
 	c.MetricsRollup(local, 0).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz/cluster", nil))
@@ -77,7 +77,7 @@ func TestMetricsRollupMidDrain(t *testing.T) {
 	t.Cleanup(draining.Close)
 
 	healthyReg := obs.NewRegistry()
-	healthyReg.Counter("pas_serving_cache_hits_total", "Cache hits.").Add(4)
+	healthyReg.CounterVec("pas_serving_cache_hits_total", "Cache hits.").With().Add(4)
 	hmux := http.NewServeMux()
 	hmux.Handle("/metricsz", healthyReg.Handler())
 	hmux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
@@ -93,8 +93,8 @@ func TestMetricsRollupMidDrain(t *testing.T) {
 	// Let the prober observe the drain: the member leaves the ring but
 	// stays in the membership table that drives the rollup scrape.
 	c.Membership().ProbeAll(context.Background())
-	if c.Membership().Live() != 1 {
-		t.Fatalf("Live() = %d after drain probe, want 1", c.Membership().Live())
+	if c.Membership().live() != 1 {
+		t.Fatalf("Live() = %d after drain probe, want 1", c.Membership().live())
 	}
 
 	rec := httptest.NewRecorder()

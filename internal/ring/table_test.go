@@ -45,7 +45,7 @@ func (f *scriptedFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 // machine of DESIGN §12, a consecutive-failure breaker that never
 // cools down within a run, and the traffic counters.
 type modelReplica struct {
-	state            State
+	state            state
 	fails            int
 	requests, errors int64
 	streak           int // consecutive breaker failures
@@ -53,17 +53,17 @@ type modelReplica struct {
 
 func (r *modelReplica) observe(failed, draining, fromProbe bool, downAfter int) {
 	switch {
-	case r.state == StateDraining && !fromProbe:
+	case r.state == stateDraining && !fromProbe:
 	case !failed && draining:
-		r.state, r.fails = StateDraining, 0
+		r.state, r.fails = stateDraining, 0
 	case !failed:
-		r.state, r.fails = StateUp, 0
+		r.state, r.fails = stateUp, 0
 	default:
 		r.fails++
-		if r.state == StateUp {
-			r.state = StateSuspect
-		} else if r.state != StateDown && r.fails >= downAfter {
-			r.state = StateDown
+		if r.state == stateUp {
+			r.state = stateSuspect
+		} else if r.state != stateDown && r.fails >= downAfter {
+			r.state = stateDown
 		}
 	}
 }
@@ -100,19 +100,19 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				op = "add"
-				if _, _, err := c.AddReplica(u + "/"); err != nil {
+				if _, _, err := c.addReplica(u + "/"); err != nil {
 					t.Fatal(err)
 				}
 				if mr == nil {
 					model[u] = &modelReplica{}
 					order = append(order, u)
 				} else if !routable(mr.state) {
-					mr.state, mr.fails = StateUp, 0
+					mr.state, mr.fails = stateUp, 0
 				}
 			case 1:
 				op = "remove"
-				if removed, err := c.RemoveReplica(u); err != nil || removed != (mr != nil) {
-					t.Fatalf("seed %d step %d: RemoveReplica(%s) = %v, %v; member in model: %v", seed, step, u, removed, err, mr != nil)
+				if removed, err := c.removeReplica(u); err != nil || removed != (mr != nil) {
+					t.Fatalf("seed %d step %d: removeReplica(%s) = %v, %v; member in model: %v", seed, step, u, removed, err, mr != nil)
 				}
 				if mr != nil {
 					delete(model, u)
@@ -124,7 +124,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					`{"status":"ok","pressure":"trim"}`, `{"status":"ok","pressure":"raw"}`, `{"status":"ok","pressure":"sideways"}`}[rng.Intn(7)]
 				op = "probe " + body
 				fleet.status[host] = body
-				c.mem.ProbeOne(ctx, u)
+				c.mem.probeOne(ctx, u)
 				if mr != nil {
 					// A "pressure" key is what a replica from before the
 					// ladder's removal sends mid rolling upgrade: like any
@@ -184,8 +184,8 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			if ringNow := c.Ring().Members(); !reflect.DeepEqual(ringNow, wantRing) {
 				t.Fatalf("seed %d step %d (%s %s): ring members %v, want the routable members %v", seed, step, op, u, ringNow, wantRing)
 			}
-			if c.mem.Live() != wantStats.Live || len(c.mem.members) != len(model) || len(c.mem.order) != len(model) {
-				t.Fatalf("seed %d step %d (%s %s): Live %d, table %d/%d; want %d live of %d", seed, step, op, u, c.mem.Live(), len(c.mem.members), len(c.mem.order), wantStats.Live, len(model))
+			if c.mem.live() != wantStats.Live || len(c.mem.members) != len(model) || len(c.mem.order) != len(model) {
+				t.Fatalf("seed %d step %d (%s %s): Live %d, table %d/%d; want %d live of %d", seed, step, op, u, c.mem.live(), len(c.mem.members), len(c.mem.order), wantStats.Live, len(model))
 			}
 		}
 	}
@@ -204,15 +204,15 @@ func TestRemovedReplicasLeaveNothingBehind(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 1000; i++ {
 		u := fmt.Sprintf("http://gone-%d:1", i)
-		if _, changed, err := c.AddReplica(u); err != nil || !changed {
-			t.Fatalf("AddReplica(%s) = %v, %v", u, changed, err)
+		if _, changed, err := c.addReplica(u); err != nil || !changed {
+			t.Fatalf("addReplica(%s) = %v, %v", u, changed, err)
 		}
 		fleet.augment[fmt.Sprintf("gone-%d:1", i)] = http.StatusInternalServerError
 		if _, err := c.callReplica(ctx, c.mem.lookup([]string{u})[0], "p", "s"); err == nil {
 			t.Fatal("scripted 500 succeeded")
 		}
-		if removed, err := c.RemoveReplica(u); err != nil || !removed {
-			t.Fatalf("RemoveReplica(%s) = %v, %v", u, removed, err)
+		if removed, err := c.removeReplica(u); err != nil || !removed {
+			t.Fatalf("removeReplica(%s) = %v, %v", u, removed, err)
 		}
 	}
 	s := c.Stats()

@@ -91,3 +91,6 @@ func TestDrainLetsInFlightFinishAndQuiesce(t *testing.T) {
 		t.Fatalf("Quiesce after the queue emptied: %v", err)
 	}
 }
+
+// Draining reports whether Drain has been called.
+func (c *Core) Draining() bool { return c.draining.Load() }

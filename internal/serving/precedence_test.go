@@ -120,7 +120,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 		{
 			name:    "wait budget is the last resort",
 			timeout: 30 * time.Millisecond,
-			wantErr: ErrDeadline,
+			wantErr: errDeadline,
 			wantShed: func(s Stats) (int64, string) {
 				return s.ShedDeadline, "shed_deadline"
 			},
@@ -277,8 +277,8 @@ func TestCapHoldsAfterDeadlineMisses(t *testing.T) {
 
 	first := fill("first-")
 	for i := 0; i < misses; i++ {
-		if _, err := c.Do(context.Background(), "victim", "", "m"); !errors.Is(err, ErrDeadline) {
-			t.Fatalf("queued victim %d: err = %v, want ErrDeadline", i, err)
+		if _, err := c.Do(context.Background(), "victim", "", "m"); !errors.Is(err, errDeadline) {
+			t.Fatalf("queued victim %d: err = %v, want errDeadline", i, err)
 		}
 	}
 	if st := c.Stats(); st.ShedDeadline != misses || st.Limit != slots {

@@ -45,10 +45,10 @@ var (
 	// the admission queue was already holding its bound of waiters
 	// (globally, or the requesting tenant's share of it).
 	ErrQueueFull = errors.New("serving: admission queue full")
-	// ErrDeadline reports that no slot freed up within the request's
+	// errDeadline reports that no slot freed up within the request's
 	// wait budget (QueueWait, or less when the context deadline is
 	// nearer).
-	ErrDeadline = errors.New("serving: queue wait budget exhausted")
+	errDeadline = errors.New("serving: queue wait budget exhausted")
 	// ErrDraining reports that the core is draining for shutdown: new
 	// computations are refused so the process can quiesce, while cache
 	// hits and computations already admitted (or attached to in flight)
@@ -95,8 +95,8 @@ type Config struct {
 	// frozen config literals name them; deleted with ROADMAP item 4's
 	// [benchmark] edit.
 	LimitFloor       int
-	Retries          int
-	RetryBudget      time.Duration
+	Retries          int           //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
+	RetryBudget      time.Duration //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
@@ -115,7 +115,7 @@ type Config struct {
 	// system — a lone tenant keeps the whole room.
 	TenantQueueDepth int
 	// MaxTenants bounds distinct tenant queues; ids beyond it share the
-	// OverflowTenant queue. Default 64.
+	// overflowTenant queue. Default 64.
 	MaxTenants int
 
 	// ComputeDelay injects a fixed sleep into every computation — an
@@ -279,21 +279,14 @@ func Key(prompt, salt, model string) string {
 	return prompt + "\x00" + salt + "\x00" + model
 }
 
-// Do serves one complement request through cache, dedup, and
-// admission. The model string scopes the cache key so one core can
-// front several model versions without cross-talk. On success it
-// returns p_c; on overload it returns a typed shedding error; a
-// context that ends first returns its ctx.Err(). Callers that honor
-// fail-open use DoLevel instead.
-func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, error) {
-	v, _, err := c.DoLevel(ctx, prompt, salt, model)
-	return v, err
-}
-
-// DoLevel is Do plus fail-open: it reports the level the response was
-// served at. At LevelFull the returned string is the complement; at
-// LevelRaw it is empty and the caller must answer with the raw prompt,
-// flagged degraded via Level.Header.
+// DoLevel serves one complement request through cache, dedup, and
+// admission, and reports the level the response was served at. The
+// model string scopes the cache key so one core can front several
+// model versions without cross-talk. At LevelFull the returned string
+// is the complement; at LevelRaw it is empty and the caller must answer
+// with the raw prompt, flagged degraded via Level.Header. On overload
+// it returns a typed shedding error; a context that ends first returns
+// its ctx.Err().
 //
 // A request gets one attempt. With Config.Degrade a request that is
 // shed is answered ("", LevelRaw, nil) and counted in Stats.Degraded —
@@ -434,7 +427,7 @@ func (c *Core) noteShed(err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		atomic.AddInt64(&c.shedQueueFull, 1)
-	case errors.Is(err, ErrDeadline):
+	case errors.Is(err, errDeadline):
 		atomic.AddInt64(&c.shedDeadline, 1)
 	}
 }
@@ -465,9 +458,6 @@ func (c *Core) Drain() bool {
 	return c.draining.CompareAndSwap(false, true)
 }
 
-// Draining reports whether Drain has been called.
-func (c *Core) Draining() bool { return c.draining.Load() }
-
 // Quiesce blocks until the core is idle — no computation slot held and
 // no request waiting for admission — or ctx ends, returning ctx's
 // error in that case. Call it after Drain: with new work refused, the
@@ -493,5 +483,5 @@ func (c *Core) Quiesce(ctx context.Context) error {
 // with a Retry-After hint. DoLevel returns one only when it could not
 // degrade instead: Config.Degrade is off, or the core is draining.
 func Overloaded(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrDraining)
+	return errors.Is(err, ErrQueueFull) || errors.Is(err, errDeadline) || errors.Is(err, ErrDraining)
 }

@@ -280,7 +280,7 @@ func TestLoadShedding(t *testing.T) {
 			name:    "wait budget exhausted",
 			cfg:     Config{QueueDepth: 4, QueueWait: 20 * time.Millisecond},
 			ctx:     context.Background(),
-			wantErr: ErrDeadline,
+			wantErr: errDeadline,
 			check: func(s Stats) error {
 				if s.ShedDeadline != 1 {
 					return fmt.Errorf("shed_deadline = %d, want 1", s.ShedDeadline)
@@ -292,7 +292,7 @@ func TestLoadShedding(t *testing.T) {
 			name:    "context deadline tightens the wait",
 			cfg:     Config{QueueDepth: 4, QueueWait: time.Hour},
 			timeout: 30 * time.Millisecond,
-			wantErr: ErrDeadline,
+			wantErr: errDeadline,
 		},
 		{
 			name:    "already-cancelled context",
@@ -315,7 +315,7 @@ func TestLoadShedding(t *testing.T) {
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
-			if tc.wantErr == ErrQueueFull || tc.wantErr == ErrDeadline {
+			if tc.wantErr == ErrQueueFull || tc.wantErr == errDeadline {
 				if !Overloaded(err) {
 					t.Fatalf("Overloaded(%v) = false, want true", err)
 				}
@@ -482,4 +482,22 @@ func TestStatsHandlerServesJSON(t *testing.T) {
 	if decoded.QueueCapacity != 0 || decoded.Cache.Entries != 1 {
 		t.Fatalf("decoded stats = %+v", decoded)
 	}
+}
+
+// waiters returns the number of followers currently attached to key's
+// in-flight call, or 0 when none is in flight. Test hook.
+func (g *flightGroup) waiters(key string) int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return atomic.LoadInt64(&c.dups)
+	}
+	return 0
+}
+
+// Do is DoLevel without the level, the shape most of these tests drive:
+// on success the complement, on overload a typed shedding error.
+func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, error) {
+	v, _, err := c.DoLevel(ctx, prompt, salt, model)
+	return v, err
 }

@@ -75,14 +75,3 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (string, err
 	close(c.done)
 	return c.val, false, c.err
 }
-
-// waiters returns the number of followers currently attached to key's
-// in-flight call, or 0 when none is in flight. Test hook.
-func (g *flightGroup) waiters(key string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		return atomic.LoadInt64(&c.dups)
-	}
-	return 0
-}

@@ -12,10 +12,10 @@ import (
 // none — single-tenant deployments never see another id.
 const DefaultTenant = "default"
 
-// OverflowTenant is the shared queue that absorbs tenants beyond
+// overflowTenant is the shared queue that absorbs tenants beyond
 // MaxTenants, so an id-spraying client exhausts its own aggregate share
 // instead of the scheduler's memory.
-const OverflowTenant = "overflow"
+const overflowTenant = "overflow"
 
 type tenantCtxKey struct{}
 
@@ -125,10 +125,10 @@ func (s *scheduler) tenantLocked(id string) *tenantQ {
 		return tq
 	}
 	if len(s.tenants) >= s.maxTenants {
-		if tq := s.tenants[OverflowTenant]; tq != nil {
+		if tq := s.tenants[overflowTenant]; tq != nil {
 			return tq
 		}
-		id = OverflowTenant // table full: the overflow queue is always admitted
+		id = overflowTenant // table full: the overflow queue is always admitted
 	}
 	w := s.weights[id]
 	if w <= 0 {
@@ -173,7 +173,7 @@ func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration
 	if wait <= 0 {
 		tq.shedDeadline++
 		s.mu.Unlock()
-		return nil, ErrDeadline
+		return nil, errDeadline
 	}
 	w := &waiter{tq: tq, grant: make(chan struct{})}
 	tq.waiters = append(tq.waiters, w)
@@ -192,7 +192,7 @@ func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration
 		return func() { s.release(tq) }, nil
 	case <-timer.C:
 		s.abandon(w, true)
-		return nil, ErrDeadline
+		return nil, errDeadline
 	case <-ctx.Done():
 		// A deadline that expires while queued is the same outcome as an
 		// exhausted wait budget; a cancellation is the client leaving and
@@ -200,7 +200,7 @@ func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration
 		err := ctx.Err()
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.abandon(w, true)
-			return nil, ErrDeadline
+			return nil, errDeadline
 		}
 		s.abandon(w, false)
 		return nil, err

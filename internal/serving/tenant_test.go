@@ -243,8 +243,8 @@ func TestSchedulerOverflowTenant(t *testing.T) {
 	for _, ts := range stats {
 		byID[ts.Tenant] = ts
 	}
-	if byID[OverflowTenant].Requests != 2 {
-		t.Fatalf("overflow requests = %d, want 2 (t3 + t4): %+v", byID[OverflowTenant].Requests, stats)
+	if byID[overflowTenant].Requests != 2 {
+		t.Fatalf("overflow requests = %d, want 2 (t3 + t4): %+v", byID[overflowTenant].Requests, stats)
 	}
 }
 

@@ -135,7 +135,7 @@ var (
 //paslint:hotpath decodes every /v1/augment request
 func DecodeAugmentRequest(body []byte) (req AugmentRequest, ok bool) {
 	var lits [2][]byte
-	if !Strings(body, augmentRequestKeys, lits[:]) {
+	if !stringValues(body, augmentRequestKeys, lits[:]) {
 		return req, false
 	}
 	if lits[0] != nil {
@@ -154,7 +154,7 @@ func DecodeAugmentRequest(body []byte) (req AugmentRequest, ok bool) {
 //paslint:hotpath decodes every replica reply
 func DecodeAugmented(body []byte) (augmented string, ok bool) {
 	var lits [1][]byte
-	if !Strings(body, augmentedKey, lits[:]) {
+	if !stringValues(body, augmentedKey, lits[:]) {
 		return "", false
 	}
 	if lits[0] != nil {

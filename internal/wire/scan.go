@@ -397,7 +397,7 @@ func hex4(b []byte) (r rune) {
 // Unicode case folding, so "Prompt" and "ſalt" set the fields too.
 //
 //paslint:hotpath decodes every /v1/augment request and every replica reply
-func Strings(body []byte, keys []string, lits [][]byte) bool {
+func stringValues(body []byte, keys []string, lits [][]byte) bool {
 	s := NewScanner(body)
 	if s.SkipWS() != '{' || !s.Enter() {
 		return false

@@ -82,7 +82,7 @@ func TestClusterE2ENearCache(t *testing.T) {
 	urls := make([]string, 3)
 	servers := make([]*httptest.Server, 3)
 	serve := func(i int, m *sft.Model) {
-		systems[i] = NewSystem(m)
+		systems[i] = newSystem(m)
 		if err := systems[i].EnableServing(ServingConfig{CacheSize: 64}); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestClusterE2ENearCache(t *testing.T) {
 
 	// Miss, then near hit: same bytes upstream, no second replica request.
 	level, first := chat(prompt)
-	if want := NewSystem(model).Augment(prompt, ""); level != "" || sent(first) != want {
+	if want := newSystem(model).Augment(prompt, ""); level != "" || sent(first) != want {
 		t.Fatalf("first chat: degraded %q, upstream got %q; want the model's %q", level, sent(first), want)
 	}
 	served := replicaRequests()
@@ -204,7 +204,7 @@ func TestClusterE2ENearCache(t *testing.T) {
 	}
 	t.Logf("restart noticed after %v (probe interval %v)", time.Since(restarted), probeInterval)
 	level, third := chat(prompt)
-	if want := NewSystem(other).Augment(prompt, ""); level != "" || sent(third) != want {
+	if want := newSystem(other).Augment(prompt, ""); level != "" || sent(third) != want {
 		t.Fatalf("after the restart: degraded %q, upstream got %q; want the new model's %q", level, sent(third), want)
 	}
 

@@ -55,7 +55,7 @@ func newTracedStack(t *testing.T) *tracedStack {
 	))
 	t.Cleanup(upstream.Close)
 
-	sys := NewSystem(testSystem(t).System.model)
+	sys := newSystem(testSystem(t).System.model)
 	if err := sys.EnableServing(ServingConfig{
 		CacheSize:   64,
 		MaxInFlight: 4,
@@ -225,7 +225,7 @@ func TestTraceMalformedParentStartsFreshRoot(t *testing.T) {
 // iteration takes the cache-hit path.
 func enhanceCachedSystem(tb testing.TB) (*System, Chatter) {
 	tb.Helper()
-	sys := NewSystem(testSystem(tb).System.model)
+	sys := newSystem(testSystem(tb).System.model)
 	if err := sys.EnableServing(ServingConfig{CacheSize: 64, MaxInFlight: 4, QueueDepth: 4, QueueWait: time.Second}); err != nil {
 		tb.Fatal(err)
 	}

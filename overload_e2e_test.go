@@ -24,7 +24,7 @@ import (
 func newOverloadFixture(t *testing.T) *httptest.Server {
 	t.Helper()
 	model := testSystem(t).System.model
-	sys := NewSystem(model)
+	sys := newSystem(model)
 	if err := sys.EnableServing(ServingConfig{
 		CacheSize:    -1,
 		ComputeDelay: 25 * time.Millisecond,

@@ -39,10 +39,14 @@ import (
 
 // Config assembles the end-to-end build settings. It is the pipeline
 // configuration; see internal/pipeline for field documentation.
+//
+//paslint:allow unused public API: the one name a caller outside this module has for Build's parameter
 type Config = pipeline.Config
 
 // DefaultConfig returns the build used by the experiments: a pool large
 // enough to curate ~9000 pairs on Qwen2-7B.
+//
+//paslint:allow unused public API: a caller outside this module cannot import internal/pipeline
 func DefaultConfig() Config { return pipeline.DefaultConfig() }
 
 // BuildResult carries the trained system together with the artefacts of
@@ -55,7 +59,7 @@ type BuildResult struct {
 	// CurationStats reports the §3.1 pipeline.
 	CurationStats curation.Stats
 	// AugmentStats reports the §3.2 pipeline.
-	AugmentStats augment.Stats
+	AugmentStats augment.Stats //paslint:allow unused public API: the build's §3.2 report, kept for a caller to inspect as CurationStats is
 }
 
 // Build runs the complete PAS construction: synthesise a raw prompt pool,
@@ -67,7 +71,7 @@ func Build(cfg Config) (*BuildResult, error) {
 		return nil, fmt.Errorf("pas: %w", err)
 	}
 	return &BuildResult{
-		System:        NewSystem(res.Model),
+		System:        newSystem(res.Model),
 		Dataset:       res.Dataset,
 		CurationStats: res.CurationStats,
 		AugmentStats:  res.AugmentStats,
@@ -97,8 +101,8 @@ type System struct {
 	instance string
 }
 
-// NewSystem wraps a fine-tuned PAS model.
-func NewSystem(model *sft.Model) *System {
+// newSystem wraps a fine-tuned PAS model.
+func newSystem(model *sft.Model) *System {
 	return &System{model: model, instance: strconv.FormatInt(time.Now().UnixNano(), 10)}
 }
 
@@ -108,7 +112,7 @@ func LoadSystem(path string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewSystem(m), nil
+	return newSystem(m), nil
 }
 
 // SaveModel persists the underlying fine-tuned model to path.
@@ -151,6 +155,8 @@ func (s *System) Transform(prompt, salt string) string { return s.Augment(prompt
 // turns and assistant messages pass through untouched, so PAS can sit in
 // a multi-turn conversation without rewriting history.
 // It returns an error when the conversation has no user turn.
+//
+//paslint:allow unused public API: the multi-turn entry point example_test.go documents
 func (s *System) AugmentMessages(messages []simllm.Message, salt string) ([]simllm.Message, error) {
 	last := -1
 	for i := len(messages) - 1; i >= 0; i-- {
@@ -172,7 +178,7 @@ func (s *System) AugmentMessages(messages []simllm.Message, salt string) ([]siml
 // downstream model.
 type Enhanced struct {
 	// Prompt is the user's original prompt.
-	Prompt string
+	Prompt string //paslint:allow unused public API: pairs a caller's result with the prompt it answered
 	// Complement is p_c; empty when the call degraded.
 	Complement string
 	// Response is r_e = LLM(cat(p, p_c)).
@@ -180,7 +186,7 @@ type Enhanced struct {
 	// Degraded reports that the augmentation side answered with the raw
 	// prompt — fail-open (ServingConfig.Degrade) — the plug-and-play
 	// guarantee held: the user still got an answer.
-	Degraded bool
+	Degraded bool //paslint:allow unused public API: the only way a caller of Enhance learns the answer was fail-open
 }
 
 // Chatter is any chat-capable downstream LLM: an in-process simulated
@@ -214,6 +220,8 @@ func (a chatterAdapter) ChatContext(ctx context.Context, messages []simllm.Messa
 // AsChatterCtx returns c's context-taking form: c itself when it
 // already implements ChatContext (chatapi.Remote does), an adapter
 // otherwise (*simllm.Model keeps working unchanged).
+//
+//paslint:allow unused public API: lifts a caller's plain Chatter, as ctxpropagate's hint tells internal callers to
 func AsChatterCtx(c Chatter) ChatterCtx {
 	if cc, ok := c.(ChatterCtx); ok {
 		return cc
@@ -233,6 +241,8 @@ func (s *System) Enhance(main Chatter, prompt, salt string) (Enhanced, error) {
 // failure falls back to the raw prompt — the main-model call always
 // happens, so augmentation can only add value, never availability risk.
 // Main-model errors are the downstream's own and propagate unchanged.
+//
+//paslint:allow unused public API: Enhance under the caller's deadline and cancellation
 func (s *System) EnhanceContext(ctx context.Context, main Chatter, prompt, salt string) (Enhanced, error) {
 	if main == nil {
 		return Enhanced{}, fmt.Errorf("pas: nil downstream model")

@@ -41,7 +41,6 @@ import (
 // unasked: at once for an event stream or a body of undeclared length.
 type Proxy struct {
 	system      Augmenter
-	upstream    *url.URL
 	rp          *httputil.ReverseProxy
 	readTimeout time.Duration // chatReadTimeout; shorter in tests
 }
@@ -88,7 +87,7 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("pas: upstream URL %q must be absolute", upstreamURL)
 	}
-	p := &Proxy{system: system, upstream: u, readTimeout: chatReadTimeout}
+	p := &Proxy{system: system, readTimeout: chatReadTimeout}
 	p.rp = &httputil.ReverseProxy{
 		Director: func(r *http.Request) {
 			r.URL.Scheme = u.Scheme

@@ -323,7 +323,7 @@ func TestProxyAugmentsLastUserTurnEvenMidConversation(t *testing.T) {
 // cache — one computation, one cache hit, visible in the stats.
 func TestProxyUsesServingCore(t *testing.T) {
 	upstream, _ := captureUpstream(t)
-	sys := NewSystem(testSystem(t).System.model)
+	sys := newSystem(testSystem(t).System.model)
 	if err := sys.EnableServing(ServingConfig{}); err != nil {
 		t.Fatal(err)
 	}

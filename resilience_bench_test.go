@@ -15,7 +15,7 @@ import (
 )
 
 func BenchmarkEnhanceDegraded(b *testing.B) {
-	sys := NewSystem(testSystem(b).System.model)
+	sys := newSystem(testSystem(b).System.model)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	core, err := serving.New(func(prompt, salt string) string {
@@ -39,7 +39,7 @@ func BenchmarkEnhanceDegraded(b *testing.B) {
 	// admission at once.
 	done := make(chan struct{})
 	go func() {
-		core.Do(context.Background(), "block", "", "bench")
+		core.DoLevel(context.Background(), "block", "", "bench")
 		close(done)
 	}()
 	<-entered

@@ -30,7 +30,7 @@ import (
 // entered, and the next real request is guaranteed to shed.
 func degradedSystem(t *testing.T, degrade bool) (sys *System, entered chan struct{}, release chan struct{}) {
 	t.Helper()
-	sys = NewSystem(testSystem(t).System.model)
+	sys = newSystem(testSystem(t).System.model)
 	entered = make(chan struct{})
 	release = make(chan struct{})
 	core, err := serving.New(func(prompt, salt string) string {
@@ -150,7 +150,7 @@ func TestAugmentHandlerDegrades(t *testing.T) {
 // It used to get the leader's "context canceled" as a 503 without
 // Retry-After (a 400 from the proxy) from a fail-open system.
 func TestAugmentHandlerFollowerOutlivesLeadersClient(t *testing.T) {
-	sys := NewSystem(testSystem(t).System.model)
+	sys := newSystem(testSystem(t).System.model)
 	entered, release := make(chan struct{}), make(chan struct{})
 	core, err := serving.New(func(prompt, salt string) string {
 		if prompt == "block" {

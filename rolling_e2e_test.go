@@ -38,7 +38,7 @@ type rollingReplica struct {
 // the replica's address, retrying the bind briefly in case the old
 // listener's close is still settling.
 func (r *rollingReplica) start() error {
-	sys := NewSystem(r.model)
+	sys := newSystem(r.model)
 	if err := sys.EnableServing(ServingConfig{CacheSize: 4096}); err != nil {
 		return err
 	}

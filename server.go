@@ -98,12 +98,16 @@ func (s *System) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 // IsOverloaded reports whether err from a context-taking entry point
 // means the serving core shed the request; callers should answer 503
 // and retry later.
+//
+//paslint:allow unused public API: serving is internal, so this is how a library caller tells a shed from any other error
 func IsOverloaded(err error) bool { return serving.Overloaded(err) }
 
 // IsDraining reports whether err means this instance is draining for
 // shutdown. Draining errors are Overloaded too (503 + Retry-After),
 // but they must never be served fail-open: the 503 is the signal that
 // moves routers off this instance.
+//
+//paslint:allow unused public API: how a library caller tells a drain shed, never served fail-open, from an overload shed
 func IsDraining(err error) bool { return errors.Is(err, serving.ErrDraining) }
 
 // Drain flips the system into draining for a zero-downtime shutdown:
@@ -123,6 +127,8 @@ func (s *System) Drain() bool {
 }
 
 // Draining reports whether Drain has been called.
+//
+//paslint:allow unused public API: Drain's state for a library caller that mounts Handler in its own server
 func (s *System) Draining() bool { return s.draining.Load() }
 
 // Quiesce blocks until the serving core is idle (no computation running

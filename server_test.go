@@ -23,7 +23,7 @@ import (
 // not share the System other tests use.
 func servingSystem(t *testing.T, cfg ServingConfig) *System {
 	t.Helper()
-	sys := NewSystem(testSystem(t).System.model)
+	sys := newSystem(testSystem(t).System.model)
 	if err := sys.EnableServing(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCompletionsReconcileOnTheDurationHistogram(t *testing.T) {
 // TestStatsWithoutServingCore: a system without EnableServing reports
 // the core as absent rather than all-zero counters.
 func TestStatsWithoutServingCore(t *testing.T) {
-	sys := NewSystem(testSystem(t).System.model)
+	sys := newSystem(testSystem(t).System.model)
 	rec := httptest.NewRecorder()
 	sys.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
 	if rec.Code != http.StatusNotFound {
