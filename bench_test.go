@@ -247,7 +247,7 @@ func benchCurated(b *testing.B, n int) []curation.Curated {
 		if len(out) == n {
 			break
 		}
-		out = append(out, curation.Curated{Prompt: p, Category: p.Truth.Category, Score: 7})
+		out = append(out, curation.Curated{Prompt: p, Category: p.Truth.Category})
 	}
 	return out
 }

@@ -38,7 +38,7 @@ import (
 
 // paslintVersion is reported in SARIF driver metadata; bumped when the
 // rule set or a rule's semantics change.
-const paslintVersion = "2.1.0"
+const paslintVersion = "2.2.0"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

@@ -41,10 +41,6 @@ type Config struct {
 	Sequential bool
 }
 
-// DefaultConfig returns a conventional 5% two-sided test with 100
-// samples per arm minimum.
-func DefaultConfig() Config { return Config{Alpha: 0.05, MinPerArm: 100, Sequential: true} }
-
 // Test accumulates outcomes and renders verdicts.
 type Test struct {
 	cfg       Config
@@ -89,8 +85,8 @@ func (t *Test) Record(arm Arm, success bool) error {
 	return nil
 }
 
-// Rate returns an arm's success rate (0 when empty).
-func (t *Test) Rate(arm Arm) float64 {
+// rate returns an arm's success rate (0 when empty).
+func (t *Test) rate(arm Arm) float64 {
 	if t.totals[arm] == 0 {
 		return 0
 	}
@@ -116,8 +112,8 @@ type Result struct {
 // Evaluate computes the current verdict.
 func (t *Test) Evaluate() Result {
 	r := Result{
-		ControlRate:   t.Rate(Control),
-		TreatmentRate: t.Rate(Treatment),
+		ControlRate:   t.rate(Control),
+		TreatmentRate: t.rate(Treatment),
 		ControlN:      t.totals[Control],
 		TreatmentN:    t.totals[Treatment],
 	}

@@ -47,10 +47,10 @@ func TestRecordValidation(t *testing.T) {
 	if err := test.Record(Control, true); err != nil {
 		t.Fatal(err)
 	}
-	if test.Rate(Control) != 1 {
+	if test.rate(Control) != 1 {
 		t.Fatal("rate wrong")
 	}
-	if test.Rate(Treatment) != 0 {
+	if test.rate(Treatment) != 0 {
 		t.Fatal("empty arm rate should be 0")
 	}
 }
@@ -223,3 +223,7 @@ func TestEndToEndABStudy(t *testing.T) {
 	}
 	t.Logf("A/B verdict: %s", r)
 }
+
+// DefaultConfig returns a conventional 5% two-sided test with 100
+// samples per arm minimum.
+func DefaultConfig() Config { return Config{Alpha: 0.05, MinPerArm: 100, Sequential: true} }

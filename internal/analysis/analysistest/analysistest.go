@@ -9,9 +9,11 @@
 //	time.Now() // want `time\.Now in deterministic package`
 //
 // The backquoted string is a regexp matched against the diagnostic
-// message; several expectations may sit on one line. Lines with
-// //paslint:allow directives exercise suppression: a suppressed finding
-// must NOT be reported, so such lines simply carry no want comment.
+// message; several expectations may sit on one line, and one may trail
+// a //paslint: directive when the finding is about the directive. Lines
+// with //paslint:allow directives exercise suppression: a suppressed
+// finding must NOT be reported, so such lines simply carry no want
+// comment.
 package analysistest
 
 import (
@@ -99,6 +101,11 @@ func collectWants(t *testing.T, pkgs []*analysis.Package) []want {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok && strings.HasPrefix(c.Text, "//paslint:") {
+						// A finding about a directive sits on its own
+						// line, so its want trails the directive.
+						_, text, ok = strings.Cut(c.Text, " // want ")
+					}
 					if !ok {
 						continue
 					}

@@ -13,10 +13,10 @@ import (
 // tool name, colon, verb.
 const directivePrefix = "//paslint:"
 
-// Directive verbs. VerbAllow suppresses findings; VerbHotPath marks a
+// Directive verbs. verbAllow suppresses findings; VerbHotPath marks a
 // function as an allocation-lean hot path for the hotpathalloc rule.
 const (
-	VerbAllow   = "allow"
+	verbAllow   = "allow"
 	VerbHotPath = "hotpath"
 )
 
@@ -31,18 +31,18 @@ const (
 // the doc comment directly above — as a designated hot path: the
 // hotpathalloc rule then flags allocation-prone constructs in that
 // function's body.
+//
+// Both must carry a reason, which the parser checks and drops: an
+// unexplained suppression is just a bug with a comment on it, and an
+// unexplained hot-path marker gives the next reader no budget to hold
+// the function to.
 type Directive struct {
-	// Verb is VerbAllow or VerbHotPath.
+	// Verb is verbAllow or VerbHotPath.
 	Verb string
 	// Rules are the rule names an allow directive silences
 	// ("determinism", "ctxpropagate", ...). Never empty after a
 	// successful allow parse; always empty for hotpath.
 	Rules []string
-	// Reason is the mandatory human justification. paslint refuses
-	// reason-less directives: an unexplained suppression is just a bug
-	// with a comment on it, and an unexplained hot-path marker gives the
-	// next reader no budget to hold the function to.
-	Reason string
 	// File is the source file the comment lives in (as rendered by the
 	// loader's FileSet). Line numbers alone collide across files.
 	File string
@@ -50,10 +50,10 @@ type Directive struct {
 	Line int
 }
 
-// Covers reports whether the directive silences rule findings on line.
+// covers reports whether the directive silences rule findings on line.
 // Only allow directives suppress anything.
-func (d Directive) Covers(rule string, line int) bool {
-	if d.Verb != VerbAllow {
+func (d Directive) covers(rule string, line int) bool {
+	if d.Verb != verbAllow {
 		return false
 	}
 	if line != d.Line && line != d.Line+1 {
@@ -67,7 +67,7 @@ func (d Directive) Covers(rule string, line int) bool {
 	return false
 }
 
-// ParseDirective parses one comment's text. The input may keep or drop
+// parseDirective parses one comment's text. The input may keep or drop
 // the leading "//" marker; block comments (/* */) are never directives.
 // The second result reports whether the comment is a paslint directive
 // at all — when it is false the error is nil and the comment is simply
@@ -75,7 +75,7 @@ func (d Directive) Covers(rule string, line int) bool {
 // rule list, missing reason) returns true plus a descriptive error so
 // the runner can surface it as a finding instead of silently ignoring a
 // suppression the author believed was active.
-func ParseDirective(text string) (Directive, bool, error) {
+func parseDirective(text string) (Directive, bool, error) {
 	if !strings.HasPrefix(text, "//") {
 		text = "//" + text
 	}
@@ -99,12 +99,12 @@ func ParseDirective(text string) (Directive, bool, error) {
 		verb, args = rest[:i], strings.TrimSpace(rest[i+1:])
 	}
 	switch verb {
-	case VerbAllow:
+	case verbAllow:
 	case VerbHotPath:
 		if args == "" {
 			return Directive{}, true, fmt.Errorf("paslint:hotpath is missing its reason — say why this function must stay allocation-lean")
 		}
-		return Directive{Verb: VerbHotPath, Reason: args}, true, nil
+		return Directive{Verb: VerbHotPath}, true, nil
 	default:
 		return Directive{}, true, fmt.Errorf("unknown paslint directive %q (paslint:allow and paslint:hotpath are defined)", verb)
 	}
@@ -130,7 +130,7 @@ func ParseDirective(text string) (Directive, bool, error) {
 	if reason == "" {
 		return Directive{}, true, fmt.Errorf("paslint:allow %s is missing its reason — say why the finding is acceptable", ruleField)
 	}
-	return Directive{Verb: VerbAllow, Rules: rules, Reason: reason}, true, nil
+	return Directive{Verb: verbAllow, Rules: rules}, true, nil
 }
 
 // isRuleName reports whether s looks like a rule identifier:
@@ -157,7 +157,7 @@ func fileDirectives(fset *token.FileSet, f *ast.File) ([]Directive, []Diagnostic
 	var bad []Diagnostic
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			d, isDirective, err := ParseDirective(c.Text)
+			d, isDirective, err := parseDirective(c.Text)
 			if !isDirective {
 				continue
 			}

@@ -12,28 +12,27 @@ func TestParseDirective(t *testing.T) {
 		wantErr   bool
 		verb      string
 		rules     []string
-		reason    string
 	}{
-		{"//paslint:allow determinism production jitter", true, false, VerbAllow, []string{"determinism"}, "production jitter"},
-		{"paslint:allow errwrap,httpbody shared reason", true, false, VerbAllow, []string{"errwrap", "httpbody"}, "shared reason"},
-		{"//paslint:allow lockheld   padded   reason  ", true, false, VerbAllow, []string{"lockheld"}, "padded   reason"},
-		{"//paslint:hotpath cache-hit path, see BENCH_serving.json", true, false, VerbHotPath, nil, "cache-hit path, see BENCH_serving.json"},
-		{"paslint:hotpath shard key of the routing tier", true, false, VerbHotPath, nil, "shard key of the routing tier"},
+		{"//paslint:allow determinism production jitter", true, false, verbAllow, []string{"determinism"}},
+		{"paslint:allow errwrap,httpbody shared reason", true, false, verbAllow, []string{"errwrap", "httpbody"}},
+		{"//paslint:allow lockheld   padded   reason  ", true, false, verbAllow, []string{"lockheld"}},
+		{"//paslint:hotpath cache-hit path, see BENCH_serving.json", true, false, VerbHotPath, nil},
+		{"paslint:hotpath shard key of the routing tier", true, false, VerbHotPath, nil},
 		// Not directives at all.
-		{"// ordinary comment", false, false, "", nil, ""},
-		{"//nolint:errcheck", false, false, "", nil, ""},
-		{"/*paslint:allow x y*/", false, false, "", nil, ""},
+		{"// ordinary comment", false, false, "", nil},
+		{"//nolint:errcheck", false, false, "", nil},
+		{"/*paslint:allow x y*/", false, false, "", nil},
 		// Malformed: directive-shaped but unusable.
-		{"//paslint:allow", true, true, "", nil, ""},
-		{"//paslint:allow determinism", true, true, "", nil, ""},              // no reason
-		{"//paslint:allow determinism,,errwrap why", true, true, "", nil, ""}, // empty element
-		{"//paslint:allow Determinism why", true, true, "", nil, ""},          // case
-		{"//paslint:deny determinism why", true, true, "", nil, ""},           // unknown verb
-		{"// paslint:allow determinism why", true, true, "", nil, ""},         // near-miss space
-		{"//paslint:hotpath", true, true, "", nil, ""},                        // hotpath without reason
+		{"//paslint:allow", true, true, "", nil},
+		{"//paslint:allow determinism", true, true, "", nil},              // no reason
+		{"//paslint:allow determinism,,errwrap why", true, true, "", nil}, // empty element
+		{"//paslint:allow Determinism why", true, true, "", nil},          // case
+		{"//paslint:deny determinism why", true, true, "", nil},           // unknown verb
+		{"// paslint:allow determinism why", true, true, "", nil},         // near-miss space
+		{"//paslint:hotpath", true, true, "", nil},                        // hotpath without reason
 	}
 	for _, tc := range cases {
-		d, isDirective, err := ParseDirective(tc.in)
+		d, isDirective, err := parseDirective(tc.in)
 		if isDirective != tc.directive {
 			t.Errorf("%q: directive=%v, want %v", tc.in, isDirective, tc.directive)
 			continue
@@ -51,31 +50,28 @@ func TestParseDirective(t *testing.T) {
 		if strings.Join(d.Rules, ",") != strings.Join(tc.rules, ",") {
 			t.Errorf("%q: rules=%v, want %v", tc.in, d.Rules, tc.rules)
 		}
-		if d.Reason != tc.reason {
-			t.Errorf("%q: reason=%q, want %q", tc.in, d.Reason, tc.reason)
-		}
 	}
 }
 
 func TestDirectiveCovers(t *testing.T) {
-	d := Directive{Verb: VerbAllow, Rules: []string{"determinism"}, Reason: "r", Line: 10}
+	d := Directive{Verb: verbAllow, Rules: []string{"determinism"}, Line: 10}
 	for line, want := range map[int]bool{9: false, 10: true, 11: true, 12: false} {
-		if got := d.Covers("determinism", line); got != want {
-			t.Errorf("Covers(determinism, %d)=%v, want %v", line, got, want)
+		if got := d.covers("determinism", line); got != want {
+			t.Errorf("covers(determinism, %d)=%v, want %v", line, got, want)
 		}
 	}
-	if d.Covers("errwrap", 10) {
+	if d.covers("errwrap", 10) {
 		t.Error("directive covered a rule it does not name")
 	}
-	hp := Directive{Verb: VerbHotPath, Reason: "r", Line: 10}
-	if hp.Covers("determinism", 10) || hp.Covers("hotpathalloc", 11) {
+	hp := Directive{Verb: VerbHotPath, Line: 10}
+	if hp.covers("determinism", 10) || hp.covers("hotpathalloc", 11) {
 		t.Error("hotpath directive must never suppress findings")
 	}
 }
 
 // FuzzParseDirective: parsing arbitrary comment text must never panic,
 // and a successful parse must uphold the invariants the runner relies
-// on: non-empty rule list, valid rule names, non-empty reason.
+// on: non-empty rule list, valid rule names.
 func FuzzParseDirective(f *testing.F) {
 	for _, seed := range []string{
 		"//paslint:allow determinism production jitter must decorrelate",
@@ -96,13 +92,13 @@ func FuzzParseDirective(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		d, isDirective, err := ParseDirective(s)
+		d, isDirective, err := parseDirective(s)
 		if !isDirective && err != nil {
 			t.Fatalf("non-directive returned error: %q -> %v", s, err)
 		}
 		if isDirective && err == nil {
 			switch d.Verb {
-			case VerbAllow:
+			case verbAllow:
 				if len(d.Rules) == 0 {
 					t.Fatalf("parsed allow directive with no rules: %q", s)
 				}
@@ -117,9 +113,6 @@ func FuzzParseDirective(f *testing.F) {
 				}
 			default:
 				t.Fatalf("parsed directive with unknown verb %q from %q", d.Verb, s)
-			}
-			if d.Reason == "" {
-				t.Fatalf("parsed directive with empty reason: %q", s)
 			}
 		}
 	})

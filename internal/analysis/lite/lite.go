@@ -33,8 +33,8 @@ func Inspect(root ast.Node, fn func(stack []ast.Node) bool) {
 	})
 }
 
-// IsChanType reports whether t's underlying type is a channel.
-func IsChanType(t types.Type) bool {
+// isChanType reports whether t's underlying type is a channel.
+func isChanType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -42,8 +42,8 @@ func IsChanType(t types.Type) bool {
 	return ok
 }
 
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -78,7 +78,7 @@ func HasCancellationSignal(body ast.Node, info *types.Info) bool {
 				return false
 			}
 		case *ast.RangeStmt:
-			if tv, ok := info.Types[v.X]; ok && IsChanType(tv.Type) {
+			if tv, ok := info.Types[v.X]; ok && isChanType(tv.Type) {
 				found = true
 				return false
 			}
@@ -96,7 +96,7 @@ func HasCancellationSignal(body ast.Node, info *types.Info) bool {
 			}
 		case *ast.CallExpr:
 			for _, arg := range v.Args {
-				if tv, ok := info.Types[arg]; ok && (IsContextType(tv.Type) || IsChanType(tv.Type)) {
+				if tv, ok := info.Types[arg]; ok && (isContextType(tv.Type) || isChanType(tv.Type)) {
 					delegated = true
 					break
 				}
@@ -357,18 +357,4 @@ func assignEscapes(a *ast.AssignStmt, rhs ast.Node, info *types.Info) bool {
 	default:
 		return true // x.f = ..., *p = ..., m[k] = ...
 	}
-}
-
-// IsSliceOrMapLit reports whether lit's type is a slice or map — the
-// composite kinds whose backing store always allocates.
-func IsSliceOrMapLit(lit *ast.CompositeLit, info *types.Info) bool {
-	tv, ok := info.Types[lit]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Slice, *types.Map:
-		return true
-	}
-	return false
 }

@@ -198,3 +198,17 @@ func local() int {
 		t.Errorf("escape classification = %d escaping / %d local, want 3 / 2", counts[true], counts[false])
 	}
 }
+
+// IsSliceOrMapLit reports whether lit's type is a slice or map — the
+// composite kinds whose backing store always allocates.
+func IsSliceOrMapLit(lit *ast.CompositeLit, info *types.Info) bool {
+	tv, ok := info.Types[lit]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	switch tv.Type.Underlying().(type) {
+	case *types.Slice, *types.Map:
+		return true
+	}
+	return false
+}

@@ -28,6 +28,10 @@ type Package struct {
 	Info  *types.Info
 	// Module is the module path the loader ran under.
 	Module string
+	// Nested marks a package under a directory with a go.mod of its
+	// own: another module, loaded for what it references but not its
+	// own to lint for whole-module invariants.
+	Nested bool
 	// Tests are the package's test files, type-checked only under
 	// Config.Tests: the in-package _test.go files (checked together with
 	// Files, so that variant's own objects are fresh ones at the same
@@ -147,15 +151,19 @@ func modulePath(dir string) (string, error) {
 type loader struct {
 	cfg     Config
 	dirs    map[string]string // import path -> absolute dir
+	nested  map[string]bool   // dirs at or under a nested go.mod
 	checked map[string]*Package
 	busy    map[string]bool
 }
 
 // discover walks the module tree recording every directory that holds
 // buildable non-test Go files. testdata, vendor, and dot-directories
-// are skipped, matching the go tool's convention.
+// are skipped, matching the go tool's convention. A subtree with its
+// own go.mod is walked too — a nested module that imports this one is
+// part of what references it — but its packages are marked Nested.
 func (ld *loader) discover() error {
 	ld.dirs = make(map[string]string)
+	ld.nested = make(map[string]bool)
 	return filepath.WalkDir(ld.cfg.Dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -166,6 +174,10 @@ func (ld *loader) discover() error {
 		name := d.Name()
 		if path != ld.cfg.Dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != ld.cfg.Dir {
+			_, err := os.Stat(filepath.Join(path, "go.mod"))
+			ld.nested[path] = err == nil || ld.nested[filepath.Dir(path)]
 		}
 		bp, err := ld.cfg.Importer.ctxt.ImportDir(path, 0)
 		if err != nil {
@@ -254,7 +266,7 @@ func (ld *loader) check(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: scanning %s: %w", dir, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Module: ld.cfg.Module, Fset: ld.cfg.Fset}
+	pkg := &Package{Path: path, Dir: dir, Module: ld.cfg.Module, Nested: ld.nested[dir], Fset: ld.cfg.Fset}
 	if pkg.Files, err = ld.parse(dir, bp.GoFiles); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/analysis/lite"
 )
 
-// AtomicMix flags variables that are accessed through sync/atomic in
+// atomicMix flags variables that are accessed through sync/atomic in
 // one place and plainly in another. Mixing the two is not a smaller
 // race — it is no synchronization at all: the plain access is free to
 // tear, reorder, and miss published values, and it does so exactly
@@ -24,7 +24,7 @@ import (
 // *types.Var, so `s.hits` in one method and `c.hits` in another are
 // the same field. Struct literal keys and declarations are not
 // accesses.
-var AtomicMix = &analysis.Analyzer{
+var atomicMix = &analysis.Analyzer{
 	Name: "atomicmix",
 	Doc:  "flag variables accessed both via sync/atomic and plainly",
 	Run:  runAtomicMix,

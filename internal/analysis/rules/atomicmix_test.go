@@ -7,5 +7,5 @@ import (
 )
 
 func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("atomicmix"), AtomicMix)
+	analysistest.Run(t, analysistest.Fixture("atomicmix"), atomicMix)
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/analysis/lite"
 )
 
-// ChanHygiene enforces the channel ownership rules the serving tier
+// chanHygiene enforces the channel ownership rules the serving tier
 // lives by:
 //
 //   - close from one owner: a channel closed in more than one function
@@ -26,7 +26,7 @@ import (
 //
 // The path scan mirrors lockheld's: linear, branch-forking, and silent
 // about channels it cannot resolve to a variable.
-var ChanHygiene = &analysis.Analyzer{
+var chanHygiene = &analysis.Analyzer{
 	Name: "chanhygiene",
 	Doc:  "flag multi-owner channel close, send-after-close on a path, and bare blocking sends in HTTP handlers",
 	Run:  runChanHygiene,

@@ -7,5 +7,5 @@ import (
 )
 
 func TestChanHygiene(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("chanhygiene"), ChanHygiene)
+	analysistest.Run(t, analysistest.Fixture("chanhygiene"), chanHygiene)
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/analysis"
 )
 
-// CtxPropagate enforces context plumbing through the serving stack:
+// ctxPropagate enforces context plumbing through the serving stack:
 //
 //  1. A function that receives a context.Context must not mint a fresh
 //     root with context.Background() or context.TODO() — that silently
@@ -23,7 +23,7 @@ import (
 // third-party-shaped names never trip it, and it skips the wrapper
 // methods themselves (a shim's own body is the one legitimate caller of
 // the pattern it deprecates — those carry //paslint:allow directives).
-var CtxPropagate = &analysis.Analyzer{
+var ctxPropagate = &analysis.Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "flag context.Background inside context-receiving functions and internal callers of the deprecated context-less chat shims",
 	Run:  runCtxPropagate,

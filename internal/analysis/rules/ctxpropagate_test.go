@@ -7,5 +7,5 @@ import (
 )
 
 func TestCtxPropagate(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("ctxpropagate"), CtxPropagate)
+	analysistest.Run(t, analysistest.Fixture("ctxpropagate"), ctxPropagate)
 }

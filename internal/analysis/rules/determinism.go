@@ -7,10 +7,10 @@ import (
 	"repro/internal/analysis"
 )
 
-// Determinism enforces seed-reproducibility in the simulation packages
+// determinism enforces seed-reproducibility in the simulation packages
 // and bans clock-seeded randomness module-wide.
 //
-// Inside DeterministicPaths it flags:
+// Inside deterministicPaths it flags:
 //   - time.Now (wall-clock reads make outputs run-dependent),
 //   - the package-level math/rand source (rand.Intn, rand.Float64, ...;
 //     a seeded rand.New(rand.NewSource(seed)) passes),
@@ -22,14 +22,14 @@ import (
 // Everywhere it flags seeding a rand source from the clock
 // (rand.NewSource(time.Now().UnixNano()) and friends): clock seeds are
 // the canonical way nondeterminism sneaks back into a "seeded" system.
-var Determinism = &analysis.Analyzer{
+var determinism = &analysis.Analyzer{
 	Name: "determinism",
 	Doc:  "flag wall-clock reads, global rand, and order-dependent map iteration in packages that must be bit-deterministic under a seed",
 	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *analysis.Pass) error {
-	inScope := pathInScope(pass.Path, DeterministicPaths)
+	inScope := pathInScope(pass.Path, deterministicPaths)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {

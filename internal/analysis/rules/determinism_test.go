@@ -7,8 +7,8 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	old := DeterministicPaths
-	DeterministicPaths = append([]string{"determinism"}, old...)
-	defer func() { DeterministicPaths = old }()
-	analysistest.Run(t, analysistest.Fixture("determinism"), Determinism)
+	old := deterministicPaths
+	deterministicPaths = append([]string{"determinism"}, old...)
+	defer func() { deterministicPaths = old }()
+	analysistest.Run(t, analysistest.Fixture("determinism"), determinism)
 }

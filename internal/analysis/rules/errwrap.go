@@ -9,7 +9,7 @@ import (
 	"repro/internal/analysis"
 )
 
-// ErrWrap enforces error hygiene at the resilience classification
+// errWrap enforces error hygiene at the resilience classification
 // boundary:
 //
 //  1. Discarded error returns: a call whose result tuple includes an
@@ -24,19 +24,19 @@ import (
 //     errors.Unwrap chain — an error flattened with %v or %s loses its
 //     Terminal/Overload/Retryable identity and its Retry-After hint,
 //     so the retry executor misclassifies it.
-var ErrWrap = &analysis.Analyzer{
+var errWrap = &analysis.Analyzer{
 	Name: "errwrap",
 	Doc:  "flag discarded error returns and %v/%s-flattened errors crossing the resilience classification boundary",
 	Run:  runErrWrap,
 }
 
-// ErrWrapPaths forces rule 2 on for matching packages even when they do
+// errWrapPaths forces rule 2 on for matching packages even when they do
 // not import internal/resilience. Fixture tests extend it; the
 // import-based detection is what covers the real tree.
-var ErrWrapPaths []string
+var errWrapPaths []string
 
 func runErrWrap(pass *analysis.Pass) error {
-	wrapScope := pathInScope(pass.Path, ErrWrapPaths) || importsResilience(pass.Pkg) || strings.HasSuffix(pass.Path, "internal/resilience")
+	wrapScope := pathInScope(pass.Path, errWrapPaths) || importsResilience(pass.Pkg) || strings.HasSuffix(pass.Path, "internal/resilience")
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {

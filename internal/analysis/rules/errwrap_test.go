@@ -7,8 +7,8 @@ import (
 )
 
 func TestErrWrap(t *testing.T) {
-	old := ErrWrapPaths
-	ErrWrapPaths = append([]string{"errwrap"}, old...)
-	defer func() { ErrWrapPaths = old }()
-	analysistest.Run(t, analysistest.Fixture("errwrap"), ErrWrap)
+	old := errWrapPaths
+	errWrapPaths = append([]string{"errwrap"}, old...)
+	defer func() { errWrapPaths = old }()
+	analysistest.Run(t, analysistest.Fixture("errwrap"), errWrap)
 }

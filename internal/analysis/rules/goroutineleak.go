@@ -7,7 +7,7 @@ import (
 	"repro/internal/analysis/lite"
 )
 
-// GoroutineLeak flags the two spawn shapes behind every goroutine leak
+// goroutineLeak flags the two spawn shapes behind every goroutine leak
 // this repository has shipped: a `go func` whose body loops forever
 // with no way to observe cancellation (no channel receive, no select,
 // no context-carrying call it could return from), and a derived
@@ -23,7 +23,7 @@ import (
 // accepted false negative. The repository convention — spawn function
 // literals whose select is visible at the spawn site — keeps the check
 // honest where it matters.
-var GoroutineLeak = &analysis.Analyzer{
+var goroutineLeak = &analysis.Analyzer{
 	Name: "goroutineleak",
 	Doc:  "flag go statements whose body loops forever without observing cancellation, and discarded context CancelFuncs",
 	Run:  runGoroutineLeak,

@@ -7,5 +7,5 @@ import (
 )
 
 func TestGoroutineLeak(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("goroutineleak"), GoroutineLeak)
+	analysistest.Run(t, analysistest.Fixture("goroutineleak"), goroutineLeak)
 }

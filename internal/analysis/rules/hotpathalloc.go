@@ -9,7 +9,7 @@ import (
 	"repro/internal/analysis/lite"
 )
 
-// HotPathAlloc polices functions marked with //paslint:hotpath — the
+// hotPathAlloc polices functions marked with //paslint:hotpath — the
 // ones whose per-call allocation budget is an architectural decision,
 // not an implementation detail. The serving core's cache-hit path is
 // the canonical example: the paper's p50 numbers assume a hit costs a
@@ -27,7 +27,7 @@ import (
 // body runs elsewhere. The marker rides on the func line or directly
 // above it (end of the doc comment), and a marker that matches no
 // function is itself a finding — a stale marker polices nothing.
-var HotPathAlloc = &analysis.Analyzer{
+var hotPathAlloc = &analysis.Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "flag allocation-prone constructs in functions marked //paslint:hotpath",
 	Run:  runHotPathAlloc,

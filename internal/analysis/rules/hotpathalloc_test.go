@@ -11,7 +11,7 @@ import (
 )
 
 func TestHotPathAlloc(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("hotpathalloc"), HotPathAlloc)
+	analysistest.Run(t, analysistest.Fixture("hotpathalloc"), hotPathAlloc)
 }
 
 // TestHotPathStaleMarker drives the runner directly: the stale-marker
@@ -32,7 +32,7 @@ func TestHotPathStaleMarker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{HotPathAlloc})
+	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{hotPathAlloc})
 	if err != nil {
 		t.Fatalf("running: %v", err)
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/analysis"
 )
 
-// HTTPBody enforces HTTP resource hygiene on both sides of the wire:
+// httpBody enforces HTTP resource hygiene on both sides of the wire:
 //
 //  1. Client side: a *http.Response obtained from a call must have its
 //     Body closed somewhere in the same function (usually
@@ -21,7 +21,7 @@ import (
 //     is a silent no-op plus a log line. A second WriteHeader is
 //     flagged the same way. http.Error and the module's JSON error
 //     helpers count as header+body writes.
-var HTTPBody = &analysis.Analyzer{
+var httpBody = &analysis.Analyzer{
 	Name: "httpbody",
 	Doc:  "flag unclosed http.Response bodies and WriteHeader-after-write ordering bugs in handlers",
 	Run:  runHTTPBody,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHTTPBody(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("httpbody"), HTTPBody)
+	analysistest.Run(t, analysistest.Fixture("httpbody"), httpBody)
 }
 
 // TestRegistry pins the analyzer set: a rule dropped from All() would

@@ -10,7 +10,7 @@ import (
 	"repro/internal/analysis"
 )
 
-// LockHeld flags slow or blocking operations performed while a mutex is
+// lockHeld flags slow or blocking operations performed while a mutex is
 // held: Chatter calls (Chat/ChatContext/ChatCompletion/...), HTTP
 // round-trips (http.Client methods, package-level http.Get/Post,
 // RoundTrip), and channel sends. A lock held across a model call turns
@@ -23,7 +23,7 @@ import (
 // to function end. Branch bodies are scanned with a copy of the held
 // set; `go func` bodies are skipped (the goroutine does not inherit the
 // critical section).
-var LockHeld = &analysis.Analyzer{
+var lockHeld = &analysis.Analyzer{
 	Name: "lockheld",
 	Doc:  "flag Chatter calls, HTTP round-trips, and channel sends performed while a mutex is held",
 	Run:  runLockHeld,
@@ -34,7 +34,7 @@ var chatterMethods = map[string]bool{
 	"Chat":                  true,
 	"ChatContext":           true,
 	"ChatCompletion":        true,
-	"ChatCompletionContext": true,
+	"chatCompletionContext": true,
 }
 
 func runLockHeld(pass *analysis.Pass) error {

@@ -7,5 +7,5 @@ import (
 )
 
 func TestLockHeld(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("lockheld"), LockHeld)
+	analysistest.Run(t, analysistest.Fixture("lockheld"), lockHeld)
 }

@@ -10,5 +10,5 @@ import (
 // fire, and a //paslint:allow naming one rule that must leave the
 // other's finding standing.
 func TestMultiRule(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("multirule"), AtomicMix, HotPathAlloc)
+	analysistest.Run(t, analysistest.Fixture("multirule"), atomicMix, hotPathAlloc)
 }

@@ -20,17 +20,17 @@ import (
 // All returns every registered analyzer, in run order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Determinism,
-		CtxPropagate,
-		LockHeld,
-		ErrWrap,
-		HTTPBody,
-		GoroutineLeak,
-		TimerStop,
-		AtomicMix,
-		ChanHygiene,
-		HotPathAlloc,
-		Unused,
+		determinism,
+		ctxPropagate,
+		lockHeld,
+		errWrap,
+		httpBody,
+		goroutineLeak,
+		timerStop,
+		atomicMix,
+		chanHygiene,
+		hotPathAlloc,
+		unused,
 	}
 }
 
@@ -57,11 +57,11 @@ func ByName(list string) ([]*analysis.Analyzer, bool) {
 	return out, true
 }
 
-// DeterministicPaths are the package-path fragments whose code must be
+// deterministicPaths are the package-path fragments whose code must be
 // bit-deterministic under a seed: the paper's win-rate tables (PAPER.md
 // §4) are only reproducible if these never read the clock or the global
 // rand source.
-var DeterministicPaths = []string{
+var deterministicPaths = []string{
 	"internal/simllm",
 	"internal/corpus",
 	"internal/cluster",

@@ -18,7 +18,7 @@ type Chatter interface {
 type Client struct{}
 
 func (c *Client) ChatCompletion(req string) (string, error) {
-	return c.ChatCompletionContext(context.Background(), req) //paslint:allow ctxpropagate the deprecated wrapper itself is the one legitimate caller
+	return c.ChatCompletionContext(context.Background(), req) // the wrapper has no context to pass: not a finding
 }
 
 func (c *Client) ChatCompletionContext(ctx context.Context, req string) (string, error) {

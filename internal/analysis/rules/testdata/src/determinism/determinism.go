@@ -1,5 +1,5 @@
 // Package determinism is the fixture for the determinism analyzer. The
-// test widens rules.DeterministicPaths to include this package, so the
+// test widens rules.deterministicPaths to include this package, so the
 // in-scope checks fire here exactly as they would in internal/simllm.
 package determinism
 

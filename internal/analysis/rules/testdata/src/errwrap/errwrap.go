@@ -1,7 +1,7 @@
 // Package errwrap is the fixture for the error-hygiene analyzer:
 // discarded error returns and %v/%s-flattened errors at the resilience
 // classification boundary. The test adds this package to
-// rules.ErrWrapPaths so the wrap rule is in force.
+// rules.errWrapPaths so the wrap rule is in force.
 package errwrap
 
 import (

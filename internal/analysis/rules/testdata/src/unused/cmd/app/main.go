@@ -11,5 +11,7 @@ import (
 func main() {
 	r := unused.Used(unused.Config{Size: 1, Retries: 2})
 	b, _ := unused.Encode()
-	fmt.Println(r.N, string(b), unused.Trim(" x "), unused.Flags(flag.CommandLine))
+	k := &unused.Knobs{Live: 1}
+	fmt.Println(r.N, string(b), unused.Trim(" x "), unused.Flags(flag.CommandLine), k.Total(), unused.NewSample().Text)
+	unused.Live()
 }

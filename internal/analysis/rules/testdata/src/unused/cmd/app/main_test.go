@@ -7,7 +7,8 @@ import (
 )
 
 func TestSeam(t *testing.T) {
-	if unused.Seam() != 3 {
+	// Reading Truth makes it a seam; storing to Label does not read it.
+	if unused.Seam() != 3 || unused.NewSample().Truth != 1 || (unused.Sample{Label: 3}).Text != "" {
 		t.Fatal("seam")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"strings"
+	"sync"
 )
 
 // --- reported ------------------------------------------------------------
@@ -45,6 +46,32 @@ type Config struct {
 type options struct {
 	verbose bool
 	dryRun  bool // want `field options\.dryRun is written but never read`
+}
+
+// Knobs is read in full by Total; what stores to each field varies.
+type Knobs struct {
+	Live   int        // set by cmd/app's keyed literal
+	Unset  int        // want `field Knobs\.Unset is never set; its zero value is a constant: delete it and fold the zero into its readers`
+	Seam   int        // set by a test alone: a seam, not reported
+	count  int        // set by ++ alone
+	addr   int        // set through &k.addr alone
+	ranged int        // set as a range target alone
+	buf    [2]int     // set by appends into a slice of it alone
+	grid   [2]int     // set through an index alone
+	mu     sync.Mutex // set by its pointer methods alone
+	in     inner      // set through k.in.n alone
+}
+
+type inner struct{ n int }
+
+// point is set by an unkeyed literal alone.
+type point struct{ x, y int }
+
+// Sample carries ground truth another package's tests read back.
+type Sample struct {
+	Text  string
+	Truth int // read by cmd/app's test alone: a seam, since it cannot move into it
+	Label int // want `field Sample\.Label is written but never read`
 }
 
 // --- not reported --------------------------------------------------------
@@ -86,6 +113,32 @@ func Trim(s string) []byte { return []byte(strings.TrimSpace(s)) }
 
 //paslint:allow unused fixture: public API kept for callers outside the module
 func Kept() {}
+
+//paslint:allow unused fixture: Flags is live, so this waiver is stale // want `paslint::paslint:allow unused suppresses nothing; delete it`
+
+//paslint:allow determinism fixture: determinism did not run, so this waiver is not judged
+func Live() {}
+
+// ForPlugin is used by the nested plugin module alone.
+func ForPlugin() {}
+
+// Total reads every knob.
+func (k *Knobs) Total() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.count++
+	p := &k.addr
+	*p = 1
+	for k.ranged = range []int{0, 1} {
+	}
+	s := append(k.buf[:0], 1)
+	k.grid[1] = 3
+	k.in.n = 2
+	pt := point{1, 2}
+	return k.Live + k.Unset + k.Seam + k.count + k.addr + k.ranged + s[0] + k.buf[0] + k.grid[1] + k.in.n + pt.x + pt.y
+}
+
+func NewSample() Sample { return Sample{Text: "t", Truth: 1, Label: 2} }
 
 // Flags registers o's fields; only verbose is read.
 func Flags(fs *flag.FlagSet) bool {

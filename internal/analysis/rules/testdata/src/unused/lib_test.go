@@ -3,7 +3,7 @@ package unused
 import "testing"
 
 func TestHelper(t *testing.T) {
-	if helper() != 1 {
+	if helper() != 1 || (&Knobs{Seam: 1}).Total() == 0 {
 		t.Fatal("helper")
 	}
 }

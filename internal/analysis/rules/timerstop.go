@@ -8,7 +8,7 @@ import (
 	"repro/internal/analysis/lite"
 )
 
-// TimerStop enforces timer and ticker lifecycle hygiene:
+// timerStop enforces timer and ticker lifecycle hygiene:
 //
 //   - time.Tick is banned outright — the ticker it allocates can never
 //     be stopped, so every call is a permanent goroutine-and-channel
@@ -21,7 +21,7 @@ import (
 //     creation is the shape that cannot rot. Values that escape the
 //     function (returned, stored in a field, passed along) are the
 //     caller's to stop and are exempt.
-var TimerStop = &analysis.Analyzer{
+var timerStop = &analysis.Analyzer{
 	Name: "timerstop",
 	Doc:  "flag time.Tick, time.After in loops, and NewTimer/NewTicker values not stopped on every return path",
 	Run:  runTimerStop,

@@ -7,5 +7,5 @@ import (
 )
 
 func TestTimerStop(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("timerstop"), TimerStop)
+	analysistest.Run(t, analysistest.Fixture("timerstop"), timerStop)
 }

@@ -10,12 +10,14 @@ import (
 	"repro/internal/analysis"
 )
 
-// Unused is paslint's whole-module rule: it finds what nothing calls.
+// unused is paslint's whole-module rule: it finds what nothing calls.
 // A reference counts only if it is in non-test code somewhere in the
 // loaded module (examples and the benchmark module included, since the
 // loader walks them), and a declaration's references to itself — a
 // recursive call, a type naming itself in its own fields or receivers
-// — do not count. Inside unusedPaths it reports:
+// — do not count. It reports in every package of the linted module (a
+// directory with its own go.mod is another module: its references count,
+// its declarations are not reported):
 //
 //   - a package-level func, method, type, var or const with no
 //     reference at all;
@@ -23,6 +25,8 @@ import (
 //     (unexport it: the export is surface nobody uses);
 //   - a struct field that is never read — written by literals,
 //     assignments, ++ or a flag.*Var registration only, or not at all;
+//   - a struct field that is read but that nothing — tests included —
+//     ever stores to: its zero value is a constant;
 //   - a package-level func whose body only forwards its parameters, in
 //     order, to another package-level func (call that one instead).
 //
@@ -33,40 +37,10 @@ import (
 // main and init, and blank names. A waiver is a //paslint:allow unused
 // line with the reason the code must stay: the library's public API, a
 // type a caller must be able to name.
-var Unused = &analysis.Analyzer{
+var unused = &analysis.Analyzer{
 	Name:      "unused",
-	Doc:       "flag declarations nothing in non-test code uses, exports only their own package uses, fields never read, and one-line forwarding wrappers",
+	Doc:       "flag declarations nothing in non-test code uses, exports only their own package uses, fields never read or never set, and one-line forwarding wrappers",
 	RunModule: runUnused,
-}
-
-// unusedPaths are the module-relative package paths the unused rule
-// reports in: the serving side ("." is the module's root package; any
-// other entry covers its subtree). References are counted across the
-// whole module either way.
-var unusedPaths = []string{
-	".",
-	"cmd",
-	"internal/serving",
-	"internal/resilience",
-	"internal/ring",
-	"internal/httpmw",
-	"internal/obs",
-	"internal/wire",
-}
-
-// unusedInScope reports whether the package at path is one unused
-// reports in.
-func unusedInScope(path, module string) bool {
-	rel := "."
-	if path != module {
-		rel = strings.TrimPrefix(path, module+"/")
-	}
-	for _, frag := range unusedPaths {
-		if rel == frag || frag != "." && strings.HasPrefix(rel, frag+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 // refCount tallies one object's non-test references by where they sit.
@@ -86,15 +60,20 @@ type unusedState struct {
 	// tests — in-package or its external _test package — and from any
 	// other package's.
 	ownTests, otherTests map[token.Pos]int
+	// set holds, by position, every field something in the module —
+	// tests included — stores to.
+	set map[token.Pos]bool
 }
 
-// countTests tallies the references pkg's test files make.
+// countTests tallies the references pkg's test files make; a store into
+// a field reads nothing and is not one.
 func (st *unusedState) countTests(pkg *analysis.Package) {
 	for _, v := range pkg.Tests {
+		writes := fieldWrites(v.Info, v.Files)
 		for _, f := range v.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
-				if !ok || v.Info.Uses[id] == nil || v.Info.Uses[id].Pkg() == nil {
+				if !ok || writes[id] || v.Info.Uses[id] == nil || v.Info.Uses[id].Pkg() == nil {
 					return true
 				}
 				obj := origin(v.Info.Uses[id])
@@ -117,10 +96,15 @@ func runUnused(pass *analysis.ModulePass) error {
 		seenIfaces: make(map[*types.Package]bool),
 		ownTests:   make(map[token.Pos]int),
 		otherTests: make(map[token.Pos]int),
+		set:        make(map[token.Pos]bool),
 	}
 	for _, pkg := range pass.Packages {
 		st.count(pkg)
 		st.countTests(pkg)
+		st.markSet(pkg.Info, pkg.Files)
+		for _, v := range pkg.Tests {
+			st.markSet(v.Info, v.Files)
+		}
 		st.collectInterfaces(pkg.Types)
 		for _, tv := range pkg.Info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -129,7 +113,7 @@ func runUnused(pass *analysis.ModulePass) error {
 		}
 	}
 	for _, pkg := range pass.Packages {
-		if !unusedInScope(pkg.Path, pkg.Module) {
+		if pkg.Nested {
 			continue
 		}
 		st.reportDecls(pass, pkg)
@@ -153,7 +137,7 @@ func origin(obj types.Object) types.Object {
 // count walks one package's files, tallying every reference that is not
 // part of the referenced object's own declaration.
 func (st *unusedState) count(pkg *analysis.Package) {
-	writes := fieldWrites(pkg)
+	writes := fieldWrites(pkg.Info, pkg.Files)
 	// walk tallies the references under n, skipping those to self: the
 	// objects n declares.
 	walk := func(n ast.Node, self ...types.Object) {
@@ -257,17 +241,17 @@ func (st *unusedState) markReflected(t types.Type, seen map[types.Type]bool) {
 	}
 }
 
-// fieldWrites returns the identifiers in pkg that name a struct field
+// fieldWrites returns the identifiers in files that name a struct field
 // being stored to rather than read: assignment and ++/-- targets,
 // struct-literal keys, and &x.f handed to a flag.*Var registration.
-func fieldWrites(pkg *analysis.Package) map[*ast.Ident]bool {
+func fieldWrites(info *types.Info, files []*ast.File) map[*ast.Ident]bool {
 	writes := make(map[*ast.Ident]bool)
 	target := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			writes[sel.Sel] = true
 		}
 	}
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.AssignStmt:
@@ -277,7 +261,7 @@ func fieldWrites(pkg *analysis.Package) map[*ast.Ident]bool {
 			case *ast.IncDecStmt:
 				target(v.X)
 			case *ast.CompositeLit:
-				if _, ok := pkg.Info.TypeOf(v).Underlying().(*types.Struct); ok {
+				if _, ok := info.TypeOf(v).Underlying().(*types.Struct); ok {
 					for _, elt := range v.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
@@ -287,7 +271,7 @@ func fieldWrites(pkg *analysis.Package) map[*ast.Ident]bool {
 					}
 				}
 			case *ast.CallExpr:
-				if fn := calleeFunc(pkg.Info, v); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "flag" && strings.HasSuffix(fn.Name(), "Var") && len(v.Args) > 0 {
+				if fn := calleeFunc(info, v); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "flag" && strings.HasSuffix(fn.Name(), "Var") && len(v.Args) > 0 {
 					if u, ok := ast.Unparen(v.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
 						target(u.X)
 					}
@@ -297,6 +281,74 @@ func fieldWrites(pkg *analysis.Package) map[*ast.Ident]bool {
 		})
 	}
 	return writes
+}
+
+// markSet records the fields files store to: keyed and unkeyed struct
+// literals, assignment, ++/-- and range targets, &x.f, a sliced array
+// field, and a pointer method called on an addressable field (which
+// takes its address). A store into x.a.b or x.a[i] stores into a too.
+func (st *unusedState) markSet(info *types.Info, files []*ast.File) {
+	var target func(e ast.Expr)
+	target = func(e ast.Expr) {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[v]; sel != nil && sel.Kind() == types.FieldVal {
+				st.set[origin(sel.Obj()).Pos()] = true
+				target(v.X)
+			}
+		case *ast.IndexExpr:
+			target(v.X)
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range v.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(v.X)
+			case *ast.RangeStmt:
+				if v.Tok == token.ASSIGN {
+					target(v.Key)
+					target(v.Value)
+				}
+			case *ast.UnaryExpr:
+				if v.Op == token.AND {
+					target(v.X)
+				}
+			case *ast.SliceExpr:
+				// Slicing an array aliases it: appends store into it.
+				if _, ok := info.TypeOf(v.X).Underlying().(*types.Array); ok {
+					target(v.X)
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[v]
+				if sel == nil || sel.Kind() != types.MethodVal {
+					break
+				}
+				if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+					if _, viaPtr := info.TypeOf(v.X).Underlying().(*types.Pointer); !viaPtr {
+						target(v.X)
+					}
+				}
+			case *ast.CompositeLit:
+				s, ok := info.TypeOf(v).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range v.Elts {
+					if kv, keyed := elt.(*ast.KeyValueExpr); !keyed {
+						st.set[origin(s.Field(i)).Pos()] = true
+					} else if obj := info.Uses[kv.Key.(*ast.Ident)]; obj != nil {
+						st.set[origin(obj).Pos()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // collectInterfaces records the methods of every interface type
@@ -490,7 +542,9 @@ func (st *unusedState) reportFields(pass *analysis.ModulePass, pkg *analysis.Pac
 		}
 		for i := 0; i < s.NumFields(); i++ {
 			f := s.Field(i)
-			if f.Embedded() || f.Name() == "_" {
+			// A field another package's tests read is a seam, as an
+			// export is: it cannot move into them.
+			if f.Embedded() || f.Name() == "_" || st.otherTests[f.Pos()] > 0 {
 				continue
 			}
 			rc := st.refs[f]
@@ -499,6 +553,8 @@ func (st *unusedState) reportFields(pass *analysis.ModulePass, pkg *analysis.Pac
 				pass.Reportf(f.Pos(), "field %s.%s is never used by non-test code; delete it", name, f.Name())
 			case rc.reads == 0:
 				pass.Reportf(f.Pos(), "field %s.%s is written but never read by non-test code; delete it and its stores", name, f.Name())
+			case !st.set[f.Pos()]:
+				pass.Reportf(f.Pos(), "field %s.%s is never set; its zero value is a constant: delete it and fold the zero into its readers", name, f.Name())
 			}
 		}
 	}

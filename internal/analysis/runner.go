@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -12,7 +13,8 @@ import (
 // directives, and returns the surviving diagnostics sorted by position.
 // Malformed directives are themselves findings (rule "paslint") and
 // cannot be suppressed — a suppression the author believes is active
-// but is not would otherwise rot silently.
+// but is not would otherwise rot silently — and so is an allow of a
+// rule that ran and found nothing for it to suppress.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunMatched(pkgs, nil, analyzers)
 }
@@ -63,9 +65,22 @@ func RunMatched(pkgs []*Package, matched []string, analyzers []*Analyzer) ([]Dia
 			}
 		}
 	}
+	used := make([]map[string]bool, len(directives)) // rules each directive silenced
 	for _, d := range diags {
-		if linted[filepath.Dir(d.Pos.Filename)] && !suppressed(directives, d) {
+		if linted[filepath.Dir(d.Pos.Filename)] && !suppressed(directives, used, d) {
 			out = append(out, d)
+		}
+	}
+	for i, dir := range directives {
+		for _, r := range dir.Rules {
+			ran := slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == r })
+			if ran && !used[i][r] {
+				out = append(out, Diagnostic{
+					Pos:     token.Position{Filename: dir.File, Line: dir.Line, Column: 1},
+					Rule:    "paslint",
+					Message: fmt.Sprintf("paslint:allow %s suppresses nothing; delete it", r),
+				})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -84,16 +99,22 @@ func RunMatched(pkgs []*Package, matched []string, analyzers []*Analyzer) ([]Dia
 	return out, nil
 }
 
-// suppressed reports whether an allow directive covers d. Directives
-// carry their file, so one list serves every package.
-func suppressed(ds []Directive, d Diagnostic) bool {
-	for _, dir := range ds {
+// suppressed reports whether an allow directive covers d, marking in
+// used every directive that does. Directives carry their file, so one
+// list serves every package.
+func suppressed(ds []Directive, used []map[string]bool, d Diagnostic) bool {
+	hit := false
+	for i, dir := range ds {
 		if dir.File != "" && dir.File != d.Pos.Filename {
 			continue
 		}
-		if dir.Covers(d.Rule, d.Pos.Line) {
-			return true
+		if dir.covers(d.Rule, d.Pos.Line) {
+			if used[i] == nil {
+				used[i] = make(map[string]bool)
+			}
+			used[i][d.Rule] = true
+			hit = true
 		}
 	}
-	return false
+	return hit
 }

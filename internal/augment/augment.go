@@ -92,8 +92,6 @@ func DefaultConfig() Config {
 type Stats struct {
 	// Prompts is the number of curated prompts consumed.
 	Prompts int
-	// Generated counts first-attempt generations.
-	Generated int
 	// Rejected counts critic rejections (including re-rejections).
 	Rejected int
 	// Regenerated counts regeneration attempts performed.
@@ -109,9 +107,6 @@ type Stats struct {
 	// failing model calls and were journaled and skipped instead of
 	// failing the build.
 	Quarantined int
-	// Faults counts failed model calls injected or observed during the
-	// run (each consumed one attempt somewhere).
-	Faults int
 	// RegenByCategory breaks Regenerated down per category name — the
 	// paper's Figure 6 categories differ sharply in how often the
 	// critic sends a pair back.
@@ -174,7 +169,6 @@ type RunState struct {
 // Quarantined describes one skipped item for reporting.
 type Quarantined struct {
 	Index    int
-	Prompt   string
 	Category facet.Category
 	Reason   string
 }
@@ -187,18 +181,6 @@ type Result struct {
 	// budgets, in plan order.
 	Quarantine []Quarantined
 }
-
-// NullChatter is a no-op resilience.Chatter: it answers every call with
-// an empty reply. It exists to serve as the pass-through inner of a
-// resilience.FaultyChatter used as a FaultGate, where only the scripted
-// faults matter.
-type NullChatter struct{}
-
-// Name identifies the chatter.
-func (NullChatter) Name() string { return "null" }
-
-// Chat returns an empty reply.
-func (NullChatter) Chat([]simllm.Message, simllm.Options) (string, error) { return "", nil }
 
 // Run executes Algorithm 1 over curated prompts using the golden few-shot
 // seed pairs.
@@ -378,7 +360,6 @@ feed:
 // died on failing model calls, leaving nothing validated to keep).
 func processItem(c curation.Curated, it planItem, golden map[facet.Category][]dataset.Pair, cfg Config, gen, critic *simllm.Model, prog *Progress) ItemRecord {
 	rec := ItemRecord{Index: it.idx, Category: it.cat.String()}
-	examples := fewShotExamples(golden, it.cat)
 	gate := func(op string) error {
 		if cfg.FaultGate == nil {
 			return nil
@@ -401,7 +382,7 @@ func processItem(c curation.Curated, it planItem, golden map[facet.Category][]da
 			attempt++
 			continue
 		}
-		rec.Complement = gen.GenerateComplement(c.Prompt.Text, examples, fmt.Sprintf("gen/%d", attempt))
+		rec.Complement = gen.GenerateComplement(c.Prompt.Text, len(golden[it.cat]), fmt.Sprintf("gen/%d", attempt))
 		if attempt == 0 {
 			rec.Generated++
 		} else {
@@ -458,10 +439,8 @@ func assemble(curated []curation.Curated, plan []planItem, records []*ItemRecord
 			return nil, fmt.Errorf("augment: item %d has no record after processing", it.idx)
 		}
 		res.Stats.Prompts++
-		res.Stats.Generated += rec.Generated
 		res.Stats.Rejected += rec.Rejected
 		res.Stats.Regenerated += rec.Regenerated
-		res.Stats.Faults += rec.Faults
 		if rec.Regenerated > 0 {
 			res.Stats.RegenByCategory[it.cat.String()] += rec.Regenerated
 		}
@@ -472,13 +451,12 @@ func assemble(curated []curation.Curated, plan []planItem, records []*ItemRecord
 			res.Stats.Quarantined++
 			res.Quarantine = append(res.Quarantine, Quarantined{
 				Index:    it.idx,
-				Prompt:   curated[it.idx].Prompt.Text,
 				Category: it.cat,
 				Reason:   rec.Reason,
 			})
 			continue
 		}
-		if IsDefective(curated[it.idx].Prompt.Text, rec.Complement) {
+		if isDefective(curated[it.idx].Prompt.Text, rec.Complement) {
 			res.Stats.ResidualDefects++
 		}
 		if err := res.Data.Add(dataset.Pair{
@@ -493,25 +471,16 @@ func assemble(curated []curation.Curated, plan []planItem, records []*ItemRecord
 	return res, nil
 }
 
-// IsDefective is the ground-truth defect check used for pipeline
+// isDefective is the ground-truth defect check used for pipeline
 // accounting and the ablation analysis: answer leak, constraint conflict,
 // over-reach on a simple prompt, or no usable directive.
-func IsDefective(prompt, complement string) bool {
+func isDefective(prompt, complement string) bool {
 	a := facet.AnalyzePrompt(prompt)
 	dirs := facet.DetectDirectives(complement)
 	return facet.DetectAnswerLeak(complement) ||
 		len(facet.ConflictingDirectives(a, dirs)) > 0 ||
 		(dirs.Len() >= 4 && a.Complexity < 1) ||
 		dirs.Len() == 0
-}
-
-func fewShotExamples(golden map[facet.Category][]dataset.Pair, c facet.Category) []simllm.Example {
-	pairs := golden[c]
-	out := make([]simllm.Example, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, simllm.Example{Prompt: p.Prompt, Complement: p.Complement})
-	}
-	return out
 }
 
 func modelFor(name, role string) (*simllm.Model, error) {

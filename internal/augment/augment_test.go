@@ -29,7 +29,7 @@ func curatedFixture(t *testing.T, n int) []curation.Curated {
 		if len(out) == n {
 			break
 		}
-		out = append(out, curation.Curated{Prompt: p, Category: p.Truth.Category, Score: 7})
+		out = append(out, curation.Curated{Prompt: p, Category: p.Truth.Category})
 	}
 	return out
 }
@@ -166,17 +166,17 @@ func TestDeterministic(t *testing.T) {
 
 func TestIsDefective(t *testing.T) {
 	prompt := "Briefly summarize this long article about coral reefs."
-	if !IsDefective(prompt, facet.RenderAnswerLeak("x")) {
+	if !isDefective(prompt, facet.RenderAnswerLeak("x")) {
 		t.Error("leak not flagged")
 	}
-	if !IsDefective(prompt, facet.RenderConflicting(facet.Conciseness, "x")) {
+	if !isDefective(prompt, facet.RenderConflicting(facet.Conciseness, "x")) {
 		t.Error("conflict not flagged")
 	}
-	if !IsDefective(prompt, "no directives here at all") {
+	if !isDefective(prompt, "no directives here at all") {
 		t.Error("empty directives not flagged")
 	}
 	clean := facet.RenderDirectives([]facet.Facet{facet.Conciseness, facet.Accuracy}, "x")
-	if IsDefective(prompt, clean) {
+	if isDefective(prompt, clean) {
 		t.Errorf("clean aug flagged: %q", clean)
 	}
 }
@@ -205,7 +205,7 @@ func BenchmarkAugment100(b *testing.B) {
 	}
 	cur := make([]curation.Curated, 0, 100)
 	for _, p := range pool[:100] {
-		cur = append(cur, curation.Curated{Prompt: p, Category: p.Truth.Category, Score: 7})
+		cur = append(cur, curation.Curated{Prompt: p, Category: p.Truth.Category})
 	}
 	golden := dataset.Golden()
 	b.ResetTimer()

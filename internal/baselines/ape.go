@@ -27,38 +27,6 @@ func (None) Name() string { return "None" }
 // Transform implements APE.
 func (None) Transform(prompt, _ string) string { return prompt }
 
-// CoT is the zero-shot chain-of-thought baseline of Kojima et al.: it
-// appends the fixed "think step by step" instruction to every prompt.
-type CoT struct{}
-
-// Name implements APE.
-func (CoT) Name() string { return "Zero-shot CoT" }
-
-// Transform implements APE.
-func (CoT) Transform(prompt, _ string) string {
-	return prompt + "\nPlease think step by step; show your reasoning."
-}
-
-// Static wraps a fixed learned instruction as an APE, the serving form of
-// the task-specific optimizers.
-type Static struct {
-	// MethodName is the producing optimizer's name.
-	MethodName string
-	// Instruction is appended to every prompt.
-	Instruction string
-}
-
-// Name implements APE.
-func (s Static) Name() string { return s.MethodName }
-
-// Transform implements APE.
-func (s Static) Transform(prompt, _ string) string {
-	if s.Instruction == "" {
-		return prompt
-	}
-	return prompt + "\n" + s.Instruction
-}
-
 // Info describes a method's cost and flexibility profile — the rows of
 // Table 3 and the bars of Figure 7. Data consumption figures are the
 // paper's (§4.4.1), in number of training examples.

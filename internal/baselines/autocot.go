@@ -97,9 +97,6 @@ func NewAutoCoT(questions []string, cfg AutoCoTConfig) (*AutoCoT, error) {
 	return a, nil
 }
 
-// Demos returns the constructed demonstrations.
-func (a *AutoCoT) Demos() []string { return a.demos }
-
 // Name implements APE.
 func (a *AutoCoT) Name() string { return "Auto-CoT" }
 

@@ -59,7 +59,7 @@ func TestAutoCoTBuildsClusteredDemos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demos := a.Demos()
+	demos := a.demos
 	if len(demos) == 0 || len(demos) > DefaultAutoCoTConfig().Clusters {
 		t.Fatalf("demo count %d out of range", len(demos))
 	}
@@ -84,7 +84,7 @@ func TestAutoCoTTransformShape(t *testing.T) {
 	if !strings.Contains(out, prompt) {
 		t.Fatal("prompt lost")
 	}
-	if !strings.Contains(out, a.Demos()[0]) {
+	if !strings.Contains(out, a.demos[0]) {
 		t.Fatal("demonstrations not prepended")
 	}
 	if !facet.DetectDirectives(out).Has(facet.Reasoning) {
@@ -102,7 +102,7 @@ func TestAutoCoTDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(a.Demos(), "|") != strings.Join(b.Demos(), "|") {
+	if strings.Join(a.demos, "|") != strings.Join(b.demos, "|") {
 		t.Fatal("demo construction not deterministic")
 	}
 }

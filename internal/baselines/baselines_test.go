@@ -244,3 +244,24 @@ func BenchmarkBPOTransform(b *testing.B) {
 		bp.Transform(prompt, "bench")
 	}
 }
+
+// MustBPO is NewBPO for the fixed roster in experiments.
+func MustBPO(baseModel string) *BPO {
+	b, err := NewBPO(baseModel)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// CoT is the zero-shot chain-of-thought baseline of Kojima et al.: it
+// appends the fixed "think step by step" instruction to every prompt.
+type CoT struct{}
+
+// Name implements APE.
+func (CoT) Name() string { return "Zero-shot CoT" }
+
+// Transform implements APE.
+func (CoT) Transform(prompt, _ string) string {
+	return prompt + "\nPlease think step by step; show your reasoning."
+}

@@ -36,15 +36,6 @@ func NewBPO(baseModel string) (*BPO, error) {
 	return &BPO{base: p, seed: textkit.Hash64("bpo/" + baseModel)}, nil
 }
 
-// MustBPO is NewBPO for the fixed roster in experiments.
-func MustBPO(baseModel string) *BPO {
-	b, err := NewBPO(baseModel)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Name implements APE.
 func (b *BPO) Name() string { return "BPO" }
 

@@ -134,3 +134,23 @@ func OptimizeProTeGi(score Scorer, rounds, beamWidth int, seed int64) (OptimizeR
 		ScorerCalls: calls,
 	}, nil
 }
+
+// Static wraps a fixed learned instruction as an APE, the serving form of
+// the task-specific optimizers.
+type Static struct {
+	// MethodName is the producing optimizer's name.
+	MethodName string
+	// Instruction is appended to every prompt.
+	Instruction string
+}
+
+// Name implements APE.
+func (s Static) Name() string { return s.MethodName }
+
+// Transform implements APE.
+func (s Static) Transform(prompt, _ string) string {
+	if s.Instruction == "" {
+		return prompt
+	}
+	return prompt + "\n" + s.Instruction
+}

@@ -88,7 +88,7 @@ func TestServerCacheServesIdenticalResponses(t *testing.T) {
 		first.Usage != second.Usage {
 		t.Fatal("cached response differs from original")
 	}
-	hits, misses := s.CacheStats()
+	hits, misses := s.cacheStats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
@@ -98,7 +98,7 @@ func TestServerCacheServesIdenticalResponses(t *testing.T) {
 	if _, err := c.ChatCompletion(req); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := s.CacheStats(); misses != 2 {
+	if _, misses := s.cacheStats(); misses != 2 {
 		t.Fatalf("misses = %d, want 2", misses)
 	}
 }
@@ -111,7 +111,7 @@ func TestServerCacheValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := s.CacheStats(); h != 0 || m != 0 {
+	if h, m := s.cacheStats(); h != 0 || m != 0 {
 		t.Fatal("disabled cache should report zeros")
 	}
 }
@@ -143,7 +143,7 @@ func TestStatusSurfacesCacheCounters(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var st Status
+	var st status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestStatusWithCacheDisabled(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/status", nil))
-	var st Status
+	var st status
 	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

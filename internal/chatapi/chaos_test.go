@@ -99,7 +99,7 @@ func TestClientDeadlineCutsRetryLoopShort(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.ChatCompletionContext(ctx, chatReq())
+	_, err = c.chatCompletionContext(ctx, chatReq())
 	if err == nil {
 		t.Fatal("want failure under a persistent 500 storm")
 	}
@@ -197,7 +197,7 @@ func TestClientBreakerStopsHammeringDeadBackend(t *testing.T) {
 			t.Fatal("dead backend should fail")
 		}
 	}
-	if got := c.BreakerStats().State; got != "open" {
+	if got := c.breaker.Stats().State; got != "open" {
 		t.Fatalf("breaker state = %q, want open", got)
 	}
 	// Subsequent calls fail fast without touching the transport.
@@ -211,7 +211,7 @@ func TestClientBreakerStopsHammeringDeadBackend(t *testing.T) {
 	if ct.Calls() != before {
 		t.Fatalf("open breaker still reached the transport: %d -> %d calls", before, ct.Calls())
 	}
-	if rej := c.BreakerStats().Rejections; rej != 5 {
+	if rej := c.breaker.Stats().Rejections; rej != 5 {
 		t.Fatalf("rejections = %d, want 5", rej)
 	}
 }
@@ -225,7 +225,7 @@ func TestClientBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if _, err := c.ChatCompletion(chatReq()); err == nil {
 		t.Fatal("scripted drop should fail")
 	}
-	if got := c.BreakerStats().State; got != "open" {
+	if got := c.breaker.Stats().State; got != "open" {
 		t.Fatalf("state = %q, want open", got)
 	}
 	time.Sleep(25 * time.Millisecond) // cooldown elapses
@@ -234,7 +234,7 @@ func TestClientBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if _, err := c.ChatCompletion(chatReq()); err != nil {
 		t.Fatalf("probe should succeed against recovered upstream: %v", err)
 	}
-	st := c.BreakerStats()
+	st := c.breaker.Stats()
 	if st.State != "closed" || st.Probes != 1 {
 		t.Fatalf("stats = %+v, want closed after one successful probe", st)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/simllm"
+	"repro/internal/textkit"
 	"repro/internal/tokenizer"
 )
 
@@ -390,3 +391,6 @@ func newTestHTTP(t testing.TB, s *Server) string {
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
+
+// streamedWords is a helper for tests: word count of the assembled text.
+func streamedWords(s string) int { return textkit.WordCount(s) }

@@ -30,18 +30,12 @@ type ClientConfig struct {
 	// between retries; a server Retry-After header overrides it. Tests
 	// set it to ~0.
 	Backoff time.Duration
-	// MaxBackoff caps a single retry sleep. Default 2s.
-	MaxBackoff time.Duration
 	// RetryBudget bounds the whole call — attempts plus sleeps; 0 means
 	// only the context deadline bounds it.
 	RetryBudget time.Duration
 	// Timeout is the default HTTP client's total per-attempt timeout,
 	// used only when HTTPClient is nil. Default 30s.
 	Timeout time.Duration
-	// AttemptTimeout bounds each attempt via context, independent of
-	// the transport-level Timeout; 0 disables it. Unlike Timeout it
-	// also applies to caller-provided HTTPClients.
-	AttemptTimeout time.Duration
 	// BreakerThreshold sizes the circuit breaker in front of this
 	// backend: after that many consecutive failed calls the client
 	// fails fast with resilience.ErrOpen instead of re-dialing a dead
@@ -50,11 +44,6 @@ type ClientConfig struct {
 	BreakerThreshold int
 	// BreakerCooldown is the open→half-open window. Default 5s.
 	BreakerCooldown time.Duration
-	// HedgeAfter, when > 0, races a second identical request once the
-	// first has been in flight that long (adapting upward to the
-	// observed p95). Only enable it against idempotent upstreams:
-	// hedging duplicates requests by design.
-	HedgeAfter time.Duration
 	// HTTPClient overrides the transport; nil uses a client with
 	// Timeout as its total timeout.
 	HTTPClient *http.Client
@@ -66,7 +55,6 @@ type ClientConfig struct {
 type Client struct {
 	cfg     ClientConfig
 	breaker *resilience.Breaker // opens on consecutive failed calls
-	hedger  *resilience.Hedger  // nil when HedgeAfter == 0
 	// sleep is the retry sleeper; tests replace it to observe the
 	// schedule without real waiting.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -98,25 +86,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		Threshold: cfg.BreakerThreshold,
 		Cooldown:  cfg.BreakerCooldown,
 	})
-	if cfg.HedgeAfter > 0 {
-		c.hedger = &resilience.Hedger{MinDelay: cfg.HedgeAfter}
-	}
 	return c, nil
-}
-
-// BreakerStats reports the backend breaker's snapshot.
-func (c *Client) BreakerStats() resilience.BreakerStats { return c.breaker.Stats() }
-
-// RegisterMetrics exposes the client's backend-breaker counters on reg
-// under the pas_chatapi_ namespace, read at scrape time.
-func (c *Client) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(func(e *obs.Emitter) {
-		s := c.breaker.Stats()
-		e.Gauge("pas_chatapi_breaker_state", "Backend breaker state (0 closed, 1 half-open, 2 open).", float64(c.breaker.State()))
-		e.Counter("pas_chatapi_breaker_failures_total", "Failed backend calls recorded by the breaker.", float64(s.Failures))
-		e.Counter("pas_chatapi_breaker_opens_total", "Times the backend breaker opened.", float64(s.Opens))
-		e.Counter("pas_chatapi_breaker_rejections_total", "Calls rejected by the open breaker.", float64(s.Rejections))
-	})
 }
 
 // policy assembles the retry schedule for one call.
@@ -124,25 +94,24 @@ func (c *Client) policy() resilience.Policy {
 	return resilience.Policy{
 		MaxAttempts: c.cfg.MaxRetries + 1,
 		BaseDelay:   c.cfg.Backoff,
-		MaxDelay:    c.cfg.MaxBackoff,
 		Budget:      c.cfg.RetryBudget,
 		Sleep:       c.sleep,
 	}
 }
 
 // ChatCompletion performs one completion request, retrying retryable
-// failures. It is ChatCompletionContext without a deadline.
+// failures. It is chatCompletionContext without a deadline.
 func (c *Client) ChatCompletion(req ChatRequest) (ChatResponse, error) {
-	return c.ChatCompletionContext(context.Background(), req)
+	return c.chatCompletionContext(context.Background(), req)
 }
 
-// ChatCompletionContext performs one completion request under ctx.
+// chatCompletionContext performs one completion request under ctx.
 // Retryable failures (transport errors, 5xx) retry with capped
 // full-jitter backoff; overload answers (429/503) wait out the server's
 // Retry-After when it sends one; terminal 4xx answers return
 // immediately. The context deadline bounds the whole retry loop — the
 // client never sleeps into a deadline it cannot make.
-func (c *Client) ChatCompletionContext(ctx context.Context, req ChatRequest) (ChatResponse, error) {
+func (c *Client) chatCompletionContext(ctx context.Context, req ChatRequest) (ChatResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return ChatResponse{}, fmt.Errorf("chatapi: encoding request: %w", err)
@@ -157,9 +126,7 @@ func (c *Client) ChatCompletionContext(ctx context.Context, req ChatRequest) (Ch
 		return ChatResponse{}, err
 	}
 	resp, err := resilience.DoValue(ctx, c.policy(), func(ctx context.Context) (ChatResponse, error) {
-		return resilience.Hedge(ctx, c.hedger, func(ctx context.Context) (ChatResponse, error) {
-			return c.try(ctx, body)
-		})
+		return c.try(ctx, body)
 	})
 	// Terminal answers (4xx) mean the backend is up and judging our
 	// request; only transport faults, 5xx, and overload count against
@@ -176,12 +143,6 @@ func (c *Client) ChatCompletionContext(ctx context.Context, req ChatRequest) (Ch
 // server's Retry-After hint for 429/503, plain retryable for transport
 // faults and other 5xx.
 func (c *Client) try(ctx context.Context, body []byte) (ChatResponse, error) {
-	parent := ctx
-	if c.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		defer cancel()
-	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/chat/completions", bytes.NewReader(body))
 	if err != nil {
 		return ChatResponse{}, resilience.AsTerminal(fmt.Errorf("chatapi: %w", err))
@@ -195,9 +156,9 @@ func (c *Client) try(ctx context.Context, body []byte) (ChatResponse, error) {
 	obs.Inject(ctx, httpReq.Header)
 	resp, err := c.cfg.HTTPClient.Do(httpReq)
 	if err != nil {
-		if parentErr := parent.Err(); parentErr != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
 			// The caller's context ended mid-flight; retrying cannot help.
-			return ChatResponse{}, fmt.Errorf("chatapi: %w", parentErr)
+			return ChatResponse{}, fmt.Errorf("chatapi: %w", ctxErr)
 		}
 		// A per-attempt timeout or transport fault: explicitly
 		// retryable, even though the chain may wrap DeadlineExceeded
@@ -207,8 +168,8 @@ func (c *Client) try(ctx context.Context, body []byte) (ChatResponse, error) {
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		if parentErr := parent.Err(); parentErr != nil {
-			return ChatResponse{}, fmt.Errorf("chatapi: %w", parentErr)
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return ChatResponse{}, fmt.Errorf("chatapi: %w", ctxErr)
 		}
 		return ChatResponse{}, resilience.AsRetryable(fmt.Errorf("chatapi: reading response: %w", err))
 	}
@@ -324,7 +285,7 @@ func (r *Remote) ChatContext(ctx context.Context, messages []simllm.Message, opt
 	for _, m := range messages {
 		req.Messages = append(req.Messages, Message{Role: m.Role, Content: m.Content})
 	}
-	resp, err := r.client.ChatCompletionContext(ctx, req)
+	resp, err := r.client.chatCompletionContext(ctx, req)
 	if err != nil {
 		return "", err
 	}

@@ -144,9 +144,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// CacheStats reports response-cache hits and misses (zeros when caching
+// cacheStats reports response-cache hits and misses (zeros when caching
 // is disabled).
-func (s *Server) CacheStats() (hits, misses int64) {
+func (s *Server) cacheStats() (hits, misses int64) {
 	if s.cache == nil {
 		return 0, 0
 	}
@@ -158,7 +158,7 @@ func (s *Server) CacheStats() (hits, misses int64) {
 // time.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
-		hits, misses := s.CacheStats()
+		hits, misses := s.cacheStats()
 		e.Counter("pas_chatllm_cache_hits_total", "Response-cache hits.", float64(hits))
 		e.Counter("pas_chatllm_cache_misses_total", "Response-cache misses.", float64(misses))
 		if s.cache != nil {
@@ -181,9 +181,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Status is the GET /v1/status body: operational state of the endpoint
+// status is the GET /v1/status body: operational state of the endpoint
 // including the response-cache counters from CacheStats.
-type Status struct {
+type status struct {
 	Models      int  `json:"models"`
 	RateLimited bool `json:"rate_limited"`
 	Cache       struct {
@@ -195,8 +195,8 @@ type Status struct {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := Status{Models: len(s.names), RateLimited: s.limiter != nil}
-	st.Cache.Hits, st.Cache.Misses = s.CacheStats()
+	st := status{Models: len(s.names), RateLimited: s.limiter != nil}
+	st.Cache.Hits, st.Cache.Misses = s.cacheStats()
 	if s.cache != nil {
 		st.Cache.Enabled = true
 		st.Cache.Entries = s.cache.len()

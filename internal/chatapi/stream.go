@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-
-	"repro/internal/textkit"
 )
 
 // Streaming support: when a chat request sets "stream": true, the server
@@ -149,6 +147,3 @@ func (c *Client) ChatCompletionStream(req ChatRequest, onDelta func(string)) (st
 	}
 	return "", fmt.Errorf("chatapi: stream ended without [DONE]")
 }
-
-// streamedWords is a helper for tests: word count of the assembled text.
-func streamedWords(s string) int { return textkit.WordCount(s) }

@@ -29,9 +29,9 @@ import (
 	"strings"
 )
 
-// FormatVersion identifies the on-disk layout. Bumping it invalidates
+// formatVersion identifies the on-disk layout. Bumping it invalidates
 // every existing checkpoint (the fingerprint covers it).
-const FormatVersion = "pas-checkpoint-v1"
+const formatVersion = "pas-checkpoint-v1"
 
 // metaFile holds the store identity at the directory root.
 const metaFile = "meta.json"
@@ -70,8 +70,7 @@ func (e *CorruptError) Error() string {
 // Store is one checkpoint directory. Methods are safe for sequential
 // use from one build; individual journals serialize their own appends.
 type Store struct {
-	dir         string
-	fingerprint string
+	dir string
 }
 
 // Open creates or reopens the store at dir for a build with the given
@@ -93,7 +92,7 @@ func Open(dir, fingerprint string, resume bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, fingerprint: fingerprint}
+	s := &Store{dir: dir}
 
 	existing, err := readMeta(dir)
 	switch {
@@ -111,7 +110,7 @@ func Open(dir, fingerprint string, resume bool) (*Store, error) {
 	if err := s.removeStrayTemps(); err != nil {
 		return nil, err
 	}
-	if err := writeAtomic(filepath.Join(dir, metaFile), mustJSON(meta{Format: FormatVersion, Fingerprint: fingerprint})); err != nil {
+	if err := writeAtomic(filepath.Join(dir, metaFile), mustJSON(meta{Format: formatVersion, Fingerprint: fingerprint})); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -121,25 +120,18 @@ func Open(dir, fingerprint string, resume bool) (*Store, error) {
 // the consumer side (pastrain reading a pasgen checkpoint) trusts the
 // directory as-is. It fails if the directory was never initialised.
 func Attach(dir string) (*Store, error) {
-	m, err := readMeta(dir)
-	if err != nil {
+	if _, err := readMeta(dir); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("checkpoint: %s holds no checkpoint (missing %s)", dir, metaFile)
 		}
 		return nil, err
 	}
-	s := &Store{dir: dir, fingerprint: m.Fingerprint}
+	s := &Store{dir: dir}
 	if err := s.removeStrayTemps(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// FingerprintID returns the fingerprint the store was opened with.
-func (s *Store) FingerprintID() string { return s.fingerprint }
 
 // reset removes every checkpoint artifact (meta, snapshots, journals)
 // while leaving unrelated files in the directory alone.
@@ -186,8 +178,8 @@ func readMeta(dir string) (meta, error) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		return meta{}, &CorruptError{Path: filepath.Join(dir, metaFile), Detail: err.Error()}
 	}
-	if m.Format != FormatVersion {
-		return meta{}, &CorruptError{Path: filepath.Join(dir, metaFile), Detail: fmt.Sprintf("format %q, want %q", m.Format, FormatVersion)}
+	if m.Format != formatVersion {
+		return meta{}, &CorruptError{Path: filepath.Join(dir, metaFile), Detail: fmt.Sprintf("format %q, want %q", m.Format, formatVersion)}
 	}
 	return m, nil
 }

@@ -198,12 +198,8 @@ func TestAttach(t *testing.T) {
 	if _, err := Open(dir, "sha256:aa", false); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Attach(dir)
-	if err != nil {
+	if _, err := Attach(dir); err != nil {
 		t.Fatal(err)
-	}
-	if s.FingerprintID() != "sha256:aa" {
-		t.Fatalf("attach fingerprint = %q", s.FingerprintID())
 	}
 }
 

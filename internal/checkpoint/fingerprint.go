@@ -22,7 +22,7 @@ func Fingerprint(cfg any) (string, error) {
 	}
 	h := sha256.New()
 	// hash.Hash.Write never fails (documented contract).
-	_, _ = h.Write([]byte(FormatVersion))
+	_, _ = h.Write([]byte(formatVersion))
 	_, _ = h.Write([]byte{0})
 	_, _ = h.Write(b)
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)[:16]), nil

@@ -20,11 +20,10 @@ const journalExt = ".journal"
 // record survives a crash; a crash *during* an append leaves a torn
 // tail that replay detects and drops. Safe for concurrent use.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	records int
-	closed  bool
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	closed bool
 }
 
 // Recovery reports what replaying an existing journal found.
@@ -58,7 +57,7 @@ func (s *Store) OpenJournal(name string) (*Journal, *Recovery, error) {
 			// Unterminated final line: torn write.
 			break
 		}
-		payload, err := DecodeLine(content[off : off+nl])
+		payload, err := decodeLine(content[off : off+nl])
 		if err != nil {
 			// A bad line is only recoverable if nothing follows it.
 			if off+nl+1 < len(content) {
@@ -81,7 +80,7 @@ func (s *Store) OpenJournal(name string) (*Journal, *Recovery, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: opening journal %s: %w", name, err)
 	}
-	return &Journal{f: f, path: path, records: len(rec.Records)}, rec, nil
+	return &Journal{f: f, path: path}, rec, nil
 }
 
 // RemoveJournal deletes the journal under name; missing is not an
@@ -101,7 +100,7 @@ func (j *Journal) Append(v any) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding journal record: %w", err)
 	}
-	line := EncodeLine(payload)
+	line := encodeLine(payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -113,16 +112,7 @@ func (j *Journal) Append(v any) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: syncing %s: %w", j.path, err)
 	}
-	j.records++
 	return nil
-}
-
-// Records returns how many records the journal holds (replayed plus
-// appended).
-func (j *Journal) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.records
 }
 
 // Close releases the journal file. Further appends fail.
@@ -142,10 +132,10 @@ func (j *Journal) Close() error {
 // crcHexLen is the fixed width of the line checksum prefix.
 const crcHexLen = 8
 
-// EncodeLine frames one journal payload: 8 lowercase-hex CRC32 digits,
+// encodeLine frames one journal payload: 8 lowercase-hex CRC32 digits,
 // a space, the payload, a newline. The payload must not contain a
 // newline (compact JSON never does).
-func EncodeLine(payload []byte) []byte {
+func encodeLine(payload []byte) []byte {
 	out := make([]byte, 0, crcHexLen+1+len(payload)+1)
 	out = appendCRCHex(out, crc32.ChecksumIEEE(payload))
 	out = append(out, ' ')
@@ -154,10 +144,10 @@ func EncodeLine(payload []byte) []byte {
 	return out
 }
 
-// DecodeLine parses one journal line (without its trailing newline)
+// decodeLine parses one journal line (without its trailing newline)
 // and returns the payload after verifying its checksum. Errors mean
 // the line is torn or corrupt.
-func DecodeLine(line []byte) ([]byte, error) {
+func decodeLine(line []byte) ([]byte, error) {
 	if len(line) < crcHexLen+1 {
 		return nil, fmt.Errorf("line too short (%d bytes)", len(line))
 	}

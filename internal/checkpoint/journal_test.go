@@ -216,11 +216,11 @@ func TestRemoveJournal(t *testing.T) {
 
 func TestEncodeDecodeLine(t *testing.T) {
 	payload := []byte(`{"i":3,"s":"x"}`)
-	line := EncodeLine(payload)
+	line := encodeLine(payload)
 	if line[len(line)-1] != '\n' {
 		t.Fatal("encoded line must end in newline")
 	}
-	got, err := DecodeLine(line[:len(line)-1])
+	got, err := decodeLine(line[:len(line)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestDecodeLineRejectsDamage(t *testing.T) {
 		"truncated json": "83a1b2c3 {\"i\"",
 	}
 	for name, line := range cases {
-		if _, err := DecodeLine([]byte(line)); err == nil {
-			t.Errorf("%s: DecodeLine(%q) accepted damage", name, line)
+		if _, err := decodeLine([]byte(line)); err == nil {
+			t.Errorf("%s: decodeLine(%q) accepted damage", name, line)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func (s *Store) WriteSnapshot(name string, v any) error {
 // saved model, for instance). The bytes are stored verbatim.
 func (s *Store) WriteSnapshotBytes(name string, payload []byte) error {
 	header := mustJSON(snapHeader{
-		Format: FormatVersion,
+		Format: formatVersion,
 		Name:   name,
 		CRC32:  crc32.ChecksumIEEE(payload),
 		Size:   len(payload),
@@ -89,8 +89,8 @@ func (s *Store) LoadSnapshotBytes(name string) (payload []byte, ok bool, err err
 	if err := json.Unmarshal(content[:nl], &h); err != nil {
 		return nil, false, &CorruptError{Path: path, Detail: fmt.Sprintf("decoding header: %v", err)}
 	}
-	if h.Format != FormatVersion {
-		return nil, false, &CorruptError{Path: path, Detail: fmt.Sprintf("format %q, want %q", h.Format, FormatVersion)}
+	if h.Format != formatVersion {
+		return nil, false, &CorruptError{Path: path, Detail: fmt.Sprintf("format %q, want %q", h.Format, formatVersion)}
 	}
 	if h.Name != name {
 		return nil, false, &CorruptError{Path: path, Detail: fmt.Sprintf("snapshot name %q, want %q", h.Name, name)}

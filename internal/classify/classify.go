@@ -33,20 +33,18 @@ func DefaultConfig() Config { return Config{Smoothing: 0.4} }
 
 // Classifier is a trained multinomial naive-Bayes category model.
 type Classifier struct {
-	smoothing float64
 	prior     [facet.CategoryCount]float64            // log prior
 	condLog   [facet.CategoryCount]map[string]float64 // log P(feature|cat)
 	unseenLog [facet.CategoryCount]float64            // log prob of unseen feature
-	vocab     int
 }
 
-// ErrNoData is returned when training with no examples.
-var ErrNoData = errors.New("classify: no training examples")
+// errNoData is returned when training with no examples.
+var errNoData = errors.New("classify: no training examples")
 
 // Train fits the classifier on labelled examples.
 func Train(examples []Example, cfg Config) (*Classifier, error) {
 	if len(examples) == 0 {
-		return nil, ErrNoData
+		return nil, errNoData
 	}
 	if cfg.Smoothing <= 0 {
 		return nil, fmt.Errorf("classify: smoothing must be positive, got %v", cfg.Smoothing)
@@ -69,7 +67,7 @@ func Train(examples []Example, cfg Config) (*Classifier, error) {
 			vocab[f] = true
 		}
 	}
-	c := &Classifier{smoothing: cfg.Smoothing, vocab: len(vocab)}
+	c := &Classifier{}
 	v := float64(len(vocab)) + 1
 	n := float64(len(examples))
 	for cat := 0; cat < facet.CategoryCount; cat++ {

@@ -21,8 +21,8 @@ func trainedClassifier(t testing.TB) *Classifier {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, DefaultConfig()); err != ErrNoData {
-		t.Error("empty training should fail with ErrNoData")
+	if _, err := Train(nil, DefaultConfig()); err != errNoData {
+		t.Error("empty training should fail with errNoData")
 	}
 	if _, err := Train([]Example{{Text: "x", Category: facet.QA}}, Config{Smoothing: 0}); err == nil {
 		t.Error("zero smoothing should fail")

@@ -264,54 +264,6 @@ func KMeans(vecs []embed.Vector, k int, iters int, seed int64) ([]int, error) {
 	return assign, nil
 }
 
-// KCenterGreedy selects m diverse indices by repeatedly taking the point
-// farthest (in cosine distance) from the already-selected set, the
-// diversity-selection algorithm the data-selection literature in §2.3 uses.
-// The first pick is the point closest to the dataset mean, making the
-// output deterministic.
-func KCenterGreedy(vecs []embed.Vector, m int) []int {
-	if m <= 0 || len(vecs) == 0 {
-		return nil
-	}
-	if m > len(vecs) {
-		m = len(vecs)
-	}
-	dim := len(vecs[0])
-	mean := make(embed.Vector, dim)
-	for _, v := range vecs {
-		for j := range v {
-			mean[j] += v[j]
-		}
-	}
-	first, bestSim := 0, math.Inf(-1)
-	for i, v := range vecs {
-		if s := v.Cosine(mean); s > bestSim {
-			first, bestSim = i, s
-		}
-	}
-	selected := []int{first}
-	minDist := make([]float64, len(vecs))
-	for i, v := range vecs {
-		minDist[i] = 1 - v.Cosine(vecs[first])
-	}
-	for len(selected) < m {
-		far, farDist := -1, -1.0
-		for i, d := range minDist {
-			if d > farDist {
-				far, farDist = i, d
-			}
-		}
-		selected = append(selected, far)
-		for i, v := range vecs {
-			if d := 1 - v.Cosine(vecs[far]); d < minDist[i] {
-				minDist[i] = d
-			}
-		}
-	}
-	sort.Ints(selected)
-	return selected
-}
-
 func cloneVec(v embed.Vector) embed.Vector {
 	out := make(embed.Vector, len(v))
 	copy(out, v)

@@ -21,17 +21,13 @@ type Curated struct {
 	Prompt corpus.Prompt
 	// Category is the classifier's label.
 	Category facet.Category
-	// Score is the quality scorer's 0-10 rating.
-	Score float64
 }
 
 // Stats summarises what each stage did.
 type Stats struct {
 	Input        int // raw pool size
-	Groups       int // dedup groups found
 	AfterDedup   int // representatives kept
 	AfterFilter  int // survivors of the quality filter
-	MeanScore    float64
 	DroppedJunk  int // known-junk prompts removed by the filter
 	LeakedJunk   int // known-junk prompts that survived (filter noise)
 	DupCollapsed int // duplicate entries removed by dedup
@@ -112,7 +108,6 @@ func Run(pool []corpus.Prompt, clf *classify.Classifier, cfg Config) (*Result, e
 
 	var st Stats
 	st.Input = len(pool)
-	st.Groups = len(groups)
 	reps := make([]corpus.Prompt, 0, len(groups))
 	for _, g := range groups {
 		reps = append(reps, pool[g.Representative])
@@ -122,8 +117,6 @@ func Run(pool []corpus.Prompt, clf *classify.Classifier, cfg Config) (*Result, e
 
 	// Stage 2: quality filter.
 	var kept []corpus.Prompt
-	var scores []float64
-	var scoreSum float64
 	for i, p := range reps {
 		s := scorerModel.ScorePromptQuality(p.Text)
 		if cfg.OnProgress != nil {
@@ -131,8 +124,6 @@ func Run(pool []corpus.Prompt, clf *classify.Classifier, cfg Config) (*Result, e
 		}
 		if s >= cfg.QualityThreshold {
 			kept = append(kept, p)
-			scores = append(scores, s)
-			scoreSum += s
 			if p.Truth.Junk {
 				st.LeakedJunk++
 			}
@@ -141,24 +132,12 @@ func Run(pool []corpus.Prompt, clf *classify.Classifier, cfg Config) (*Result, e
 		}
 	}
 	st.AfterFilter = len(kept)
-	if len(kept) > 0 {
-		st.MeanScore = scoreSum / float64(len(kept))
-	}
 
 	// Stage 3: classification.
 	out := make([]Curated, 0, len(kept))
-	for i, p := range kept {
+	for _, p := range kept {
 		cat, _ := clf.Predict(p.Text)
-		out = append(out, Curated{Prompt: p, Category: cat, Score: scores[i]})
+		out = append(out, Curated{Prompt: p, Category: cat})
 	}
 	return &Result{Selected: out, Stats: st}, nil
-}
-
-// CategoryCounts tallies the curated prompts per category.
-func (r *Result) CategoryCounts() map[facet.Category]int {
-	out := make(map[facet.Category]int)
-	for _, c := range r.Selected {
-		out[c.Category]++
-	}
-	return out
 }

@@ -27,8 +27,8 @@ type Pair struct {
 	Source string `json:"source,omitempty"`
 }
 
-// Validate checks structural invariants of a pair.
-func (p Pair) Validate() error {
+// validate checks structural invariants of a pair.
+func (p Pair) validate() error {
 	if p.Prompt == "" {
 		return fmt.Errorf("dataset: pair has empty prompt")
 	}
@@ -59,7 +59,7 @@ type Dataset struct {
 
 // Add appends a pair after validating it.
 func (d *Dataset) Add(p Pair) error {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	d.Pairs = append(d.Pairs, p)
@@ -68,16 +68,6 @@ func (d *Dataset) Add(p Pair) error {
 
 // Len returns the number of pairs.
 func (d *Dataset) Len() int { return len(d.Pairs) }
-
-// ByCategory buckets the pairs by their category label.
-func (d *Dataset) ByCategory() map[facet.Category][]Pair {
-	out := make(map[facet.Category][]Pair)
-	for _, p := range d.Pairs {
-		c := p.CategoryOrDefault()
-		out[c] = append(out[c], p)
-	}
-	return out
-}
 
 // CategoryCounts returns the per-category pair counts in taxonomy order —
 // the data behind Figure 6.
@@ -101,8 +91,8 @@ func (d *Dataset) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a JSONL stream into a Dataset, validating each pair.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
+// readJSONL parses a JSONL stream into a Dataset, validating each pair.
+func readJSONL(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	d := &Dataset{}
@@ -148,7 +138,7 @@ func LoadFile(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	defer f.Close()
-	return ReadJSONL(f)
+	return readJSONL(f)
 }
 
 func truncate(s string, n int) string {

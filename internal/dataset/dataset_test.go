@@ -11,7 +11,7 @@ import (
 
 func TestPairValidate(t *testing.T) {
 	good := Pair{Prompt: "p", Complement: "c", Category: "coding"}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	for name, p := range map[string]Pair{
@@ -19,12 +19,12 @@ func TestPairValidate(t *testing.T) {
 		"empty complement": {Prompt: "p"},
 		"bad category":     {Prompt: "p", Complement: "c", Category: "bogus"},
 	} {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("%s should fail validation", name)
 		}
 	}
 	// Empty category is allowed (defaults to QA downstream).
-	if err := (Pair{Prompt: "p", Complement: "c"}).Validate(); err != nil {
+	if err := (Pair{Prompt: "p", Complement: "c"}).validate(); err != nil {
 		t.Errorf("empty category should be valid: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := d.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader("{not json\n")); err == nil {
 		t.Error("malformed json should fail")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"prompt":"","complement":"c"}` + "\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader(`{"prompt":"","complement":"c"}` + "\n")); err == nil {
 		t.Error("invalid pair should fail")
 	}
-	d, err := ReadJSONL(strings.NewReader("\n\n"))
+	d, err := readJSONL(strings.NewReader("\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGoldenShape(t *testing.T) {
 			t.Errorf("category %v has %d golden pairs, paper uses 4-5", c, len(pairs))
 		}
 		for _, p := range pairs {
-			if err := p.Validate(); err != nil {
+			if err := p.validate(); err != nil {
 				t.Errorf("golden pair invalid: %v", err)
 			}
 			if p.Category != c.String() {
@@ -168,7 +168,7 @@ func TestGoldenShape(t *testing.T) {
 }
 
 func TestGoldenExamplesFor(t *testing.T) {
-	pairs := GoldenExamplesFor(facet.Coding)
+	pairs := Golden()[facet.Coding]
 	if len(pairs) == 0 {
 		t.Fatal("no golden coding pairs")
 	}
@@ -177,4 +177,14 @@ func TestGoldenExamplesFor(t *testing.T) {
 			t.Fatalf("wrong category %q", p.Category)
 		}
 	}
+}
+
+// ByCategory buckets the pairs by their category label.
+func (d *Dataset) ByCategory() map[facet.Category][]Pair {
+	out := make(map[facet.Category][]Pair)
+	for _, p := range d.Pairs {
+		c := p.CategoryOrDefault()
+		out[c] = append(out[c], p)
+	}
+	return out
 }

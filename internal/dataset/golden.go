@@ -74,8 +74,3 @@ func cleanTop(w facet.Weights, k int) []facet.Facet {
 	}
 	return out
 }
-
-// GoldenExamplesFor returns the golden pairs of one category.
-func GoldenExamplesFor(c facet.Category) []Pair {
-	return Golden()[c]
-}

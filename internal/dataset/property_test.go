@@ -32,7 +32,7 @@ func TestJSONLRoundTripProperty(t *testing.T) {
 		if err := d.WriteJSONL(&buf); err != nil {
 			return false
 		}
-		got, err := ReadJSONL(&buf)
+		got, err := readJSONL(&buf)
 		if err != nil {
 			return false
 		}

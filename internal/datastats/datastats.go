@@ -152,24 +152,6 @@ func gini(shares []float64) float64 {
 	return weighted / (float64(n) * cum)
 }
 
-// Compare summarises how two datasets differ on headline quality
-// numbers, used to contrast curated vs no-selection data.
-type Compare struct {
-	A, B            *Report
-	DefectRateDelta float64
-	BudgetDelta     float64
-}
-
-// Diff compares two reports (B minus A on defect rate).
-func Diff(a, b *Report) Compare {
-	return Compare{
-		A:               a,
-		B:               b,
-		DefectRateDelta: b.OverallDefectRate - a.OverallDefectRate,
-		BudgetDelta:     b.WithinBudget - a.WithinBudget,
-	}
-}
-
 // String renders the report as the §3.3-style analysis table.
 func (r *Report) String() string {
 	var b strings.Builder

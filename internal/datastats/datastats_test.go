@@ -103,31 +103,6 @@ func TestAnalyzeFlagsDefects(t *testing.T) {
 	}
 }
 
-func TestDiffDetectsQualityGap(t *testing.T) {
-	clean, err := Analyze(goldenDataset(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := goldenDataset(t)
-	for i := 0; i < 20; i++ {
-		if err := dirty.Add(dataset.Pair{
-			Prompt:     "Hello there friend!",
-			Complement: facet.RenderAnswerLeak(fmt.Sprint(i)),
-			Category:   "chitchat",
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dirtyRep, err := Analyze(dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp := Diff(clean, dirtyRep)
-	if cmp.DefectRateDelta <= 0 {
-		t.Fatalf("defect delta = %v, want positive", cmp.DefectRateDelta)
-	}
-}
-
 func TestGini(t *testing.T) {
 	if g := gini([]float64{0.25, 0.25, 0.25, 0.25}); g > 1e-9 {
 		t.Fatalf("uniform gini = %v", g)
@@ -150,5 +125,29 @@ func TestReportRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+func TestDiffDetectsQualityGap(t *testing.T) {
+	clean, err := Analyze(goldenDataset(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := goldenDataset(t)
+	for i := 0; i < 20; i++ {
+		if err := dirty.Add(dataset.Pair{
+			Prompt:     "Hello there friend!",
+			Complement: facet.RenderAnswerLeak(fmt.Sprint(i)),
+			Category:   "chitchat",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirtyRep, err := Analyze(dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta := dirtyRep.OverallDefectRate - clean.OverallDefectRate; delta <= 0 {
+		t.Fatalf("defect delta = %v, want positive", delta)
 	}
 }

@@ -90,15 +90,15 @@ func MustNew(cfg Config) *Model {
 	return m
 }
 
-// ErrEmptyCorpus is returned by Fit when no documents are supplied.
-var ErrEmptyCorpus = errors.New("embed: empty corpus")
+// errEmptyCorpus is returned by Fit when no documents are supplied.
+var errEmptyCorpus = errors.New("embed: empty corpus")
 
 // Fit learns IDF weights from a corpus. Calling Fit replaces any previous
 // fit. Features absent from the corpus receive the maximum IDF when later
 // encoded, matching standard smoothed-IDF behaviour.
 func (m *Model) Fit(corpus []string) error {
 	if len(corpus) == 0 {
-		return ErrEmptyCorpus
+		return errEmptyCorpus
 	}
 	df := make(map[string]int)
 	for _, doc := range corpus {
@@ -118,14 +118,8 @@ func (m *Model) Fit(corpus []string) error {
 	return nil
 }
 
-// Fitted reports whether the model has learned corpus IDF weights.
-func (m *Model) Fitted() bool { return m.idf != nil }
-
-// Dim returns the embedding dimension.
-func (m *Model) Dim() int { return m.cfg.Dim }
-
-// Encode embeds text. The zero text embeds to the zero vector.
-func (m *Model) Encode(text string) Vector {
+// encode embeds text. The zero text embeds to the zero vector.
+func (m *Model) encode(text string) Vector {
 	v := make(Vector, m.cfg.Dim)
 	feats := m.features(text)
 	if len(feats) == 0 {
@@ -164,7 +158,7 @@ func (m *Model) Encode(text string) Vector {
 func (m *Model) EncodeBatch(texts []string) []Vector {
 	out := make([]Vector, len(texts))
 	for i, t := range texts {
-		out[i] = m.Encode(t)
+		out[i] = m.encode(t)
 	}
 	return out
 }

@@ -26,8 +26,8 @@ func TestNewRejectsBadDim(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	m := newTestModel(t)
-	a := m.Encode("write a binary search in go")
-	b := m.Encode("write a binary search in go")
+	a := m.encode("write a binary search in go")
+	b := m.encode("write a binary search in go")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic embedding at dim %d", i)
@@ -37,7 +37,7 @@ func TestEncodeDeterministic(t *testing.T) {
 
 func TestEncodeUnitNorm(t *testing.T) {
 	m := newTestModel(t)
-	v := m.Encode("how do I boil water quickly")
+	v := m.encode("how do I boil water quickly")
 	if n := v.Norm(); math.Abs(n-1) > 1e-5 {
 		t.Fatalf("norm = %v, want 1", n)
 	}
@@ -45,20 +45,20 @@ func TestEncodeUnitNorm(t *testing.T) {
 
 func TestEmptyTextIsZeroVector(t *testing.T) {
 	m := newTestModel(t)
-	v := m.Encode("")
+	v := m.encode("")
 	if v.Norm() != 0 {
 		t.Fatal("empty text should embed to zero vector")
 	}
-	if c := v.Cosine(m.Encode("hello")); c != 0 {
+	if c := v.Cosine(m.encode("hello")); c != 0 {
 		t.Fatalf("cosine with zero vector = %v, want 0", c)
 	}
 }
 
 func TestNearDuplicatesScoreHigherThanUnrelated(t *testing.T) {
 	m := newTestModel(t)
-	base := m.Encode("please explain how photosynthesis works in plants")
-	dup := m.Encode("please explain how photosynthesis works in the plants")
-	other := m.Encode("implement a thread safe queue in go with mutexes")
+	base := m.encode("please explain how photosynthesis works in plants")
+	dup := m.encode("please explain how photosynthesis works in the plants")
+	other := m.encode("implement a thread safe queue in go with mutexes")
 	simDup := base.Cosine(dup)
 	simOther := base.Cosine(other)
 	if simDup <= simOther {
@@ -75,14 +75,14 @@ func TestFitChangesWeighting(t *testing.T) {
 		"please write code", "please write a poem", "please summarize this",
 		"please translate this", "quantum entanglement basics",
 	}
-	unfittedSim := m.Encode("please write code").Cosine(m.Encode("please write a poem"))
+	unfittedSim := m.encode("please write code").Cosine(m.encode("please write a poem"))
 	if err := m.Fit(corpus); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Fitted() {
+	if m.idf == nil {
 		t.Fatal("model should report fitted")
 	}
-	fittedSim := m.Encode("please write code").Cosine(m.Encode("please write a poem"))
+	fittedSim := m.encode("please write code").Cosine(m.encode("please write a poem"))
 	// IDF downweights the ubiquitous "please", so the shared-boilerplate
 	// similarity should drop after fitting.
 	if fittedSim >= unfittedSim {
@@ -92,8 +92,8 @@ func TestFitChangesWeighting(t *testing.T) {
 
 func TestFitEmptyCorpus(t *testing.T) {
 	m := newTestModel(t)
-	if err := m.Fit(nil); err != ErrEmptyCorpus {
-		t.Fatalf("err = %v, want ErrEmptyCorpus", err)
+	if err := m.Fit(nil); err != errEmptyCorpus {
+		t.Fatalf("err = %v, want errEmptyCorpus", err)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestEncodeBatchOrder(t *testing.T) {
 		t.Fatalf("batch size = %d", len(vs))
 	}
 	for i, text := range texts {
-		if c := vs[i].Cosine(m.Encode(text)); c < 0.999 {
+		if c := vs[i].Cosine(m.encode(text)); c < 0.999 {
 			t.Errorf("batch element %d mismatches single encode (cos %.4f)", i, c)
 		}
 	}
@@ -114,7 +114,7 @@ func TestEncodeBatchOrder(t *testing.T) {
 func TestCosineBoundsProperty(t *testing.T) {
 	m := MustNew(Config{Dim: 64, Seed: 9, UseBigrams: true, UseCharTrigrams: true})
 	f := func(a, b string) bool {
-		c := m.Encode(a).Cosine(m.Encode(b))
+		c := m.encode(a).Cosine(m.encode(b))
 		return c >= -1.0001 && c <= 1.0001 && !math.IsNaN(c)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -125,7 +125,7 @@ func TestCosineBoundsProperty(t *testing.T) {
 func TestSelfCosineIsOneProperty(t *testing.T) {
 	m := newTestModel(t)
 	f := func(s string) bool {
-		v := m.Encode(s)
+		v := m.encode(s)
 		if v.Norm() == 0 {
 			return v.Cosine(v) == 0
 		}
@@ -139,7 +139,7 @@ func TestSelfCosineIsOneProperty(t *testing.T) {
 func TestSeedSeparatesModels(t *testing.T) {
 	a := MustNew(Config{Dim: 128, Seed: 1, UseBigrams: true})
 	b := MustNew(Config{Dim: 128, Seed: 2, UseBigrams: true})
-	va, vb := a.Encode("same text"), b.Encode("same text")
+	va, vb := a.encode("same text"), b.encode("same text")
 	if va.Cosine(vb) > 0.9 {
 		t.Fatal("different seeds should give different feature spaces")
 	}
@@ -150,6 +150,6 @@ func BenchmarkEncode(b *testing.B) {
 	text := "write a function that parses json and returns a map of string to interface"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Encode(text)
+		m.encode(text)
 	}
 }

@@ -23,8 +23,8 @@ type AgreementReport struct {
 	Ties int
 }
 
-// Rate returns the agreement fraction over non-tied comparisons.
-func (r AgreementReport) Rate() float64 {
+// rate returns the agreement fraction over non-tied comparisons.
+func (r AgreementReport) rate() float64 {
 	n := r.N - r.Ties
 	if n <= 0 {
 		return 0
@@ -32,9 +32,9 @@ func (r AgreementReport) Rate() float64 {
 	return float64(r.Agree) / float64(n)
 }
 
-// JudgeAgreement compares the judge and the rater pool on nPrompts
+// judgeAgreement compares the judge and the rater pool on nPrompts
 // (bare vs PAS-augmented responses of the human-study main model).
-func (a *Artifacts) JudgeAgreement(nPrompts int) (AgreementReport, error) {
+func (a *Artifacts) judgeAgreement(nPrompts int) (AgreementReport, error) {
 	if nPrompts < 1 {
 		return AgreementReport{}, fmt.Errorf("evalbench: nPrompts must be >= 1, got %d", nPrompts)
 	}
@@ -80,7 +80,7 @@ func (a *Artifacts) JudgeAgreement(nPrompts int) (AgreementReport, error) {
 			rep.Ties++
 			continue
 		}
-		judgeSaysAug := a.Suite.Judge().Compare(p.Text, augmented, bare, salt).AWins
+		judgeSaysAug := a.Suite.judge.Compare(p.Text, augmented, bare, salt).AWins
 		humansSayAug := g.Good == 1
 		if judgeSaysAug == humansSayAug {
 			rep.Agree++
@@ -93,6 +93,6 @@ func (a *Artifacts) JudgeAgreement(nPrompts int) (AgreementReport, error) {
 func (r AgreementReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Judge-human agreement: %d comparisons, %d rater ties, agreement %.1f%%\n",
-		r.N, r.Ties, 100*r.Rate())
+		r.N, r.Ties, 100*r.rate())
 	return b.String()
 }

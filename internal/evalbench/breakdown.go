@@ -28,9 +28,9 @@ type BreakdownReport struct {
 	Rows      []CategoryRow
 }
 
-// CategoryBreakdown evaluates one (main model, APE) pair per category on
+// categoryBreakdown evaluates one (main model, APE) pair per category on
 // the AlpacaEval suite.
-func (s *Suite) CategoryBreakdown(mainModel string, ape baselines.APE) (*BreakdownReport, error) {
+func (s *Suite) categoryBreakdown(mainModel string, ape baselines.APE) (*BreakdownReport, error) {
 	if ape == nil {
 		return nil, fmt.Errorf("evalbench: nil APE")
 	}

@@ -116,7 +116,7 @@ func (a *Artifacts) CaseStudies() ([]Case, error) {
 			}
 			c.Notes += fmt.Sprintf("trap avoided %d/%d bare vs %d/%d with PAS", bareRight, trials, augRight, trials)
 		} else {
-			j := a.Suite.Judge()
+			j := a.Suite.judge
 			c.Notes = fmt.Sprintf("judge score bare %.2f vs augmented %.2f",
 				j.Score(st.prompt, c.Bare), j.Score(st.prompt, c.Augmented))
 		}

@@ -88,7 +88,7 @@ func (a *Artifacts) DomainStudy(cat facet.Category, nPrompts int) (*DomainReport
 			salt := fmt.Sprintf("domain/%d", i)
 			resp := main.Respond(ape.Transform(p, salt), simllm.Options{Salt: salt})
 			refResp := ref.Respond(p, simllm.Options{Salt: salt + "/ref"})
-			probs = append(probs, a.Suite.Judge().Compare(p, resp, refResp, salt).ProbA)
+			probs = append(probs, a.Suite.judge.Compare(p, resp, refResp, salt).ProbA)
 		}
 		return 100 * metrics.Mean(probs)
 	}

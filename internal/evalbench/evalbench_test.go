@@ -31,15 +31,15 @@ func artifacts(t testing.TB) *Artifacts {
 }
 
 func TestNewSuiteValidation(t *testing.T) {
-	cfg := DefaultSuiteConfig()
+	cfg := defaultSuiteConfig()
 	cfg.ArenaSize = 0
-	if _, err := NewSuite(cfg); err == nil {
+	if _, err := newSuite(cfg); err == nil {
 		t.Error("zero arena should fail")
 	}
-	cfg = DefaultSuiteConfig()
+	cfg = defaultSuiteConfig()
 	cfg.ArenaReference = "nope"
 	cfg.ArenaSize, cfg.AlpacaSize = 5, 5
-	if _, err := NewSuite(cfg); err == nil {
+	if _, err := newSuite(cfg); err == nil {
 		t.Error("unknown reference should fail")
 	}
 }
@@ -47,13 +47,13 @@ func TestNewSuiteValidation(t *testing.T) {
 func TestSuitePromptSets(t *testing.T) {
 	art := artifacts(t)
 	s := art.Suite
-	if len(s.ArenaPrompts()) != QuickOptions().Suite.ArenaSize {
-		t.Fatalf("arena size %d", len(s.ArenaPrompts()))
+	if len(s.arena) != QuickOptions().Suite.ArenaSize {
+		t.Fatalf("arena size %d", len(s.arena))
 	}
-	if len(s.AlpacaPrompts()) != QuickOptions().Suite.AlpacaSize {
-		t.Fatalf("alpaca size %d", len(s.AlpacaPrompts()))
+	if len(s.alpaca) != QuickOptions().Suite.AlpacaSize {
+		t.Fatalf("alpaca size %d", len(s.alpaca))
 	}
-	for _, p := range s.ArenaPrompts() {
+	for _, p := range s.arena {
 		if strings.TrimSpace(p) == "" {
 			t.Fatal("empty arena prompt")
 		}
@@ -62,10 +62,10 @@ func TestSuitePromptSets(t *testing.T) {
 
 func TestEvaluateRowErrors(t *testing.T) {
 	art := artifacts(t)
-	if _, err := art.Suite.EvaluateRow("unknown-model", baselines.None{}); err == nil {
+	if _, err := art.Suite.evaluateRow("unknown-model", baselines.None{}); err == nil {
 		t.Error("unknown model should fail")
 	}
-	if _, err := art.Suite.EvaluateRow(simllm.GPT40613, nil); err == nil {
+	if _, err := art.Suite.evaluateRow(simllm.GPT40613, nil); err == nil {
 		t.Error("nil APE should fail")
 	}
 }
@@ -74,7 +74,7 @@ func TestBaselineNearFiftyAgainstOwnReference(t *testing.T) {
 	art := artifacts(t)
 	// AlpacaEval's reference is GPT-4-1106-preview; that model without
 	// APE must land near 50, as in the paper's Table 1.
-	row, err := art.Suite.EvaluateRow(simllm.GPT41106, baselines.None{})
+	row, err := art.Suite.evaluateRow(simllm.GPT41106, baselines.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,22 +95,22 @@ func TestTable1Shape(t *testing.T) {
 		t.Fatalf("grids should have 6 rows each")
 	}
 	for i := range rep.PAS {
-		if rep.PAS[i].Average() <= rep.Baseline[i].Average() {
+		if rep.PAS[i].average() <= rep.Baseline[i].average() {
 			t.Errorf("%s: PAS %.2f <= baseline %.2f",
-				rep.PAS[i].MainModel, rep.PAS[i].Average(), rep.Baseline[i].Average())
+				rep.PAS[i].MainModel, rep.PAS[i].average(), rep.Baseline[i].average())
 		}
-		if rep.PAS[i].Average() <= rep.BPO[i].Average() {
+		if rep.PAS[i].average() <= rep.BPO[i].average() {
 			t.Errorf("%s: PAS %.2f <= BPO %.2f",
-				rep.PAS[i].MainModel, rep.PAS[i].Average(), rep.BPO[i].Average())
+				rep.PAS[i].MainModel, rep.PAS[i].average(), rep.BPO[i].average())
 		}
 	}
-	if gain := rep.PASGainOverBaseline(); gain < 4 || gain > 16 {
+	if gain := rep.pasGainOverBaseline(); gain < 4 || gain > 16 {
 		t.Errorf("PAS gain over baseline = %.2f, want the paper's order of magnitude (4-16)", gain)
 	}
-	if gain := rep.PASGainOverBPO(); gain < 3 {
+	if gain := rep.pasGainOverBPO(); gain < 3 {
 		t.Errorf("PAS gain over BPO = %.2f, want >= 3", gain)
 	}
-	if len(rep.BPOUnstable()) == 0 {
+	if len(rep.bpoUnstable()) == 0 {
 		t.Error("BPO should fall below the baseline on at least one model")
 	}
 	out := rep.String()
@@ -129,16 +129,16 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t2.PASGainOverBPO() <= 0 {
-		t.Errorf("same-base PAS should beat BPO: gain %.2f", t2.PASGainOverBPO())
+	if t2.pasGainOverBPO() <= 0 {
+		t.Errorf("same-base PAS should beat BPO: gain %.2f", t2.pasGainOverBPO())
 	}
 	t1, err := art.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MeanRow(t2.PAS).Average() >= MeanRow(t1.PAS).Average() {
+	if meanRow(t2.PAS).average() >= meanRow(t1.PAS).average() {
 		t.Errorf("LLaMA-2-7B-based PAS (%.2f) should trail Qwen2-7B-based PAS (%.2f)",
-			MeanRow(t2.PAS).Average(), MeanRow(t1.PAS).Average())
+			meanRow(t2.PAS).average(), meanRow(t1.PAS).average())
 	}
 	if !strings.Contains(t2.String(), "Table 2") {
 		t.Error("report header missing")
@@ -168,7 +168,7 @@ func TestTable5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop := rep.AblationDrop()
+	drop := rep.ablationDrop()
 	if drop >= -0.5 {
 		t.Fatalf("ablation drop = %.2f, want a clear negative", drop)
 	}
@@ -191,7 +191,7 @@ func TestHumanStudyShape(t *testing.T) {
 	if len(rep.Categories) != 8 {
 		t.Fatalf("8 categories expected, got %d", len(rep.Categories))
 	}
-	mb, mp := rep.MeanBaseline(), rep.MeanPAS()
+	mb, mp := rep.meanBaseline(), rep.meanPAS()
 	if mp.Average <= mb.Average {
 		t.Errorf("PAS average score %.2f <= baseline %.2f", mp.Average, mb.Average)
 	}
@@ -297,7 +297,7 @@ func TestHumanStudyValidation(t *testing.T) {
 }
 
 func TestMeanRowEmpty(t *testing.T) {
-	if MeanRow(nil).Average() != 0 {
+	if meanRow(nil).average() != 0 {
 		t.Error("empty mean row should be zero")
 	}
 }
@@ -393,33 +393,6 @@ func TestLeaderboardValidation(t *testing.T) {
 	}
 }
 
-// TestEvaluateRowCI asserts the PAS-vs-baseline AlpacaEval gap clears the
-// bootstrap interval noise: the intervals must not overlap.
-func TestEvaluateRowCI(t *testing.T) {
-	art := artifacts(t)
-	base, err := art.Suite.EvaluateRowCI(simllm.GPT40613, baselines.None{}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pas, err := art.Suite.EvaluateRowCI(simllm.GPT40613, art.PASAPE(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Alpaca95.Lo > base.Alpaca95.Point || base.Alpaca95.Point > base.Alpaca95.Hi {
-		t.Fatalf("malformed interval: %+v", base.Alpaca95)
-	}
-	if pas.Alpaca95.Lo <= base.Alpaca95.Hi {
-		t.Errorf("PAS CI [%.2f, %.2f] overlaps baseline CI [%.2f, %.2f] — gain not significant",
-			pas.Alpaca95.Lo, pas.Alpaca95.Hi, base.Alpaca95.Lo, base.Alpaca95.Hi)
-	}
-	if _, err := art.Suite.EvaluateRowCI(simllm.GPT40613, baselines.None{}, 0); err == nil {
-		t.Error("zero resamples should fail")
-	}
-	if _, err := art.Suite.EvaluateRowCI(simllm.GPT40613, nil, 10); err == nil {
-		t.Error("nil APE should fail")
-	}
-}
-
 // TestRunAllDeterministicExport is the reproduction guarantee at report
 // level: two complete experiment runs over the same artifacts export
 // byte-identical JSON.
@@ -465,20 +438,20 @@ func TestRunAllDeterministicExport(t *testing.T) {
 // judge-based benchmarks report against human preferences.
 func TestJudgeAgreement(t *testing.T) {
 	art := artifacts(t)
-	rep, err := art.JudgeAgreement(60)
+	rep, err := art.judgeAgreement(60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.N != 60 {
 		t.Fatalf("N = %d", rep.N)
 	}
-	if rate := rep.Rate(); rate < 0.6 {
+	if rate := rep.rate(); rate < 0.6 {
 		t.Fatalf("judge-human agreement = %.2f, want >= 0.6 (chance is 0.5)", rate)
 	}
 	if !strings.Contains(rep.String(), "agreement") {
 		t.Error("render missing")
 	}
-	if _, err := art.JudgeAgreement(0); err == nil {
+	if _, err := art.judgeAgreement(0); err == nil {
 		t.Error("zero prompts should fail")
 	}
 }
@@ -488,11 +461,11 @@ func TestJudgeAgreement(t *testing.T) {
 // roughly the row-level AlpacaEval score.
 func TestCategoryBreakdown(t *testing.T) {
 	art := artifacts(t)
-	base, err := art.Suite.CategoryBreakdown(simllm.GPT40613, baselines.None{})
+	base, err := art.Suite.categoryBreakdown(simllm.GPT40613, baselines.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas, err := art.Suite.CategoryBreakdown(simllm.GPT40613, art.PASAPE())
+	pas, err := art.Suite.categoryBreakdown(simllm.GPT40613, art.PASAPE())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +489,7 @@ func TestCategoryBreakdown(t *testing.T) {
 		t.Errorf("PAS beat baseline in only %d/%d categories", wins, len(pas.Rows))
 	}
 	// Aggregation consistency with the row-level metric.
-	row, err := art.Suite.EvaluateRow(simllm.GPT40613, art.PASAPE())
+	row, err := art.Suite.evaluateRow(simllm.GPT40613, art.PASAPE())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +499,7 @@ func TestCategoryBreakdown(t *testing.T) {
 	if !strings.Contains(pas.String(), "by category") {
 		t.Error("render missing")
 	}
-	if _, err := art.Suite.CategoryBreakdown(simllm.GPT40613, nil); err == nil {
+	if _, err := art.Suite.categoryBreakdown(simllm.GPT40613, nil); err == nil {
 		t.Error("nil APE should fail")
 	}
 }
@@ -545,16 +518,16 @@ func TestShapeHoldsAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := art.Suite.EvaluateRow(simllm.GPT40613, baselines.None{})
+	base, err := art.Suite.evaluateRow(simllm.GPT40613, baselines.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas, err := art.Suite.EvaluateRow(simllm.GPT40613, art.PASAPE())
+	pas, err := art.Suite.evaluateRow(simllm.GPT40613, art.PASAPE())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pas.Average() <= base.Average() {
+	if pas.average() <= base.average() {
 		t.Fatalf("alternate seed broke the headline: PAS %.2f vs baseline %.2f",
-			pas.Average(), base.Average())
+			pas.average(), base.average())
 	}
 }

@@ -34,7 +34,7 @@ type Options struct {
 // DefaultOptions returns paper-scale settings.
 func DefaultOptions() Options {
 	return Options{
-		Suite:          DefaultSuiteConfig(),
+		Suite:          defaultSuiteConfig(),
 		Build:          pipeline.DefaultConfig(),
 		AltBase:        simllm.LLaMA27B,
 		BPOBase:        simllm.LLaMA27B,
@@ -74,15 +74,13 @@ type Artifacts struct {
 	// NoSelection is the Table 5 ablation model: same curated prompts,
 	// selection/regeneration disabled.
 	NoSelection *sft.Model
-	// NoSelectionStats reports the ablated generation pipeline.
-	NoSelectionStats pipeline.Result
 	// BPO is the baseline rewriter.
 	BPO *baselines.BPO
 }
 
 // Prepare builds all systems and suites an experiment run needs.
 func Prepare(opt Options) (*Artifacts, error) {
-	suite, err := NewSuite(opt.Suite)
+	suite, err := newSuite(opt.Suite)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +111,7 @@ func Prepare(opt Options) (*Artifacts, error) {
 		PAS:         build.Model,
 		PASAlt:      alt,
 		NoSelection: noSel,
-		NoSelectionStats: pipeline.Result{
-			Dataset:      ablated.Data,
-			AugmentStats: ablated.Stats,
-		},
-		BPO: bpo,
+		BPO:         bpo,
 	}, nil
 }
 
@@ -141,20 +135,20 @@ func (p pasAPE) Transform(prompt, salt string) string {
 // PASAPE exposes the primary PAS model as an APE named "PAS".
 func (a *Artifacts) PASAPE() baselines.APE { return pasAPE{model: a.PAS, label: "PAS"} }
 
-// PASAltAPE exposes the Table 2 model as an APE.
-func (a *Artifacts) PASAltAPE() baselines.APE { return pasAPE{model: a.PASAlt, label: "PAS"} }
+// pasAltAPE exposes the Table 2 model as an APE.
+func (a *Artifacts) pasAltAPE() baselines.APE { return pasAPE{model: a.PASAlt, label: "PAS"} }
 
-// NoSelectionAPE exposes the Table 5 ablation model as an APE.
-func (a *Artifacts) NoSelectionAPE() baselines.APE {
+// noSelectionAPE exposes the Table 5 ablation model as an APE.
+func (a *Artifacts) noSelectionAPE() baselines.APE {
 	return pasAPE{model: a.NoSelection, label: "wo selection"}
 }
 
-// MethodGrid evaluates one APE across all six main models, returning one
+// methodGrid evaluates one APE across all six main models, returning one
 // row per model in Table 1 order.
-func (a *Artifacts) MethodGrid(ape baselines.APE) ([]Row, error) {
+func (a *Artifacts) methodGrid(ape baselines.APE) ([]Row, error) {
 	rows := make([]Row, 0, len(simllm.MainModels()))
 	for _, m := range simllm.MainModels() {
-		row, err := a.Suite.EvaluateRow(m, ape)
+		row, err := a.Suite.evaluateRow(m, ape)
 		if err != nil {
 			return nil, fmt.Errorf("evalbench: %s with %s: %w", m, ape.Name(), err)
 		}
@@ -163,8 +157,8 @@ func (a *Artifacts) MethodGrid(ape baselines.APE) ([]Row, error) {
 	return rows, nil
 }
 
-// MeanRow averages a method grid into the paper's "Average" row.
-func MeanRow(rows []Row) Row {
+// meanRow averages a method grid into the paper's "Average" row.
+func meanRow(rows []Row) Row {
 	if len(rows) == 0 {
 		return Row{}
 	}

@@ -56,10 +56,10 @@ func (a *Artifacts) RunAll(nDomainPrompts int) (*FullResults, error) {
 	if out.Leaderboard, err = a.Leaderboard(defaultContenders(a)); err != nil {
 		return nil, fmt.Errorf("evalbench: leaderboard: %w", err)
 	}
-	if out.Agreement, err = a.JudgeAgreement(nDomainPrompts); err != nil {
+	if out.Agreement, err = a.judgeAgreement(nDomainPrompts); err != nil {
 		return nil, fmt.Errorf("evalbench: agreement: %w", err)
 	}
-	if out.Breakdown, err = a.Suite.CategoryBreakdown("gpt-4-0613", a.PASAPE()); err != nil {
+	if out.Breakdown, err = a.Suite.categoryBreakdown("gpt-4-0613", a.PASAPE()); err != nil {
 		return nil, fmt.Errorf("evalbench: breakdown: %w", err)
 	}
 	if out.Cases, err = a.CaseStudies(); err != nil {

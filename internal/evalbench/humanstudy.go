@@ -121,8 +121,8 @@ func humanPrompts(n int, seed int64) (map[facet.Category][]string, error) {
 	return out, nil
 }
 
-// MeanBaseline averages the baseline summaries across categories.
-func (r *HumanStudyReport) MeanBaseline() humaneval.Summary {
+// meanBaseline averages the baseline summaries across categories.
+func (r *HumanStudyReport) meanBaseline() humaneval.Summary {
 	sums := make([]humaneval.Summary, len(r.Categories))
 	for i, c := range r.Categories {
 		sums[i] = c.Baseline
@@ -130,8 +130,8 @@ func (r *HumanStudyReport) MeanBaseline() humaneval.Summary {
 	return humaneval.MeanSummaries(sums)
 }
 
-// MeanPAS averages the PAS summaries across categories.
-func (r *HumanStudyReport) MeanPAS() humaneval.Summary {
+// meanPAS averages the PAS summaries across categories.
+func (r *HumanStudyReport) meanPAS() humaneval.Summary {
 	sums := make([]humaneval.Summary, len(r.Categories))
 	for i, c := range r.Categories {
 		sums[i] = c.PAS
@@ -152,7 +152,7 @@ func (r *HumanStudyReport) String() string {
 			fmt.Sprintf("%s (%s)", f2(c.PAS.Average), signed(c.PAS.Average-c.Baseline.Average)),
 			fmt.Sprintf("%s (%s)", pct(c.PAS.Availability), signed(100*(c.PAS.Availability-c.Baseline.Availability))))
 	}
-	mb, mp := r.MeanBaseline(), r.MeanPAS()
+	mb, mp := r.meanBaseline(), r.meanPAS()
 	t.addRow("Average",
 		pct(mb.FullMark), f2(mb.Average), pct(mb.Availability),
 		fmt.Sprintf("%s (%s)", pct(mp.FullMark), signed(100*(mp.FullMark-mb.FullMark))),

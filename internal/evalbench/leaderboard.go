@@ -43,7 +43,7 @@ func (a *Artifacts) Leaderboard(contenders []Contender) (*LeaderboardReport, err
 	if len(contenders) < 2 {
 		return nil, fmt.Errorf("evalbench: leaderboard needs >= 2 contenders, got %d", len(contenders))
 	}
-	prompts := a.Suite.ArenaPrompts()
+	prompts := a.Suite.arena
 
 	// Generate each contender's responses once.
 	responses := make([][]string, len(contenders))
@@ -74,12 +74,12 @@ func (a *Artifacts) Leaderboard(contenders []Contender) (*LeaderboardReport, err
 		for j := i + 1; j < len(contenders); j++ {
 			for pi, p := range prompts {
 				salt := fmt.Sprintf("lbg/%d/%d/%d", i, j, pi)
-				if a.Suite.Judge().Compare(p, responses[i][pi], responses[j][pi], salt).AWins {
+				if a.Suite.judge.Compare(p, responses[i][pi], responses[j][pi], salt).AWins {
 					wins[i][j]++
 				} else {
 					wins[j][i]++
 				}
-				if a.Suite.Judge().Compare(p, responses[j][pi], responses[i][pi], salt+"/swap").AWins {
+				if a.Suite.judge.Compare(p, responses[j][pi], responses[i][pi], salt+"/swap").AWins {
 					wins[j][i]++
 				} else {
 					wins[i][j]++
@@ -114,44 +114,4 @@ func (r *LeaderboardReport) String() string {
 	}
 	b.WriteString(t.String())
 	return b.String()
-}
-
-// RowCI augments a Table 1 row with a bootstrap confidence interval on
-// the AlpacaEval win probability.
-type RowCI struct {
-	Row Row
-	// Alpaca95 is the 95% bootstrap CI of the AlpacaEval score.
-	Alpaca95 metrics.Interval
-}
-
-// EvaluateRowCI evaluates a row and bootstraps the AlpacaEval metric.
-func (s *Suite) EvaluateRowCI(mainModel string, ape baselines.APE, resamples int) (RowCI, error) {
-	if resamples < 1 {
-		return RowCI{}, fmt.Errorf("evalbench: resamples must be >= 1, got %d", resamples)
-	}
-	main, err := model(mainModel)
-	if err != nil {
-		return RowCI{}, err
-	}
-	if ape == nil {
-		return RowCI{}, fmt.Errorf("evalbench: nil APE")
-	}
-	row, err := s.EvaluateRow(mainModel, ape)
-	if err != nil {
-		return RowCI{}, err
-	}
-	var probs []float64
-	for i, p := range s.alpaca {
-		salt := gameSalt(mainModel, i)
-		resp := main.Respond(ape.Transform(p, salt), simllm.Options{Salt: salt})
-		probs = append(probs, s.judge.Compare(p, resp, s.alpacaRefs[i], salt+"/c").ProbA)
-	}
-	ci, err := metrics.BootstrapMeanCI(probs, resamples, 0.95, 42)
-	if err != nil {
-		return RowCI{}, err
-	}
-	ci.Point *= 100
-	ci.Lo *= 100
-	ci.Hi *= 100
-	return RowCI{Row: row, Alpaca95: ci}, nil
 }

@@ -40,8 +40,8 @@ type SuiteConfig struct {
 	AlpacaReference string
 }
 
-// DefaultSuiteConfig returns paper-scale suites.
-func DefaultSuiteConfig() SuiteConfig {
+// defaultSuiteConfig returns paper-scale suites.
+func defaultSuiteConfig() SuiteConfig {
 	return SuiteConfig{
 		ArenaSize:       500,
 		AlpacaSize:      805,
@@ -55,7 +55,6 @@ func DefaultSuiteConfig() SuiteConfig {
 // Suite holds the benchmark prompts and the precomputed reference
 // responses they are judged against.
 type Suite struct {
-	cfg        SuiteConfig
 	arena      []string
 	alpaca     []string
 	alpacaCats []facet.Category
@@ -64,9 +63,9 @@ type Suite struct {
 	alpacaRefs []string
 }
 
-// NewSuite samples the two benchmark prompt sets and precomputes the
+// newSuite samples the two benchmark prompt sets and precomputes the
 // reference responses.
-func NewSuite(cfg SuiteConfig) (*Suite, error) {
+func newSuite(cfg SuiteConfig) (*Suite, error) {
 	if cfg.ArenaSize < 1 || cfg.AlpacaSize < 1 {
 		return nil, fmt.Errorf("evalbench: suite sizes must be >= 1 (arena %d, alpaca %d)",
 			cfg.ArenaSize, cfg.AlpacaSize)
@@ -88,7 +87,7 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Suite{cfg: cfg, arena: arena, alpaca: alpaca, alpacaCats: alpacaCats, judge: j}
+	s := &Suite{arena: arena, alpaca: alpaca, alpacaCats: alpacaCats, judge: j}
 	s.arenaRefs = make([]string, len(arena))
 	for i, p := range arena {
 		s.arenaRefs[i] = arenaRef.Respond(p, simllm.Options{Salt: refSalt(i)})
@@ -149,14 +148,14 @@ type Row struct {
 	AlpacaLC  float64 // length-controlled win rate %
 }
 
-// Average returns the row's mean score, the paper's "Average" column.
-func (r Row) Average() float64 { return (r.ArenaHard + r.Alpaca + r.AlpacaLC) / 3 }
+// average returns the row's mean score, the paper's "average" column.
+func (r Row) average() float64 { return (r.ArenaHard + r.Alpaca + r.AlpacaLC) / 3 }
 
-// EvaluateRow benchmarks one (main model, APE) pair on both suites.
+// evaluateRow benchmarks one (main model, APE) pair on both suites.
 // Per-prompt work is independent, so it fans out across GOMAXPROCS
 // workers; every per-prompt result is written to its own slot, keeping
 // the aggregate byte-identical to a serial run.
-func (s *Suite) EvaluateRow(mainModel string, ape baselines.APE) (Row, error) {
+func (s *Suite) evaluateRow(mainModel string, ape baselines.APE) (Row, error) {
 	if ape == nil {
 		return Row{}, fmt.Errorf("evalbench: nil APE")
 	}
@@ -256,15 +255,6 @@ func clamp01(x float64) float64 {
 }
 
 func gameSalt(model string, i int) string { return fmt.Sprintf("%s/%d", model, i) }
-
-// ArenaPrompts returns the Arena-Hard prompt set (read-only).
-func (s *Suite) ArenaPrompts() []string { return s.arena }
-
-// AlpacaPrompts returns the AlpacaEval prompt set (read-only).
-func (s *Suite) AlpacaPrompts() []string { return s.alpaca }
-
-// Judge exposes the suite's judge for auxiliary analyses.
-func (s *Suite) Judge() *judge.Judge { return s.judge }
 
 func model(name string) (*simllm.Model, error) {
 	p, err := simllm.LookupProfile(name)

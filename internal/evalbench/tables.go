@@ -15,39 +15,39 @@ type Table1Report struct {
 
 // Table1 evaluates the three method grids.
 func (a *Artifacts) Table1() (*Table1Report, error) {
-	base, err := a.MethodGrid(baselines.None{})
+	base, err := a.methodGrid(baselines.None{})
 	if err != nil {
 		return nil, err
 	}
-	bpo, err := a.MethodGrid(a.BPO)
+	bpo, err := a.methodGrid(a.BPO)
 	if err != nil {
 		return nil, err
 	}
-	pas, err := a.MethodGrid(a.PASAPE())
+	pas, err := a.methodGrid(a.PASAPE())
 	if err != nil {
 		return nil, err
 	}
 	return &Table1Report{Baseline: base, BPO: bpo, PAS: pas}, nil
 }
 
-// PASGainOverBaseline returns mean(PAS avg) - mean(baseline avg): the
+// pasGainOverBaseline returns mean(PAS avg) - mean(baseline avg): the
 // paper's headline "+8.00".
-func (r *Table1Report) PASGainOverBaseline() float64 {
-	return MeanRow(r.PAS).Average() - MeanRow(r.Baseline).Average()
+func (r *Table1Report) pasGainOverBaseline() float64 {
+	return meanRow(r.PAS).average() - meanRow(r.Baseline).average()
 }
 
-// PASGainOverBPO returns mean(PAS avg) - mean(BPO avg): the paper's
+// pasGainOverBPO returns mean(PAS avg) - mean(BPO avg): the paper's
 // "+6.09".
-func (r *Table1Report) PASGainOverBPO() float64 {
-	return MeanRow(r.PAS).Average() - MeanRow(r.BPO).Average()
+func (r *Table1Report) pasGainOverBPO() float64 {
+	return meanRow(r.PAS).average() - meanRow(r.BPO).average()
 }
 
-// BPOUnstable reports the main models on which BPO scores below the
+// bpoUnstable reports the main models on which BPO scores below the
 // no-APE baseline — the instability the paper calls out.
-func (r *Table1Report) BPOUnstable() []string {
+func (r *Table1Report) bpoUnstable() []string {
 	var out []string
 	for i := range r.BPO {
-		if r.BPO[i].Average() < r.Baseline[i].Average() {
+		if r.BPO[i].average() < r.Baseline[i].average() {
 			out = append(out, r.BPO[i].MainModel)
 		}
 	}
@@ -62,23 +62,23 @@ func (r *Table1Report) String() string {
 		for i, row := range rows {
 			delta := ""
 			if deltas != nil {
-				delta = signed(row.Average() - deltas[i].Average())
+				delta = signed(row.average() - deltas[i].average())
 			}
-			t.addRow(row.MainModel, row.Method, f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.Average()), delta)
+			t.addRow(row.MainModel, row.Method, f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.average()), delta)
 		}
-		mean := MeanRow(rows)
+		mean := meanRow(rows)
 		meanDelta := ""
 		if deltas != nil {
-			meanDelta = signed(mean.Average() - MeanRow(deltas).Average())
+			meanDelta = signed(mean.average() - meanRow(deltas).average())
 		}
-		t.addRow("Average", mean.Method, f2(mean.ArenaHard), f2(mean.Alpaca), f2(mean.AlpacaLC), f2(mean.Average()), meanDelta)
+		t.addRow("Average", mean.Method, f2(mean.ArenaHard), f2(mean.Alpaca), f2(mean.AlpacaLC), f2(mean.average()), meanDelta)
 	}
 	writeGrid(r.Baseline, nil)
 	writeGrid(r.BPO, nil)
 	writeGrid(r.PAS, r.Baseline)
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "PAS - baseline: %s   PAS - BPO: %s   BPO below baseline on: %v\n",
-		signed(r.PASGainOverBaseline()), signed(r.PASGainOverBPO()), r.BPOUnstable())
+		signed(r.pasGainOverBaseline()), signed(r.pasGainOverBPO()), r.bpoUnstable())
 	return b.String()
 }
 
@@ -90,21 +90,21 @@ type Table2Report struct {
 
 // Table2 evaluates BPO and the alternative-base PAS grid.
 func (a *Artifacts) Table2() (*Table2Report, error) {
-	bpo, err := a.MethodGrid(a.BPO)
+	bpo, err := a.methodGrid(a.BPO)
 	if err != nil {
 		return nil, err
 	}
-	pas, err := a.MethodGrid(a.PASAltAPE())
+	pas, err := a.methodGrid(a.pasAltAPE())
 	if err != nil {
 		return nil, err
 	}
 	return &Table2Report{BPO: bpo, PAS: pas}, nil
 }
 
-// PASGainOverBPO returns the mean average-score gain of same-base PAS
+// pasGainOverBPO returns the mean average-score gain of same-base PAS
 // over BPO (the paper's "+3.41").
-func (r *Table2Report) PASGainOverBPO() float64 {
-	return MeanRow(r.PAS).Average() - MeanRow(r.BPO).Average()
+func (r *Table2Report) pasGainOverBPO() float64 {
+	return meanRow(r.PAS).average() - meanRow(r.BPO).average()
 }
 
 func (r *Table2Report) String() string {
@@ -112,17 +112,17 @@ func (r *Table2Report) String() string {
 	b.WriteString("Table 2: PAS vs BPO with the same base model (LLaMA-2-7B)\n")
 	t := newTable("Main Model", "Method", "Arena-hard", "AlpacaEval 2.0", "AlpacaEval 2.0 (LC)", "Average", "Delta")
 	for _, row := range r.BPO {
-		t.addRow(row.MainModel, row.Method, f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.Average()), "")
+		t.addRow(row.MainModel, row.Method, f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.average()), "")
 	}
-	mb := MeanRow(r.BPO)
-	t.addRow("Average", mb.Method, f2(mb.ArenaHard), f2(mb.Alpaca), f2(mb.AlpacaLC), f2(mb.Average()), "")
+	mb := meanRow(r.BPO)
+	t.addRow("Average", mb.Method, f2(mb.ArenaHard), f2(mb.Alpaca), f2(mb.AlpacaLC), f2(mb.average()), "")
 	for i, row := range r.PAS {
-		t.addRow(row.MainModel, row.Method, f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.Average()),
-			signed(row.Average()-r.BPO[i].Average()))
+		t.addRow(row.MainModel, row.Method, f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.average()),
+			signed(row.average()-r.BPO[i].average()))
 	}
-	mp := MeanRow(r.PAS)
-	t.addRow("Average", mp.Method, f2(mp.ArenaHard), f2(mp.Alpaca), f2(mp.AlpacaLC), f2(mp.Average()),
-		signed(r.PASGainOverBPO()))
+	mp := meanRow(r.PAS)
+	t.addRow("Average", mp.Method, f2(mp.ArenaHard), f2(mp.Alpaca), f2(mp.AlpacaLC), f2(mp.average()),
+		signed(r.pasGainOverBPO()))
 	b.WriteString(t.String())
 	return b.String()
 }
@@ -161,21 +161,21 @@ type Table5Report struct {
 
 // Table5 evaluates the primary PAS grid against the no-selection grid.
 func (a *Artifacts) Table5() (*Table5Report, error) {
-	pas, err := a.MethodGrid(a.PASAPE())
+	pas, err := a.methodGrid(a.PASAPE())
 	if err != nil {
 		return nil, err
 	}
-	noSel, err := a.MethodGrid(a.NoSelectionAPE())
+	noSel, err := a.methodGrid(a.noSelectionAPE())
 	if err != nil {
 		return nil, err
 	}
 	return &Table5Report{PAS: pas, NoSelection: noSel}, nil
 }
 
-// AblationDrop returns mean(no-selection avg) - mean(PAS avg); negative
+// ablationDrop returns mean(no-selection avg) - mean(PAS avg); negative
 // values mean removing selection hurts (the paper reports -3.80).
-func (r *Table5Report) AblationDrop() float64 {
-	return MeanRow(r.NoSelection).Average() - MeanRow(r.PAS).Average()
+func (r *Table5Report) ablationDrop() float64 {
+	return meanRow(r.NoSelection).average() - meanRow(r.PAS).average()
 }
 
 func (r *Table5Report) String() string {
@@ -183,17 +183,17 @@ func (r *Table5Report) String() string {
 	b.WriteString("Table 5: ablation of the data selection + regeneration module\n")
 	t := newTable("Main Model", "PAS-model", "Arena-hard", "AlpacaEval 2.0", "AlpacaEval 2.0 (LC)", "Average", "Delta")
 	for _, row := range r.PAS {
-		t.addRow(row.MainModel, "PAS", f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.Average()), "")
+		t.addRow(row.MainModel, "PAS", f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.average()), "")
 	}
-	mp := MeanRow(r.PAS)
-	t.addRow("Average", "PAS", f2(mp.ArenaHard), f2(mp.Alpaca), f2(mp.AlpacaLC), f2(mp.Average()), "")
+	mp := meanRow(r.PAS)
+	t.addRow("Average", "PAS", f2(mp.ArenaHard), f2(mp.Alpaca), f2(mp.AlpacaLC), f2(mp.average()), "")
 	for i, row := range r.NoSelection {
-		t.addRow(row.MainModel, "wo selection", f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.Average()),
-			signed(row.Average()-r.PAS[i].Average()))
+		t.addRow(row.MainModel, "wo selection", f2(row.ArenaHard), f2(row.Alpaca), f2(row.AlpacaLC), f2(row.average()),
+			signed(row.average()-r.PAS[i].average()))
 	}
-	mn := MeanRow(r.NoSelection)
-	t.addRow("Average", "wo selection", f2(mn.ArenaHard), f2(mn.Alpaca), f2(mn.AlpacaLC), f2(mn.Average()),
-		signed(r.AblationDrop()))
+	mn := meanRow(r.NoSelection)
+	t.addRow("Average", "wo selection", f2(mn.ArenaHard), f2(mn.Alpaca), f2(mn.AlpacaLC), f2(mn.average()),
+		signed(r.ablationDrop()))
 	b.WriteString(t.String())
 	return b.String()
 }

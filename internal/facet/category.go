@@ -133,9 +133,3 @@ var categoryCues = map[Category][]string{
 	Extraction:    {"extract", "parse", "find", "identify", "json", "fields", "entities", "table"},
 	Chitchat:      {"hello", "hi", "morning", "thanks", "chat", "feeling", "weekend"},
 }
-
-// CategoryCues returns the cue lexicon of category c. Callers must not
-// modify the returned slice.
-func CategoryCues(c Category) []string {
-	return categoryCues[c]
-}

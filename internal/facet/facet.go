@@ -67,16 +67,6 @@ func (f Facet) String() string {
 // Valid reports whether f is a member of the taxonomy.
 func (f Facet) Valid() bool { return f >= 0 && int(f) < Count }
 
-// ParseFacet returns the facet with the given name.
-func ParseFacet(name string) (Facet, error) {
-	for i, n := range facetNames {
-		if n == name {
-			return Facet(i), nil
-		}
-	}
-	return 0, fmt.Errorf("facet: unknown facet %q", name)
-}
-
 // All returns every facet in taxonomy order.
 func All() []Facet {
 	out := make([]Facet, Count)

@@ -1,6 +1,7 @@
 package facet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,7 +108,7 @@ func TestNeedPriorsCoverEveryCategory(t *testing.T) {
 		if NeedPrior(c).Sum() == 0 {
 			t.Errorf("category %v has empty need prior", c)
 		}
-		if len(CategoryCues(c)) == 0 {
+		if len(categoryCues[c]) == 0 {
 			t.Errorf("category %v has no cue lexicon", c)
 		}
 	}
@@ -115,10 +116,10 @@ func TestNeedPriorsCoverEveryCategory(t *testing.T) {
 
 func TestLexiconsNonEmpty(t *testing.T) {
 	for _, f := range All() {
-		if len(DirectiveLexicon(f)) == 0 {
+		if len(directiveLex[f]) == 0 {
 			t.Errorf("facet %v missing directive lexicon", f)
 		}
-		if len(NeedCueLexicon(f)) == 0 {
+		if len(needCueLex[f]) == 0 {
 			t.Errorf("facet %v missing need-cue lexicon", f)
 		}
 		if len(DeliveryLexicon(f)) == 0 {
@@ -283,4 +284,24 @@ func TestPhraseLexiconsAreFolded(t *testing.T) {
 	if !DetectDirectives("THINK STEP BY STEP").Has(Reasoning) || !DetectAnswerLeak("The Answer Is 4") {
 		t.Error("detection must stay case-insensitive on the text side")
 	}
+}
+
+// ParseFacet returns the facet with the given name.
+func ParseFacet(name string) (Facet, error) {
+	for i, n := range facetNames {
+		if n == name {
+			return Facet(i), nil
+		}
+	}
+	return 0, fmt.Errorf("facet: unknown facet %q", name)
+}
+
+// TrapByName looks a trap up by name.
+func TrapByName(name string) (Trap, bool) {
+	for _, tr := range trapBank {
+		if tr.Name == name {
+			return tr, true
+		}
+	}
+	return Trap{}, false
 }

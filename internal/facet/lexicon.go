@@ -58,13 +58,6 @@ var deliveryLex = map[Facet][]string{
 	Planning:     {"the plan is", "we will proceed in stages", "outline of the approach", "phase one", "subtasks:"},
 }
 
-// DirectiveLexicon returns the phrases that demand facet f in a
-// complementary prompt. Callers must not modify the returned slice.
-func DirectiveLexicon(f Facet) []string { return directiveLex[f] }
-
-// NeedCueLexicon returns the user-prompt phrases signalling facet f.
-func NeedCueLexicon(f Facet) []string { return needCueLex[f] }
-
 // DeliveryLexicon returns the response phrases that deliver facet f.
 func DeliveryLexicon(f Facet) []string { return deliveryLex[f] }
 
@@ -75,6 +68,3 @@ var answerLeakCues = []string{
 	"the answer is", "the result is", "equals", "here is the solution",
 	"the correct answer", "in conclusion, it is",
 }
-
-// AnswerLeakCues returns the direct-answer giveaway phrases.
-func AnswerLeakCues() []string { return answerLeakCues }

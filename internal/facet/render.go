@@ -55,7 +55,7 @@ func RenderConflicting(constrained Facet, variant string) string {
 // RenderAnswerLeak composes a defective augmentation that directly answers
 // the prompt instead of complementing it (critic defect class 3).
 func RenderAnswerLeak(variant string) string {
-	cues := AnswerLeakCues()
+	cues := answerLeakCues
 	pick := textkit.Bucket(variant, 0x1eaf, len(cues))
 	return "Here is the solution: " + cues[pick] + " as computed directly."
 }

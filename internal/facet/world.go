@@ -86,16 +86,6 @@ var trapBank = []Trap{
 // Traps returns the shared trap bank. Callers must not modify it.
 func Traps() []Trap { return trapBank }
 
-// TrapByName looks a trap up by name.
-func TrapByName(name string) (Trap, bool) {
-	for _, tr := range trapBank {
-		if tr.Name == name {
-			return tr, true
-		}
-	}
-	return Trap{}, false
-}
-
 // FindTrap reports the trap whose cue appears in text, if any. Matching is
 // case-insensitive on normalised text.
 func FindTrap(text string) (Trap, bool) {

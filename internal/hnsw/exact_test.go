@@ -8,8 +8,7 @@ import (
 )
 
 // Exact is a brute-force nearest-neighbour index with the same interface
-// shape as Index. It serves as the recall oracle in tests and as the
-// baseline in the dedup ablation benchmark (HNSW vs exact k-NN).
+// shape as Index: the recall oracle of the tests.
 type Exact struct {
 	metric Metric
 	ids    []int

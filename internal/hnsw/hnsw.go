@@ -49,7 +49,7 @@ type Config struct {
 	// EfConstruction is the candidate-list width during insertion.
 	EfConstruction int
 	// EfSearch is the default candidate-list width during Search; it can
-	// be overridden per query with SearchEf.
+	// be overridden per query with searchEf.
 	EfSearch int
 	// Metric selects the distance function.
 	Metric Metric
@@ -87,7 +87,6 @@ func newPoint(vec embed.Vector) point { return point{vec: vec, norm: vec.Norm()}
 type node struct {
 	id int
 	point
-	level   int
 	friends [][]int32 // friends[l] = neighbour slots at layer l
 }
 
@@ -122,15 +121,6 @@ func New(cfg Config) (*Index, error) {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		mult:  1 / math.Log(float64(cfg.M)),
 	}, nil
-}
-
-// MustNew is New for configurations known to be valid.
-func MustNew(cfg Config) *Index {
-	idx, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return idx
 }
 
 // Len returns the number of stored vectors.
@@ -178,7 +168,7 @@ func (ix *Index) Add(id int, vec embed.Vector) error {
 
 	level := ix.randomLevel()
 	q := newPoint(vec)
-	n := &node{id: id, point: q, level: level, friends: make([][]int32, level+1)}
+	n := &node{id: id, point: q, friends: make([][]int32, level+1)}
 	slot := int32(len(ix.nodes))
 	ix.nodes = append(ix.nodes, n)
 	ix.byID[id] = slot
@@ -385,11 +375,11 @@ func (ix *Index) randomLevel() int {
 // Search returns the k nearest stored vectors to q using the default
 // EfSearch width.
 func (ix *Index) Search(q embed.Vector, k int) []Result {
-	return ix.SearchEf(q, k, ix.cfg.EfSearch)
+	return ix.searchEf(q, k, ix.cfg.EfSearch)
 }
 
-// SearchEf is Search with an explicit ef width (clamped up to k).
-func (ix *Index) SearchEf(q embed.Vector, k, ef int) []Result {
+// searchEf is Search with an explicit ef width (clamped up to k).
+func (ix *Index) searchEf(q embed.Vector, k, ef int) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.entry < 0 || k <= 0 {
@@ -413,26 +403,4 @@ func (ix *Index) SearchEf(q embed.Vector, k, ef int) []Result {
 		out[i] = Result{ID: ix.nodes[c.slot].id, Distance: c.dist}
 	}
 	return out
-}
-
-// IDs returns the external ids in insertion order.
-func (ix *Index) IDs() []int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ids := make([]int, len(ix.nodes))
-	for i, n := range ix.nodes {
-		ids[i] = n.id
-	}
-	return ids
-}
-
-// Vector returns the stored vector for id and whether it exists.
-func (ix *Index) Vector(id int) (embed.Vector, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	slot, ok := ix.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return ix.nodes[slot].vec, true
 }

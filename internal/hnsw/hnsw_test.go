@@ -125,7 +125,7 @@ func TestRecallAgainstExact(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		query := randVec(rng, dim)
 		truth := ex.Search(query, k)
-		approx := ix.SearchEf(query, k, 128)
+		approx := ix.searchEf(query, k, 128)
 		truthSet := map[int]bool{}
 		for _, r := range truth {
 			truthSet[r.ID] = true
@@ -353,4 +353,35 @@ func TestStoredNormsGiveCosineBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MustNew is New for configurations known to be valid.
+func MustNew(cfg Config) *Index {
+	idx, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return idx
+}
+
+// IDs returns the external ids in insertion order.
+func (ix *Index) IDs() []int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ids := make([]int, len(ix.nodes))
+	for i, n := range ix.nodes {
+		ids[i] = n.id
+	}
+	return ids
+}
+
+// Vector returns the stored vector for id and whether it exists.
+func (ix *Index) Vector(id int) (embed.Vector, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	slot, ok := ix.byID[id]
+	if !ok {
+		return nil, false
+	}
+	return ix.nodes[slot].vec, true
 }

@@ -44,7 +44,6 @@ func Categories() []Category {
 
 // Rater is one simulated human evaluator.
 type Rater struct {
-	id    int
 	noise float64
 	seed  uint64
 	judge *judge.Judge
@@ -70,7 +69,7 @@ func NewPool(n int, seed uint64) ([]Rater, error) {
 		if err != nil {
 			return nil, err
 		}
-		pool[i] = Rater{id: i, noise: cfg.Noise, seed: cfg.Seed, judge: j}
+		pool[i] = Rater{noise: cfg.Noise, seed: cfg.Seed, judge: j}
 	}
 	return pool, nil
 }

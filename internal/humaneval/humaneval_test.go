@@ -47,13 +47,13 @@ func TestRateRangeAndMonotonicity(t *testing.T) {
 	prompt := "Explain how photosynthesis works and the mechanism behind it."
 	good := "By way of background, photosynthesis converts light energy. Covering all aspects of photosynthesis, including edge conditions. It is established that the mechanism is verified. For example, consider the case of leaves."
 	bad := "idk"
-	for _, r := range pool {
+	for i, r := range pool {
 		rg, rb := r.Rate(prompt, good), r.Rate(prompt, bad)
 		if rg < 1 || rg > 5 || rb < 1 || rb > 5 {
 			t.Fatalf("ratings out of range: %d %d", rg, rb)
 		}
 		if rg <= rb {
-			t.Fatalf("rater %d rated bad (%d) >= good (%d)", r.id, rb, rg)
+			t.Fatalf("rater %d rated bad (%d) >= good (%d)", i, rb, rg)
 		}
 	}
 }

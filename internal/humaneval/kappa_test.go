@@ -98,3 +98,63 @@ func TestPoolKappaAboveChance(t *testing.T) {
 		t.Fatalf("pool kappa = %.3f — raters have no individuality", kappa)
 	}
 }
+
+// FleissKappa measures inter-rater agreement for the rubric study: the
+// statistic human-evaluation sections report to show the raters are not
+// noise. ratings[i][j] is rater j's 1-5 score for item i; every item
+// must be scored by the same number (>= 2) of raters.
+//
+// Kappa is 1 for perfect agreement, 0 for chance-level, negative for
+// systematic disagreement.
+func FleissKappa(ratings [][]int) (float64, error) {
+	if len(ratings) == 0 {
+		return 0, fmt.Errorf("humaneval: no items")
+	}
+	raters := len(ratings[0])
+	if raters < 2 {
+		return 0, fmt.Errorf("humaneval: need >= 2 raters, got %d", raters)
+	}
+	const categories = 5
+	counts := make([][categories]float64, len(ratings))
+	var catTotals [categories]float64
+	for i, row := range ratings {
+		if len(row) != raters {
+			return 0, fmt.Errorf("humaneval: item %d has %d ratings, want %d", i, len(row), raters)
+		}
+		for _, v := range row {
+			if v < 1 || v > categories {
+				return 0, fmt.Errorf("humaneval: rating %d out of 1-%d", v, categories)
+			}
+			counts[i][v-1]++
+			catTotals[v-1]++
+		}
+	}
+
+	n := float64(len(ratings))
+	m := float64(raters)
+
+	// Per-item agreement P_i and its mean.
+	var pBar float64
+	for i := range counts {
+		var s float64
+		for _, c := range counts[i] {
+			s += c * c
+		}
+		pBar += (s - m) / (m * (m - 1))
+	}
+	pBar /= n
+
+	// Chance agreement P_e from the marginal category distribution.
+	var pe float64
+	total := n * m
+	for _, c := range catTotals {
+		p := c / total
+		pe += p * p
+	}
+	if pe == 1 {
+		// All raters used one category everywhere: agreement is perfect
+		// but kappa's denominator vanishes; report 1 by convention.
+		return 1, nil
+	}
+	return (pBar - pe) / (1 - pe), nil
+}

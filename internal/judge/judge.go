@@ -142,8 +142,6 @@ type Verdict struct {
 	AWins bool
 	// ProbA is the judge's calibrated probability that A is better.
 	ProbA float64
-	// ScoreA and ScoreB are the underlying quality scores (before noise).
-	ScoreA, ScoreB float64
 }
 
 // Compare judges response A against response B for the given prompt. The
@@ -156,10 +154,8 @@ func (j *Judge) Compare(prompt, respA, respB, salt string) Verdict {
 	noise := (textkit.Unit("judge\x00"+salt+"\x00"+prompt+"\x00"+respA+"\x00"+respB, j.cfg.Seed) - 0.5) * 2 * j.cfg.Noise
 	prob := metrics.Logistic(diff / 1.2)
 	return Verdict{
-		AWins:  diff+noise > 0,
-		ProbA:  prob,
-		ScoreA: sa,
-		ScoreB: sb,
+		AWins: diff+noise > 0,
+		ProbA: prob,
 	}
 }
 

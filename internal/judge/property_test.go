@@ -43,7 +43,7 @@ func TestScoreMatchesVerdictProperty(t *testing.T) {
 	noiseless := MustNew(Config{LengthBias: 0.2, Noise: 0, Seed: 5})
 	f := func(prompt, a, b string) bool {
 		v := noiseless.Compare(prompt, a, b, "s")
-		return v.AWins == (v.ScoreA > v.ScoreB)
+		return v.AWins == (noiseless.Score(prompt, a) > noiseless.Score(prompt, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -157,13 +157,13 @@ type ReplicaReport struct {
 }
 
 // Report is the machine-readable run summary.
-// ReportSchemaVersion is stamped into every Report so committed
+// reportSchemaVersion is stamped into every Report so committed
 // BENCH_*.json files and their consumers (diff tooling, dashboards)
 // can detect shape drift instead of misreading old fields.
-const ReportSchemaVersion = 1
+const reportSchemaVersion = 1
 
 type Report struct {
-	// SchemaVersion is ReportSchemaVersion at generation time;
+	// SchemaVersion is reportSchemaVersion at generation time;
 	// GeneratedUnix is the wall-clock stamp (seconds) — provenance
 	// only, never compared.
 	SchemaVersion int   `json:"schema_version"`
@@ -421,7 +421,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	after := scrapeReplicas(ctx, cfg.HTTPClient, cfg.Replicas)
 
 	r := Report{
-		SchemaVersion:   ReportSchemaVersion,
+		SchemaVersion:   reportSchemaVersion,
 		GeneratedUnix:   time.Now().Unix(),
 		Mode:            cfg.Mode,
 		Target:          cfg.Target,

@@ -129,8 +129,8 @@ func TestRunAugment(t *testing.T) {
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != ReportSchemaVersion {
-		t.Fatalf("schema_version = %d, want %d", rep.SchemaVersion, ReportSchemaVersion)
+	if rep.SchemaVersion != reportSchemaVersion {
+		t.Fatalf("schema_version = %d, want %d", rep.SchemaVersion, reportSchemaVersion)
 	}
 	if rep.GeneratedUnix <= 0 {
 		t.Fatalf("generated_unix = %d, want a positive wall-clock stamp", rep.GeneratedUnix)

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -113,4 +115,78 @@ func TestEloStandingsSorted(t *testing.T) {
 	if s[0].Name != "strong" {
 		t.Fatalf("winner not first: %v", s)
 	}
+}
+
+// Elo maintains online pairwise ratings — the sequential alternative to
+// the batch Bradley–Terry fit, as used by live arena leaderboards. New
+// players start at the base rating.
+type Elo struct {
+	k       float64
+	base    float64
+	ratings map[string]float64
+	games   map[string]int
+}
+
+// NewElo creates a rating table with update factor k (typical: 16-32)
+// and base rating 1000.
+// It returns an error for a non-positive k.
+func NewElo(k float64) (*Elo, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("metrics: elo K must be positive, got %v", k)
+	}
+	return &Elo{k: k, base: 1000, ratings: make(map[string]float64), games: make(map[string]int)}, nil
+}
+
+// Rating returns a player's current rating (base if never seen).
+func (e *Elo) Rating(name string) float64 {
+	if r, ok := e.ratings[name]; ok {
+		return r
+	}
+	return e.base
+}
+
+// Games returns how many games a player has recorded.
+func (e *Elo) Games(name string) int { return e.games[name] }
+
+// Expected returns the expected score of a against b (probability-like,
+// 0.5 for equal ratings).
+func (e *Elo) Expected(a, b string) float64 {
+	return 1 / (1 + math.Pow(10, (e.Rating(b)-e.Rating(a))/400))
+}
+
+// Record updates ratings after winner beat loser.
+func (e *Elo) Record(winner, loser string) { e.update(winner, loser, 1) }
+
+// RecordDraw updates ratings after a drawn game.
+func (e *Elo) RecordDraw(a, b string) { e.update(a, b, 0.5) }
+
+func (e *Elo) update(a, b string, scoreA float64) {
+	ea := e.Expected(a, b)
+	ra, rb := e.Rating(a), e.Rating(b)
+	e.ratings[a] = ra + e.k*(scoreA-ea)
+	e.ratings[b] = rb + e.k*((1-scoreA)-(1-ea))
+	e.games[a]++
+	e.games[b]++
+}
+
+// Standing is one leaderboard row.
+type Standing struct {
+	Name   string
+	Rating float64
+	Games  int
+}
+
+// Standings returns all players sorted by rating, ties broken by name.
+func (e *Elo) Standings() []Standing {
+	out := make([]Standing, 0, len(e.ratings))
+	for n, r := range e.ratings {
+		out = append(out, Standing{Name: n, Rating: r, Games: e.games[n]})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Rating != out[j].Rating {
+			return out[i].Rating > out[j].Rating
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
 }

@@ -9,12 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
-// ErrNoData is returned by estimators given an empty sample.
-var ErrNoData = errors.New("metrics: no data")
+// errNoData is returned by estimators given an empty sample.
+var errNoData = errors.New("metrics: no data")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -28,27 +27,10 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance, or 0 when n < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Quantile returns the q-quantile (0..1) of xs by linear interpolation.
-func Quantile(xs []float64, q float64) (float64, error) {
+// quantile returns the q-quantile (0..1) of xs by linear interpolation.
+func quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrNoData
+		return 0, errNoData
 	}
 	if q < 0 || q > 1 {
 		return 0, fmt.Errorf("metrics: quantile %v out of [0,1]", q)
@@ -65,53 +47,14 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// QuantileOrZero is Quantile for reports that print 0 for an empty
+// QuantileOrZero is quantile for reports that print 0 for an empty
 // sample instead of failing.
 func QuantileOrZero(xs []float64, q float64) float64 {
-	v, err := Quantile(xs, q)
+	v, err := quantile(xs, q)
 	if err != nil {
 		return 0
 	}
 	return v
-}
-
-// Interval is a two-sided confidence interval around a point estimate.
-type Interval struct {
-	Point, Lo, Hi float64
-}
-
-// BootstrapMeanCI estimates a confidence interval for the mean of xs by
-// the percentile bootstrap with the given number of resamples and
-// confidence level (e.g. 0.95).
-func BootstrapMeanCI(xs []float64, resamples int, level float64, seed int64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrNoData
-	}
-	if resamples < 1 {
-		return Interval{}, fmt.Errorf("metrics: resamples must be >= 1, got %d", resamples)
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("metrics: level must be in (0,1), got %v", level)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, resamples)
-	for r := range means {
-		var s float64
-		for i := 0; i < len(xs); i++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	lo, err := Quantile(means, alpha)
-	if err != nil {
-		return Interval{}, err
-	}
-	hi, err := Quantile(means, 1-alpha)
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Point: Mean(xs), Lo: lo, Hi: hi}, nil
 }
 
 // LinFit holds the coefficients of y = Alpha + Beta*x.
@@ -127,7 +70,7 @@ func LinearRegression(x, y []float64) (LinFit, error) {
 		return LinFit{}, fmt.Errorf("metrics: x and y lengths differ (%d vs %d)", len(x), len(y))
 	}
 	if len(x) < 2 {
-		return LinFit{}, ErrNoData
+		return LinFit{}, errNoData
 	}
 	mx, my := Mean(x), Mean(y)
 	var sxx, sxy float64
@@ -156,7 +99,7 @@ func Logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 func BradleyTerry(wins [][]float64, iters int) ([]float64, error) {
 	n := len(wins)
 	if n == 0 {
-		return nil, ErrNoData
+		return nil, errNoData
 	}
 	var total float64
 	for i := range wins {

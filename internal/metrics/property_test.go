@@ -80,7 +80,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			if qq > 1 {
 				qq = 1
 			}
-			v, err := Quantile(xs, qq)
+			v, err := quantile(xs, qq)
 			if err != nil {
 				return false
 			}
@@ -89,8 +89,8 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			}
 			prev = v
 		}
-		lo, _ := Quantile(xs, 0)
-		hi, _ := Quantile(xs, 1)
+		lo, _ := quantile(xs, 0)
+		hi, _ := quantile(xs, 1)
 		return lo <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

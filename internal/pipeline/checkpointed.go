@@ -48,11 +48,11 @@ type BuildOptions struct {
 	journalWrap func(augment.Journal) augment.Journal
 }
 
-// Fingerprint derives the checkpoint key for cfg: a hash of every
+// fingerprint derives the checkpoint key for cfg: a hash of every
 // output-affecting setting (sizes, seed, model names, caps). Runtime
 // knobs that cannot change the output — worker counts, fault gates,
 // progress callbacks — are excluded via their `json:"-"` tags.
-func Fingerprint(cfg Config) (string, error) {
+func fingerprint(cfg Config) (string, error) {
 	fp, err := checkpoint.Fingerprint(cfg)
 	if err != nil {
 		return "", fmt.Errorf("pipeline: %w", err)
@@ -91,7 +91,7 @@ func BuildWithCheckpoint(cfg Config, opt BuildOptions) (*Result, error) {
 
 	var store *checkpoint.Store
 	if opt.CheckpointDir != "" {
-		fp, err := Fingerprint(cfg)
+		fp, err := fingerprint(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func BuildWithCheckpoint(cfg Config, opt BuildOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.Progress.setStage(StageDone)
+	opt.Progress.setStage(stageDone)
 
 	return &Result{
 		Model:         model,
@@ -147,7 +147,7 @@ func curationStage(cfg Config, opt BuildOptions, store *checkpoint.Store) (*cura
 		}
 	}
 
-	opt.Progress.setStage(StageCorpus)
+	opt.Progress.setStage(stageCorpus)
 	poolCfg := corpus.DefaultConfig()
 	poolCfg.Size = cfg.CorpusSize
 	poolCfg.Seed = cfg.Seed
@@ -164,7 +164,7 @@ func curationStage(cfg Config, opt BuildOptions, store *checkpoint.Store) (*cura
 		return nil, fmt.Errorf("pipeline: classifier: %w", err)
 	}
 
-	opt.Progress.setStage(StageCuration)
+	opt.Progress.setStage(stageCuration)
 	curCfg := cfg.Curation
 	curCfg.OnProgress = opt.Progress.curationTick
 	cur, err := curation.Run(pool, clf, curCfg)
@@ -188,7 +188,7 @@ func (a journalAdapter) Append(rec augment.ItemRecord) error { return a.j.Append
 // is the commit point: every finished item is durable before it counts,
 // so a crash resumes at the exact item, not the stage.
 func augmentStage(cfg Config, opt BuildOptions, store *checkpoint.Store, cur *curation.Result) (*augment.Result, error) {
-	opt.Progress.setStage(StageAugment)
+	opt.Progress.setStage(stageAugment)
 	if store != nil {
 		var snap augmentSnapshot
 		ok, err := loadOrDiscard(store, snapAugment, &snap)
@@ -246,7 +246,7 @@ func augmentStage(cfg Config, opt BuildOptions, store *checkpoint.Store, cur *cu
 
 // sftStage loads or retrains the §3.4 model.
 func sftStage(cfg Config, opt BuildOptions, store *checkpoint.Store, base simllm.Profile, gen *augment.Result) (*sft.Model, error) {
-	opt.Progress.setStage(StageSFT)
+	opt.Progress.setStage(stageSFT)
 	if store != nil {
 		payload, ok, err := store.LoadSnapshotBytes(snapSFT)
 		var corrupt *checkpoint.CorruptError

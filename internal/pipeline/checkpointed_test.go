@@ -294,7 +294,7 @@ func TestProgressStageTransitions(t *testing.T) {
 		t.Errorf("nil progress stage = %s", p.Stage())
 	}
 	p = &Progress{}
-	p.setStage(StageSFT)
+	p.setStage(stageSFT)
 	if p.Stage() != "sft" {
 		t.Errorf("stage = %s, want sft", p.Stage())
 	}
@@ -302,4 +302,16 @@ func TestProgressStageTransitions(t *testing.T) {
 	if p.Stage() != "unknown" {
 		t.Errorf("out-of-range stage = %s, want unknown", p.Stage())
 	}
+}
+
+// Stage returns the current stage name.
+func (p *Progress) Stage() string {
+	if p == nil {
+		return stageNames[0]
+	}
+	s := p.stage.Load()
+	if s < 0 || int(s) >= len(stageNames) {
+		return "unknown"
+	}
+	return stageNames[s]
 }

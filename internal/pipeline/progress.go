@@ -7,14 +7,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Build stages, in execution order.
+// Build stages, in execution order; 0 is idle, the zero Progress.
 const (
-	StageIdle int32 = iota
-	StageCorpus
-	StageCuration
-	StageAugment
-	StageSFT
-	StageDone
+	stageCorpus int32 = iota + 1
+	stageCuration
+	stageAugment
+	stageSFT
+	stageDone
 )
 
 // stageNames maps stage codes to their /metricsz labels.
@@ -34,18 +33,6 @@ type Progress struct {
 	// Augment holds the generation-stage counters; augment workers
 	// update it directly.
 	Augment augment.Progress
-}
-
-// Stage returns the current stage name.
-func (p *Progress) Stage() string {
-	if p == nil {
-		return stageNames[StageIdle]
-	}
-	s := p.stage.Load()
-	if s < 0 || int(s) >= len(stageNames) {
-		return "unknown"
-	}
-	return stageNames[s]
 }
 
 func (p *Progress) setStage(s int32) {

@@ -14,10 +14,10 @@ import (
 // value passes the request through untouched.
 type ChaosStep struct {
 	// Drop severs the connection: the round trip returns a transport
-	// error without reaching the inner transport.
+	// error without reaching http.DefaultTransport.
 	Drop bool
 	// Status synthesises a response with this code instead of calling
-	// the inner transport; 0 passes through.
+	// http.DefaultTransport; 0 passes through.
 	Status int
 	// RetryAfter, when non-zero, is sent as a Retry-After header
 	// (whole seconds) on the synthesised response.
@@ -35,13 +35,10 @@ type ChaosStep struct {
 
 // ChaosTransport is an http.RoundTripper that replays a scripted fault
 // sequence: request n consumes Script[n]; requests past the end pass
-// through to Inner. It makes client-side retry/breaker behaviour
+// through to http.DefaultTransport. It makes client-side retry/breaker behaviour
 // testable without timing races — drops, 429 bursts with Retry-After,
 // 500 storms, and slow bodies all become deterministic.
 type ChaosTransport struct {
-	// Inner handles passthrough requests; nil uses
-	// http.DefaultTransport.
-	Inner http.RoundTripper
 	// Script is the fault sequence, consumed one step per request.
 	Script []ChaosStep
 
@@ -108,11 +105,7 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return resp, nil
 	}
-	inner := t.Inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	resp, err := inner.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err == nil && scripted && step.BodyLatency > 0 {
 		resp.Body = &slowBody{ReadCloser: resp.Body, perRead: step.BodyLatency}
 	}

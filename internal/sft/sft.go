@@ -66,8 +66,8 @@ type Config struct {
 // DefaultConfig returns standard training settings.
 func DefaultConfig() Config { return Config{Smoothing: 0.5, Seed: 0x5f7} }
 
-// ErrNoData is returned when training on an empty dataset.
-var ErrNoData = errors.New("sft: empty training set")
+// errNoData is returned when training on an empty dataset.
+var errNoData = errors.New("sft: empty training set")
 
 // Model is a fine-tuned prompt-complement model: the PAS model M_p.
 type Model struct {
@@ -82,7 +82,7 @@ func Train(base *simllm.Model, data *dataset.Dataset, cfg Config) (*Model, error
 		return nil, errors.New("sft: nil base model")
 	}
 	if data == nil || data.Len() == 0 {
-		return nil, ErrNoData
+		return nil, errNoData
 	}
 	if cfg.Smoothing < 0 {
 		return nil, fmt.Errorf("sft: smoothing must be >= 0, got %v", cfg.Smoothing)
@@ -318,20 +318,20 @@ type persisted struct {
 
 const formatV1 = "pas-sft-v1"
 
-// Save writes the model to w as JSON.
-func (m *Model) Save(w io.Writer) error {
+// save writes the model to w as JSON.
+func (m *Model) save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(persisted{Format: formatV1, Base: m.base, Seed: m.seed, Policy: m.policy})
 }
 
-// Bytes returns the model in its Save serialization — the canonical
+// Bytes returns the model in its save serialization — the canonical
 // byte form used for checkpoint snapshots and artifact comparison.
-// Save is deterministic (no maps, no timestamps), so equal models
+// save is deterministic (no maps, no timestamps), so equal models
 // produce equal bytes.
 func (m *Model) Bytes() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -348,10 +348,10 @@ func (m *Model) SaveFile(path string) (err error) {
 			err = fmt.Errorf("sft: closing %s: %w", path, cerr)
 		}
 	}()
-	return m.Save(f)
+	return m.save(f)
 }
 
-// Load reads a model saved with Save.
+// Load reads a model saved with save.
 func Load(r io.Reader) (*Model, error) {
 	var p persisted
 	if err := json.NewDecoder(r).Decode(&p); err != nil {

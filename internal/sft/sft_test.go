@@ -65,7 +65,7 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(nil, cleanDataset(t), DefaultConfig()); err == nil {
 		t.Error("nil base should fail")
 	}
-	if _, err := Train(base, &dataset.Dataset{}, DefaultConfig()); err != ErrNoData {
+	if _, err := Train(base, &dataset.Dataset{}, DefaultConfig()); err != errNoData {
 		t.Error("empty data should fail with ErrNoData")
 	}
 	if _, err := Train(base, cleanDataset(t), Config{Smoothing: -1}); err == nil {
@@ -255,7 +255,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(&buf)

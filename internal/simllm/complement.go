@@ -1,20 +1,11 @@
 package simllm
 
-import (
-	"fmt"
-
-	"repro/internal/facet"
-)
-
-// Example is one golden few-shot pair from the paper's D_golden: a user
-// prompt and a known-good complementary prompt.
-type Example struct {
-	Prompt     string
-	Complement string
-}
+import "repro/internal/facet"
 
 // GenerateComplement plays the Figure 4 few-shot call: given a user
-// prompt and golden examples, the model produces a complementary prompt.
+// prompt and shots golden examples from the paper's D_golden, the model
+// produces a complementary prompt. The simulation reads only how many
+// examples guide it, not their text.
 //
 // Raw few-shot generation is imperfect — the paper's motivation for the
 // selection-and-regeneration stage. The defect classes mirror the critic
@@ -22,12 +13,12 @@ type Example struct {
 // user's constraints, over-reaching on a simple prompt, or drifting off
 // target. Defect rates shrink with model quality and with the guidance of
 // golden examples; resampling with a new salt redraws everything.
-func (m *Model) GenerateComplement(prompt string, golden []Example, salt string) string {
+func (m *Model) GenerateComplement(prompt string, shots int, salt string) string {
 	analysis := facet.AnalyzePrompt(prompt)
 	guidance := 0.0
-	if len(golden) > 0 {
+	if shots > 0 {
 		guidance = 0.5
-		if len(golden) >= 4 {
+		if shots >= 4 {
 			guidance = 1.0 // the paper uses 4-5 examples per category
 		}
 	}
@@ -118,8 +109,6 @@ func contains(fs []facet.Facet, f facet.Facet) bool {
 type Verdict struct {
 	// Correct reports whether the pair passed the critic.
 	Correct bool
-	// Reason names the defect class found, or "ok".
-	Reason string
 }
 
 // CritiquePair plays the Figure 5 call: diagnose whether a complementary
@@ -131,35 +120,16 @@ func (m *Model) CritiquePair(prompt, complement string) Verdict {
 	analysis := facet.AnalyzePrompt(prompt)
 	dirs := facet.DetectDirectives(complement)
 
-	defect := ""
-	switch {
-	case facet.DetectAnswerLeak(complement):
-		defect = "answers-instead-of-supplementing"
-	case len(facet.ConflictingDirectives(analysis, dirs)) > 0:
-		defect = "conflicts-with-constraints"
-	case dirs.Len() >= 4 && analysis.Complexity < 1:
-		defect = "excessive-additions"
-	case dirs.Len() == 0:
-		defect = "no-usable-directive"
-	case offTargetScore(analysis, dirs) < 0.15:
-		defect = "deviates-from-intent"
-	}
+	// The defect classes of Figure 5, in the order the critic checks them.
+	defective := facet.DetectAnswerLeak(complement) || // answers instead of supplementing
+		len(facet.ConflictingDirectives(analysis, dirs)) > 0 || // conflicts with constraints
+		dirs.Len() >= 4 && analysis.Complexity < 1 || // excessive additions
+		dirs.Len() == 0 || // no usable directive
+		offTargetScore(analysis, dirs) < 0.15 // deviates from intent
 
 	accuracy := 0.80 + 0.18*m.profile.Quality
 	flip := m.draw(prompt+"\x00"+complement, "critique", "") > accuracy
-	correct := defect == ""
-	if flip {
-		correct = !correct
-		if defect == "" {
-			defect = "false-rejection"
-		} else {
-			defect = ""
-		}
-	}
-	if correct {
-		return Verdict{Correct: true, Reason: "ok"}
-	}
-	return Verdict{Correct: false, Reason: defect}
+	return Verdict{Correct: defective == flip}
 }
 
 // offTargetScore measures how much the demanded facets overlap the
@@ -184,14 +154,4 @@ func offTargetScore(analysis facet.Analysis, dirs facet.Set) float64 {
 		sum += analysis.Needs[f]
 	}
 	return sum / (float64(len(fs)) * top)
-}
-
-// DescribeVerdict renders a verdict as the JSON-ish line the Figure 5
-// prompt requests, for logging and the examples.
-func DescribeVerdict(v Verdict) string {
-	yn := "No"
-	if v.Correct {
-		yn = "Yes"
-	}
-	return fmt.Sprintf(`{"Reason": %q, "Is_correct": %q}`, v.Reason, yn)
 }

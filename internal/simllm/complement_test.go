@@ -8,17 +8,14 @@ import (
 	"repro/internal/facet"
 )
 
-var testGolden = []Example{
-	{Prompt: "Explain how tides form", Complement: "Please provide background; cover all aspects."},
-	{Prompt: "Write a poem about rain", Complement: "Please match the tone; keep the voice."},
-	{Prompt: "Fix my python bug", Complement: "Please be specific; include examples."},
-	{Prompt: "Solve this equation", Complement: "Please step by step; be accurate."},
-}
+// testShots is a full few-shot prompt: the paper uses 4-5 golden
+// examples per category.
+const testShots = 4
 
 func TestGenerateComplementDeterministic(t *testing.T) {
 	m := MustModel(Qwen27B)
 	p := "Explain the science of fermentation."
-	if m.GenerateComplement(p, testGolden, "s1") != m.GenerateComplement(p, testGolden, "s1") {
+	if m.GenerateComplement(p, testShots, "s1") != m.GenerateComplement(p, testShots, "s1") {
 		t.Fatal("not deterministic for fixed salt")
 	}
 }
@@ -36,7 +33,7 @@ func TestGenerateComplementUsuallyOnTarget(t *testing.T) {
 	for _, p := range prompts {
 		needs := facet.AnalyzePrompt(p).Needs
 		for i := 0; i < 25; i++ {
-			aug := m.GenerateComplement(p, testGolden, fmt.Sprintf("g%d", i))
+			aug := m.GenerateComplement(p, testShots, fmt.Sprintf("g%d", i))
 			total++
 			dirs := facet.DetectDirectives(aug)
 			if facet.DetectAnswerLeak(aug) || dirs.Len() == 0 {
@@ -71,10 +68,10 @@ func TestGenerateComplementHasDefectsWithoutGolden(t *testing.T) {
 	for _, p := range prompts {
 		for i := 0; i < 50; i++ {
 			salt := fmt.Sprintf("d%d", i)
-			if isDefective(p, m.GenerateComplement(p, testGolden, salt)) {
+			if isDefective(p, m.GenerateComplement(p, testShots, salt)) {
 				defectsWith++
 			}
-			if isDefective(p, m.GenerateComplement(p, nil, salt)) {
+			if isDefective(p, m.GenerateComplement(p, 0, salt)) {
 				defectsWithout++
 			}
 		}
@@ -100,7 +97,7 @@ func TestGenerateComplementAddsTrapWarning(t *testing.T) {
 	p := "If there are 10 birds on a tree and one is shot dead, how many birds are on the ground?"
 	warned := 0
 	for i := 0; i < 30; i++ {
-		aug := m.GenerateComplement(p, testGolden, fmt.Sprintf("w%d", i))
+		aug := m.GenerateComplement(p, testShots, fmt.Sprintf("w%d", i))
 		if facet.DetectDirectives(aug).Has(facet.TrapAware) {
 			warned++
 		}
@@ -164,17 +161,6 @@ func TestCritiqueRejectsOffTarget(t *testing.T) {
 	}
 }
 
-func TestDescribeVerdict(t *testing.T) {
-	got := DescribeVerdict(Verdict{Correct: true, Reason: "ok"})
-	if !strings.Contains(got, `"Is_correct": "Yes"`) {
-		t.Fatalf("verdict json = %s", got)
-	}
-	got = DescribeVerdict(Verdict{Correct: false, Reason: "conflicts-with-constraints"})
-	if !strings.Contains(got, `"Is_correct": "No"`) || !strings.Contains(got, "conflicts") {
-		t.Fatalf("verdict json = %s", got)
-	}
-}
-
 func BenchmarkRespond(b *testing.B) {
 	m := MustModel(GPT4Turbo)
 	prompt := "Describe the history and mechanism of how blood pressure regulation works."
@@ -189,6 +175,6 @@ func BenchmarkGenerateComplement(b *testing.B) {
 	prompt := "Write a python function that implements a rate limiter."
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.GenerateComplement(prompt, testGolden, "bench")
+		m.GenerateComplement(prompt, testShots, "bench")
 	}
 }

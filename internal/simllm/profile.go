@@ -70,7 +70,7 @@ const (
 	GPT40613    = "gpt-4-0613"
 	GPT35Turbo  = "gpt-3.5-turbo-1106"
 	Qwen272B    = "qwen2-72b-chat"
-	LLaMA370B   = "llama-3-70b-instruct"
+	llama370B   = "llama-3-70b-instruct"
 	Qwen27B     = "qwen2-7b-chat"
 	LLaMA27B    = "llama-2-7b-instruct"
 	Baichuan13B = "baichuan-13b"
@@ -82,7 +82,7 @@ var registry = map[string]Profile{
 	GPT40613:    {Name: GPT40613, Quality: 0.70, Obedience: 0.80, TrapResistance: 0.30, Verbosity: 1.00},
 	GPT35Turbo:  {Name: GPT35Turbo, Quality: 0.55, Obedience: 0.70, TrapResistance: 0.15, Verbosity: 0.90},
 	Qwen272B:    {Name: Qwen272B, Quality: 0.78, Obedience: 0.82, TrapResistance: 0.35, Verbosity: 1.10},
-	LLaMA370B:   {Name: LLaMA370B, Quality: 0.76, Obedience: 0.80, TrapResistance: 0.32, Verbosity: 1.05},
+	llama370B:   {Name: llama370B, Quality: 0.76, Obedience: 0.80, TrapResistance: 0.32, Verbosity: 1.05},
 	Qwen27B:     {Name: Qwen27B, Quality: 0.60, Obedience: 0.75, TrapResistance: 0.20, Verbosity: 1.00},
 	LLaMA27B:    {Name: LLaMA27B, Quality: 0.45, Obedience: 0.60, TrapResistance: 0.10, Verbosity: 0.95},
 	Baichuan13B: {Name: Baichuan13B, Quality: 0.58, Obedience: 0.72, TrapResistance: 0.20, Verbosity: 1.00},
@@ -110,5 +110,5 @@ func Roster() []string {
 // MainModels returns the six downstream models of Table 1, in the paper's
 // row order.
 func MainModels() []string {
-	return []string{GPT4Turbo, GPT41106, GPT40613, GPT35Turbo, Qwen272B, LLaMA370B}
+	return []string{GPT4Turbo, GPT41106, GPT40613, GPT35Turbo, Qwen272B, llama370B}
 }

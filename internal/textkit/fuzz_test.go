@@ -26,10 +26,7 @@ func FuzzTokenize(f *testing.F) {
 		if got, want := Words(s), tokenizeWords(s); !slices.Equal(got, want) {
 			t.Fatalf("Words = %q, the word tokens of Tokenize are %q", got, want)
 		}
-		_ = Sentences(s)
-		_ = Normalize(s)
 		_ = CharNGrams(s, 3)
-		_ = WordNGrams(s, 2)
 	})
 }
 

@@ -23,7 +23,7 @@ func Hash64(s string) uint64 {
 // Hash64Seed hashes s mixed with a seed, so independent feature spaces
 // (for example the sign hash and the bucket hash of a hashing-trick
 // embedder) do not collide systematically.
-func Hash64Seed(s string, seed uint64) uint64 { return NewHasher(seed).Add(s).Sum() }
+func Hash64Seed(s string, seed uint64) uint64 { return NewHasher(seed).Add(s).sum() }
 
 // Hasher is Hash64Seed fed in pieces: NewHasher(seed).Add(a).Add(b).Sum()
 // equals Hash64Seed(a+b, seed) without building a+b, so a draw keyed by
@@ -42,8 +42,8 @@ func (h Hasher) Add(s string) Hasher {
 	return h
 }
 
-// Sum returns the finished hash.
-func (h Hasher) Sum() uint64 { return mix64(uint64(h)) }
+// sum returns the finished hash.
+func (h Hasher) sum() uint64 { return mix64(uint64(h)) }
 
 // mix64 is a finaliser (splitmix64 style) that breaks up the linear
 // structure FNV leaves in the low bits.
@@ -60,7 +60,7 @@ func mix64(h uint64) uint64 {
 func Bucket(s string, seed uint64, n int) int { return NewHasher(seed).Add(s).Bucket(n) }
 
 // Bucket is Bucket for a hash fed in pieces.
-func (h Hasher) Bucket(n int) int { return int(h.Sum() % uint64(n)) }
+func (h Hasher) Bucket(n int) int { return int(h.sum() % uint64(n)) }
 
 // Sign returns +1 or -1 derived from a seeded hash of s, used as the
 // hashing-trick sign to make collisions unbiased in expectation.
@@ -77,4 +77,4 @@ func Sign(s string, seed uint64) float64 {
 func Unit(s string, seed uint64) float64 { return NewHasher(seed).Add(s).Unit() }
 
 // Unit is Unit for a hash fed in pieces.
-func (h Hasher) Unit() float64 { return float64(h.Sum()>>11) / (1 << 53) }
+func (h Hasher) Unit() float64 { return float64(h.sum()>>11) / (1 << 53) }

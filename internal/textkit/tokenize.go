@@ -98,42 +98,6 @@ func AppendWords(buf []byte, ends []int, text string) ([]byte, []int) {
 	return buf, ends
 }
 
-// Sentences splits text into sentences on terminal punctuation. It keeps
-// the terminator attached to the sentence and trims surrounding space.
-// Empty sentences are dropped.
-func Sentences(text string) []string {
-	var out []string
-	var b strings.Builder
-	for _, r := range text {
-		b.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' || r == '\n' {
-			s := strings.TrimSpace(b.String())
-			if s != "" && s != "." && s != "!" && s != "?" {
-				out = append(out, s)
-			}
-			b.Reset()
-		}
-	}
-	if s := strings.TrimSpace(b.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-// WordNGrams returns the contiguous word n-grams of text joined by a
-// single space. n must be >= 1; shorter texts yield no n-grams.
-func WordNGrams(text string, n int) []string {
-	words := Words(text)
-	if n < 1 || len(words) < n {
-		return nil
-	}
-	grams := make([]string, 0, len(words)-n+1)
-	for i := 0; i+n <= len(words); i++ {
-		grams = append(grams, strings.Join(words[i:i+n], " "))
-	}
-	return grams
-}
-
 // CharNGrams returns the character n-grams of the casefolded text,
 // including word-boundary markers, in the style of fastText subword
 // features. Spaces are normalised to a single '_' marker.
@@ -151,9 +115,3 @@ func CharNGrams(text string, n int) []string {
 
 // WordCount reports the number of word tokens in text.
 func WordCount(text string) int { return len(Words(text)) }
-
-// Normalize lower-cases text and collapses runs of whitespace to single
-// spaces, producing the canonical form used for deduplication keys.
-func Normalize(text string) string {
-	return strings.Join(strings.Fields(strings.ToLower(text)), " ")
-}

@@ -136,7 +136,7 @@ func TestHasherMatchesConcatenation(t *testing.T) {
 	f := func(a, b, c string, seed uint64) bool {
 		h := NewHasher(seed).Add(a).Add(b).Add(c)
 		s := a + b + c
-		return h.Sum() == Hash64Seed(s, seed) && h.Unit() == Unit(s, seed) && h.Bucket(7) == Bucket(s, seed, 7)
+		return h.sum() == Hash64Seed(s, seed) && h.Unit() == Unit(s, seed) && h.Bucket(7) == Bucket(s, seed, 7)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -219,4 +219,46 @@ func BenchmarkTokenize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Tokenize(text)
 	}
+}
+
+// Sentences splits text into sentences on terminal punctuation. It keeps
+// the terminator attached to the sentence and trims surrounding space.
+// Empty sentences are dropped.
+func Sentences(text string) []string {
+	var out []string
+	var b strings.Builder
+	for _, r := range text {
+		b.WriteRune(r)
+		if r == '.' || r == '!' || r == '?' || r == '\n' {
+			s := strings.TrimSpace(b.String())
+			if s != "" && s != "." && s != "!" && s != "?" {
+				out = append(out, s)
+			}
+			b.Reset()
+		}
+	}
+	if s := strings.TrimSpace(b.String()); s != "" {
+		out = append(out, s)
+	}
+	return out
+}
+
+// WordNGrams returns the contiguous word n-grams of text joined by a
+// single space. n must be >= 1; shorter texts yield no n-grams.
+func WordNGrams(text string, n int) []string {
+	words := Words(text)
+	if n < 1 || len(words) < n {
+		return nil
+	}
+	grams := make([]string, 0, len(words)-n+1)
+	for i := 0; i+n <= len(words); i++ {
+		grams = append(grams, strings.Join(words[i:i+n], " "))
+	}
+	return grams
+}
+
+// Normalize lower-cases text and collapses runs of whitespace to single
+// spaces, producing the canonical form used for deduplication keys.
+func Normalize(text string) string {
+	return strings.Join(strings.Fields(strings.ToLower(text)), " ")
 }

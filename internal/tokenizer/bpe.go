@@ -12,14 +12,9 @@
 package tokenizer
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/textkit"
 )
@@ -36,23 +31,15 @@ type Config struct {
 	MinPairFreq int
 }
 
-// DefaultConfig returns a vocabulary suitable for the synthetic corpus.
-func DefaultConfig() Config { return Config{VocabSize: 2048, MinPairFreq: 2} }
-
 // Tokenizer is a trained BPE model.
 type Tokenizer struct {
-	merges []mergeRule
 	rank   map[[2]string]int // pair -> merge priority
 	vocab  map[string]int    // token -> id
 	tokens []string          // id -> token
 }
 
-type mergeRule struct {
-	Left, Right string
-}
-
-// ErrEmptyCorpus is returned when training with no usable text.
-var ErrEmptyCorpus = errors.New("tokenizer: empty corpus")
+// errEmptyCorpus is returned when training with no usable text.
+var errEmptyCorpus = errors.New("tokenizer: empty corpus")
 
 // Train learns a BPE vocabulary from the corpus.
 func Train(corpus []string, cfg Config) (*Tokenizer, error) {
@@ -71,7 +58,7 @@ func Train(corpus []string, cfg Config) (*Tokenizer, error) {
 		}
 	}
 	if len(wordFreq) == 0 {
-		return nil, ErrEmptyCorpus
+		return nil, errEmptyCorpus
 	}
 
 	// Each distinct word becomes a symbol sequence: runes + </w>.
@@ -115,7 +102,7 @@ func Train(corpus []string, cfg Config) (*Tokenizer, error) {
 	}
 
 	// Merge loop.
-	for len(t.tokens) < cfg.VocabSize {
+	for merges := 0; len(t.tokens) < cfg.VocabSize; merges++ {
 		pairFreq := make(map[[2]string]int)
 		for _, e := range entries {
 			for i := 0; i+1 < len(e.symbols); i++ {
@@ -132,8 +119,7 @@ func Train(corpus []string, cfg Config) (*Tokenizer, error) {
 			break
 		}
 		merged := best[0] + best[1]
-		t.rank[best] = len(t.merges)
-		t.merges = append(t.merges, mergeRule{Left: best[0], Right: best[1]})
+		t.rank[best] = merges
 		addTok(merged)
 		for i := range entries {
 			entries[i].symbols = applyMerge(entries[i].symbols, best, merged)
@@ -158,33 +144,6 @@ func applyMerge(syms []string, pair [2]string, merged string) []string {
 		} else {
 			out = append(out, syms[i])
 		}
-	}
-	return out
-}
-
-// VocabSize returns the number of known tokens.
-func (t *Tokenizer) VocabSize() int { return len(t.tokens) }
-
-// Encode tokenises text into vocabulary ids. Unknown symbols (characters
-// never seen in training) are skipped, like an <unk> drop.
-func (t *Tokenizer) Encode(text string) []int {
-	var ids []int
-	for _, w := range textkit.Words(text) {
-		for _, tok := range t.encodeWord(w) {
-			if id, ok := t.vocab[tok]; ok {
-				ids = append(ids, id)
-			}
-		}
-	}
-	return ids
-}
-
-// EncodeTokens returns the subword strings rather than ids, for
-// inspection and tests.
-func (t *Tokenizer) EncodeTokens(text string) []string {
-	var out []string
-	for _, w := range textkit.Words(text) {
-		out = append(out, t.encodeWord(w)...)
 	}
 	return out
 }
@@ -215,20 +174,6 @@ func (t *Tokenizer) encodeWord(w string) []string {
 	}
 }
 
-// Decode reassembles ids into text. Word boundaries come from the </w>
-// markers; output is lower-case space-joined words (the tokenizer, like
-// the rest of the text substrate, is casefolding).
-func (t *Tokenizer) Decode(ids []int) string {
-	var b strings.Builder
-	for _, id := range ids {
-		if id < 0 || id >= len(t.tokens) {
-			continue
-		}
-		b.WriteString(t.tokens[id])
-	}
-	return strings.TrimSpace(strings.ReplaceAll(b.String(), endOfWord, " "))
-}
-
 // CountTokens returns the number of BPE tokens in text — the unit the
 // chat API meters usage in.
 func (t *Tokenizer) CountTokens(text string) int {
@@ -237,71 +182,4 @@ func (t *Tokenizer) CountTokens(text string) int {
 		n += len(t.encodeWord(w))
 	}
 	return n
-}
-
-// persisted is the on-disk format.
-type persisted struct {
-	Format string      `json:"format"`
-	Merges []mergeRule `json:"merges"`
-	Tokens []string    `json:"tokens"`
-}
-
-const formatV1 = "pas-bpe-v1"
-
-// Save writes the tokenizer as JSON.
-func (t *Tokenizer) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(persisted{Format: formatV1, Merges: t.merges, Tokens: t.tokens}); err != nil {
-		return fmt.Errorf("tokenizer: encoding: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads a tokenizer saved with Save.
-func Load(r io.Reader) (*Tokenizer, error) {
-	var p persisted
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("tokenizer: decoding: %w", err)
-	}
-	if p.Format != formatV1 {
-		return nil, fmt.Errorf("tokenizer: unsupported format %q", p.Format)
-	}
-	t := &Tokenizer{merges: p.Merges, rank: make(map[[2]string]int, len(p.Merges)), vocab: make(map[string]int, len(p.Tokens)), tokens: p.Tokens}
-	for i, m := range p.Merges {
-		t.rank[[2]string{m.Left, m.Right}] = i
-	}
-	for i, tok := range p.Tokens {
-		if tok == "" {
-			return nil, fmt.Errorf("tokenizer: empty token at id %d", i)
-		}
-		if _, dup := t.vocab[tok]; dup {
-			return nil, fmt.Errorf("tokenizer: duplicate token %q", tok)
-		}
-		t.vocab[tok] = i
-	}
-	return t, nil
-}
-
-// SaveFile writes the tokenizer to path.
-func (t *Tokenizer) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("tokenizer: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("tokenizer: closing %s: %w", path, cerr)
-		}
-	}()
-	return t.Save(f)
-}
-
-// LoadFile reads a tokenizer from path.
-func LoadFile(path string) (*Tokenizer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tokenizer: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

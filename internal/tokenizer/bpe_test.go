@@ -1,13 +1,12 @@
 package tokenizer
 
 import (
-	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/corpus"
+	"repro/internal/textkit"
 )
 
 func trainingCorpus(t testing.TB) []string {
@@ -42,10 +41,10 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train([]string{"hello"}, Config{VocabSize: 100, MinPairFreq: 0}); err == nil {
 		t.Error("MinPairFreq 0 should fail")
 	}
-	if _, err := Train(nil, DefaultConfig()); err != ErrEmptyCorpus {
-		t.Error("empty corpus should fail with ErrEmptyCorpus")
+	if _, err := Train(nil, DefaultConfig()); err != errEmptyCorpus {
+		t.Error("empty corpus should fail with errEmptyCorpus")
 	}
-	if _, err := Train([]string{"!!!", "???"}, DefaultConfig()); err != ErrEmptyCorpus {
+	if _, err := Train([]string{"!!!", "???"}, DefaultConfig()); err != errEmptyCorpus {
 		t.Error("punctuation-only corpus should fail")
 	}
 }
@@ -141,54 +140,6 @@ func TestUnknownCharactersSkipped(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tok := trained(t)
-	var buf bytes.Buffer
-	if err := tok.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := "give me advice on negotiating a salary offer"
-	if tok.Decode(tok.Encode(text)) != got.Decode(got.Encode(text)) {
-		t.Fatal("loaded tokenizer differs")
-	}
-	if got.VocabSize() != tok.VocabSize() {
-		t.Fatal("vocab size lost")
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(strings.NewReader("nope")); err == nil {
-		t.Error("bad json should fail")
-	}
-	if _, err := Load(strings.NewReader(`{"format":"other"}`)); err == nil {
-		t.Error("wrong format should fail")
-	}
-	if _, err := Load(strings.NewReader(`{"format":"pas-bpe-v1","tokens":["a","a"]}`)); err == nil {
-		t.Error("duplicate tokens should fail")
-	}
-	if _, err := Load(strings.NewReader(`{"format":"pas-bpe-v1","tokens":[""]}`)); err == nil {
-		t.Error("empty token should fail")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	tok := trained(t)
-	path := filepath.Join(t.TempDir(), "bpe.json")
-	if err := tok.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file should fail")
-	}
-}
-
 func TestDecodeIgnoresBadIDs(t *testing.T) {
 	tok := trained(t)
 	if got := tok.Decode([]int{-1, 1 << 30}); got != "" {
@@ -244,4 +195,48 @@ func FuzzEncodeDecode(f *testing.F) {
 			t.Fatal("negative token count")
 		}
 	})
+}
+
+// DefaultConfig returns a vocabulary suitable for the synthetic corpus.
+func DefaultConfig() Config { return Config{VocabSize: 2048, MinPairFreq: 2} }
+
+// VocabSize returns the number of known tokens.
+func (t *Tokenizer) VocabSize() int { return len(t.tokens) }
+
+// Encode tokenises text into vocabulary ids. Unknown symbols (characters
+// never seen in training) are skipped, like an <unk> drop.
+func (t *Tokenizer) Encode(text string) []int {
+	var ids []int
+	for _, w := range textkit.Words(text) {
+		for _, tok := range t.encodeWord(w) {
+			if id, ok := t.vocab[tok]; ok {
+				ids = append(ids, id)
+			}
+		}
+	}
+	return ids
+}
+
+// EncodeTokens returns the subword strings rather than ids, for
+// inspection and tests.
+func (t *Tokenizer) EncodeTokens(text string) []string {
+	var out []string
+	for _, w := range textkit.Words(text) {
+		out = append(out, t.encodeWord(w)...)
+	}
+	return out
+}
+
+// Decode reassembles ids into text. Word boundaries come from the </w>
+// markers; output is lower-case space-joined words (the tokenizer, like
+// the rest of the text substrate, is casefolding).
+func (t *Tokenizer) Decode(ids []int) string {
+	var b strings.Builder
+	for _, id := range ids {
+		if id < 0 || id >= len(t.tokens) {
+			continue
+		}
+		b.WriteString(t.tokens[id])
+	}
+	return strings.TrimSpace(strings.ReplaceAll(b.String(), endOfWord, " "))
 }

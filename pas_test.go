@@ -64,7 +64,7 @@ func TestBuildProducesWorkingSystem(t *testing.T) {
 	if res.CurationStats.AfterFilter == 0 {
 		t.Fatal("curation kept nothing")
 	}
-	if res.AugmentStats.Generated == 0 {
+	if res.AugmentStats.Prompts == 0 {
 		t.Fatal("no generations")
 	}
 	if res.System.BaseModel() != simllm.Qwen27B {
