@@ -237,21 +237,21 @@ var (
 
 // rewriteBody runs body through the proxy's request rewrite, without an
 // upstream, and returns what would be forwarded.
-func rewriteBody(t testing.TB, aug Augmenter, body []byte) (out []byte, contentLength int64, level string) {
+func rewriteBody(t testing.TB, aug Augmenter, body []byte) (out []byte, contentLength int64, degraded bool) {
 	t.Helper()
 	proxy := &Proxy{system: aug}
 	req := &http.Request{
 		Method: http.MethodPost, Header: http.Header{},
 		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
 	}
-	level, _, err := proxy.augmentRequest(context.Background(), nil, req)
+	degraded, _, err := proxy.augmentRequest(context.Background(), nil, req)
 	if err != nil {
 		t.Fatalf("%q: augmentRequest: %v", body, err)
 	}
 	if out, err = io.ReadAll(req.Body); err != nil {
 		t.Fatal(err)
 	}
-	return out, req.ContentLength, level
+	return out, req.ContentLength, degraded
 }
 
 // insertion returns the bytes out has and orig lacks when out is orig
@@ -269,11 +269,11 @@ func insertion(orig, out []byte, at int) (inserted []byte, ok bool) {
 func TestSpliceFidelity(t *testing.T) {
 	t.Run("tool calls survive and <b> stays <b>", func(t *testing.T) {
 		orig := []byte(toolCallChat)
-		out, n, level := rewriteBody(t, markAugmenter, orig)
+		out, n, degraded := rewriteBody(t, markAugmenter, orig)
 		at := bytes.Index(orig, []byte(`Rome?"`)) + len(`Rome?`)
 		ins, ok := insertion(orig, out, at)
-		if !ok || level != "" || n != int64(len(out)) {
-			t.Fatalf("forwarded %s (level %q, length %d): not the original plus bytes at %d", out, level, n, at)
+		if !ok || degraded || n != int64(len(out)) {
+			t.Fatalf("forwarded %s (degraded %v, length %d): not the original plus bytes at %d", out, degraded, n, at)
 		}
 		var tail string
 		if err := json.Unmarshal([]byte(`"`+string(ins)+`"`), &tail); err != nil || tail != "\n"+markComplement {
@@ -305,17 +305,17 @@ func TestSpliceFidelity(t *testing.T) {
 
 	t.Run("an augmenter that rewords leaves the body alone, flagged", func(t *testing.T) {
 		orig := []byte(`{"messages":[{"content":"café \"au\" lait","role":"user"}],"n":1}`)
-		out, n, level := rewriteBody(t, rewordAugmenter, orig)
-		if !bytes.Equal(out, orig) || n != int64(len(orig)) || level != "1" {
-			t.Fatalf("forwarded %s (length %d) at level %q, want the body as sent, flagged 1", out, n, level)
+		out, n, degraded := rewriteBody(t, rewordAugmenter, orig)
+		if !bytes.Equal(out, orig) || n != int64(len(orig)) || !degraded {
+			t.Fatalf("forwarded %s (length %d, degraded %v), want the body as sent, flagged", out, n, degraded)
 		}
 	})
 
 	t.Run("a raw-rung answer leaves the body alone", func(t *testing.T) {
 		orig := []byte(`{"messages":[{"role":"user","content":"caf\u00e9 \/ <b>"}]}`)
-		out, _, level := rewriteBody(t, rawRungAugmenter, orig)
-		if !bytes.Equal(out, orig) || level != "1" {
-			t.Fatalf("forwarded %s at level %q", out, level)
+		out, _, degraded := rewriteBody(t, rawRungAugmenter, orig)
+		if !bytes.Equal(out, orig) || !degraded {
+			t.Fatalf("forwarded %s, degraded %v", out, degraded)
 		}
 	})
 }
@@ -636,17 +636,13 @@ func FuzzChatRewrite(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkScanAgainstRef(t, body)
 		ref := refScan(body)
-		out, contentLength, level := rewriteBody(t, markAugmenter, body)
+		out, contentLength, degraded := rewriteBody(t, markAugmenter, body)
 		if contentLength != int64(len(out)) {
 			t.Fatalf("%q: Content-Length %d for %d bytes", body, contentLength, len(out))
 		}
 		if !ref.usable || !ref.hasUser {
-			wantLevel := "1"
-			if ref.usable {
-				wantLevel = ""
-			}
-			if !bytes.Equal(out, body) || level != wantLevel {
-				t.Fatalf("%q: forwarded %q at level %q, want it untouched at level %q", body, out, level, wantLevel)
+			if !bytes.Equal(out, body) || degraded == ref.usable {
+				t.Fatalf("%q: forwarded %q, degraded %v, want it untouched, degraded %v", body, out, degraded, !ref.usable)
 			}
 			return
 		}
@@ -660,8 +656,8 @@ func FuzzChatRewrite(f *testing.F) {
 		for at := prefix; at >= 0 && !ok; at-- {
 			_, ok = insertion(body, out, at)
 		}
-		if !ok || len(out) <= len(body) || !json.Valid(out) || level != "" {
-			t.Fatalf("%q: forwarded %q at level %q, want valid JSON that is the input plus one insertion", body, out, level)
+		if !ok || len(out) <= len(body) || !json.Valid(out) || degraded {
+			t.Fatalf("%q: forwarded %q, degraded %v, want valid JSON that is the input plus one insertion", body, out, degraded)
 		}
 		if got := refScan(out); got.prompt != ref.prompt+"\n"+markComplement {
 			t.Fatalf("%q: forwarded content %q, want %q + newline + complement", body, got.prompt, ref.prompt)

@@ -9,11 +9,8 @@ package daemon
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	pas "repro"
@@ -37,40 +34,12 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&c.CacheSize, "cache-size", 4096, "complement result cache entries (negative disables)")
 	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result cache TTL (0 = no expiry; sound for a fixed model)")
 	fs.IntVar(&c.MaxInFlight, "max-inflight", 64, "max concurrent complement computations (a fixed cap)")
-	fs.Func("tenant-weights", "fair-share weights as tenant=w,tenant=w (unlisted tenants get -default-tenant-weight)", tenantMap(&c.TenantWeights))
-	fs.IntVar(&c.DefaultTenantWeight, "default-tenant-weight", 1, "fair-share weight of unlisted tenants")
-	fs.Func("tenant-quotas", "per-tenant concurrent-computation caps as tenant=n,tenant=n", tenantMap(&c.TenantQuotas))
-	fs.IntVar(&c.TenantQueueDepth, "tenant-queue-depth", 0, "per-tenant share of the waiting room (0 = weighted split of -queue-depth)")
 	fs.IntVar(&c.MaxTenants, "max-tenants", 0, "bound on tracked tenants; ids beyond it pool into an overflow tenant (0 = 64)")
 	fs.DurationVar(&c.ComputeDelay, "compute-delay", 0, "pad every complement computation (overload-drill knob; leave 0 in production)")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 256, "max requests waiting for a computation slot (0 = shed instantly)")
 	fs.DurationVar(&c.QueueWait, "queue-wait", 100*time.Millisecond, "max wait for a slot before shedding")
 	fs.BoolVar(&c.Degrade, "degrade", true, "fail open: answer with the un-augmented prompt, flagged X-PAS-Degraded, instead of 503 when augmentation sheds")
 	return f
-}
-
-// tenantMap is the flag.Func parser for "tenant=n,tenant=n" values.
-func tenantMap(dst *map[string]int) func(string) error {
-	return func(s string) error {
-		out := make(map[string]int)
-		for _, pair := range strings.Split(s, ",") {
-			pair = strings.TrimSpace(pair)
-			if pair == "" {
-				continue
-			}
-			name, val, ok := strings.Cut(pair, "=")
-			if !ok {
-				return fmt.Errorf("%q is not tenant=value", pair)
-			}
-			n, err := strconv.Atoi(strings.TrimSpace(val))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("%q: value must be a positive integer", pair)
-			}
-			out[strings.TrimSpace(name)] = n
-		}
-		*dst = out
-		return nil
-	}
 }
 
 // Obs is a server's observability: its two flags and, once Start has

@@ -27,7 +27,7 @@ func TestBindDefaults(t *testing.T) {
 	}
 	want := pas.ServingConfig{
 		CacheSize: 4096, MaxInFlight: 64, QueueDepth: 256, QueueWait: 100 * time.Millisecond,
-		Degrade: true, DefaultTenantWeight: 1,
+		Degrade: true,
 	}
 	if !reflect.DeepEqual(f.Serving, want) {
 		t.Fatalf("default serving config:\n got %+v\nwant %+v", f.Serving, want)
@@ -48,10 +48,6 @@ func TestBindRoundTrip(t *testing.T) {
 		{"cache-size", "-1", func(f *Flags) any { return f.Serving.CacheSize }, -1},
 		{"cache-ttl", "30s", func(f *Flags) any { return f.Serving.CacheTTL }, 30 * time.Second},
 		{"max-inflight", "8", func(f *Flags) any { return f.Serving.MaxInFlight }, 8},
-		{"tenant-weights", "gold=3, free=1", func(f *Flags) any { return f.Serving.TenantWeights }, map[string]int{"gold": 3, "free": 1}},
-		{"default-tenant-weight", "2", func(f *Flags) any { return f.Serving.DefaultTenantWeight }, 2},
-		{"tenant-quotas", "free=2", func(f *Flags) any { return f.Serving.TenantQuotas }, map[string]int{"free": 2}},
-		{"tenant-queue-depth", "5", func(f *Flags) any { return f.Serving.TenantQueueDepth }, 5},
 		{"max-tenants", "16", func(f *Flags) any { return f.Serving.MaxTenants }, 16},
 		{"compute-delay", "25ms", func(f *Flags) any { return f.Serving.ComputeDelay }, 25 * time.Millisecond},
 		{"queue-depth", "0", func(f *Flags) any { return f.Serving.QueueDepth }, 0},
@@ -86,16 +82,4 @@ func TestBindRoundTrip(t *testing.T) {
 			t.Errorf("flag -%s has no round-trip row", fl.Name)
 		}
 	})
-}
-
-// TestBindRejectsMalformedTenantMaps: a bad tenant=n list fails the
-// parse instead of starting a daemon with a silently empty table.
-func TestBindRejectsMalformedTenantMaps(t *testing.T) {
-	for _, arg := range []string{"gold", "gold=", "gold=x", "gold=0", "gold=-2", "gold=3,free"} {
-		for _, name := range []string{"tenant-weights", "tenant-quotas"} {
-			if _, err := parse(t, "-"+name+"="+arg); err == nil {
-				t.Errorf("-%s=%q parsed, want an error", name, arg)
-			}
-		}
-	}
 }

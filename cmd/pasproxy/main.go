@@ -17,7 +17,7 @@
 // In single-node mode augmentation runs through the same serving core as
 // cmd/passerve, configured by the same flags (cmd/internal/daemon) —
 // result cache (-cache-size, -cache-ttl), single-flight dedup, bounded
-// tenant-fair admission under a fixed cap (-max-inflight,
+// round-robin tenant admission under a fixed cap (-max-inflight,
 // -queue-depth, -queue-wait) and fail-open (-degrade).
 //
 // With -replicas the proxy instead routes each augmentation to the
@@ -40,15 +40,17 @@
 // (GET/POST/DELETE), enabled by -admin-token.
 //
 // With -degrade (default on) an augmentation the serving tier cannot
-// deliver is forwarded un-augmented — flagged X-PAS-Degraded and counted
-// in /v1/stats — so a PAS-side failure never turns into a user-visible
-// 5xx; upstream errors, 4xx included, always pass through verbatim.
+// deliver is forwarded un-augmented, flagged X-PAS-Degraded: 1 (as is a
+// replica's reply flagged with any value) and counted in /v1/stats, so
+// a PAS-side failure never turns into a user-visible 5xx; upstream
+// errors, 4xx included, always pass through verbatim.
 // SIGINT/SIGTERM drain in-flight requests.
 package main
 
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -85,10 +87,7 @@ type options struct {
 // clusterIgnored are the serving flags that do nothing with -replicas:
 // they size the in-process core's admission and tenancy, and the
 // replicas run their own.
-var clusterIgnored = []string{
-	"max-inflight", "tenant-weights", "default-tenant-weight", "tenant-quotas",
-	"tenant-queue-depth", "max-tenants", "compute-delay", "queue-depth", "queue-wait",
-}
+var clusterIgnored = []string{"max-inflight", "max-tenants", "compute-delay", "queue-depth", "queue-wait"}
 
 // setButIgnored names the flags of clusterIgnored that were set on fs.
 func setButIgnored(fs *flag.FlagSet) (names []string) {
@@ -135,30 +134,15 @@ func keepUpstreamConnections() {
 	}
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("pasproxy: ")
-	o := bindFlags(flag.CommandLine)
-	flag.Parse()
-	keepUpstreamConnections()
-
-	// Fail configuration errors at startup with a clear message, not as
-	// the first request's 502: the upstream must be a bare absolute
-	// http(s) URL (the proxy only rewrites scheme/host, so a path here
-	// would be silently dropped), and every replica likewise.
-	if _, err := ring.NormalizeReplicas([]string{o.upstream}); err != nil {
-		log.Fatalf("-upstream %q: must be a bare absolute http(s)://host[:port] URL", o.upstream)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	o.Start(ctx, "pasproxy")
+// newHandler builds pasproxy's HTTP surface from its command line, fs
+// parsed into o, after o.Start: the augmenting proxy behind the daemons'
+// middleware chain, the mode's /v1/stats, and /metricsz over o's
+// registry. In cluster mode the ring client probes its replicas until
+// ctx ends.
+func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.Logger) (http.Handler, error) {
 	resilience.RegisterMetrics(o.Reg)
-
 	mux := http.NewServeMux()
 	var proxy *pas.Proxy
-
 	if o.replicas != "" {
 		var urls []string
 		for _, r := range strings.Split(o.replicas, ",") {
@@ -185,12 +169,12 @@ func main() {
 			},
 		})
 		if err != nil {
-			log.Fatalf("-replicas: %v", err)
+			return nil, fmt.Errorf("-replicas: %w", err)
 		}
 		client.Start(ctx)
 		client.RegisterMetrics(o.Reg)
 		if proxy, err = pas.NewProxyWith(client, o.upstream); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		mux.Handle("/v1/stats", client.StatsHandler())
 		mux.Handle("/metricsz/cluster", client.MetricsRollup(o.Reg, 0))
@@ -198,34 +182,60 @@ func main() {
 		if o.adminToken != "" {
 			log.Printf("membership admin API enabled at /v1/cluster/replicas")
 		}
-		for _, name := range setButIgnored(flag.CommandLine) {
+		for _, name := range setButIgnored(fs) {
 			log.Printf("-%s has no effect with -replicas: it sizes the in-process serving core, and the replicas run their own", name)
 		}
 		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v, near cache %d entries", len(urls), o.vnodes, o.hedge, max(o.Serving.CacheSize, 0))
 	} else {
 		sys, err := pas.LoadSystem(o.model)
 		if err != nil {
-			log.Fatalf("%v (train one with pastrain)", err)
+			return nil, fmt.Errorf("%w (train one with pastrain)", err)
 		}
 		if err := sys.EnableServing(o.Serving); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		sys.RegisterMetrics(o.Reg)
 		if proxy, err = pas.NewProxy(sys, o.upstream); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		mux.Handle("/v1/stats", sys.StatsHandler())
 		log.Printf("single-node mode (PAS base %s)", sys.BaseModel())
 	}
 
-	mux.Handle("/", o.Chain(proxy, "pasproxy", log.New(os.Stderr, "pasproxy: ", 0)))
+	mux.Handle("/", o.Chain(proxy, "pasproxy", logger))
 	// Served locally, not proxied. /v1/stats is mounted per mode.
 	mux.Handle("/metricsz", o.Reg.Handler())
+	return mux, nil
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("pasproxy: ")
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	keepUpstreamConnections()
+
+	// Fail configuration errors at startup with a clear message, not as
+	// the first request's 502: the upstream must be a bare absolute
+	// http(s) URL (the proxy only rewrites scheme/host, so a path here
+	// would be silently dropped), and every replica likewise.
+	if _, err := ring.NormalizeReplicas([]string{o.upstream}); err != nil {
+		log.Fatalf("-upstream %q: must be a bare absolute http(s)://host[:port] URL", o.upstream)
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	o.Start(ctx, "pasproxy")
+	handler, err := newHandler(ctx, o, flag.CommandLine, log.New(os.Stderr, "pasproxy: ", 0))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	log.Printf("augmenting traffic to %s on %s", o.upstream, o.addr)
 	srv := &http.Server{
 		Addr:              o.addr,
-		Handler:           mux,
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		// No ReadTimeout or WriteTimeout: pas.Proxy bounds the one read it
 		// holds in memory. Longer than an idle http.Transport keeps a connection.

@@ -25,9 +25,9 @@
 // gets one attempt — answered raw (X-PAS-Degraded: 1, the only reduced
 // answer) with -degrade, 503 + Retry-After without. Requests
 // carrying an X-PAS-Tenant header (or an API key, fingerprinted) are
-// admitted by a weighted fair-share queue (-tenant-weights,
-// -tenant-quotas, -max-tenants), so one flooding tenant cannot starve
-// the rest. The serving flags are cmd/internal/daemon's, shared with
+// admitted by a round-robin queue with an equal share of the waiting
+// room per tenant (-max-tenants bounds the table), so one flooding
+// tenant cannot starve the rest. The serving flags are cmd/internal/daemon's, shared with
 // cmd/pasproxy.
 //
 // Shutdown is graceful and router-aware. POST /v1/drain (guarded by
@@ -74,10 +74,13 @@ func bindFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// newHandler assembles passerve's HTTP surface: every route of the
-// System behind the daemons' one middleware chain. What admits a
-// POST /v1/augment is the serving core and nothing in front of it.
+// newHandler assembles passerve's HTTP surface, after o.Start: every
+// route of the System behind the daemons' one middleware chain, and
+// /metricsz over o's registry. What admits a POST /v1/augment is the
+// serving core and nothing in front of it.
 func newHandler(sys *pas.System, o *daemon.Obs, logger *log.Logger) http.Handler {
+	sys.RegisterMetrics(o.Reg)
+	resilience.RegisterMetrics(o.Reg)
 	mux := http.NewServeMux()
 	mux.Handle("/", o.Chain(sys.Handler(), "passerve", logger))
 	mux.Handle("/metricsz", o.Reg.Handler())
@@ -124,8 +127,6 @@ func main() {
 	defer stop()
 
 	o.Start(ctx, "passerve")
-	sys.RegisterMetrics(o.Reg)
-	resilience.RegisterMetrics(o.Reg)
 
 	log.Printf("serving PAS (base %s) on %s", sys.BaseModel(), o.addr)
 	srv := &http.Server{

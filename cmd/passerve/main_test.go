@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 
 	pas "repro"
 	"repro/cmd/internal/daemon"
+	"repro/internal/obs"
 )
 
 // TestServingFlagsAreTheSharedBinders: every serving flag passerve
@@ -38,12 +40,26 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 			t.Errorf("-%s: passerve has %+v, the binder %+v", w.Name, g, w)
 		}
 	})
-	if n < 14 {
-		t.Fatalf("the binder declared %d flags, want the 12 serving + 2 observability ones", n)
+	if n != 10 {
+		t.Fatalf("the binder declared %d flags, want the 8 serving + 2 observability ones", n)
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/help.golden from what bindFlags declares")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from what the daemon declares and serves")
+
+// checkGolden fails unless got is testdata/name; -update rewrites it.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(golden); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("%s differs (%v; rerun with -update if the change is meant):\n%s", golden, err, got)
+	}
+}
 
 // TestHelpGolden: what `passerve -h` prints is testdata/help.golden, so a flag
 // that appears, disappears or changes its default or wording is a
@@ -57,19 +73,87 @@ func TestHelpGolden(t *testing.T) {
 	if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
 		t.Fatalf("-h: %v", err)
 	}
-	const golden = "testdata/help.golden"
-	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+	checkGolden(t, "help.golden", got.Bytes())
+}
+
+// surface is what a client reads off a daemon, values aside: the key
+// paths of GET /v1/stats (array elements as name[]) and each GET
+// /metricsz series as name{label,...}, sorted.
+func surface(t *testing.T, get func(path string) string) []byte {
+	t.Helper()
+	var stats any
+	if err := json.Unmarshal([]byte(get("/v1/stats")), &stats); err != nil {
+		t.Fatalf("/v1/stats: %v", err)
+	}
+	var lines []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				walk(path+"."+k, e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(path+"[]", e)
+			}
+		default:
+			lines = append(lines, "stats "+path[1:])
 		}
 	}
-	want, err := os.ReadFile(golden)
+	walk("", stats)
+	fams, err := obs.ParseExposition(strings.NewReader(get("/metricsz")))
 	if err != nil {
+		t.Fatalf("/metricsz: %v", err)
+	}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			var names []string
+			for _, l := range s.Labels {
+				names = append(names, l.Key)
+			}
+			slices.Sort(names)
+			lines = append(lines, "metricsz "+f.Name+s.Suffix+"{"+strings.Join(names, ",")+"}")
+		}
+	}
+	slices.Sort(lines)
+	return []byte(strings.Join(slices.Compact(lines), "\n") + "\n")
+}
+
+// TestSurfaceGolden: the /v1/stats keys and /metricsz series passerve
+// shows after one full, one fail-open and one shed request from two
+// tenants are testdata/surface.golden, so a key or a label that appears
+// or disappears is a diff in review. `-update` rewrites it.
+func TestSurfaceGolden(t *testing.T) {
+	fs := flag.NewFlagSet("passerve", flag.ContinueOnError)
+	o := bindFlags(fs)
+	// One slot and no waiting room: a computation asked for while another
+	// runs is shed, and answered raw; after the drain one is refused.
+	if err := fs.Parse([]string{"-max-inflight", "1", "-queue-depth", "0", "-compute-delay", "200ms"}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("-h is not %s (rerun with -update if the change is meant):\n%s", golden, got.Bytes())
+	d := startDaemon(t, o.Serving)
+	full := make(chan reply, 1)
+	go func() {
+		r, _ := d.do("POST", "/v1/augment", "a", `{"prompt":"Explain how tides form."}`)
+		full <- r
+	}()
+	for deadline := time.Now().Add(5 * time.Second); d.stats().InFlight == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first computation never started")
+		}
 	}
+	if r, _ := d.do("POST", "/v1/augment", "b", `{"prompt":"Write a haiku about rain."}`); r.code != http.StatusOK || r.header.Get("X-PAS-Degraded") != "1" {
+		t.Fatalf("fail-open: %d %s", r.code, r.body)
+	}
+	if r := <-full; r.code != http.StatusOK || r.header.Get("X-PAS-Degraded") != "" {
+		t.Fatalf("full: %d %s", r.code, r.body)
+	}
+	d.must("POST", "/v1/drain", `{"exit":false}`)
+	if r, _ := d.do("POST", "/v1/augment", "b", `{"prompt":"Name three rivers."}`); r.code != http.StatusServiceUnavailable {
+		t.Fatalf("shed: %d %s", r.code, r.body)
+	}
+	checkGolden(t, "surface.golden", surface(t, func(path string) string { return d.must("GET", path, "").body }))
 }
 
 var (
@@ -91,10 +175,8 @@ func startDaemon(t *testing.T, cfg pas.ServingConfig) *daemonUnderTest {
 	t.Helper()
 	buildOnce.Do(func() {
 		c := pas.DefaultConfig()
-		c.CorpusSize = 400
-		c.ClassifierExamples = 300
-		c.Augment.PerCategoryCap = 8
-		c.Augment.HeavyCategoryCap = 16
+		c.CorpusSize, c.ClassifierExamples = 400, 300
+		c.Augment.PerCategoryCap, c.Augment.HeavyCategoryCap = 8, 16
 		built, buildErr = pas.Build(c)
 	})
 	if buildErr != nil {
@@ -200,7 +282,6 @@ func (d *daemonUnderTest) flood(n int, tenant, prompt func(i int) string) []repl
 var shrunkCore = pas.ServingConfig{
 	CacheSize: -1, ComputeDelay: 20 * time.Millisecond,
 	MaxInFlight: 4, QueueDepth: 16, QueueWait: 50 * time.Millisecond, Degrade: true,
-	DefaultTenantWeight: 1,
 }
 
 // TestFloodIsNever5xxWhenFailOpen: the serving core is the only

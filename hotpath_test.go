@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serving"
 	"repro/internal/wire"
 )
 
@@ -29,17 +28,18 @@ func referenceAugment(s *System, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "prompt is required"})
 		return
 	}
-	c, level, err := s.complementLevel(r.Context(), req.Prompt, req.Salt)
+	c, degraded, err := s.complementLevel(r.Context(), req.Prompt, req.Salt)
 	if err != nil {
 		s.writeOverloaded(w, err)
 		return
 	}
 	resp := AugmentResponse{
 		Prompt: req.Prompt, Complement: c, Augmented: cat(req.Prompt, c), Model: s.BaseModel(),
-		Degraded: level != serving.LevelFull, DegradedLevel: level.Header(),
+		Degraded: degraded,
 	}
-	if resp.Degraded {
-		w.Header().Set("X-PAS-Degraded", resp.DegradedLevel)
+	if degraded {
+		resp.DegradedLevel = "1"
+		w.Header().Set("X-PAS-Degraded", "1")
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -216,7 +216,7 @@ func (c *Client) Owner(prompt, salt string) (string, bool) {
 // result carries one successful remote augmentation.
 type result struct {
 	augmented string
-	level     string // X-PAS-Degraded wire value; "" = full quality
+	degraded  bool // the replica flagged its reply X-PAS-Degraded
 	replica   *replica
 }
 
@@ -224,23 +224,15 @@ type result struct {
 // replica (hedging to and failing over across ring successors), and
 // applies the fail-open policy when the whole fleet is unreachable. It
 // mirrors pas.System.AugmentContextDegraded so the proxy treats
-// in-process and clustered augmentation identically.
-func (c *Client) AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error) {
-	augmented, level, err := c.AugmentContextLevel(ctx, prompt, salt)
-	return augmented, level != "", err
-}
-
-// AugmentContextLevel is AugmentContextDegraded with the answer's
-// level: the X-PAS-Degraded wire value the serving replica answered
-// with ("" full, "1" raw/fail-open), passed through as sent. It
-// implements the proxy's level-aware augmenter interface.
+// in-process and clustered augmentation identically. A replica's reply
+// flagged X-PAS-Degraded with any value is degraded, as is the fail-open.
 //
 // With a near cache the key is looked up before anything is routed, and
 // a hit is prompt + the remembered tail at full quality. Only a replica's
 // full-quality answer is ever remembered — never a flagged reply, never
 // the fail-open below — so a near hit cannot serve a raw answer
 // unflagged.
-func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
+func (c *Client) AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error) {
 	atomic.AddInt64(&c.requests, 1)
 	key := shardKey(prompt, salt)
 	// The generation looked up in is the one stored into after the hop:
@@ -252,7 +244,7 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 			_, span := obs.StartSpan(ctx, "ring.route")
 			span.SetAttr("ring.cache", "hit")
 			span.End()
-			return prompt + tail, "", nil
+			return prompt + tail, false, nil
 		}
 	}
 	// Live members, owner first, resolved to their records once; every
@@ -266,16 +258,16 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 	res, err := c.tryCandidates(ctx, cands, prompt, salt)
 	if err == nil {
 		span.SetAttr("ring.replica", res.replica.url)
-		span.SetAttrBool("degraded", res.level != "")
+		span.SetAttrBool("degraded", res.degraded)
 		if res.replica != cands[0] {
 			atomic.AddInt64(&c.failovers, 1)
 		}
 		// The tail is stored as its own copy: a slice of augmented would
 		// pin the prompt a second time beside the key.
-		if tail, ok := strings.CutPrefix(res.augmented, prompt); near != nil && res.level == "" && ok && tail != "" {
+		if tail, ok := strings.CutPrefix(res.augmented, prompt); near != nil && !res.degraded && ok && tail != "" {
 			near.Put(key, strings.Clone(tail))
 		}
-		return res.augmented, res.level, nil
+		return res.augmented, res.degraded, nil
 	}
 	span.SetError(err)
 	if c.cfg.Degrade {
@@ -284,9 +276,21 @@ func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (
 		atomic.AddInt64(&c.degraded, 1)
 		obs.AddEvent(ctx, "ring.degraded", "cause", err.Error())
 		span.SetAttrBool("degraded", true)
-		return prompt, "1", nil
+		return prompt, true, nil
 	}
-	return "", "", err
+	return "", false, err
+}
+
+// AugmentContextLevel is AugmentContextDegraded with the verdict as its
+// X-PAS-Degraded value.
+//
+// Deprecated: call AugmentContextDegraded; kept one round for bench/pasperf.
+func (c *Client) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
+	augmented, degraded, err := c.AugmentContextDegraded(ctx, prompt, salt)
+	if degraded {
+		level = wire.DegradedValue
+	}
+	return augmented, level, err
 }
 
 // tryCandidates serves one request from the candidate list. The
@@ -351,7 +355,7 @@ func (c *Client) callReplica(ctx context.Context, r *replica, prompt, salt strin
 	done(true)
 	r.requests.Add(1)
 	res.replica = r
-	span.SetAttrBool("degraded", res.level != "")
+	span.SetAttrBool("degraded", res.degraded)
 	return res, nil
 }
 
@@ -418,8 +422,8 @@ func (c *Client) doAugment(ctx context.Context, r *replica, prompt, salt string)
 		}
 		augmented = ar.Augmented
 	}
-	// The header carries the level ("1") on every non-full 200.
-	return result{augmented: augmented, level: resp.Header.Get(wire.DegradedHeader)}, nil
+	// The header flags every non-full 200, whatever its value.
+	return result{augmented: augmented, degraded: resp.Header.Get(wire.DegradedHeader) != ""}, nil
 }
 
 // ReplicaStats is one replica's data-path snapshot.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	pas "repro"
 	"repro/internal/wire"
 )
 
@@ -329,24 +330,37 @@ func TestClientBreaker(t *testing.T) {
 	}
 }
 
-// TestClientLevelPropagates: the value a replica flags its answer with
-// rides the header back through the cluster client untouched — here
-// "trim", which only a replica from before the two-rung ladder sends,
-// mid rolling upgrade.
+// TestClientLevelPropagates: a replica's X-PAS-Degraded flag, whatever
+// its value, is one verdict — "1", or "trim" and "raw", which only a
+// replica from before the two-rung ladder sends, mid rolling upgrade.
+// The client reports each degraded and near-caches none, and the proxy
+// in front flags the chat with the one value there is, "1".
 func TestClientLevelPropagates(t *testing.T) {
-	c, reps := newTestCluster(t, 2, nil)
-	ctx := context.Background()
-	for _, r := range reps {
-		r.level.Store("trim")
-	}
-	_, level, err := c.AugmentContextLevel(ctx, "p", "s")
-	if err != nil || level != "trim" {
-		t.Fatalf("(level, err) = (%q, %v), want the replica's value passed through", level, err)
-	}
-	// The boolean interface folds any level into degraded=true.
-	_, degraded, err := c.AugmentContextDegraded(ctx, "p2", "s")
-	if err != nil || !degraded {
-		t.Fatalf("(degraded, err) = (%v, %v), want true", degraded, err)
+	upstream := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer upstream.Close()
+	for _, flag := range []string{"1", "trim", "raw"} {
+		t.Run(flag, func(t *testing.T) {
+			c, reps := newTestCluster(t, 2, func(cfg *Config) { cfg.CacheSize = 16 })
+			for _, r := range reps {
+				r.level.Store(flag)
+			}
+			if _, degraded, err := c.AugmentContextDegraded(context.Background(), "p", "s"); err != nil || !degraded {
+				t.Fatalf("(degraded, err) = (%v, %v), want true", degraded, err)
+			}
+			if st := c.Stats().Cache; st.Entries != 0 || st.Hits != 0 {
+				t.Fatalf("near cache %+v after flagged replies, want nothing stored", st)
+			}
+			proxy, err := pas.NewProxyWith(c, upstream.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			proxy.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/chat/completions",
+				strings.NewReader(`{"messages":[{"role":"user","content":"p"}]}`)))
+			if got := rec.Header().Values(wire.DegradedHeader); rec.Code != http.StatusOK || len(got) != 1 || got[0] != "1" {
+				t.Fatalf("through the proxy: %d, X-PAS-Degraded %q; want 200 and exactly \"1\"", rec.Code, got)
+			}
+		})
 	}
 }
 

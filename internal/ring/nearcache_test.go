@@ -186,7 +186,7 @@ func TestNearCacheMatchesReferenceModel(t *testing.T) {
 				want, predicted := fresh(key)
 				before := fleet.calls
 				fleet.served.augmented, fleet.served.level = "", "no reply"
-				augmented, level, err := c.AugmentContextLevel(ctx, prompt, salt)
+				augmented, degraded, err := c.AugmentContextDegraded(ctx, prompt, salt)
 				requests++
 				s := c.Stats()
 				if s.Cache.Hits+s.Cache.Misses != requests || s.Requests != requests {
@@ -194,9 +194,9 @@ func TestNearCacheMatchesReferenceModel(t *testing.T) {
 				}
 				if hit := s.Cache.Hits > hits; hit {
 					hits++
-					if !predicted || err != nil || level != "" || augmented != prompt+want.tail || fleet.calls != before {
-						t.Fatalf("%s: near hit for %q = (%q, %q, %v) after %d hops; remembered %+v (fresh %v)",
-							where, key, augmented, level, err, fleet.calls-before, want, predicted)
+					if !predicted || err != nil || degraded || augmented != prompt+want.tail || fleet.calls != before {
+						t.Fatalf("%s: near hit for %q = (%q, %v, %v) after %d hops; remembered %+v (fresh %v)",
+							where, key, augmented, degraded, err, fleet.calls-before, want, predicted)
 					}
 					break
 				}
@@ -210,14 +210,14 @@ func TestNearCacheMatchesReferenceModel(t *testing.T) {
 					}
 				case fleet.served.level == "no reply":
 					// No replica answered 200: this is the fail-open.
-					if !c.cfg.Degrade || augmented != prompt || level != "1" {
-						t.Fatalf("%s: (%q, %q) with no replica answering, Degrade %v; want the flagged raw prompt", where, augmented, level, c.cfg.Degrade)
+					if !c.cfg.Degrade || augmented != prompt || !degraded {
+						t.Fatalf("%s: (%q, %v) with no replica answering, Degrade %v; want the flagged raw prompt", where, augmented, degraded, c.cfg.Degrade)
 					}
 				default:
-					if augmented != fleet.served.augmented || level != fleet.served.level {
-						t.Fatalf("%s: (%q, %q), but the replica served %+v", where, augmented, level, fleet.served)
+					if augmented != fleet.served.augmented || degraded != (fleet.served.level != "") {
+						t.Fatalf("%s: (%q, %v), but the replica served %+v", where, augmented, degraded, fleet.served)
 					}
-					if level == "" && len(augmented) > len(prompt) && strings.HasPrefix(augmented, prompt) {
+					if !degraded && len(augmented) > len(prompt) && strings.HasPrefix(augmented, prompt) {
 						ref[key] = remembered{tail: augmented[len(prompt):], at: clock.t}
 					}
 				}
@@ -305,8 +305,8 @@ func TestNearCacheFlushDropsInFlightHop(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, level, err := c.AugmentContextLevel(ctx, "p", "s"); err != nil || level != "" || got != "p\n[a:1 v0]" {
-				t.Errorf("held request = (%q, %q, %v)", got, level, err)
+			if got, degraded, err := c.AugmentContextDegraded(ctx, "p", "s"); err != nil || degraded || got != "p\n[a:1 v0]" {
+				t.Errorf("held request = (%q, %v, %v)", got, degraded, err)
 			}
 		}()
 	}
@@ -330,10 +330,10 @@ func TestNearCacheFlushDropsInFlightHop(t *testing.T) {
 	if _, ok := c.near.gen.Load().Get(shardKey("p", "s")); ok {
 		t.Fatal("the answer of a hop in flight across the flush is readable after it")
 	}
-	if got, _, err := c.AugmentContextLevel(ctx, "p", "s"); err != nil || got != "p\n[a:1 v1]" {
+	if got, _, err := c.AugmentContextDegraded(ctx, "p", "s"); err != nil || got != "p\n[a:1 v1]" {
 		t.Fatalf("after the flush = (%q, %v), want the restarted replica's answer", got, err)
 	}
-	if got, _, _ := c.AugmentContextLevel(ctx, "p", "s"); got != "p\n[a:1 v1]" || fleet.calls != callers+1 {
+	if got, _, _ := c.AugmentContextDegraded(ctx, "p", "s"); got != "p\n[a:1 v1]" || fleet.calls != callers+1 {
 		t.Fatalf("repeat = %q after %d hops; want the new answer from the near cache, %d hops", got, fleet.calls, callers+1)
 	}
 }
@@ -347,7 +347,7 @@ func TestNearCacheOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.AugmentContextLevel(context.Background(), "p", "s"); err != nil {
+		if _, _, err := c.AugmentContextDegraded(context.Background(), "p", "s"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +370,7 @@ func TestNearCacheSurfaces(t *testing.T) {
 	c.mem.probeOne(context.Background(), "http://a:1")
 	for i := 0; i < 3; i++ {
 		ctx, root := tracer.StartSpan(context.Background(), "test")
-		if _, _, err := c.AugmentContextLevel(ctx, "p", ""); err != nil {
+		if _, _, err := c.AugmentContextDegraded(ctx, "p", ""); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
@@ -431,8 +431,8 @@ func TestAugmentAllocations(t *testing.T) {
 	ctx := context.Background()
 	prompt, salt := "Explain how tides form, and why there are two a day.", "s"
 	call := func() {
-		if _, level, err := c.AugmentContextLevel(ctx, prompt, salt); err != nil || level != "" {
-			t.Fatalf("augment: %q, %v", level, err)
+		if _, degraded, err := c.AugmentContextDegraded(ctx, prompt, salt); err != nil || degraded {
+			t.Fatalf("augment: degraded %v, %v", degraded, err)
 		}
 	}
 	call()
@@ -501,7 +501,7 @@ func TestClientReusesReplicaConnections(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
-				if _, _, err := c.AugmentContextLevel(context.Background(), "p", ""); err != nil {
+				if _, _, err := c.AugmentContextDegraded(context.Background(), "p", ""); err != nil {
 					t.Error(err)
 				}
 				roundDone[j].Done()

@@ -237,7 +237,7 @@ func TestBreakerThresholdZeroNeverTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		_, _, err := c.AugmentContextLevel(context.Background(), "p", "s")
+		_, _, err := c.AugmentContextDegraded(context.Background(), "p", "s")
 		if err == nil || errors.Is(err, resilience.ErrOpen) {
 			t.Fatalf("request %d: err = %v, want the replica's own 500", i, err)
 		}

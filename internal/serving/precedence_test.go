@@ -68,7 +68,7 @@ func TestDrainDuringFullQueueShedsDraining(t *testing.T) {
 //
 // Each row stacks every condition at and below its own, so the matrix
 // proves each signal outranks everything beneath it. The degrade rows
-// pin fail-open: an overload shed is answered ("", LevelRaw, nil) and
+// pin fail-open: an overload shed is answered ("", true, nil) and
 // counted degraded, while a draining core still sheds — it never
 // degrades.
 func TestShedPrecedenceMatrix(t *testing.T) {
@@ -84,7 +84,7 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 		degrade  bool // Config.Degrade
 		ctx      context.Context
 		timeout  time.Duration // see rowCtx
-		wantErr  error         // nil: served at LevelRaw and counted degraded
+		wantErr  error         // nil: answered degraded and counted
 		wantShed func(Stats) (int64, string)
 	}{
 		{
@@ -166,12 +166,12 @@ func TestShedPrecedenceMatrix(t *testing.T) {
 			}
 			degradedBefore := f.core.Stats().Degraded
 
-			v, level, err := f.core.DoLevel(rowCtx(t, tc.ctx, tc.timeout), "victim", "", "m")
+			v, degraded, err := f.core.DoLevel(rowCtx(t, tc.ctx, tc.timeout), "victim", "", "m")
 			wantDegraded := degradedBefore
 			if tc.wantErr == nil {
 				wantDegraded++
-				if err != nil || level != LevelRaw || v != "" {
-					t.Fatalf("DoLevel = (%q, %v, %v), want (\"\", raw, nil)", v, level, err)
+				if err != nil || !degraded || v != "" {
+					t.Fatalf("DoLevel = (%q, %v, %v), want (\"\", true, nil)", v, degraded, err)
 				}
 			} else if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
@@ -214,14 +214,14 @@ func TestFollowerDoesNotInheritItsLeadersClient(t *testing.T) {
 	waitFor(t, func() bool { return c.Stats().QueueDepth == 1 })
 
 	type answer struct {
-		v     string
-		level Level
-		err   error
+		v        string
+		degraded bool
+		err      error
 	}
 	follower := make(chan answer, 1)
 	go func() {
-		v, level, err := c.DoLevel(WithTenant(context.Background(), "b"), "shared", "", "m")
-		follower <- answer{v, level, err}
+		v, degraded, err := c.DoLevel(WithTenant(context.Background(), "b"), "shared", "", "m")
+		follower <- answer{v, degraded, err}
 	}()
 	waitFor(t, func() bool { return c.flight.waiters(Key("shared", "", "m")) == 1 })
 
@@ -230,8 +230,8 @@ func TestFollowerDoesNotInheritItsLeadersClient(t *testing.T) {
 		t.Fatalf("leader whose client hung up: err = %v, want context.Canceled", err)
 	}
 	release()
-	if got := <-follower; got.err != nil || got.level != LevelFull || got.v != "pc:shared" {
-		t.Fatalf("follower with a live client = (%q, %v, %v), want (\"pc:shared\", full, nil)", got.v, got.level, got.err)
+	if got := <-follower; got.err != nil || got.degraded || got.v != "pc:shared" {
+		t.Fatalf("follower with a live client = (%q, %v, %v), want (\"pc:shared\", false, nil)", got.v, got.degraded, got.err)
 	}
 	if st := c.Stats(); st.Shed != 0 || st.Degraded != 0 {
 		t.Fatalf("a hung-up leader is no shed: shed = %d, degraded = %d", st.Shed, st.Degraded)
@@ -300,7 +300,7 @@ func TestCapHoldsAfterDeadlineMisses(t *testing.T) {
 func TestShedIsOneAttempt(t *testing.T) {
 	type result struct {
 		v                    string
-		level                Level
+		degraded             bool
 		err                  string
 		entered, shed, limit int64
 	}
@@ -311,7 +311,7 @@ func TestShedIsOneAttempt(t *testing.T) {
 		parked := (&shedFixture{core: c}).fillQueue(t)
 		before := c.Stats().Requests
 		start := time.Now()
-		v, level, err := c.DoLevel(context.Background(), "shed me", "", "m")
+		v, degraded, err := c.DoLevel(context.Background(), "shed me", "", "m")
 		if took := time.Since(start); took > time.Second {
 			t.Fatalf("queue-full shed took %v; a shed is one attempt and returns at once", took)
 		}
@@ -323,13 +323,13 @@ func TestShedIsOneAttempt(t *testing.T) {
 		if err := <-parked; err != nil {
 			t.Fatal(err)
 		}
-		return result{v, level, err.Error(), st.Requests - before, st.ShedQueueFull, int64(st.Limit)}
+		return result{v, degraded, err.Error(), st.Requests - before, st.ShedQueueFull, int64(st.Limit)}
 	}
 	zero := shed(Config{})
 	if zero.entered != 1 {
 		t.Fatalf("one shed request entered the core %d times, want 1", zero.entered)
 	}
-	if inert := shed(Config{LimitFloor: 7, Retries: 3, RetryBudget: time.Hour, BreakerThreshold: 1, BreakerCooldown: -time.Hour}); inert != zero {
+	if inert := shed(Config{LimitFloor: 7, Retries: 3, RetryBudget: time.Hour, BreakerThreshold: 1, BreakerCooldown: -time.Hour, DefaultTenantWeight: -2}); inert != zero {
 		t.Fatalf("deprecated fields changed a shed:\n got %+v\nwant %+v", inert, zero)
 	}
 }

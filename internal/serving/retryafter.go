@@ -6,37 +6,6 @@ import (
 	"time"
 )
 
-// Level is how a request was answered, and the one place that decides
-// how many answers PAS may give: cat(p, M_p(p)) or p. A core answers
-// below full only when it sheds with Config.Degrade set.
-type Level int32
-
-const (
-	// LevelFull serves the full-model complement.
-	LevelFull Level = 0
-	// LevelRaw skips augmentation entirely: the caller answers with the
-	// raw prompt, flagged degraded. It is 2, not 1: the number was
-	// exported while a level 1 existed, and 1 must never read as raw.
-	LevelRaw Level = 2
-)
-
-func (l Level) String() string {
-	if l == LevelRaw {
-		return "raw"
-	}
-	return "full"
-}
-
-// Header is l's X-PAS-Degraded wire value: empty for full service and
-// "1" for raw passthrough — the value the fail-open path has always
-// sent, so every client reads a raw answer the same way.
-func (l Level) Header() string {
-	if l == LevelRaw {
-		return "1"
-	}
-	return ""
-}
-
 // serviceAlpha is the EWMA smoothing factor of the service-time
 // estimate. Event-driven (one update per observation, no wall-clock
 // decay) so it is deterministic under a pinned test clock.

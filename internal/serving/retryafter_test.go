@@ -5,31 +5,6 @@ import (
 	"time"
 )
 
-func TestLevelHeaderWireValues(t *testing.T) {
-	// "1" for raw is load-bearing: httpmw, loadgen, and the ring client
-	// all test X-PAS-Degraded for that value.
-	cases := []struct {
-		level  Level
-		num    int
-		str    string
-		header string
-	}{
-		{LevelFull, 0, "full", ""},
-		{LevelRaw, 2, "raw", "1"},
-	}
-	for _, tc := range cases {
-		if int(tc.level) != tc.num {
-			t.Errorf("%v = %d, want %d", tc.level, int(tc.level), tc.num)
-		}
-		if got := tc.level.String(); got != tc.str {
-			t.Errorf("(%d).String() = %q, want %q", tc.level, got, tc.str)
-		}
-		if got := tc.level.Header(); got != tc.header {
-			t.Errorf("(%d).Header() = %q, want %q", tc.level, got, tc.header)
-		}
-	}
-}
-
 // TestPressureRetryAfterFromDrainEWMA pins the Retry-After pricing
 // (the satellite replacing the fixed constant): backlog divided by the
 // limit, times the observed service EWMA, plus one service round.

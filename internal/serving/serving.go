@@ -9,14 +9,14 @@
 //     trigger exactly one computation and share its result;
 //  3. tenant-aware bounded admission with deadline-aware load shedding
 //     — at most MaxInFlight computations run at once, waiters queue per
-//     tenant under weighted deficit-round-robin, and
-//     a request that cannot get a slot within its budget (QueueWait
+//     tenant and are granted slots round robin, one per tenant per turn,
+//     and a request that cannot get a slot within its budget (QueueWait
 //     capped by the context deadline) is shed with a typed error the
 //     HTTP layer maps to 503 + Retry-After.
 //
 // A request is answered one of two ways: the complement, or — when the
 // core sheds it and Config.Degrade is set — the raw prompt, flagged
-// degraded (fail-open). See Level and DoLevel.
+// degraded (fail-open). See DoLevel.
 //
 // The package is pure library: it knows nothing about HTTP except the
 // optional StatsHandler, and the complement function is injected, so
@@ -84,8 +84,8 @@ type Config struct {
 	// shed; the context deadline tightens it per request. Default 100ms.
 	QueueWait time.Duration
 
-	// Degrade fails open: a request the core would shed is answered at
-	// LevelRaw — the caller proceeds with the un-augmented prompt —
+	// Degrade fails open: a request the core would shed is answered
+	// degraded — the caller proceeds with the un-augmented prompt —
 	// instead of with an error, and counted in Stats.Degraded. Sound for
 	// PAS because the complement only ever adds guidance: the raw prompt
 	// is always a valid request. A draining core still sheds.
@@ -94,26 +94,13 @@ type Config struct {
 	// Deprecated: read by nothing; kept one round because bench/pasperf's
 	// frozen config literals name them; deleted with ROADMAP item 4's
 	// [benchmark] edit.
-	LimitFloor       int
-	Retries          int           //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
-	RetryBudget      time.Duration //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// TenantWeights assigns DRR weights to known tenant ids; any other
-	// tenant gets DefaultTenantWeight (default 1). Under contention a
-	// tenant's share of computation slots is proportional to its weight.
-	TenantWeights map[string]int
-	// DefaultTenantWeight is the weight for tenants not listed in
-	// TenantWeights. Default 1.
+	LimitFloor          int
+	Retries             int           //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
+	RetryBudget         time.Duration //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
+	BreakerThreshold    int
+	BreakerCooldown     time.Duration
 	DefaultTenantWeight int
-	// TenantQuotas caps a tenant's concurrent computations; 0 (or
-	// absent) leaves the tenant bounded only by the global limit.
-	TenantQuotas map[string]int
-	// TenantQueueDepth caps one tenant's waiters. 0 gives each tenant a
-	// weighted fair share of QueueDepth among tenants with work in the
-	// system — a lone tenant keeps the whole room.
-	TenantQueueDepth int
+
 	// MaxTenants bounds distinct tenant queues; ids beyond it share the
 	// overflowTenant queue. Default 64.
 	MaxTenants int
@@ -155,25 +142,6 @@ func (cfg *Config) applyDefaults() error {
 	}
 	if cfg.QueueWait < 0 {
 		return fmt.Errorf("serving: QueueWait must be >= 0, got %v", cfg.QueueWait)
-	}
-	if cfg.DefaultTenantWeight == 0 {
-		cfg.DefaultTenantWeight = 1
-	}
-	if cfg.DefaultTenantWeight < 0 {
-		return fmt.Errorf("serving: DefaultTenantWeight must be > 0, got %d", cfg.DefaultTenantWeight)
-	}
-	for id, w := range cfg.TenantWeights {
-		if w <= 0 {
-			return fmt.Errorf("serving: TenantWeights[%q] must be > 0, got %d", id, w)
-		}
-	}
-	for id, q := range cfg.TenantQuotas {
-		if q < 0 {
-			return fmt.Errorf("serving: TenantQuotas[%q] must be >= 0, got %d", id, q)
-		}
-	}
-	if cfg.TenantQueueDepth < 0 {
-		return fmt.Errorf("serving: TenantQueueDepth must be >= 0, got %d", cfg.TenantQueueDepth)
 	}
 	if cfg.MaxTenants == 0 {
 		cfg.MaxTenants = 64
@@ -256,7 +224,7 @@ func New(fn Func, cfg Config) (*Core, error) {
 	for o, name := range outcomeNames {
 		// Only full-quality answers are timed — a raw answer computes
 		// nothing — so the level label has the one value.
-		c.lat[o] = c.durations.With(name, LevelFull.String())
+		c.lat[o] = c.durations.With(name, "full")
 	}
 	if cfg.CacheSize > 0 {
 		c.cache = NewCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
@@ -280,37 +248,37 @@ func Key(prompt, salt, model string) string {
 }
 
 // DoLevel serves one complement request through cache, dedup, and
-// admission, and reports the level the response was served at. The
-// model string scopes the cache key so one core can front several
-// model versions without cross-talk. At LevelFull the returned string
-// is the complement; at LevelRaw it is empty and the caller must answer
-// with the raw prompt, flagged degraded via Level.Header. On overload
-// it returns a typed shedding error; a context that ends first returns
-// its ctx.Err().
+// admission. The model string scopes the cache key so one core can
+// front several model versions without cross-talk. Unless degraded,
+// the returned string is the complement; degraded, it is empty and the
+// caller must answer with the raw prompt, flagged. On overload it
+// returns a typed shedding error; a context that ends first returns its
+// ctx.Err(). The name, from the level it once returned, is kept for
+// bench/pasperf, which calls it, until ROADMAP item 4's [benchmark] edit.
 //
 // A request gets one attempt. With Config.Degrade a request that is
-// shed is answered ("", LevelRaw, nil) and counted in Stats.Degraded —
-// the only way a request gets LevelRaw. Drain sheds are the one
-// overload that never degrades: a draining replica must answer 503 so
-// its router fails the request over to a peer, instead of fail-open 200s
-// keeping traffic pinned to a process on its way out.
-func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (string, Level, error) {
-	v, level, err := c.attempt(ctx, prompt, salt, model)
+// shed is answered ("", true, nil) and counted in Stats.Degraded — the
+// only way a request is degraded. Drain sheds are the one overload
+// that never degrades: a draining replica must answer 503 so its router
+// fails the request over to a peer, instead of fail-open 200s keeping
+// traffic pinned to a process on its way out.
+func (c *Core) DoLevel(ctx context.Context, prompt, salt, model string) (complement string, degraded bool, err error) {
+	v, err := c.attempt(ctx, prompt, salt, model)
 	if err != nil && c.cfg.Degrade && Overloaded(err) && !errors.Is(err, ErrDraining) {
 		atomic.AddInt64(&c.degraded, 1)
 		obs.AddEvent(ctx, "augment.degraded", "cause", err.Error())
-		return "", LevelRaw, nil
+		return "", true, nil
 	}
-	return v, level, err
+	return v, false, err
 }
 
 // attempt is one pass through cache, dedup, and admission.
 //
 //paslint:hotpath cache-hit path budget is key+lookup+finish; the paper's p50 assumes hits do not allocate
-func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string, Level, error) {
+func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string, error) {
 	atomic.AddInt64(&c.requests, 1)
 	if err := ctx.Err(); err != nil {
-		return "", LevelFull, err // client already gone; don't compute for the dead
+		return "", err // client already gone; don't compute for the dead
 	}
 	start := c.cfg.Now()
 	k := Key(prompt, salt, model)
@@ -324,7 +292,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 			lookup.End()
 			span.SetStatus("cache_hit")
 			c.finish(start, outcomeHit)
-			return v, LevelFull, nil
+			return v, nil
 		}
 		lookup.SetStatus("miss")
 	} else {
@@ -341,10 +309,10 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	}
 	if err != nil {
 		span.SetError(err)
-		return "", LevelFull, err
+		return "", err
 	}
 	c.finish(start, how)
-	return v, LevelFull, nil
+	return v, nil
 }
 
 // compute runs the admission-controlled single-flight computation of

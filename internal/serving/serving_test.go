@@ -495,7 +495,7 @@ func (g *flightGroup) waiters(key string) int64 {
 	return 0
 }
 
-// Do is DoLevel without the level, the shape most of these tests drive:
+// Do is DoLevel without the verdict, the shape most of these tests drive:
 // on success the complement, on overload a typed shedding error.
 func (c *Core) Do(ctx context.Context, prompt, salt, model string) (string, error) {
 	v, _, err := c.DoLevel(ctx, prompt, salt, model)

@@ -36,42 +36,28 @@ func TenantFrom(ctx context.Context) string {
 	return DefaultTenant
 }
 
-// scheduler is the tenant-aware admission stage: a weighted
-// deficit-round-robin (DRR) queue in front of a fixed concurrency
-// cap. Under contention each waiting tenant is visited in round-robin
-// order and granted up to weight slots per visit, so a tenant flooding
-// 10× its share only ever lengthens its own queue — the well-behaved
-// tenant's wait is bounded by one DRR round, not by the flood.
-//
-// All admission requests have unit cost (one computation slot), so the
-// deficit counters are small integers and a visit's quantum is exactly
-// the tenant's weight.
+// scheduler is the tenant-aware admission stage: a queue per tenant in
+// front of a fixed concurrency cap. Under contention the waiting tenants
+// are visited in round-robin order and granted one slot per visit, so a
+// tenant flooding 10× its share only ever lengthens its own queue — the
+// well-behaved tenant's wait is bounded by one round, not by the flood.
 type scheduler struct {
-	limit int // concurrent computation slots (MaxInFlight)
-
-	queueCap      int // total waiters across all tenants (QueueDepth)
-	tenantCap     int // per-tenant waiter cap; 0 = weighted share of queueCap
-	maxTenants    int
-	defaultWeight int
-	weights       map[string]int
-	quotas        map[string]int
+	limit      int // concurrent computation slots (MaxInFlight)
+	queueCap   int // total waiters across all tenants (QueueDepth)
+	maxTenants int
 
 	mu       sync.Mutex
 	inflight int
-	waiting  int
+	waiting  int // > 0 only while inflight == limit: dispatch keeps it so
 	tenants  map[string]*tenantQ
 	ring     []*tenantQ // visit order; queues persist once created
 	cursor   int
 }
 
-// tenantQ is one tenant's admission queue plus its DRR and accounting
-// state; all fields are guarded by scheduler.mu.
+// tenantQ is one tenant's admission queue plus its accounting; all
+// fields are guarded by scheduler.mu.
 type tenantQ struct {
-	id      string
-	weight  int
-	quota   int // max concurrent slots; 0 = unlimited
-	deficit int // remaining grants in the current DRR visit
-
+	id       string
 	inflight int
 	waiters  []*waiter // FIFO
 
@@ -91,23 +77,12 @@ type waiter struct {
 }
 
 func newScheduler(cfg *Config) *scheduler {
-	s := &scheduler{
-		limit:         cfg.MaxInFlight,
-		queueCap:      cfg.QueueDepth,
-		tenantCap:     cfg.TenantQueueDepth,
-		maxTenants:    cfg.MaxTenants,
-		defaultWeight: cfg.DefaultTenantWeight,
-		weights:       make(map[string]int, len(cfg.TenantWeights)),
-		quotas:        make(map[string]int, len(cfg.TenantQuotas)),
-		tenants:       make(map[string]*tenantQ),
+	return &scheduler{
+		limit:      cfg.MaxInFlight,
+		queueCap:   cfg.QueueDepth,
+		maxTenants: cfg.MaxTenants,
+		tenants:    make(map[string]*tenantQ),
 	}
-	for k, v := range cfg.TenantWeights {
-		s.weights[k] = v
-	}
-	for k, v := range cfg.TenantQuotas {
-		s.quotas[k] = v
-	}
-	return s
 }
 
 // arrive resolves (creating on first sight) the tenant's queue and
@@ -130,11 +105,7 @@ func (s *scheduler) tenantLocked(id string) *tenantQ {
 		}
 		id = overflowTenant // table full: the overflow queue is always admitted
 	}
-	w := s.weights[id]
-	if w <= 0 {
-		w = s.defaultWeight
-	}
-	tq := &tenantQ{id: id, weight: w, quota: s.quotas[id]}
+	tq := &tenantQ{id: id}
 	s.tenants[id] = tq
 	s.ring = append(s.ring, tq)
 	return tq
@@ -150,11 +121,11 @@ func (s *scheduler) shedOther(tq *tenantQ) {
 
 // acquire admits one computation for tq: immediately when the core has
 // headroom and nobody is queued, otherwise by waiting in the tenant's
-// DRR queue for at most wait. On success the returned release function
+// queue for at most wait. On success the returned release function
 // must be called exactly once.
 func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration) (func(), error) {
 	s.mu.Lock()
-	if s.waiting == 0 && s.inflight < s.limit && !quotaFull(tq) {
+	if s.waiting == 0 && s.inflight < s.limit {
 		s.inflight++
 		tq.inflight++
 		tq.admitted++
@@ -163,8 +134,8 @@ func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration
 	}
 	// No immediate slot: claim a place in the waiting room or shed. The
 	// room is bounded twice — globally by QueueDepth, and per tenant by
-	// its (configured or weighted-fair) share, so one tenant's backlog
-	// cannot brick everyone else's admission.
+	// its equal share, so one tenant's backlog cannot brick everyone
+	// else's admission.
 	if s.waiting >= s.queueCap || len(tq.waiters) >= s.tenantShareLocked(tq) {
 		tq.shedQueueFull++
 		s.mu.Unlock()
@@ -178,10 +149,6 @@ func (s *scheduler) acquire(ctx context.Context, tq *tenantQ, wait time.Duration
 	w := &waiter{tq: tq, grant: make(chan struct{})}
 	tq.waiters = append(tq.waiters, w)
 	s.waiting++
-	// Dispatch before parking: when the only queued work ahead of us is
-	// quota-capped, free capacity must reach this waiter now — no
-	// release is coming to trigger it later.
-	s.dispatchLocked()
 	s.mu.Unlock()
 
 	timer := time.NewTimer(wait)
@@ -238,7 +205,7 @@ func (s *scheduler) abandon(w *waiter, deadline bool) {
 	s.mu.Unlock()
 }
 
-// release returns a slot and hands it to the next waiter per DRR.
+// release returns a slot and hands it to the next waiter in turn.
 func (s *scheduler) release(tq *tenantQ) {
 	s.mu.Lock()
 	s.inflight--
@@ -249,76 +216,44 @@ func (s *scheduler) release(tq *tenantQ) {
 
 func (s *scheduler) dispatchLocked() {
 	for s.waiting > 0 && s.inflight < s.limit {
-		if !s.grantOneLocked() {
-			return // every waiting tenant is quota-capped
-		}
+		s.grantLocked()
 	}
 }
 
-// grantOneLocked advances the DRR scan to the next servable waiter and
-// grants it a slot; false when all waiting tenants are quota-capped.
-// A queue gets a fresh quantum (its weight) when the cursor reaches it
-// with an empty deficit, serves while the deficit lasts, then the
-// cursor moves on; idle queues do not bank credit.
-func (s *scheduler) grantOneLocked() bool {
-	for scanned := 0; scanned < len(s.ring); scanned++ {
-		tq := s.ring[s.cursor]
-		if len(tq.waiters) == 0 {
-			tq.deficit = 0
-			s.advanceLocked()
-			continue
-		}
-		if quotaFull(tq) {
-			s.advanceLocked() // keep the deficit; the quota may free up
-			continue
-		}
-		if tq.deficit == 0 {
-			tq.deficit = tq.weight
-		}
-		tq.deficit--
-		w := tq.waiters[0]
-		tq.waiters = tq.waiters[1:]
-		s.waiting--
-		s.inflight++
-		tq.inflight++
-		w.granted = true
-		close(w.grant)
-		if tq.deficit == 0 {
-			s.advanceLocked()
-		}
-		return true
+// grantLocked hands a slot to the oldest waiter of the next tenant in
+// round-robin order that has one, and moves the cursor past that
+// tenant. Call it only with s.waiting > 0.
+func (s *scheduler) grantLocked() {
+	for len(s.ring[s.cursor].waiters) == 0 {
+		s.advanceLocked()
 	}
-	return false
+	tq := s.ring[s.cursor]
+	s.advanceLocked()
+	w := tq.waiters[0]
+	tq.waiters = tq.waiters[1:]
+	s.waiting--
+	s.inflight++
+	tq.inflight++
+	w.granted = true
+	close(w.grant)
 }
 
 func (s *scheduler) advanceLocked() {
 	s.cursor = (s.cursor + 1) % len(s.ring)
 }
 
-func quotaFull(tq *tenantQ) bool {
-	return tq.quota > 0 && tq.inflight >= tq.quota
-}
-
-// tenantShareLocked is tq's waiting-room bound: the configured
-// TenantQueueDepth when set, otherwise its weighted share of QueueDepth
-// among tenants with work in the system (never below 1). A lone tenant
-// keeps the whole room — single-tenant behavior is unchanged — while
-// the moment a second tenant shows up the room splits by weight.
+// tenantShareLocked is tq's waiting-room bound: an equal share of
+// QueueDepth among the tenants with work in the system, tq included,
+// and never below 1. A lone tenant keeps the whole room; a second one
+// splits it.
 func (s *scheduler) tenantShareLocked(tq *tenantQ) int {
-	if s.tenantCap > 0 {
-		return s.tenantCap
-	}
-	total := 0
+	active := 0
 	for _, q := range s.ring {
 		if q == tq || len(q.waiters) > 0 || q.inflight > 0 {
-			total += q.weight
+			active++
 		}
 	}
-	share := s.queueCap * tq.weight / total
-	if share < 1 {
-		share = 1
-	}
-	return share
+	return max(s.queueCap/active, 1)
 }
 
 // depth snapshots (inflight, waiting) for stats, the Retry-After price and
@@ -334,8 +269,6 @@ func (s *scheduler) depth() (inflight, waiting int) {
 // GET /v1/stats JSON body.
 type TenantStats struct {
 	Tenant string `json:"tenant"`
-	Weight int    `json:"weight"`
-	Quota  int    `json:"quota,omitempty"`
 
 	InFlight int `json:"in_flight"`
 	Waiting  int `json:"waiting"`
@@ -360,8 +293,6 @@ func (s *scheduler) tenantStats() []TenantStats {
 	for _, tq := range s.ring {
 		ts := TenantStats{
 			Tenant:        tq.id,
-			Weight:        tq.weight,
-			Quota:         tq.quota,
 			InFlight:      tq.inflight,
 			Waiting:       len(tq.waiters),
 			Requests:      tq.requests,

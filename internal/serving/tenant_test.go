@@ -11,9 +11,6 @@ import (
 // testScheduler builds a scheduler over a fixed limit with the given
 // tenancy knobs.
 func testScheduler(limit int, cfg Config) *scheduler {
-	if cfg.DefaultTenantWeight == 0 {
-		cfg.DefaultTenantWeight = 1
-	}
 	if cfg.MaxTenants == 0 {
 		cfg.MaxTenants = 64
 	}
@@ -46,14 +43,12 @@ func waitForWaiting(t *testing.T, s *scheduler, want int) {
 	}
 }
 
-// TestSchedulerDRRWeightedOrder pins the deficit-round-robin grant
-// sequence: with weight a:2 vs b:1 and one slot, backlogged tenants
-// drain as a,a,b,a,a,b — a gets twice the service, b is never starved.
+// TestSchedulerDRRWeightedOrder pins the grant sequence, round robin at
+// the one weight there is: with a:4 and b:2 backlogged behind one slot,
+// the tenants take turns, one grant each, and a drains the rest alone
+// once b is empty — a,b,a,b,a,a.
 func TestSchedulerDRRWeightedOrder(t *testing.T) {
-	s := testScheduler(1, Config{
-		QueueDepth:    16,
-		TenantWeights: map[string]int{"a": 2},
-	})
+	s := testScheduler(1, Config{QueueDepth: 16})
 	holder := mustAcquire(t, s, "a") // pin the single slot
 
 	var mu sync.Mutex
@@ -76,7 +71,7 @@ func TestSchedulerDRRWeightedOrder(t *testing.T) {
 			}()
 		}
 		// Waiters must all be queued before the next tenant's batch so
-		// the DRR ring sees both backlogs at dispatch time.
+		// the ring sees both backlogs at dispatch time.
 	}
 	enqueue("a", 4)
 	waitForWaiting(t, s, 4)
@@ -86,7 +81,7 @@ func TestSchedulerDRRWeightedOrder(t *testing.T) {
 	holder() // start the drain; each grant releases into the next
 	wg.Wait()
 
-	want := []string{"a", "a", "b", "a", "a", "b"}
+	want := []string{"a", "b", "a", "b", "a", "a"}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != len(want) {
@@ -99,60 +94,9 @@ func TestSchedulerDRRWeightedOrder(t *testing.T) {
 	}
 }
 
-// TestSchedulerQuotaCapsTenant: a tenant at its quota queues behind
-// itself while other tenants keep being admitted, and the quota frees
-// with the slot.
-func TestSchedulerQuotaCapsTenant(t *testing.T) {
-	s := testScheduler(4, Config{
-		QueueDepth:   8,
-		TenantQuotas: map[string]int{"q": 1},
-	})
-	q1 := mustAcquire(t, s, "q")
-
-	// The second q request cannot run concurrently: it queues.
-	qDone := make(chan error, 1)
-	go func() {
-		release, err := s.acquire(context.Background(), s.arrive("q"), 5*time.Second)
-		if err == nil {
-			release()
-		}
-		qDone <- err
-	}()
-	waitForWaiting(t, s, 1)
-
-	// Another tenant is not blocked by q's quota even while q waits.
-	zDone := make(chan error, 1)
-	go func() {
-		release, err := s.acquire(context.Background(), s.arrive("z"), 5*time.Second)
-		if err == nil {
-			release()
-		}
-		zDone <- err
-	}()
-	if err := <-zDone; err != nil {
-		t.Fatalf("tenant z blocked behind q's quota: %v", err)
-	}
-	select {
-	case err := <-qDone:
-		t.Fatalf("q's second request finished while its quota was held (err=%v)", err)
-	default:
-	}
-
-	q1() // quota frees with the slot; the waiter is granted
-	if err := <-qDone; err != nil {
-		t.Fatalf("queued q request after quota freed: %v", err)
-	}
-	stats := s.tenantStats()
-	for _, ts := range stats {
-		if ts.Tenant == "q" && ts.Admitted != 2 {
-			t.Fatalf("q admitted = %d, want 2: %+v", ts.Admitted, stats)
-		}
-	}
-}
-
-// TestSchedulerTenantFairShareOfQueue: without an explicit
-// TenantQueueDepth, a flooding tenant is capped at its weighted share
-// of the waiting room and the other tenant's slot in the room survives.
+// TestSchedulerTenantFairShareOfQueue: a flooding tenant is capped at
+// its equal share of the waiting room and the other tenant's place in
+// the room survives.
 func TestSchedulerTenantFairShareOfQueue(t *testing.T) {
 	s := testScheduler(1, Config{QueueDepth: 4})
 	holder := mustAcquire(t, s, "h")
@@ -201,28 +145,6 @@ func TestSchedulerTenantFairShareOfQueue(t *testing.T) {
 	}
 	if a.ShedQueueFull != 1 {
 		t.Fatalf("a shed_queue_full = %d, want 1: %+v", a.ShedQueueFull, stats)
-	}
-}
-
-// TestSchedulerExplicitTenantQueueDepth: the configured per-tenant cap
-// overrides the weighted share.
-func TestSchedulerExplicitTenantQueueDepth(t *testing.T) {
-	s := testScheduler(1, Config{QueueDepth: 8, TenantQueueDepth: 1})
-	holder := mustAcquire(t, s, "a")
-	defer holder()
-
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		release, err := s.acquire(context.Background(), s.arrive("a"), time.Minute)
-		if err == nil {
-			release()
-		}
-		<-done
-	}()
-	waitForWaiting(t, s, 1)
-	if _, err := s.acquire(context.Background(), s.arrive("a"), time.Minute); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull at TenantQueueDepth 1", err)
 	}
 }
 

@@ -10,11 +10,16 @@
 package wire
 
 // DegradedHeader is the response header that flags every reply below
-// full quality; its value is the level (see AugmentResponse.DegradedLevel).
-// Documented, and matched by HTTP, as X-PAS-Degraded; spelled here the
-// way net/http keys and writes it, so a Get or Set allocates no
-// canonical copy of the name.
+// full quality, with the value DegradedValue. A reader takes any
+// non-empty value as the flag. Documented, and matched by HTTP, as
+// X-PAS-Degraded; spelled here the way net/http keys and writes it, so
+// a Get or Set allocates no canonical copy of the name.
 const DegradedHeader = "X-Pas-Degraded"
+
+// DegradedValue is what DegradedHeader and AugmentResponse.DegradedLevel
+// carry on a reply below full quality: "1", the raw prompt passed
+// through, the only answer PAS gives other than cat(p, M_p(p)).
+const DegradedValue = "1"
 
 // AugmentRequest is the body of POST /v1/augment.
 type AugmentRequest struct {
@@ -38,9 +43,8 @@ type AugmentResponse struct {
 	// augmentation path shed and the service fell back to the raw
 	// prompt (ServingConfig.Degrade).
 	Degraded bool `json:"degraded,omitempty"`
-	// DegradedLevel names the level when Degraded: "1", raw passthrough,
-	// is the only reduced value. The X-PAS-Degraded response header
-	// carries the same value.
+	// DegradedLevel is DegradedValue when Degraded, as the X-PAS-Degraded
+	// response header is.
 	DegradedLevel string `json:"degraded_level,omitempty"`
 }
 

@@ -69,8 +69,8 @@ func otherModel(t *testing.T, m *sft.Model) *sft.Model {
 // restarted with another model is noticed by its next probe, and the
 // same chat then carries the new model's complement. A fleet still
 // running a build from before the two-rung ladder, mid rolling upgrade,
-// flags its answers "trim": the value reaches the client untouched on
-// every request, repeats included, and is never remembered. With the
+// flags its answers "trim": the client gets the one flag, "1", on every
+// request, repeats included, and the answer is never remembered. With the
 // fleet gone the remembered chat is still served in full while a new
 // one is flagged raw.
 func TestClusterE2ENearCache(t *testing.T) {
@@ -209,7 +209,7 @@ func TestClusterE2ENearCache(t *testing.T) {
 	}
 
 	// A fleet of older replicas flagging "trim", a value this tree never
-	// sends: passed through every time, never remembered.
+	// sends: flagged "1" every time, never remembered.
 	var trims atomic.Int64
 	for _, r := range replicas {
 		inner := *r.h.Load().(*http.Handler)
@@ -226,7 +226,7 @@ func TestClusterE2ENearCache(t *testing.T) {
 		}))
 	}
 	for i := 1; i <= 2; i++ {
-		if level, got := chat("a prompt first seen under pressure"); level != "trim" || !strings.HasSuffix(sent(got), "\nBe specific.") || trims.Load() != int64(i) {
+		if level, got := chat("a prompt first seen under pressure"); level != "1" || !strings.HasSuffix(sent(got), "\nBe specific.") || trims.Load() != int64(i) {
 			t.Fatalf("older fleet, request %d: degraded %q, upstream got %q, %d replica answers", i, level, sent(got), trims.Load())
 		}
 	}

@@ -189,9 +189,9 @@ func TestOverloadE2EIsolation(t *testing.T) {
 		t.Fatalf("isolation broken: well-behaved non-full %.1f%% under flood vs %.1f%% solo (rows: flood=%+v solo=%+v)",
 			100*b, 100*solo, wellBehaved, soloRow)
 	}
-	// Fair share's bite shows up in queueing: the flooder's DRR bucket
+	// Fair share's bite shows up in queueing: the flooder's queue
 	// backlogs (it offers ~2.5x its half-share) while the well-behaved
-	// bucket drains every round, so B's median latency stays strictly
+	// queue drains every round, so B's median latency stays strictly
 	// below the flooder's.
 	if wellBehaved.LatencyP50Ms >= flooder.LatencyP50Ms {
 		t.Fatalf("fair share did not prioritize the well-behaved tenant: p50 %.1fms >= flooder's %.1fms",

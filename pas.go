@@ -247,11 +247,10 @@ func (s *System) EnhanceContext(ctx context.Context, main Chatter, prompt, salt 
 	if main == nil {
 		return Enhanced{}, fmt.Errorf("pas: nil downstream model")
 	}
-	c, level, err := s.complementLevel(ctx, prompt, salt)
+	c, degraded, err := s.complementLevel(ctx, prompt, salt)
 	if err != nil {
 		return Enhanced{}, err
 	}
-	degraded := level != serving.LevelFull
 	mctx, mspan := obs.StartSpan(ctx, "main.chat")
 	mspan.SetAttr("model", main.Name())
 	mspan.SetAttrBool("degraded", degraded)

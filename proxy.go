@@ -45,22 +45,19 @@ type Proxy struct {
 	readTimeout time.Duration // chatReadTimeout; shorter in tests
 }
 
-// Augmenter is the augmentation source a Proxy fronts. Two
-// implementations exist: *System (in-process augmentation through the
+// Augmenter is the augmentation source a Proxy fronts, and the one
+// contract it consults. *System (in-process augmentation through the
 // serving core) and ring.Client (consistent-hash routing across a
-// passerve replica fleet). The degraded result reports that the prompt
-// went through below full quality, which the proxy surfaces as
-// X-PAS-Degraded rather than hiding.
+// passerve replica fleet) implement it. The degraded result reports
+// that the prompt went through below full quality, which the proxy
+// surfaces as X-PAS-Degraded: 1 rather than hiding.
 type Augmenter interface {
 	AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error)
 }
 
-// LevelAugmenter is the optional refinement an Augmenter can implement
-// to name the answer's level instead of a bare verdict: the returned
-// level is the X-PAS-Degraded wire value ("" full, "1" raw
-// passthrough). *System and the ring client implement it, the ring
-// client passing a replica's value through as sent; the proxy falls back
-// to the boolean interface (and the "1" flag) for augmenters that do not.
+// LevelAugmenter names the verdict as its X-PAS-Degraded value.
+//
+// Deprecated: the proxy consults Augmenter alone; kept one round for bench/pasperf.
 type LevelAugmenter interface {
 	AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error)
 }
@@ -188,8 +185,8 @@ func (b *chatBody) Close() error {
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/chat/completions") {
 		actx, span := obs.StartSpan(r.Context(), "proxy.augment")
-		level, status, err := p.augmentRequest(actx, w, r)
-		span.SetAttrBool("degraded", level != "")
+		degraded, status, err := p.augmentRequest(actx, w, r)
+		span.SetAttrBool("degraded", degraded)
 		if err != nil {
 			span.SetError(err)
 		}
@@ -215,10 +212,10 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, "pas_proxy_error", err)
 			return
 		}
-		if level != "" {
-			// No complement ("1": the core shed fail-open, or the body was
-			// not one the proxy could augment). Never silent.
-			w.Header().Set(wire.DegradedHeader, level)
+		if degraded {
+			// No complement: the augmenter answered degraded, or the body
+			// was not one the proxy could augment. Never silent.
+			w.Header().Set(wire.DegradedHeader, wire.DegradedValue)
 		}
 	}
 	p.rp.ServeHTTP(w, r)
@@ -252,16 +249,16 @@ const chatReadTimeout = 30 * time.Second
 // leaves as r.Body, which releases it at Close, or is released here on
 // an error; the prompt and the salt the augmenter gets are copies.
 //
-// The returned level is the X-PAS-Degraded wire value ("" when the
-// augmentation ran at full quality). An error comes with the status it
+// degraded reports a chat forwarded below full quality, to be flagged
+// X-PAS-Degraded. An error comes with the status it
 // is answered with, decided by where it arose: 400 for a body that could
 // not be read — the one failure that is the client's — and 503 for
 // anything the augmenter returned. ctx carries the caller's span in
 // addition to r.Context()'s deadline and cancellation, so augmentation
 // work parents under it. The read deadline goes on w's connection.
-func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (level string, status int, _ error) {
+func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (degraded bool, status int, _ error) {
 	if r.ContentLength > maxChatBody {
-		return "1", 0, nil
+		return true, 0, nil
 	}
 	buf := wire.GetBuffer()
 	// Sized from Content-Length; the spare bytes.MinRead lets ReadAll see
@@ -272,7 +269,7 @@ func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *ht
 	if err := buf.ReadAll(io.LimitReader(r.Body, maxChatBody+1)); err != nil {
 		// The deadline stays, to fail net/http's drain of the body's rest too.
 		buf.Release()
-		return "", http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
+		return false, http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
 	}
 	_ = rc.SetReadDeadline(time.Time{}) // what is left of an over-limit upload, M_p and the reply run without one
 	if len(buf.B) > maxChatBody {
@@ -283,14 +280,14 @@ func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *ht
 			io.Reader
 			io.Closer
 		}{io.MultiReader(bytes.NewReader(buf.B), r.Body), r.Body}
-		return "1", 0, nil
+		return true, 0, nil
 	}
 	_ = r.Body.Close() // request body: nothing actionable on close failure
 
 	scan := scanChat(buf.B)
 	switch {
 	case !scan.usable:
-		level = "1"
+		degraded = true
 	case scan.contentEnd > 0:
 		// Salt from the raw seed value if present, for reproducible proxies.
 		salt := string(buf.B[scan.seedStart:scan.seedEnd])
@@ -299,24 +296,23 @@ func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *ht
 		// system has one; the request context propagates deadlines and
 		// client disconnects into the queue. With Degrade enabled a
 		// PAS-side failure leaves the message untouched.
-		augmented, lvl, err := p.augmentLevel(ctx, prompt, salt)
+		augmented, flagged, err := p.system.AugmentContextDegraded(ctx, prompt, salt)
 		if err != nil {
 			buf.Release()
-			return "", http.StatusServiceUnavailable, err
+			return false, http.StatusServiceUnavailable, err
 		}
-		level = lvl
-		if tail, ok := strings.CutPrefix(augmented, prompt); ok {
+		tail, extends := strings.CutPrefix(augmented, prompt)
+		if extends {
 			spliceEscaped(buf, scan.contentEnd-1, tail)
-		} else if level == "" {
-			// A reply that does not extend the prompt is not cat(p, M_p(p)):
-			// the user's words go upstream as sent, flagged.
-			level = "1"
 		}
+		// A reply that does not extend the prompt is not cat(p, M_p(p)):
+		// the user's words go upstream as sent, flagged.
+		degraded = flagged || !extends
 	}
 	r.Body = &chatBody{buf: buf}
 	r.ContentLength = int64(len(buf.B))
 	r.Header.Set("Content-Length", strconv.Itoa(len(buf.B)))
-	return level, 0, nil
+	return degraded, 0, nil
 }
 
 // spliceEscaped inserts s, escaped for the inside of a string literal
@@ -329,17 +325,4 @@ func spliceEscaped(buf *wire.Buffer, at int, s string) {
 	buf.B = wire.AppendEscaped(buf.B, s, false)
 	buf.B = append(buf.B, buf.B[at:end]...)
 	buf.B = buf.B[:at+copy(buf.B[at:], buf.B[end:])]
-}
-
-// augmentLevel calls the level-aware interface when the augmenter has
-// one, otherwise maps the boolean verdict onto the legacy "1" flag.
-func (p *Proxy) augmentLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
-	if la, ok := p.system.(LevelAugmenter); ok {
-		return la.AugmentContextLevel(ctx, prompt, salt)
-	}
-	augmented, degraded, err := p.system.AugmentContextDegraded(ctx, prompt, salt)
-	if degraded {
-		level = "1"
-	}
-	return augmented, level, err
 }

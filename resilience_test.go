@@ -53,7 +53,7 @@ func occupySlot(t *testing.T, sys *System, entered, release chan struct{}) func(
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := sys.AugmentContextLevel(context.Background(), "block", "")
+		_, _, err := sys.AugmentContextDegraded(context.Background(), "block", "")
 		done <- err
 	}()
 	<-entered
@@ -301,11 +301,14 @@ func TestEveryNonFull200CarriesDegradedHeader(t *testing.T) {
 		}},
 		{"proxy", func() (string, string) { return askProxy(front.URL) }},
 		{"ring", func() (string, string) {
-			augmented, level, err := client.AugmentContextLevel(context.Background(), prompt, "")
+			augmented, degraded, err := client.AugmentContextDegraded(context.Background(), prompt, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			return level, augmented
+			if degraded {
+				return "1", augmented
+			}
+			return "", augmented
 		}},
 	}
 	full := sys.Augment(prompt, "")

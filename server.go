@@ -40,7 +40,7 @@ type ServingConfig = serving.Config
 
 // EnableServing puts the admission-controlled, deduplicating, cached
 // serving core in front of Complement for every context-taking entry
-// point: handleAugment, the reverse proxy, AugmentContextLevel, and
+// point: handleAugment, the reverse proxy, AugmentContextDegraded, and
 // EnhanceContext. Call it once before serving traffic; the plain
 // Complement and Augment methods stay direct and unlimited.
 func (s *System) EnableServing(cfg ServingConfig) error {
@@ -55,14 +55,14 @@ func (s *System) EnableServing(cfg ServingConfig) error {
 // complementLevel is Complement through the serving core when one is
 // enabled: results are cached, concurrent identical requests share one
 // computation, and a request the core sheds is, with
-// ServingConfig.Degrade, answered raw instead of failing (see
+// ServingConfig.Degrade, answered degraded instead of failing (see
 // serving.Core.DoLevel): an empty complement with no error — the caller
 // proceeds with the un-augmented prompt. An error for which IsOverloaded
 // is true means the request was shed.
 // Without EnableServing it computes directly and never fails.
-func (s *System) complementLevel(ctx context.Context, prompt, salt string) (string, serving.Level, error) {
+func (s *System) complementLevel(ctx context.Context, prompt, salt string) (complement string, degraded bool, err error) {
 	if s.core == nil {
-		return s.Complement(prompt, salt), serving.LevelFull, nil
+		return s.Complement(prompt, salt), false, nil
 	}
 	return s.core.DoLevel(ctx, prompt, salt, s.BaseModel())
 }
@@ -76,23 +76,27 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 	}
 }
 
-// AugmentContextDegraded is AugmentContextLevel with the level reduced
-// to a verdict, for callers that only need to know whether the prompt
-// went through below full quality.
+// AugmentContextDegraded is Augment through the serving core (see
+// complementLevel): cat(prompt, complement), or, degraded, the prompt as
+// it came (fail-open).
 func (s *System) AugmentContextDegraded(ctx context.Context, prompt, salt string) (augmented string, degraded bool, err error) {
-	aug, level, err := s.AugmentContextLevel(ctx, prompt, salt)
-	return aug, level != "", err
+	c, degraded, err := s.complementLevel(ctx, prompt, salt)
+	if err != nil {
+		return "", false, err
+	}
+	return cat(prompt, c), degraded, nil
 }
 
-// AugmentContextLevel is Augment through the serving core (see
-// complementLevel), with the answer's level as its X-PAS-Degraded wire
-// value: "" full quality, "1" raw passthrough (fail-open).
+// AugmentContextLevel is AugmentContextDegraded with the verdict as its
+// X-PAS-Degraded value.
+//
+// Deprecated: call AugmentContextDegraded; kept one round for bench/pasperf.
 func (s *System) AugmentContextLevel(ctx context.Context, prompt, salt string) (augmented, level string, err error) {
-	c, lvl, err := s.complementLevel(ctx, prompt, salt)
-	if err != nil {
-		return "", "", err
+	augmented, degraded, err := s.AugmentContextDegraded(ctx, prompt, salt)
+	if degraded {
+		level = wire.DegradedValue
 	}
-	return cat(prompt, c), lvl.Header(), nil
+	return augmented, level, err
 }
 
 // IsOverloaded reports whether err from a context-taking entry point
@@ -281,7 +285,7 @@ func (s *System) handleAugment(w http.ResponseWriter, r *http.Request) {
 		s.writeOverloaded(w, serving.ErrDraining)
 		return
 	}
-	c, level, err := s.complementLevel(r.Context(), req.Prompt, req.Salt)
+	c, degraded, err := s.complementLevel(r.Context(), req.Prompt, req.Salt)
 	if err != nil {
 		if !clientGone(w, r) {
 			s.writeOverloaded(w, err)
@@ -289,15 +293,15 @@ func (s *System) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := AugmentResponse{
-		Prompt:        req.Prompt,
-		Complement:    c,
-		Augmented:     cat(req.Prompt, c),
-		Model:         s.BaseModel(),
-		Degraded:      level != serving.LevelFull,
-		DegradedLevel: level.Header(),
+		Prompt:     req.Prompt,
+		Complement: c,
+		Augmented:  cat(req.Prompt, c),
+		Model:      s.BaseModel(),
+		Degraded:   degraded,
 	}
-	if resp.Degraded {
-		w.Header().Set(wire.DegradedHeader, resp.DegradedLevel)
+	if degraded {
+		resp.DegradedLevel = wire.DegradedValue
+		w.Header().Set(wire.DegradedHeader, wire.DegradedValue)
 	}
 	buf := wire.GetBuffer()
 	defer buf.Release()

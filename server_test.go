@@ -268,15 +268,15 @@ func TestWriteOverloadedSetsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestContextVariantsWithoutCore: AugmentContextLevel on a plain system
-// is the direct Augment at full quality and never fails.
+// TestContextVariantsWithoutCore: AugmentContextDegraded on a plain
+// system is the direct Augment at full quality and never fails.
 func TestContextVariantsWithoutCore(t *testing.T) {
 	sys := testSystem(t).System
-	a, level, err := sys.AugmentContextLevel(context.Background(), "Explain how tides form.", "s")
+	a, degraded, err := sys.AugmentContextDegraded(context.Background(), "Explain how tides form.", "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sys.Augment("Explain how tides form.", "s"); a != want || level != "" {
-		t.Fatalf("AugmentContextLevel = (%q, %q), want (%q, full)", a, level, want)
+	if want := sys.Augment("Explain how tides form.", "s"); a != want || degraded {
+		t.Fatalf("AugmentContextDegraded = (%q, %v), want (%q, false)", a, degraded, want)
 	}
 }
