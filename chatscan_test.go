@@ -627,6 +627,19 @@ func FuzzChatRewrite(f *testing.F) {
 	for _, body := range fixedChats {
 		f.Add([]byte(body))
 	}
+	// The word-at-a-time string scan's edges (see TestStrBoundaryMatrix):
+	// the byte that ends a run of plain bytes in a word's last lane or the
+	// next word's first, an escape across two words, high bytes by a quote.
+	for _, body := range []string{
+		`{"messages":[{"role":"user","content":"abcdefg\"hijklmnop"}],"seed":"1234567"}`,
+		`{"messages":[{"role":"user","content":"abcdefgh\nijklmno\u00e9"}],"seed":"12345678"}`,
+		`{"messages":[{"role":"user","content":"abcdefg\u00e9hijklmn\"#$%&'()*"}]}`,
+		"{\"messages\":[{\"role\":\"user\",\"content\":\"abcdefg\x1fhijklmnop\"}]}",
+		"{\"messages\":[{\"role\":\"user\",\"content\":\"\x7f\x80\xff \x7f\x80\xff\x20\x7f\x80\xff\"}]}",
+		`{"messages":[{"role":"user","content":"abcdefghijklmnop`,
+	} {
+		f.Add([]byte(body))
+	}
 	g := &chatGen{r: rand.New(rand.NewSource(29))}
 	for i := 0; i < 8; i++ {
 		body, _ := g.chat()

@@ -51,7 +51,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -64,6 +66,7 @@ import (
 	"repro/cmd/internal/daemon"
 	"repro/internal/resilience"
 	"repro/internal/ring"
+	"repro/internal/wire"
 )
 
 // options is pasproxy's command line: the shared serving flags (which
@@ -124,14 +127,37 @@ func bindFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// keepUpstreamConnections lets http.DefaultTransport, which pas.Proxy
-// forwards through, keep as many idle connections to the one upstream
-// host as it may keep in all: the default of two per host re-dials on
-// most requests once more than two clients are in flight.
-func keepUpstreamConnections() {
+// tuneUpstreamTransport adjusts http.DefaultTransport, which pas.Proxy
+// forwards through: it keeps as many idle connections to the one
+// upstream host as it may keep in all (two per host re-dial on most
+// requests past two clients in flight), each dialled as an upstreamConn.
+func tuneUpstreamTransport() {
 	if t, ok := http.DefaultTransport.(*http.Transport); ok {
 		t.MaxIdleConnsPerHost = t.MaxIdleConns
+		dial := t.DialContext
+		t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dial(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return &upstreamConn{c, struct{ io.Writer }{c}}, nil
+		}
 	}
+}
+
+// upstreamConn copies a request body onto the connection through
+// wire.CopyBuffers, in io.Copy's pieces, where a *net.TCPConn that cannot
+// splice (no body the proxy forwards is a socket or a file) makes a
+// buffer per body. Over TLS the *tls.Conn on top copies, as before.
+type upstreamConn struct {
+	net.Conn
+	w io.Writer // the bare connection, so that io.CopyBuffer uses the buffer
+}
+
+func (c *upstreamConn) ReadFrom(r io.Reader) (int64, error) {
+	buf := wire.CopyBuffers.Get()
+	defer wire.CopyBuffers.Put(buf)
+	return io.CopyBuffer(c.w, r, buf)
 }
 
 // newHandler builds pasproxy's HTTP surface from its command line, fs
@@ -213,7 +239,7 @@ func main() {
 	log.SetPrefix("pasproxy: ")
 	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-	keepUpstreamConnections()
+	tuneUpstreamTransport()
 
 	// Fail configuration errors at startup with a clear message, not as
 	// the first request's 502: the upstream must be a bare absolute

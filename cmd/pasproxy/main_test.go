@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -307,12 +308,16 @@ func (suffixAugmenter) AugmentContextDegraded(_ context.Context, prompt, _ strin
 	return prompt + "\nState your assumptions.", false, nil
 }
 
+// tuneOnce applies tuneUpstreamTransport to the test process once, as
+// main does: called again it would wrap the dialler it already wrapped.
+var tuneOnce = sync.OnceFunc(tuneUpstreamTransport)
+
 // TestProxyReusesUpstreamConnections: the proxy has one upstream host,
 // and net/http keeps two idle connections per host unless told
 // otherwise, so with more than two clients most requests used to dial.
-// After keepUpstreamConnections eight clients need eight connections.
+// After tuneUpstreamTransport eight clients need eight connections.
 func TestProxyReusesUpstreamConnections(t *testing.T) {
-	keepUpstreamConnections()
+	tuneOnce()
 	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 
 	const clients, chats = 8, 25
@@ -369,4 +374,229 @@ func TestProxyReusesUpstreamConnections(t *testing.T) {
 	if opened.Load() > clients {
 		t.Fatalf("%d upstream connections for %d concurrent clients: idle connections are not being kept", opened.Load(), clients)
 	}
+}
+
+// longChat is the 14-message, 7 KiB conversation of pasperf's
+// proxy_chat workload.
+func longChat(t testing.TB) []byte {
+	filler := strings.Repeat("On tides, in plain words, as a numbered list. ", 11)
+	type message struct {
+		Role    string `json:"role"`
+		Content string `json:"content"`
+	}
+	msgs := []message{{"system", "You are a careful assistant. " + filler[:200]}}
+	for i := 0; i < 6; i++ {
+		msgs = append(msgs, message{"user", filler[:380]}, message{"assistant", filler + filler[:100]})
+	}
+	msgs = append(msgs, message{"user", "Explain how tides form, for a reader who has never seen the sea."})
+	chat, err := json.Marshal(map[string]any{"model": "gpt-4-0613", "temperature": 0.7, "seed": "pasperf", "messages": msgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chat
+}
+
+// TestForwardedChatAllocatesNoCopyBuffer holds the bytes the whole test
+// process allocates per 7 KiB chat sent through the proxy, over the
+// daemon's own transport, to a loopback upstream: client, proxy and
+// upstream together. Before upstream connections copied through the
+// pooled buffers it was 24 KiB (17.5 KiB after; Go 1.24, linux/amd64),
+// 7 KiB of it a copy buffer net/http's TCPConn.ReadFrom made for every
+// body; TestProxyForwardAllocations, on an in-memory transport, never
+// sees that copy.
+func TestForwardedChatAllocatesNoCopyBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations swamp the figure")
+	}
+	tuneOnce()
+	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write([]byte(`{"ok":true}`))
+	}))
+	defer upstream.Close()
+	proxy, err := pas.NewProxyWith(suffixAugmenter{}, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+	chat := longChat(t)
+	post := func() {
+		resp, err := front.Client().Post(front.URL+"/v1/chat/completions", "application/json", bytes.NewReader(chat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	for i := 0; i < 50; i++ { // connections dialled, pools filled
+		post()
+	}
+	const chats = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < chats; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	perChat := (after.TotalAlloc - before.TotalAlloc) / chats
+	t.Logf("%d bytes allocated per forwarded %d-byte chat", perChat, len(chat))
+	if perChat > 20<<10 {
+		t.Errorf("%d bytes allocated per forwarded chat, want <= 20 KiB: is a copy buffer made per request again?", perChat)
+	}
+}
+
+// upstreamCase is one body of the socket matrix: what the client sends
+// to path, and what the upstream must receive. chunked sends it with no
+// declared length, piece by piece.
+type upstreamCase struct {
+	name, path string
+	send, want []byte
+	chunked    bool
+}
+
+// upstreamCases sends a body of every size around the copy's edges —
+// one byte, the 4 KiB of a bufio.Writer, the 32 KiB of a copy buffer,
+// past two of them, a megabyte — as a chat the proxy augments and as a
+// plain POST with and without a declared length. A chat too short to be
+// one is forwarded as it came.
+func upstreamCases() []upstreamCase {
+	const head, tail = `{"messages":[{"role":"user","content":"`, `"}]}`
+	pattern := []byte("abcdefghijklmnopqrstuvwxyz0123456789")
+	var cases []upstreamCase
+	for _, n := range []int{1, 4<<10 - 1, 4 << 10, 4<<10 + 1, 32<<10 - 1, 32 << 10, 32<<10 + 1, 64<<10 + 1, 1 << 20} {
+		raw := bytes.Repeat(pattern, n/len(pattern)+1)[:n]
+		chat, want := raw, raw
+		if n > len(head)+len(tail) {
+			text := raw[:n-len(head)-len(tail)]
+			chat = []byte(head + string(text) + tail)
+			want = []byte(head + string(text) + `\nState your assumptions.` + tail)
+		}
+		cases = append(cases,
+			upstreamCase{fmt.Sprintf("chat/%d", n), "/v1/chat/completions", chat, want, false},
+			upstreamCase{fmt.Sprintf("post/%d", n), "/v1/other", raw, raw, false},
+			upstreamCase{fmt.Sprintf("chunked/%d", n), "/v1/other", raw, raw, true})
+	}
+	return cases
+}
+
+// sendThroughProxy posts c through a proxy in front of upstream, whose
+// handler records what it read into got, and returns that.
+func sendThroughProxy(t *testing.T, front *httptest.Server, got *[]byte, c upstreamCase) []byte {
+	t.Helper()
+	var body io.Reader = bytes.NewReader(c.send)
+	if c.chunked {
+		// A pipe written in odd pieces: no declared length, and the
+		// proxy's reads of the request come back short.
+		pr, pw := io.Pipe()
+		go func() {
+			for rest := c.send; len(rest) > 0; {
+				n := min(len(rest), 1000+len(rest)%7)
+				if _, err := pw.Write(rest[:n]); err != nil {
+					return
+				}
+				rest = rest[n:]
+			}
+			pw.Close()
+		}()
+		body = pr
+	}
+	resp, err := front.Client().Post(front.URL+c.path, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d", c.name, resp.StatusCode)
+	}
+	return *got
+}
+
+// upstreams runs fn against a plain and a TLS upstream behind the proxy,
+// both reached through the daemon's transport; the upstream's handler
+// stores the body it read in *got.
+func upstreams(t *testing.T, fn func(t *testing.T, front *httptest.Server, got *[]byte)) {
+	tuneOnce()
+	transport := http.DefaultTransport.(*http.Transport)
+	for _, scheme := range []string{"http", "https"} {
+		t.Run(scheme, func(t *testing.T) {
+			var got []byte
+			h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				b, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				got = b
+			})
+			var upstream *httptest.Server
+			if scheme == "https" {
+				upstream = httptest.NewTLSServer(h)
+				saved := transport.TLSClientConfig
+				transport.TLSClientConfig = upstream.Client().Transport.(*http.Transport).TLSClientConfig
+				defer func() { transport.TLSClientConfig = saved }()
+			} else {
+				upstream = httptest.NewServer(h)
+			}
+			defer upstream.Close()
+			defer transport.CloseIdleConnections()
+			proxy, err := pas.NewProxyWith(suffixAugmenter{}, upstream.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			front := httptest.NewServer(proxy)
+			defer front.Close()
+			fn(t, front, &got)
+		})
+	}
+}
+
+// TestUpstreamBodiesArriveByteIdentical: whatever copies a body to the
+// upstream's connection, the upstream reads exactly the bytes it would
+// have read through net/http's own copy, at every size around the
+// copy's edges, with and without a declared length, in clear and over
+// TLS.
+func TestUpstreamBodiesArriveByteIdentical(t *testing.T) {
+	upstreams(t, func(t *testing.T, front *httptest.Server, got *[]byte) {
+		for _, c := range upstreamCases() {
+			if b := sendThroughProxy(t, front, got, c); !bytes.Equal(b, c.want) {
+				t.Errorf("%s: upstream read %d bytes, want %d (first difference at %d)", c.name, len(b), len(c.want), firstDiff(b, c.want))
+			}
+		}
+	})
+}
+
+// TestUpstreamCopyCarriesNoPooledBytes fills the pooled copy buffers
+// with a marker before every request: a copy that wrote more of a buffer
+// than it had just read, or a buffer handed back while still in use,
+// would put the marker on an upstream's wire.
+func TestUpstreamCopyCarriesNoPooledBytes(t *testing.T) {
+	marker := []byte("#POOLED#")
+	upstreams(t, func(t *testing.T, front *httptest.Server, got *[]byte) {
+		for _, c := range upstreamCases() {
+			var held [][]byte
+			for i := 0; i < 4; i++ {
+				b := wire.CopyBuffers.Get()
+				for j := 0; j < len(b); j += copy(b[j:], marker) {
+				}
+				held = append(held, b)
+			}
+			for _, b := range held {
+				wire.CopyBuffers.Put(b)
+			}
+			if b := sendThroughProxy(t, front, got, c); bytes.Contains(b, marker) || len(b) != len(c.want) {
+				t.Errorf("%s: upstream read %d bytes, want %d, marker seen: %v", c.name, len(b), len(c.want), bytes.Contains(b, marker))
+			}
+		}
+	})
+}
+
+// firstDiff is the first offset at which a and b differ.
+func firstDiff(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }

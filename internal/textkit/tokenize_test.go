@@ -45,54 +45,10 @@ func TestWordsDropsPunctuationAndNumbers(t *testing.T) {
 	}
 }
 
-func TestSentences(t *testing.T) {
-	got := Sentences("First. Second! Third? Fourth")
-	if len(got) != 4 {
-		t.Fatalf("got %d sentences %v, want 4", len(got), got)
-	}
-	if got[0] != "First." || got[3] != "Fourth" {
-		t.Errorf("unexpected sentence split: %v", got)
-	}
-}
-
-func TestSentencesEmptyAndBarePunct(t *testing.T) {
-	if got := Sentences(""); len(got) != 0 {
-		t.Errorf("empty text gave %v", got)
-	}
-	if got := Sentences("... !!"); len(got) != 0 {
-		t.Errorf("bare punctuation gave %v", got)
-	}
-}
-
-func TestWordNGrams(t *testing.T) {
-	got := WordNGrams("a b c d", 2)
-	want := []string{"a b", "b c", "c d"}
-	if len(got) != len(want) {
-		t.Fatalf("bigrams = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("gram %d = %q want %q", i, got[i], want[i])
-		}
-	}
-	if WordNGrams("a", 2) != nil {
-		t.Error("short text should yield nil")
-	}
-	if WordNGrams("a b", 0) != nil {
-		t.Error("n=0 should yield nil")
-	}
-}
-
 func TestCharNGramsBoundaryMarkers(t *testing.T) {
 	grams := CharNGrams("ab", 3)
 	if len(grams) != 2 || grams[0] != "_ab" || grams[1] != "ab_" {
 		t.Fatalf("CharNGrams = %v", grams)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	if got := Normalize("  Hello   WORLD \n"); got != "hello world" {
-		t.Fatalf("Normalize = %q", got)
 	}
 }
 
@@ -174,7 +130,7 @@ func TestSignIsUnbiasedEnough(t *testing.T) {
 	pos := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if Sign(strings.Repeat("x", i%31)+string(rune('a'+i%26))+Normalize(string(rune(i))), 3) > 0 {
+		if Sign(strings.Repeat("x", i%31)+string(rune('a'+i%26))+strings.Join(strings.Fields(strings.ToLower(string(rune(i)))), " "), 3) > 0 {
 			pos++
 		}
 	}
@@ -219,46 +175,4 @@ func BenchmarkTokenize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Tokenize(text)
 	}
-}
-
-// Sentences splits text into sentences on terminal punctuation. It keeps
-// the terminator attached to the sentence and trims surrounding space.
-// Empty sentences are dropped.
-func Sentences(text string) []string {
-	var out []string
-	var b strings.Builder
-	for _, r := range text {
-		b.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' || r == '\n' {
-			s := strings.TrimSpace(b.String())
-			if s != "" && s != "." && s != "!" && s != "?" {
-				out = append(out, s)
-			}
-			b.Reset()
-		}
-	}
-	if s := strings.TrimSpace(b.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-// WordNGrams returns the contiguous word n-grams of text joined by a
-// single space. n must be >= 1; shorter texts yield no n-grams.
-func WordNGrams(text string, n int) []string {
-	words := Words(text)
-	if n < 1 || len(words) < n {
-		return nil
-	}
-	grams := make([]string, 0, len(words)-n+1)
-	for i := 0; i+n <= len(words); i++ {
-		grams = append(grams, strings.Join(words[i:i+n], " "))
-	}
-	return grams
-}
-
-// Normalize lower-cases text and collapses runs of whitespace to single
-// spaces, producing the canonical form used for deduplication keys.
-func Normalize(text string) string {
-	return strings.Join(strings.Fields(strings.ToLower(text)), " ")
 }

@@ -230,3 +230,13 @@ func (b *Buffer) Replay(err error) io.Reader {
 type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// CopyBuffers is the process's one pool of io.Copy's 32 KiB buffers:
+// the reverse proxy's and its upstream connections'. Arrays are pooled,
+// not slices, so that Put boxes a pointer and allocates nothing.
+var CopyBuffers = &copyBufferPool{arrays: sync.Pool{New: func() any { return new([32 << 10]byte) }}}
+
+type copyBufferPool struct{ arrays sync.Pool }
+
+func (p *copyBufferPool) Get() []byte  { return p.arrays.Get().(*[32 << 10]byte)[:] }
+func (p *copyBufferPool) Put(b []byte) { p.arrays.Put((*[32 << 10]byte)(b)) }

@@ -59,6 +59,18 @@ var codecSeeds = []string{
 	`{"prompt":""}`,
 	strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
 	`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `,"prompt":"a"}`,
+	// The word-at-a-time string scan's edges: what ends a run of plain
+	// bytes in the last lane of a word, in the first of the next, an
+	// escape across two words, high and 0x7F bytes beside a quote, plain
+	// words running into the end of the input.
+	`{"prompt":"abcdefg\"hijklmnop","salt":"1234567"}`,
+	`{"prompt":"abcdefgh\nijklmno\u00e9","salt":"12345678"}`,
+	`{"prompt":"abcdefg\u00e9hijklmn\"#$%&'()*"}`,
+	"{\"prompt\":\"abcdefg\x1fhijklmnop\"}",
+	"{\"prompt\":\"abcdefgh\x00ijklmnop\"}",
+	"{\"prompt\":\"\x7f\x80\xff \x7f\x80\xff\x20\x7f\x80\xff\"}",
+	`{"prompt":"abcdefghijklmnop`,
+	`{"prompt":"abcdefg\`,
 }
 
 // checkCodec holds the codec to encoding/json on one input: a body the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -215,6 +216,15 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
+// specialIn reports whether a byte of w is a quote, a backslash or
+// below 0x20, for str to skip the words of plain bytes whole: a byte under
+// its bound (0x20, or 1 once XOR zeroed it) borrows into its top bit, and
+// ^w drops the bytes from 0x80 up. The byte loop decides every verdict.
+func specialIn(w uint64) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	return ((w-ones*0x20)|((w^ones*'"')-ones)|((w^ones*'\\')-ones))&^w&tops != 0
+}
+
 // str consumes the string literal whose opening quote is the next byte.
 // Like json.Valid it checks escapes and control characters, not UTF-8.
 //
@@ -222,6 +232,9 @@ var plainByte = func() (t [256]bool) {
 func (s *Scanner) str() bool {
 	b := s.b
 	for i := s.i + 1; ; i++ {
+		for len(b)-i >= 8 && !specialIn(binary.LittleEndian.Uint64(b[i:])) {
+			i += 8
+		}
 		for i < len(b) && plainByte[b[i]] {
 			i++
 		}

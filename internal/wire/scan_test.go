@@ -85,3 +85,70 @@ func TestUnquoteEscapesAllocateOnce(t *testing.T) {
 		t.Fatalf("Unquote of a literal with escapes allocates %v times, want 1", n)
 	}
 }
+
+// refStr is str as it was before it skipped plain bytes a word at a
+// time: one byte per step. The boundary matrix holds str to it.
+func refStr(b []byte, start int) (end int, ok bool) {
+	for i := start + 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1, true
+		case c == '\\':
+			i++
+			if i >= len(b) {
+				return 0, false
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b)-i < 5 || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+					return 0, false
+				}
+				i += 4
+			default:
+				return 0, false
+			}
+		case c < 0x20:
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
+// TestStrBoundaryMatrix puts every byte value, every valid escape and
+// a \u escape cut short at every offset 0-15 of strings of 0-24 plain
+// bytes, so at every lane of the first two words str tests eight bytes
+// at a time, and holds str's verdict and end offset to refStr's: for a
+// closed literal with and without bytes after it, and for one the input
+// cuts off. The plain bytes around the insert include 0x20, 0x7F, 0x80
+// and 0xFF, the neighbours of what a word test must tell apart.
+func TestStrBoundaryMatrix(t *testing.T) {
+	plain := []byte("a \x7f\x80\xff/u#!]")
+	var inserts [][]byte
+	for c := 0; c < 256; c++ {
+		inserts = append(inserts, []byte{byte(c)})
+	}
+	for _, e := range []string{`\"`, `\\`, `\/`, `\b`, `\f`, `\n`, `\r`, `\t`, `\u00e9`, `\uABCD`, `\u12`} {
+		inserts = append(inserts, []byte(e))
+	}
+	var lit []byte
+	for n := 0; n <= 24; n++ {
+		content := make([]byte, n)
+		for i := range content {
+			content[i] = plain[(i*7+n)%len(plain)]
+		}
+		for off := 0; off <= min(n, 15); off++ {
+			for _, ins := range inserts {
+				for _, after := range []string{`"`, `",1,"plain tail bytes"]`, ``} {
+					lit = append(append(append(append(append(lit[:0], '"'), content[:off]...), ins...), content[off:]...), after...)
+					s := NewScanner(lit)
+					ok := s.str()
+					end, wantOK := refStr(lit, 0)
+					if ok != wantOK || ok && s.Pos() != end {
+						t.Fatalf("%q: str = %v ending at %d, byte at a time %v ending at %d", lit, ok, s.Pos(), wantOK, end)
+					}
+				}
+			}
+		}
+	}
+}

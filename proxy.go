@@ -39,6 +39,8 @@ import (
 // scratch, rewritten there and sent from there (chatBody), and the
 // response is copied through a pooled buffer, flushed as httputil does
 // unasked: at once for an event stream or a body of undeclared length.
+// Copying the body onto the connection is the transport's, and the one
+// cmd/pasproxy tunes copies through the same pool (wire.CopyBuffers).
 type Proxy struct {
 	system      Augmenter
 	rp          *httputil.ReverseProxy
@@ -95,7 +97,7 @@ func NewProxyWith(system Augmenter, upstreamURL string) (*Proxy, error) {
 			// downstream service continues the same trace.
 			obs.Inject(r.Context(), r.Header)
 		},
-		BufferPool: copyBuffers,
+		BufferPool: wire.CopyBuffers,
 		// The proxy's own middleware already echoes a traceparent on the
 		// response; drop the upstream's echo so the client is not handed
 		// two values for one header.
@@ -132,16 +134,6 @@ func writeError(w http.ResponseWriter, status int, kind string, err error) {
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.B) // the client hung up: nothing to do about it here
 }
-
-// copyBufferPool is the reverse proxy's httputil.BufferPool: without one
-// it makes a 32 KiB slice for every response it copies. Arrays are pooled,
-// not slices, so that Put boxes a pointer and allocates nothing.
-type copyBufferPool struct{ arrays sync.Pool }
-
-var copyBuffers = &copyBufferPool{arrays: sync.Pool{New: func() any { return new([32 << 10]byte) }}}
-
-func (p *copyBufferPool) Get() []byte  { return p.arrays.Get().(*[32 << 10]byte)[:] }
-func (p *copyBufferPool) Put(b []byte) { p.arrays.Put((*[32 << 10]byte)(b)) }
 
 // chatBody is a rewritten chat on its way to the upstream: a reader over
 // pooled scratch that hands the scratch back at Close. Close and Read
@@ -310,8 +302,7 @@ func (p *Proxy) augmentRequest(ctx context.Context, w http.ResponseWriter, r *ht
 		degraded = flagged || !extends
 	}
 	r.Body = &chatBody{buf: buf}
-	r.ContentLength = int64(len(buf.B))
-	r.Header.Set("Content-Length", strconv.Itoa(len(buf.B)))
+	r.ContentLength = int64(len(buf.B)) // net/http writes this, never the header's stale value
 	return degraded, 0, nil
 }
 
