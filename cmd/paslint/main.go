@@ -3,15 +3,14 @@
 //
 // Usage:
 //
-//	paslint [-rules determinism,errwrap] [-json | -sarif] [-list] [packages]
+//	paslint [-rules determinism,errwrap] [-json] [-list] [packages]
 //
 // Patterns follow the go tool's shape: ./... (default), ./dir, ./dir/...
 // Exit status: 0 clean, 1 findings, 2 operational failure (bad flags,
 // unparseable source, type errors).
 //
-// -json emits the framework's diagnostic array unchanged; -sarif emits
-// a SARIF 2.1.0 log (see sarif.go) for code-scanning ingestion. The
-// two are mutually exclusive.
+// -json emits the framework's diagnostic array unchanged, the one
+// machine-readable format.
 //
 // Findings are suppressed — one line at a time, with a mandatory reason
 // — by directives of the form:
@@ -36,10 +35,6 @@ import (
 	"repro/internal/analysis/rules"
 )
 
-// paslintVersion is reported in SARIF driver metadata; bumped when the
-// rule set or a rule's semantics change.
-const paslintVersion = "2.2.0"
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -50,15 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		ruleList = fs.String("rules", "", "comma-separated rule subset to run (default: all)")
 		asJSON   = fs.Bool("json", false, "emit findings as a JSON array")
-		asSARIF  = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 		list     = fs.Bool("list", false, "list registered analyzers and exit")
 		dir      = fs.String("C", "", "module root to lint (default: nearest go.mod above the working directory)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "paslint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 	analyzers := rules.All()
@@ -85,11 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// Diagnostics carry absolute paths; the root must be absolute too
-	// or -sarif's URI relativization silently degrades (-C . is legal).
-	if abs, err := filepath.Abs(root); err == nil {
-		root = abs
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -104,13 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(stderr, "paslint: encoding: %v\n", err)
-			return 2
-		}
-	case *asSARIF:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(buildSARIF(diags, analyzers, root)); err != nil {
 			fmt.Fprintf(stderr, "paslint: encoding: %v\n", err)
 			return 2
 		}

@@ -39,6 +39,18 @@ func TestBadFlagIsOperationalFailure(t *testing.T) {
 	}
 }
 
+// TestSARIFIsNotAFlag: -json is the one machine-readable format, and
+// -sarif is as undefined as any other unknown flag.
+func TestSARIFIsNotAFlag(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-sarif", "./..."}, &out, &errOut); code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -sarif") {
+		t.Fatalf("stderr = %q", errOut.String())
+	}
+}
+
 // TestLintCleanPackage runs the real pipeline over one small clean
 // package and expects a silent exit 0. This is the driver's end-to-end
 // smoke test; -short skips it because it type-checks stdlib sources.

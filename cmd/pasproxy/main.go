@@ -21,20 +21,20 @@
 // -queue-depth, -queue-wait) and fail-open (-degrade).
 //
 // With -replicas the proxy instead routes each augmentation to the
-// replica owning its cache key on a consistent-hash ring (-vnodes
-// virtual nodes), so repeated prompts always warm the same replica's
+// replica owning its cache key on a consistent-hash ring (128 virtual
+// nodes each), so repeated prompts always warm the same replica's
 // cache — after looking the key up in its own near cache (-cache-size,
 // -cache-ttl) of full-quality answers, which a replica restart empties.
 // The other serving flags size a core this mode does not run; setting
 // one is logged at start-up. Replica health is probed at /v1/status (-probe-interval,
-// -probe-timeout); a member failing -down-after consecutive checks is
+// -probe-timeout); a member failing three consecutive checks is
 // evicted from the ring — moving only its own keys — and rejoins on
 // recovery. A replica announcing "draining" is routed around without
 // any failure bookkeeping and rejoins when its status reads ok again.
-// -hedge races slow owners against their ring successor, and each
-// replica sits behind its own circuit breaker (-breaker-threshold,
-// -breaker-cooldown): consecutive failed calls stop the proxy calling it
-// for a while.
+// -hedge races slow owners against their ring successor (counted in
+// pas_resilience_hedges_total, which only this mode exports), and each
+// replica sits behind its own circuit breaker (-breaker-threshold):
+// consecutive failed calls stop the proxy calling it for two seconds.
 // GET /metricsz/cluster scrapes and merges every member's exposition.
 // The fleet is reshaped at runtime through /v1/cluster/replicas
 // (GET/POST/DELETE), enabled by -admin-token.
@@ -78,13 +78,11 @@ type options struct {
 
 	// Cluster mode.
 	replicas, adminToken        string
-	vnodes, downAfter           int
 	hedge                       bool
 	hedgeMin, hedgeMax          time.Duration
 	probeInterval, probeTimeout time.Duration
 	ringTimeout                 time.Duration
 	breakerThreshold            int
-	breakerCooldown             time.Duration
 }
 
 // clusterIgnored are the serving flags that do nothing with -replicas:
@@ -113,15 +111,12 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8424", "listen address")
 
 	fs.StringVar(&o.replicas, "replicas", "", "comma-separated passerve base URLs; set to route augmentations across a fleet by consistent hash")
-	fs.IntVar(&o.vnodes, "vnodes", ring.DefaultVNodes, "virtual nodes per replica on the routing ring")
 	fs.BoolVar(&o.hedge, "hedge", false, "hedge slow owner replicas against their ring successor")
 	fs.DurationVar(&o.hedgeMin, "hedge-min", 20*time.Millisecond, "lower clamp on the adaptive hedge delay")
 	fs.DurationVar(&o.hedgeMax, "hedge-max", 2*time.Second, "upper clamp on the adaptive hedge delay")
-	fs.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "target spacing between health probes of each replica")
-	fs.DurationVar(&o.probeTimeout, "probe-timeout", time.Second, "timeout for one health probe")
-	fs.IntVar(&o.downAfter, "down-after", 3, "consecutive failures that evict a replica from the ring")
+	fs.DurationVar(&o.probeInterval, "probe-interval", wire.ProbeInterval, "target spacing between health probes of each replica")
+	fs.DurationVar(&o.probeTimeout, "probe-timeout", wire.ProbeTimeout, "timeout for one health probe")
 	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 8, "consecutive failed calls to a replica before its breaker opens (per-replica breaker, with -replicas; 0 disables)")
-	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 2*time.Second, "breaker open->half-open window (per-replica breaker, with -replicas)")
 	fs.DurationVar(&o.ringTimeout, "ring-timeout", 5*time.Second, "timeout for one augmentation attempt against one replica")
 	fs.StringVar(&o.adminToken, "admin-token", "", "token for the /v1/cluster/replicas membership API (empty keeps it disabled)")
 	return o
@@ -166,7 +161,6 @@ func (c *upstreamConn) ReadFrom(r io.Reader) (int64, error) {
 // registry. In cluster mode the ring client probes its replicas until
 // ctx ends.
 func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.Logger) (http.Handler, error) {
-	resilience.RegisterMetrics(o.Reg)
 	mux := http.NewServeMux()
 	var proxy *pas.Proxy
 	if o.replicas != "" {
@@ -178,10 +172,8 @@ func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.L
 		}
 		client, err := ring.NewClient(ring.Config{
 			Replicas:         urls,
-			VNodes:           o.vnodes,
 			RequestTimeout:   o.ringTimeout,
 			BreakerThreshold: o.breakerThreshold,
-			BreakerCooldown:  o.breakerCooldown,
 			Hedge:            o.hedge,
 			HedgeMin:         o.hedgeMin,
 			HedgeMax:         o.hedgeMax,
@@ -191,7 +183,6 @@ func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.L
 			Health: ring.HealthConfig{
 				ProbeInterval: o.probeInterval,
 				ProbeTimeout:  o.probeTimeout,
-				DownAfter:     o.downAfter,
 			},
 		})
 		if err != nil {
@@ -199,6 +190,7 @@ func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.L
 		}
 		client.Start(ctx)
 		client.RegisterMetrics(o.Reg)
+		resilience.RegisterMetrics(o.Reg)
 		if proxy, err = pas.NewProxyWith(client, o.upstream); err != nil {
 			return nil, err
 		}
@@ -211,7 +203,7 @@ func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.L
 		for _, name := range setButIgnored(fs) {
 			log.Printf("-%s has no effect with -replicas: it sizes the in-process serving core, and the replicas run their own", name)
 		}
-		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v, near cache %d entries", len(urls), o.vnodes, o.hedge, max(o.Serving.CacheSize, 0))
+		log.Printf("cluster mode: %d replicas, %d vnodes, hedging %v, near cache %d entries", len(urls), ring.DefaultVNodes, o.hedge, max(o.Serving.CacheSize, 0))
 	} else {
 		sys, err := pas.LoadSystem(o.model)
 		if err != nil {

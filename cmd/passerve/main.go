@@ -34,8 +34,9 @@
 // -admin-token when set) or SIGINT/SIGTERM first flips /v1/status to
 // "draining" and sheds new complement computations with 503 +
 // Retry-After while cache hits and in-flight work keep being served;
-// after -drain-linger (time for routing tiers to observe the drain)
-// the process quiesces the serving core and closes the listener,
+// after -drain-linger (time for routing tiers to observe the drain: by
+// default one whole probe of pasproxy's default prober, interval plus
+// timeout) the process quiesces the serving core and closes the listener,
 // bounded by -drain-deadline.
 package main
 
@@ -52,6 +53,7 @@ import (
 	pas "repro"
 	"repro/cmd/internal/daemon"
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
 // options is passerve's command line: the shared serving flags plus its
@@ -69,7 +71,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8422", "listen address")
 	fs.BoolVar(&o.build, "build", false, "ignore -model and build a small PAS in-process")
 	fs.StringVar(&o.adminToken, "admin-token", "", "token required by POST /v1/drain (empty = unauthenticated)")
-	fs.DurationVar(&o.drainLinger, "drain-linger", time.Second, "time to advertise draining before closing the listener, so routers stop sending traffic")
+	fs.DurationVar(&o.drainLinger, "drain-linger", wire.ProbeInterval+wire.ProbeTimeout, "time to advertise draining before closing the listener, so routers stop sending traffic")
 	fs.DurationVar(&o.drainWait, "drain-deadline", 10*time.Second, "max total wait for in-flight and queued work to finish before exiting anyway")
 	return o
 }
@@ -80,7 +82,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 // serving core and nothing in front of it.
 func newHandler(sys *pas.System, o *daemon.Obs, logger *log.Logger) http.Handler {
 	sys.RegisterMetrics(o.Reg)
-	resilience.RegisterMetrics(o.Reg)
 	mux := http.NewServeMux()
 	mux.Handle("/", o.Chain(sys.Handler(), "passerve", logger))
 	mux.Handle("/metricsz", o.Reg.Handler())

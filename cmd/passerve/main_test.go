@@ -21,6 +21,7 @@ import (
 	pas "repro"
 	"repro/cmd/internal/daemon"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // TestServingFlagsAreTheSharedBinders: every serving flag passerve
@@ -42,6 +43,20 @@ func TestServingFlagsAreTheSharedBinders(t *testing.T) {
 	})
 	if n != 10 {
 		t.Fatalf("the binder declared %d flags, want the 8 serving + 2 observability ones", n)
+	}
+}
+
+// TestDrainLingerOutlastsADefaultProbe: a default prober (pasproxy's
+// -probe-interval and -probe-timeout, ring.HealthConfig's zero value)
+// starts its next read of a healthy member's /v1/status less than
+// wire.ProbeInterval after the last one, and the read may take
+// wire.ProbeTimeout. Only a linger of both together has every such
+// prober read "draining" before the listener closes; a shorter one lets
+// some drains go Suspect -> Down instead of Draining.
+func TestDrainLingerOutlastsADefaultProbe(t *testing.T) {
+	o := bindFlags(flag.NewFlagSet("passerve", flag.ContinueOnError))
+	if need := wire.ProbeInterval + wire.ProbeTimeout; o.drainLinger < need {
+		t.Fatalf("-drain-linger defaults to %v, under the %v a default prober may take to read the drain", o.drainLinger, need)
 	}
 }
 

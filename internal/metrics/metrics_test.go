@@ -1,23 +1,17 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
+func TestMean(t *testing.T) {
+	if m := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); m != 5 {
 		t.Fatalf("mean = %v", m)
 	}
-	if v := variance(xs); math.Abs(v-4.571428571) > 1e-6 {
-		t.Fatalf("variance = %v", v)
-	}
-	if Mean(nil) != 0 || variance([]float64{1}) != 0 {
-		t.Fatal("empty/short inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty input should give 0")
 	}
 }
 
@@ -49,32 +43,6 @@ func TestQuantileUnsortedInputUntouched(t *testing.T) {
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatal("quantile mutated its input")
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i % 10)
-	}
-	ci, err := BootstrapMeanCI(xs, 500, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > ci.Point || ci.Point > ci.Hi {
-		t.Fatalf("interval not bracketing point: %+v", ci)
-	}
-	if ci.Hi-ci.Lo > 2 {
-		t.Fatalf("interval suspiciously wide: %+v", ci)
-	}
-	if _, err := BootstrapMeanCI(nil, 100, 0.95, 1); err != errNoData {
-		t.Error("empty input should fail")
-	}
-	if _, err := BootstrapMeanCI(xs, 0, 0.95, 1); err == nil {
-		t.Error("0 resamples should fail")
-	}
-	if _, err := BootstrapMeanCI(xs, 10, 1.5, 1); err == nil {
-		t.Error("bad level should fail")
 	}
 }
 
@@ -169,57 +137,4 @@ func TestBradleyTerryNormalised(t *testing.T) {
 	if math.Abs(s[0]+s[1]) > 1e-6 {
 		t.Fatalf("log strengths not centred: %v", s)
 	}
-}
-
-// Interval is a two-sided confidence interval around a point estimate.
-type Interval struct {
-	Point, Lo, Hi float64
-}
-
-// BootstrapMeanCI estimates a confidence interval for the mean of xs by
-// the percentile bootstrap with the given number of resamples and
-// confidence level (e.g. 0.95).
-func BootstrapMeanCI(xs []float64, resamples int, level float64, seed int64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, errNoData
-	}
-	if resamples < 1 {
-		return Interval{}, fmt.Errorf("metrics: resamples must be >= 1, got %d", resamples)
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("metrics: level must be in (0,1), got %v", level)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, resamples)
-	for r := range means {
-		var s float64
-		for i := 0; i < len(xs); i++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	lo, err := quantile(means, alpha)
-	if err != nil {
-		return Interval{}, err
-	}
-	hi, err := quantile(means, 1-alpha)
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Point: Mean(xs), Lo: lo, Hi: hi}, nil
-}
-
-// variance returns the unbiased sample variance, or 0 when n < 2.
-func variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
 }

@@ -97,27 +97,3 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestBootstrapCIBracketsProperty: the bootstrap interval always
-// brackets values within the sample range.
-func TestBootstrapCIBracketsProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%50 + 2
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, n)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-			lo = math.Min(lo, xs[i])
-			hi = math.Max(hi, xs[i])
-		}
-		ci, err := BootstrapMeanCI(xs, 200, 0.9, seed)
-		if err != nil {
-			return false
-		}
-		return ci.Lo >= lo-1e-9 && ci.Hi <= hi+1e-9 && ci.Lo <= ci.Hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -6,22 +6,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Package-wide counters for the outcomes that matter operationally:
-// every retry re-attempt and every hedge launch, whichever Policy or
-// Hedger produced them. Per-instance detail (a specific breaker's
-// state) is exported by the owner of that instance; these totals answer
-// the fleet-level question "how much extra work is resilience creating".
-var (
-	retriesTotal atomic.Int64
-	hedgesTotal  atomic.Int64
-)
+// hedgesTotal counts hedge launches across every Hedger: the extra
+// requests resilience creates. A retry's re-attempt is an event on its
+// trace ("retry.attempt"), not a series.
+var hedgesTotal atomic.Int64
 
-// RegisterMetrics exposes the package counters on reg under the
-// pas_resilience_ namespace, read at scrape time.
+// RegisterMetrics exposes pas_resilience_hedges_total on reg, read at
+// scrape time. Only a process that can hold a Hedger registers it.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
-		e.Counter("pas_resilience_retries_total",
-			"Retry re-attempts across all policies.", float64(retriesTotal.Load()))
 		e.Counter("pas_resilience_hedges_total",
 			"Hedge second attempts launched.", float64(hedgesTotal.Load()))
 	})

@@ -126,7 +126,6 @@ func DoValue[T any](ctx context.Context, p Policy, fn func(ctx context.Context) 
 		if !p.affordable(ctx, start, delay) {
 			return zero, lastErr
 		}
-		retriesTotal.Add(1)
 		obs.AddEvent(ctx, "retry.attempt",
 			"attempt", strconv.Itoa(attempt+1),
 			"delay_ms", strconv.FormatInt(delay.Milliseconds(), 10),

@@ -78,9 +78,9 @@ const probePath = "/v1/status"
 type HealthConfig struct {
 	// ProbeInterval is the target spacing between probes of a healthy
 	// member; the actual sleep is jittered over [interval/2, interval)
-	// so a fleet of probers decorrelates. Default 2s.
+	// so a fleet of probers decorrelates. Default wire.ProbeInterval.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request. Default 1s.
+	// ProbeTimeout bounds one probe request. Default wire.ProbeTimeout.
 	ProbeTimeout time.Duration
 	// DownAfter is the consecutive-failure count that evicts a member
 	// from the ring. Default 3.
@@ -89,10 +89,10 @@ type HealthConfig struct {
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 2 * time.Second
+		c.ProbeInterval = wire.ProbeInterval
 	}
 	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
+		c.ProbeTimeout = wire.ProbeTimeout
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3

@@ -9,6 +9,8 @@
 // and the reader of every body the scanner does not claim.
 package wire
 
+import "time"
+
 // DegradedHeader is the response header that flags every reply below
 // full quality, with the value DegradedValue. A reader takes any
 // non-empty value as the flag. Documented, and matched by HTTP, as
@@ -52,6 +54,16 @@ type AugmentResponse struct {
 const (
 	StatusOK       = "ok"
 	StatusDraining = "draining"
+)
+
+// ProbeInterval and ProbeTimeout are the prober's defaults: a healthy
+// member's Status is read every [ProbeInterval/2, ProbeInterval), and
+// one read may take ProbeTimeout. A process that announces
+// StatusDraining is therefore read as draining by every default prober
+// only if it keeps answering for ProbeInterval+ProbeTimeout.
+const (
+	ProbeInterval = 2 * time.Second
+	ProbeTimeout  = time.Second
 )
 
 // Status is the body of GET /v1/status, the probe the cluster
