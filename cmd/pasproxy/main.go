@@ -51,9 +51,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -122,37 +120,18 @@ func bindFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// tuneUpstreamTransport adjusts http.DefaultTransport, which pas.Proxy
-// forwards through: it keeps as many idle connections to the one
-// upstream host as it may keep in all (two per host re-dial on most
-// requests past two clients in flight), each dialled as an upstreamConn.
+// tuneUpstreamTransport installs the transport pas.Proxy forwards
+// through, http.DefaultTransport: a wire.Transport, which runs a
+// cleartext exchange on the handler's goroutine and sends header and
+// body in one write, over the default http.Transport, which keeps
+// carrying https upstreams. Either keeps as many idle connections to the
+// one upstream host as it may keep in all (two per host re-dial on most
+// requests past two clients in flight).
 func tuneUpstreamTransport() {
 	if t, ok := http.DefaultTransport.(*http.Transport); ok {
 		t.MaxIdleConnsPerHost = t.MaxIdleConns
-		dial := t.DialContext
-		t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-			c, err := dial(ctx, network, addr)
-			if err != nil {
-				return nil, err
-			}
-			return &upstreamConn{c, struct{ io.Writer }{c}}, nil
-		}
+		http.DefaultTransport = wire.NewTransport(t)
 	}
-}
-
-// upstreamConn copies a request body onto the connection through
-// wire.CopyBuffers, in io.Copy's pieces, where a *net.TCPConn that cannot
-// splice (no body the proxy forwards is a socket or a file) makes a
-// buffer per body. Over TLS the *tls.Conn on top copies, as before.
-type upstreamConn struct {
-	net.Conn
-	w io.Writer // the bare connection, so that io.CopyBuffer uses the buffer
-}
-
-func (c *upstreamConn) ReadFrom(r io.Reader) (int64, error) {
-	buf := wire.CopyBuffers.Get()
-	defer wire.CopyBuffers.Put(buf)
-	return io.CopyBuffer(c.w, r, buf)
 }
 
 // newHandler builds pasproxy's HTTP surface from its command line, fs

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -307,9 +308,16 @@ func (suffixAugmenter) AugmentContextDegraded(_ context.Context, prompt, _ strin
 	return prompt + "\nState your assumptions.", false, nil
 }
 
+// upstreamBase is the process's http.Transport, which
+// tuneUpstreamTransport wraps and which carries https upstreams.
+var upstreamBase = http.DefaultTransport.(*http.Transport)
+
 // tuneOnce applies tuneUpstreamTransport to the test process once, as
-// main does: called again it would wrap the dialler it already wrapped.
+// main does: called again it would wrap the transport it installed.
 var tuneOnce = sync.OnceFunc(tuneUpstreamTransport)
+
+// closeIdle closes the installed transport's idle connections.
+func closeIdle() { http.DefaultTransport.(*wire.Transport).CloseIdleConnections() }
 
 // TestProxyReusesUpstreamConnections: the proxy has one upstream host,
 // and net/http keeps two idle connections per host unless told
@@ -317,7 +325,7 @@ var tuneOnce = sync.OnceFunc(tuneUpstreamTransport)
 // After tuneUpstreamTransport eight clients need eight connections.
 func TestProxyReusesUpstreamConnections(t *testing.T) {
 	tuneOnce()
-	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	defer closeIdle()
 
 	const clients, chats = 8, 25
 	// The first chat of every client is held until all eight are in
@@ -398,17 +406,17 @@ func longChat(t testing.TB) []byte {
 // TestForwardedChatAllocatesNoCopyBuffer holds the bytes the whole test
 // process allocates per 7 KiB chat sent through the proxy, over the
 // daemon's own transport, to a loopback upstream: client, proxy and
-// upstream together. Before upstream connections copied through the
-// pooled buffers it was 24 KiB (17.5 KiB after; Go 1.24, linux/amd64),
-// 7 KiB of it a copy buffer net/http's TCPConn.ReadFrom made for every
-// body; TestProxyForwardAllocations, on an in-memory transport, never
-// sees that copy.
+// upstream together. Over http.Transport it was 24 KiB, 7 KiB of it a
+// copy buffer net/http's TCPConn.ReadFrom made for every body, and 17.5
+// KiB once that copy went through the pooled buffers; over wire.Transport
+// it is 15.9 KiB (Go 1.24, linux/amd64). TestProxyForwardAllocations, on
+// an in-memory transport, never sees the connection.
 func TestForwardedChatAllocatesNoCopyBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations swamp the figure")
 	}
 	tuneOnce()
-	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	defer closeIdle()
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		_, _ = w.Write([]byte(`{"ok":true}`))
@@ -514,11 +522,11 @@ func sendThroughProxy(t *testing.T, front *httptest.Server, got *[]byte, c upstr
 }
 
 // upstreams runs fn against a plain and a TLS upstream behind the proxy,
-// both reached through the daemon's transport; the upstream's handler
-// stores the body it read in *got.
+// both reached through the daemon's transport — the plain one by
+// wire.Transport itself, the TLS one by the http.Transport it hands
+// https to; the upstream's handler stores the body it read in *got.
 func upstreams(t *testing.T, fn func(t *testing.T, front *httptest.Server, got *[]byte)) {
 	tuneOnce()
-	transport := http.DefaultTransport.(*http.Transport)
 	for _, scheme := range []string{"http", "https"} {
 		t.Run(scheme, func(t *testing.T) {
 			var got []byte
@@ -532,14 +540,14 @@ func upstreams(t *testing.T, fn func(t *testing.T, front *httptest.Server, got *
 			var upstream *httptest.Server
 			if scheme == "https" {
 				upstream = httptest.NewTLSServer(h)
-				saved := transport.TLSClientConfig
-				transport.TLSClientConfig = upstream.Client().Transport.(*http.Transport).TLSClientConfig
-				defer func() { transport.TLSClientConfig = saved }()
+				saved := upstreamBase.TLSClientConfig
+				upstreamBase.TLSClientConfig = upstream.Client().Transport.(*http.Transport).TLSClientConfig
+				defer func() { upstreamBase.TLSClientConfig = saved }()
 			} else {
 				upstream = httptest.NewServer(h)
 			}
 			defer upstream.Close()
-			defer transport.CloseIdleConnections()
+			defer closeIdle()
 			proxy, err := pas.NewProxyWith(suffixAugmenter{}, upstream.URL)
 			if err != nil {
 				t.Fatal(err)
@@ -554,10 +562,14 @@ func upstreams(t *testing.T, fn func(t *testing.T, front *httptest.Server, got *
 // TestUpstreamBodiesArriveByteIdentical: whatever copies a body to the
 // upstream's connection, the upstream reads exactly the bytes it would
 // have read through net/http's own copy, at every size around the
-// copy's edges, with and without a declared length, in clear and over
-// TLS.
+// copy's edges, with and without a declared length, in clear through
+// the installed wire.Transport and over TLS through the http.Transport
+// it falls back to.
 func TestUpstreamBodiesArriveByteIdentical(t *testing.T) {
 	upstreams(t, func(t *testing.T, front *httptest.Server, got *[]byte) {
+		if _, ok := http.DefaultTransport.(*wire.Transport); !ok {
+			t.Fatalf("installed transport is a %T, want *wire.Transport", http.DefaultTransport)
+		}
 		for _, c := range upstreamCases() {
 			if b := sendThroughProxy(t, front, got, c); !bytes.Equal(b, c.want) {
 				t.Errorf("%s: upstream read %d bytes, want %d (first difference at %d)", c.name, len(b), len(c.want), firstDiff(b, c.want))
@@ -566,29 +578,66 @@ func TestUpstreamBodiesArriveByteIdentical(t *testing.T) {
 	})
 }
 
-// TestUpstreamCopyCarriesNoPooledBytes fills the pooled copy buffers
-// with a marker before every request: a copy that wrote more of a buffer
-// than it had just read, or a buffer handed back while still in use,
-// would put the marker on an upstream's wire.
+// TestUpstreamCopyCarriesNoPooledBytes fills the pooled send writers
+// and copy buffers with a marker before every request: a writer or a
+// copy that sent more of its buffer than it had just been given, or one
+// handed back while still in use, would put the marker on an upstream's
+// wire.
 func TestUpstreamCopyCarriesNoPooledBytes(t *testing.T) {
 	marker := []byte("#POOLED#")
 	upstreams(t, func(t *testing.T, front *httptest.Server, got *[]byte) {
 		for _, c := range upstreamCases() {
+			var writers []*bufio.Writer
 			var held [][]byte
 			for i := 0; i < 4; i++ {
+				bw := wire.Writers.Get(io.Discard)
+				for bw.Available() > 0 {
+					_, _ = bw.Write(marker[:min(len(marker), bw.Available())])
+				}
+				writers = append(writers, bw)
 				b := wire.CopyBuffers.Get()
 				for j := 0; j < len(b); j += copy(b[j:], marker) {
 				}
 				held = append(held, b)
 			}
-			for _, b := range held {
-				wire.CopyBuffers.Put(b)
+			for i := range held {
+				wire.Writers.Put(writers[i])
+				wire.CopyBuffers.Put(held[i])
 			}
 			if b := sendThroughProxy(t, front, got, c); bytes.Contains(b, marker) || len(b) != len(c.want) {
 				t.Errorf("%s: upstream read %d bytes, want %d, marker seen: %v", c.name, len(b), len(c.want), bytes.Contains(b, marker))
 			}
 		}
 	})
+}
+
+// TestUpstreamIdleCloseIsNotA502: an upstream that closes a connection
+// idle for 50 ms has it dropped before it is used again, and a chat sent
+// 100 ms later is answered 200, never 502. Fails if a pooled connection
+// is not peeked before it is reused: the chat is written into a
+// connection the upstream closed.
+func TestUpstreamIdleCloseIsNotA502(t *testing.T) {
+	tuneOnce()
+	defer closeIdle()
+	upstream := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write([]byte(`{"ok":true}`))
+	}))
+	upstream.Config.IdleTimeout = 50 * time.Millisecond
+	upstream.Start()
+	defer upstream.Close()
+	proxy, err := pas.NewProxyWith(suffixAugmenter{}, upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+	for i := 0; i < 3; i++ {
+		if code, _, body := send(t, front, "/v1/chat/completions", "", chat("Explain how tides form.")); code != http.StatusOK {
+			t.Fatalf("chat %d: %d %s", i, code, body)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 // firstDiff is the first offset at which a and b differ.

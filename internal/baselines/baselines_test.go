@@ -10,19 +10,12 @@ import (
 	"repro/internal/textkit"
 )
 
-func TestNoneAndCoT(t *testing.T) {
+func TestNone(t *testing.T) {
 	if (None{}).Transform("hello", "s") != "hello" {
 		t.Error("None must be identity")
 	}
 	if (None{}).Name() != "None" {
 		t.Error("None name")
-	}
-	out := (CoT{}).Transform("Solve x^2 = 4.", "s")
-	if !strings.Contains(out, "Solve x^2 = 4.") {
-		t.Error("CoT must preserve the prompt")
-	}
-	if !facet.DetectDirectives(out).Has(facet.Reasoning) {
-		t.Error("CoT must add a reasoning directive")
 	}
 }
 
@@ -252,16 +245,4 @@ func MustBPO(baseModel string) *BPO {
 		panic(err)
 	}
 	return b
-}
-
-// CoT is the zero-shot chain-of-thought baseline of Kojima et al.: it
-// appends the fixed "think step by step" instruction to every prompt.
-type CoT struct{}
-
-// Name implements APE.
-func (CoT) Name() string { return "Zero-shot CoT" }
-
-// Transform implements APE.
-func (CoT) Transform(prompt, _ string) string {
-	return prompt + "\nPlease think step by step; show your reasoning."
 }

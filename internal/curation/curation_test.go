@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/corpus"
-	"repro/internal/facet"
 )
 
 func testClassifier(t testing.TB) *classify.Classifier {
@@ -140,21 +139,6 @@ func TestDedupKeepsOnePerFamily(t *testing.T) {
 	}
 }
 
-func TestCategoryCountsSumToSelected(t *testing.T) {
-	pool := testPool(t, 800)
-	res, err := Run(pool, testClassifier(t), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, n := range res.CategoryCounts() {
-		sum += n
-	}
-	if sum != len(res.Selected) {
-		t.Fatalf("category counts sum %d != %d", sum, len(res.Selected))
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	pool := testPool(t, 600)
 	clf := testClassifier(t)
@@ -191,13 +175,4 @@ func BenchmarkCuration1k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// CategoryCounts tallies the curated prompts per category.
-func (r *Result) CategoryCounts() map[facet.Category]int {
-	out := make(map[facet.Category]int)
-	for _, c := range r.Selected {
-		out[c.Category]++
-	}
-	return out
 }

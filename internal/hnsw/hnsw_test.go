@@ -211,34 +211,6 @@ func TestMetricString(t *testing.T) {
 	}
 }
 
-func TestVectorLookup(t *testing.T) {
-	ix := MustNew(DefaultConfig())
-	v := embed.Vector{0.6, 0.8}
-	if err := ix.Add(7, v); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ix.Vector(7)
-	if !ok || got.Cosine(v) < 0.999 {
-		t.Fatalf("Vector(7) = %v, %v", got, ok)
-	}
-	if _, ok := ix.Vector(99); ok {
-		t.Error("missing id should not be found")
-	}
-}
-
-func TestIDsInsertionOrder(t *testing.T) {
-	ix := MustNew(DefaultConfig())
-	for _, id := range []int{9, 4, 7} {
-		if err := ix.Add(id, embed.Vector{1, float32(id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := ix.IDs()
-	if len(ids) != 3 || ids[0] != 9 || ids[1] != 4 || ids[2] != 7 {
-		t.Fatalf("IDs = %v", ids)
-	}
-}
-
 func TestKLargerThanIndex(t *testing.T) {
 	ix := MustNew(DefaultConfig())
 	for i := 0; i < 5; i++ {
@@ -362,26 +334,4 @@ func MustNew(cfg Config) *Index {
 		panic(err)
 	}
 	return idx
-}
-
-// IDs returns the external ids in insertion order.
-func (ix *Index) IDs() []int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ids := make([]int, len(ix.nodes))
-	for i, n := range ix.nodes {
-		ids[i] = n.id
-	}
-	return ids
-}
-
-// Vector returns the stored vector for id and whether it exists.
-func (ix *Index) Vector(id int) (embed.Vector, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	slot, ok := ix.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return ix.nodes[slot].vec, true
 }

@@ -58,8 +58,11 @@ type Config struct {
 	Degrade bool
 	// Health configures the active prober.
 	Health HealthConfig
-	// HTTPClient carries augmentation and probe traffic; nil builds a
-	// default with sane connection pooling.
+	// HTTPClient carries augmentation, probe and rollup traffic. nil
+	// builds one over a wire.Transport, which runs each exchange with a
+	// replica on the calling goroutine and keeps up to 64 idle
+	// connections per replica for 90 s; an https replica goes through
+	// the http.Transport beneath it.
 	HTTPClient *http.Client
 	// CacheSize and CacheTTL size the near cache: full-quality
 	// complements remembered at the client, so a repeated (prompt, salt)
@@ -116,11 +119,11 @@ func NewClient(cfg Config) (*Client, error) {
 	if hc == nil {
 		// Every idle connection may belong to one replica: a closed-loop
 		// caller per connection must find its own again, not re-dial.
-		hc = &http.Client{Transport: &http.Transport{
+		hc = &http.Client{Transport: wire.NewTransport(&http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
-		}}
+		})}
 	}
 	c := &Client{cfg: cfg, ring: New(cfg.VNodes), hc: hc}
 	c.mem = newMembership(replicas, c.ring, hc, cfg.Health, resilience.BreakerConfig{

@@ -231,8 +231,8 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// CopyBuffers is the process's one pool of io.Copy's 32 KiB buffers:
-// the reverse proxy's and its upstream connections'. Arrays are pooled,
+// CopyBuffers is the process's one pool of io.Copy's 32 KiB buffers,
+// the ones the reverse proxy copies responses through. Arrays are pooled,
 // not slices, so that Put boxes a pointer and allocates nothing.
 var CopyBuffers = &copyBufferPool{arrays: sync.Pool{New: func() any { return new([32 << 10]byte) }}}
 

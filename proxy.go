@@ -39,8 +39,9 @@ import (
 // scratch, rewritten there and sent from there (chatBody), and the
 // response is copied through a pooled buffer, flushed as httputil does
 // unasked: at once for an event stream or a body of undeclared length.
-// Copying the body onto the connection is the transport's, and the one
-// cmd/pasproxy tunes copies through the same pool (wire.CopyBuffers).
+// Writing the body onto the connection is the transport's: the one
+// cmd/pasproxy installs (wire.Transport) reads it into a pooled writer
+// and sends it with the header.
 type Proxy struct {
 	system      Augmenter
 	rp          *httputil.ReverseProxy
