@@ -33,6 +33,23 @@ func bindFlags(fs *flag.FlagSet) (addr *string, rate, vocab, cache *int, o *daem
 	return addr, rate, vocab, cache, daemon.BindObs(fs)
 }
 
+// newHandler registers server's metrics on o's registry and mounts the
+// chat API behind pasllm's middlewares, beside /metricsz.
+func newHandler(server *chatapi.Server, o *daemon.Obs, logger *log.Logger) http.Handler {
+	server.RegisterMetrics(o.Reg)
+	mux := http.NewServeMux()
+	mux.Handle("/", httpmw.Chain(server.Handler(),
+		httpmw.Recover(logger),
+		httpmw.RequestID(),
+		httpmw.Trace(o.Tracer, "pasllm"),
+		httpmw.Logging(logger),
+		httpmw.ConcurrencyLimit(128),
+		o.Metrics.Middleware(),
+	))
+	mux.Handle("/metricsz", o.Reg.Handler())
+	return mux
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pasllm: ")
@@ -60,24 +77,11 @@ func main() {
 		log.Fatal(err)
 	}
 	o.Start(context.Background(), "pasllm")
-	server.RegisterMetrics(o.Reg)
-
-	logger := log.New(os.Stderr, "pasllm: ", 0)
-	mux := http.NewServeMux()
-	mux.Handle("/", httpmw.Chain(server.Handler(),
-		httpmw.Recover(logger),
-		httpmw.RequestID(),
-		httpmw.Trace(o.Tracer, "pasllm"),
-		httpmw.Logging(logger),
-		httpmw.ConcurrencyLimit(128),
-		o.Metrics.Middleware(),
-	))
-	mux.Handle("/metricsz", o.Reg.Handler())
 
 	log.Printf("serving the model roster on %s", *addr)
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           mux,
+		Handler:           newHandler(server, o, log.New(os.Stderr, "pasllm: ", 0)),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,

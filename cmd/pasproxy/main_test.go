@@ -91,7 +91,8 @@ func TestHelpGolden(t *testing.T) {
 
 // surface is what a client reads off a daemon, values aside: the key
 // paths of GET /v1/stats (array elements as name[], keys that are URLs
-// as name.*) and each GET /metricsz series as name{label,...}, sorted.
+// as name.*) and each GET /metricsz series as name{label,...}, with
+// each family's TYPE and HELP, sorted.
 func surface(t *testing.T, get func(path string) string) []byte {
 	t.Helper()
 	var stats any
@@ -123,6 +124,7 @@ func surface(t *testing.T, get func(path string) string) []byte {
 		t.Fatalf("/metricsz: %v", err)
 	}
 	for _, f := range fams {
+		lines = append(lines, "metricsz "+f.Name+" # TYPE "+f.Type, "metricsz "+f.Name+" # HELP "+f.Help)
 		for _, s := range f.Samples {
 			var names []string
 			for _, l := range s.Labels {
