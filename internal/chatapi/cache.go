@@ -42,16 +42,9 @@ func (c *lruCache) put(key string, resp ChatResponse) {
 	c.lru.Put(key, resp)
 }
 
-// stats returns hit/miss counters.
-func (c *lruCache) stats() (hits, misses int64) {
+// stats returns the entry count and the hit and miss counters.
+func (c *lruCache) stats() (entries int, hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// len returns the number of cached entries.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.lru.Len(), c.hits, c.misses
 }

@@ -26,12 +26,8 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a should survive")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
-	hits, misses := c.stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d/%d", hits, misses)
+	if n, hits, misses := c.stats(); n != 2 || hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d entries, %d/%d", n, hits, misses)
 	}
 }
 
@@ -42,8 +38,8 @@ func TestLRUUpdateExisting(t *testing.T) {
 	if got, _ := c.get("k"); got.ID != "v2" {
 		t.Fatal("update lost")
 	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d", c.len())
+	if n, _, _ := c.stats(); n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 }
 
@@ -55,7 +51,7 @@ func TestLRUCapacityProperty(t *testing.T) {
 		c := newLRUCache(capacity)
 		for _, k := range keys {
 			c.put(fmt.Sprint(k%32), ChatResponse{})
-			if c.len() > capacity {
+			if n, _, _ := c.stats(); n > capacity {
 				return false
 			}
 		}
@@ -88,9 +84,8 @@ func TestServerCacheServesIdenticalResponses(t *testing.T) {
 		first.Usage != second.Usage {
 		t.Fatal("cached response differs from original")
 	}
-	hits, misses := s.cacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
+	if st := s.status().Cache; st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", st.Hits, st.Misses)
 	}
 
 	// Different seed must miss.
@@ -98,7 +93,7 @@ func TestServerCacheServesIdenticalResponses(t *testing.T) {
 	if _, err := c.ChatCompletion(req); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := s.cacheStats(); misses != 2 {
+	if misses := s.status().Cache.Misses; misses != 2 {
 		t.Fatalf("misses = %d, want 2", misses)
 	}
 }
@@ -111,7 +106,7 @@ func TestServerCacheValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := s.cacheStats(); h != 0 || m != 0 {
+	if st := s.status().Cache; st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatal("disabled cache should report zeros")
 	}
 }

@@ -197,8 +197,8 @@ func TestClientBreakerStopsHammeringDeadBackend(t *testing.T) {
 			t.Fatal("dead backend should fail")
 		}
 	}
-	if got := c.breaker.Stats().State; got != "open" {
-		t.Fatalf("breaker state = %q, want open", got)
+	if got := c.breaker.State(); got != resilience.Open {
+		t.Fatalf("breaker state = %v, want open", got)
 	}
 	// Subsequent calls fail fast without touching the transport.
 	before := ct.Calls()
@@ -211,8 +211,8 @@ func TestClientBreakerStopsHammeringDeadBackend(t *testing.T) {
 	if ct.Calls() != before {
 		t.Fatalf("open breaker still reached the transport: %d -> %d calls", before, ct.Calls())
 	}
-	if rej := c.breaker.Stats().Rejections; rej != 5 {
-		t.Fatalf("rejections = %d, want 5", rej)
+	if got := c.breaker.State(); got != resilience.Open {
+		t.Fatalf("breaker state = %v after five refusals, want open", got)
 	}
 }
 
@@ -225,8 +225,8 @@ func TestClientBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if _, err := c.ChatCompletion(chatReq()); err == nil {
 		t.Fatal("scripted drop should fail")
 	}
-	if got := c.breaker.Stats().State; got != "open" {
-		t.Fatalf("state = %q, want open", got)
+	if got := c.breaker.State(); got != resilience.Open {
+		t.Fatalf("state = %v, want open", got)
 	}
 	time.Sleep(25 * time.Millisecond) // cooldown elapses
 	// The script is exhausted, so the half-open probe passes through to
@@ -234,9 +234,8 @@ func TestClientBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if _, err := c.ChatCompletion(chatReq()); err != nil {
 		t.Fatalf("probe should succeed against recovered upstream: %v", err)
 	}
-	st := c.breaker.Stats()
-	if st.State != "closed" || st.Probes != 1 {
-		t.Fatalf("stats = %+v, want closed after one successful probe", st)
+	if got := c.breaker.State(); got != resilience.Closed {
+		t.Fatalf("state = %v, want closed after one successful probe", got)
 	}
 	if ct.Calls() != 2 {
 		t.Fatalf("transport calls = %d, want 2", ct.Calls())

@@ -144,28 +144,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// cacheStats reports response-cache hits and misses (zeros when caching
-// is disabled).
-func (s *Server) cacheStats() (hits, misses int64) {
-	if s.cache == nil {
-		return 0, 0
-	}
-	return s.cache.stats()
-}
-
-// RegisterMetrics exposes the server's response-cache counters and
-// model count on reg under the pas_chatllm_ namespace, read at scrape
-// time.
+// RegisterMetrics exposes the server's status on reg under the
+// pas_chatllm_ namespace, read at scrape time.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(func(e *obs.Emitter) {
-		hits, misses := s.cacheStats()
-		e.Counter("pas_chatllm_cache_hits_total", "Response-cache hits.", float64(hits))
-		e.Counter("pas_chatllm_cache_misses_total", "Response-cache misses.", float64(misses))
-		if s.cache != nil {
-			e.Gauge("pas_chatllm_cache_entries", "Response-cache entries resident.", float64(s.cache.len()))
-		}
-		e.Gauge("pas_chatllm_models", "Models served.", float64(len(s.models)))
-	})
+	reg.RegisterCollector(func(e *obs.Emitter) { e.Fields("pas_chatllm_", s.status()) })
 }
 
 // Handler returns the HTTP handler:
@@ -182,26 +164,30 @@ func (s *Server) Handler() http.Handler {
 }
 
 // status is the GET /v1/status body: operational state of the endpoint
-// including the response-cache counters from CacheStats.
+// including the response-cache counters. A field's metric tag is its
+// /metricsz series under pas_chatllm_ (obs.Emitter.Fields).
 type status struct {
-	Models      int  `json:"models"`
+	Models      int  `json:"models" metric:"gauge models Models served."`
 	RateLimited bool `json:"rate_limited"`
 	Cache       struct {
 		Enabled bool  `json:"enabled"`
-		Entries int   `json:"entries"`
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
+		Entries int   `json:"entries" metric:"gauge cache_entries Response-cache entries resident."`
+		Hits    int64 `json:"hits" metric:"counter cache_hits_total Response-cache hits."`
+		Misses  int64 `json:"misses" metric:"counter cache_misses_total Response-cache misses."`
 	} `json:"cache"`
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) status() status {
 	st := status{Models: len(s.names), RateLimited: s.limiter != nil}
-	st.Cache.Hits, st.Cache.Misses = s.cacheStats()
 	if s.cache != nil {
 		st.Cache.Enabled = true
-		st.Cache.Entries = s.cache.len()
+		st.Cache.Entries, st.Cache.Hits, st.Cache.Misses = s.cache.stats()
 	}
-	writeJSON(w, http.StatusOK, st)
+	return st
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.status())
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {

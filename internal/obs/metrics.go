@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -243,6 +244,62 @@ func (e *Emitter) Counter(name, help string, value float64, labels ...string) {
 // Gauge emits one gauge sample; labels lists key/value pairs.
 func (e *Emitter) Gauge(name, help string, value float64, labels ...string) {
 	e.emit(name, help, "gauge", value, labels)
+}
+
+// Fields emits the struct v as samples named under prefix, so a
+// snapshot declares each series once, beside its JSON key:
+//
+//   - a field tagged `metric:"counter|gauge name help"` is one sample,
+//     a bool reading 0 or 1; name may end in one constant label,
+//     name{key=value};
+//   - an untagged struct field is walked in place;
+//   - a slice of structs tagged `metric:"each key Field"` is walked once
+//     per element, each sample labelled key with the element's Field.
+//
+// Other fields are not metrics. A malformed tag panics on first scrape.
+func (e *Emitter) Fields(prefix string, v any) { e.fields(prefix, reflect.ValueOf(v), nil) }
+
+func (e *Emitter) fields(prefix string, v reflect.Value, labels []string) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		kind, rest, _ := strings.Cut(v.Type().Field(i).Tag.Get("metric"), " ")
+		switch kind {
+		case "":
+			if f.Kind() == reflect.Struct {
+				e.fields(prefix, f, labels)
+			}
+		case "each":
+			key, field, _ := strings.Cut(rest, " ")
+			for j := 0; j < f.Len(); j++ {
+				e.fields(prefix, f.Index(j), append(labels[:len(labels):len(labels)], key, f.Index(j).FieldByName(field).String()))
+			}
+		case "counter", "gauge":
+			name, help, _ := strings.Cut(rest, " ")
+			l := labels
+			if n, kv, ok := strings.Cut(strings.TrimSuffix(name, "}"), "{"); ok {
+				k, v, _ := strings.Cut(kv, "=")
+				name, l = n, append(labels[:len(labels):len(labels)], k, v)
+			}
+			e.emit(prefix+name, help, kind, number(f), l)
+		default:
+			panic(fmt.Sprintf("obs: field %s: metric kind %q", v.Type().Field(i).Name, kind))
+		}
+	}
+}
+
+// number reads an integer, float or bool field as a sample value.
+func number(v reflect.Value) float64 {
+	switch {
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanFloat():
+		return v.Float()
+	case v.Kind() == reflect.Bool && v.Bool():
+		return 1
+	case v.Kind() == reflect.Bool:
+		return 0
+	}
+	panic(fmt.Sprintf("obs: a %s is not a metric value", v.Type()))
 }
 
 // Histogram emits every child of a histogram family its collector owns

@@ -283,3 +283,53 @@ func TestResponseRecorderWrapOnce(t *testing.T) {
 		t.Fatalf("explicit status lost: %d", rr2.Status())
 	}
 }
+
+// TestEmitterFields: a tagged field is one sample (a bool 0 or 1, a
+// name{k=v} carrying its label), an untagged struct is walked in
+// place, an "each" slice labels every element's samples, and every
+// other field is left out.
+func TestEmitterFields(t *testing.T) {
+	type inner struct {
+		Hits int64 `metric:"counter hits_total Hits."`
+	}
+	type row struct {
+		ID    string
+		Depth int `metric:"gauge row_depth Depth, by row."`
+	}
+	type snapshot struct {
+		Up      bool    `metric:"gauge up Up."`
+		Down    bool    `metric:"gauge down Down."`
+		Full    int64   `metric:"counter shed_total{reason=full} Sheds."`
+		Late    int64   `metric:"counter shed_total{reason=late} Sheds."`
+		Ratio   float64 `metric:"gauge ratio Ratio."`
+		Skipped int64
+		Inner   inner
+		Rows    []row `metric:"each row ID"`
+	}
+	e := &Emitter{index: map[string]int{}}
+	e.Fields("pas_x_", snapshot{Up: true, Full: 2, Late: 3, Ratio: 0.5, Skipped: 9, Inner: inner{Hits: 4},
+		Rows: []row{{"a", 1}, {"b", 2}}})
+	var got []string
+	for _, f := range e.fams {
+		for _, s := range f.Samples {
+			line := f.Type + " " + f.Name
+			for _, l := range s.Labels {
+				line += " " + l.Key + "=" + l.Value
+			}
+			got = append(got, line+" "+strconv.FormatFloat(s.Value, 'g', -1, 64)+" "+f.Help)
+		}
+	}
+	want := []string{
+		"gauge pas_x_up 1 Up.",
+		"gauge pas_x_down 0 Down.",
+		"counter pas_x_shed_total reason=full 2 Sheds.",
+		"counter pas_x_shed_total reason=late 3 Sheds.",
+		"gauge pas_x_ratio 0.5 Ratio.",
+		"counter pas_x_hits_total 4 Hits.",
+		"gauge pas_x_row_depth row=a 1 Depth, by row.",
+		"gauge pas_x_row_depth row=b 2 Depth, by row.",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Fields emitted\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -14,8 +14,7 @@ var ErrOpen = errors.New("resilience: circuit open")
 // State is a breaker position.
 type State int
 
-// The numeric values are what the *_breaker_state gauges export, in
-// order of severity.
+// The positions, in order of severity.
 const (
 	// Closed: traffic flows; consecutive failures are counted.
 	Closed State = iota
@@ -76,13 +75,6 @@ type Breaker struct {
 	consecutive int       // failures since the last success (closed state)
 	openedAt    time.Time // when the circuit last opened
 	probes      int       // in-flight half-open probes
-
-	// lifetime counters, for Stats
-	successes  int64
-	failures   int64
-	rejections int64
-	opens      int64
-	probeCount int64
 }
 
 // NewBreaker builds a breaker in the closed state.
@@ -103,7 +95,6 @@ func (b *Breaker) Allow() (done func(success bool), err error) {
 	switch b.state {
 	case Open:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
-			b.rejections++
 			return nil, ErrOpen
 		}
 		b.state = HalfOpen
@@ -111,11 +102,9 @@ func (b *Breaker) Allow() (done func(success bool), err error) {
 		fallthrough
 	case HalfOpen:
 		if b.probes >= halfOpenProbes {
-			b.rejections++
 			return nil, ErrOpen
 		}
 		b.probes++
-		b.probeCount++
 	}
 	return b.once(), nil
 }
@@ -132,11 +121,6 @@ func (b *Breaker) once() func(success bool) {
 func (b *Breaker) record(success bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if success {
-		b.successes++
-	} else {
-		b.failures++
-	}
 	switch b.state {
 	case Closed:
 		if success {
@@ -164,7 +148,6 @@ func (b *Breaker) record(success bool) {
 func (b *Breaker) trip() {
 	b.state = Open
 	b.openedAt = b.cfg.Now()
-	b.opens++
 	b.probes = 0
 }
 
@@ -177,35 +160,4 @@ func (b *Breaker) State() State {
 		return HalfOpen
 	}
 	return b.state
-}
-
-// BreakerStats is a monitoring snapshot, shaped for JSON stats bodies.
-type BreakerStats struct {
-	// State is "closed", "open", or "half-open".
-	State string `json:"state"`
-	// Successes and Failures are recorded outcomes over the breaker's
-	// lifetime.
-	Successes int64 `json:"successes"`
-	Failures  int64 `json:"failures"`
-	// Rejections counts requests refused with ErrOpen.
-	Rejections int64 `json:"rejections"`
-	// Opens counts closed/half-open → open transitions.
-	Opens int64 `json:"opens"`
-	// Probes counts half-open probe admissions.
-	Probes int64 `json:"probes"`
-}
-
-// Stats returns a consistent snapshot.
-func (b *Breaker) Stats() BreakerStats {
-	state := b.State().String()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BreakerStats{
-		State:      state,
-		Successes:  b.successes,
-		Failures:   b.failures,
-		Rejections: b.rejections,
-		Opens:      b.opens,
-		Probes:     b.probeCount,
-	}
 }

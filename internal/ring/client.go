@@ -435,25 +435,31 @@ type ReplicaStats struct {
 	// Requests counts augmentations this replica served; Errors counts
 	// failed attempts that reached it (breaker-open refusals excluded).
 	// Both restart from zero when a retired replica is re-added.
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
+	Requests int64 `json:"requests" metric:"counter replica_requests_total Augmentations served, by replica."`
+	Errors   int64 `json:"errors" metric:"counter replica_errors_total Failed attempts, by replica."`
 }
 
-// Stats is the cluster client's snapshot, shaped for GET /v1/stats.
+// Stats is the cluster client's snapshot, shaped for GET /v1/stats. A
+// field's metric tag is its /metricsz series under pas_ring_
+// (obs.Emitter.Fields).
 type Stats struct {
-	Requests  int64 `json:"requests"`
-	Failovers int64 `json:"failovers"`
-	Degraded  int64 `json:"degraded"`
+	Requests  int64 `json:"requests" metric:"counter requests_total Requests entering the cluster routing tier."`
+	Failovers int64 `json:"failovers" metric:"counter failovers_total Requests served by a non-owner replica."`
+	Degraded  int64 `json:"degraded" metric:"counter degraded_total Requests served fail-open after the whole fleet failed."`
 	// Live is the routable member count; Members the full health table.
-	Live    int            `json:"live"`
-	Members []MemberStatus `json:"members"`
+	Live    int            `json:"live" metric:"gauge live_members Members currently routable (up or suspect)."`
+	Members []MemberStatus `json:"members" metric:"each replica URL"`
 	// Replicas reports data-path traffic per replica, in replica order.
-	Replicas []ReplicaStats    `json:"replicas"`
+	Replicas []ReplicaStats    `json:"replicas" metric:"each replica URL"`
 	Breakers map[string]string `json:"breakers,omitempty"`
 	Hedging  bool              `json:"hedging"`
 	// Cache is the near cache; all zero without one. Requests it does
 	// not count as hits are the ones that went on to the ring.
 	Cache CacheStats `json:"cache"`
+	// Added and Removed count members joined and retired at runtime;
+	// they are metrics only.
+	Added   int64 `json:"-" metric:"counter members_added_total Members joined at runtime."`
+	Removed int64 `json:"-" metric:"counter members_removed_total Members retired at runtime."`
 }
 
 // Stats returns a monitoring snapshot.
@@ -486,34 +492,8 @@ func (c *Client) StatsHandler() http.Handler {
 	})
 }
 
-// RegisterMetrics exposes the routing tier on reg under the pas_ring_
-// namespace, read from Stats at scrape time.
+// RegisterMetrics exposes the routing tier's Stats on reg under the
+// pas_ring_ namespace, read at scrape time.
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(func(e *obs.Emitter) {
-		s := c.Stats()
-		e.Counter("pas_ring_requests_total", "Requests entering the cluster routing tier.", float64(s.Requests))
-		e.Counter("pas_ring_failovers_total", "Requests served by a non-owner replica.", float64(s.Failovers))
-		e.Counter("pas_ring_degraded_total", "Requests served fail-open after the whole fleet failed.", float64(s.Degraded))
-		e.Counter("pas_ring_cache_hits_total", "Requests answered from the near cache, without a hop.", float64(s.Cache.Hits))
-		e.Counter("pas_ring_cache_misses_total", "Near-cache misses: requests routed to a replica.", float64(s.Cache.Misses))
-		e.Counter("pas_ring_cache_evictions_total", "Near-cache LRU evictions.", float64(s.Cache.Evictions))
-		e.Counter("pas_ring_cache_expiries_total", "Near-cache TTL expiries.", float64(s.Cache.Expiries))
-		e.Counter("pas_ring_cache_flushes_total", "Whole near-cache drops after a member came back as a new instance.", float64(s.Cache.Flushes))
-		e.Gauge("pas_ring_cache_entries", "Near-cache entries resident.", float64(s.Cache.Entries))
-		e.Gauge("pas_ring_live_members", "Members currently routable (up or suspect).", float64(s.Live))
-		adds, removes, _ := c.mem.Churn()
-		e.Counter("pas_ring_members_added_total", "Members joined at runtime.", float64(adds))
-		e.Counter("pas_ring_members_removed_total", "Members retired at runtime.", float64(removes))
-		for _, m := range s.Members {
-			e.Gauge("pas_ring_member_state", "Member health (0 up, 1 suspect, 2 down, 3 draining).", float64(m.state), "replica", m.URL)
-			e.Counter("pas_ring_probes_total", "Health probes issued.", float64(m.Probes), "replica", m.URL)
-			e.Counter("pas_ring_probe_failures_total", "Health probes failed.", float64(m.ProbeFails), "replica", m.URL)
-			e.Counter("pas_ring_member_downs_total", "Evictions of the member from the ring.", float64(m.Downs), "replica", m.URL)
-			e.Counter("pas_ring_member_drains_total", "Graceful departures into draining, by replica.", float64(m.Drains), "replica", m.URL)
-		}
-		for _, r := range s.Replicas {
-			e.Counter("pas_ring_replica_requests_total", "Augmentations served, by replica.", float64(r.Requests), "replica", r.URL)
-			e.Counter("pas_ring_replica_errors_total", "Failed attempts, by replica.", float64(r.Errors), "replica", r.URL)
-		}
-	})
+	reg.RegisterCollector(func(e *obs.Emitter) { e.Fields("pas_ring_", c.Stats()) })
 }

@@ -491,7 +491,7 @@ func (m *Membership) applyLocked(mem *replica, err error, draining, fromProbe bo
 type MemberStatus struct {
 	URL   string `json:"url"`
 	State string `json:"state"`
-	state state  // State as the enum, for the pas_ring_member_state gauge
+	state state  `metric:"gauge member_state Member health (0 up, 1 suspect, 2 down, 3 draining)."`
 	// Fails is the consecutive-failure streak; 0 for a healthy member.
 	Fails   int    `json:"fails,omitempty"`
 	LastErr string `json:"last_error,omitempty"`
@@ -499,10 +499,10 @@ type MemberStatus struct {
 	Instance string `json:"instance,omitempty"`
 	// Probes / ProbeFails are lifetime probe counters; Downs counts
 	// evictions from the ring; Drains counts graceful departures.
-	Probes     int64 `json:"probes"`
-	ProbeFails int64 `json:"probe_fails"`
-	Downs      int64 `json:"downs"`
-	Drains     int64 `json:"drains,omitempty"`
+	Probes     int64 `json:"probes" metric:"counter probes_total Health probes issued."`
+	ProbeFails int64 `json:"probe_fails" metric:"counter probe_failures_total Health probes failed."`
+	Downs      int64 `json:"downs" metric:"counter member_downs_total Evictions of the member from the ring."`
+	Drains     int64 `json:"drains,omitempty" metric:"counter member_drains_total Graceful departures into draining, by replica."`
 }
 
 // statusLocked snapshots r's health. Caller holds Membership.mu.
@@ -540,6 +540,7 @@ func (m *Membership) fill(s *Stats) {
 	s.Members = make([]MemberStatus, 0, len(m.order))
 	s.Replicas = make([]ReplicaStats, 0, len(m.order))
 	s.Breakers = make(map[string]string, len(m.order))
+	s.Added, s.Removed = m.adds, m.removes
 	for _, r := range m.order {
 		if routable(r.state) {
 			s.Live++

@@ -66,7 +66,7 @@ type CacheStats struct {
 	serving.CacheStats
 	// Flushes counts whole-cache drops: one per probe that found a
 	// member running as a new instance.
-	Flushes int64 `json:"flushes"`
+	Flushes int64 `json:"flushes" metric:"counter cache_flushes_total Whole near-cache drops after a member came back as a new instance."`
 }
 
 func (n *nearCache) stats() CacheStats {

@@ -90,6 +90,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		}
 		model := map[string]*modelReplica{url(0): {}, url(1): {}}
 		order := []string{url(0), url(1)}
+		var adds, removes int64 // runtime joins (or returns to the ring) and retirements
 		ctx := context.Background()
 
 		for step := 0; step < steps; step++ {
@@ -106,8 +107,10 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				if mr == nil {
 					model[u] = &modelReplica{}
 					order = append(order, u)
+					adds++
 				} else if !routable(mr.state) {
 					mr.state, mr.fails = stateUp, 0
+					adds++
 				}
 			case 1:
 				op = "remove"
@@ -115,6 +118,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: removeReplica(%s) = %v, %v; member in model: %v", seed, step, u, removed, err, mr != nil)
 				}
 				if mr != nil {
+					removes++
 					delete(model, u)
 					i := slices.Index(order, u)
 					order = slices.Delete(order, i, i+1)
@@ -155,7 +159,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			}
 
 			wantRing := []string{}
-			wantStats := Stats{Members: []MemberStatus{}, Replicas: []ReplicaStats{}, Breakers: map[string]string{}}
+			wantStats := Stats{Members: []MemberStatus{}, Replicas: []ReplicaStats{}, Breakers: map[string]string{}, Added: adds, Removed: removes}
 			for _, u := range order {
 				mr := model[u]
 				if routable(mr.state) {

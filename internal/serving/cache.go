@@ -108,13 +108,14 @@ func (c *Cache) Put(key, val string) {
 	}
 }
 
-// CacheStats aggregates the per-shard counters.
+// CacheStats aggregates the per-shard counters. The metric tags name
+// its series under the prefix of the snapshot that holds it.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Expiries  int64 `json:"expiries"`
-	Entries   int   `json:"entries"`
+	Hits      int64 `json:"hits" metric:"counter cache_hits_total Result-cache hits."`
+	Misses    int64 `json:"misses" metric:"counter cache_misses_total Result-cache misses."`
+	Evictions int64 `json:"evictions" metric:"counter cache_evictions_total Result-cache LRU evictions."`
+	Expiries  int64 `json:"expiries" metric:"counter cache_expiries_total Result-cache TTL expiries."`
+	Entries   int   `json:"entries" metric:"gauge cache_entries Result-cache entries resident."`
 }
 
 // Stats sums the shards' counters and entry counts.

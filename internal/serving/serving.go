@@ -172,12 +172,11 @@ type Core struct {
 	// in-flight and cache-hit traffic keeps being served; see Drain.
 	draining atomic.Bool
 
-	requests      int64
-	dedupHits     int64
-	shedQueueFull int64
-	shedDeadline  int64
-	shedDraining  int64
-	degraded      int64
+	// Sheds are not counted here: the tenant queue that refused each
+	// one counts it, and Stats sums those.
+	requests  int64
+	dedupHits int64
+	degraded  int64
 
 	// durations is the one record of completed requests (Stats().Completed
 	// is its total); finish observes into lat, its children resolved once
@@ -218,13 +217,11 @@ func New(fn Func, cfg Config) (*Core, error) {
 		cfg:   cfg,
 		sched: newScheduler(&cfg),
 		durations: obs.NewHistogramVec("pas_serving_request_duration_seconds",
-			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed) and level.",
-			durationBounds, "outcome", "level"),
+			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed).",
+			durationBounds, "outcome"),
 	}
 	for o, name := range outcomeNames {
-		// Only full-quality answers are timed — a raw answer computes
-		// nothing — so the level label has the one value.
-		c.lat[o] = c.durations.With(name, "full")
+		c.lat[o] = c.durations.With(name)
 	}
 	if cfg.CacheSize > 0 {
 		c.cache = NewCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
@@ -344,7 +341,6 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		// reason the request is refused, the full queue is incidental.
 		tq := c.sched.arrive(TenantFrom(ctx))
 		if c.draining.Load() {
-			atomic.AddInt64(&c.shedDraining, 1)
 			c.sched.shedOther(tq)
 			return "", ErrDraining
 		}
@@ -353,7 +349,6 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		admitStart := c.cfg.Now()
 		release, err := c.sched.acquire(ctx, tq, c.waitBudget(ctx))
 		if err != nil {
-			c.noteShed(err)
 			qspan.SetError(err)
 			qspan.End()
 			return "", err
@@ -387,17 +382,6 @@ func (c *Core) waitBudget(ctx context.Context) time.Duration {
 		}
 	}
 	return wait
-}
-
-// noteShed folds an admission shed into the global counters. Client
-// cancellations are not sheds and count nothing.
-func (c *Core) noteShed(err error) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		atomic.AddInt64(&c.shedQueueFull, 1)
-	case errors.Is(err, errDeadline):
-		atomic.AddInt64(&c.shedDeadline, 1)
-	}
 }
 
 // finish records a served request: an array index into the children

@@ -65,7 +65,7 @@ type tenantQ struct {
 	admitted      int64
 	shedQueueFull int64
 	shedDeadline  int64
-	shedOther     int64 // drain sheds, counted by the core
+	shedOther     int64 // drain sheds
 }
 
 // waiter is one queued admission request. grant is closed (under
@@ -112,7 +112,7 @@ func (s *scheduler) tenantLocked(id string) *tenantQ {
 }
 
 // shedOther records a pre-admission shed (a draining core's) against
-// the tenant, keeping per-tenant shed totals honest.
+// the tenant.
 func (s *scheduler) shedOther(tq *tenantQ) {
 	s.mu.Lock()
 	tq.shedOther++
@@ -270,15 +270,15 @@ func (s *scheduler) depth() (inflight, waiting int) {
 type TenantStats struct {
 	Tenant string `json:"tenant"`
 
-	InFlight int `json:"in_flight"`
-	Waiting  int `json:"waiting"`
+	InFlight int `json:"in_flight" metric:"gauge tenant_in_flight Computations running now, by tenant."`
+	Waiting  int `json:"waiting" metric:"gauge tenant_waiting Requests queued for admission, by tenant."`
 
 	// Requests counts computation admissions attempted (cache hits and
 	// single-flight followers never reach admission).
-	Requests int64 `json:"requests"`
-	Admitted int64 `json:"admitted"`
+	Requests int64 `json:"requests" metric:"counter tenant_requests_total Computation admissions attempted, by tenant."`
+	Admitted int64 `json:"admitted" metric:"counter tenant_admitted_total Computations admitted, by tenant."`
 
-	Shed          int64 `json:"shed"`
+	Shed          int64 `json:"shed" metric:"counter tenant_shed_total Requests shed, by tenant."`
 	ShedQueueFull int64 `json:"shed_queue_full"`
 	ShedDeadline  int64 `json:"shed_deadline"`
 	// ShedOther counts the tenant's drain sheds — the one refusal made
