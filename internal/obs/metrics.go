@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -271,14 +272,15 @@ func (e *Emitter) fields(prefix string, v reflect.Value, labels []string) {
 		case "each":
 			key, field, _ := strings.Cut(rest, " ")
 			for j := 0; j < f.Len(); j++ {
-				e.fields(prefix, f.Index(j), append(labels[:len(labels):len(labels)], key, f.Index(j).FieldByName(field).String()))
+				el := f.Index(j)
+				e.fields(prefix, el, append(slices.Clip(labels), key, el.FieldByName(field).String()))
 			}
 		case "counter", "gauge":
 			name, help, _ := strings.Cut(rest, " ")
 			l := labels
 			if n, kv, ok := strings.Cut(strings.TrimSuffix(name, "}"), "{"); ok {
 				k, v, _ := strings.Cut(kv, "=")
-				name, l = n, append(labels[:len(labels):len(labels)], k, v)
+				name, l = n, append(slices.Clip(labels), k, v)
 			}
 			e.emit(prefix+name, help, kind, number(f), l)
 		default:
