@@ -1,21 +1,23 @@
 // Package daemon is what the serving daemons share: cmd/passerve and
 // cmd/pasproxy bind the serving flags here, once, straight onto the one
-// pas.ServingConfig, and serve behind the one middleware chain of
-// Obs.Chain; all three servers (cmd/pasllm included) take their
-// observability flags and registry / tracer / debug-listener wiring
-// from Obs.
+// pas.ServingConfig, serve behind the one middleware chain of
+// Obs.Chain, and serve and shut down through Serve; all three servers
+// (cmd/pasllm included) take their observability flags and registry /
+// tracer / debug-listener wiring from Obs.
 package daemon
 
 import (
 	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"time"
 
 	pas "repro"
 	"repro/internal/httpmw"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Flags is the parsed form of the flags both serving daemons accept.
@@ -97,4 +99,16 @@ func (o *Obs) Chain(h http.Handler, service string, logger *log.Logger) http.Han
 		httpmw.Tenant(),
 		o.Metrics.Middleware(),
 	)
+}
+
+// Serve serves srv on l in the background: each cleartext HTTP/1.1
+// keep-alive exchange on its connection's goroutine, through a
+// wire.Server, and every other connection through srv itself. Shutdown
+// on the returned server stops both; the channel receives the error
+// serving stopped on, http.ErrServerClosed after a Shutdown.
+func Serve(srv *http.Server, l net.Listener) (*wire.Server, <-chan error) {
+	ws := wire.NewServer(srv)
+	errc := make(chan error, 1)
+	go func() { errc <- ws.Serve(l) }()
+	return ws, errc
 }

@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -231,15 +232,17 @@ func main() {
 
 	log.Printf("augmenting traffic to %s on %s", o.upstream, o.addr)
 	srv := &http.Server{
-		Addr:              o.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		// No ReadTimeout or WriteTimeout: pas.Proxy bounds the one read it
 		// holds in memory. Longer than an idle http.Transport keeps a connection.
 		IdleTimeout: 2 * time.Minute,
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ws, errc := daemon.Serve(srv, ln)
 	select {
 	case err := <-errc:
 		log.Fatal(err)
@@ -247,7 +250,7 @@ func main() {
 		log.Printf("signal received, draining in-flight requests...")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
+		if err := ws.Shutdown(shutdownCtx); err != nil {
 			log.Fatalf("shutdown: %v", err)
 		}
 		log.Printf("shut down cleanly")

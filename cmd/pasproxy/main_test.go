@@ -650,3 +650,156 @@ func firstDiff(a, b []byte) int {
 	}
 	return n
 }
+
+// serveClusterProxy is pasproxy's newHandler in -replicas mode, over a
+// replica that augments every prompt, in front of upstream, served as
+// the daemon serves it (daemon.Serve) or by net/http alone; it returns
+// the proxy's address and its access log.
+func serveClusterProxy(t *testing.T, upstream string, viaDaemon bool) (addr string, logged *syncBuffer) {
+	t.Helper()
+	tuneOnce()
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/status" {
+			_ = json.NewEncoder(w).Encode(wire.Status{Status: wire.StatusOK, Instance: "i"})
+			return
+		}
+		req, _ := io.ReadAll(r.Body)
+		ar, _ := wire.DecodeAugmentRequest(req)
+		resp := wire.AugmentResponse{Prompt: ar.Prompt, Augmented: ar.Prompt + "\nBe specific.", Complement: "Be specific."}
+		_, _ = w.Write(wire.AppendAugmentResponse(nil, &resp))
+	}))
+	t.Cleanup(replica.Close)
+	fs := flag.NewFlagSet("pasproxy", flag.ContinueOnError)
+	o := bindFlags(fs)
+	if err := fs.Parse([]string{"-upstream", upstream, "-replicas", replica.URL}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	o.Start(ctx, "pasproxy")
+	logged = &syncBuffer{}
+	h, err := newHandler(ctx, o, fs, log.New(logged, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !viaDaemon {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.Listener.Addr().String(), logged
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _ := daemon.Serve(&http.Server{Handler: h, ErrorLog: log.New(io.Discard, "", 0)}, ln)
+	t.Cleanup(func() { _ = ws.Shutdown(context.Background()) })
+	return ln.Addr().String(), logged
+}
+
+// syncBuffer is a log sink the handler's goroutine writes while the test
+// reads.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// servers runs fn with the proxy served by net/http and by the daemon's
+// server.
+func servers(t *testing.T, fn func(t *testing.T, viaDaemon bool)) {
+	for _, via := range []struct {
+		name   string
+		daemon bool
+	}{{"net/http", false}, {"daemon", true}} {
+		t.Run(via.name, func(t *testing.T) { fn(t, via.daemon) })
+	}
+}
+
+// TestUpstreamDyingMidBodyCutsTheReply: an upstream that sends one SSE
+// event and drops the connection makes the reverse proxy abort the
+// reply, and the client must see it cut short — a read error — not a
+// clean 200 whose body ends in a 500 envelope. Fails if httpmw.Recover
+// answers http.ErrAbortHandler, or any panic after the reply started,
+// with its envelope.
+func TestUpstreamDyingMidBodyCutsTheReply(t *testing.T) {
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "text/event-stream")
+		_, _ = io.WriteString(w, "data: first\n\n")
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // the connection drops mid-body
+	}))
+	defer upstream.Close()
+	upstream.Config.ErrorLog = log.New(io.Discard, "", 0)
+	servers(t, func(t *testing.T, viaDaemon bool) {
+		addr, _ := serveClusterProxy(t, upstream.URL, viaDaemon)
+		resp, err := http.Post("http://"+addr+"/v1/chat/completions", "application/json", strings.NewReader(chat("Explain how tides form.")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil || strings.Contains(string(body), "internal server error") {
+			t.Fatalf("client read %d %q, error %v; want the reply cut short", resp.StatusCode, body, err)
+		}
+		if !strings.HasPrefix(string(body), "data: first\n\n") {
+			t.Fatalf("client read %q before the cut, want the first event", body)
+		}
+	})
+}
+
+// TestHangUpDuringAStalledUpstreamIs499: a client that closes its
+// connection while the upstream stalls on its chat ends the upstream's
+// r.Context() within a second, and the proxy's access line reads 499 —
+// through a real listener, served by net/http and by the daemon's
+// server. Fails on the daemon's server if nothing watches a request
+// for its client leaving.
+func TestHangUpDuringAStalledUpstreamIs499(t *testing.T) {
+	servers(t, func(t *testing.T, viaDaemon bool) {
+		reached, ended := make(chan struct{}), make(chan struct{})
+		upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			close(reached)
+			select {
+			case <-r.Context().Done():
+				close(ended)
+			case <-time.After(10 * time.Second):
+			}
+		}))
+		defer upstream.Close()
+		addr, logged := serveClusterProxy(t, upstream.URL, viaDaemon)
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := chat("Explain how tides form.")
+		fmt.Fprintf(c, "POST /v1/chat/completions HTTP/1.1\r\nHost: pasproxy\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+		select {
+		case <-reached:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the chat never reached the upstream")
+		}
+		c.Close()
+		select {
+		case <-ended:
+		case <-time.After(time.Second):
+			t.Fatal("the upstream's request was not cancelled within 1s of the client leaving")
+		}
+		for deadline := time.Now().Add(2 * time.Second); !strings.Contains(logged.String(), `"status":499`); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("access log %q has no 499 line", logged.String())
+			}
+		}
+	})
+}

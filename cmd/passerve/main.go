@@ -44,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -131,14 +132,16 @@ func main() {
 
 	log.Printf("serving PAS (base %s) on %s", sys.BaseModel(), o.addr)
 	srv := &http.Server{
-		Addr:              o.addr,
 		Handler:           newHandler(sys, o.Obs, log.New(os.Stderr, "passerve: ", 0)),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ws, errc := daemon.Serve(srv, ln)
 	select {
 	case err := <-errc:
 		log.Fatal(err)
@@ -159,7 +162,7 @@ func main() {
 	if err := sys.Quiesce(shutdownCtx); err != nil {
 		log.Printf("drain deadline passed with work still in flight: %v", err)
 	}
-	if err := srv.Shutdown(shutdownCtx); err != nil {
+	if err := ws.Shutdown(shutdownCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
 	log.Printf("shut down cleanly")

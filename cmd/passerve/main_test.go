@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -180,12 +180,15 @@ var (
 )
 
 // daemonUnderTest is newHandler over a freshly loaded System with cfg as
-// its serving core, behind a real listener: passerve as it runs, minus
-// the process. The small model is trained once per test binary and
-// handed to each test's own System through a file, as -model is.
+// its serving core, served by daemon.Serve on a real listener: passerve
+// as it runs, minus the process. The small model is trained once per
+// test binary and handed to each test's own System through a file, as
+// -model is. log holds its access lines.
 type daemonUnderTest struct {
-	t   *testing.T
-	srv *httptest.Server
+	t      *testing.T
+	url    string
+	client *http.Client
+	log    *syncBuffer
 }
 
 func startDaemon(t *testing.T, cfg pas.ServingConfig) *daemonUnderTest {
@@ -212,9 +215,40 @@ func startDaemon(t *testing.T, cfg pas.ServingConfig) *daemonUnderTest {
 	}
 	o := daemon.BindObs(flag.NewFlagSet("passerve", flag.ContinueOnError))
 	o.Start(context.Background(), "passerve")
-	d := &daemonUnderTest{t: t, srv: httptest.NewServer(newHandler(sys, o, log.New(io.Discard, "", 0)))}
-	t.Cleanup(d.srv.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &daemonUnderTest{t: t, url: "http://" + ln.Addr().String(), client: &http.Client{Transport: &http.Transport{}}, log: &syncBuffer{}}
+	ws, _ := daemon.Serve(&http.Server{Handler: newHandler(sys, o, log.New(d.log, "", 0))}, ln)
+	t.Cleanup(func() {
+		d.client.CloseIdleConnections()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := ws.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
 	return d
+}
+
+// syncBuffer is a log sink the handlers' goroutines write while the
+// test reads.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
 }
 
 type reply struct {
@@ -225,14 +259,14 @@ type reply struct {
 
 // do sends one request and reads the whole reply; safe from any goroutine.
 func (d *daemonUnderTest) do(method, path, tenant, body string) (reply, error) {
-	req, err := http.NewRequest(method, d.srv.URL+path, strings.NewReader(body))
+	req, err := http.NewRequest(method, d.url+path, strings.NewReader(body))
 	if err != nil {
 		return reply{}, err
 	}
 	if tenant != "" {
 		req.Header.Set("X-PAS-Tenant", tenant)
 	}
-	resp, err := d.srv.Client().Do(req)
+	resp, err := d.client.Do(req)
 	if err != nil {
 		return reply{}, err
 	}
@@ -431,5 +465,45 @@ func TestControlPlaneAnswersDuringAFlood(t *testing.T) {
 		if r.code != http.StatusOK || r.header.Get("X-PAS-Degraded") != "" {
 			t.Errorf("flood request %d: %d, X-PAS-Degraded %q, %s", i, r.code, r.header.Get("X-PAS-Degraded"), r.body)
 		}
+	}
+}
+
+// TestClientLeavingTheQueueIs499: a client that closes its connection
+// while its request waits for a computation slot is seen leaving by
+// the daemon's server: the core gives up the wait, and the access line
+// reads 499, not a shed. Fails if nothing watches a request for its
+// client leaving once the grace is past.
+func TestClientLeavingTheQueueIs499(t *testing.T) {
+	cfg := shrunkCore
+	cfg.MaxInFlight, cfg.ComputeDelay, cfg.QueueWait = 1, 500*time.Millisecond, 5*time.Second
+	d := startDaemon(t, cfg)
+	held := make(chan reply, 1)
+	go func() {
+		r, _ := d.do("POST", "/v1/augment", "", `{"prompt":"Explain how tides form."}`)
+		held <- r
+	}()
+	for deadline := time.Now().Add(5 * time.Second); d.stats().InFlight == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first computation never started")
+		}
+	}
+	c, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"prompt":"Write a haiku about rain."}`
+	fmt.Fprintf(c, "POST /v1/augment HTTP/1.1\r\nHost: passerve\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	time.Sleep(50 * time.Millisecond) // queued, past the grace
+	c.Close()
+	for deadline := time.Now().Add(time.Second); !strings.Contains(d.log.String(), `"status":499`); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no 499 access line within 1s of the client leaving: %q", d.log.String())
+		}
+	}
+	if strings.Contains(d.log.String(), `"shed":true`) {
+		t.Errorf("the abandoned request was logged as a shed: %q", d.log.String())
+	}
+	if r := <-held; r.code != http.StatusOK {
+		t.Errorf("the held computation: %d %s", r.code, r.body)
 	}
 }

@@ -30,21 +30,29 @@ func Chain(h http.Handler, mws ...func(http.Handler) http.Handler) http.Handler 
 	return h
 }
 
-// Recover converts handler panics into 500 responses instead of torn
-// connections, logging the panic value.
+// Recover converts a handler's panic into a logged 500 envelope. A panic
+// after the response started, or http.ErrAbortHandler (a reverse proxy
+// whose upstream died mid-body), becomes http.ErrAbortHandler instead,
+// which the server answers by cutting the connection.
 func Recover(logger *log.Logger) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := obs.WrapResponseWriter(w) // outermost: the recorder every layer shares
 			defer func() {
-				if v := recover(); v != nil {
-					if logger != nil {
-						logger.Printf("panic serving %s %s: %v", r.Method, r.URL.Path, v)
-					}
-					w.Header().Set("X-Content-Type-Options", "nosniff") // like the proxy's own envelopes
-					writeJSONError(w, http.StatusInternalServerError, "internal server error")
+				v := recover()
+				if v != nil && v != http.ErrAbortHandler && logger != nil {
+					logger.Printf("panic serving %s %s: %v", r.Method, r.URL.Path, v)
+				}
+				switch {
+				case v == nil:
+				case v == http.ErrAbortHandler || rec.Status() >= 200 || rec.BytesWritten() > 0:
+					panic(http.ErrAbortHandler)
+				default:
+					rec.Header().Set("X-Content-Type-Options", "nosniff") // like the proxy's own envelopes
+					writeJSONError(rec, http.StatusInternalServerError, "internal server error")
 				}
 			}()
-			next.ServeHTTP(w, r)
+			next.ServeHTTP(rec, r)
 		})
 	}
 }

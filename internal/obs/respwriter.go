@@ -69,8 +69,11 @@ func (rr *ResponseRecorder) Tenant() (id string, ok bool) { return rr.tenant, rr
 func (rr *ResponseRecorder) Unwrap() http.ResponseWriter { return rr.ResponseWriter }
 
 // Flush forwards flushing so SSE streaming keeps working through the
-// middleware stack.
+// middleware stack; like a first Write, it records the implicit 200.
 func (rr *ResponseRecorder) Flush() {
+	if rr.status == 0 {
+		rr.status = http.StatusOK
+	}
 	if f, ok := rr.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}

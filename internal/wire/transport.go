@@ -488,9 +488,10 @@ func hasToken(values []string, token string) bool {
 	return false
 }
 
-// validHeader reports whether http.Transport would send req's method
-// and header as they are; it answers an error for anything else, and
-// RoundTrip leaves that answer to it.
+// validHeader reports whether req's method and header are what
+// http.Transport sends as they are and net/http's server accepts; for
+// anything else RoundTrip leaves the answer to the one and Server the
+// reply to the other.
 func validHeader(req *http.Request) bool {
 	if req.Method != "" && !isToken(req.Method) {
 		return false
