@@ -157,6 +157,7 @@ func TestDrainAdminTokenAndExitHook(t *testing.T) {
 	for name, hdr := range map[string]map[string]string{
 		"no token":    nil,
 		"wrong token": {"X-PAS-Admin-Token": "nope"},
+		"bare token":  {"Authorization": "s3cret"}, // only "Bearer s3cret" is the Authorization form
 	} {
 		resp := postJSON(t, srv.URL+"/v1/drain", "", hdr)
 		resp.Body.Close()

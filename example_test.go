@@ -1,6 +1,7 @@
 package pas_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,14 +24,14 @@ func ExampleBuild() {
 	fmt.Println("complement:", res.System.Complement("Explain how tides form.", ""))
 }
 
-// ExampleSystem_Enhance runs the full plug-and-play path
+// ExampleSystem_EnhanceContext runs the full plug-and-play path
 // r_e = LLM(cat(p, M_p(p))) against a downstream model.
-func ExampleSystem_Enhance() {
+func ExampleSystem_EnhanceContext() {
 	sys, err := pas.LoadSystem("pas-model.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := sys.Enhance(simllm.MustModel(simllm.GPT4Turbo),
+	out, err := sys.EnhanceContext(context.Background(), simllm.MustModel(simllm.GPT4Turbo),
 		"Does blood pressure increase or decrease when the body loses blood?", "")
 	if err != nil {
 		log.Fatal(err)

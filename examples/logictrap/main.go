@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,6 +37,7 @@ func main() {
 	}
 
 	main := simllm.MustModel(simllm.GPT35Turbo) // low trap resistance
+	ctx := context.Background()
 	fmt.Printf("question: %s\n\n", question)
 
 	// Sample the model repeatedly with and without PAS and count how often
@@ -49,7 +51,7 @@ func main() {
 		if trap.ClaimsRight(bare) {
 			bareRight++
 		}
-		enhanced, err := res.System.Enhance(main, question, salt)
+		enhanced, err := res.System.EnhanceContext(ctx, main, question, salt)
 		if err != nil {
 			log.Fatal(err)
 		}

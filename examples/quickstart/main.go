@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 		main := simllm.MustModel(name)
 
 		bare := main.Respond(prompt, simllm.Options{Salt: "demo"})
-		enhanced, err := res.System.Enhance(main, prompt, "demo")
+		enhanced, err := res.System.EnhanceContext(context.Background(), main, prompt, "demo")
 		if err != nil {
 			log.Fatal(err)
 		}

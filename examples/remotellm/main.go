@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -65,10 +66,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	prompt := "Analyze the trade offs of monolith versus microservices."
 
 	// Bare request, for the cost comparison.
-	bare, err := client.ChatCompletion(chatapi.ChatRequest{
+	bare, err := client.ChatCompletionContext(ctx, chatapi.ChatRequest{
 		Model:    simllm.GPT4Turbo,
 		Messages: []chatapi.Message{{Role: "user", Content: prompt}},
 		Seed:     "remote-demo",
@@ -78,11 +80,11 @@ func main() {
 	}
 
 	// PAS-enhanced request over the same API.
-	enhanced, err := built.System.Enhance(remote, prompt, "remote-demo")
+	enhanced, err := built.System.EnhanceContext(ctx, remote, prompt, "remote-demo")
 	if err != nil {
 		log.Fatal(err)
 	}
-	augmented, err := client.ChatCompletion(chatapi.ChatRequest{
+	augmented, err := client.ChatCompletionContext(ctx, chatapi.ChatRequest{
 		Model:    simllm.GPT4Turbo,
 		Messages: []chatapi.Message{{Role: "user", Content: prompt + "\n" + enhanced.Complement}},
 		Seed:     "remote-demo",

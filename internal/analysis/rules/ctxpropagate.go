@@ -13,11 +13,11 @@ import (
 //  1. A function that receives a context.Context must not mint a fresh
 //     root with context.Background() or context.TODO() — that silently
 //     detaches the callee from the caller's deadline and cancellation.
-//  2. Outside package main, calls to the module's context-less chat
-//     shims (Chat, ChatCompletion, Enhance, Augment) are flagged: the
-//     Context variants exist precisely so deadlines survive the
-//     serving/proxy hot path. The deprecated wrappers stay for external
-//     API compatibility, but no internal caller may use them.
+//  2. Outside package main, calls to a context-less chat shim of the
+//     module (a method named Chat, ChatCompletion or Enhance) are
+//     flagged: the Context forms exist precisely so deadlines survive
+//     the serving/proxy hot path. The module declares no such shim
+//     today; the rule keeps one from coming back.
 //
 // Rule 2 only fires on methods *defined in this module* so unrelated
 // third-party-shaped names never trip it, and it skips the wrapper
@@ -67,7 +67,7 @@ func runCtxPropagate(pass *analysis.Pass) error {
 			if !isMain && moduleShimCall(pass, fn) {
 				hint := "use the " + fn.Name() + "Context variant"
 				if fn.Name() == "Chat" {
-					hint = "use ChatContext (pas.AsChatterCtx adapts plain Chatters)"
+					hint = "use ChatContext (the one method of simllm.Chatter)"
 				}
 				if hasCtx || hasReq {
 					pass.Reportf(call.Pos(), "context-less %s call drops the in-scope context; %s", fn.Name(), hint)

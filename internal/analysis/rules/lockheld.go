@@ -34,7 +34,8 @@ var chatterMethods = map[string]bool{
 	"Chat":                  true,
 	"ChatContext":           true,
 	"ChatCompletion":        true,
-	"chatCompletionContext": true,
+	"ChatCompletionContext": true,
+	"ChatCompletionStream":  true,
 }
 
 func runLockHeld(pass *analysis.Pass) error {

@@ -67,13 +67,7 @@ type Config struct {
 	// item's budget. Wiring a resilience.FaultyChatter here injects
 	// deterministic fault scripts into the build (chaos tests, soak
 	// runs). Nil means no injected faults.
-	FaultGate FaultGate `json:"-"`
-}
-
-// FaultGate is the context-taking chat surface a fault injector
-// exposes; resilience.FaultyChatter implements it.
-type FaultGate interface {
-	ChatContext(ctx context.Context, messages []simllm.Message, opt simllm.Options) (string, error)
+	FaultGate simllm.Chatter `json:"-"`
 }
 
 // DefaultConfig returns the paper's pipeline settings.

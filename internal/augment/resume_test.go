@@ -2,6 +2,7 @@ package augment
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -292,7 +293,7 @@ func TestProgressCounters(t *testing.T) {
 	}
 }
 
-// NullChatter is a no-op resilience.Chatter: it answers every call with
+// NullChatter is a no-op simllm.Chatter: it answers every call with
 // an empty reply. It exists to serve as the pass-through inner of a
 // resilience.FaultyChatter used as a FaultGate, where only the scripted
 // faults matter.
@@ -301,5 +302,7 @@ type NullChatter struct{}
 // Name identifies the chatter.
 func (NullChatter) Name() string { return "null" }
 
-// Chat returns an empty reply.
-func (NullChatter) Chat([]simllm.Message, simllm.Options) (string, error) { return "", nil }
+// ChatContext returns an empty reply.
+func (NullChatter) ChatContext(context.Context, []simllm.Message, simllm.Options) (string, error) {
+	return "", nil
+}

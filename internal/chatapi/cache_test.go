@@ -1,6 +1,7 @@
 package chatapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -72,11 +73,11 @@ func TestServerCacheServesIdenticalResponses(t *testing.T) {
 
 	req := ChatRequest{Model: simllm.GPT40613, Seed: "cache",
 		Messages: []Message{{Role: "user", Content: "Explain how tides form."}}}
-	first, err := c.ChatCompletion(req)
+	first, err := c.ChatCompletionContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.ChatCompletion(req)
+	second, err := c.ChatCompletionContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestServerCacheServesIdenticalResponses(t *testing.T) {
 
 	// Different seed must miss.
 	req.Seed = "other"
-	if _, err := c.ChatCompletion(req); err != nil {
+	if _, err := c.ChatCompletionContext(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	if misses := s.status().Cache.Misses; misses != 2 {
@@ -125,7 +126,7 @@ func TestStatusSurfacesCacheCounters(t *testing.T) {
 	req := ChatRequest{Model: simllm.GPT40613, Seed: "status",
 		Messages: []Message{{Role: "user", Content: "Explain how tides form."}}}
 	for i := 0; i < 2; i++ {
-		if _, err := c.ChatCompletion(req); err != nil {
+		if _, err := c.ChatCompletionContext(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}

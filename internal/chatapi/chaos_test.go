@@ -47,7 +47,7 @@ func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	c, ct, slept := chaosClient(t, srv.URL, ClientConfig{MaxRetries: 3, Backoff: time.Millisecond},
 		resilience.ChaosStep{Status: 429, RetryAfter: 2 * time.Second},
 	)
-	resp, err := c.ChatCompletion(chatReq())
+	resp, err := c.ChatCompletionContext(context.Background(), chatReq())
 	if err != nil {
 		t.Fatalf("want recovery after the 429, got %v", err)
 	}
@@ -69,7 +69,7 @@ func TestClientHonorsRetryAfterOn503(t *testing.T) {
 	c, _, slept := chaosClient(t, srv.URL, ClientConfig{MaxRetries: 2, Backoff: time.Millisecond},
 		resilience.ChaosStep{Status: 503, RetryAfter: time.Second},
 	)
-	if _, err := c.ChatCompletion(chatReq()); err != nil {
+	if _, err := c.ChatCompletionContext(context.Background(), chatReq()); err != nil {
 		t.Fatal(err)
 	}
 	if len(*slept) != 1 || (*slept)[0] != time.Second {
@@ -99,7 +99,7 @@ func TestClientDeadlineCutsRetryLoopShort(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.chatCompletionContext(ctx, chatReq())
+	_, err = c.ChatCompletionContext(ctx, chatReq())
 	if err == nil {
 		t.Fatal("want failure under a persistent 500 storm")
 	}
@@ -135,7 +135,7 @@ func TestClientRetryBudgetCutsLoopShort(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := c.ChatCompletion(chatReq()); err == nil {
+	if _, err := c.ChatCompletionContext(context.Background(), chatReq()); err == nil {
 		t.Fatal("want failure under a persistent 500 storm")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -151,7 +151,7 @@ func TestClientNeverRetriesTerminal400(t *testing.T) {
 	c, ct, slept := chaosClient(t, srv.URL, ClientConfig{MaxRetries: 5, Backoff: time.Millisecond},
 		resilience.ChaosStep{Status: 400, Body: `{"error":{"message":"bad request","type":"invalid_request_error"}}`},
 	)
-	_, err := c.ChatCompletion(chatReq())
+	_, err := c.ChatCompletionContext(context.Background(), chatReq())
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("err = %v, want the 400 surfaced", err)
 	}
@@ -170,7 +170,7 @@ func TestClientRecoversAfterDropAnd500Burst(t *testing.T) {
 		resilience.ChaosStep{Status: 500},
 		resilience.ChaosStep{Status: 502},
 	)
-	resp, err := c.ChatCompletion(chatReq())
+	resp, err := c.ChatCompletionContext(context.Background(), chatReq())
 	if err != nil {
 		t.Fatalf("want recovery on attempt 4, got %v", err)
 	}
@@ -193,7 +193,7 @@ func TestClientBreakerStopsHammeringDeadBackend(t *testing.T) {
 		script...)
 	// Two real failures open the circuit.
 	for i := 0; i < 2; i++ {
-		if _, err := c.ChatCompletion(chatReq()); err == nil {
+		if _, err := c.ChatCompletionContext(context.Background(), chatReq()); err == nil {
 			t.Fatal("dead backend should fail")
 		}
 	}
@@ -203,7 +203,7 @@ func TestClientBreakerStopsHammeringDeadBackend(t *testing.T) {
 	// Subsequent calls fail fast without touching the transport.
 	before := ct.Calls()
 	for i := 0; i < 5; i++ {
-		_, err := c.ChatCompletion(chatReq())
+		_, err := c.ChatCompletionContext(context.Background(), chatReq())
 		if !errors.Is(err, resilience.ErrOpen) {
 			t.Fatalf("call %d: err = %v, want ErrOpen fast-fail", i, err)
 		}
@@ -222,7 +222,7 @@ func TestClientBreakerHalfOpenProbeRecovers(t *testing.T) {
 		ClientConfig{MaxRetries: 0, Backoff: time.Millisecond, BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond},
 		resilience.ChaosStep{Drop: true},
 	)
-	if _, err := c.ChatCompletion(chatReq()); err == nil {
+	if _, err := c.ChatCompletionContext(context.Background(), chatReq()); err == nil {
 		t.Fatal("scripted drop should fail")
 	}
 	if got := c.breaker.State(); got != resilience.Open {
@@ -231,7 +231,7 @@ func TestClientBreakerHalfOpenProbeRecovers(t *testing.T) {
 	time.Sleep(25 * time.Millisecond) // cooldown elapses
 	// The script is exhausted, so the half-open probe passes through to
 	// the healthy upstream and closes the circuit.
-	if _, err := c.ChatCompletion(chatReq()); err != nil {
+	if _, err := c.ChatCompletionContext(context.Background(), chatReq()); err != nil {
 		t.Fatalf("probe should succeed against recovered upstream: %v", err)
 	}
 	if got := c.breaker.State(); got != resilience.Closed {
@@ -259,7 +259,7 @@ func TestClientConfigurableTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := c.ChatCompletion(chatReq()); err == nil {
+	if _, err := c.ChatCompletionContext(context.Background(), chatReq()); err == nil {
 		t.Fatal("hanging upstream should time out")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -1,6 +1,9 @@
 package chatapi
 
 import (
+	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -84,7 +87,7 @@ func TestChatCompletionEndToEnd(t *testing.T) {
 	srv := testServer(t, ServerConfig{Tokenizer: testTokenizer(t)})
 	c := testClient(t, srv.URL)
 
-	resp, err := c.ChatCompletion(ChatRequest{
+	resp, err := c.ChatCompletionContext(context.Background(), ChatRequest{
 		Model:    simllm.GPT40613,
 		Messages: []Message{{Role: "user", Content: "Explain how photosynthesis works."}},
 		Seed:     "s1",
@@ -112,7 +115,7 @@ func TestChatCompletionEndToEnd(t *testing.T) {
 	}
 
 	// Determinism across HTTP for a fixed seed.
-	again, err := c.ChatCompletion(ChatRequest{
+	again, err := c.ChatCompletionContext(context.Background(), ChatRequest{
 		Model:    simllm.GPT40613,
 		Messages: []Message{{Role: "user", Content: "Explain how photosynthesis works."}},
 		Seed:     "s1",
@@ -132,7 +135,7 @@ func TestChatCompletionMatchesInProcessModel(t *testing.T) {
 	srv := testServer(t, ServerConfig{})
 	c := testClient(t, srv.URL)
 	prompt := "Give me advice on keeping houseplants alive."
-	resp, err := c.ChatCompletion(ChatRequest{
+	resp, err := c.ChatCompletionContext(context.Background(), ChatRequest{
 		Model:    simllm.Qwen272B,
 		Messages: []Message{{Role: "user", Content: prompt}},
 		Seed:     "x",
@@ -140,7 +143,7 @@ func TestChatCompletionMatchesInProcessModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := simllm.MustModel(simllm.Qwen272B).Chat(
+	local, err := simllm.MustModel(simllm.Qwen272B).ChatContext(context.Background(),
 		[]simllm.Message{{Role: "user", Content: prompt}}, simllm.Options{Salt: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +156,14 @@ func TestChatCompletionMatchesInProcessModel(t *testing.T) {
 func TestServerErrors(t *testing.T) {
 	srv := testServer(t, ServerConfig{})
 	c := testClient(t, srv.URL)
-	if _, err := c.ChatCompletion(ChatRequest{Model: "no-such-model",
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: "no-such-model",
 		Messages: []Message{{Role: "user", Content: "hi"}}}); err == nil {
 		t.Error("unknown model should fail")
 	}
-	if _, err := c.ChatCompletion(ChatRequest{Model: simllm.GPT40613}); err == nil {
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: simllm.GPT40613}); err == nil {
 		t.Error("missing messages should fail")
 	}
-	if _, err := c.ChatCompletion(ChatRequest{Model: simllm.GPT40613,
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: simllm.GPT40613,
 		Messages: []Message{{Role: "martian", Content: "hi"}}}); err == nil {
 		t.Error("bad role should fail")
 	}
@@ -177,7 +180,7 @@ func TestServerErrors(t *testing.T) {
 func TestModelsEndpoint(t *testing.T) {
 	srv := testServer(t, ServerConfig{Models: []string{simllm.GPT4Turbo, simllm.Qwen27B}})
 	c := testClient(t, srv.URL)
-	models, err := c.Models()
+	models, err := c.Models(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,22 +206,22 @@ func TestRateLimitPerKey(t *testing.T) {
 
 	a := keyed("alice")
 	for i := 0; i < 2; i++ {
-		if _, err := a.ChatCompletion(req); err != nil {
+		if _, err := a.ChatCompletionContext(context.Background(), req); err != nil {
 			t.Fatalf("request %d should pass: %v", i, err)
 		}
 	}
-	if _, err := a.ChatCompletion(req); err == nil {
+	if _, err := a.ChatCompletionContext(context.Background(), req); err == nil {
 		t.Fatal("third request should be limited")
 	} else if !strings.Contains(err.Error(), "429") {
 		t.Fatalf("want 429, got %v", err)
 	}
 	// A different key has its own budget.
-	if _, err := keyed("bob").ChatCompletion(req); err != nil {
+	if _, err := keyed("bob").ChatCompletionContext(context.Background(), req); err != nil {
 		t.Fatalf("other key should pass: %v", err)
 	}
 	// Window reset restores the budget.
 	now = now.Add(2 * time.Minute)
-	if _, err := a.ChatCompletion(req); err != nil {
+	if _, err := a.ChatCompletionContext(context.Background(), req); err != nil {
 		t.Fatalf("after window reset: %v", err)
 	}
 }
@@ -250,7 +253,7 @@ func TestClientRetriesOn5xxThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.ChatCompletion(ChatRequest{Model: simllm.GPT40613,
+	resp, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: simllm.GPT40613,
 		Messages: []Message{{Role: "user", Content: "hello"}}, Seed: "r"})
 	if err != nil {
 		t.Fatalf("retries should recover: %v", err)
@@ -271,7 +274,7 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ChatCompletion(ChatRequest{Model: "m", Messages: []Message{{Role: "user", Content: "x"}}}); err == nil {
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: "m", Messages: []Message{{Role: "user", Content: "x"}}}); err == nil {
 		t.Fatal("4xx should fail")
 	}
 	if calls != 1 {
@@ -295,12 +298,12 @@ func TestRemoteAdapter(t *testing.T) {
 	if remote.Name() != simllm.GPT4Turbo {
 		t.Error("name")
 	}
-	out, err := remote.Chat([]simllm.Message{{Role: "user", Content: "Explain the science of fermentation."}},
+	out, err := remote.ChatContext(context.Background(), []simllm.Message{{Role: "user", Content: "Explain the science of fermentation."}},
 		simllm.Options{Salt: "remote"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, _ := simllm.MustModel(simllm.GPT4Turbo).Chat(
+	local, _ := simllm.MustModel(simllm.GPT4Turbo).ChatContext(context.Background(),
 		[]simllm.Message{{Role: "user", Content: "Explain the science of fermentation."}},
 		simllm.Options{Salt: "remote"})
 	if out != local {
@@ -317,11 +320,11 @@ func TestUsageMetersAugmentationOverhead(t *testing.T) {
 		Messages: []Message{{Role: "user", Content: "Explain how tides form."}}}
 	aug := ChatRequest{Model: simllm.GPT40613, Seed: "u",
 		Messages: []Message{{Role: "user", Content: "Explain how tides form.\nPlease provide background; cover all aspects."}}}
-	rb, err := c.ChatCompletion(bare)
+	rb, err := c.ChatCompletionContext(context.Background(), bare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := c.ChatCompletion(aug)
+	ra, err := c.ChatCompletionContext(context.Background(), aug)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +342,7 @@ func BenchmarkChatCompletion(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ChatCompletion(req); err != nil {
+		if _, err := c.ChatCompletionContext(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -352,7 +355,7 @@ func TestStreamingAssemblesFullCompletion(t *testing.T) {
 		Messages: []Message{{Role: "user", Content: "Explain how photosynthesis works."}}}
 
 	var deltas []string
-	streamed, err := c.ChatCompletionStream(req, func(d string) { deltas = append(deltas, d) })
+	streamed, err := c.ChatCompletionStream(context.Background(), req, func(d string) { deltas = append(deltas, d) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +364,7 @@ func TestStreamingAssemblesFullCompletion(t *testing.T) {
 	}
 	// The assembled stream must equal the non-streaming completion
 	// modulo whitespace normalisation (chunks are word-joined).
-	whole, err := c.ChatCompletion(req)
+	whole, err := c.ChatCompletionContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +377,54 @@ func TestStreamingAssemblesFullCompletion(t *testing.T) {
 	}
 }
 
+// TestStreamingCancelledMidStream: a context cancelled between two
+// events ends ChatCompletionStream promptly with the context's error,
+// and the upstream sees the hang-up, while the upstream is holding the
+// stream open.
+func TestStreamingCancelledMidStream(t *testing.T) {
+	upstreamGone := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, `data: {"choices":[{"delta":{"content":"first"}}]}`+"\n\n")
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+			close(upstreamGone)
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	defer srv.Close()
+	c := testClient(t, srv.URL)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	var deltas []string
+	_, err := c.ChatCompletionStream(ctx, ChatRequest{Model: "m",
+		Messages: []Message{{Role: "user", Content: "x"}}}, func(d string) {
+		deltas = append(deltas, d)
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancelled stream took %v to return", elapsed)
+	}
+	if len(deltas) != 1 || deltas[0] != "first" {
+		t.Fatalf("deltas = %q, want the one event sent before the cancel", deltas)
+	}
+	select {
+	case <-upstreamGone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the upstream never saw the cancelled stream's hang-up")
+	}
+}
+
 func TestStreamingErrorsStayJSON(t *testing.T) {
 	srv := testServer(t, ServerConfig{})
 	c := testClient(t, srv.URL)
-	if _, err := c.ChatCompletionStream(ChatRequest{Model: "nope",
+	if _, err := c.ChatCompletionStream(context.Background(), ChatRequest{Model: "nope",
 		Messages: []Message{{Role: "user", Content: "hi"}}}, nil); err == nil {
 		t.Fatal("unknown model should fail on the streaming path too")
 	}

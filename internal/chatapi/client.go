@@ -99,19 +99,13 @@ func (c *Client) policy() resilience.Policy {
 	}
 }
 
-// ChatCompletion performs one completion request, retrying retryable
-// failures. It is chatCompletionContext without a deadline.
-func (c *Client) ChatCompletion(req ChatRequest) (ChatResponse, error) {
-	return c.chatCompletionContext(context.Background(), req)
-}
-
-// chatCompletionContext performs one completion request under ctx.
+// ChatCompletionContext performs one completion request under ctx.
 // Retryable failures (transport errors, 5xx) retry with capped
 // full-jitter backoff; overload answers (429/503) wait out the server's
 // Retry-After when it sends one; terminal 4xx answers return
 // immediately. The context deadline bounds the whole retry loop — the
 // client never sleeps into a deadline it cannot make.
-func (c *Client) chatCompletionContext(ctx context.Context, req ChatRequest) (ChatResponse, error) {
+func (c *Client) ChatCompletionContext(ctx context.Context, req ChatRequest) (ChatResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return ChatResponse{}, fmt.Errorf("chatapi: encoding request: %w", err)
@@ -227,8 +221,12 @@ func parseRetryAfter(v string) (time.Duration, bool) {
 }
 
 // Models lists the models the endpoint serves.
-func (c *Client) Models() ([]string, error) {
-	resp, err := c.cfg.HTTPClient.Get(c.cfg.BaseURL + "/v1/models")
+func (c *Client) Models(ctx context.Context) ([]string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/v1/models", nil)
+	if err != nil {
+		return nil, fmt.Errorf("chatapi: %w", err)
+	}
+	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("chatapi: %w", err)
 	}
@@ -251,9 +249,9 @@ func (c *Client) Models() ([]string, error) {
 	return names, nil
 }
 
-// Remote adapts one served model behind a Client to the simllm chat
-// interface, so library code (pas.System.Enhance in particular) can drive
-// a model over HTTP exactly like an in-process one.
+// Remote is one served model behind a Client as a simllm.Chatter, so
+// library code (pas.System.EnhanceContext in particular) can drive a
+// model over HTTP exactly like an in-process one.
 type Remote struct {
 	client *Client
 	model  string
@@ -273,19 +271,14 @@ func NewRemote(client *Client, model string) (*Remote, error) {
 // Name returns the remote model's name.
 func (r *Remote) Name() string { return r.model }
 
-// Chat implements the simllm chat signature over HTTP.
-func (r *Remote) Chat(messages []simllm.Message, opt simllm.Options) (string, error) {
-	return r.ChatContext(context.Background(), messages, opt)
-}
-
-// ChatContext is Chat under a context: the deadline bounds the whole
-// retry loop and a cancellation aborts the in-flight attempt.
+// ChatContext runs one chat over HTTP under ctx: the deadline bounds
+// the whole retry loop and a cancellation aborts the in-flight attempt.
 func (r *Remote) ChatContext(ctx context.Context, messages []simllm.Message, opt simllm.Options) (string, error) {
 	req := ChatRequest{Model: r.model, Temperature: opt.Temperature, Seed: opt.Salt}
 	for _, m := range messages {
 		req.Messages = append(req.Messages, Message{Role: m.Role, Content: m.Content})
 	}
-	resp, err := r.client.chatCompletionContext(ctx, req)
+	resp, err := r.client.ChatCompletionContext(ctx, req)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package chatapi
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +36,7 @@ func TestClientTimesOutOnHangingServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = c.ChatCompletion(ChatRequest{Model: "m", Messages: []Message{{Role: "user", Content: "x"}}})
+	_, err = c.ChatCompletionContext(context.Background(), ChatRequest{Model: "m", Messages: []Message{{Role: "user", Content: "x"}}})
 	if err == nil {
 		t.Fatal("hanging server should time out")
 	}
@@ -53,7 +54,7 @@ func TestClientRejectsGarbageJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ChatCompletion(ChatRequest{Model: "m",
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: "m",
 		Messages: []Message{{Role: "user", Content: "x"}}}); err == nil {
 		t.Fatal("garbage JSON should fail")
 	}
@@ -68,7 +69,7 @@ func TestClientRejectsEmptyChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ChatCompletion(ChatRequest{Model: "m",
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: "m",
 		Messages: []Message{{Role: "user", Content: "x"}}}); err == nil ||
 		!strings.Contains(err.Error(), "no choices") {
 		t.Fatalf("want no-choices error, got %v", err)
@@ -86,7 +87,7 @@ func TestStreamTruncatedWithoutDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.ChatCompletionStream(ChatRequest{Model: "m",
+	_, err = c.ChatCompletionStream(context.Background(), ChatRequest{Model: "m",
 		Messages: []Message{{Role: "user", Content: "x"}}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "[DONE]") {
 		t.Fatalf("truncated stream should fail with missing [DONE], got %v", err)
@@ -103,7 +104,7 @@ func TestStreamCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.ChatCompletionStream(ChatRequest{Model: "m",
+	_, err = c.ChatCompletionStream(context.Background(), ChatRequest{Model: "m",
 		Messages: []Message{{Role: "user", Content: "x"}}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "bad stream chunk") {
 		t.Fatalf("corrupt chunk should fail, got %v", err)
@@ -135,7 +136,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ChatCompletion(ChatRequest{Model: "m",
+	if _, err := c.ChatCompletionContext(context.Background(), ChatRequest{Model: "m",
 		Messages: []Message{{Role: "user", Content: "x"}}}); err == nil {
 		t.Fatal("persistent 5xx should fail after retries")
 	}

@@ -243,14 +243,14 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		}
 		obs.AddEvent(r.Context(), "chatllm.cache", "verdict", "miss")
 	}
-	if err := r.Context().Err(); err != nil {
-		return // client already gone; don't burn the simulation
-	}
 	_, genSpan := obs.StartSpan(r.Context(), "chatllm.generate")
 	genSpan.SetAttr("model", req.Model)
-	content, err := m.Chat(msgs, simllm.Options{Temperature: req.Temperature, Salt: req.Seed}) //paslint:allow ctxpropagate the simulated model computes synchronously in-process; liveness is checked above
+	content, err := m.ChatContext(r.Context(), msgs, simllm.Options{Temperature: req.Temperature, Salt: req.Seed})
 	genSpan.End()
 	if err != nil {
+		if r.Context().Err() != nil {
+			return // client already gone; nobody reads an answer
+		}
 		writeJSON(w, http.StatusBadRequest, newAPIError(err.Error(), "invalid_request_error"))
 		return
 	}

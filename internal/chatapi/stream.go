@@ -2,6 +2,7 @@ package chatapi
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -89,15 +90,17 @@ func streamResponse(w http.ResponseWriter, id, model, content string) {
 	}
 }
 
-// ChatCompletionStream performs a streaming request and invokes onDelta
-// for every content chunk, returning the assembled completion.
-func (c *Client) ChatCompletionStream(req ChatRequest, onDelta func(string)) (string, error) {
+// ChatCompletionStream performs a streaming request under ctx and
+// invokes onDelta for every content chunk, returning the assembled
+// completion. A context that ends mid-stream aborts the read, and the
+// returned error wraps the context's.
+func (c *Client) ChatCompletionStream(ctx context.Context, req ChatRequest, onDelta func(string)) (string, error) {
 	req.Stream = true
 	body, err := json.Marshal(req)
 	if err != nil {
 		return "", fmt.Errorf("chatapi: encoding request: %w", err)
 	}
-	httpReq, err := http.NewRequest(http.MethodPost, c.cfg.BaseURL+"/v1/chat/completions", strings.NewReader(string(body)))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/chat/completions", strings.NewReader(string(body)))
 	if err != nil {
 		return "", fmt.Errorf("chatapi: %w", err)
 	}

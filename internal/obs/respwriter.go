@@ -27,9 +27,15 @@ func WrapResponseWriter(w http.ResponseWriter) *ResponseRecorder {
 	return &ResponseRecorder{ResponseWriter: w}
 }
 
-// WriteHeader records and forwards the status code.
+// WriteHeader forwards the status code and records it when it is the
+// final one. An informational 1xx (103 Early Hints) goes out ahead of
+// the response, which still commits later, explicitly or by a first
+// Write, so it is not the status the client reads. 101 Switching
+// Protocols is final, as net/http treats it.
 func (rr *ResponseRecorder) WriteHeader(code int) {
-	rr.status = code
+	if code >= 200 || code == http.StatusSwitchingProtocols {
+		rr.status = code
+	}
 	rr.ResponseWriter.WriteHeader(code)
 }
 

@@ -1,7 +1,5 @@
-// Package resilience hardens the outbound path of the PAS system: every
-// call that leaves the process — chatapi.Client to a public LLM API, the
-// reverse proxy to its upstream, System.Enhance to the main model — goes
-// through some combination of
+// Package resilience holds the failure-handling primitives of PAS's
+// outbound calls:
 //
 //   - a context-aware retry executor (capped exponential backoff with
 //     full jitter, server Retry-After hints, deadline- and budget-aware),
@@ -10,9 +8,17 @@
 //   - a hedger that races a second attempt when the first overruns a
 //     latency-percentile budget.
 //
+// Two callers use them. chatapi.Client retries and breaks in front of a
+// chat-completions API, so System.EnhanceContext gets both only when its
+// downstream model is a chatapi.Remote; an in-process *simllm.Model is
+// called once. The cluster router (internal/ring) keeps a breaker per
+// replica and can hedge a read across two replicas. The proxy's hop to
+// its chat upstream uses none of them: it forwards once and answers 502
+// when the upstream cannot be reached.
+//
 // The package also ships the fault-injection doubles that make all of it
 // deterministically testable: FaultyChatter scripts error/latency
-// sequences at the Chatter level, ChaosTransport scripts drops, 429s,
+// sequences at the simllm.Chatter level, ChaosTransport scripts drops, 429s,
 // bursts of 500s, and slow bodies at the http.RoundTripper level.
 //
 // PAS is plug-and-play (§3.4): r_e = LLM(cat(p, M_p(p))) is only worth

@@ -8,18 +8,9 @@ import (
 	"repro/internal/simllm"
 )
 
-// Chatter is the chat-capable downstream interface this package can
-// wrap with faults. It is structurally identical to pas.Chatter (the
-// root package cannot be imported from internal/ without a cycle), so a
-// *FaultyChatter satisfies pas.Chatter directly.
-type Chatter interface {
-	Name() string
-	Chat(messages []simllm.Message, opt simllm.Options) (string, error)
-}
-
 // Fault is one scripted step of a FaultyChatter: wait Delay (honouring
-// the context on the ctx-taking path), then fail with Err, or pass the
-// call through to the wrapped model when Err is nil.
+// the context), then fail with Err, or pass the call through to the
+// wrapped model when Err is nil.
 type Fault struct {
 	// Err is returned after Delay; nil lets the call through.
 	Err error
@@ -27,15 +18,14 @@ type Fault struct {
 	Delay time.Duration
 }
 
-// FaultyChatter wraps a Chatter with a deterministic fault script: call
-// n consumes script[n]; calls past the end of the script pass through
-// cleanly (or loop from the start with Loop). It implements both the
-// plain Chat interface and the context-taking ChatContext used by
-// System.EnhanceContext, so the same scripted backend exercises either
-// path. Safe for concurrent use; concurrent calls consume script steps
-// in arrival order.
+// FaultyChatter wraps a simllm.Chatter with a deterministic fault
+// script: call n consumes script[n]; calls past the end of the script
+// pass through cleanly (or loop from the start with Loop). It is itself
+// a simllm.Chatter, so it stands wherever the model it wraps would.
+// Safe for concurrent use; concurrent calls consume script steps in
+// arrival order.
 type FaultyChatter struct {
-	inner  Chatter
+	inner  simllm.Chatter
 	script []Fault
 	// Loop replays the script forever instead of passing through after
 	// its end — a permanently dead backend is Loop over one fault.
@@ -47,7 +37,7 @@ type FaultyChatter struct {
 }
 
 // NewFaultyChatter scripts faults in front of inner.
-func NewFaultyChatter(inner Chatter, script ...Fault) *FaultyChatter {
+func NewFaultyChatter(inner simllm.Chatter, script ...Fault) *FaultyChatter {
 	return &FaultyChatter{inner: inner, script: script}
 }
 
@@ -72,18 +62,12 @@ func (f *FaultyChatter) next() (Fault, bool) {
 	return Fault{}, false
 }
 
-// Calls reports how many Chat/ChatContext calls arrived — the probe
+// Calls reports how many ChatContext calls arrived — the probe
 // accounting tests need it to prove a breaker stopped the hammering.
 func (f *FaultyChatter) Calls() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.calls
-}
-
-// Chat runs one scripted step without context support (delays are
-// slept in full).
-func (f *FaultyChatter) Chat(messages []simllm.Message, opt simllm.Options) (string, error) {
-	return f.ChatContext(context.Background(), messages, opt)
 }
 
 // ChatContext runs one scripted step; a context that ends during the
@@ -98,8 +82,5 @@ func (f *FaultyChatter) ChatContext(ctx context.Context, messages []simllm.Messa
 	if scripted && step.Err != nil {
 		return "", step.Err
 	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return f.inner.Chat(messages, opt) //paslint:allow ctxpropagate inner is a plain Chatter by design; liveness was checked above and scripted delays already honored ctx
+	return f.inner.ChatContext(ctx, messages, opt)
 }

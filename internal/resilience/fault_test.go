@@ -21,15 +21,16 @@ func TestFaultyChatterScript(t *testing.T) {
 		Fault{}, // clean passthrough
 	)
 	msgs := []simllm.Message{{Role: "user", Content: "Explain how tides form."}}
-	if _, err := f.Chat(msgs, simllm.Options{}); !errors.Is(err, boom) {
+	ctx := context.Background()
+	if _, err := f.ChatContext(ctx, msgs, simllm.Options{}); !errors.Is(err, boom) {
 		t.Fatalf("step 1: err = %v, want scripted %v", err, boom)
 	}
-	out, err := f.Chat(msgs, simllm.Options{})
+	out, err := f.ChatContext(ctx, msgs, simllm.Options{})
 	if err != nil || out == "" {
 		t.Fatalf("step 2: got (%q, %v), want passthrough", out, err)
 	}
 	// Script exhausted: calls keep passing through.
-	if _, err := f.Chat(msgs, simllm.Options{}); err != nil {
+	if _, err := f.ChatContext(ctx, msgs, simllm.Options{}); err != nil {
 		t.Fatalf("post-script call failed: %v", err)
 	}
 	if f.Calls() != 3 {
@@ -42,7 +43,7 @@ func TestFaultyChatterLoopNeverRecovers(t *testing.T) {
 	f := NewFaultyChatter(inner, Fault{Err: errors.New("dead")})
 	f.Loop = true
 	for i := 0; i < 5; i++ {
-		if _, err := f.Chat([]simllm.Message{{Role: "user", Content: "x"}}, simllm.Options{}); err == nil {
+		if _, err := f.ChatContext(context.Background(), []simllm.Message{{Role: "user", Content: "x"}}, simllm.Options{}); err == nil {
 			t.Fatalf("call %d succeeded through a looped dead backend", i)
 		}
 	}

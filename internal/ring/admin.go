@@ -1,13 +1,13 @@
 package ring
 
 import (
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"io"
 	"log"
 	"net/http"
-	"strings"
+
+	"repro/internal/wire"
 )
 
 // adminMemberRequest is the POST/DELETE body of the cluster membership
@@ -40,7 +40,7 @@ func (c *Client) AdminHandler(token string) http.Handler {
 			http.Error(w, "admin API disabled: start pasproxy with -admin-token", http.StatusForbidden)
 			return
 		}
-		if !adminTokenMatches(r, token) {
+		if !wire.AdminTokenMatches(r, token) {
 			http.Error(w, "missing or invalid admin token", http.StatusForbidden)
 			return
 		}
@@ -78,17 +78,6 @@ func (c *Client) AdminHandler(token string) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
-}
-
-// adminTokenMatches checks the request's credential in constant time.
-func adminTokenMatches(r *http.Request, token string) bool {
-	got := r.Header.Get("X-PAS-Admin-Token")
-	if got == "" {
-		if auth := r.Header.Get("Authorization"); strings.HasPrefix(auth, "Bearer ") {
-			got = strings.TrimPrefix(auth, "Bearer ")
-		}
-	}
-	return subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
 }
 
 // adminMemberURL extracts the target replica URL from the query or a

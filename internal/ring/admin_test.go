@@ -39,6 +39,7 @@ func TestAdminHandlerAuthAndMutations(t *testing.T) {
 		"no credential": nil,
 		"wrong token":   {"X-PAS-Admin-Token": "nope"},
 		"wrong bearer":  {"Authorization": "Bearer nope"},
+		"bare token":    {"Authorization": "hunter2"},
 	} {
 		if w := adminRequest(t, h, http.MethodPost, "/v1/cluster/replicas", `{"url":"http://evil:1"}`, hdr); w.Code != http.StatusForbidden {
 			t.Fatalf("%s: answered %d, want 403", name, w.Code)

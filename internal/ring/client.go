@@ -205,9 +205,10 @@ func (c *Client) removeReplica(rawurl string) (bool, error) {
 // Membership exposes the health table (stats surfaces, tests).
 func (c *Client) Membership() *Membership { return c.mem }
 
-// shardKey is the routing key: the bytes the replica's serving cache
-// shards on. One cluster serves one model, so the model dimension of
-// serving.Key is a constant here and locality holds.
+// shardKey is the routing key, serving.Key with an empty model. The
+// replica caches under its base model's name instead; one cluster
+// serves one model, so routing on (prompt, salt) alone keeps each
+// cache entry on one owner.
 func shardKey(prompt, salt string) string { return serving.Key(prompt, salt, "") }
 
 // Owner returns the replica that owns (prompt, salt) right now — the

@@ -3,10 +3,11 @@
 // active health checking, and an HTTP augmentation client with
 // per-replica circuit breakers and hedged cross-replica reads.
 //
-// The ring hashes the *same bytes* the replica's serving cache shards
-// on — serving.Key(prompt, salt, model) — so every repeated key routes
-// to one owner replica and the per-process TTL-LRU caches of N replicas
-// compose into a distributed cache with near-perfect hit locality.
+// The ring hashes serving.Key(prompt, salt, ""): routing is a function
+// of (prompt, salt) alone, and a cluster serves one model, so every
+// repeated request routes to one owner replica and the per-process
+// TTL-LRU caches of N replicas compose into a distributed cache with
+// near-perfect hit locality.
 // Virtual nodes smooth the key distribution; removing a member moves
 // only the keys that member owned (≈1/N of the space), which is the
 // whole point of hashing consistently instead of key%N.

@@ -233,11 +233,13 @@ func New(fn Func, cfg Config) (*Core, error) {
 // dimensions joined with NUL separators. Prompts are free text, so a
 // plain concatenation would let ("a", "bc") collide with ("ab", "c").
 //
-// It is exported because the key doubles as the shard key of the
-// cluster routing tier (internal/ring): the ring hashes exactly these
-// bytes, so a request routed to a replica lands on the same key the
-// replica's own cache uses — byte-for-byte agreement is what gives the
-// cluster its per-key cache locality.
+// It is exported because the cluster routing tier (internal/ring) also
+// builds its shard key with it, as Key(prompt, salt, ""), while a
+// replica caches under Key(prompt, salt, its base model). The two are
+// not the same bytes. Locality holds because routing is a function of
+// (prompt, salt) alone and a cluster serves one model: every request
+// for one (prompt, salt) reaches one owner, whose cache holds that
+// pair's one entry.
 //
 //paslint:hotpath computed per request and per ring route; one concat, no conversions (BENCH_serving.json)
 func Key(prompt, salt, model string) string {

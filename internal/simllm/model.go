@@ -1,6 +1,7 @@
 package simllm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -27,6 +28,17 @@ type Options struct {
 	// MaxSections caps the number of facet sections rendered; 0 means
 	// the model's natural length.
 	MaxSections int
+}
+
+// Chatter is any chat-capable downstream LLM: an in-process simulated
+// model (*Model), a remote API-backed one (chatapi.Remote), or a fault
+// script in front of either (resilience.FaultyChatter). ChatContext
+// runs under the caller's context: a context that has already ended is
+// answered with its error, and a remote call's deadline bounds its
+// retries.
+type Chatter interface {
+	Name() string
+	ChatContext(ctx context.Context, messages []Message, opt Options) (string, error)
 }
 
 // Model is one simulated chat LLM.
@@ -63,12 +75,17 @@ func (m *Model) Name() string { return m.profile.Name }
 // Profile returns a copy of the model's capability profile.
 func (m *Model) Profile() Profile { return m.profile }
 
-// Chat runs a chat completion over the messages and returns the
+// ChatContext runs a chat completion over the messages and returns the
 // assistant's reply. Only user and system content conditions the reply;
 // the last user message is treated as the prompt and earlier user/system
 // turns as context, matching how the plug-and-play system concatenates
-// prompt and complementary prompt into one user turn.
-func (m *Model) Chat(messages []Message, opt Options) (string, error) {
+// prompt and complementary prompt into one user turn. The reply is
+// computed synchronously in-process, so ctx is checked once, before it:
+// a request whose caller has gone is never answered.
+func (m *Model) ChatContext(ctx context.Context, messages []Message, opt Options) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	if len(messages) == 0 {
 		return "", fmt.Errorf("simllm: %s: empty message list", m.profile.Name)
 	}

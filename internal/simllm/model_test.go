@@ -1,7 +1,11 @@
 package simllm
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -73,13 +77,14 @@ func TestRespondDeterministic(t *testing.T) {
 
 func TestChatRoles(t *testing.T) {
 	m := MustModel(GPT35Turbo)
-	if _, err := m.Chat(nil, Options{}); err == nil {
+	ctx := context.Background()
+	if _, err := m.ChatContext(ctx, nil, Options{}); err == nil {
 		t.Fatal("empty messages should error")
 	}
-	if _, err := m.Chat([]Message{{Role: "alien", Content: "hi"}}, Options{}); err == nil {
+	if _, err := m.ChatContext(ctx, []Message{{Role: "alien", Content: "hi"}}, Options{}); err == nil {
 		t.Fatal("unknown role should error")
 	}
-	out, err := m.Chat([]Message{
+	out, err := m.ChatContext(ctx, []Message{
 		{Role: "system", Content: "Be helpful."},
 		{Role: "user", Content: "Explain the history of the silk road."},
 	}, Options{Salt: "t"})
@@ -88,6 +93,62 @@ func TestChatRoles(t *testing.T) {
 	}
 	if strings.TrimSpace(out) == "" {
 		t.Fatal("empty response")
+	}
+}
+
+// TestChatContextCancelled: a context that has already ended is
+// answered with its own error and no reply.
+func TestChatContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := MustModel(GPT4Turbo).ChatContext(ctx, []Message{{Role: "user", Content: "Explain how tides form."}}, Options{})
+	if !errors.Is(err, context.Canceled) || out != "" {
+		t.Fatalf("ChatContext on a cancelled context = (%q, %v), want context.Canceled", out, err)
+	}
+}
+
+// TestChatContextMatchesGolden: on a live context ChatContext returns
+// the replies recorded in testdata/chat_replies.golden, which were taken
+// from the model's context-less Chat before it was folded into
+// ChatContext — single turn, system + user, multi-turn with an
+// assistant turn, temperature and a section cap.
+func TestChatContextMatchesGolden(t *testing.T) {
+	cases := []struct {
+		model    string
+		messages []Message
+		opt      Options
+	}{
+		{GPT40613, []Message{{Role: "user", Content: "Explain how tides form."}}, Options{Salt: "s1"}},
+		{GPT35Turbo, []Message{
+			{Role: "system", Content: "Be helpful."},
+			{Role: "user", Content: "Explain the history of the silk road."},
+		}, Options{Salt: "t"}},
+		{Qwen272B, []Message{
+			{Role: "user", Content: "What is a prime number?"},
+			{Role: "assistant", Content: "A number with exactly two divisors."},
+			{Role: "user", Content: "Give me advice on keeping houseplants alive."},
+		}, Options{Temperature: 0.7, Salt: "multi"}},
+		{GPT4Turbo, []Message{{Role: "user", Content: "Write a short poem about autumn. Please include concrete examples and explain step by step."}}, Options{Salt: "e", MaxSections: 2}},
+	}
+	raw, err := os.ReadFile("testdata/chat_replies.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("golden has %d replies for %d cases", len(want), len(cases))
+	}
+	for i, c := range cases {
+		got, err := MustModel(c.model).ChatContext(context.Background(), c.messages, c.opt)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if got != want[i] {
+			t.Errorf("case %d (%s):\n got %q\nwant %q", i, c.model, got, want[i])
+		}
 	}
 }
 

@@ -9,7 +9,12 @@
 // and the reader of every body the scanner does not claim.
 package wire
 
-import "time"
+import (
+	"crypto/subtle"
+	"net/http"
+	"strings"
+	"time"
+)
 
 // DegradedHeader is the response header that flags every reply below
 // full quality, with the value DegradedValue. A reader takes any
@@ -79,4 +84,19 @@ type Status struct {
 	// new model, so a prober that reads a changed Instance drops whatever
 	// it cached of the fleet's answers.
 	Instance string `json:"instance,omitempty"`
+}
+
+// AdminTokenMatches reports, in constant time, whether r carries token
+// as an X-PAS-Admin-Token header or as Authorization: Bearer <token>,
+// the two forms both daemons' admin endpoints document. Any other
+// Authorization value, a bare token included, is no credential. What an
+// empty token means is each endpoint's to decide before it calls this.
+func AdminTokenMatches(r *http.Request, token string) bool {
+	got := r.Header.Get("X-PAS-Admin-Token")
+	if got == "" {
+		if bearer, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+			got = bearer
+		}
+	}
+	return subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
 }

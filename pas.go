@@ -186,54 +186,16 @@ type Enhanced struct {
 	// Degraded reports that the augmentation side answered with the raw
 	// prompt — fail-open (ServingConfig.Degrade) — the plug-and-play
 	// guarantee held: the user still got an answer.
-	Degraded bool //paslint:allow unused public API: the only way a caller of Enhance learns the answer was fail-open
+	Degraded bool //paslint:allow unused public API: the only way a caller of EnhanceContext learns the answer was fail-open
 }
 
 // Chatter is any chat-capable downstream LLM: an in-process simulated
-// model (*simllm.Model) or a remote API-backed one (chatapi.Remote).
-type Chatter interface {
-	Name() string
-	Chat(messages []simllm.Message, opt simllm.Options) (string, error)
-}
-
-// ChatterCtx is a Chatter whose calls honour a context: the deadline
-// bounds retries and a cancellation aborts the in-flight request.
-// chatapi.Remote and resilience.FaultyChatter implement it natively.
-type ChatterCtx interface {
-	Name() string
-	ChatContext(ctx context.Context, messages []simllm.Message, opt simllm.Options) (string, error)
-}
-
-// chatterAdapter lifts a plain Chatter to ChatterCtx. The wrapped call
-// itself cannot be interrupted (the interface has no handle for it),
-// but the context is checked before dialing so an already-dead request
-// is never forwarded.
-type chatterAdapter struct{ Chatter }
-
-func (a chatterAdapter) ChatContext(ctx context.Context, messages []simllm.Message, opt simllm.Options) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return a.Chat(messages, opt) //paslint:allow ctxpropagate this adapter is the one place a plain Chatter is lifted; the interface has no context to forward
-}
-
-// AsChatterCtx returns c's context-taking form: c itself when it
-// already implements ChatContext (chatapi.Remote does), an adapter
-// otherwise (*simllm.Model keeps working unchanged).
+// model (*simllm.Model) or a remote API-backed one (chatapi.Remote). It
+// is simllm.Chatter, declared once below both; this name is the one a
+// caller outside the module can write, since simllm is internal.
 //
-//paslint:allow unused public API: lifts a caller's plain Chatter, as ctxpropagate's hint tells internal callers to
-func AsChatterCtx(c Chatter) ChatterCtx {
-	if cc, ok := c.(ChatterCtx); ok {
-		return cc
-	}
-	return chatterAdapter{c}
-}
-
-// Enhance runs the full plug-and-play path against a downstream model.
-// It is EnhanceContext without a deadline.
-func (s *System) Enhance(main Chatter, prompt, salt string) (Enhanced, error) {
-	return s.EnhanceContext(context.Background(), main, prompt, salt)
-}
+//paslint:allow unused public API: the nameable form of simllm.Chatter for callers outside the module
+type Chatter = simllm.Chatter
 
 // EnhanceContext runs the full plug-and-play path under ctx: the
 // complement goes through the serving core when one is enabled
@@ -241,8 +203,6 @@ func (s *System) Enhance(main Chatter, prompt, salt string) (Enhanced, error) {
 // failure falls back to the raw prompt — the main-model call always
 // happens, so augmentation can only add value, never availability risk.
 // Main-model errors are the downstream's own and propagate unchanged.
-//
-//paslint:allow unused public API: Enhance under the caller's deadline and cancellation
 func (s *System) EnhanceContext(ctx context.Context, main Chatter, prompt, salt string) (Enhanced, error) {
 	if main == nil {
 		return Enhanced{}, fmt.Errorf("pas: nil downstream model")
@@ -254,7 +214,7 @@ func (s *System) EnhanceContext(ctx context.Context, main Chatter, prompt, salt 
 	mctx, mspan := obs.StartSpan(ctx, "main.chat")
 	mspan.SetAttr("model", main.Name())
 	mspan.SetAttrBool("degraded", degraded)
-	resp, err := AsChatterCtx(main).ChatContext(mctx,
+	resp, err := main.ChatContext(mctx,
 		[]simllm.Message{{Role: "user", Content: cat(prompt, c)}},
 		simllm.Options{Salt: salt})
 	if err != nil {

@@ -1,6 +1,7 @@
 package pas
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -99,14 +100,14 @@ func TestSystemImplementsAPE(t *testing.T) {
 func TestEnhanceRunsDownstreamModel(t *testing.T) {
 	res := testSystem(t)
 	main := simllm.MustModel(simllm.GPT40613)
-	out, err := res.System.Enhance(main, "Give me advice on keeping houseplants alive.", "e")
+	out, err := res.System.EnhanceContext(context.Background(), main, "Give me advice on keeping houseplants alive.", "e")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Complement == "" || out.Response == "" {
 		t.Fatalf("incomplete enhancement: %+v", out)
 	}
-	if _, err := res.System.Enhance(nil, "x", "e"); err == nil {
+	if _, err := res.System.EnhanceContext(context.Background(), nil, "x", "e"); err == nil {
 		t.Fatal("nil downstream model should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package pas
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -62,11 +63,11 @@ func TestProxyAugmentsChatRequests(t *testing.T) {
 		Seed:     "proxy-test",
 		Messages: []chatapi.Message{{Role: "user", Content: "Explain how tides form."}},
 	}
-	bare, err := direct.ChatCompletion(req)
+	bare, err := direct.ChatCompletionContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	augmented, err := proxied.ChatCompletion(req)
+	augmented, err := proxied.ChatCompletionContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestProxyAugmentsChatRequests(t *testing.T) {
 		t.Fatal("proxy changed nothing")
 	}
 	sys := testSystem(t).System
-	explicit, err := direct.ChatCompletion(chatapi.ChatRequest{
+	explicit, err := direct.ChatCompletionContext(context.Background(), chatapi.ChatRequest{
 		Model: simllm.GPT40613,
 		Seed:  "proxy-test",
 		Messages: []chatapi.Message{{
@@ -95,7 +96,7 @@ func TestProxyAugmentsChatRequests(t *testing.T) {
 
 func TestProxyPreservesNonChatPaths(t *testing.T) {
 	_, proxied := proxyFixture(t)
-	models, err := proxied.Models()
+	models, err := proxied.Models(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestProxyPreservesNonChatPaths(t *testing.T) {
 func TestProxyStreamingPassesThrough(t *testing.T) {
 	_, proxied := proxyFixture(t)
 	var chunks int
-	content, err := proxied.ChatCompletionStream(chatapi.ChatRequest{
+	content, err := proxied.ChatCompletionStream(context.Background(), chatapi.ChatRequest{
 		Model:    simllm.GPT40613,
 		Seed:     "stream-proxy",
 		Messages: []chatapi.Message{{Role: "user", Content: "Explain the science of fermentation."}},

@@ -481,7 +481,7 @@ func TestEnhanceContextDegrades(t *testing.T) {
 		t.Fatalf("out = %+v, want degraded with empty complement", out)
 	}
 	// The degraded response is exactly the raw-prompt response.
-	raw, err := main.Chat([]simllm.Message{{Role: "user", Content: prompt}}, simllm.Options{Salt: "e"})
+	raw, err := main.ChatContext(context.Background(), []simllm.Message{{Role: "user", Content: prompt}}, simllm.Options{Salt: "e"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,11 +500,11 @@ func TestEnhanceMainModelErrorPropagates(t *testing.T) {
 	sys := testSystem(t).System
 	boom := errors.New("backend down")
 	main := resilience.NewFaultyChatter(simllm.MustModel(simllm.GPT40613), resilience.Fault{Err: boom})
-	if _, err := sys.Enhance(main, "x", "s"); !errors.Is(err, boom) {
+	if _, err := sys.EnhanceContext(context.Background(), main, "x", "s"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the scripted backend error", err)
 	}
 	// Script exhausted: the next call passes through to the real model.
-	out, err := sys.Enhance(main, "Explain how tides form.", "s")
+	out, err := sys.EnhanceContext(context.Background(), main, "Explain how tides form.", "s")
 	if err != nil || out.Response == "" {
 		t.Fatalf("post-script call = (%+v, %v), want clean passthrough", out, err)
 	}
@@ -513,8 +513,8 @@ func TestEnhanceMainModelErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestEnhanceContextDeadlineCutsFaultDelay: AsChatterCtx must pick the
-// FaultyChatter's native ChatContext, so a scripted 1s stall loses to a
+// TestEnhanceContextDeadlineCutsFaultDelay: the caller's context reaches
+// the FaultyChatter's ChatContext, so a scripted 1s stall loses to a
 // 30ms deadline instead of being slept in full.
 func TestEnhanceContextDeadlineCutsFaultDelay(t *testing.T) {
 	sys := testSystem(t).System

@@ -2,7 +2,6 @@ package pas
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -171,14 +170,7 @@ func (s *System) fireDrainExit() {
 // the endpoint open (single-node dev flows); production runs set
 // -admin-token.
 func (s *System) adminAuthorized(r *http.Request) bool {
-	if s.adminToken == "" {
-		return true
-	}
-	got := r.Header.Get("X-PAS-Admin-Token")
-	if got == "" {
-		got = strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	}
-	return subtle.ConstantTimeCompare([]byte(got), []byte(s.adminToken)) == 1
+	return s.adminToken == "" || wire.AdminTokenMatches(r, s.adminToken)
 }
 
 // Handler returns the HTTP handler exposing the system as a
