@@ -12,8 +12,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serving"
 )
 
 // checkAccessLine holds the appended access line to json.Marshal of the
@@ -186,13 +188,14 @@ func (w *nopResponse) WriteHeader(int)             {}
 
 // TestChainAllocations holds the per-request cost of passerve's seven
 // middlewares, traced at the daemons' default of every request, around a
-// handler that does nothing: 13 for an anonymous request (39 before
-// trace ids were rendered once and the access line was built by append,
-// 15 while every span kept its id as text) and 18 for a keyed one, whose
-// credential is fingerprinted once, by Tenant, and read by Logging off
-// the recorder (22 when each resolved it for itself). The guard keeps
-// fmt.Sprintf, json.Marshal, per-call hex and the second fingerprint
-// from drifting back in.
+// handler that does nothing: 9 for an anonymous request and 14 for a
+// keyed one, whose credential is fingerprinted once, by Tenant, and read
+// by Logging off the recorder. The trace is one of them: its record, the
+// span being its own context and its name and http.status rendered only
+// when /debug/traces is read (13 and 18 before; CHANGES.md holds the
+// history). The guard keeps fmt.Sprintf, json.Marshal, per-call hex, a
+// per-span context value and the second fingerprint from drifting back
+// in.
 func TestChainAllocations(t *testing.T) {
 	logger := log.New(io.Discard, "", 0)
 	metrics, _ := registeredMetrics()
@@ -209,8 +212,8 @@ func TestChainAllocations(t *testing.T) {
 		name, apiKey string
 		max          float64
 	}{
-		{"anonymous", "", 13},
-		{"X-Api-Key", "sk-live-0123456789abcdef", 18},
+		{"anonymous", "", 9},
+		{"X-Api-Key", "sk-live-0123456789abcdef", 14},
 	} {
 		req := httptest.NewRequest("POST", "/v1/augment", nil)
 		req.Header.Set("Content-Type", "application/json")
@@ -229,5 +232,65 @@ func TestChainAllocations(t *testing.T) {
 		if n > tc.max {
 			t.Errorf("the seven-middleware chain allocates %v times per %s request, want <= %v", n, tc.name, tc.max)
 		}
+	}
+}
+
+// TestCacheHitReadsTheClockFourTimes: a cache hit through passerve's
+// middlewares and the serving core reads the clock four times — the
+// request's start and end, which the root span, the access line's
+// dur_ms and the latency histogram share, and the core's two, which its
+// spans and its own latency reuse — where it read twelve. The tracer's
+// and the core's clocks are pinned, and counted.
+func TestCacheHitReadsTheClockFourTimes(t *testing.T) {
+	reads := 0
+	at := time.Unix(1700000000, 0)
+	clock := func() time.Time {
+		reads++
+		at = at.Add(time.Microsecond)
+		return at
+	}
+	core, err := serving.New(func(prompt, salt string) string { return "complement" }, serving.Config{CacheSize: 16, Now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	logger := log.New(&logged, "", 0)
+	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: 1, Now: clock})
+	metrics, reg := registeredMetrics()
+	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, _, err := core.DoLevel(r.Context(), "prompt", "salt", "model"); err != nil {
+			t.Error(err)
+		}
+	}), Recover(logger), RequestID(), Trace(tracer, "passerve"), Logging(logger), Tenant(), metrics.Middleware())
+	serve := func() {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/augment", nil))
+	}
+	serve() // the miss fills the cache
+	_, before, _ := pathCounts(reg)
+	logged.Reset()
+	reads = 0
+	serve()
+	if reads != 4 {
+		t.Errorf("a cache hit read the clock %d times, want 4", reads)
+	}
+
+	// What the four readings timed: the request took 3µs between its
+	// two, the core 1µs between its own.
+	var line accessLine
+	if err := json.Unmarshal(logged.Bytes(), &line); err != nil {
+		t.Fatalf("access line %q: %v", logged.Bytes(), err)
+	}
+	_, after, _ := pathCounts(reg)
+	trace := tracer.Snapshot().Recent[0]
+	durs := map[string]float64{}
+	for _, s := range trace.Spans {
+		durs[s.Name] = s.DurationMs
+	}
+	if line.DurMs != 0.003 || trace.DurationMs != 0.003 || math.Abs(after["/v1/augment"]-before["/v1/augment"]-3e-6) > 1e-12 {
+		t.Errorf("the request took %vms in the access line, %vms in its trace and %vs in the histogram, want 3µs in each",
+			line.DurMs, trace.DurationMs, after["/v1/augment"]-before["/v1/augment"])
+	}
+	if durs["serving.do"] != 0.001 || durs["serving.cache_lookup"] != 0.001 {
+		t.Errorf("serving spans: %v, want 1µs each", durs)
 	}
 }

@@ -115,32 +115,25 @@ func appendRequestID(dst []byte, n uint64) []byte {
 
 // Trace starts the request's root span: a continuation of the
 // traceparent the client sent when it is well-formed, a fresh trace
-// otherwise (a malformed header is never inherited). The span context
-// rides r.Context() so handler code can hang child spans off it with
-// obs.StartSpan, and the access log can stamp lines with the trace id.
-// Responses echo the trace id in a traceparent header so callers can
-// correlate. A nil tracer disables tracing with zero per-request cost.
+// otherwise (a malformed header is never inherited). The span is
+// r.Context() downstream, so handler code can hang child spans off it
+// with obs.StartSpan, and the access log can stamp lines with the trace
+// id. Responses echo the trace id in a traceparent header so callers
+// can correlate. The span starts and ends at the times the recorder
+// shares with Logging and Metrics. A nil tracer disables tracing with
+// zero per-request cost.
 func Trace(tracer *obs.Tracer, service string) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		if tracer == nil {
 			return next
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx := r.Context()
-			if remote, ok := obs.Extract(r.Header); ok {
-				ctx = obs.ContextWithRemote(ctx, remote)
-			}
-			ctx, span := tracer.StartSpan(ctx, service+" "+r.Method+" "+r.URL.Path)
-			span.SetAttr("http.method", r.Method)
-			span.SetAttr("http.path", r.URL.Path)
-			span.SetAttr("request.id", r.Header.Get(requestIDHeader))
-			obs.Inject(ctx, w.Header())
-
 			rec := obs.WrapResponseWriter(w)
+			ctx, span := tracer.StartRequest(rec, r, service, r.Header.Get(requestIDHeader))
+			obs.Inject(ctx, rec.Header())
 			next.ServeHTTP(rec, r.WithContext(ctx))
 
 			status := rec.StatusOr200()
-			span.SetAttrInt("http.status", int64(status))
 			// Any non-empty value is a degraded response; "1", raw
 			// passthrough, is the only one this tree sends.
 			if rec.Header().Get(degradedHeader) != "" {
@@ -149,7 +142,7 @@ func Trace(tracer *obs.Tracer, service string) func(http.Handler) http.Handler {
 			if status >= 500 {
 				span.SetError(fmt.Errorf("http status %d", status))
 			}
-			span.End()
+			span.EndRequest(status, rec.End())
 		})
 	}
 }
@@ -222,8 +215,8 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
 			rec := obs.WrapResponseWriter(w)
+			start := rec.Start(time.Now)
 			next.ServeHTTP(rec, r)
 			if logger == nil {
 				return
@@ -240,7 +233,7 @@ func Logging(logger *log.Logger) func(http.Handler) http.Handler {
 				Path:      r.URL.Path,
 				Status:    status,
 				Bytes:     rec.BytesWritten(),
-				DurMs:     float64(time.Since(start).Microseconds()) / 1000,
+				DurMs:     float64(rec.End().Sub(start).Microseconds()) / 1000,
 				Shed:      status == http.StatusServiceUnavailable,
 				Degraded:  level != "",
 				Degrade:   level,
@@ -405,10 +398,10 @@ func (m *Metrics) series(path string) *pathSeries {
 func (m *Metrics) Middleware() func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
 			rec := obs.WrapResponseWriter(w)
+			start := rec.Start(time.Now)
 			next.ServeHTTP(rec, r)
-			dur := time.Since(start)
+			dur := rec.End().Sub(start)
 			ps := m.series(r.URL.Path)
 			if ps == nil {
 				return

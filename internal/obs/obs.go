@@ -9,10 +9,10 @@
 // and its evaluation hinges on per-stage attribution of latency and
 // failure. obs gives every hop the same three primitives:
 //
-//   - Tracing. A Tracer hands out Spans (StartSpan) that carry
-//     attributes, events, and an error status; spans nest through the
-//     context, and the trace id travels between processes in the W3C
-//     traceparent header (Inject/Extract). Finished traces land in a
+//   - Tracing. A Tracer hands out Spans (StartRequest, StartSpan) that
+//     carry attributes, events, and an error status; a span is its
+//     children's context, and W3C traceparent headers carry the trace
+//     id between processes (Inject, StartRequest). Finished traces land in a
 //     bounded in-memory store with head sampling plus always-keep
 //     promotion for errored and slow traces, browsable at
 //     /debug/traces.

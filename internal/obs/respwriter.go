@@ -1,14 +1,18 @@
 package obs
 
-import "net/http"
+import (
+	"net/http"
+	"time"
+)
 
 // ResponseRecorder is the one response-writer wrapper the whole stack
 // shares: it captures the status code and byte count for logging,
-// metrics, and tracing. WrapResponseWriter returns an existing
-// recorder unchanged, so a middleware chain wraps each request exactly
-// once and every layer reads the same record — the pre-obs stack
-// wrapped twice (logging and metrics each had a private copy) and the
-// two could disagree.
+// metrics, and tracing, and when the request started and ended, so the
+// three read the clock once at each end between them.
+// WrapResponseWriter returns an existing recorder unchanged, so a
+// middleware chain wraps each request exactly once and every layer
+// reads the same record — the pre-obs stack wrapped twice (logging and
+// metrics each had a private copy) and the two could disagree.
 type ResponseRecorder struct {
 	http.ResponseWriter
 	status int
@@ -16,6 +20,9 @@ type ResponseRecorder struct {
 
 	tenant         string
 	tenantResolved bool
+
+	clock      func() time.Time // the one Start was first called with
+	start, end time.Time
 }
 
 // WrapResponseWriter wraps w, or returns it as-is when it is already a
@@ -69,6 +76,31 @@ func (rr *ResponseRecorder) NoteTenant(id string) { rr.tenant, rr.tenantResolved
 // Tenant returns the noted tenant id; ok is false when nothing inside
 // this recorder resolved one.
 func (rr *ResponseRecorder) Tenant() (id string, ok bool) { return rr.tenant, rr.tenantResolved }
+
+// Start returns when the request started. The first call, from the
+// outermost middleware that times the request, reads now; every later
+// one returns that reading, and End reads the same clock.
+//
+//paslint:hotpath once per timing middleware per request
+func (rr *ResponseRecorder) Start(now func() time.Time) time.Time {
+	if rr.clock == nil {
+		rr.clock, rr.start = now, now()
+	}
+	return rr.start
+}
+
+// End returns when the request's handler returned: the first call
+// after Start, from the innermost timing middleware once its handler is
+// done, reads the clock Start was given; every later one returns that
+// reading.
+//
+//paslint:hotpath once per timing middleware per request
+func (rr *ResponseRecorder) End() time.Time {
+	if rr.end.IsZero() {
+		rr.end = rr.clock()
+	}
+	return rr.end
+}
 
 // Unwrap lets an http.ResponseController reach the connection's
 // deadlines through the recorder.

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"context"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -29,37 +29,49 @@ type Event struct {
 // valid and every method on it is a no-op, so instrumentation never
 // branches on whether tracing is enabled.
 //
-// A span is its own finished record: End stamps dur, sets ended and
-// appends the span itself to its trace, after which nothing writes to it
-// again, so whoever finds it in rec.spans (under rec.mu) reads it
-// without mu. It is never reused — a context that outlives its request
-// keeps pointing at the span it was given.
+// A span is also the context.Context its children are started under:
+// the context it was started under, plus itself. A span lives in its
+// trace's record — the root always, a child while the record has room —
+// or on the heap, and is never reused, so a context that outlives its
+// request keeps pointing at its own span and trace.
+//
+// The fields from attrs down are guarded by the record's mutex. End
+// stamps dur, sets ended and appends the span to the record, after
+// which nothing writes to them again, so whoever finds the span in
+// rec.spans reads it as it ended.
 type Span struct {
-	tracer *Tracer
-	rec    *traceRec
-	sc     SpanContext
-	parent SpanID // zero on a root that continues no remote trace
-	// failed and ended are guarded by mu like the fields below it; they
-	// sit here, in the padding after the ids, so that a child span with
-	// its attribute room is 240 bytes, which is an allocation size class.
-	failed bool
-	ended  bool
-	name   string
-	start  time.Time
-	dur    time.Duration
+	ctx      context.Context
+	rec      *traceRec
+	id       SpanID
+	parentID SpanID // zero on a root that continues no remote trace
+	name     string
+	start    time.Duration // since the trace's start
+	dur      time.Duration
 
-	mu     sync.Mutex
-	attrs  []Attr
-	events []Event
-	status string
+	attrs   []Attr
+	status  string
+	failed  bool
+	ended   bool
+	nEvents uint8 // this span's entries in rec.events
 }
 
-// childSpan is how a span below the root is allocated: with room for
-// the two attributes the serving spans set at most. The root's room is
-// in its traceRec.
-type childSpan struct {
-	Span
-	attrBuf [2]Attr
+// Deadline, Done, Err and Value make a span the context its children
+// see: the context it was started under, which answers everything but
+// the span's own key.
+func (s *Span) Deadline() (time.Time, bool) { return s.ctx.Deadline() }
+
+// Done is the done channel of the context the span was started under.
+func (s *Span) Done() <-chan struct{} { return s.ctx.Done() }
+
+// Err is the error of the context the span was started under.
+func (s *Span) Err() error { return s.ctx.Err() }
+
+// Value is the span for the span key, else the started-under context's.
+func (s *Span) Value(key any) any {
+	if key == spanCtxKey {
+		return s
+	}
+	return s.ctx.Value(key)
 }
 
 // Context returns the span's propagation context.
@@ -67,7 +79,7 @@ func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return s.sc
+	return SpanContext{TraceID: s.rec.id, SpanID: s.id, Sampled: s.rec.sampled}
 }
 
 // SetAttr records a key/value attribute on the span.
@@ -75,16 +87,12 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
+	r := s.rec
+	r.mu.Lock()
 	if !s.ended {
-		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+		r.addAttr(s, Attr{Key: key, Value: value})
 	}
-	s.mu.Unlock()
-}
-
-// SetAttrInt records an integer attribute on the span.
-func (s *Span) SetAttrInt(key string, value int64) {
-	s.SetAttr(key, strconv.FormatInt(value, 10))
+	r.mu.Unlock()
 }
 
 // SetAttrBool records a boolean attribute on the span.
@@ -98,7 +106,8 @@ func (s *Span) addEvent(name string, kv ...string) {
 	if s == nil {
 		return
 	}
-	at := s.tracer.now().Sub(s.start)
+	r := s.rec
+	at := r.tracer.now().Sub(r.start) - s.start
 	ev := Event{Name: name, AtMs: durationMs(at)}
 	for i := 0; i < len(kv); i += 2 {
 		a := Attr{Key: kv[i]}
@@ -107,11 +116,12 @@ func (s *Span) addEvent(name string, kv ...string) {
 		}
 		ev.Attrs = append(ev.Attrs, a)
 	}
-	s.mu.Lock()
-	if !s.ended && len(s.events) < maxEventsPerSpan {
-		s.events = append(s.events, ev)
+	r.mu.Lock()
+	if !s.ended && s.nEvents < maxEventsPerSpan {
+		s.nEvents++
+		r.events = append(r.events, spanEvent{s, ev})
 	}
-	s.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // SetError marks the span failed and records the error message. An
@@ -121,15 +131,14 @@ func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
-	s.mu.Lock()
+	r := s.rec
+	r.mu.Lock()
 	if !s.ended {
 		s.failed = true
 		s.status = err.Error()
 	}
-	s.mu.Unlock()
-	if s.rec != nil {
-		s.rec.noteError()
-	}
+	r.errored = true
+	r.mu.Unlock()
 }
 
 // SetStatus records a human-readable outcome without marking the span
@@ -138,34 +147,65 @@ func (s *Span) SetStatus(msg string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
+	s.rec.mu.Lock()
 	if !s.ended {
 		s.status = msg
 	}
-	s.mu.Unlock()
+	s.rec.mu.Unlock()
 }
 
-// End finishes the span and adds it to the trace record; the root
-// span's End also submits the trace to the store. End is idempotent;
-// spans left un-ended simply never appear in the store.
+// End finishes the span now, on the tracer's clock; see EndAt.
 //
 //paslint:hotpath once per span, several per request
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := s.tracer.now()
-	s.mu.Lock()
+	s.EndAt(s.rec.tracer.now())
+}
+
+// EndAt finishes the span at end, a time its caller already read, and
+// adds it to the trace record; the root span's EndAt also submits the
+// trace to the store. It is idempotent; spans left un-ended simply
+// never appear in the store.
+//
+//paslint:hotpath once per span, several per request
+func (s *Span) EndAt(end time.Time) { s.end(end, 0) }
+
+// EndRequest finishes an HTTP root span (Tracer.StartRequest) at end
+// with the status the client read. Like the span's name, the
+// http.status attribute is rendered from it when the store is read.
+//
+//paslint:hotpath once per request
+func (s *Span) EndRequest(status int, end time.Time) { s.end(end, status) }
+
+// end is EndAt and EndRequest: one lock ends the span, records it and,
+// on the root, decides whether the store keeps the trace.
+func (s *Span) end(end time.Time, httpStatus int) {
+	if s == nil {
+		return
+	}
+	r := s.rec
+	root := s == &r.root
+	r.mu.Lock()
 	if s.ended {
-		s.mu.Unlock()
+		r.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.dur = end.Sub(s.start)
-	s.mu.Unlock()
-	s.rec.addSpan(s, s.tracer.cfg.MaxSpansPerTrace)
-	if s == &s.rec.root {
-		s.tracer.submit(s.rec, s.dur)
+	s.dur = end.Sub(r.start) - s.start
+	if httpStatus != 0 {
+		r.http.status = httpStatus
+	}
+	if len(r.spans) < r.tracer.cfg.MaxSpansPerTrace {
+		r.spans = append(r.spans, s)
+	} else {
+		r.dropped++
+	}
+	keep := root && (r.sampled || r.errored || s.dur >= r.tracer.cfg.SlowThreshold)
+	r.mu.Unlock()
+	if root {
+		r.tracer.submit(r, keep)
 	}
 }
 

@@ -5,19 +5,21 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // traceStore holds finished traces: a ring of the most recent and a
-// bounded list of the slowest. Memory is bounded by
-// (MaxTraces + MaxSlow) × MaxSpansPerTrace retained spans, and a
-// retained span is the 240-byte childSpan itself: at the defaults the
-// worst case is (128 + 32) × 256 × 240 B ≈ 9.8 MB, were every kept
-// trace full; at the five spans a cache miss leaves, a trace holds
-// 1.4 KB and the store some 230 KB. Attributes past a span's own room,
-// events, and the strings of both come on top.
+// bounded list of the slowest. Memory is bounded by MaxTraces + MaxSlow
+// kept records and the spans past their room: a record is 1,024 bytes
+// with the root and four children inside it, a span past it 192. At the
+// defaults the worst case is (128 + 32) × (1,024 + 251 × 192 B) ≈ 7.9
+// MB, were every kept trace full; a cache miss's five spans fit in the
+// record, so 160 of its traces are some 160 KB (150–180 KB of heap
+// measured, with the request contexts their roots keep). Attributes and
+// events past the record's room and their strings come on top.
 type traceStore struct {
 	mu      sync.Mutex
 	recent  []*traceRec // ring, oldest overwritten first
@@ -88,40 +90,70 @@ type TracesSnapshot struct {
 }
 
 // summarize renders a stored trace: this is where a span's ids become
-// text and its duration milliseconds, once per read of /debug/traces
-// rather than once per span served.
+// text, its duration milliseconds, an HTTP root's name and attributes
+// strings, and the trace's events each span's own, once per read of
+// /debug/traces rather than once per span served.
 func summarize(rec *traceRec) TraceSummary {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	root := &rec.root
 	sum := TraceSummary{
-		TraceID:    rec.traceHex,
-		Root:       root.name,
-		Start:      root.start,
+		TraceID:    rec.traceHex(),
+		Root:       rec.spanName(root),
+		Start:      rec.start,
 		DurationMs: durationMs(root.dur),
 		Error:      rec.errored,
-		Sampled:    root.sc.Sampled,
+		Sampled:    rec.sampled,
 		Dropped:    rec.dropped,
 		Spans:      make([]SpanData, len(rec.spans)),
 	}
 	for i, s := range rec.spans {
 		d := &sum.Spans[i]
 		*d = SpanData{
-			Name:       s.name,
-			TraceID:    rec.traceHex,
-			SpanID:     s.sc.SpanID.String(),
-			Start:      s.start,
+			Name:       rec.spanName(s),
+			TraceID:    sum.TraceID,
+			SpanID:     s.id.String(),
+			Start:      rec.start.Add(s.start),
 			DurationMs: durationMs(s.dur),
 			Attrs:      s.attrs,
-			Events:     s.events,
 			Error:      s.failed,
 			Status:     s.status,
 		}
-		if !s.parent.IsZero() {
-			d.ParentID = s.parent.String()
+		if !s.parentID.IsZero() {
+			d.ParentID = s.parentID.String()
+		}
+		if s == root && rec.http.set {
+			d.Attrs = rec.http.attrs(s.attrs)
+		}
+		for j := range rec.events {
+			if e := &rec.events[j]; e.span == s {
+				d.Events = append(d.Events, e.Event)
+			}
 		}
 	}
 	return sum
+}
+
+// spanName is s's name as /debug/traces shows it: an HTTP root's is
+// "<service> <method> <path>".
+func (rec *traceRec) spanName(s *Span) string {
+	if s == &rec.root && rec.http.set {
+		return s.name + " " + rec.http.method + " " + rec.http.path
+	}
+	return s.name
+}
+
+// attrs renders an HTTP root's attributes around the ones set on it:
+// http.method, http.path and request.id first, http.status last, as
+// the middleware once set them one by one.
+func (h *httpRoot) attrs(set []Attr) []Attr {
+	out := make([]Attr, 0, len(set)+4)
+	out = append(out, Attr{"http.method", h.method}, Attr{"http.path", h.path}, Attr{"request.id", h.requestID})
+	out = append(out, set...)
+	if h.status != 0 {
+		out = append(out, Attr{"http.status", strconv.Itoa(h.status)})
+	}
+	return out
 }
 
 // Snapshot copies the store's current contents.

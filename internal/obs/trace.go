@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"net/http"
+	"time"
 )
 
 // TraceID identifies one request's journey across every service hop.
@@ -47,8 +48,8 @@ type SpanContext struct {
 func (sc SpanContext) valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
 // TraceparentHeader is the W3C Trace Context header name, spelled the
-// way net/http keys it (and writes it: Set canonicalises either way), so
-// a Get or Set with it allocates no canonical copy.
+// way net/http keys it, so extract indexes a header with it directly,
+// and a Get or Set with it allocates no canonical copy.
 const TraceparentHeader = "Traceparent"
 
 // traceparent renders the context as a version-00 traceparent value:
@@ -137,55 +138,31 @@ func hexNibble(c byte) (byte, bool) {
 	return 0, false
 }
 
-// ctxKey keys the obs context values.
+// ctxKey keys the span in a context's values.
 type ctxKey int
 
-const (
-	spanCtxKey ctxKey = iota
-	remoteCtxKey
-)
-
-// ContextWithRemote records a span context extracted from an incoming
-// request; the next StartSpan under ctx becomes its child, continuing
-// the distributed trace across the process boundary.
-func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, remoteCtxKey, sc)
-}
-
-func remoteFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(remoteCtxKey).(SpanContext)
-	return sc, ok && sc.valid()
-}
+const spanCtxKey ctxKey = 0
 
 // spanFromContext returns the span active in ctx, or nil. The nil span
-// is fully usable: every method is a no-op.
+// is fully usable: every method is a no-op. A span's children are
+// started under the span itself, so most lookups end at the assertion.
 func spanFromContext(ctx context.Context) *Span {
+	if s, ok := ctx.(*Span); ok {
+		return s
+	}
 	s, _ := ctx.Value(spanCtxKey).(*Span)
 	return s
 }
 
-// spanContextFromContext returns the propagation context visible in
-// ctx: the active span's, else a remote parent's, else the zero value.
-func spanContextFromContext(ctx context.Context) SpanContext {
-	if s := spanFromContext(ctx); s != nil {
-		return s.Context()
-	}
-	sc, _ := remoteFromContext(ctx)
-	return sc
-}
-
-// TraceIDFromContext returns the hex trace id visible in ctx, "" when
-// there is none, and the sampling verdict that travels with it. Under an
-// active span it is the string the trace rendered once when it began —
-// what the access log and the latency exemplar stamp on every request.
+// TraceIDFromContext returns the hex trace id of the span active in ctx,
+// "" when there is none, and the sampling verdict that travels with it:
+// the string the trace rendered once when it began, which the access
+// log and the latency exemplar stamp on every request.
 //
 //paslint:hotpath read by the access log and the exemplar on every request
 func TraceIDFromContext(ctx context.Context) (traceHex string, sampled bool) {
-	if s := spanFromContext(ctx); s != nil && s.rec != nil {
-		return s.rec.traceHex, s.sc.Sampled
-	}
-	if sc, ok := remoteFromContext(ctx); ok {
-		return sc.TraceID.String(), sc.Sampled
+	if s := spanFromContext(ctx); s != nil {
+		return s.rec.traceHex(), s.rec.sampled
 	}
 	return "", false
 }
@@ -195,14 +172,26 @@ func TraceIDFromContext(ctx context.Context) (traceHex string, sampled bool) {
 // trace) it returns ctx unchanged and a nil span, whose methods all
 // no-op — instrumented code needs no tracing-enabled check.
 //
-// Root spans are started by a Tracer (Tracer.StartSpan), typically in
-// the HTTP middleware; everything below uses this function.
+// Root spans are started by a Tracer (Tracer.StartRequest in the HTTP
+// middleware, Tracer.StartSpan elsewhere); everything below uses this
+// function.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	if parent := spanFromContext(ctx); parent != nil {
+		return StartSpanAt(ctx, name, parent.rec.tracer.now())
+	}
+	return ctx, nil
+}
+
+// StartSpanAt is StartSpan for a caller that has just read the time
+// itself: the span starts at start instead of at a second reading.
+//
+//paslint:hotpath once per span, several per request
+func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
 	parent := spanFromContext(ctx)
-	if parent == nil || parent.tracer == nil {
+	if parent == nil {
 		return ctx, nil
 	}
-	return parent.tracer.StartSpan(ctx, name)
+	return parent.rec.tracer.startSpan(ctx, name, start)
 }
 
 // AddEvent appends a point-in-time event to the span active in ctx;
@@ -211,20 +200,23 @@ func AddEvent(ctx context.Context, name string, kv ...string) {
 	spanFromContext(ctx).addEvent(name, kv...)
 }
 
-// Inject writes the active span context (or remote parent) into h as a
-// traceparent header, propagating the trace to the next hop. No-op
-// when ctx carries no valid span context.
+// Inject writes the active span's context into h as a traceparent
+// header, propagating the trace to the next hop. No-op when ctx carries
+// no span.
 //
 //paslint:hotpath once per response and once per outgoing hop
 func Inject(ctx context.Context, h http.Header) {
-	if sc := spanContextFromContext(ctx); sc.valid() {
+	if sc := spanFromContext(ctx).Context(); sc.valid() {
 		h.Set(TraceparentHeader, sc.traceparent())
 	}
 }
 
-// Extract reads a span context from an incoming request's headers.
+// extract reads a span context from an incoming request's headers.
 // A missing or malformed traceparent returns ok=false: the caller
 // starts a fresh root trace, never inherits garbage.
-func Extract(h http.Header) (SpanContext, bool) {
-	return ParseTraceparent(h.Get(TraceparentHeader))
+func extract(h http.Header) (SpanContext, bool) {
+	if v := h[TraceparentHeader]; len(v) > 0 {
+		return ParseTraceparent(v[0])
+	}
+	return SpanContext{}, false
 }

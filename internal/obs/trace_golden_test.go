@@ -17,7 +17,8 @@ import (
 // tracesGoldenRun is one scripted run of the tracer on a pinned clock
 // and seeded ids. It returns every text the tracer lets out of the
 // process: the traceparent Inject writes and the id TraceIDFromContext
-// reads under each span as it starts, then the /debug/traces body.
+// reads under each span as it starts, with the traceparent a continued
+// trace arrived with before it, then the /debug/traces body.
 func tracesGoldenRun(t *testing.T) string {
 	t.Helper()
 	var out strings.Builder
@@ -36,13 +37,24 @@ func tracesGoldenRun(t *testing.T) string {
 		id, sampled := TraceIDFromContext(ctx)
 		fmt.Fprintf(&out, "%s: traceparent=%q trace_id=%q sampled=%v\n", label, h.Get(TraceparentHeader), id, sampled)
 	}
-	remote := func(n byte, flags string) context.Context {
+	remote := func(n byte, flags string) SpanContext {
 		v := fmt.Sprintf("00-4bf92f3577b34da6a3ce929d0e0e47%02x-00f067aa0ba902%02x-%s", n, n, flags)
 		sc, ok := ParseTraceparent(v)
 		if !ok {
 			t.Fatalf("script traceparent %q does not parse", v)
 		}
-		return ContextWithRemote(context.Background(), sc)
+		return sc
+	}
+	// noteRemote is note for a traceparent that arrived: what the hop
+	// before sent.
+	noteRemote := func(sc SpanContext, label string) {
+		fmt.Fprintf(&out, "%s: traceparent=%q trace_id=%q sampled=%v\n", label, sc.traceparent(), sc.TraceID.String(), sc.Sampled)
+	}
+	// continued starts a root continuing sc, as StartRequest continues a
+	// client's traceparent, under a name of the script's.
+	continued := func(sc SpanContext, name string) (context.Context, *Span) {
+		s := tr.startRoot(context.Background(), sc, name, tr.now())
+		return s, s
 	}
 	// dress sets n attributes, and one event for every two of them, the
 	// second with attributes of its own.
@@ -73,13 +85,16 @@ func tracesGoldenRun(t *testing.T) string {
 	// nanoseconds so durations do not land on round milliseconds.
 	for k := 0; k <= 9; k++ {
 		label := "fresh" + strconv.Itoa(k)
-		ctx := context.Background()
+		var ctx context.Context
+		var root *Span
 		if k%2 == 1 {
 			label = "continued" + strconv.Itoa(k)
-			ctx = remote(byte(k), "01")
-			note(ctx, label+" before root")
+			sc := remote(byte(k), "01")
+			noteRemote(sc, label+" before root")
+			ctx, root = continued(sc, "root "+label)
+		} else {
+			ctx, root = tr.StartSpan(context.Background(), "root "+label)
 		}
-		ctx, root := tr.StartSpan(ctx, "root "+label)
 		note(ctx, label)
 		dress(root, attrCounts[k%4])
 		parent := ctx
@@ -102,7 +117,7 @@ func tracesGoldenRun(t *testing.T) string {
 	}
 
 	// An unsampled trace that stays clean and fast is discarded.
-	ctx, root := tr.StartSpan(remote(0xa0, "00"), "root unsampled-clean")
+	ctx, root := continued(remote(0xa0, "00"), "root unsampled-clean")
 	note(ctx, "unsampled-clean")
 	_, child := StartSpan(ctx, "child")
 	clk.advance(time.Millisecond)
@@ -110,7 +125,7 @@ func tracesGoldenRun(t *testing.T) string {
 	root.End()
 
 	// An errored child promotes an unsampled trace.
-	ctx, root = tr.StartSpan(remote(0xa1, "00"), "root unsampled-errored")
+	ctx, root = continued(remote(0xa1, "00"), "root unsampled-errored")
 	note(ctx, "unsampled-errored")
 	_, child = StartSpan(ctx, "child")
 	child.SetError(errors.New("upstream refused"))
@@ -124,7 +139,7 @@ func tracesGoldenRun(t *testing.T) string {
 		150*time.Millisecond + 1, 400 * time.Millisecond, 120*time.Millisecond + 333,
 		400 * time.Millisecond, 250*time.Millisecond + 999999, 100 * time.Millisecond,
 	} {
-		ctx, root = tr.StartSpan(remote(byte(0xb0+i), "00"), "root slow"+strconv.Itoa(i))
+		ctx, root = continued(remote(byte(0xb0+i), "00"), "root slow"+strconv.Itoa(i))
 		note(ctx, "slow"+strconv.Itoa(i))
 		clk.advance(d)
 		root.End()
@@ -173,9 +188,10 @@ func tracesGoldenRun(t *testing.T) string {
 	}
 	root.End()
 
-	// No span at all: a remote parent alone, and nothing.
-	note(remote(0xc0, "01"), "remote only")
-	note(remote(0xc1, "00"), "remote only unsampled")
+	// Traceparents that arrived and started nothing, and a context with
+	// no span.
+	noteRemote(remote(0xc0, "01"), "remote only")
+	noteRemote(remote(0xc1, "00"), "remote only unsampled")
 	note(context.Background(), "empty")
 
 	body, err := json.MarshalIndent(tr.Snapshot(), "", " ")

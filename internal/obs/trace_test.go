@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -69,11 +71,11 @@ func TestParseTraceparentMalformed(t *testing.T) {
 
 func TestExtractInject(t *testing.T) {
 	h := http.Header{}
-	if _, ok := Extract(h); ok {
+	if _, ok := extract(h); ok {
 		t.Fatal("Extract on empty headers reported ok")
 	}
 	h.Set(TraceparentHeader, "garbage")
-	if _, ok := Extract(h); ok {
+	if _, ok := extract(h); ok {
 		t.Fatal("Extract accepted a garbage traceparent")
 	}
 
@@ -81,7 +83,7 @@ func TestExtractInject(t *testing.T) {
 	ctx, span := tr.StartSpan(context.Background(), "root")
 	out := http.Header{}
 	Inject(ctx, out)
-	got, ok := Extract(out)
+	got, ok := extract(out)
 	if !ok {
 		t.Fatalf("Extract rejected injected header %q", out.Get(TraceparentHeader))
 	}
@@ -95,6 +97,19 @@ func TestExtractInject(t *testing.T) {
 	if empty.Get(TraceparentHeader) != "" {
 		t.Fatal("Inject without a span wrote a traceparent")
 	}
+}
+
+// requestWithTraceparent is a request to a daemon that carries sc as
+// its traceparent header.
+func requestWithTraceparent(sc SpanContext) *http.Request {
+	r := httptest.NewRequest("POST", "/v1/augment", nil)
+	r.Header.Set(TraceparentHeader, sc.traceparent())
+	return r
+}
+
+// SetAttrInt records an integer attribute on the span.
+func (s *Span) SetAttrInt(key string, value int64) {
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // testClock is a manually advanced clock for deterministic durations.
@@ -193,8 +208,8 @@ func TestRemoteParentContinuation(t *testing.T) {
 		SpanID:  SpanID{8, 7, 6, 5, 4, 3, 2, 1},
 		Sampled: true,
 	}
-	ctx := ContextWithRemote(context.Background(), remote)
-	_, span := tr.StartSpan(ctx, "downstream")
+	rec := WrapResponseWriter(httptest.NewRecorder())
+	_, span := tr.StartRequest(rec, requestWithTraceparent(remote), "downstream", "")
 	sc := span.Context()
 	if sc.TraceID != remote.TraceID {
 		t.Fatalf("continuation trace id %s, want upstream %s", sc.TraceID, remote.TraceID)
@@ -213,8 +228,7 @@ func TestRemoteParentContinuation(t *testing.T) {
 
 	// An unsampled upstream verdict is honored: no error, not slow, not kept.
 	remote.Sampled = false
-	ctx = ContextWithRemote(context.Background(), remote)
-	_, span = tr.StartSpan(ctx, "downstream2")
+	_, span = tr.StartRequest(rec, requestWithTraceparent(remote), "downstream2", "")
 	span.End()
 	if snap := tr.Snapshot(); snap.Discarded != 1 {
 		t.Fatalf("unsampled continuation: discarded=%d, want 1", snap.Discarded)
@@ -394,6 +408,116 @@ func TestSnapshotRacesLiveTraces(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	reader.Wait()
+}
+
+// TestOutlivedContextKeepsItsSpan: a context can outlive its request —
+// a goroutine the handler started, a hedge's losing attempt — and must
+// go on answering for its own span and trace after the record's room
+// is spent and later traces have started: the same span, ids, trace id
+// text and traceparent, and children that nest under it. Run under
+// -race, with children started from many goroutines at once as the
+// ring's hedge starts them.
+func TestOutlivedContextKeepsItsSpan(t *testing.T) {
+	tr := NewTracer(TraceConfig{MaxTraces: 2, MaxSlow: 1})
+	type kept struct {
+		ctx      context.Context
+		span     *Span
+		sc       SpanContext
+		traceHex string
+	}
+	keep := func(ctx context.Context, s *Span) kept {
+		traceHex, _ := TraceIDFromContext(ctx)
+		return kept{ctx, s, s.Context(), strings.Clone(traceHex)}
+	}
+	check := func(label string, ks []kept) {
+		t.Helper()
+		seen := map[SpanID]bool{}
+		for i, k := range ks {
+			if got := spanFromContext(k.ctx); got != k.span || got.Context() != k.sc {
+				t.Fatalf("%s %d: context holds span %+v, want its own %+v", label, i, got.Context(), k.sc)
+			}
+			if seen[k.sc.SpanID] {
+				t.Fatalf("%s %d: span id %s handed out twice", label, i, k.sc.SpanID)
+			}
+			seen[k.sc.SpanID] = true
+			if got, _ := TraceIDFromContext(k.ctx); got != k.traceHex || got != k.sc.TraceID.String() {
+				t.Fatalf("%s %d: trace id %q, want %q", label, i, got, k.traceHex)
+			}
+			h := http.Header{}
+			Inject(k.ctx, h)
+			if got := h.Get(TraceparentHeader); got != k.sc.traceparent() {
+				t.Fatalf("%s %d: traceparent %q, want %q", label, i, got, k.sc.traceparent())
+			}
+			_, late := StartSpan(k.ctx, "late")
+			if late.Context().TraceID != k.sc.TraceID || late.parentID != k.sc.SpanID {
+				t.Fatalf("%s %d: a child started late is in trace %s under %s, want %s under %s",
+					label, i, late.Context().TraceID, late.parentID, k.sc.TraceID, k.sc.SpanID)
+			}
+			late.End()
+		}
+	}
+	// later starts and ends whole traces, each filling its record's room
+	// and spilling past it, from several goroutines.
+	later := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					ctx, root := tr.StartSpan(context.Background(), "later")
+					for j := 0; j < 6; j++ {
+						_, c := StartSpan(ctx, "child")
+						c.SetAttr("k", "v")
+						c.End()
+					}
+					root.End()
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	room := len(traceRec{}.childBuf)
+
+	// More children than the record holds, one after another.
+	ctx, root := tr.StartSpan(context.Background(), "request")
+	ks := []kept{keep(ctx, root)}
+	for i := 0; i < 2*room+1; i++ {
+		cctx, c := StartSpan(ctx, "child")
+		c.SetAttr("i", strconv.Itoa(i))
+		ks = append(ks, keep(cctx, c))
+		c.End()
+	}
+	root.End()
+	later()
+	check("sequential", ks)
+
+	// Children started at once from many goroutines, some of them
+	// hedges that outlive the root.
+	ctx, root = tr.StartSpan(context.Background(), "request")
+	const attempts = 16
+	hedged := make([]kept, attempts)
+	var wg sync.WaitGroup
+	for i := range hedged {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			hctx, h := StartSpan(ctx, "ring.augment")
+			h.SetAttr("attempt", strconv.Itoa(i))
+			AddEvent(hctx, "hedge.launch")
+			hedged[i] = keep(hctx, h)
+			if i%2 == 0 {
+				h.End()
+			}
+		}(i)
+	}
+	wg.Wait()
+	root.End()
+	later()
+	check("concurrent", append(hedged, keep(ctx, root)))
+	for _, k := range hedged {
+		k.span.End()
+	}
 }
 
 func TestIDGenNonZeroAndUnique(t *testing.T) {

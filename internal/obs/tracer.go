@@ -4,9 +4,12 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // TraceConfig sizes a Tracer. The zero value of any field selects its
@@ -89,49 +92,71 @@ func (t *Tracer) headSample() bool {
 }
 
 // StartSpan starts a span under ctx: a child of ctx's active span when
-// one exists, else a local root continuing a remote parent recorded by
-// ContextWithRemote, else a brand-new root trace. The returned context
-// carries the span; pass it down so children nest and Inject
-// propagates the right parent.
+// one exists, else a fresh root trace. The returned context is the
+// span; pass it down so children nest and Inject propagates the right
+// parent.
 //
 //paslint:hotpath once per span, several per request
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	now := t.cfg.Now()
-	var s *Span
-	if parent := spanFromContext(ctx); parent != nil && parent.rec != nil {
-		c := &childSpan{}
-		s = &c.Span
-		s.attrs = c.attrBuf[:0]
-		s.rec = parent.rec
-		s.sc.TraceID = parent.sc.TraceID
-		s.sc.Sampled = parent.sc.Sampled
-		s.parent = parent.sc.SpanID
-	} else if remote, ok := remoteFromContext(ctx); ok {
-		// Continue the distributed trace: same trace id, remote span as
-		// parent. The upstream sampling verdict is honored (OR-ing in
-		// our own head sample would re-sample on every hop).
-		s = newTraceRec(remote.TraceID, remote.Sampled)
-		s.parent = remote.SpanID
-	} else {
-		s = newTraceRec(t.ids.traceID(), t.headSample())
-	}
-	s.tracer, s.name, s.start = t, name, now
-	s.sc.SpanID = t.ids.spanID()
-	return context.WithValue(ctx, spanCtxKey, s), s
+	return t.startSpan(ctx, name, t.cfg.Now())
 }
 
-// submit applies the keep policy when a root span ends: head-sampled,
-// errored, or slow traces land in the store; the rest are discarded
-// (counted, so the sampling rate is observable).
-func (t *Tracer) submit(rec *traceRec, rootDur time.Duration) {
-	rec.mu.Lock()
-	keep := rec.root.sc.Sampled || rec.errored || rootDur >= t.cfg.SlowThreshold
-	rec.mu.Unlock()
+// StartRequest starts the root span of an HTTP request to service, at
+// the start rec's request shares (ResponseRecorder.Start, on the
+// tracer's clock when nothing further out read it first), continuing
+// the traceparent the client sent. The span's name, "<service> <method>
+// <path>", and its http.method, http.path and request.id attributes are
+// rendered when the store is read, not per request.
+//
+//paslint:hotpath once per request
+func (t *Tracer) StartRequest(rec *ResponseRecorder, r *http.Request, service, requestID string) (context.Context, *Span) {
+	remote, _ := extract(r.Header)
+	s := t.startRoot(r.Context(), remote, service, rec.Start(t.cfg.Now))
+	h := &s.rec.http
+	h.set, h.method, h.path, h.requestID = true, r.Method, r.URL.Path, requestID
+	return s, s
+}
+
+// startSpan is StartSpan with the start time its caller read.
+func (t *Tracer) startSpan(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
+	parent := spanFromContext(ctx)
+	if parent == nil {
+		s := t.startRoot(ctx, SpanContext{}, name, start)
+		return s, s
+	}
+	s := parent.rec.newChild()
+	s.ctx, s.name, s.id = ctx, name, t.ids.spanID()
+	s.parentID = parent.id
+	s.start = start.Sub(s.rec.start)
+	return s, s
+}
+
+// startRoot starts a trace at start and returns its root span, named
+// name under ctx: a continuation of remote when it is valid — same
+// trace id, remote span as parent, and the upstream sampling verdict
+// honored (OR-ing in our own head sample would re-sample on every hop)
+// — a fresh trace otherwise.
+func (t *Tracer) startRoot(ctx context.Context, remote SpanContext, name string, start time.Time) *Span {
+	var s *Span
+	if remote.valid() {
+		s = t.newTrace(remote.TraceID, remote.Sampled, start)
+		s.parentID = remote.SpanID
+	} else {
+		s = t.newTrace(t.ids.traceID(), t.headSample(), start)
+	}
+	s.ctx, s.name, s.id = ctx, name, t.ids.spanID()
+	return s
+}
+
+// submit lands a trace whose root ended in the store when keep says to
+// (head-sampled, errored or slow) and counts it discarded otherwise, so
+// the sampling rate is observable.
+func (t *Tracer) submit(rec *traceRec, keep bool) {
 	if !keep {
 		t.store.discarded.Add(1)
 		return
 	}
-	t.store.add(rec, rootDur)
+	t.store.add(rec, rec.root.dur)
 }
 
 // idGen derives trace and span ids from a random (or seeded) base and
@@ -186,55 +211,109 @@ func (g *idGen) spanID() SpanID {
 	return id
 }
 
-// traceRec buffers the spans of one trace, in flight and then in the
-// store. All spans are buffered regardless of the head-sampling verdict
-// so an error or a slow root can still promote the whole trace at the
-// end. The record is the trace's one allocation besides its id's text:
-// the root span, the room for its attributes and the room for the span
-// list are all inside it.
+// traceRec is one trace, in flight and then in the store, and the
+// trace's one allocation: the root span, its trace id in hex, and room
+// for the children, attributes and finished-span list of a cache miss
+// are all inside it. All spans are buffered regardless of the
+// head-sampling verdict so an error or a slow root can still promote the
+// whole trace at the end.
 type traceRec struct {
-	mu       sync.Mutex
-	traceHex string  // the trace id, rendered once for every header and log line that carries it
-	spans    []*Span // ended spans, in the order they ended
-	dropped  int
-	errored  bool
+	tracer *Tracer
+	mu     sync.Mutex
+	// carved counts the children started; the first len(childBuf) of
+	// them live in childBuf.
+	carved  atomic.Int32
+	sampled bool // the head-sampling verdict, the trace's own or its remote parent's
+	errored bool
+	nAttrs  uint8 // of attrBuf, handed out
+	id      TraceID
+	hex     [32]byte // the trace id as every header and log line carries it
+	start   time.Time
+	http    httpRoot
+	spans   []*Span // ended spans, in the order they ended
+	dropped int
+	events  []spanEvent // in the order they were added
 
 	root Span
-	// rootAttrs is where root.attrs starts out: the HTTP root sets four.
-	rootAttrs [4]Attr
 	// spanBuf is where spans starts out: a cache miss is the root plus
 	// four serving spans, so most traces never grow it.
 	spanBuf [8]*Span
+	// attrBuf is the room the spans' attributes start in (addAttr).
+	attrBuf [4]Attr
+	// childBuf holds the first children: a cache miss has four.
+	childBuf [4]Span
 }
 
-// newTraceRec starts a trace and returns its root span, which carries
-// the head-sampling verdict for the whole trace.
-func newTraceRec(id TraceID, sampled bool) *Span {
-	r := &traceRec{traceHex: id.String()}
+// httpRoot is what StartRequest and EndRequest note of an HTTP root
+// span; summarize renders the span's name and attributes from it.
+type httpRoot struct {
+	set                     bool
+	method, path, requestID string
+	status                  int
+}
+
+// spanEvent is one of a trace's events and the span it belongs to.
+type spanEvent struct {
+	span *Span
+	Event
+}
+
+// newTrace starts a trace at start and returns its root span, which
+// carries the head-sampling verdict for the whole trace.
+func (t *Tracer) newTrace(id TraceID, sampled bool, start time.Time) *Span {
+	r := &traceRec{tracer: t, sampled: sampled, id: id, start: start}
+	hex.Encode(r.hex[:], id[:])
 	r.spans = r.spanBuf[:0]
 	r.root.rec = r
-	r.root.attrs = r.rootAttrs[:0]
-	r.root.sc.TraceID = id
-	r.root.sc.Sampled = sampled
 	return &r.root
 }
 
-// addSpan takes an ended span into the record.
-func (r *traceRec) addSpan(s *Span, maxSpans int) {
-	r.mu.Lock()
-	if len(r.spans) < maxSpans {
-		r.spans = append(r.spans, s)
-	} else {
-		r.dropped++
-	}
-	if s.failed {
-		r.errored = true
-	}
-	r.mu.Unlock()
+// traceHex is the trace id in hex. The string shares the record's
+// bytes, which never change after newTrace wrote them, so rendering it
+// once per trace costs no allocation of its own.
+func (r *traceRec) traceHex() string { return unsafe.String(&r.hex[0], len(r.hex)) }
+
+// heapSpan is a child past its record's room: it brings room for the
+// two attributes the serving spans set at most, since the record's
+// attribute room is spent by then too.
+type heapSpan struct {
+	Span
+	attrBuf [2]Attr
 }
 
-func (r *traceRec) noteError() {
-	r.mu.Lock()
-	r.errored = true
-	r.mu.Unlock()
+// newChild returns a fresh child span of the trace: room in the record
+// while it lasts, the heap after.
+func (r *traceRec) newChild() *Span {
+	// The load keeps carved from counting past the room (and from ever
+	// wrapping) once it is spent.
+	if r.carved.Load() < int32(len(r.childBuf)) {
+		if i := r.carved.Add(1) - 1; i < int32(len(r.childBuf)) {
+			s := &r.childBuf[i]
+			s.rec = r
+			return s
+		}
+	}
+	h := &heapSpan{}
+	h.rec = r
+	h.attrs = h.attrBuf[:0]
+	return &h.Span
+}
+
+// addAttr appends a to s's attributes; r.mu is held. A span's
+// attributes start in the record's room and grow there while no other
+// span has taken the slots after them; otherwise, or once the room is
+// spent, append moves them to the heap.
+func (r *traceRec) addAttr(s *Span, a Attr) {
+	n := len(s.attrs)
+	if n == cap(s.attrs) && int(r.nAttrs) < len(r.attrBuf) {
+		// s's attributes can grow in place if they are empty, or are
+		// the last ones handed out.
+		if from := int(r.nAttrs) - n; from >= 0 && (n == 0 || &r.attrBuf[from] == &s.attrs[0]) {
+			r.nAttrs++
+			s.attrs = r.attrBuf[from:r.nAttrs:r.nAttrs]
+			s.attrs[n] = a
+			return
+		}
+	}
+	s.attrs = append(s.attrs, a)
 }

@@ -279,18 +279,20 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	if err := ctx.Err(); err != nil {
 		return "", err // client already gone; don't compute for the dead
 	}
+	// The spans below are timed by the readings the core takes anyway:
+	// one starts the request's latency and both spans, and on a hit one
+	// more ends all three.
 	start := c.cfg.Now()
 	k := Key(prompt, salt, model)
-	ctx, span := obs.StartSpan(ctx, "serving.do")
-	defer span.End()
-
-	_, lookup := obs.StartSpan(ctx, "serving.cache_lookup")
+	ctx, span := obs.StartSpanAt(ctx, "serving.do", start)
+	_, lookup := obs.StartSpanAt(ctx, "serving.cache_lookup", start)
 	if c.cache != nil {
 		if v, ok := c.cache.Get(k); ok {
 			lookup.SetStatus("hit")
-			lookup.End()
 			span.SetStatus("cache_hit")
-			c.finish(start, outcomeHit)
+			end := c.finish(start, outcomeHit)
+			lookup.EndAt(end)
+			span.EndAt(end)
 			return v, nil
 		}
 		lookup.SetStatus("miss")
@@ -308,9 +310,10 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	}
 	if err != nil {
 		span.SetError(err)
+		span.End()
 		return "", err
 	}
-	c.finish(start, how)
+	span.EndAt(c.finish(start, how))
 	return v, nil
 }
 
@@ -346,25 +349,27 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 			c.sched.shedOther(tq)
 			return "", ErrDraining
 		}
-		_, qspan := obs.StartSpan(ctx, "serving.queue_wait")
-		qspan.SetAttr("singleflight.role", "leader")
 		admitStart := c.cfg.Now()
+		_, qspan := obs.StartSpanAt(ctx, "serving.queue_wait", admitStart)
+		qspan.SetAttr("singleflight.role", "leader")
 		release, err := c.sched.acquire(ctx, tq, c.waitBudget(ctx))
 		if err != nil {
 			qspan.SetError(err)
 			qspan.End()
 			return "", err
 		}
-		waited := c.cfg.Now().Sub(admitStart)
-		qspan.End()
+		admitted := c.cfg.Now()
+		waited := admitted.Sub(admitStart)
+		qspan.EndAt(admitted)
 		defer release()
-		_, compute := obs.StartSpan(ctx, "serving.compute")
+		_, compute := obs.StartSpanAt(ctx, "serving.compute", admitted)
 		if c.cfg.ComputeDelay > 0 {
 			time.Sleep(c.cfg.ComputeDelay)
 		}
 		out := c.fn(prompt, salt)
-		total := c.cfg.Now().Sub(admitStart)
-		compute.End()
+		done := c.cfg.Now()
+		total := done.Sub(admitStart)
+		compute.EndAt(done)
 		c.svc.observeService(total - waited)
 		if c.cache != nil {
 			c.cache.Put(key, out)
@@ -388,9 +393,12 @@ func (c *Core) waitBudget(ctx context.Context) time.Duration {
 
 // finish records a served request: an array index into the children
 // New resolved, then that child's own mutex — no map lookup, no label
-// join, no allocation.
-func (c *Core) finish(start time.Time, how outcome) {
-	c.lat[how].Observe(c.cfg.Now().Sub(start).Seconds())
+// join, no allocation. It returns the time it read, when the request's
+// spans end.
+func (c *Core) finish(start time.Time, how outcome) time.Time {
+	end := c.cfg.Now()
+	c.lat[how].Observe(end.Sub(start).Seconds())
+	return end
 }
 
 // RetryAfter is the backoff hint, in whole seconds, a shed response

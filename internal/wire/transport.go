@@ -33,10 +33,10 @@ import (
 // platform without the idle-connection peek (see canPeek). The choice
 // is made from the request alone.
 //
-// One thing reaches the wire differently: no Accept-Encoding: gzip is
-// added to a request that did not carry one (http.Transport adds it and
-// decompresses the reply), so the upstream sends what the caller asked
-// for.
+// Two things differ from http.Transport, which adds Accept-Encoding:
+// gzip to a request without one and decompresses the reply: this adds
+// none, and a sixth 1xx before the final response fails the exchange,
+// as it did there before Go 1.23 (FuzzTransportMatchesHTTPTransport).
 //
 // A server that answers before it has read the whole request and then
 // neither reads the rest nor closes the connection holds the exchange

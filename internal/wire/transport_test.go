@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -499,4 +500,212 @@ func TestTransportAnswersBeforeTheBodyIsRead(t *testing.T) {
 	if got := exchange(tr, req); !strings.HasPrefix(got, "HTTP/1.1 413") {
 		t.Fatalf("%.300s", got)
 	}
+}
+
+// pooledReply is the answer to every request after the first on an
+// upstream connection of FuzzTransportMatchesHTTPTransport: a second
+// exchange that reads it went down the connection the first left
+// pooled.
+const pooledReply = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+// scriptedUpstream answers the first request on each connection with
+// reply, and closes the connection after it when close says so; it
+// answers every later request on the connection with pooledReply.
+type scriptedUpstream struct {
+	ln    net.Listener
+	conns atomic.Int32
+}
+
+func newScriptedUpstream(t *testing.T, reply []byte, close bool) *scriptedUpstream {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &scriptedUpstream{ln: ln}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			u.conns.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for out := reply; ; out = []byte(pooledReply) {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					if _, err := io.Copy(io.Discard, req.Body); err != nil {
+						return
+					}
+					if _, err := c.Write(out); err != nil || close {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return u
+}
+
+// fuzzSeen is what the caller of one exchange saw: rendered, the
+// status, each 1xx, the header without Date, the body read before any
+// error and the trailer; and apart, the number of 1xx, whether the
+// exchange failed, and whether the transport decompressed the body.
+type fuzzSeen struct {
+	rendered     string
+	n1xx         int
+	failed       bool
+	uncompressed bool
+}
+
+// fuzzExchange sends one request through rt. An error is rendered as
+// the word: the two transports word the same failure differently
+// (http.Transport prefixes "net/http: HTTP/1.x transport connection
+// broken"), and a reply cut short on a connection left open ends in the
+// request's timeout.
+func fuzzExchange(rt http.RoundTripper, method, url string) fuzzSeen {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	var hints []string
+	trace := &httptrace.ClientTrace{Got1xxResponse: func(code int, h textproto.MIMEHeader) error {
+		hints = append(hints, fmt.Sprint(code, h))
+		return nil
+	}}
+	var body io.Reader
+	if method == http.MethodPost {
+		body = strings.NewReader(`{"prompt":"p"}`)
+	}
+	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, trace), method, url, body)
+	if err != nil {
+		panic(err)
+	}
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		return fuzzSeen{rendered: fmt.Sprintf("1xx %v error", hints), n1xx: len(hints), failed: true}
+	}
+	var b []byte
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		b, err = io.ReadAll(resp.Body)
+	} // else the body is the connection, which the upstream keeps open
+	resp.Body.Close()
+	h := resp.Header.Clone()
+	h.Del("Date")
+	return fuzzSeen{
+		rendered: fmt.Sprintf("%s %d 1xx %v\nheader %v\nbody %q error %v\ntrailer %v\nlength %d close %v",
+			resp.Proto, resp.StatusCode, hints, h, b, err != nil, resp.Trailer, resp.ContentLength, resp.Close),
+		n1xx:         len(hints),
+		uncompressed: resp.Uncompressed,
+	}
+}
+
+// fuzzSide is one transport's view of a fuzzed reply: the exchange the
+// reply answered, whether the connection was pooled after it (a second
+// exchange reads pooledReply down it), and that second exchange.
+type fuzzSide struct {
+	first  fuzzSeen
+	pooled bool
+	second fuzzSeen
+}
+
+func fuzzRun(t *testing.T, rt http.RoundTripper, method string, reply []byte, close bool) fuzzSide {
+	up := newScriptedUpstream(t, reply, close)
+	url := "http://" + up.ln.Addr().String() + "/v1/chat/completions"
+	var s fuzzSide
+	s.first = fuzzExchange(rt, method, url)
+	// http.Transport pools a connection, and drops it again on bytes
+	// nobody asked for, on a goroutine of its own: let that run first.
+	time.Sleep(10 * time.Millisecond)
+	s.second = fuzzExchange(rt, http.MethodGet, url)
+	s.pooled = up.conns.Load() == 1
+	return s
+}
+
+// FuzzTransportMatchesHTTPTransport: whatever bytes an upstream answers
+// with, Transport and the http.Transport it wraps give the caller the
+// same response, body bytes and trailer, and agree on pooling the
+// connection. Two differences are intended, and each is pinned both
+// ways:
+//
+//   - Accept-Encoding. A request without one goes out from
+//     http.Transport asking for gzip, which it then decompresses;
+//     Transport asks for nothing, so a gzip body reaches its caller as
+//     sent.
+//   - More than five 1xx responses before the final one. Transport
+//     refuses the sixth, as http.Transport did before Go 1.23; from Go
+//     1.23 on http.Transport reads on, bounded only by the header size
+//     when no ClientTrace sees the 1xx.
+//
+// The seeds are the replies of TestTransportMatchesHTTPTransport's
+// matrix and a few framing and status-line edges.
+func FuzzTransportMatchesHTTPTransport(f *testing.F) {
+	names := make([]string, 0, len(replies))
+	for name := range replies {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	methods := []string{http.MethodGet, http.MethodHead, http.MethodPost}
+	for i, name := range names {
+		r := replies[name]
+		f.Add([]byte(r.head+r.body+r.late), uint8(i), r.close)
+	}
+	for _, raw := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
+		"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 2\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 101 Switching Protocols\r\nUpgrade: x\r\nConnection: Upgrade\r\n\r\n",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 999 Odd\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\nContent-Length: 2\n\nok",
+		"garbage\r\n\r\n",
+	} {
+		f.Add([]byte(raw), uint8(0), false)
+	}
+	f.Fuzz(func(t *testing.T, reply []byte, method uint8, close bool) {
+		m := methods[int(method)%len(methods)]
+		ref := referenceTransport()
+		defer ref.CloseIdleConnections()
+		ours := NewTransport(referenceTransport())
+		defer ours.CloseIdleConnections()
+		want := fuzzRun(t, ref, m, reply, close)
+		got := fuzzRun(t, ours, m, reply, close)
+		if got.first.uncompressed {
+			t.Fatalf("%s answered with %q: Transport decompressed a body it did not ask to be compressed", m, reply)
+		}
+		if want.first.uncompressed {
+			// Accept-Encoding: http.Transport asked for gzip and undid
+			// it. Transport hands the caller the encoded reply.
+			if !strings.Contains(got.first.rendered, "Content-Encoding:[gzip]") {
+				t.Fatalf("%s answered with %q: http.Transport decompressed, and Transport shows\n%s", m, reply, got.first.rendered)
+			}
+			return
+		}
+		if got.first.failed && got.first.n1xx == 5 && !want.first.failed {
+			// The 1xx bound: Transport refused the sixth; this
+			// http.Transport read past five to a final response.
+			if want.first.n1xx <= 5 {
+				t.Fatalf("%s answered with %q: Transport refused it after five 1xx, and http.Transport shows\n%s", m, reply, want.first.rendered)
+			}
+			return
+		}
+		if got != want {
+			t.Fatalf("%s answered with %q (close %v):\nTransport\n%s\npooled %v, then\n%s\nhttp.Transport\n%s\npooled %v, then\n%s",
+				m, reply, close, got.first.rendered, got.pooled, got.second.rendered, want.first.rendered, want.pooled, want.second.rendered)
+		}
+	})
 }
