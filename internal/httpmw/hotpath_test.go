@@ -294,3 +294,30 @@ func TestCacheHitReadsTheClockFourTimes(t *testing.T) {
 		t.Errorf("serving spans: %v, want 1µs each", durs)
 	}
 }
+
+// TestTraceIsTimedOnTheRequestsClock: with Logging outside Trace, the
+// request's start is read on Logging's clock, and the trace is timed on
+// that clock throughout, not on the tracer's pinned one, so a child
+// starts and ends inside its root.
+func TestTraceIsTimedOnTheRequestsClock(t *testing.T) {
+	pinned := func() time.Time { return time.Unix(1700000000, 0) }
+	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: 1, Now: pinned})
+	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, child := obs.StartSpan(r.Context(), "child")
+		child.End()
+	}), Logging(nil), Trace(tracer, "passerve"))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/stats", nil))
+
+	spans := tracer.Snapshot().Recent[0].Spans
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want the child and the root", len(spans))
+	}
+	child, root := spans[0], spans[1]
+	end := func(s obs.SpanData) time.Time {
+		return s.Start.Add(time.Duration(s.DurationMs * float64(time.Millisecond)))
+	}
+	if child.Start.Before(root.Start) || child.DurationMs < 0 || end(child).After(end(root)) {
+		t.Errorf("child from %v for %vms, outside its root from %v for %vms",
+			child.Start, child.DurationMs, root.Start, root.DurationMs)
+	}
+}

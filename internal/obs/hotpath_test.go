@@ -13,8 +13,9 @@ import (
 // room for four children, four attributes and eight finished spans. A
 // span is its own context, so starting one adds no context value; a
 // child inside the record's room allocates nothing, one past it is a
-// single allocation with room for two attributes of its own, and
-// nothing is allocated when a span ends.
+// single allocation with room for two attributes of its own, a ninth
+// span grows the list of finished spans once, and nothing else is
+// allocated when a span ends.
 func TestSpanAllocations(t *testing.T) {
 	tracer := NewTracer(TraceConfig{SampleEvery: 1})
 	req := httptest.NewRequest("POST", "/v1/augment", nil)
@@ -32,7 +33,9 @@ func TestSpanAllocations(t *testing.T) {
 			root.EndRequest(200, rec.End())
 		})
 	}
-	const recordCost, pastRoomCost = 1, 1
+	// twoAttrsPastRoom is a child in the record whose two attributes
+	// find the record's attribute room spent: append grows them twice.
+	const recordCost, pastRoomCost, twoAttrsPastRoom, listGrowth = 1, 1, 2, 1
 	for _, tc := range []struct {
 		name            string
 		children, attrs int
@@ -44,7 +47,9 @@ func TestSpanAllocations(t *testing.T) {
 		{"a fifth child", 5, 0, recordCost + pastRoomCost},
 		{"a fifth child past the attribute room", 5, 1, recordCost + pastRoomCost},
 		{"two attributes on each of two children", 2, 2, recordCost},
-		{"a third child's attributes, past the attribute room", 3, 2, recordCost + 2},
+		{"a third child's attributes, past the attribute room", 3, 2, recordCost + twoAttrsPastRoom},
+		{"the record's inline room filled", 7, 2, recordCost + 2*twoAttrsPastRoom + 3*pastRoomCost},
+		{"a ninth span grows the list once", 8, 2, recordCost + 2*twoAttrsPastRoom + 4*pastRoomCost + listGrowth},
 	} {
 		got := trace(tc.children, tc.attrs)
 		t.Logf("%s: %v allocations", tc.name, got)

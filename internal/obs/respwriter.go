@@ -79,7 +79,8 @@ func (rr *ResponseRecorder) Tenant() (id string, ok bool) { return rr.tenant, rr
 
 // Start returns when the request started. The first call, from the
 // outermost middleware that times the request, reads now; every later
-// one returns that reading, and End reads the same clock.
+// one returns that reading, and End reads the same clock, as does the
+// request's trace (Tracer.StartRequest). The daemons' are all time.Now.
 //
 //paslint:hotpath once per timing middleware per request
 func (rr *ResponseRecorder) Start(now func() time.Time) time.Time {

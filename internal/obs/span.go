@@ -2,12 +2,13 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"time"
 )
 
 // Attr is one key/value span or event attribute. Values are strings;
-// callers format numbers (SetAttrInt helps with the common case).
+// callers format numbers.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
@@ -107,7 +108,7 @@ func (s *Span) addEvent(name string, kv ...string) {
 		return
 	}
 	r := s.rec
-	at := r.tracer.now().Sub(r.start) - s.start
+	at := r.clock().Sub(r.start) - s.start
 	ev := Event{Name: name, AtMs: durationMs(at)}
 	for i := 0; i < len(kv); i += 2 {
 		a := Attr{Key: kv[i]}
@@ -117,7 +118,7 @@ func (s *Span) addEvent(name string, kv ...string) {
 		ev.Attrs = append(ev.Attrs, a)
 	}
 	r.mu.Lock()
-	if !s.ended && s.nEvents < maxEventsPerSpan {
+	if !s.ended && s.nEvents < maxEventsPerSpan && len(r.events) < r.tracer.cfg.MaxSpansPerTrace*maxEventsPerSpan {
 		s.nEvents++
 		r.events = append(r.events, spanEvent{s, ev})
 	}
@@ -154,19 +155,19 @@ func (s *Span) SetStatus(msg string) {
 	s.rec.mu.Unlock()
 }
 
-// End finishes the span now, on the tracer's clock; see EndAt.
+// End finishes the span now, on the trace's clock; see EndAt.
 //
 //paslint:hotpath once per span, several per request
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.EndAt(s.rec.tracer.now())
+	s.EndAt(s.rec.clock())
 }
 
-// EndAt finishes the span at end, a time its caller already read, and
-// adds it to the trace record; the root span's EndAt also submits the
-// trace to the store. It is idempotent; spans left un-ended simply
+// EndAt finishes the span at end, a time its caller read from the
+// trace's clock (see StartSpanAt), and adds it to the trace record; the
+// root span's EndAt also submits the trace to the store. It is idempotent; spans left un-ended simply
 // never appear in the store.
 //
 //paslint:hotpath once per span, several per request
@@ -201,6 +202,9 @@ func (s *Span) end(end time.Time, httpStatus int) {
 		r.spans = append(r.spans, s)
 	} else {
 		r.dropped++
+		if s.nEvents > 0 { // a dropped span takes its events with it
+			r.events = slices.DeleteFunc(r.events, func(e spanEvent) bool { return e.span == s })
+		}
 	}
 	keep := root && (r.sampled || r.errored || s.dur >= r.tracer.cfg.SlowThreshold)
 	r.mu.Unlock()
@@ -210,7 +214,8 @@ func (s *Span) end(end time.Time, httpStatus int) {
 }
 
 // maxEventsPerSpan bounds per-span event growth; a runaway retry loop
-// must not turn one span into an unbounded allocation.
+// must not turn one span into an unbounded allocation. A trace holds at
+// most MaxSpansPerTrace times as many, open spans' included.
 const maxEventsPerSpan = 64
 
 // SpanData is a finished span as the /debug/traces JSON body shows it;

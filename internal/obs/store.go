@@ -19,7 +19,8 @@ import (
 // MB, were every kept trace full; a cache miss's five spans fit in the
 // record, so 160 of its traces are some 160 KB (150–180 KB of heap
 // measured, with the request contexts their roots keep). Attributes and
-// events past the record's room and their strings come on top.
+// events past the record's room and their strings come on top; a trace
+// holds at most MaxSpansPerTrace × maxEventsPerSpan events.
 type traceStore struct {
 	mu      sync.Mutex
 	recent  []*traceRec // ring, oldest overwritten first
@@ -107,7 +108,9 @@ func summarize(rec *traceRec) TraceSummary {
 		Dropped:    rec.dropped,
 		Spans:      make([]SpanData, len(rec.spans)),
 	}
+	index := make(map[*Span]int, len(rec.spans)) // where each span's events go
 	for i, s := range rec.spans {
+		index[s] = i
 		d := &sum.Spans[i]
 		*d = SpanData{
 			Name:       rec.spanName(s),
@@ -125,10 +128,11 @@ func summarize(rec *traceRec) TraceSummary {
 		if s == root && rec.http.set {
 			d.Attrs = rec.http.attrs(s.attrs)
 		}
-		for j := range rec.events {
-			if e := &rec.events[j]; e.span == s {
-				d.Events = append(d.Events, e.Event)
-			}
+	}
+	for j := range rec.events {
+		e := &rec.events[j]
+		if i, ok := index[e.span]; ok { // a span never ended shows no events
+			sum.Spans[i].Events = append(sum.Spans[i].Events, e.Event)
 		}
 	}
 	return sum

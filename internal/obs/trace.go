@@ -177,13 +177,14 @@ func TraceIDFromContext(ctx context.Context) (traceHex string, sampled bool) {
 // function.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent := spanFromContext(ctx); parent != nil {
-		return StartSpanAt(ctx, name, parent.rec.tracer.now())
+		return parent.rec.tracer.startChild(ctx, parent, name, parent.rec.clock())
 	}
 	return ctx, nil
 }
 
 // StartSpanAt is StartSpan for a caller that has just read the time
 // itself: the span starts at start instead of at a second reading.
+// start must come from the trace's clock (TraceConfig.Now says which).
 //
 //paslint:hotpath once per span, several per request
 func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
@@ -191,7 +192,7 @@ func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Con
 	if parent == nil {
 		return ctx, nil
 	}
-	return parent.rec.tracer.startSpan(ctx, name, start)
+	return parent.rec.tracer.startChild(ctx, parent, name, start)
 }
 
 // AddEvent appends a point-in-time event to the span active in ctx;

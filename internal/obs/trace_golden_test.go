@@ -46,14 +46,18 @@ func tracesGoldenRun(t *testing.T) string {
 		return sc
 	}
 	// noteRemote is note for a traceparent that arrived: what the hop
-	// before sent.
+	// before sent, parsed and rendered again. It is the script's input,
+	// not the tracer's output: a remote parent no longer lives in a
+	// context of its own, so the "before root" and "remote only" lines
+	// check only ParseTraceparent's round trip and keep the golden
+	// file's lines where they were.
 	noteRemote := func(sc SpanContext, label string) {
 		fmt.Fprintf(&out, "%s: traceparent=%q trace_id=%q sampled=%v\n", label, sc.traceparent(), sc.TraceID.String(), sc.Sampled)
 	}
 	// continued starts a root continuing sc, as StartRequest continues a
 	// client's traceparent, under a name of the script's.
 	continued := func(sc SpanContext, name string) (context.Context, *Span) {
-		s := tr.startRoot(context.Background(), sc, name, tr.now())
+		s := tr.startRoot(context.Background(), sc, name, tr.cfg.Now, tr.cfg.Now())
 		return s, s
 	}
 	// dress sets n attributes, and one event for every two of them, the

@@ -520,6 +520,65 @@ func TestOutlivedContextKeepsItsSpan(t *testing.T) {
 	}
 }
 
+// TestATraceKeepsTheEventsOfTheSpansItKeeps: a trace holds the events
+// of the spans it keeps and of spans still open, and no others — a span
+// past MaxSpansPerTrace takes its events with it when it ends — and
+// never more than MaxSpansPerTrace × maxEventsPerSpan of them.
+func TestATraceKeepsTheEventsOfTheSpansItKeeps(t *testing.T) {
+	tr := newTestTracer(TraceConfig{MaxSpansPerTrace: 4})
+	ctx, root := tr.StartSpan(context.Background(), "root")
+	_, open := StartSpan(ctx, "never-ended")
+	for i := 0; i < maxEventsPerSpan+10; i++ {
+		open.addEvent("spin")
+	}
+	for i := 0; i < 6; i++ {
+		_, c := StartSpan(ctx, "child"+strconv.Itoa(i))
+		c.addEvent("a")
+		c.addEvent("b", "k", "v")
+		c.End()
+	}
+	root.addEvent("root.ev")
+	root.End() // the list is full: the root is dropped too
+
+	rec := root.rec
+	kept := map[*Span]bool{open: true}
+	for _, s := range rec.spans {
+		kept[s] = true
+	}
+	for _, e := range rec.events {
+		if !kept[e.span] {
+			t.Errorf("the trace holds event %q of the dropped span %q", e.Name, e.span.name)
+		}
+	}
+	if want := maxEventsPerSpan + 4*2; len(rec.events) != want {
+		t.Errorf("the trace holds %d events, want %d: the open span's %d and two of each kept child",
+			len(rec.events), want, maxEventsPerSpan)
+	}
+	trace := tr.Snapshot().Recent[0]
+	if len(trace.Spans) != 4 || trace.Dropped != 3 {
+		t.Fatalf("%d spans shown, %d dropped; want 4 and 3", len(trace.Spans), trace.Dropped)
+	}
+	for _, sp := range trace.Spans {
+		if len(sp.Events) != 2 || sp.Events[0].Name != "a" || sp.Events[1].Name != "b" {
+			t.Errorf("span %s shows events %+v, want a and b", sp.Name, sp.Events)
+		}
+	}
+
+	// Open spans fill a trace's events up to the bound and no further.
+	tr = newTestTracer(TraceConfig{MaxSpansPerTrace: 2})
+	ctx, root = tr.StartSpan(context.Background(), "root")
+	for i := 0; i < 5; i++ {
+		_, s := StartSpan(ctx, "open")
+		for j := 0; j < maxEventsPerSpan; j++ {
+			s.addEvent("spin")
+		}
+	}
+	root.End()
+	if got, want := len(root.rec.events), 2*maxEventsPerSpan; got != want {
+		t.Errorf("five open spans left %d events in a trace of at most 2 spans, want %d", got, want)
+	}
+}
+
 func TestIDGenNonZeroAndUnique(t *testing.T) {
 	var g idGen
 	g.init(0) // random base path

@@ -31,7 +31,8 @@ type TraceConfig struct {
 	// MaxSpansPerTrace caps spans buffered per trace; past it spans
 	// are counted as dropped instead of stored. Default 256.
 	MaxSpansPerTrace int
-	// Now injects the clock; tests pin it. Default time.Now.
+	// Now injects the clock; tests pin it. Default time.Now. A trace is
+	// timed on its root's clock: an HTTP root's is its recorder's.
 	Now func() time.Time
 	// IDSeed, when non-zero, derives trace/span ids from a
 	// deterministic counter instead of a random base — the test hook
@@ -78,8 +79,6 @@ func NewTracer(cfg TraceConfig) *Tracer {
 	return t
 }
 
-func (t *Tracer) now() time.Time { return t.cfg.Now() }
-
 // headSample decides admission for a new root trace.
 func (t *Tracer) headSample() bool {
 	if t.cfg.SampleEvery < 0 {
@@ -98,32 +97,35 @@ func (t *Tracer) headSample() bool {
 //
 //paslint:hotpath once per span, several per request
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return t.startSpan(ctx, name, t.cfg.Now())
+	if parent := spanFromContext(ctx); parent != nil {
+		return t.startChild(ctx, parent, name, parent.rec.clock())
+	}
+	var fresh SpanContext // no remote parent
+	s := t.startRoot(ctx, fresh, name, t.cfg.Now, t.cfg.Now())
+	return s, s
 }
 
 // StartRequest starts the root span of an HTTP request to service, at
 // the start rec's request shares (ResponseRecorder.Start, on the
-// tracer's clock when nothing further out read it first), continuing
-// the traceparent the client sent. The span's name, "<service> <method>
-// <path>", and its http.method, http.path and request.id attributes are
-// rendered when the store is read, not per request.
+// tracer's clock when nothing further out read it first) and timed on
+// the clock that start was read with, continuing the traceparent the
+// client sent. The span's name, "<service> <method> <path>", and its
+// http.method, http.path and request.id attributes are rendered when
+// the store is read, not per request.
 //
 //paslint:hotpath once per request
 func (t *Tracer) StartRequest(rec *ResponseRecorder, r *http.Request, service, requestID string) (context.Context, *Span) {
 	remote, _ := extract(r.Header)
-	s := t.startRoot(r.Context(), remote, service, rec.Start(t.cfg.Now))
+	start := rec.Start(t.cfg.Now)
+	s := t.startRoot(r.Context(), remote, service, rec.clock, start)
 	h := &s.rec.http
 	h.set, h.method, h.path, h.requestID = true, r.Method, r.URL.Path, requestID
 	return s, s
 }
 
-// startSpan is StartSpan with the start time its caller read.
-func (t *Tracer) startSpan(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
-	parent := spanFromContext(ctx)
-	if parent == nil {
-		s := t.startRoot(ctx, SpanContext{}, name, start)
-		return s, s
-	}
+// startChild starts a child of parent, the span active in ctx, at
+// start.
+func (t *Tracer) startChild(ctx context.Context, parent *Span, name string, start time.Time) (context.Context, *Span) {
 	s := parent.rec.newChild()
 	s.ctx, s.name, s.id = ctx, name, t.ids.spanID()
 	s.parentID = parent.id
@@ -131,18 +133,18 @@ func (t *Tracer) startSpan(ctx context.Context, name string, start time.Time) (c
 	return s, s
 }
 
-// startRoot starts a trace at start and returns its root span, named
-// name under ctx: a continuation of remote when it is valid — same
-// trace id, remote span as parent, and the upstream sampling verdict
+// startRoot starts a trace at start, read from clock, and returns its
+// root span, named name under ctx: a continuation of remote when it is
+// valid — same trace id, remote span as parent, and the upstream sampling verdict
 // honored (OR-ing in our own head sample would re-sample on every hop)
 // — a fresh trace otherwise.
-func (t *Tracer) startRoot(ctx context.Context, remote SpanContext, name string, start time.Time) *Span {
+func (t *Tracer) startRoot(ctx context.Context, remote SpanContext, name string, clock func() time.Time, start time.Time) *Span {
 	var s *Span
 	if remote.valid() {
-		s = t.newTrace(remote.TraceID, remote.Sampled, start)
+		s = t.newTrace(remote.TraceID, remote.Sampled, clock, start)
 		s.parentID = remote.SpanID
 	} else {
-		s = t.newTrace(t.ids.traceID(), t.headSample(), start)
+		s = t.newTrace(t.ids.traceID(), t.headSample(), clock, start)
 	}
 	s.ctx, s.name, s.id = ctx, name, t.ids.spanID()
 	return s
@@ -227,7 +229,8 @@ type traceRec struct {
 	errored bool
 	nAttrs  uint8 // of attrBuf, handed out
 	id      TraceID
-	hex     [32]byte // the trace id as every header and log line carries it
+	hex     [32]byte         // the trace id as every header and log line carries it
+	clock   func() time.Time // the root's; every span and event of the trace reads it
 	start   time.Time
 	http    httpRoot
 	spans   []*Span // ended spans, in the order they ended
@@ -258,10 +261,10 @@ type spanEvent struct {
 	Event
 }
 
-// newTrace starts a trace at start and returns its root span, which
-// carries the head-sampling verdict for the whole trace.
-func (t *Tracer) newTrace(id TraceID, sampled bool, start time.Time) *Span {
-	r := &traceRec{tracer: t, sampled: sampled, id: id, start: start}
+// newTrace starts a trace at start, read from clock, and returns its
+// root span, which carries the head-sampling verdict for the trace.
+func (t *Tracer) newTrace(id TraceID, sampled bool, clock func() time.Time, start time.Time) *Span {
+	r := &traceRec{tracer: t, sampled: sampled, id: id, clock: clock, start: start}
 	hex.Encode(r.hex[:], id[:])
 	r.spans = r.spanBuf[:0]
 	r.root.rec = r
