@@ -143,18 +143,28 @@ func surface(t *testing.T, get func(path string) string) []byte {
 // the process.
 func startProxy(t *testing.T, args ...string) *httptest.Server {
 	t.Helper()
-	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return startProxyTo(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
-	}))
-	t.Cleanup(upstream.Close)
+	}), nil, args...)
+}
+
+// startProxyTo is startProxy in front of upstream, with tune, when set,
+// applied to the options after o.Start.
+func startProxyTo(t *testing.T, upstream http.Handler, tune func(*options), args ...string) *httptest.Server {
+	t.Helper()
+	up := httptest.NewServer(upstream)
+	t.Cleanup(up.Close)
 	fs := flag.NewFlagSet("pasproxy", flag.ContinueOnError)
 	o := bindFlags(fs)
-	if err := fs.Parse(append([]string{"-upstream", upstream.URL}, args...)); err != nil {
+	if err := fs.Parse(append([]string{"-upstream", up.URL}, args...)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	o.Start(ctx, "pasproxy")
+	if tune != nil {
+		tune(o)
+	}
 	h, err := newHandler(ctx, o, fs, log.New(io.Discard, "", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +197,58 @@ func getter(t *testing.T, srv *httptest.Server) func(path string) string {
 	return func(path string) string { _, _, body := send(t, srv, path, "", ""); return body }
 }
 
+// trainedModel trains a small PAS once per test binary and saves it
+// for -model under t's own directory.
+func trainedModel(t *testing.T) string {
+	t.Helper()
+	buildOnce.Do(func() {
+		c := pas.DefaultConfig()
+		c.CorpusSize, c.ClassifierExamples = 400, 300
+		c.Augment.PerCategoryCap, c.Augment.HeavyCategoryCap = 8, 16
+		built, buildErr = pas.Build(c)
+	})
+	model := filepath.Join(t.TempDir(), "model.json")
+	err := buildErr
+	if err == nil {
+		err = built.System.SaveModel(model)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+var (
+	buildOnce sync.Once
+	built     *pas.BuildResult
+	buildErr  error
+)
+
+// augmentReplica is a passerve stand-in that answers an augmentation by
+// its prompt: flagged raw when it says "raw", 503 when it says "shed",
+// full otherwise.
+func augmentReplica(t *testing.T) *httptest.Server {
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, _ := io.ReadAll(r.Body)
+		ar, _ := wire.DecodeAugmentRequest(req)
+		resp := wire.AugmentResponse{Prompt: ar.Prompt, Augmented: ar.Prompt + "\nBe specific.", Complement: "Be specific."}
+		switch {
+		case r.URL.Path == "/v1/status":
+			_ = json.NewEncoder(w).Encode(wire.Status{Status: wire.StatusOK, Instance: "i"})
+			return
+		case strings.Contains(ar.Prompt, "shed"):
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		case strings.Contains(ar.Prompt, "raw"):
+			resp = wire.AugmentResponse{Prompt: ar.Prompt, Augmented: ar.Prompt, Degraded: true, DegradedLevel: "1"}
+			w.Header().Set("X-PAS-Degraded", "1")
+		}
+		_, _ = w.Write(wire.AppendAugmentResponse(nil, &resp))
+	}))
+	t.Cleanup(replica.Close)
+	return replica
+}
+
 func chat(prompt string) string { return `{"messages":[{"role":"user","content":"` + prompt + `"}]}` }
 
 // TestSurfaceGolden: the /v1/stats keys and /metricsz series pasproxy
@@ -196,17 +258,7 @@ func chat(prompt string) string { return `{"messages":[{"role":"user","content":
 // appears or disappears is a diff in review. `-update` rewrites them.
 func TestSurfaceGolden(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
-		c := pas.DefaultConfig()
-		c.CorpusSize, c.ClassifierExamples = 400, 300
-		c.Augment.PerCategoryCap, c.Augment.HeavyCategoryCap = 8, 16
-		built, err := pas.Build(c)
-		model := filepath.Join(t.TempDir(), "model.json")
-		if err == nil {
-			err = built.System.SaveModel(model)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		model := trainedModel(t)
 		// One slot, no waiting room, fail-closed: a computation asked for
 		// while another runs is a 503. A body the proxy cannot read is its
 		// fail-open: forwarded as sent, flagged.
@@ -233,25 +285,7 @@ func TestSurfaceGolden(t *testing.T) {
 		checkGolden(t, "surface-single.golden", surface(t, getter(t, p)))
 	})
 	t.Run("cluster", func(t *testing.T) {
-		// A replica that answers by the prompt: full, flagged raw, or 503.
-		replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			req, _ := io.ReadAll(r.Body)
-			ar, _ := wire.DecodeAugmentRequest(req)
-			resp := wire.AugmentResponse{Prompt: ar.Prompt, Augmented: ar.Prompt + "\nBe specific.", Complement: "Be specific."}
-			switch {
-			case r.URL.Path == "/v1/status":
-				_ = json.NewEncoder(w).Encode(wire.Status{Status: wire.StatusOK, Instance: "i"})
-				return
-			case strings.Contains(ar.Prompt, "shed"):
-				w.WriteHeader(http.StatusServiceUnavailable)
-				return
-			case strings.Contains(ar.Prompt, "raw"):
-				resp = wire.AugmentResponse{Prompt: ar.Prompt, Augmented: ar.Prompt, Degraded: true, DegradedLevel: "1"}
-				w.Header().Set("X-PAS-Degraded", "1")
-			}
-			_, _ = w.Write(wire.AppendAugmentResponse(nil, &resp))
-		}))
-		t.Cleanup(replica.Close)
+		replica := augmentReplica(t)
 		p := startProxy(t, "-replicas", replica.URL, "-degrade=false")
 		for _, tc := range []struct{ tenant, prompt, want string }{
 			{"a", "Explain how tides form.", "200 "}, {"b", "Answer raw.", "200 1"}, {"b", "Please shed.", "503 "},
@@ -261,6 +295,86 @@ func TestSurfaceGolden(t *testing.T) {
 			}
 		}
 		checkGolden(t, "surface-cluster.golden", surface(t, getter(t, p)))
+	})
+}
+
+// pinned is the one instant every clock of a golden script reads, so
+// every duration it records is 0.
+func pinned() time.Time { return time.Unix(1_700_000_000, 0) }
+
+// pinClocks puts the serving core and a new tracer on the pinned clock;
+// the tracer takes its ids from a fixed seed and head-samples only the
+// first trace, so a golden script's first request is its exposition's
+// one exemplar.
+func pinClocks(o *options) {
+	o.Serving.Now = pinned
+	o.Tracer = obs.NewTracer(obs.TraceConfig{SampleEvery: 1 << 30, Now: pinned, IDSeed: 1})
+}
+
+// exposition is a /metricsz body without the families that read the
+// process rather than the script: runtime, build and uptime.
+func exposition(body string) []byte {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		if !strings.HasPrefix(name, "pas_runtime_") && !strings.HasPrefix(name, "pas_build_info") &&
+			!strings.HasPrefix(name, "pas_process_uptime_seconds") {
+			b.WriteString(line)
+		}
+	}
+	return []byte(b.String())
+}
+
+// TestMetricszGolden: the whole /metricsz exposition pasproxy serves
+// after a fixed script, values and exemplar included, is
+// testdata/metricsz-single.golden (the in-process core) and
+// testdata/metricsz-cluster.golden (-replicas, with the replica's URL
+// written as http://replica). The script sends chats — full, then
+// cached, fail-open and shed, as the mode allows — one path the upstream
+// answers 404, and other paths until one is past the 64-path cap, in
+// "other".
+func TestMetricszGolden(t *testing.T) {
+	// upstream answers 404 on /v1/missing and 200 everywhere else.
+	upstream := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/v1/missing" {
+			w.WriteHeader(http.StatusNotFound)
+		}
+	})
+	type step struct {
+		path, tenant, body, want string
+	}
+	run := func(t *testing.T, p *httptest.Server, script []step) []byte {
+		for _, s := range append(script, step{"/v1/missing", "a", "", "404 "}) {
+			if code, flag, _ := send(t, p, s.path, s.tenant, s.body); fmt.Sprint(code, " ", flag) != s.want {
+				t.Fatalf("%s %q: %d %q, want %s", s.path, s.body, code, flag, s.want)
+			}
+		}
+		for i := 0; i < 63; i++ { // the 64th distinct path is the last with its own series
+			if code, _, _ := send(t, p, fmt.Sprintf("/v1/other/%02d", i), "a", ""); code != http.StatusOK {
+				t.Fatalf("/v1/other/%02d: %d", i, code)
+			}
+		}
+		return exposition(getter(t, p)("/metricsz?exemplars=1"))
+	}
+	t.Run("single", func(t *testing.T) {
+		p := startProxyTo(t, upstream, pinClocks, "-model", trainedModel(t))
+		checkGolden(t, "metricsz-single.golden", run(t, p, []step{
+			{"/v1/chat/completions", "a", chat("Explain how tides form."), "200 "},
+			{"/v1/chat/completions", "b", chat("Explain how tides form."), "200 "},
+			{"/v1/chat/completions", "b", "{broken", "200 1"},
+		}))
+	})
+	t.Run("cluster", func(t *testing.T) {
+		replica := augmentReplica(t)
+		p := startProxyTo(t, upstream, pinClocks, "-replicas", replica.URL, "-degrade=false", "-probe-interval", "1h")
+		got := run(t, p, []step{
+			{"/v1/chat/completions", "a", chat("Explain how tides form."), "200 "},
+			{"/v1/chat/completions", "b", chat("Explain how tides form."), "200 "},
+			{"/v1/chat/completions", "b", chat("Answer raw."), "200 1"},
+			{"/v1/chat/completions", "b", chat("Please shed."), "503 "},
+		})
+		checkGolden(t, "metricsz-cluster.golden", bytes.ReplaceAll(got, []byte(replica.URL), []byte("http://replica")))
 	})
 }
 

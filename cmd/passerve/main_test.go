@@ -173,6 +173,60 @@ func TestSurfaceGolden(t *testing.T) {
 	checkGolden(t, "surface.golden", surface(t, func(path string) string { return d.must("GET", path, "").body }))
 }
 
+// pinned is the one instant every clock of a golden script reads, so
+// every duration it records is 0.
+func pinned() time.Time { return time.Unix(1_700_000_000, 0) }
+
+// goldenTracer is a tracer on the pinned clock, with ids from a fixed
+// seed, that head-samples only the first trace: a golden script's first
+// request is its exposition's one exemplar.
+func goldenTracer(o *daemon.Obs) {
+	o.Tracer = obs.NewTracer(obs.TraceConfig{SampleEvery: 1 << 30, Now: pinned, IDSeed: 1})
+}
+
+// exposition is a /metricsz body without the families that read the
+// process rather than the script: runtime, build and uptime.
+func exposition(body string) []byte {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		if !strings.HasPrefix(name, "pas_runtime_") && !strings.HasPrefix(name, "pas_build_info") &&
+			!strings.HasPrefix(name, "pas_process_uptime_seconds") {
+			b.WriteString(line)
+		}
+	}
+	return []byte(b.String())
+}
+
+// TestMetricszGolden: the whole /metricsz exposition passerve serves
+// after a fixed script, values and exemplar included, is
+// testdata/metricsz.golden. The script sends a full, a cached and a
+// malformed (400) augmentation, reads /v1/stats and /healthz, and asks
+// for unknown paths (404s) until one is past the 64-path cap, in "other".
+func TestMetricszGolden(t *testing.T) {
+	d := startDaemon(t, pas.ServingConfig{Now: pinned}, goldenTracer)
+	for _, step := range []struct {
+		method, path, tenant, body string
+		want                       int
+	}{
+		{"POST", "/v1/augment", "a", `{"prompt":"Explain how tides form."}`, http.StatusOK},
+		{"POST", "/v1/augment", "b", `{"prompt":"Explain how tides form."}`, http.StatusOK},
+		{"POST", "/v1/augment", "b", `{"prompt":`, http.StatusBadRequest},
+		{"GET", "/v1/stats", "", "", http.StatusOK},
+		{"GET", "/healthz", "", "", http.StatusOK},
+	} {
+		if r, err := d.do(step.method, step.path, step.tenant, step.body); err != nil || r.code != step.want {
+			t.Fatalf("%s %s: %d %v, want %d", step.method, step.path, r.code, err, step.want)
+		}
+	}
+	for i := 0; i < 62; i++ {
+		if r := d.must("GET", fmt.Sprintf("/unknown/%02d", i), ""); r.code != http.StatusNotFound {
+			t.Fatalf("/unknown/%02d: %d", i, r.code)
+		}
+	}
+	checkGolden(t, "metricsz.golden", exposition(d.must("GET", "/metricsz?exemplars=1", "").body))
+}
+
 var (
 	buildOnce sync.Once
 	built     *pas.BuildResult
@@ -191,7 +245,7 @@ type daemonUnderTest struct {
 	log    *syncBuffer
 }
 
-func startDaemon(t *testing.T, cfg pas.ServingConfig) *daemonUnderTest {
+func startDaemon(t *testing.T, cfg pas.ServingConfig, tune ...func(*daemon.Obs)) *daemonUnderTest {
 	t.Helper()
 	buildOnce.Do(func() {
 		c := pas.DefaultConfig()
@@ -215,6 +269,9 @@ func startDaemon(t *testing.T, cfg pas.ServingConfig) *daemonUnderTest {
 	}
 	o := daemon.BindObs(flag.NewFlagSet("passerve", flag.ContinueOnError))
 	o.Start(context.Background(), "passerve")
+	for _, f := range tune {
+		f(o)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
