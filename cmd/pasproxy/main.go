@@ -63,7 +63,6 @@ import (
 
 	pas "repro"
 	"repro/cmd/internal/daemon"
-	"repro/internal/resilience"
 	"repro/internal/ring"
 	"repro/internal/wire"
 )
@@ -170,7 +169,6 @@ func newHandler(ctx context.Context, o *options, fs *flag.FlagSet, logger *log.L
 		}
 		client.Start(ctx)
 		client.RegisterMetrics(o.Reg)
-		resilience.RegisterMetrics(o.Reg)
 		if proxy, err = pas.NewProxyWith(client, o.upstream); err != nil {
 			return nil, err
 		}

@@ -125,7 +125,7 @@ func (c *Client) ChatCompletionContext(ctx context.Context, req ChatRequest) (Ch
 	// Terminal answers (4xx) mean the backend is up and judging our
 	// request; only transport faults, 5xx, and overload count against
 	// its health.
-	done(err == nil || resilience.Classify(err) == resilience.Terminal)
+	done(resilience.IsTerminal(err))
 	if err != nil {
 		span.SetError(err)
 	}
@@ -190,11 +190,10 @@ func statusError(resp *http.Response, raw []byte) error {
 	}
 	switch {
 	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-		err := resilience.AsOverload(base)
 		if after, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
-			err = resilience.WithRetryAfter(err, after)
+			return resilience.WithRetryAfter(base, after)
 		}
-		return err
+		return base // retryable
 	case status >= 500:
 		return base // retryable
 	default:

@@ -318,54 +318,59 @@ const (
 	otherPath = "other"
 )
 
-// Metrics records request latency and errors by path, straight into the
-// registry it is Registered on (before that its middleware records
-// nothing): pas_http_request_duration_seconds, whose _count and _sum
-// are the request count and total time and whose buckets carry trace-ID
+// Metrics records request latency and errors by path, in series it
+// holds from NewMetrics on; Register adds the collector that emits them:
+// pas_http_request_duration_seconds, whose _count and _sum are the
+// request count and total time and whose buckets carry trace-ID
 // exemplars — a slow bucket on /metricsz?exemplars=1 names the exact
 // trace to pull up in /debug/traces — and pas_http_errors_total.
 type Metrics struct {
-	hist obs.HistogramVec
-	errs obs.CounterVec
-
-	// paths caches the resolved children, copy-on-write: a request
-	// loads the map and indexes it, so the steady state joins no labels
-	// and takes no lock shared between paths; only the first request to
-	// one of the first maxPaths paths takes mu, to publish a new map.
+	// paths holds the series, copy-on-write: a request loads the map
+	// and indexes it, so the steady state takes no lock shared between
+	// paths; only the first request to one of the first maxPaths paths
+	// takes mu, to publish a new map.
 	paths atomic.Pointer[pathTable]
 	other *pathSeries
 	mu    sync.Mutex
 }
 
-// pathTable is one immutable generation of the children cache.
+// pathTable is one immutable generation of the series.
 type pathTable struct{ byPath map[string]*pathSeries }
 
-// pathSeries is one path's resolved children.
+// pathSeries is one path's latency histogram and error count.
 type pathSeries struct {
-	hist obs.Histogram
-	errs obs.Counter
+	hist *obs.Histogram
+	errs atomic.Int64
 }
 
-// NewMetrics creates request metrics for Register to attach to a registry.
-func NewMetrics() *Metrics { return &Metrics{} }
+func newPathSeries() *pathSeries {
+	return &pathSeries{hist: obs.NewHistogram(obs.DefaultLatencyBuckets)}
+}
 
-// Register creates the two families on reg. Call it once, before
-// serving traffic; storing the empty table is what publishes them.
-func (m *Metrics) Register(reg *obs.Registry) {
-	m.hist = reg.HistogramVec("pas_http_request_duration_seconds",
-		"HTTP request latency, by path.", obs.DefaultLatencyBuckets, "path")
-	m.errs = reg.CounterVec("pas_http_errors_total",
-		"HTTP responses with status >= 400, by path.", "path")
-	m.other = &pathSeries{m.hist.With(otherPath), m.errs.With(otherPath)}
+// NewMetrics creates request metrics, recording from the start.
+func NewMetrics() *Metrics {
+	m := &Metrics{other: newPathSeries()}
 	m.paths.Store(&pathTable{})
+	return m
 }
 
-// series returns path's children, or nil before Register.
+// Register exposes the series on reg, read at scrape time.
+func (m *Metrics) Register(reg *obs.Registry) {
+	reg.RegisterCollector(func(e *obs.Emitter) {
+		emit := func(path string, ps *pathSeries) {
+			e.Histogram("pas_http_request_duration_seconds", "HTTP request latency, by path.", ps.hist, "path", path)
+			e.Counter("pas_http_errors_total", "HTTP responses with status >= 400, by path.", float64(ps.errs.Load()), "path", path)
+		}
+		for path, ps := range m.paths.Load().byPath {
+			emit(path, ps)
+		}
+		emit(otherPath, m.other)
+	})
+}
+
+// series returns path's series.
 func (m *Metrics) series(path string) *pathSeries {
 	t := m.paths.Load()
-	if t == nil {
-		return nil
-	}
 	if ps := t.byPath[path]; ps != nil {
 		return ps
 	}
@@ -385,7 +390,7 @@ func (m *Metrics) series(path string) *pathSeries {
 	for p, ps := range t.byPath {
 		grown[p] = ps
 	}
-	ps := &pathSeries{m.hist.With(path), m.errs.With(path)}
+	ps := newPathSeries()
 	grown[path] = ps
 	m.paths.Store(&pathTable{grown})
 	return ps
@@ -403,12 +408,9 @@ func (m *Metrics) Middleware() func(http.Handler) http.Handler {
 			next.ServeHTTP(rec, r)
 			dur := rec.End().Sub(start)
 			ps := m.series(r.URL.Path)
-			if ps == nil {
-				return
-			}
 			// A 499 is a note that the client left, not a response.
 			if s := rec.StatusOr200(); s >= 400 && s != obs.StatusClientClosedRequest {
-				ps.errs.Inc()
+				ps.errs.Add(1)
 			}
 			traceID, sampled := obs.TraceIDFromContext(r.Context())
 			if !sampled {

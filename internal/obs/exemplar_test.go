@@ -9,8 +9,8 @@ import (
 
 func TestObserveExemplarOpenMetricsOutput(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.HistogramVec("pas_test_latency_seconds", "test latencies",
-		[]float64{0.01, 0.1, 1}, "path").With("/v1/augment")
+	h := reg.Histogram("pas_test_latency_seconds", "test latencies",
+		[]float64{0.01, 0.1, 1}, "path", "/v1/augment")
 	h.ObserveExemplar(0.005, "aaaabbbbccccdddd0000111122223333")
 	h.ObserveExemplar(0.5, "ffffeeeeddddcccc0000111122223333")
 	h.ObserveExemplar(5, "99998888777766660000111122223333") // +Inf slot

@@ -17,13 +17,13 @@
 //     promotion for errored and slow traces, browsable at
 //     /debug/traces.
 //
-//   - Metrics. A Registry holds counters and bounded histograms —
-//     registered instruments for hot-path increments — and scrape-time
-//     collectors for subsystems that already keep their own counters
-//     and gauges (the serving core, breakers, caches). Gather snapshots
-//     both into []Family, the one form Write renders; one scrape at
-//     /metricsz serves the whole process in Prometheus text exposition
-//     format under the pas_ namespace.
+//   - Metrics. Every number is held by its owner — a counter it keeps,
+//     a gauge it reads, a bounded Histogram it observes into — and a
+//     Registry holds only the owners' scrape-time collectors, which emit
+//     those numbers through an Emitter. Gather snapshots them into
+//     []Family, the one form Write renders; one scrape at /metricsz
+//     serves the whole process in Prometheus text exposition format
+//     under the pas_ namespace.
 //
 //   - Profiling and debug surface. DebugMux bundles net/http/pprof,
 //     /debug/traces, and /metricsz for a separate -debug-addr listener,

@@ -216,37 +216,33 @@ func TestGatherSurvivesTheWire(t *testing.T) {
 		values := []float64{0, 1, -2.5, 1e21, 1234567, math.Inf(1), math.NaN(), 5e-324}
 		reg := NewRegistry()
 		for i := 0; i < 1+rng.Intn(3); i++ {
-			cv := reg.CounterVec(fmt.Sprintf("pas_c%d_total", i), "Counts \\n things,\nin two lines.", "k", "path")
+			counter := fmt.Sprintf("pas_c%d_total", i)
 			gauge := fmt.Sprintf("pas_g%d", i)
-			hv := reg.HistogramVec(fmt.Sprintf("pas_h%d_seconds", i), `A "histogram".`, []float64{0.001, 0.1, 2.5}, "path")
+			hist := fmt.Sprintf("pas_h%d_seconds", i)
 			for n := rng.Intn(4); n >= 0; n-- {
-				cv.With(word(), word()).Add(float64(rng.Intn(1000)))
+				reg.Counter(counter, "Counts \\n things,\nin two lines.", "k", word(), "path", word()).Add(float64(rng.Intn(1000)))
 				k, v := word(), values[rng.Intn(len(values))]
 				reg.RegisterCollector(func(e *Emitter) { e.Gauge(gauge, "", v, "k", k) })
-				h := hv.With(word())
+				h := reg.Histogram(hist, `A "histogram".`, []float64{0.001, 0.1, 2.5}, "path", word())
 				for m := rng.Intn(5); m > 0; m-- {
 					h.ObserveExemplar(rng.Float64()*3, []string{"", "0af7651916cd43dd8448eb211c80319c"}[rng.Intn(2)])
 				}
 			}
 		}
 		reg.Histogram("pas_plain_seconds", "Unlabeled.", DefaultLatencyBuckets).Observe(0.2)
-		reg.CounterVec("pas_never_used_total", "No children, so no family.", "k")
-		owned := NewHistogramVec("pas_owned_seconds", "Owned by its collector.", []float64{1}, "outcome")
-		owned.With("hit").Observe(0.5)
+		owned := NewHistogram([]float64{1})
+		owned.Observe(0.5)
 		w1, w2 := word(), word()
 		reg.RegisterCollector(func(e *Emitter) {
 			e.Gauge("pas_emitted", "Emitted.", 2, "b", w1)
 			e.Gauge("pas_emitted", "Emitted.", 1, "a", w2)
-			e.Counter("pas_c0_total", "merges with the registered family", 3, "k", "x", "path", "y")
-			e.Histogram(owned)
+			e.Counter("pas_c0_total", "merges with the first collector's family", 3, "k", "x", "path", "y")
+			e.Histogram("pas_owned_seconds", "Owned by its collector.", owned, "outcome", "hit")
 		})
 
 		want := reg.Gather()
 		sawExemplar := false
 		for i := range want {
-			if want[i].Name == "pas_never_used_total" {
-				t.Fatalf("seed %d: Gather kept a family with no samples", seed)
-			}
 			for j := range want[i].Samples {
 				sawExemplar = sawExemplar || want[i].Samples[j].Exemplar.TraceID != ""
 				want[i].Samples[j].Exemplar = Exemplar{}

@@ -7,8 +7,8 @@ import (
 )
 
 // ErrOpen is returned by Breaker.Allow while the circuit is open (or
-// half-open with its probe quota in flight). Classify treats it as
-// overload, so retry schedules back off rather than hammering.
+// half-open with its probe quota in flight). It is not terminal, so a
+// retry schedule backs off and tries again rather than giving up.
 var ErrOpen = errors.New("resilience: circuit open")
 
 // State is a breaker position.

@@ -199,6 +199,6 @@ func (b *Breaker) Do(fn func() error) error {
 		return err
 	}
 	ferr := fn()
-	done(ferr == nil || Classify(ferr) == Terminal)
+	done(IsTerminal(ferr))
 	return ferr
 }

@@ -6,7 +6,11 @@
 //   - a per-backend three-state circuit breaker (closed → open →
 //     half-open with bounded probe admission), and
 //   - a hedger that races a second attempt when the first overruns a
-//     latency-percentile budget.
+//     latency-percentile budget, and counts the attempts it launches.
+//
+// A failure is terminal (IsTerminal) or not: the retry executor stops
+// on a terminal one, and a breaker's caller counts it healthy, since it
+// says nothing about the backend.
 //
 // Two callers use them. chatapi.Client retries and breaks in front of a
 // chat-completions API, so System.EnhanceContext gets both only when its
@@ -34,39 +38,10 @@ import (
 	"time"
 )
 
-// Class is the retry classification of an error.
-type Class int
-
-const (
-	// Retryable errors are transient faults — transport drops, 5xx
-	// bursts — worth another attempt after a backoff.
-	Retryable Class = iota
-	// Terminal errors will not improve with repetition: client-side
-	// bugs (4xx), cancelled contexts, malformed responses.
-	Terminal
-	// Overload errors are the far side shedding load (429/503, open
-	// breakers, full queues). They are retryable, but the retry delay
-	// should respect the server's Retry-After hint when one exists, and
-	// they count against circuit-breaker health.
-	Overload
-)
-
-func (c Class) String() string {
-	switch c {
-	case Retryable:
-		return "retryable"
-	case Terminal:
-		return "terminal"
-	case Overload:
-		return "overload"
-	}
-	return "unknown"
-}
-
-// classified wraps an error with an explicit class.
+// classified wraps an error with an explicit verdict.
 type classified struct {
-	err   error
-	class Class
+	err      error
+	terminal bool
 }
 
 func (e *classified) Error() string { return e.err.Error() }
@@ -77,7 +52,7 @@ func AsTerminal(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classified{err: err, class: Terminal}
+	return &classified{err: err, terminal: true}
 }
 
 // AsRetryable marks err as retryable even when the chain would
@@ -88,15 +63,7 @@ func AsRetryable(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classified{err: err, class: Retryable}
-}
-
-// AsOverload marks err as an overload shed from the far side.
-func AsOverload(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{err: err, class: Overload}
+	return &classified{err: err}
 }
 
 // retryAfterError carries a server-provided Retry-After hint.
@@ -127,25 +94,21 @@ func retryAfterHint(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// Classify reports how the retry executor should treat err. Context
-// cancellation and deadline expiry are terminal — the caller's clock ran
-// out, repeating cannot help. Explicitly classified errors keep their
-// class; ErrOpen (a local breaker refusing the call) is overload.
-// Everything else defaults to retryable, the right bias for transport
-// errors of unknown shape.
-func Classify(err error) Class {
+// IsTerminal reports whether err will not improve with repetition, so
+// the retry executor returns it at once and a breaker counts the call
+// healthy: client-side bugs (4xx), cancelled contexts and expired
+// deadlines — the caller's clock ran out — and malformed responses.
+// Explicitly classified errors keep their verdict. Everything else is
+// retryable: transport drops, 5xx bursts, the far side shedding load
+// (429/503, an open breaker), and errors of unknown shape. A nil error
+// is terminal: there is nothing to retry.
+func IsTerminal(err error) bool {
 	if err == nil {
-		return Terminal // nothing to retry
+		return true
 	}
 	var c *classified
 	if errors.As(err, &c) {
-		return c.class
+		return c.terminal
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return Terminal
-	}
-	if errors.Is(err, ErrOpen) {
-		return Overload
-	}
-	return Retryable
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

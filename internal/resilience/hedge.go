@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -11,21 +12,19 @@ import (
 
 // Hedger decides when a request has waited long enough that racing a
 // second attempt is cheaper than waiting out the straggler. It tracks a
-// sliding window of observed latencies and hedges after the configured
-// percentile of that window (so the hedge fires only for the slow tail),
-// clamped to [MinDelay, MaxDelay]. Until enough observations exist it
-// uses MinDelay.
+// sliding window of observed latencies and hedges after the window's
+// hedgePercentile (so the hedge fires only for the slow tail), clamped
+// to [MinDelay, MaxDelay]. Until enough observations exist it uses
+// MinDelay. It counts the second attempts it launches (Launches).
 //
 // Hedging duplicates work by design — only hedge idempotent calls.
 type Hedger struct {
-	// Percentile in (0,1] of the observed latency window after which
-	// the second attempt launches. Default 0.95.
-	Percentile float64
-	// MinDelay floors the hedge delay (and serves as the cold-start
-	// delay before any observations). Default 50ms.
-	MinDelay time.Duration
-	// MaxDelay caps the hedge delay. Default 2s.
-	MaxDelay time.Duration
+	// MinDelay floors the hedge delay and is the cold-start delay
+	// before any observations; MaxDelay caps it. Both must be set:
+	// there are no defaults here (ring.Config has the cluster's).
+	MinDelay, MaxDelay time.Duration
+
+	launches atomic.Int64
 
 	mu   sync.Mutex
 	buf  []time.Duration
@@ -36,25 +35,17 @@ type Hedger struct {
 // hedgeWindow bounds the latency window; small enough to adapt fast.
 const hedgeWindow = 256
 
-func (h *Hedger) percentile() float64 {
-	if h.Percentile <= 0 || h.Percentile > 1 {
-		return 0.95
-	}
-	return h.Percentile
-}
+// hedgePercentile is where in the observed latency window the second
+// attempt launches.
+const hedgePercentile = 0.95
 
-func (h *Hedger) minDelay() time.Duration {
-	if h.MinDelay <= 0 {
-		return 50 * time.Millisecond
+// Launches returns how many second attempts h has launched; 0 for a
+// nil h, which never hedges.
+func (h *Hedger) Launches() int64 {
+	if h == nil {
+		return 0
 	}
-	return h.MinDelay
-}
-
-func (h *Hedger) maxDelay() time.Duration {
-	if h.MaxDelay <= 0 {
-		return 2 * time.Second
-	}
-	return h.MaxDelay
+	return h.launches.Load()
 }
 
 // observe records one successful-attempt latency.
@@ -72,8 +63,8 @@ func (h *Hedger) observe(d time.Duration) {
 	}
 }
 
-// delay returns the current hedge trigger: the configured percentile of
-// the observed window, clamped to [MinDelay, MaxDelay].
+// delay returns the current hedge trigger: the hedgePercentile of the
+// observed window, clamped to [MinDelay, MaxDelay].
 func (h *Hedger) delay() time.Duration {
 	h.mu.Lock()
 	n := h.next
@@ -84,21 +75,11 @@ func (h *Hedger) delay() time.Duration {
 	copy(window, h.buf[:n])
 	h.mu.Unlock()
 	if len(window) == 0 {
-		return h.minDelay()
+		return h.MinDelay
 	}
 	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := int(h.percentile() * float64(len(window)))
-	if idx >= len(window) {
-		idx = len(window) - 1
-	}
-	d := window[idx]
-	if min := h.minDelay(); d < min {
-		d = min
-	}
-	if max := h.maxDelay(); d > max {
-		d = max
-	}
-	return d
+	idx := min(int(hedgePercentile*float64(len(window))), len(window)-1)
+	return min(max(window[idx], h.MinDelay), h.MaxDelay)
 }
 
 // hedgeResult carries one attempt's outcome to the selector.
@@ -147,7 +128,7 @@ func Hedge[T any](ctx context.Context, h *Hedger, fn func(ctx context.Context) (
 				firstErr = r.err
 			}
 		case <-timer.C:
-			hedgesTotal.Add(1)
+			h.launches.Add(1)
 			obs.AddEvent(ctx, "hedge.launch")
 			go launch(false)
 			launched = 2

@@ -9,7 +9,7 @@ import (
 )
 
 func TestHedgeFastPrimaryRunsOnce(t *testing.T) {
-	h := &Hedger{MinDelay: 50 * time.Millisecond}
+	h := &Hedger{MinDelay: 50 * time.Millisecond, MaxDelay: time.Second}
 	var calls int64
 	v, err := Hedge(context.Background(), h, func(ctx context.Context) (string, error) {
 		atomic.AddInt64(&calls, 1)
@@ -24,7 +24,7 @@ func TestHedgeFastPrimaryRunsOnce(t *testing.T) {
 }
 
 func TestHedgeRacesSecondAttemptPastBudget(t *testing.T) {
-	h := &Hedger{MinDelay: 10 * time.Millisecond}
+	h := &Hedger{MinDelay: 10 * time.Millisecond, MaxDelay: time.Second}
 	var calls int64
 	release := make(chan struct{})
 	defer close(release)
@@ -49,7 +49,7 @@ func TestHedgeRacesSecondAttemptPastBudget(t *testing.T) {
 }
 
 func TestHedgeBothFailReturnsPrimaryError(t *testing.T) {
-	h := &Hedger{MinDelay: time.Millisecond}
+	h := &Hedger{MinDelay: time.Millisecond, MaxDelay: time.Second}
 	primary := errors.New("primary down")
 	var calls int64
 	_, err := Hedge(context.Background(), h, func(ctx context.Context) (string, error) {
@@ -72,14 +72,14 @@ func TestHedgeNilHedgerPassesThrough(t *testing.T) {
 }
 
 func TestHedgerDelayTracksPercentile(t *testing.T) {
-	h := &Hedger{Percentile: 0.90, MinDelay: time.Millisecond, MaxDelay: time.Minute}
-	// 100 observations: 1..100ms. p90 ≈ 91ms.
+	h := &Hedger{MinDelay: time.Millisecond, MaxDelay: time.Minute}
+	// 100 observations: 1..100ms. p95 ≈ 96ms.
 	for i := 1; i <= 100; i++ {
 		h.observe(time.Duration(i) * time.Millisecond)
 	}
 	d := h.delay()
-	if d < 85*time.Millisecond || d > 95*time.Millisecond {
-		t.Fatalf("p90 delay = %v, want ≈91ms", d)
+	if d < 93*time.Millisecond || d > 97*time.Millisecond {
+		t.Fatalf("p95 delay = %v, want ≈96ms", d)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestHedgerDelayClamps(t *testing.T) {
 	if d := h.delay(); d != 30*time.Millisecond {
 		t.Fatalf("delay = %v, want clamped to MaxDelay", d)
 	}
-	h2 := &Hedger{MinDelay: 20 * time.Millisecond}
+	h2 := &Hedger{MinDelay: 20 * time.Millisecond, MaxDelay: time.Second}
 	for i := 0; i < 50; i++ {
 		h2.observe(time.Microsecond)
 	}

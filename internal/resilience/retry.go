@@ -92,8 +92,8 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// DoValue runs fn under the policy: terminal errors (see Classify)
-// return immediately, retryable and overload errors are retried with
+// DoValue runs fn under the policy: terminal errors (see IsTerminal)
+// return immediately, every other error is retried with
 // capped full-jitter backoff — or exactly the server's Retry-After hint
 // when the error carries one — until attempts, the budget, or the
 // context deadline run out. The returned error is always the most
@@ -116,7 +116,7 @@ func DoValue[T any](ctx context.Context, p Policy, fn func(ctx context.Context) 
 			return v, nil
 		}
 		lastErr = err
-		if Classify(err) == Terminal {
+		if IsTerminal(err) {
 			return zero, err
 		}
 		if attempt == p.MaxAttempts-1 {

@@ -122,7 +122,7 @@ func TestDoHonorsRetryAfterHint(t *testing.T) {
 	err := p.Do(context.Background(), func(ctx context.Context) error {
 		calls++
 		if calls == 1 {
-			return WithRetryAfter(AsOverload(errors.New("429")), 700*time.Millisecond)
+			return WithRetryAfter(errors.New("429"), 700*time.Millisecond)
 		}
 		return nil
 	})
@@ -241,22 +241,22 @@ func TestDoValueReturnsValue(t *testing.T) {
 
 func TestClassify(t *testing.T) {
 	cases := []struct {
-		err  error
-		want Class
+		err          error
+		wantTerminal bool
 	}{
-		{errors.New("x"), Retryable},
-		{AsTerminal(errors.New("x")), Terminal},
-		{AsOverload(errors.New("x")), Overload},
-		{fmt.Errorf("wrapped: %w", AsTerminal(errors.New("x"))), Terminal},
-		{context.Canceled, Terminal},
-		{context.DeadlineExceeded, Terminal},
-		{ErrOpen, Overload},
-		{fmt.Errorf("call: %w", ErrOpen), Overload},
-		{WithRetryAfter(AsOverload(errors.New("x")), time.Second), Overload},
+		{errors.New("x"), false},
+		{AsTerminal(errors.New("x")), true},
+		{errors.New("status 503"), false}, // a far-side shed, as the callers pass it
+		{fmt.Errorf("wrapped: %w", AsTerminal(errors.New("x"))), true},
+		{context.Canceled, true},
+		{context.DeadlineExceeded, true},
+		{ErrOpen, false},
+		{fmt.Errorf("call: %w", ErrOpen), false},
+		{WithRetryAfter(errors.New("x"), time.Second), false},
 	}
 	for i, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("case %d: Classify(%v) = %v, want %v", i, c.err, got, c.want)
+		if got := IsTerminal(c.err); got != c.wantTerminal {
+			t.Errorf("case %d: IsTerminal(%v) = %v, want %v", i, c.err, got, c.wantTerminal)
 		}
 	}
 	if _, ok := retryAfterHint(errors.New("plain")); ok {

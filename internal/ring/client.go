@@ -352,7 +352,7 @@ func (c *Client) callReplica(ctx context.Context, r *replica, prompt, salt strin
 		span.SetError(err)
 		// Terminal errors (the caller cancelling, 4xx) say nothing
 		// about replica health; everything else feeds the breaker.
-		done(resilience.Classify(err) == resilience.Terminal)
+		done(resilience.IsTerminal(err))
 		r.errors.Add(1)
 		return result{}, err
 	}
@@ -400,14 +400,11 @@ func (c *Client) doAugment(ctx context.Context, r *replica, prompt, salt string)
 	c.mem.observe(r.url, nil)
 	if resp.StatusCode != http.StatusOK {
 		// Read a bounded slice of the error body for the message, and
-		// classify so the breaker and retry layers treat 503 as
-		// overload and 4xx as terminal.
+		// classify so the breaker treats a 4xx other than 429 as
+		// terminal and a shed (429/503) or a 5xx as a failure.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("ring: replica %s: status %d: %s", r.url, resp.StatusCode, bytes.TrimSpace(msg))
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return result{}, resilience.AsOverload(err)
-		case resp.StatusCode >= 400 && resp.StatusCode < 500:
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
 			return result{}, resilience.AsTerminal(err)
 		}
 		return result{}, err
@@ -494,7 +491,11 @@ func (c *Client) StatsHandler() http.Handler {
 }
 
 // RegisterMetrics exposes the routing tier's Stats on reg under the
-// pas_ring_ namespace, read at scrape time.
+// pas_ring_ namespace, and its hedger's launches as
+// pas_resilience_hedges_total (0 with hedging off), read at scrape time.
 func (c *Client) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(func(e *obs.Emitter) { e.Fields("pas_ring_", c.Stats()) })
+	reg.RegisterCollector(func(e *obs.Emitter) {
+		e.Fields("pas_ring_", c.Stats())
+		e.Counter("pas_resilience_hedges_total", "Hedge second attempts launched.", float64(c.hedger.Launches()))
+	})
 }

@@ -16,7 +16,7 @@ import (
 func TestMetricsRollup(t *testing.T) {
 	mkMember := func(hits float64) *httptest.Server {
 		reg := obs.NewRegistry()
-		reg.CounterVec("pas_serving_cache_hits_total", "Cache hits.").With().Add(hits)
+		reg.RegisterCollector(func(e *obs.Emitter) { e.Counter("pas_serving_cache_hits_total", "Cache hits.", hits) })
 		mux := http.NewServeMux()
 		mux.Handle("/metricsz", reg.Handler())
 		mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
@@ -35,7 +35,7 @@ func TestMetricsRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := obs.NewRegistry()
-	local.CounterVec("pas_ring_requests_total", "Routing requests.").With().Add(10)
+	local.RegisterCollector(func(e *obs.Emitter) { e.Counter("pas_ring_requests_total", "Routing requests.", 10) })
 
 	rec := httptest.NewRecorder()
 	c.MetricsRollup(local, 0).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz/cluster", nil))
@@ -67,7 +67,7 @@ func TestMetricsRollup(t *testing.T) {
 // is exactly the window an operator watches during a rolling restart.
 func TestMetricsRollupMidDrain(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.CounterVec("pas_serving_shed_total", "Sheds.", "reason").With("draining").Add(5)
+	reg.RegisterCollector(func(e *obs.Emitter) { e.Counter("pas_serving_shed_total", "Sheds.", 5, "reason", "draining") })
 	mux := http.NewServeMux()
 	mux.Handle("/metricsz", reg.Handler())
 	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
@@ -77,7 +77,7 @@ func TestMetricsRollupMidDrain(t *testing.T) {
 	t.Cleanup(draining.Close)
 
 	healthyReg := obs.NewRegistry()
-	healthyReg.CounterVec("pas_serving_cache_hits_total", "Cache hits.").With().Add(4)
+	healthyReg.RegisterCollector(func(e *obs.Emitter) { e.Counter("pas_serving_cache_hits_total", "Cache hits.", 4) })
 	hmux := http.NewServeMux()
 	hmux.Handle("/metricsz", healthyReg.Handler())
 	hmux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {

@@ -238,6 +238,59 @@ func TestFollowerDoesNotInheritItsLeadersClient(t *testing.T) {
 	}
 }
 
+// TestFollowerDoesNotInheritAnotherTenantsShed: a follower shares its
+// leader's admission shed only when they are the same tenant. When the
+// leader of tenant "a" runs out of wait budget, a follower of "a" is
+// answered with that shed (fail-open: degraded), while a follower of "b"
+// leads the key itself, under its own tenant and what is left of its
+// own budget, and is served once the slot frees. It used to be handed
+// a's shed, so a quiet tenant paid for a flooder's queue.
+func TestFollowerDoesNotInheritAnotherTenantsShed(t *testing.T) {
+	c, release := occupied(t, Config{QueueDepth: 4, QueueWait: 5 * time.Second, Degrade: true})
+	defer release()
+
+	type answer struct {
+		v        string
+		degraded bool
+		err      error
+	}
+	ask := func(ctx context.Context) chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			v, degraded, err := c.DoLevel(ctx, "shared", "", "m")
+			ch <- answer{v, degraded, err}
+		}()
+		return ch
+	}
+	// The leader's deadline, not QueueWait, ends its wait.
+	leaderCtx, cancel := context.WithTimeout(WithTenant(context.Background(), "a"), 100*time.Millisecond)
+	defer cancel()
+	leader := ask(leaderCtx)
+	waitFor(t, func() bool { return c.Stats().QueueDepth == 1 })
+	sameTenant := ask(WithTenant(context.Background(), "a"))
+	waitFor(t, func() bool { return c.flight.waiters(Key("shared", "", "m")) == 1 })
+	otherTenant := ask(WithTenant(context.Background(), "b"))
+	waitFor(t, func() bool { return c.flight.waiters(Key("shared", "", "m")) == 2 })
+
+	if got := <-leader; got.err != nil || !got.degraded {
+		t.Fatalf("leader = (%q, %v, %v), want shed, degraded", got.v, got.degraded, got.err)
+	}
+	if got := <-sameTenant; got.err != nil || !got.degraded {
+		t.Fatalf("follower of the leader's tenant = (%q, %v, %v), want its leader's shed, degraded", got.v, got.degraded, got.err)
+	}
+	release()
+	if got := <-otherTenant; got.err != nil || got.degraded || got.v != "pc:shared" {
+		t.Fatalf("follower of another tenant = (%q, %v, %v), want (\"pc:shared\", false, nil)", got.v, got.degraded, got.err)
+	}
+	sheds := map[string]int64{}
+	for _, ts := range c.Stats().Tenants {
+		sheds[ts.Tenant] = ts.Shed
+	}
+	if sheds["a"] != 1 || sheds["b"] != 0 || len(sheds) != 3 { // and the occupier's tenant
+		t.Fatalf("sheds by tenant = %v, want a: 1, b: 0", sheds)
+	}
+}
+
 // TestCapHoldsAfterDeadlineMisses is the regression test for the shed
 // cascade: queued deadline misses used to halve an adaptive limit, which
 // only regrew on completions faster than a target measured from before

@@ -92,7 +92,7 @@ type Config struct {
 	Degrade bool
 
 	// Deprecated: read by nothing; kept one round because bench/pasperf's
-	// frozen config literals name them; deleted with ROADMAP item 4's
+	// frozen config literals name them; deleted with ROADMAP item 1(f)'s
 	// [benchmark] edit.
 	LimitFloor          int
 	Retries             int           //paslint:allow unused written by bench/pasperf's frozen literals, so it cannot go before that edit
@@ -178,12 +178,10 @@ type Core struct {
 	dedupHits int64
 	degraded  int64
 
-	// durations is the one record of completed requests (Stats().Completed
-	// is its total); finish observes into lat, its children resolved once
-	// in New. The core owns it because cores are built before — and in
-	// tests without — a registry; RegisterMetrics exposes it.
-	durations obs.HistogramVec
-	lat       [len(outcomeNames)]obs.Histogram
+	// lat, one duration histogram per outcome, is the one record of
+	// completed requests (Stats().Completed is its total); finish
+	// observes into it and RegisterMetrics exposes it.
+	lat [len(outcomeNames)]*obs.Histogram
 }
 
 // outcome is how a completed request got its answer.
@@ -216,12 +214,9 @@ func New(fn Func, cfg Config) (*Core, error) {
 		fn:    fn,
 		cfg:   cfg,
 		sched: newScheduler(&cfg),
-		durations: obs.NewHistogramVec("pas_serving_request_duration_seconds",
-			"Time from entering the serving core to a served complement, by outcome (hit, shared, computed).",
-			durationBounds, "outcome"),
 	}
-	for o, name := range outcomeNames {
-		c.lat[o] = c.durations.With(name)
+	for o := range c.lat {
+		c.lat[o] = obs.NewHistogram(durationBounds)
 	}
 	if cfg.CacheSize > 0 {
 		c.cache = NewCache(cfg.CacheSize, cfg.CacheShards, cfg.CacheTTL, cfg.Now)
@@ -253,7 +248,7 @@ func Key(prompt, salt, model string) string {
 // caller must answer with the raw prompt, flagged. On overload it
 // returns a typed shedding error; a context that ends first returns its
 // ctx.Err(). The name, from the level it once returned, is kept for
-// bench/pasperf, which calls it, until ROADMAP item 4's [benchmark] edit.
+// bench/pasperf, which calls it, until ROADMAP item 1(f)'s [benchmark] edit.
 //
 // A request gets one attempt. With Config.Degrade a request that is
 // shed is answered ("", true, nil) and counted in Stats.Degraded — the
@@ -301,7 +296,7 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 	}
 	lookup.End()
 
-	v, shared, err := c.compute(ctx, k, prompt, salt)
+	v, shared, err := c.compute(ctx, k, prompt, salt, start)
 	how := outcomeComputed
 	if shared {
 		how = outcomeShared
@@ -318,10 +313,11 @@ func (c *Core) attempt(ctx context.Context, prompt, salt, model string) (string,
 }
 
 // compute runs the admission-controlled single-flight computation of
-// the complement stored under key. It reports shared when the answer
-// was not computed for this request: a follower's, or one the previous
-// leader stored between this request's cache miss and its flight.
-func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, bool, error) {
+// the complement stored under key, for a request that entered the core
+// at arrived. It reports shared when the answer was not computed for this
+// request: a follower's, or one the previous leader stored between this
+// request's cache miss and its flight.
+func (c *Core) compute(ctx context.Context, key, prompt, salt string, arrived time.Time) (string, bool, error) {
 	stored := false
 	v, shared, err := c.flight.do(ctx, key, func() (string, error) {
 		// The single-flight leader runs here; followers share its
@@ -352,7 +348,7 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 		admitStart := c.cfg.Now()
 		_, qspan := obs.StartSpanAt(ctx, "serving.queue_wait", admitStart)
 		qspan.SetAttr("singleflight.role", "leader")
-		release, err := c.sched.acquire(ctx, tq, c.waitBudget(ctx))
+		release, err := c.sched.acquire(ctx, tq, c.waitBudget(ctx, admitStart.Sub(arrived)))
 		if err != nil {
 			qspan.SetError(err)
 			qspan.End()
@@ -379,10 +375,12 @@ func (c *Core) compute(ctx context.Context, key, prompt, salt string) (string, b
 	return v, shared || stored, err
 }
 
-// waitBudget is how long this request may wait for a slot: QueueWait,
-// tightened by the context deadline.
-func (c *Core) waitBudget(ctx context.Context) time.Duration {
-	wait := c.cfg.QueueWait
+// waitBudget is how long a request that has been in the core for spent
+// may still wait for a slot: what is left of QueueWait, tightened by the
+// context deadline. spent is more than a cache lookup only for a
+// follower that goes round again to lead its key.
+func (c *Core) waitBudget(ctx context.Context, spent time.Duration) time.Duration {
+	wait := c.cfg.QueueWait - spent
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem < wait {
 			wait = rem
@@ -391,8 +389,8 @@ func (c *Core) waitBudget(ctx context.Context) time.Duration {
 	return wait
 }
 
-// finish records a served request: an array index into the children
-// New resolved, then that child's own mutex — no map lookup, no label
+// finish records a served request: an array index into the histograms
+// New built, then that histogram's own mutex — no map lookup, no label
 // join, no allocation. It returns the time it read, when the request's
 // spans end.
 func (c *Core) finish(start time.Time, how outcome) time.Time {

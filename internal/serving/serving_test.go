@@ -442,7 +442,7 @@ func TestLeaderRereadsTheCache(t *testing.T) {
 	c := mustNew(t, countingFunc(&calls), Config{CacheSize: 64})
 	k := Key("p", "s", "m")
 	c.cache.Put(k, "stored")
-	v, shared, err := c.compute(context.Background(), k, "p", "s")
+	v, shared, err := c.compute(context.Background(), k, "p", "s", time.Now())
 	if err != nil || v != "stored" || !shared {
 		t.Fatalf("compute on a stored key = (%q, %v, %v), want (\"stored\", shared, nil)", v, shared, err)
 	}

@@ -24,9 +24,13 @@ type flightCall struct {
 	done chan struct{}
 	val  string
 	err  error
-	// gone marks err as the leader's own context ending — its client
-	// hung up while it queued — which is no outcome to share.
-	gone bool
+	// tenant is the leader's. refused marks err as admission refusing
+	// the leader (a full queue or a spent wait budget), which is shared
+	// only with followers of that tenant; gone marks it as the leader's
+	// own context ending — its client hung up while it queued — which
+	// is no outcome to share.
+	tenant        string
+	refused, gone bool
 	// dups counts followers that attached to this call; read by tests
 	// and by the core's dedup-hit counter.
 	dups int64
@@ -36,10 +40,12 @@ type flightCall struct {
 // whether this caller was a follower (shared someone else's execution).
 // Followers return early with ctx.Err() when their context ends first;
 // the leader always runs fn to completion so the result can still be
-// cached for everyone else. A follower shares the leader's result and
-// the leader's shed, but not the leader's client: when the call ended
-// because the leader's context did, a follower whose own context is
-// live goes round again, to lead the key itself or join a newer call.
+// cached for everyone else. A follower shares the leader's result, but
+// neither the leader's client nor another tenant's admission: when the
+// call ended because the leader's context did, or because admission
+// refused a leader of another tenant, a follower whose own context is
+// live goes round again, to lead the key under its own tenant or join a
+// newer call. A drain refusal is shared with every follower.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (string, error)) (val string, shared bool, err error) {
 	for {
 		g.mu.Lock()
@@ -54,7 +60,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (string, err
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			if c.gone && ctx.Err() == nil {
+			if ctx.Err() == nil && (c.gone || c.refused && TenantFrom(ctx) != c.tenant) {
 				continue
 			}
 			return c.val, true, c.err
@@ -62,11 +68,12 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (string, err
 			return "", true, ctx.Err()
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), tenant: TenantFrom(ctx)}
 	g.calls[key] = c
 	g.mu.Unlock()
 
 	c.val, c.err = fn()
+	c.refused = errors.Is(c.err, ErrQueueFull) || errors.Is(c.err, errDeadline)
 	c.gone = c.err != nil && errors.Is(c.err, ctx.Err())
 
 	g.mu.Lock()

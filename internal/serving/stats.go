@@ -100,10 +100,14 @@ func (c *Core) Stats() Stats {
 
 // RegisterMetrics exposes the core on reg under the pas_serving_
 // namespace: its Stats, read at scrape time so the core's counters
-// stay the single source of truth, and the duration histogram it owns.
+// stay the single source of truth, and the duration histograms it owns.
 func (c *Core) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
-		e.Histogram(c.durations)
+		for o, h := range c.lat {
+			e.Histogram("pas_serving_request_duration_seconds",
+				"Time from entering the serving core to a served complement, by outcome (hit, shared, computed).",
+				h, "outcome", outcomeNames[o])
+		}
 		e.Fields("pas_serving_", c.Stats())
 	})
 }

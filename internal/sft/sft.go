@@ -273,7 +273,7 @@ func (m *Model) pickFacets(a facet.Analysis, prompt, salt string) []facet.Facet 
 // no prompt analysis, no policy scoring, and no defect simulation —
 // constant work per call. Nothing serves it: bench/pasperf's
 // sft.complement_cheap_ns probe is its only caller, and it leaves with
-// that probe (ROADMAP item 4's [benchmark] edit).
+// that probe (ROADMAP item 1(f)'s [benchmark] edit).
 func (m *Model) ComplementCheap(prompt, salt string) string {
 	return facet.RenderDirectives([]facet.Facet{facet.Specificity}, prompt+salt)
 }
