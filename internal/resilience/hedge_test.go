@@ -18,8 +18,8 @@ func TestHedgeFastPrimaryRunsOnce(t *testing.T) {
 	if err != nil || v != "fast" {
 		t.Fatalf("got (%q, %v)", v, err)
 	}
-	if n := atomic.LoadInt64(&calls); n != 1 {
-		t.Fatalf("fast primary hedged anyway: %d calls", n)
+	if n := atomic.LoadInt64(&calls); n != 1 || h.Launches() != 0 {
+		t.Fatalf("fast primary hedged anyway: %d calls, %d launches", n, h.Launches())
 	}
 }
 
@@ -43,8 +43,8 @@ func TestHedgeRacesSecondAttemptPastBudget(t *testing.T) {
 	if err != nil || v != "hedge" {
 		t.Fatalf("got (%q, %v), want the hedge to win", v, err)
 	}
-	if n := atomic.LoadInt64(&calls); n != 2 {
-		t.Fatalf("calls = %d, want 2", n)
+	if n := atomic.LoadInt64(&calls); n != 2 || h.Launches() != 1 {
+		t.Fatalf("calls = %d, launches = %d, want 2 and 1", n, h.Launches())
 	}
 }
 

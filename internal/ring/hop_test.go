@@ -8,11 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -52,6 +54,13 @@ func TestHedgeLoserConnectionIsClosed(t *testing.T) {
 	}
 	if aug, _, err := c.AugmentContextDegraded(context.Background(), prompt, ""); err != nil || aug != prompt+"\n[fast]" {
 		t.Fatalf("hedged augment: %q, %v", aug, err)
+	}
+	// The client's collector emits its hedger's one launch.
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	var scrape strings.Builder
+	if err := reg.WriteText(&scrape); err != nil || !strings.Contains(scrape.String(), "\npas_resilience_hedges_total 1\n") {
+		t.Fatalf("scrape (%v) does not count the one hedge:\n%s", err, scrape.String())
 	}
 	select {
 	case how := <-ended:
