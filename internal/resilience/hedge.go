@@ -2,7 +2,7 @@ package resilience
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +27,7 @@ type Hedger struct {
 	launches atomic.Int64
 
 	mu   sync.Mutex
-	buf  []time.Duration
+	buf  [hedgeWindow]time.Duration
 	next int
 	full bool
 }
@@ -52,9 +52,6 @@ func (h *Hedger) Launches() int64 {
 func (h *Hedger) observe(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.buf == nil {
-		h.buf = make([]time.Duration, hedgeWindow)
-	}
 	h.buf[h.next] = d
 	h.next++
 	if h.next == len(h.buf) {
@@ -67,18 +64,16 @@ func (h *Hedger) observe(d time.Duration) {
 // observed window, clamped to [MinDelay, MaxDelay].
 func (h *Hedger) delay() time.Duration {
 	h.mu.Lock()
-	n := h.next
+	window, n := h.buf, h.next // a copy, on the stack
 	if h.full {
-		n = len(h.buf)
+		n = len(window)
 	}
-	window := make([]time.Duration, n)
-	copy(window, h.buf[:n])
 	h.mu.Unlock()
-	if len(window) == 0 {
+	if n == 0 {
 		return h.MinDelay
 	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := min(int(hedgePercentile*float64(len(window))), len(window)-1)
+	slices.Sort(window[:n])
+	idx := min(int(hedgePercentile*float64(n)), n-1)
 	return min(max(window[idx], h.MinDelay), h.MaxDelay)
 }
 

@@ -3,6 +3,9 @@ package resilience
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,5 +103,31 @@ func TestHedgerDelayClamps(t *testing.T) {
 	}
 	if d := h2.delay(); d != 20*time.Millisecond {
 		t.Fatalf("delay = %v, want floored at MinDelay", d)
+	}
+}
+
+// TestHedgerDelayMatchesSortedWindow: on random windows, partial and
+// full (and wrapped), with repeated values, the delay is the
+// hedgePercentile entry of the sorted window, and reading it allocates
+// nothing.
+func TestHedgerDelayMatchesSortedWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 100, hedgeWindow - 1, hedgeWindow, hedgeWindow + 37, 3 * hedgeWindow} {
+		for trial := 0; trial < 20; trial++ {
+			h := &Hedger{MinDelay: 0, MaxDelay: time.Hour}
+			spread := 1 + rng.Intn(1000)
+			for i := 0; i < n; i++ {
+				h.observe(time.Duration(rng.Intn(spread)))
+			}
+			window := slices.Clone(h.buf[:min(n, hedgeWindow)])
+			sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
+			want := window[min(int(hedgePercentile*float64(len(window))), len(window)-1)]
+			if got := h.delay(); got != want {
+				t.Fatalf("%d observations over %d values: delay %v, want %v", n, spread, got, want)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { h.delay() }); allocs != 0 {
+				t.Fatalf("delay allocates %v times", allocs)
+			}
+		}
 	}
 }

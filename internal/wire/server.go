@@ -44,9 +44,11 @@ const (
 // request, net/http starts a goroutine to watch for a hang-up, stops it
 // with a read deadline in the past and resets the connection's
 // deadlines eight or nine times; this resets them once, and watches
-// only a request that outlives hangUpGrace. A request is parsed by
-// http.ReadRequest from the connection's pooled reader, and its reply
-// leaves through a pooled Writers buffer, in one write(2) when it fits.
+// only a request that outlives hangUpGrace. A request's header block,
+// whole in the connection's pooled reader, is claimed by parseHead when
+// it can build exactly the request http.ReadRequest builds, and parsed
+// by http.ReadRequest otherwise; its reply leaves through a pooled
+// Writers buffer, in one write(2) when it fits.
 //
 // The Handler, the four timeouts, MaxHeaderBytes, ErrorLog,
 // BaseContext and ConnContext are the wrapped server's. Every
@@ -69,7 +71,19 @@ type Server struct {
 	conns     map[*serverConn]struct{}
 	shutdown  atomic.Bool
 	inner     sync.Once
+
+	// routed, when set, is told the route of each request: set by tests,
+	// to see which path served what.
+	routed func(route byte)
 }
+
+// The routes of a request: claimed by parseHead, parsed by
+// http.ReadRequest, or handed off with its connection.
+const (
+	routeClaimed   = 'c'
+	routeRead      = 'r'
+	routeHandedOff = 'h'
+)
 
 // NewServer wraps srv, which serves what the Server hands off.
 func NewServer(srv *http.Server) *Server {
@@ -542,15 +556,24 @@ func (sc *serverConn) parse(n int) (*http.Request, bool) {
 		return nil, false
 	}
 	block, _ := sc.br.Peek(n)
-	h := headerReaders.Get().(*headerReader)
-	h.src.Reset(block)
-	h.br.Reset(&h.src)
-	req, err := http.ReadRequest(h.br)
-	h.src.Reset(nil)
-	h.br.Reset(nil)
-	headerReaders.Put(h)
-	if err != nil || !serves(req) || !oneHost(block) {
-		return nil, false
+	var route byte = routeClaimed
+	req := parseHead(block)
+	if req == nil {
+		route = routeRead
+		h := headerReaders.Get().(*headerReader)
+		h.src.Reset(block)
+		h.br.Reset(&h.src)
+		var err error
+		req, err = http.ReadRequest(h.br)
+		h.src.Reset(nil)
+		h.br.Reset(nil)
+		headerReaders.Put(h)
+		if err != nil || !serves(req) || !oneHost(block) {
+			return nil, false
+		}
+	}
+	if s.routed != nil {
+		s.routed(route)
 	}
 	_, _ = sc.br.Discard(n) // all n are buffered
 	sc.lastMethod = req.Method
@@ -611,6 +634,9 @@ func plainHost(h []byte) bool {
 // handOff gives the connection, with what sc.br holds and the byte a
 // watcher read, to the wrapped server, and reports whether it took it.
 func (sc *serverConn) handOff() bool {
+	if sc.s.routed != nil {
+		sc.s.routed(routeHandedOff)
+	}
 	buf, _ := sc.br.Peek(sc.br.Buffered())
 	rc := &replayConn{Conn: sc.conn, buf: bytes.Clone(buf)}
 	if sc.hasByte {

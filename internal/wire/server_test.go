@@ -62,6 +62,8 @@ type testServer struct {
 	addr string
 	mu   sync.Mutex
 	seen []seen
+	// routes are the wrapped server's, one byte a request (Server.routed).
+	routes []byte
 }
 
 func startServer(t testing.TB, wrapped bool, h http.Handler, tune func(*http.Server)) *testServer {
@@ -99,6 +101,11 @@ func startServer(t testing.TB, wrapped bool, h http.Handler, tune func(*http.Ser
 	l := fixedListener{ln}
 	if wrapped {
 		ts.ws = NewServer(ts.srv)
+		ts.ws.routed = func(route byte) {
+			ts.mu.Lock()
+			ts.routes = append(ts.routes, route)
+			ts.mu.Unlock()
+		}
 		go func() { _ = ts.ws.Serve(l) }()
 	} else {
 		go func() { _ = ts.srv.Serve(l) }()
@@ -123,6 +130,36 @@ func (ts *testServer) takeSeen() []seen {
 	s := ts.seen
 	ts.seen = nil
 	return s
+}
+
+func (ts *testServer) takeRoutes() string {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	r := string(ts.routes)
+	ts.routes = nil
+	return r
+}
+
+// caseRoutes is the route each request of a matrix case takes through
+// a Server: c claimed by parseHead, r parsed by http.ReadRequest, h
+// handed off. A case not listed is one request, claimed.
+var caseRoutes = map[string]string{
+	"pipelined":                 "cc",
+	"crlf after post":           "cc",
+	"handed off mid-keep-alive": "cch",
+	"empty":                     "",
+	// Parsed by http.ReadRequest and served.
+	"repeated cl":  "r",
+	"absolute uri": "r",
+	"lf only":      "r",
+	// Handed off from the first request.
+	"http/1.0": "h", "http/1.0 keep-alive": "h", "expect": "h", "chunked": "h", "upgrade": "h",
+	"h2c preface": "h", "options *": "h", "connect": "h", "malformed request line": "h",
+	"bad header name": "h", "bad header value": "h", "missing host": "h", "duplicate host": "h",
+	"odd host": "h", "bad host": "h", "cl with te": "h", "duplicate cl": "h", "bad cl": "h",
+	"oversize header": "h", "header over MaxHeaderBytes": "h", "partial header": "h",
+	// Handler shapes that keep the connection for the request after.
+	"closed body unread": "cc", "half-read body": "cc", "full duplex": "cc",
 }
 
 type teeBody struct {
@@ -387,6 +424,15 @@ func compare(t *testing.T, c exchangeCase, wantWrapped, gotWrapped bool) {
 	if fmt.Sprintf("%+v", gs) != fmt.Sprintf("%+v", ws) {
 		t.Errorf("%s: handler saw\n %+v\nwant %+v", c.name, gs, ws)
 	}
+	if gotWrapped {
+		want, ok := caseRoutes[c.name]
+		if !ok {
+			want = "c"
+		}
+		if got := sut.takeRoutes(); got != want {
+			t.Errorf("%s: routes %q, want %q", c.name, got, want)
+		}
+	}
 }
 
 func trim(b []byte) []byte {
@@ -483,28 +529,7 @@ func FuzzServerMatchesHTTPServer(f *testing.F) {
 			f.Add([]byte(c.raw))
 		}
 	}
-	for _, raw := range []string{
-		"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\nGET /smuggled HTTP/1.1\r\nHost: a\r\n\r\n",
-		"POST / HTTP/1.1\r\nHost: a\r\ntransfer-encoding: Chunked\r\n\r\n0\r\n\r\n",
-		"POST / HTTP/1.1\r\nHost: a\r\nTransfer-Encoding: chunked, identity\r\n\r\n0\r\n\r\n",
-		"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: +3\r\n\r\nabc",
-		"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 3 \r\n\r\nabc",
-		"POST / HTTP/1.1\r\nHost: a\r\nContent-Length : 3\r\n\r\nabc",
-		"POST / HTTP/1.1\r\nHost: a\r\n Content-Length: 3\r\n\r\nabc",
-		"GET / HTTP/1.1\r\nHost: a\r\n b\r\n\r\n",
-		"GET / HTTP/1.1\r\nHost: a\rX: b\r\n\r\n",
-		"GET / HTTP/1.1\r\nHost: a\r\nX: \x00\r\n\r\n",
-		"GET / HTTP/1.1\r\nHOST: a\r\nhost: a\r\n\r\n",
-		"GET  / HTTP/1.1\r\nHost: a\r\n\r\n",
-		"GET / HTTP/1.1 \r\nHost: a\r\n\r\n",
-		"GET / http/1.1\r\nHost: a\r\n\r\n",
-		"GET / HTTP/1.2\r\nHost: a\r\n\r\n",
-		"\r\nGET / HTTP/1.1\r\nHost: a\r\n\r\n",
-		"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 0\r\n\r\n\r\n\r\nGET / HTTP/1.1\r\nHost: a\r\n\r\n",
-		"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: 3\r\n\r\nabcGET / HTTP/1.1\r\nHost: a\r\n\r\n",
-		"GET /%zz HTTP/1.1\r\nHost: a\r\n\r\n",
-		"GET http://[::1]:80/x HTTP/1.1\r\nHost: [::1]:80\r\n\r\n",
-	} {
+	for _, raw := range smugglingSeeds {
 		f.Add([]byte(raw))
 	}
 	ref := startServer(f, false, http.HandlerFunc(readAndReply), nil)
@@ -520,6 +545,31 @@ func FuzzServerMatchesHTTPServer(f *testing.F) {
 			t.Fatalf("for %q the handler saw\n %+v\nwant %+v", raw, gs, ws)
 		}
 	})
+}
+
+// smugglingSeeds are request bytes that servers have been told apart
+// by: framing, folding, stray bytes and odd request lines.
+var smugglingSeeds = []string{
+	"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\nGET /smuggled HTTP/1.1\r\nHost: a\r\n\r\n",
+	"POST / HTTP/1.1\r\nHost: a\r\ntransfer-encoding: Chunked\r\n\r\n0\r\n\r\n",
+	"POST / HTTP/1.1\r\nHost: a\r\nTransfer-Encoding: chunked, identity\r\n\r\n0\r\n\r\n",
+	"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: +3\r\n\r\nabc",
+	"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 3 \r\n\r\nabc",
+	"POST / HTTP/1.1\r\nHost: a\r\nContent-Length : 3\r\n\r\nabc",
+	"POST / HTTP/1.1\r\nHost: a\r\n Content-Length: 3\r\n\r\nabc",
+	"GET / HTTP/1.1\r\nHost: a\r\n b\r\n\r\n",
+	"GET / HTTP/1.1\r\nHost: a\rX: b\r\n\r\n",
+	"GET / HTTP/1.1\r\nHost: a\r\nX: \x00\r\n\r\n",
+	"GET / HTTP/1.1\r\nHOST: a\r\nhost: a\r\n\r\n",
+	"GET  / HTTP/1.1\r\nHost: a\r\n\r\n",
+	"GET / HTTP/1.1 \r\nHost: a\r\n\r\n",
+	"GET / http/1.1\r\nHost: a\r\n\r\n",
+	"GET / HTTP/1.2\r\nHost: a\r\n\r\n",
+	"\r\nGET / HTTP/1.1\r\nHost: a\r\n\r\n",
+	"POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 0\r\n\r\n\r\n\r\nGET / HTTP/1.1\r\nHost: a\r\n\r\n",
+	"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: 3\r\n\r\nabcGET / HTTP/1.1\r\nHost: a\r\n\r\n",
+	"GET /%zz HTTP/1.1\r\nHost: a\r\n\r\n",
+	"GET http://[::1]:80/x HTTP/1.1\r\nHost: [::1]:80\r\n\r\n",
 }
 
 // countingConn counts the deadline resets of a connection.

@@ -511,11 +511,20 @@ func validHeader(req *http.Request) bool {
 	return true
 }
 
-func isToken(s string) bool {
+func isToken[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c <= ' ' || c >= 0x7f || strings.IndexByte(`"(),/:;<=>?@[\]{}`, c) >= 0 {
+		if !tokenByte[s[i]] {
 			return false
 		}
 	}
-	return s != ""
+	return len(s) > 0
 }
+
+// tokenByte marks the bytes a token (RFC 9110 tchar) is made of: the
+// visible ASCII bytes but the separators.
+var tokenByte = func() (t [256]bool) {
+	for c := '!'; c <= '~'; c++ {
+		t[c] = !strings.ContainsRune(`"(),/:;<=>?@[\]{}`, c)
+	}
+	return t
+}()
