@@ -2,6 +2,9 @@ package pas
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,6 +20,12 @@ var (
 	docFilePath = regexp.MustCompile("`([^`\\s]+\\.(?:go|json|md|golden|sh|yml|yaml|txt|jsonl|mod))(?::[0-9,-]+)?`")
 	// testFunc is a top-level test, fuzz target or benchmark in a _test.go file.
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	// docCode is a backticked span of a document.
+	docCode = regexp.MustCompile("`([^`\n]+)`")
+	// docGoIdent is a pkg.Ident or pkg.Type.Member in a backticked span:
+	// an exported identifier, so that a metric or span name such as
+	// serving.hit_ratio is not read as one.
+	docGoIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 )
 
 // notRepoFiles are the backticked names the documents use that name no
@@ -35,6 +44,7 @@ var notRepoFiles = map[string]bool{
 func TestDocsCiteOnlyWhatExists(t *testing.T) {
 	var files []string // slash-separated, from the repository root
 	defined := map[string]bool{}
+	declared := map[string]bool{} // pkg.Ident and pkg.Type.Member, by package name
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,14 +57,24 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 		}
 		path = filepath.ToSlash(path)
 		files = append(files, path)
-		if !strings.HasSuffix(path, "_test.go") || strings.Contains(path, "/testdata/") {
+		if !strings.HasSuffix(path, ".go") || strings.Contains(path, "/testdata/") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range testFunc.FindAllSubmatch(src, -1) {
-			defined[string(m[1])] = true
+		if err != nil {
+			return err
 		}
-		return err
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				defined[string(m[1])] = true
+			}
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declare(declared, f)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +98,75 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s:%d names %s, which no test file defines", doc, line(at[0]), name)
 			}
 		}
+		for _, code := range docCode.FindAllSubmatchIndex(text, -1) {
+			for _, m := range docGoIdent.FindAllStringSubmatch(string(text[code[2]:code[3]]), -1) {
+				pkg, ident, member := m[1], m[2], m[3]
+				if !declared[pkg] {
+					continue // the standard library's, or no package
+				}
+				if cited := pkg + "." + ident; !declared[cited] || member != "" && !declared[cited+"."+member] {
+					t.Errorf("%s:%d cites %s, which the module does not declare", doc, line(code[0]), m[0])
+				}
+			}
+		}
 		for _, at := range docFilePath.FindAllSubmatchIndex(text, -1) {
 			for _, cited := range expandBraces(string(text[at[2]:at[3]])) {
 				if !notRepoFiles[cited] && !exists(cited) {
 					t.Errorf("%s:%d cites %s, which is no file of the repository", doc, line(at[0]), cited)
+				}
+			}
+		}
+	}
+}
+
+// declare adds f's package name and its top-level identifiers to
+// declared, as pkg.Ident, with each type's methods, named fields and
+// interface methods as pkg.Type.Member.
+func declare(declared map[string]bool, f *ast.File) {
+	pkg := f.Name.Name
+	declared[pkg] = true
+	add := func(names ...string) { declared[pkg+"."+strings.Join(names, ".")] = true }
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name.Name)
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			switch r := recv.(type) {
+			case *ast.IndexExpr:
+				recv = r.X
+			case *ast.IndexListExpr:
+				recv = r.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				add(id.Name, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						add(n.Name)
+					}
+				case *ast.TypeSpec:
+					add(spec.Name.Name)
+					members := new(ast.FieldList)
+					switch t := spec.Type.(type) {
+					case *ast.StructType:
+						members = t.Fields
+					case *ast.InterfaceType:
+						members = t.Methods
+					}
+					for _, m := range members.List {
+						for _, n := range m.Names {
+							add(spec.Name.Name, n.Name)
+						}
+					}
 				}
 			}
 		}

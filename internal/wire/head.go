@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/url"
+	"strings"
 	"unsafe"
 )
 
@@ -22,9 +23,9 @@ type parsedHead struct {
 
 // parseHead returns the request http.ReadRequest builds from the header
 // block head, Body and context aside, when head is in the subset it can
-// build that for and this Server serves (serves and oneHost accept the
-// request); for any other block it returns nil, and the block takes the
-// http.ReadRequest path. The subset:
+// build that for and net/http's server serves as this Server does; for
+// any other block it returns nil, and the connection is handed off to
+// the wrapped server. The subset:
 //
 //   - the request line is TOKEN SP origin-form SP HTTP/1.1, not
 //     CONNECT; the path holds only unreserved bytes and '/' and does not
@@ -85,13 +86,13 @@ func parseHead(head []byte) *http.Request {
 		}
 		name, value := line[:colon], line[lo:hi]
 		switch {
-		case equalFold(name, "host"):
+		case equalFoldASCII(name, "host"):
 			hosts++
 			if !plainHost(value) {
 				return nil
 			}
 			host = nf
-		case equalFold(name, "content-length"):
+		case equalFoldASCII(name, "content-length"):
 			cls++
 			if len(value) == 0 || len(value) > 18 {
 				return nil
@@ -102,8 +103,8 @@ func parseHead(head []byte) *http.Request {
 				}
 				length = 10*length + int64(c-'0')
 			}
-		case equalFold(name, "transfer-encoding"), equalFold(name, "expect"),
-			equalFold(name, "upgrade"), equalFold(name, "pragma"):
+		case equalFoldASCII(name, "transfer-encoding"), equalFoldASCII(name, "expect"),
+			equalFoldASCII(name, "upgrade"), equalFoldASCII(name, "pragma"):
 			return nil
 		}
 		if nf == maxHeadFields {
@@ -150,7 +151,7 @@ func parseHead(head []byte) *http.Request {
 		}
 	}
 	req.ContentLength = length
-	req.Close = hasToken(req.Header["Connection"], "close")
+	req.Close = containsToken(req.Header["Connection"], "close")
 	return req
 }
 
@@ -185,17 +186,46 @@ func originForm(target []byte) int {
 	return q
 }
 
-// equalFold reports whether the token b is lower, in any case.
-func equalFold(b []byte, lower string) bool {
-	if len(b) != len(lower) {
-		return false
-	}
-	for i, c := range b {
-		if c|0x20 != lower[i] {
+// plainHost reports whether h holds only bytes every Host net/http
+// accepts is made of.
+func plainHost(h []byte) bool {
+	for i := 0; i < len(h); i++ {
+		c := h[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("-._:[]", c) >= 0) {
 			return false
 		}
 	}
 	return true
+}
+
+// hasToken is net/http's rule for a request's close and its reply's
+// (its header.go hasToken): token is in v, in any ASCII case, between
+// v's ends, SP, HTAB or commas.
+func hasToken(v, token string) bool {
+	boundary := func(i int) bool { return i < 0 || i == len(v) || v[i] == ' ' || v[i] == '\t' || v[i] == ',' }
+	for i := 0; i+len(token) <= len(v); i++ {
+		if boundary(i-1) && boundary(i+len(token)) && equalFoldASCII(v[i:i+len(token)], token) {
+			return true
+		}
+	}
+	return false
+}
+
+// containsToken is net/http's rule for Request.Close and a protocol
+// switch (httpguts.HeaderValuesContainsToken): token is one of the
+// comma-separated elements of values, SP and HTAB trimmed, in any ASCII
+// case.
+func containsToken(values []string, token string) bool {
+	for _, v := range values {
+		for v != "" {
+			var t string
+			t, v, _ = strings.Cut(v, ",")
+			if equalFoldASCII(strings.Trim(t, " \t"), token) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // canonicalize rewrites the token name in place as textproto

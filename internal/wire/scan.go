@@ -464,13 +464,14 @@ func wanted(key []byte, keys []string) int {
 	return notWanted
 }
 
-// equalFoldASCII is strings.EqualFold for an ASCII key, without making
-// a string of it.
-func equalFoldASCII(key []byte, k string) bool {
+// equalFoldASCII is strings.EqualFold for ASCII case only, without
+// making a string of a []byte key.
+func equalFoldASCII[T string | []byte](key T, k string) bool {
 	if len(key) != len(k) {
 		return false
 	}
-	for i, c := range key {
+	for i := 0; i < len(key); i++ {
+		c := key[i]
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}

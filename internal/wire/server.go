@@ -45,20 +45,20 @@ const (
 // with a read deadline in the past and resets the connection's
 // deadlines eight or nine times; this resets them once, and watches
 // only a request that outlives hangUpGrace. A request's header block,
-// whole in the connection's pooled reader, is claimed by parseHead when
-// it can build exactly the request http.ReadRequest builds, and parsed
-// by http.ReadRequest otherwise; its reply leaves through a pooled
-// Writers buffer, in one write(2) when it fits.
+// whole in the connection's pooled reader, is served here when parseHead
+// can build exactly the request http.ReadRequest builds; its reply
+// leaves through a pooled Writers buffer, in one write(2) when it fits.
 //
 // The Handler, the four timeouts, MaxHeaderBytes, ErrorLog,
-// BaseContext and ConnContext are the wrapped server's. Every
-// connection it does not serve goes to the wrapped server, with the
-// bytes read so far replayed, through an in-process listener: from the
-// first request that is HTTP/1.0, fails to parse or fails net/http's
-// checks (so the 400, 431 and 501 replies are net/http's own), carries
-// Expect, Upgrade or a Transfer-Encoding, is the h2c preface, CONNECT
-// or OPTIONS *, or has a header block larger than the pooled reader or
-// MaxHeaderBytes. ConnState hooks and TLS see only those connections.
+// BaseContext and ConnContext are the wrapped server's. A connection
+// goes to the wrapped server, with the bytes read so far replayed,
+// through an in-process listener, from the first request parseHead
+// declines: one that is HTTP/1.0, malformed or refused by net/http (so
+// the 400, 431 and 501 replies are net/http's own), carries Expect,
+// Upgrade or a Transfer-Encoding, is the h2c preface, CONNECT or
+// OPTIONS *, falls outside parseHead's subset, or has a header block
+// larger than the pooled reader or MaxHeaderBytes. ConnState hooks and
+// TLS see only those connections.
 //
 // Replies are byte-identical to net/http's but for Date
 // (TestServerMatchesHTTPServer). A handler cannot hijack.
@@ -77,11 +77,10 @@ type Server struct {
 	routed func(route byte)
 }
 
-// The routes of a request: claimed by parseHead, parsed by
-// http.ReadRequest, or handed off with its connection.
+// The routes of a request: claimed by parseHead, or handed off with its
+// connection.
 const (
 	routeClaimed   = 'c'
-	routeRead      = 'r'
 	routeHandedOff = 'h'
 )
 
@@ -274,18 +273,6 @@ const (
 var aLongTimeAgo = time.Unix(1, 0)
 
 var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
-
-// headerReaders parse a header block that is entirely in memory.
-var headerReaders = sync.Pool{New: func() any {
-	h := new(headerReader)
-	h.br = bufio.NewReaderSize(&h.src, readerSize)
-	return h
-}}
-
-type headerReader struct {
-	src bytes.Reader
-	br  *bufio.Reader
-}
 
 var replyWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, replyBufferSize) }}
 
@@ -547,33 +534,20 @@ func headerEnd(buf []byte) int {
 	}
 }
 
-// parse reads the request whose n-byte header block sc.br holds, and
-// reports whether this Server serves it: false leaves the bytes in
-// sc.br for the wrapped server.
+// parse returns the request whose n-byte header block sc.br holds, and
+// whether parseHead claimed it: false leaves the bytes in sc.br for the
+// wrapped server.
 func (sc *serverConn) parse(n int) (*http.Request, bool) {
-	s := sc.s
-	if limit := s.srv.MaxHeaderBytes; limit > 0 && n > limit {
+	if limit := sc.s.srv.MaxHeaderBytes; limit > 0 && n > limit {
 		return nil, false
 	}
 	block, _ := sc.br.Peek(n)
-	var route byte = routeClaimed
 	req := parseHead(block)
 	if req == nil {
-		route = routeRead
-		h := headerReaders.Get().(*headerReader)
-		h.src.Reset(block)
-		h.br.Reset(&h.src)
-		var err error
-		req, err = http.ReadRequest(h.br)
-		h.src.Reset(nil)
-		h.br.Reset(nil)
-		headerReaders.Put(h)
-		if err != nil || !serves(req) || !oneHost(block) {
-			return nil, false
-		}
+		return nil, false
 	}
-	if s.routed != nil {
-		s.routed(route)
+	if sc.s.routed != nil {
+		sc.s.routed(routeClaimed)
 	}
 	_, _ = sc.br.Discard(n) // all n are buffered
 	sc.lastMethod = req.Method
@@ -583,52 +557,6 @@ func (sc *serverConn) parse(n int) (*http.Request, bool) {
 		req.Body = &reqBody{sc: sc, n: req.ContentLength}
 	}
 	return req, true
-}
-
-// serves reports whether a request http.ReadRequest parsed is served
-// here: HTTP/1.1, none of the requests net/http treats specially, and a
-// header net/http's server accepts (oneHost checks the Host fields).
-func serves(req *http.Request) bool {
-	return req.Proto == "HTTP/1.1" && req.Method != http.MethodConnect && req.RequestURI != "*" &&
-		len(req.TransferEncoding) == 0 && len(req.Header["Transfer-Encoding"]) == 0 &&
-		len(req.Header["Expect"]) == 0 && len(req.Header["Upgrade"]) == 0 && validHeader(req)
-}
-
-// oneHost reports whether a header block http.ReadRequest accepted has
-// one Host field, made of plain bytes, and no folded line; the Host
-// fields are what ReadRequest drops from the header it returns.
-func oneHost(block []byte) bool {
-	hosts := 0
-	lines := block[bytes.IndexByte(block, '\n')+1:]
-	for {
-		i := bytes.IndexByte(lines, '\n')
-		line := bytes.TrimSuffix(lines[:max(i, 0)], []byte("\r"))
-		if i < 0 || len(line) == 0 {
-			return hosts == 1
-		}
-		lines = lines[i+1:]
-		switch {
-		case line[0] == ' ' || line[0] == '\t':
-			return false
-		case len(line) >= 5 && bytes.EqualFold(line[:5], []byte("host:")):
-			hosts++
-			if !plainHost(bytes.Trim(line[5:], " \t")) {
-				return false
-			}
-		}
-	}
-}
-
-// plainHost reports whether h holds only bytes every Host net/http
-// accepts is made of.
-func plainHost(h []byte) bool {
-	for i := 0; i < len(h); i++ {
-		c := h[i]
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("-._:[]", c) >= 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // handOff gives the connection, with what sc.br holds and the byte a
@@ -658,7 +586,7 @@ func (sc *serverConn) exchange(req *http.Request) (keep bool) {
 	ctx, cancel := context.WithCancel(sc.ctx)
 	req = req.WithContext(ctx)
 	w := &response{sc: sc, req: req, handlerHeader: make(http.Header), contentLength: -1,
-		wantsClose: hasToken(req.Header["Connection"], "close")}
+		wantsClose: req.Close || hasToken(headerGet(req.Header, "Connection"), "close")}
 	w.cw.res = w
 	w.w = replyWriters.Get().(*bufio.Writer)
 	w.w.Reset(&w.cw)
@@ -1361,7 +1289,7 @@ func (cw *chunkWriter) writeHeader(p []byte) {
 	if cw.chunking {
 		del("Content-Length")
 	}
-	if w.closeAfterReply && (!keepAlives || !hasToken([]string{headerGet(w.header, "Connection")}, "close")) && !isProtocolSwitch(code, header) {
+	if w.closeAfterReply && (!keepAlives || !hasToken(headerGet(w.header, "Connection"), "close")) && !isProtocolSwitch(code, header) {
 		del("Connection")
 		extra.connection = "close"
 	}
@@ -1374,7 +1302,7 @@ func (cw *chunkWriter) writeHeader(p []byte) {
 }
 
 func isProtocolSwitch(code int, h http.Header) bool {
-	return code == http.StatusSwitchingProtocols && h.Get("Upgrade") != "" && hasToken(h["Connection"], "Upgrade")
+	return code == http.StatusSwitchingProtocols && h.Get("Upgrade") != "" && containsToken(h["Connection"], "Upgrade")
 }
 
 // foreachHeaderElement calls fn for each non-empty element of the

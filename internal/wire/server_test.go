@@ -141,18 +141,16 @@ func (ts *testServer) takeRoutes() string {
 }
 
 // caseRoutes is the route each request of a matrix case takes through
-// a Server: c claimed by parseHead, r parsed by http.ReadRequest, h
-// handed off. A case not listed is one request, claimed.
+// a Server: c claimed by parseHead, h handed off. A case not listed is
+// one request, claimed.
 var caseRoutes = map[string]string{
 	"pipelined":                 "cc",
 	"crlf after post":           "cc",
 	"handed off mid-keep-alive": "cch",
 	"empty":                     "",
-	// Parsed by http.ReadRequest and served.
-	"repeated cl":  "r",
-	"absolute uri": "r",
-	"lf only":      "r",
-	// Handed off from the first request.
+	// Handed off from the first request: refused or treated specially
+	// by net/http, or outside parseHead's subset.
+	"repeated cl": "h", "absolute uri": "h", "lf only": "h", "connection cloſe": "h",
 	"http/1.0": "h", "http/1.0 keep-alive": "h", "expect": "h", "chunked": "h", "upgrade": "h",
 	"h2c preface": "h", "options *": "h", "connect": "h", "malformed request line": "h",
 	"bad header name": "h", "bad header value": "h", "missing host": "h", "duplicate host": "h",
@@ -238,6 +236,11 @@ func requestShapes() []exchangeCase {
 		{"post/short", "POST /p HTTP/1.1\r\nHost: example.com\r\nContent-Length: 10\r\n\r\nabc", readAndReply},
 		{"pipelined", getRaw + post("second"), readAndReply},
 		{"connection close", "GET / HTTP/1.1\r\nHost: example.com\r\nConnection: close\r\n\r\n" + getRaw, readAndReply},
+		// net/http closes on a close token bounded by SP, HTAB or comma
+		// in the first Connection value, matched in ASCII only.
+		{"connection foo close", "GET / HTTP/1.1\r\nHost: example.com\r\nConnection: foo close\r\n\r\n" + getRaw, readAndReply},
+		{"connection close foo", "GET / HTTP/1.1\r\nHost: example.com\r\nConnection: close foo\r\n\r\n" + getRaw, readAndReply},
+		{"connection cloſe", "GET / HTTP/1.1\r\nHost: example.com\r\nConnection: cloſe\r\n\r\n" + getRaw, readAndReply},
 		{"http/1.0", "GET / HTTP/1.0\r\nHost: example.com\r\n\r\n", readAndReply},
 		{"http/1.0 keep-alive", "GET / HTTP/1.0\r\nHost: example.com\r\nConnection: keep-alive\r\n\r\n" + getRaw, readAndReply},
 		{"expect", "POST /p HTTP/1.1\r\nHost: example.com\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\nabc", readAndReply},
@@ -379,6 +382,10 @@ func handlerShapes() []exchangeCase {
 		}},
 		{"connection close reply", req + getRaw, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Connection", "close")
+			_, _ = w.Write([]byte("bye"))
+		}},
+		{"connection foo close reply", "GET / HTTP/1.1\r\nHost: example.com\r\nConnection: close\r\n\r\n" + getRaw, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Connection", "foo close")
 			_, _ = w.Write([]byte("bye"))
 		}},
 		{"identity transfer encoding", req + getRaw, func(w http.ResponseWriter, r *http.Request) {
@@ -858,13 +865,26 @@ func TestServerHandOffReplaysBufferedBytes(t *testing.T) {
 // one. Run with -trace and count GoCreate events for goroutines started
 // per request.
 func BenchmarkServerKeepAlive(b *testing.B) {
+	benchKeepAlive(b, []byte(post(`{"prompt":"Explain how tides form.","salt":"s"}`)))
+}
+
+// BenchmarkServerKeepAliveDeclined: BenchmarkServerKeepAlive's POST with
+// LF-only lines, a head parseHead declines: what a client the Server
+// does not claim costs, its connection handed off at the first request
+// and served by the wrapped server from then on.
+func BenchmarkServerKeepAliveDeclined(b *testing.B) {
+	raw := post(`{"prompt":"Explain how tides form.","salt":"s"}`)
+	n := headerEnd([]byte(raw))
+	benchKeepAlive(b, []byte(strings.ReplaceAll(raw[:n], "\r\n", "\n")+raw[n:]))
+}
+
+func benchKeepAlive(b *testing.B, req []byte) {
 	reply := bytes.Repeat([]byte("x"), 240)
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(reply)
 	})
-	req := []byte(post(`{"prompt":"Explain how tides form.","salt":"s"}`))
 	for _, wrapped := range []bool{false, true} {
 		name := "net/http"
 		if wrapped {

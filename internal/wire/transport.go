@@ -28,7 +28,7 @@ import (
 // MaxIdleConnsPerHost, IdleConnTimeout and MaxResponseHeaderBytes it
 // uses, and hands that transport every request it does not run itself:
 // https (TLS and HTTP/2), a request an environment proxy applies to, a
-// protocol upgrade, CONNECT, Expect: 100-continue, a header
+// protocol upgrade, CONNECT, Expect, a header
 // http.Transport would refuse, DisableKeepAlives, and every request on a
 // platform without the idle-connection peek (see canPeek). The choice
 // is made from the request alone.
@@ -147,7 +147,7 @@ func (t *Transport) CloseIdleConnections() {
 func (t *Transport) serves(req *http.Request) bool {
 	if !canPeek || t.base.DisableKeepAlives || req.URL == nil || req.URL.Scheme != "http" || req.URL.Host == "" ||
 		req.Method == http.MethodConnect || len(req.Header["Upgrade"]) > 0 ||
-		hasToken(req.Header["Expect"], "100-continue") || !validHeader(req) {
+		len(req.Header["Expect"]) > 0 || !validHeader(req) {
 		return false
 	}
 	if t.base.Proxy != nil {
@@ -219,7 +219,7 @@ func (t *Transport) exchange(ctx context.Context, c *conn, req *http.Request) (*
 		}
 		return nil, canceled(ctx, &connError{err: err, unread: c.read == 0})
 	}
-	keep := werr == nil && resp.StatusCode >= 200 && !resp.Close && !req.Close && !hasToken(req.Header["Connection"], "close")
+	keep := werr == nil && resp.StatusCode >= 200 && !resp.Close && !req.Close
 	if resp.Body == http.NoBody {
 		t.release(c, stop, keep)
 		return resp, nil
@@ -471,21 +471,6 @@ func canceled(ctx context.Context, err error) error {
 		return cerr
 	}
 	return err
-}
-
-// hasToken reports whether one of the comma-separated values is token,
-// in any case.
-func hasToken(values []string, token string) bool {
-	for _, v := range values {
-		for v != "" {
-			var t string
-			t, v, _ = strings.Cut(v, ",")
-			if strings.EqualFold(strings.TrimSpace(t), token) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // validHeader reports whether req's method and header are what

@@ -22,10 +22,11 @@ import (
 )
 
 // reply is a scripted response: head, then body unless the request was
-// a HEAD, then late after a pause; close ends the connection after it.
+// a HEAD, then late after a pause; close ends the connection after it,
+// and keep keeps it even when the request asked to close.
 type reply struct {
 	head, body, late string
-	close            bool
+	close, keep      bool
 }
 
 // replies are the responses of the differential matrix, by the name a
@@ -108,7 +109,7 @@ func (u *rawUpstream) serve(c net.Conn) {
 		if err != nil {
 			return
 		}
-		if hasToken(req.Header["Expect"], "100-continue") {
+		if hasToken(req.Header.Get("Expect"), "100-continue") {
 			_, _ = io.WriteString(c, "HTTP/1.1 100 Continue\r\n\r\n")
 		}
 		if _, err := io.Copy(io.Discard, req.Body); err != nil {
@@ -134,7 +135,7 @@ func (u *rawUpstream) serve(c net.Conn) {
 			time.Sleep(50 * time.Millisecond)
 			_, _ = io.WriteString(c, r.late)
 		}
-		if r.close || req.Close {
+		if r.close || req.Close && !r.keep {
 			return
 		}
 	}
@@ -251,7 +252,9 @@ func referenceTransport() *http.Transport {
 // through http.Transport and through Transport. The caller sees the same
 // status, 1xx, header, body and trailer; the upstream reads the same
 // bytes but one header line, the Accept-Encoding: gzip http.Transport
-// adds and Transport does not.
+// adds and Transport does not. A request whose Connection header alone
+// asks to close, answered on a connection kept alive, is pooled or not
+// as http.Transport pools it.
 func TestTransportMatchesHTTPTransport(t *testing.T) {
 	ref := referenceTransport()
 	defer ref.CloseIdleConnections()
@@ -285,11 +288,36 @@ func TestTransportMatchesHTTPTransport(t *testing.T) {
 			t.Errorf("request %d: the upstream read %d bytes, want %d; head\n%s\nwant\n%.300s", i, len(read[i]), len(want), head, want)
 		}
 	}
+	if got, want := closeHeaderConns(t, ours), closeHeaderConns(t, ref); got != want {
+		t.Errorf("a header-only Connection: close, then a GET: %d connections, http.Transport %d", got, want)
+	}
+}
+
+// closeHeaderConns sends through rt a GET whose Connection header alone
+// asks to close (req.Close is false), then a plain GET, to an upstream
+// that keeps its connections, and returns how many it accepted: 1 when
+// rt pooled the first connection.
+func closeHeaderConns(t *testing.T, rt http.RoundTripper) int {
+	up := newRawUpstream(t, map[string]reply{"keep": {head: "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", body: "hello", keep: true}})
+	for _, conn := range []string{"close", ""} {
+		req, _ := http.NewRequest("GET", up.url()+"/", nil)
+		req.Header.Set("X-Reply", "keep")
+		if conn != "" {
+			req.Header.Set("Connection", conn)
+		}
+		resp, err := rt.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	return up.conns()
 }
 
 // TestTransportServesCleartextOnly: https, a proxied request, an upgrade,
-// Expect: 100-continue and a header http.Transport refuses go to the
-// wrapped transport; a plain request does not.
+// any Expect and a header http.Transport refuses go to the wrapped
+// transport; a plain request does not.
 func TestTransportServesCleartextOnly(t *testing.T) {
 	proxied := referenceTransport()
 	proxied.Proxy = func(r *http.Request) (*url.URL, error) {
@@ -316,6 +344,7 @@ func TestTransportServesCleartextOnly(t *testing.T) {
 		{req("GET", "http://via.proxy/"), false},
 		{req("GET", "http://a:1/", "Upgrade", "websocket", "Connection", "Upgrade"), false},
 		{req("POST", "http://a:1/", "Expect", "100-Continue"), false},
+		{req("POST", "http://a:1/", "Expect", "foo"), false},
 		{req("GET", "http://a:1/", "X-Bad", "a\r\nb"), false},
 		{req("GET", "http://a:1/", "Bad Name", "v"), false},
 		{req("CONNECT", "http://a:1/"), false},
